@@ -95,7 +95,7 @@ func BenchmarkTable5MarketApps(b *testing.B) {
 	var res *experiments.Table5Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.RunTable5(2, []int{1, 2, 3, 4, 5, 6})
+		res, err = experiments.RunTable5(iotsan.Options{}, 2, []int{1, 2, 3, 4, 5, 6})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func BenchmarkTable6Volunteers(b *testing.B) {
 	var res *experiments.Table6Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.RunTable6(2, 7, 0)
+		res, err = experiments.RunTable6(iotsan.Options{}, 2, 7, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func BenchmarkTable7bConcurrentVsSequential(b *testing.B) {
 	var rows []experiments.Table7bRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.RunTable7b([]int{1, 2, 3, 4}, 120000)
+		rows, err = experiments.RunTable7b(iotsan.Options{}, []int{1, 2, 3, 4}, 120000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func BenchmarkTable8VerificationTime(b *testing.B) {
 	var rows []experiments.Table8Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.RunTable8([]int{3, 4, 5, 6}, 400_000)
+		rows, err = experiments.RunTable8(iotsan.Options{}, []int{3, 4, 5, 6}, 400_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func BenchmarkAttribution(b *testing.B) {
 	var rows []experiments.AttributionRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.RunAttribution(2)
+		rows, err = experiments.RunAttribution(iotsan.Options{}, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,21 +27,18 @@ func main() {
 	var (
 		configPath = flag.String("config", "", "system configuration JSON (required)")
 		appsDir    = flag.String("apps", "", "directory of <name>.groovy sources (default: built-in corpus)")
-		events     = flag.Int("events", 3, "external events to inject")
 		concurrent = flag.Bool("concurrent", false, "use the concurrent design instead of sequential")
 		trails     = flag.Bool("trails", true, "print counter-example trails")
-		maxViol    = flag.Int("max-violations", 0, "stop after this many distinct violations, cancelling sibling group searches (0 = collect all)")
-		interp     = flag.Bool("interp", false, "run handlers under the tree-walking interpreter instead of compiled programs (oracle mode)")
-		engineFl   = config.RegisterEngineFlags(flag.CommandLine)
+		opts       iotsan.Options
 	)
+	flag.IntVar(&opts.MaxEvents, "events", 3, "external events to inject")
+	flag.IntVar(&opts.MaxViolations, "max-violations", 0, "stop after this many distinct violations, cancelling sibling group searches (0 = collect all)")
+	flag.BoolVar(&opts.Interpreter, "interp", false, "run handlers under the tree-walking interpreter instead of compiled programs (oracle mode)")
+	opts.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if *configPath == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	engine, err := engineFl.Engine()
-	if err != nil {
-		fatal(err)
 	}
 
 	sys, err := config.Load(*configPath)
@@ -57,14 +54,6 @@ func main() {
 		}
 	}
 
-	opts := iotsan.Options{MaxEvents: *events, Failures: engine.Failures,
-		Faults: engine.Faults, MaxFaults: engine.MaxFaults,
-		Strategy: engine.Strategy, Workers: engine.Workers,
-		GroupParallel: engine.GroupParallel, MaxViolations: *maxViol,
-		POR: engine.POR, Symmetry: engine.Symmetry, Interpreter: *interp,
-		NoIncremental: !engine.Incremental, NoEpochReclaim: !engine.EpochReclaim,
-		Store: engine.Store, StoreDir: engine.StoreDir, MemBudget: engine.MemBudget,
-		Checkpoint: engine.Checkpoint, Resume: engine.Resume}
 	if *concurrent {
 		opts.Design = iotsan.Concurrent
 	}

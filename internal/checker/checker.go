@@ -259,11 +259,11 @@ func (k StoreKind) String() string {
 // ParseStore maps a command-line store name to its kind.
 func ParseStore(name string) (StoreKind, error) {
 	switch name {
-	case "", "exhaustive", "hash", "hash-compact":
+	case "", "exhaustive":
 		return Exhaustive, nil
-	case "bitstate", "supertrace":
+	case "bitstate":
 		return Bitstate, nil
-	case "tiered", "out-of-core", "ooc":
+	case "tiered":
 		return Tiered, nil
 	}
 	return Exhaustive, fmt.Errorf("checker: unknown store %q (want exhaustive, bitstate, or tiered)", name)
@@ -305,11 +305,11 @@ func (k StrategyKind) String() string {
 // ParseStrategy maps a command-line strategy name to its kind.
 func ParseStrategy(name string) (StrategyKind, error) {
 	switch name {
-	case "", "dfs", "sequential":
+	case "", "dfs":
 		return StrategyDFS, nil
-	case "parallel", "bfs", "frontier":
+	case "parallel":
 		return StrategyParallel, nil
-	case "steal", "ws", "work-stealing":
+	case "steal":
 		return StrategySteal, nil
 	}
 	return StrategyDFS, fmt.Errorf("checker: unknown strategy %q (want dfs, parallel, or steal)", name)

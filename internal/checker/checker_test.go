@@ -2,6 +2,7 @@ package checker
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -155,4 +156,36 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestParseKindRoundTrip: every kind parses back from its String, ""
+// selects the default, and only the three documented spellings of each
+// are accepted.
+func TestParseKindRoundTrip(t *testing.T) {
+	for _, k := range []StrategyKind{StrategyDFS, StrategyParallel, StrategySteal} {
+		if got, err := ParseStrategy(k.String()); err != nil || got != k {
+			t.Errorf("ParseStrategy(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	for _, k := range []StoreKind{Exhaustive, Bitstate, Tiered} {
+		if got, err := ParseStore(k.String()); err != nil || got != k {
+			t.Errorf("ParseStore(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	if got, err := ParseStrategy(""); err != nil || got != StrategyDFS {
+		t.Errorf(`ParseStrategy("") = %v, %v`, got, err)
+	}
+	if got, err := ParseStore(""); err != nil || got != Exhaustive {
+		t.Errorf(`ParseStore("") = %v, %v`, got, err)
+	}
+	for _, name := range []string{"sequential", "bfs", "frontier", "ws", "work-stealing"} {
+		if _, err := ParseStrategy(name); err == nil || !strings.Contains(err.Error(), "want dfs, parallel, or steal") {
+			t.Errorf("ParseStrategy(%q) error = %v", name, err)
+		}
+	}
+	for _, name := range []string{"hash", "hash-compact", "supertrace", "out-of-core", "ooc"} {
+		if _, err := ParseStore(name); err == nil || !strings.Contains(err.Error(), "want exhaustive, bitstate, or tiered") {
+			t.Errorf("ParseStore(%q) error = %v", name, err)
+		}
+	}
 }

@@ -15,10 +15,8 @@ import (
 // ParallelCheckWorkload builds the canonical checker-throughput
 // workload: the largest market group under an expert configuration with
 // the full invariant catalog, capped so every engine variant performs
-// identical expansion work. BenchmarkParallelCheck and `iotsan-bench
-// -table perf` (the BENCH_<date>.json record) share this single
-// definition so the committed perf trajectory always measures exactly
-// what the benchmark measures.
+// identical expansion work. BenchmarkParallelCheck and the per-worker
+// parity gates share this single definition.
 func ParallelCheckWorkload() (*model.Model, checker.Options, string, error) {
 	largest := 1
 	for g := 2; g <= 6; g++ {
@@ -38,7 +36,7 @@ func ParallelCheckWorkload() (*model.Model, checker.Options, string, error) {
 	}
 	m, err := model.New(sys, apps, model.Options{
 		MaxEvents: 3, CheckConflicts: true, Invariants: invs,
-		Incremental: engineIncremental,
+		Incremental: true,
 	})
 	if err != nil {
 		return nil, checker.Options{}, "", err
@@ -52,10 +50,9 @@ func ParallelCheckWorkload() (*model.Model, checker.Options, string, error) {
 // GroupSchedulerWorkload builds the canonical multi-group Analyze
 // workload: the two largest market groups installed as one system, so
 // dependency analysis decomposes verification into many independent
-// related sets. `iotsan-bench -table perf` runs it with sequential
-// groups and with the concurrent group scheduler under the shared
-// worker budget, recording the wall-clock for each into
-// BENCH_<date>.json.
+// related sets. BenchmarkGroupScheduler runs it with sequential groups
+// and with the concurrent group scheduler under the shared worker
+// budget.
 func GroupSchedulerWorkload() (*config.System, map[string]*ir.App, iotsan.Options, string, error) {
 	sizes := make([]int, 7)
 	for g := 1; g <= 6; g++ {
@@ -83,39 +80,6 @@ func GroupSchedulerWorkload() (*config.System, map[string]*ir.App, iotsan.Option
 	desc := fmt.Sprintf("market groups %d+%d (%d apps), MaxEvents=2, cap %d states/set",
 		first, second, len(sources), opts.MaxStatesPerSet)
 	return sys, apps, opts, desc, nil
-}
-
-// PORWorkload builds the canonical partial-order-reduction workload:
-// the first 12 apps of market group 1 under the concurrent design at
-// MaxEvents=2 with the full invariant catalog — fully explorable, so
-// the with/without-POR state counts compare complete searches. The POR
-// reduction gate (TestPORReductionGate) and `iotsan-bench -table perf`
-// (the states-before/after + reduction-ratio record in
-// BENCH_<date>.json) share this workload shape.
-func PORWorkload() (*model.Model, checker.Options, string, error) {
-	sources := corpus.Group(1)
-	if len(sources) > 12 {
-		sources = sources[:12]
-	}
-	apps, err := TranslateAll(sources)
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	sys := ExpertConfig("por-bench", sources, apps)
-	invs, err := props.CompileInvariants(sys, nil, props.DefaultThresholds())
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	m, err := model.New(sys, apps, model.Options{
-		MaxEvents: 2, CheckConflicts: true, Invariants: invs, Design: model.Concurrent,
-		Incremental: engineIncremental,
-	})
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	copts := checker.Options{MaxDepth: 100}
-	desc := fmt.Sprintf("market group 1 prefix (%d apps), concurrent design, MaxEvents=2, full invariants", len(sources))
-	return m, copts, desc, nil
 }
 
 // SymmetrySystem builds the interchangeable-device deployment the
@@ -174,9 +138,8 @@ func SymmetrySystem(name string) (*config.System, map[string]*ir.App, error) {
 // the interchangeable-device system under the concurrent design at
 // MaxEvents=2 with the full invariant catalog and Options.Symmetry
 // model tables — fully explorable, so with/without-symmetry state
-// counts compare complete searches. The ≥30% fold gate
-// (TestSymmetryReductionGate) and `iotsan-bench -table perf` (the
-// symmetry_runs record in BENCH_<date>.json) share this workload.
+// counts compare complete searches — the workload of the ≥30% fold
+// gate (TestSymmetryReductionGate).
 func SymmetryWorkload() (*model.Model, checker.Options, string, error) {
 	sys, apps, err := SymmetrySystem("symmetry-bench")
 	if err != nil {
@@ -189,7 +152,7 @@ func SymmetryWorkload() (*model.Model, checker.Options, string, error) {
 	m, err := model.New(sys, apps, model.Options{
 		MaxEvents: 2, CheckConflicts: true, Invariants: invs,
 		Design: model.Concurrent, Symmetry: true,
-		Incremental: engineIncremental,
+		Incremental: true,
 	})
 	if err != nil {
 		return nil, checker.Options{}, "", err
@@ -252,9 +215,8 @@ func FaultSystem(name string) (*config.System, map[string]*ir.App, error) {
 // climate deployment at MaxEvents=2 with the full invariant catalog and
 // the persistent fault layer configured with the given budget — fully
 // explorable, so faults-off and faults-on state counts compare complete
-// searches. The fault-only-violation reachability gate, the MaxFaults=0
-// equivalence gate, and `iotsan-bench -table perf` (the fault_runs
-// record in BENCH_<date>.json) share this workload.
+// searches. The fault-only-violation reachability gate and the
+// MaxFaults=0 equivalence gate share this workload.
 func FaultWorkload(faults bool, maxFaults int) (*model.Model, checker.Options, string, error) {
 	sys, apps, err := FaultSystem("fault-bench")
 	if err != nil {
@@ -267,7 +229,7 @@ func FaultWorkload(faults bool, maxFaults int) (*model.Model, checker.Options, s
 	m, err := model.New(sys, apps, model.Options{
 		MaxEvents: 2, CheckConflicts: true, CheckRobustness: faults, Invariants: invs,
 		Faults: faults, MaxFaults: maxFaults,
-		Incremental: engineIncremental,
+		Incremental: true,
 	})
 	if err != nil {
 		return nil, checker.Options{}, "", err
@@ -289,47 +251,15 @@ func GroupModel(sys *config.System, apps map[string]*ir.App) (*model.Model, erro
 	}
 	return model.New(sys, apps, model.Options{
 		MaxEvents: 2, CheckConflicts: true, Invariants: invs,
-		Incremental: engineIncremental,
+		Incremental: true,
 	})
-}
-
-// EncodeWorkload builds the equal-work incremental-digest comparison
-// workload: the PORWorkload shape (market group 1 prefix, concurrent
-// design, MaxEvents=2, fully explorable so full-encode and incremental
-// variants perform identical expansion work) with the incremental
-// cache explicitly on or off. `iotsan-bench -table perf` (the
-// encode_runs record in BENCH_<date>.json) runs it per strategy ×
-// {plain, por}; the symmetry rows use SymmetryEncodeWorkload.
-func EncodeWorkload(incremental bool) (*model.Model, checker.Options, string, error) {
-	sources := corpus.Group(1)
-	if len(sources) > 12 {
-		sources = sources[:12]
-	}
-	apps, err := TranslateAll(sources)
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	sys := ExpertConfig("encode-bench", sources, apps)
-	invs, err := props.CompileInvariants(sys, nil, props.DefaultThresholds())
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	m, err := model.New(sys, apps, model.Options{
-		MaxEvents: 2, CheckConflicts: true, Invariants: invs, Design: model.Concurrent,
-		Incremental: incremental,
-	})
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	copts := checker.Options{MaxDepth: 100}
-	desc := fmt.Sprintf("market group 1 prefix (%d apps), concurrent design, MaxEvents=2, full invariants", len(sources))
-	return m, copts, desc, nil
 }
 
 // SymmetryEncodeWorkload is the SymmetryWorkload with the incremental
-// cache explicitly on or off — the symmetry rows of the encode_runs
-// comparison (cached per-device block hashes double as orbit profile
-// keys, so the canonical path is where incremental reuse compounds).
+// cache explicitly on or off — the canonical-path pair of the
+// TestIncremental* digest oracles (cached per-device block hashes
+// double as orbit profile keys, so the canonical path is where
+// incremental reuse compounds).
 func SymmetryEncodeWorkload(incremental bool) (*model.Model, checker.Options, string, error) {
 	sys, apps, err := SymmetrySystem("symmetry-encode-bench")
 	if err != nil {

@@ -1,6 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"iotsan"
+)
 
 func TestTable7aScaleRatios(t *testing.T) {
 	rows, mean, err := RunTable7a()
@@ -20,4 +26,27 @@ func TestTable7aScaleRatios(t *testing.T) {
 		t.Errorf("mean scale ratio %.2f; paper reports 3.4x, want >= 1.5x", mean)
 	}
 	t.Logf("mean scale ratio: %.2f", mean)
+}
+
+// The engine configuration handed to an experiment must reach the
+// checker: a tiered store given to RunTable8 leaves its tier files
+// under the store directory and explores the in-memory state count.
+func TestTable8HonoursStoreOptions(t *testing.T) {
+	const stateCap = 400_000
+	mem, err := RunTable8(iotsan.Options{}, []int{3}, stateCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	tiered, err := RunTable8(iotsan.Options{Store: iotsan.StoreTiered, StoreDir: dir, MemBudget: 64 << 10}, []int{3}, stateCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "group-000")); err != nil || !fi.IsDir() {
+		t.Errorf("tiered run left no %s/group-000 directory (err=%v): store options did not reach the engine", dir, err)
+	}
+	if tiered[0].States != mem[0].States || tiered[0].Truncated != mem[0].Truncated {
+		t.Errorf("tiered run: states=%d truncated=%v, in-memory run: states=%d truncated=%v",
+			tiered[0].States, tiered[0].Truncated, mem[0].States, mem[0].Truncated)
+	}
 }

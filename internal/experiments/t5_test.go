@@ -1,9 +1,13 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"iotsan"
+)
 
 func TestTable5OneGroupSmoke(t *testing.T) {
-	res, err := RunTable5(2, []int{1})
+	res, err := RunTable5(iotsan.Options{}, 2, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,8 +61,16 @@ type Table5Result struct {
 // RunTable5 reproduces the first experiment of §10.1/§10.2: the market
 // apps of the six groups with expert configurations, iterating
 // remove-a-bad-app-and-repeat until no violation is detected, then once
-// more with failures enabled.
-func RunTable5(maxEvents int, groups []int) (*Table5Result, error) {
+// more with failures enabled. opts carries the engine configuration;
+// the experiment overlays only the event count and per-set limits it
+// fixes (and Failures for the second pass).
+func RunTable5(opts iotsan.Options, maxEvents int, groups []int) (*Table5Result, error) {
+	opts.MaxEvents = maxEvents
+	opts.MaxStatesPerSet = 60000
+	opts.Deadline = 10 * time.Second
+	failOpts := opts
+	failOpts.Failures = true
+
 	res := &Table5Result{}
 	byClass := map[ViolationClass]map[string]int{}
 	classProps := map[ViolationClass]map[string]bool{}
@@ -81,10 +89,7 @@ func RunTable5(maxEvents int, groups []int) (*Table5Result, error) {
 		// repeat until clean (§10.1).
 		for iter := 0; iter < len(sources); iter++ {
 			sys := ExpertConfig(fmt.Sprintf("group-%d", g), remaining, apps)
-			rep, err := iotsan.AnalyzeTranslated(sys, apps, engineOptions(iotsan.Options{
-				MaxEvents: maxEvents, MaxStatesPerSet: 60000,
-				Deadline: 10 * time.Second,
-			}))
+			rep, err := iotsan.AnalyzeTranslated(sys, apps, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -124,10 +129,7 @@ func RunTable5(maxEvents int, groups []int) (*Table5Result, error) {
 		// Failure run on the cleaned group: which additional properties
 		// appear only under device/communication failures?
 		sys := ExpertConfig(fmt.Sprintf("group-%d-failures", g), remaining, apps)
-		rep, err := iotsan.AnalyzeTranslated(sys, apps, engineOptions(iotsan.Options{
-			MaxEvents: maxEvents, Failures: true,
-			MaxStatesPerSet: 60000, Deadline: 10 * time.Second,
-		}))
+		rep, err := iotsan.AnalyzeTranslated(sys, apps, failOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -194,8 +196,13 @@ func volunteerGroups() [][]string {
 	}
 }
 
-// RunTable6 reproduces Table 6: 10 groups × 7 volunteer configurations.
-func RunTable6(maxEvents int, volunteers int, groupLimit int) (*Table6Result, error) {
+// RunTable6 reproduces Table 6: 10 groups × 7 volunteer configurations
+// (engine configuration from opts, as in RunTable5).
+func RunTable6(opts iotsan.Options, maxEvents int, volunteers int, groupLimit int) (*Table6Result, error) {
+	opts.MaxEvents = maxEvents
+	opts.MaxStatesPerSet = 40000
+	opts.Deadline = 8 * time.Second
+
 	res := &Table6Result{}
 	byClass := map[ViolationClass]map[string]int{}
 	classProps := map[ViolationClass]map[string]bool{}
@@ -222,10 +229,7 @@ func RunTable6(maxEvents int, volunteers int, groupLimit int) (*Table6Result, er
 			res.Configurations++
 			sys := VolunteerConfig(fmt.Sprintf("vol-g%d-v%d", gi, v), sources, apps,
 				int64(gi*100+v+1))
-			rep, err := iotsan.AnalyzeTranslated(sys, apps, engineOptions(iotsan.Options{
-				MaxEvents: maxEvents, MaxStatesPerSet: 40000,
-				Deadline: 8 * time.Second,
-			}))
+			rep, err := iotsan.AnalyzeTranslated(sys, apps, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -317,20 +321,20 @@ func table7bSystem() (*config.System, map[string]*ir.App, error) {
 
 // RunTable7b compares concurrent vs sequential verification runtimes
 // (Table 7b shape: concurrent explodes, sequential stays flat).
-func RunTable7b(maxEventsList []int, stateCap int) ([]Table7bRow, error) {
+func RunTable7b(opts iotsan.Options, maxEventsList []int, stateCap int) ([]Table7bRow, error) {
 	sys, apps, err := table7bSystem()
 	if err != nil {
 		return nil, err
 	}
+	opts.MaxStatesPerSet = stateCap
+	opts.Deadline = 12 * time.Second
 	var rows []Table7bRow
 	for _, n := range maxEventsList {
 		row := Table7bRow{Events: n}
 
 		for _, design := range []iotsan.Design{iotsan.Concurrent, iotsan.Sequential} {
-			rep, err := iotsan.AnalyzeTranslated(sys, apps, engineOptions(iotsan.Options{
-				MaxEvents: n, Design: design,
-				MaxStatesPerSet: stateCap, Deadline: 12 * time.Second,
-			}))
+			opts.MaxEvents, opts.Design = n, design
+			rep, err := iotsan.AnalyzeTranslated(sys, apps, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -363,7 +367,7 @@ type Table8Row struct {
 
 // RunTable8 measures sequential verification time versus event count for
 // a bigger violation-free system (5 related apps, 10 devices in use).
-func RunTable8(events []int, stateCap int) ([]Table8Row, error) {
+func RunTable8(opts iotsan.Options, events []int, stateCap int) ([]Table8Row, error) {
 	names := []string{"Good Night", "It's Too Cold", "Light Follows Me",
 		"Darken Behind Me", "Lights Out at Night"}
 	var sources []corpus.Source
@@ -376,12 +380,13 @@ func RunTable8(events []int, stateCap int) ([]Table8Row, error) {
 		return nil, err
 	}
 	sys := ExpertConfig("table8", sources, apps)
+	opts.NoDepGraph = true
+	opts.MaxStatesPerSet = stateCap
+	opts.Deadline = 30 * time.Second
 	var rows []Table8Row
 	for _, n := range events {
-		rep, err := iotsan.AnalyzeTranslated(sys, apps, engineOptions(iotsan.Options{
-			MaxEvents: n, NoDepGraph: true,
-			MaxStatesPerSet: stateCap, Deadline: 30 * time.Second,
-		}))
+		opts.MaxEvents = n
+		rep, err := iotsan.AnalyzeTranslated(sys, apps, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -407,8 +412,8 @@ type AttributionRow struct {
 
 // RunAttribution evaluates the Output Analyzer on the 9 malicious apps,
 // the 11 bad market apps, and 10 good apps (§10.3).
-func RunAttribution(maxEvents int) ([]AttributionRow, error) {
-	base := &config.System{
+func RunAttribution(opts iotsan.Options, maxEvents int) ([]AttributionRow, error) {
+	home := &config.System{
 		Name: "attr-home", Modes: []string{"Home", "Away", "Night"}, Mode: "Home",
 		Devices: HomeInventory(), Phones: []string{"15551230000"},
 	}
@@ -424,9 +429,9 @@ func RunAttribution(maxEvents int) ([]AttributionRow, error) {
 				return err
 			}
 			apps := map[string]*ir.App{s.Name: app}
-			rep, err := attribution.AttributeNewApp(base, app, apps, attribution.Options{
-				MaxEvents: maxEvents, MaxConfigs: 12,
-				Strategy: engineStrategy, Workers: engineWorkers,
+			rep, err := attribution.AttributeNewApp(home, app, apps, attribution.Options{
+				MaxEvents: maxEvents, MaxConfigs: 12, Failures: opts.Failures,
+				Strategy: opts.Strategy, Workers: opts.Workers,
 			})
 			if err != nil {
 				return err

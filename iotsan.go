@@ -18,6 +18,7 @@
 package iotsan
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -213,15 +214,15 @@ type Options struct {
 	Interpreter bool
 	// NoIncremental disables the incremental block-hash state digest
 	// (states then re-encode the full vector per digest). The zero
-	// value keeps incremental digests ON — the flag is an escape hatch,
-	// mirroring the -incremental CLI default.
+	// value keeps incremental digests ON — the field is the flat-encode
+	// oracle of the equivalence tests, not a CLI flag.
 	NoIncremental bool
 	// NoEpochReclaim disables state recycling on the parallel checker
 	// strategies (dead duplicate children recycled in place; consumed,
 	// fully expanded frontier states retired through the per-worker
 	// epoch-based reclamation layer). The zero value keeps reclamation
-	// ON — the flag is an A/B escape hatch, mirroring the
-	// -epoch-reclaim CLI default. Sequential DFS free-lists are
+	// ON — the field is the allocate-per-state oracle of the
+	// equivalence tests, not a CLI flag. Sequential DFS free-lists are
 	// unaffected.
 	NoEpochReclaim bool
 }
@@ -237,6 +238,15 @@ func (o Options) withDefaults() Options {
 		o.Thresholds = props.DefaultThresholds()
 	}
 	return o
+}
+
+// validate rejects option combinations no search can run under. It is
+// the only such check, made before any source is translated.
+func (o Options) validate() error {
+	if (o.Store == StoreTiered || o.Checkpoint || o.Resume) && o.StoreDir == "" {
+		return errors.New("iotsan: StoreTiered/Checkpoint/Resume require Options.StoreDir")
+	}
+	return nil
 }
 
 // GroupResult is the verification result of one related set.
@@ -281,6 +291,9 @@ func Translate(source string) (*ir.App, error) { return smartapp.Translate(sourc
 // Analyze verifies a configured system. sources maps app names (as they
 // appear in sys.Apps) to their Groovy sources.
 func Analyze(sys *System, sources map[string]string, opts Options) (*Report, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -304,6 +317,9 @@ func Analyze(sys *System, sources map[string]string, opts Options) (*Report, err
 
 // AnalyzeTranslated verifies a system whose apps are already translated.
 func AnalyzeTranslated(sys *System, apps map[string]*ir.App, opts Options) (*Report, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	return analyzeTranslated(sys, apps, opts.withDefaults())
 }
 
@@ -542,9 +558,6 @@ func verifyGroup(sub *System, apps map[string]*ir.App, opts Options, gidx int, s
 		copts.Store = opts.Store
 	}
 	if copts.Store == checker.Tiered || opts.Checkpoint || opts.Resume {
-		if opts.StoreDir == "" {
-			return nil, fmt.Errorf("iotsan: StoreTiered/Checkpoint/Resume require Options.StoreDir")
-		}
 		// One subdirectory per related set: groups verify concurrently
 		// under GroupParallel and must not share tier files, and the
 		// per-group WAL path must be stable across runs for Resume.

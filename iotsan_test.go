@@ -1,6 +1,7 @@
 package iotsan_test
 
 import (
+	"strings"
 	"testing"
 
 	"iotsan"
@@ -59,6 +60,31 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 	if _, err := iotsan.Analyze(sys, map[string]string{"Nope": "not groovy ("}, iotsan.Options{}); err == nil {
 		t.Error("bad source should fail")
+	}
+}
+
+// TestStoreDirValidatedBeforeTranslation: each option combination that
+// needs a store directory is rejected up front — the store error wins
+// over the unparsable source, so nothing was translated first.
+func TestStoreDirValidatedBeforeTranslation(t *testing.T) {
+	sys := &iotsan.System{
+		Devices: []iotsan.Device{{ID: "d", Model: "Smart Switch"}},
+		Apps:    []iotsan.AppInstance{{App: "Nope"}},
+	}
+	bad := map[string]string{"Nope": "not groovy ("}
+	for name, opts := range map[string]iotsan.Options{
+		"tiered":     {Store: iotsan.StoreTiered},
+		"checkpoint": {Checkpoint: true},
+		"resume":     {Resume: true},
+	} {
+		_, err := iotsan.Analyze(sys, bad, opts)
+		if err == nil || !strings.Contains(err.Error(), "require Options.StoreDir") {
+			t.Errorf("%s: Analyze error = %v, want the store-directory error", name, err)
+		}
+		_, err = iotsan.AnalyzeTranslated(sys, nil, opts)
+		if err == nil || !strings.Contains(err.Error(), "require Options.StoreDir") {
+			t.Errorf("%s: AnalyzeTranslated error = %v, want the store-directory error", name, err)
+		}
 	}
 }
 
