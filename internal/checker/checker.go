@@ -223,6 +223,17 @@ type System interface {
 	// Expand returns the successors of s; an empty slice ends the path.
 	Expand(s State) []Transition
 	// Inspect evaluates state properties (safety invariants) on s.
+	//
+	// Inspect must be a pure function of the state's encoding: two
+	// states with equal Encode bytes return equal violations, and with
+	// Options.Symmetry so do two states with equal CanonicalEncode bytes
+	// (the properties are invariant under the system's symmetry group).
+	// The engine relies on it: every strategy asks the visited store
+	// first and inspects only a state the store reports new, because a
+	// duplicate's violations were recorded when its first copy was
+	// admitted. A property of how a state was reached, not of the state,
+	// belongs in Transition.Violations, which are recorded for every
+	// successor generated.
 	Inspect(s State) []Violation
 }
 
@@ -234,7 +245,8 @@ const (
 	// Exhaustive stores a 64-bit hash per visited state (hash-compact).
 	Exhaustive StoreKind = iota
 	// Bitstate stores k bits per state in a fixed bit array (Spin's
-	// BITSTATE / supertrace mode).
+	// BITSTATE / supertrace mode). A false-positive "seen" drops the
+	// state before it is inspected or expanded.
 	Bitstate
 	// Tiered is the out-of-core exhaustive store: a hot in-process
 	// sharded tier bounded by Options.MemBudget, a file-backed bitstate

@@ -71,11 +71,31 @@ func TestDedupPrunesRevisits(t *testing.T) {
 	}
 }
 
+// TestBitstateFindsSameViolations: a bit array sized generously for the
+// state count has no false positives, so every strategy reports the
+// exhaustive store's violation set and state count. (A false positive
+// would skip that state's Inspect along with its expansion.)
 func TestBitstateFindsSameViolations(t *testing.T) {
-	ex := Run(&chainSys{bound: 8, bad: 24}, Options{MaxDepth: 12})
-	bs := Run(&chainSys{bound: 8, bad: 24}, Options{MaxDepth: 12, Store: Bitstate, BitstateBits: 16})
-	if ex.HasViolation("bad-value") != bs.HasViolation("bad-value") {
-		t.Errorf("exhaustive=%v bitstate=%v", ex.HasViolation("bad-value"), bs.HasViolation("bad-value"))
+	systems := map[string]System{
+		"chain":     &chainSys{bound: 8, bad: 24},
+		"multiViol": &multiViolSys{width: 12},
+	}
+	for sname, sys := range systems {
+		for name, base := range strategies() {
+			base.MaxDepth = 32
+			ex := Run(sys, base)
+			base.Store = Bitstate
+			base.BitstateBits = 24
+			bs := Run(sys, base)
+			if got, want := violationKeys(bs), violationKeys(ex); len(want) == 0 || !equalStrings(got, want) {
+				t.Errorf("%s/%s: bitstate violations %q, exhaustive %q", sname, name, got, want)
+			}
+			// Not equality: two workers racing on one unseen state may
+			// both be told it is new (see atomicBitStore).
+			if bs.StatesExplored < ex.StatesExplored {
+				t.Errorf("%s/%s: bitstate explored %d, fewer than exhaustive %d", sname, name, bs.StatesExplored, ex.StatesExplored)
+			}
+		}
 	}
 }
 
@@ -111,20 +131,40 @@ func TestBitstoreNeverFalseNegativeOnFirstInsert(t *testing.T) {
 	}
 }
 
-// TestHashStoreExact: the exhaustive stores are exact over hashes.
+// TestHashStoreExact: the exhaustive stores, and the flat table both
+// are built on, are exact over hashes — seen, peek and size agree with
+// a Go map after every operation.
 func TestHashStoreExact(t *testing.T) {
-	for name, mk := range map[string]func() store{
-		"hashStore":        func() store { return &hashStore{m: map[uint64]struct{}{}} },
-		"shardedHashStore": func() store { return newShardedHashStore() },
+	type ops struct {
+		seen, peek func(h uint64) bool
+		size       func() int
+	}
+	fromStore := func(s store) ops {
+		return ops{
+			seen: func(h uint64) bool { return s.seen(digest{h1: h, h2: h * 3}) },
+			peek: func(h uint64) bool { return s.peek(digest{h1: h, h2: h * 5}) },
+			size: s.size,
+		}
+	}
+	for name, mk := range map[string]func() ops{
+		"digestSet": func() ops {
+			t := &digestSet{}
+			return ops{seen: t.add, peek: t.has, size: func() int { return t.n }}
+		},
+		"hashStore":        func() ops { return fromStore(&hashStore{}) },
+		"shardedHashStore": func() ops { return fromStore(&shardedHashStore{}) },
 	} {
 		f := func(hs []uint64) bool {
 			s := mk()
 			seen := map[uint64]bool{}
 			for _, h := range hs {
-				if s.seen(digest{h1: h, h2: h * 3}) != seen[h] {
+				if s.peek(h) != seen[h] || s.seen(h) != seen[h] || !s.peek(h) {
 					return false
 				}
 				seen[h] = true
+				if s.size() != len(seen) {
+					return false
+				}
 			}
 			return true
 		}

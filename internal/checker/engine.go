@@ -101,7 +101,7 @@ type engine struct {
 	faultTrs    atomic.Int64
 
 	mu       sync.Mutex // guards violations + distinct
-	distinct map[string]bool
+	distinct map[Violation]struct{}
 	reserved int // accepted violations (found lags while trails materialize)
 	found    []Found
 }
@@ -155,7 +155,7 @@ func newEngine(sys System, opts Options) *engine {
 			b := make([]byte, 0, 512)
 			return &b
 		}},
-		distinct: map[string]bool{},
+		distinct: map[Violation]struct{}{},
 	}
 	e.tiered, _ = e.st.(*tieredStore)
 	// Checkpointing is DFS-only (the stack-invariant rebuild is its
@@ -247,18 +247,28 @@ func (e *engine) record(v Violation, trail []TrailStep, depth int) bool {
 	return true
 }
 
+// recordAll records vs against one trail, consulting the limits after
+// each violation that was new; it reports whether a limit was hit.
+func (e *engine) recordAll(vs []Violation, trail []TrailStep, depth int) bool {
+	for _, v := range vs {
+		if e.record(v, trail, depth) && e.limitHit() {
+			return true
+		}
+	}
+	return false
+}
+
 // reserve is phase 1 of recording: dedup + reserve a slot against the
 // MaxViolations cap, under the lock. A true return obliges the caller
 // to commit the violation.
 func (e *engine) reserve(v Violation) bool {
-	key := v.Property + "\x00" + v.Detail
 	e.mu.Lock()
-	if e.distinct[key] ||
+	if _, dup := e.distinct[v]; dup ||
 		(e.opts.MaxViolations > 0 && e.reserved >= e.opts.MaxViolations) {
 		e.mu.Unlock()
 		return false
 	}
-	e.distinct[key] = true
+	e.distinct[v] = struct{}{}
 	e.reserved++
 	e.mu.Unlock()
 	e.violCount.Add(1)

@@ -115,7 +115,9 @@ func TestTruncationLimits(t *testing.T) {
 // TestBitstateFalsePositives: with a tiny bit array the bitstate store
 // reports unseen states as matched (supertrace's completeness
 // trade-off), so exploration shrinks versus the exhaustive store and
-// StatesMatched inflates beyond the true duplicate count.
+// StatesMatched inflates beyond the true duplicate count. A state lost
+// to a false positive is neither expanded nor inspected: Inspect runs
+// once per state the store admitted, the same as on every other store.
 func TestBitstateFalsePositives(t *testing.T) {
 	for name, base := range strategies() {
 		ex := base
@@ -126,7 +128,8 @@ func TestBitstateFalsePositives(t *testing.T) {
 		bs.MaxDepth = 24
 		bs.Store = Bitstate
 		bs.BitstateBits = 10 // 1024 bits — far below the state count
-		bsRes := Run(&chainSys{bound: 18, bad: -1}, bs)
+		sys := &inspectCounter{System: &chainSys{bound: 18, bad: -1}}
+		bsRes := Run(sys, bs)
 
 		if bsRes.StatesExplored >= exRes.StatesExplored {
 			t.Errorf("%s: bitstate explored %d, want fewer than exhaustive %d (false positives must prune)",
@@ -137,6 +140,10 @@ func TestBitstateFalsePositives(t *testing.T) {
 		}
 		if bsRes.StatesStored > 1<<10 {
 			t.Errorf("%s: bitstate stored %d > bit capacity", name, bsRes.StatesStored)
+		}
+		if got := int(sys.calls.Load()); got != bsRes.StatesExplored {
+			t.Errorf("%s: %d Inspect calls for %d admitted states (matched %d): a false positive must skip Inspect too",
+				name, got, bsRes.StatesExplored, bsRes.StatesMatched)
 		}
 	}
 }

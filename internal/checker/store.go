@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -101,29 +102,111 @@ func newStore(opts Options, parallel bool) store {
 		return ts
 	default:
 		if parallel {
-			return newShardedHashStore()
+			return &shardedHashStore{}
 		}
-		return &hashStore{m: map[uint64]struct{}{}}
+		return &hashStore{}
+	}
+}
+
+// digestSet is the flat visited table behind both exhaustive in-memory
+// stores: an open-addressed, linear-probe set of 64-bit fingerprints in
+// one []uint64. A zero slot is empty, so the zero fingerprint lives in
+// a flag beside the table. The table doubles whenever the next insert
+// could push it past 75 % load, which bounds every probe sequence. The
+// zero value is an empty set that allocates on its first insert — 256
+// idle shards, or the store of a ten-state related set, cost nothing.
+//
+// Fingerprints arrive already mixed, but the sharded store has spent
+// their top bits on shard selection and nothing promises the low bits
+// of an arbitrary System's encoding hash; a slot index is therefore the
+// top bits of a Fibonacci multiply of the whole word (plain word
+// mixing — the state hash stays engine.digest's).
+type digestSet struct {
+	slots []uint64 // power-of-two length; 0 = empty slot
+	n     int      // keys stored, the zero key included
+	limit int      // n at which the next insert doubles the table (3/4 of len(slots))
+	shift uint8    // 64 - log2(len(slots))
+	zero  bool     // the zero key is a member
+}
+
+const (
+	digestSetMinSlots = 8
+	slotMix           = 0x9e3779b97f4a7c15 // 2^64/φ, odd
+)
+
+// find walks k's probe sequence to the slot that holds k or, failing
+// that, the empty slot where k belongs. k is non-zero and the table
+// allocated; the load bound guarantees an empty slot exists.
+func (t *digestSet) find(k uint64) (i uint64, found bool) {
+	mask := uint64(len(t.slots) - 1)
+	for i = k * slotMix >> t.shift; ; i = (i + 1) & mask {
+		switch t.slots[i] {
+		case k:
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+}
+
+// add inserts k, reporting whether it was already a member.
+func (t *digestSet) add(k uint64) bool {
+	if k == 0 {
+		was := t.zero
+		if !was {
+			t.zero = true
+			t.n++
+		}
+		return was
+	}
+	if t.n >= t.limit {
+		t.grow()
+	}
+	i, found := t.find(k)
+	if !found {
+		t.slots[i] = k
+		t.n++
+	}
+	return found
+}
+
+// has reports whether k is a member.
+func (t *digestSet) has(k uint64) bool {
+	if k == 0 {
+		return t.zero
+	}
+	if len(t.slots) == 0 {
+		return false
+	}
+	_, found := t.find(k)
+	return found
+}
+
+// grow doubles the table (or allocates the first one) and re-inserts
+// every key; the old array is garbage as soon as it returns.
+func (t *digestSet) grow() {
+	old := t.slots
+	size := 2 * len(old)
+	if size == 0 {
+		size = digestSetMinSlots
+	}
+	t.slots = make([]uint64, size)
+	t.limit = size - size/4
+	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	for _, k := range old {
+		if k != 0 {
+			i, _ := t.find(k)
+			t.slots[i] = k
+		}
 	}
 }
 
 // hashStore is the sequential exhaustive hash-compact store.
-type hashStore struct{ m map[uint64]struct{} }
+type hashStore struct{ set digestSet }
 
-func (s *hashStore) seen(d digest) bool {
-	if _, ok := s.m[d.h1]; ok {
-		return true
-	}
-	s.m[d.h1] = struct{}{}
-	return false
-}
-
-func (s *hashStore) peek(d digest) bool {
-	_, ok := s.m[d.h1]
-	return ok
-}
-
-func (s *hashStore) size() int { return len(s.m) }
+func (s *hashStore) seen(d digest) bool { return s.set.add(d.h1) }
+func (s *hashStore) peek(d digest) bool { return s.set.has(d.h1) }
+func (s *hashStore) size() int          { return s.set.n }
 
 // hashShards is the number of lock stripes in the sharded store. 256
 // stripes keep contention negligible for any practical worker count
@@ -136,29 +219,18 @@ const hashShards = 256
 type shardedHashStore struct {
 	//iotsan:padded
 	shards [hashShards]struct {
-		mu sync.Mutex
-		m  map[uint64]struct{}
-		// pad the 8-byte mutex + 8-byte map header to a full 64-byte
+		mu  sync.Mutex
+		set digestSet
+		// pad the 8-byte mutex + 48-byte table header to a full 64-byte
 		// cache line so neighboring shards' hot mutexes never false-share
-		_ [48]byte
+		_ [8]byte
 	}
-}
-
-func newShardedHashStore() *shardedHashStore {
-	s := &shardedHashStore{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[uint64]struct{})
-	}
-	return s
 }
 
 func (s *shardedHashStore) seen(d digest) bool {
 	sh := &s.shards[d.h1>>56&(hashShards-1)]
 	sh.mu.Lock()
-	_, ok := sh.m[d.h1]
-	if !ok {
-		sh.m[d.h1] = struct{}{}
-	}
+	ok := sh.set.add(d.h1)
 	sh.mu.Unlock()
 	return ok
 }
@@ -166,7 +238,7 @@ func (s *shardedHashStore) seen(d digest) bool {
 func (s *shardedHashStore) peek(d digest) bool {
 	sh := &s.shards[d.h1>>56&(hashShards-1)]
 	sh.mu.Lock()
-	_, ok := sh.m[d.h1]
+	ok := sh.set.has(d.h1)
 	sh.mu.Unlock()
 	return ok
 }
@@ -175,7 +247,7 @@ func (s *shardedHashStore) size() int {
 	n := 0
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
-		n += len(s.shards[i].m)
+		n += s.shards[i].set.n
 		s.shards[i].mu.Unlock()
 	}
 	return n

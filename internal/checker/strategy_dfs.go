@@ -92,22 +92,13 @@ func (s sequentialDFS) search(e *engine) {
 		depth := len(stack)
 		trail = append(trail, TrailStep{Label: tr.Label, Steps: tr.Steps, From: top.state, Key: tr.Key})
 		e.noteDepth(depth)
-		hit := false
-		for _, v := range tr.Violations {
-			if e.record(v, trail, depth) && e.limitHit() {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			for _, v := range e.sys.Inspect(tr.Next) {
-				if e.record(v, trail, depth) && e.limitHit() {
-					hit = true
-					break
-				}
-			}
-		}
-		if hit {
+		// Admission order (shared with expandShared): edge violations for
+		// every successor, then digest → store, and only a state the store
+		// reports new is inspected, counted, and expanded. A duplicate's
+		// state violations were reserved when its first copy was admitted
+		// (System.Inspect is a function of the encoding), so skipping them
+		// changes no verdict.
+		if e.recordAll(tr.Violations, trail, depth) {
 			e.truncated.Store(true)
 			break
 		}
@@ -129,6 +120,10 @@ func (s sequentialDFS) search(e *engine) {
 			continue
 		}
 		e.logVisit(d)
+		if e.recordAll(e.sys.Inspect(tr.Next), trail, depth) {
+			e.truncated.Store(true)
+			break
+		}
 		e.explored.Add(1)
 		var succs []Transition
 		succs, buf = e.expand(tr.Next, buf, true)
@@ -224,7 +219,7 @@ func resumeDFS(e *engine, buf []byte) ([]dfsFrame, []TrailStep, []byte) {
 			f.Trail = append(f.Trail, TrailStep{Label: st.Label, Steps: steps})
 		}
 		e.found = append(e.found, f)
-		e.distinct[v.Property+"\x00"+v.Detail] = true
+		e.distinct[f.Violation] = struct{}{}
 	}
 	e.reserved = len(e.found)
 	e.violCount.Store(int64(len(e.found)))

@@ -375,11 +375,16 @@ func (s *parallelBFS) searchSingle(e *engine, parents *parentStore, spill func(d
 }
 
 // expandShared is the expansion path common to the frontier strategies
-// (level-synchronous and work-stealing): it records transition and
-// state violations for every successor — reconstructing the parent
-// trail prefix lazily, only when a violation is actually recorded —
-// deduplicates successors through the visited store, links new states
-// to their parent, and hands each newly stored successor to enqueue.
+// (level-synchronous and work-stealing), in the admission order all
+// three strategies share: it records the transition (edge) violations
+// of every successor — reconstructing the parent trail prefix lazily,
+// only when a violation is actually recorded — then deduplicates the
+// successor through the visited store, and only a successor the store
+// reports new is linked to its parent, inspected for state violations,
+// counted, and handed to enqueue. A duplicate is never inspected: its
+// first copy was (System.Inspect is a function of the encoding), which
+// also keeps the steal strategy's count=false re-expansions free of
+// Inspect calls.
 // Expansion routes through engine.expand, so partial-order reduction
 // applies to the frontier strategies exactly as it does to DFS.
 //
@@ -433,12 +438,6 @@ func expandShared(e *engine, parents *parentStore, state State, h1 uint64, depth
 				return buf, false
 			}
 		}
-		for _, v := range e.sys.Inspect(tr.Next) {
-			if record(v, tr) && e.limitHit() {
-				e.truncated.Store(true)
-				return buf, false
-			}
-		}
 
 		var d digest
 		d, buf = e.digest(tr.Next, buf)
@@ -458,6 +457,12 @@ func expandShared(e *engine, parents *parentStore, state State, h1 uint64, depth
 			continue
 		}
 		parents.put(d.h1, parentEdge{parent: h1, label: tr.Label, steps: tr.Steps, key: tr.Key, depth: int32(depth)})
+		for _, v := range e.sys.Inspect(tr.Next) {
+			if record(v, tr) && e.limitHit() {
+				e.truncated.Store(true)
+				return buf, false
+			}
+		}
 		sc.bumpExplored(e)
 		enqueue(tr.Next, d)
 		if e.limitHit() {

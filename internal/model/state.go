@@ -278,8 +278,13 @@ func (s *State) Clone() *State {
 // cloneInto deep-copies s into the recycled state n, reusing n's
 // backing arrays (same model, so the shapes match — checked anyway so a
 // foreign state degrades to a fresh clone instead of corrupting). The
-// per-device and per-app headers are rebuilt from flat offsets, never
-// trusted from n's previous life.
+// per-app headers are rebuilt from flat offsets. The per-device
+// Attrs/Reported headers are kept when they already alias the right
+// window of n's own backing arrays — they always do for a state this
+// model built, since only Initial, cloneFresh and this function ever
+// write them — so the common case stores no pointers (no write
+// barriers) and copies just Online/LastReport; a header that does not
+// match is repaired from the flat offset, never trusted.
 //
 //iotsan:allow dirtymark -- clone replicates already-hashed content and copies the source's block cache, dirty mask included
 func (s *State) cloneInto(n *State) *State {
@@ -294,13 +299,19 @@ func (s *State) cloneInto(n *State) *State {
 	copy(n.reported, s.reported)
 	off := 0
 	for i := range s.Devices {
-		sd := &s.Devices[i]
+		sd, nd := &s.Devices[i], &n.Devices[i]
 		k := len(sd.Attrs)
-		nd := DevState{Online: sd.Online, LastReport: sd.LastReport, Attrs: n.attrs[off : off+k : off+k]}
-		if n.reported != nil {
+		nd.Online, nd.LastReport = sd.Online, sd.LastReport
+		if !aliasesWindow(nd.Attrs, n.attrs, off, k) {
+			nd.Attrs = n.attrs[off : off+k : off+k]
+		}
+		if n.reported == nil {
+			if nd.Reported != nil {
+				nd.Reported = nil
+			}
+		} else if !aliasesWindow(nd.Reported, n.reported, off, k) {
 			nd.Reported = n.reported[off : off+k : off+k]
 		}
-		n.Devices[i] = nd
 		off += k
 	}
 	for i := range s.slots {
@@ -345,6 +356,13 @@ func (s *State) cloneInto(n *State) *State {
 	}
 	n.pool = s.pool
 	return n
+}
+
+// aliasesWindow reports whether the device header h is exactly
+// backing[off:off+k]. A zero-length header carries no element to
+// compare, so it never matches and is always rewritten.
+func aliasesWindow(h, backing []int16, off, k int) bool {
+	return k > 0 && len(h) == k && &h[0] == &backing[off]
 }
 
 //iotsan:allow dirtymark -- clone replicates already-hashed content and copies the source's block cache, dirty mask included

@@ -90,7 +90,10 @@ type StoreSelector = checker.StoreKind
 const (
 	// StoreExhaustive is the in-memory hash-compact store (default).
 	StoreExhaustive = checker.Exhaustive
-	// StoreBitstate is the fixed bit-array supertrace store.
+	// StoreBitstate is the fixed bit-array supertrace store. It is
+	// approximate: a state the bit array falsely reports as seen is
+	// dropped — neither expanded nor inspected — so violations can be
+	// missed when the array is small for the state count.
 	StoreBitstate = checker.Bitstate
 	// StoreTiered is the out-of-core store: a memory-budgeted hot tier
 	// spilling through a file-backed bit filter to an on-disk hash
@@ -134,11 +137,16 @@ type Options struct {
 	// whole system is checked as one group).
 	NoDepGraph bool
 	// Bitstate selects the bitstate (supertrace) visited store — the
-	// legacy toggle, equivalent to Store == StoreBitstate.
+	// legacy toggle, equivalent to Store == StoreBitstate, with the
+	// same caveat: a false-positive "seen" skips that state's invariant
+	// inspection as well as its expansion.
 	Bitstate bool
 	// Store selects the visited-state store explicitly (the zero value
 	// keeps the in-memory exhaustive store; see StoreExhaustive /
-	// StoreBitstate / StoreTiered). StoreTiered requires StoreDir: each
+	// StoreBitstate / StoreTiered). Safety invariants are evaluated once
+	// per state the store admits as new, which is exact on the two
+	// exhaustive stores and inherits supertrace's incompleteness on
+	// StoreBitstate. StoreTiered requires StoreDir: each
 	// related set gets its own subdirectory of tier files, so groups can
 	// verify concurrently under GroupParallel.
 	Store StoreSelector
