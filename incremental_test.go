@@ -126,6 +126,62 @@ func TestIncrementalDigestWalkEquivalence(t *testing.T) {
 	})
 }
 
+// TestIncrementalDigestNoCollision: over the whole reachable set of
+// every corpus group — enumerated by a plain breadth-first search keyed
+// on the full Encode bytes, sharing nothing with the engine — the raw
+// block-hash fold maps distinct encodings to distinct h1 and distinct
+// h2, and equal encodings to equal digests. The fold is a sum of
+// position-salted terms: this is the check that summing lost nothing a
+// 64-bit fingerprint is expected to keep.
+func TestIncrementalDigestNoCollision(t *testing.T) {
+	for g := 1; g <= 6; g++ {
+		g := g
+		t.Run(fmt.Sprintf("group%d", g), func(t *testing.T) {
+			t.Parallel()
+			if raceEnabled && g != 3 {
+				t.Skip("one group is enough under the race detector")
+			}
+			cfg := porCorpusConfigs[g-1]
+			m := incGroupModel(t, g, cfg.napps, cfg.events, true)
+			type dg struct{ h1, h2 uint64 }
+			byEnc := map[string]dg{}
+			byH1, byH2 := map[uint64]string{}, map[uint64]string{}
+			frontier := []*model.State{m.Initial()}
+			var buf []byte
+			for len(frontier) > 0 {
+				var next []*model.State
+				for _, s := range frontier {
+					buf = s.Encode(buf[:0])
+					h1, h2 := m.IncrementalDigest(s, false)
+					if prev, seen := byEnc[string(buf)]; seen {
+						if prev != (dg{h1, h2}) {
+							t.Fatalf("equal encodings, different digests: %#x/%#x vs %#x/%#x", prev.h1, prev.h2, h1, h2)
+						}
+						continue
+					}
+					enc := string(buf)
+					byEnc[enc] = dg{h1, h2}
+					if other, dup := byH1[h1]; dup && other != enc {
+						t.Fatalf("h1 %#x shared by two distinct encodings", h1)
+					}
+					if other, dup := byH2[h2]; dup && other != enc {
+						t.Fatalf("h2 %#x shared by two distinct encodings", h2)
+					}
+					byH1[h1], byH2[h2] = enc, enc
+					for _, tr := range m.Expand(s) {
+						next = append(next, tr.Next.(*model.State))
+					}
+				}
+				frontier = next
+			}
+			if len(byEnc) < 100 {
+				t.Errorf("only %d reachable states — the check is thin", len(byEnc))
+			}
+			t.Logf("%d reachable states, no digest shared", len(byEnc))
+		})
+	}
+}
+
 // incEquivRun verifies one (options, strategy) configuration on a
 // cache-off oracle model and a cache-on model: identical distinct
 // violations always; identical explored/matched/stored counts and —

@@ -83,6 +83,45 @@ type Replayer interface {
 	Replay(from State, key uint64) (label string, steps []string, next State)
 }
 
+// Stepper is optionally implemented by Systems that can generate the
+// successors of a state one at a time into worker-private storage. It
+// is how the engine avoids paying for a state copy per generated
+// successor when most successors are duplicates: Enabled lists the
+// transitions of a state without executing any, Step executes one of
+// them in the calling worker's Scratch, and only a successor the
+// visited store reports new is copied out with Keep.
+//
+//   - Enabled appends one stub per enabled transition of s to buf, in
+//     the order Expand returns them: Label and Fault set as Expand sets
+//     them, Next nil, and Key whatever Step needs to find the transition
+//     again — the engine hands stubs back to Step and otherwise reads
+//     only their count and Fault. Expand(s)[i] must equal, field for
+//     field and state for state, Step of stub i followed by Keep.
+//   - NewScratch returns the storage for one worker; a Scratch is never
+//     used from two goroutines at once.
+//   - Step runs stub, one of Enabled(parent), from parent and returns
+//     the transition as Expand would have. Its Next and Violations are
+//     borrowed: valid until the next Step or Keep on the same scratch,
+//     and Next must not be retained, recycled or mutated.
+//   - Keep returns a state the engine owns that equals next, the Next of
+//     the scratch's last Step.
+//
+// A System that is also a Reducer is handed stubs: its Reduce must read
+// only the state and the stubs' count, Label, Key and Fault. The engine
+// falls back to Expand for a reducer that does not certify progress,
+// whose proviso digests the candidates' Next. Every System without the
+// hook is served through the same code path by an adapter whose Enabled
+// is Expand and whose Step returns the stub.
+type Stepper interface {
+	Enabled(s State, buf []Transition) []Transition
+	NewScratch() Scratch
+	Step(sc Scratch, parent State, stub *Transition) Transition
+	Keep(sc Scratch, next State) State
+}
+
+// Scratch is a Stepper's per-worker storage, opaque to the engine.
+type Scratch any
+
 // Reducer is optionally implemented by Systems that support partial-order
 // reduction. Reduce examines one expansion — the state and its full
 // successor list — and returns the indices of a persistent subset of the
@@ -169,11 +208,11 @@ type StateRecycler interface {
 }
 
 // TransitionRecycler is optionally implemented by Systems alongside
-// StateRecycler: strategies hand back a successor slice once every
-// entry has been consumed (explored, matched, or recycled), letting the
-// system reuse the backing array for later Expand calls. Only the
-// array is reused — Steps and Label values copied out of entries (e.g.
-// into trail steps) remain valid because they own their storage.
+// StateRecycler: the engine hands back each Expand result once it has
+// copied the entries out, letting the system reuse the backing array
+// for later Expand calls. Only the array is reused — Steps and Label
+// values copied out of entries (e.g. into trail steps) remain valid
+// because they own their storage.
 type TransitionRecycler interface {
 	// RecycleTransitions retires the backing array of trs; the slice
 	// must not be read again (enforced by the recyclelive analyzer).
@@ -216,7 +255,8 @@ type ProgressCertifier interface {
 // Expand and Inspect must be safe for concurrent calls on distinct
 // states: the parallel strategy invokes them from several goroutines at
 // once. Implementations must treat the receiver and the argument state
-// as read-only, cloning into fresh successor states.
+// as read-only, cloning into fresh successor states. A System that also
+// implements Stepper is searched through that hook instead of Expand.
 type System interface {
 	// Initial returns the initial state.
 	Initial() State

@@ -44,20 +44,28 @@ type engine struct {
 	// digest then folds cached block hashes instead of encode-and-hash.
 	inc IncrementalDigester
 
-	// rec is non-nil when the system recycles dead states; the
-	// sequential DFS hands back duplicate children, depth-clipped
-	// successors, and popped frames.
+	// stp generates successors for every strategy: the system's own
+	// Stepper, or the eager adapter over Expand. keyed records which: a
+	// keyed successor is borrowed from the worker's scratch until Keep,
+	// an eager one is a clone the engine owns from the start.
+	stp   Stepper
+	keyed bool
+
+	// rec is non-nil when the system recycles dead states: the
+	// sequential DFS hands back popped frames, the frontier strategies
+	// retire consumed states through epoch reclamation.
 	rec StateRecycler
 
-	// trec is non-nil when the system additionally reuses successor
-	// slice backing arrays; the sequential DFS returns each frame's
-	// fully consumed succs slice on pop.
-	trec TransitionRecycler
+	// dupRec takes the successors the engine generated but will not keep
+	// — a duplicate, a depth-clipped child. Nil on the keyed path, where
+	// such a successor was never cloned, and when recycling is off for
+	// the strategy.
+	dupRec StateRecycler
 
 	// frontierRecycle is set when the frontier strategies (parallel,
-	// steal) may recycle dead states and consumed successor slices:
-	// rec non-nil and Options.NoEpochReclaim unset. The sequential DFS
-	// free-lists are independent of it.
+	// steal) may recycle dead states: rec non-nil and
+	// Options.NoEpochReclaim unset. The sequential DFS free-lists are
+	// independent of it.
 	frontierRecycle bool
 
 	// depthByScan is set by the work-stealing strategy, whose
@@ -85,10 +93,6 @@ type engine struct {
 	// wal is non-nil when write-ahead checkpointing is armed (DFS with
 	// Options.Checkpoint and a StoreDir, no uncertified reducer).
 	wal *wal
-
-	// bufs pools the state-vector encode buffers; workers check one out
-	// per expansion batch instead of allocating per state.
-	bufs sync.Pool
 
 	explored    atomic.Int64
 	matched     atomic.Int64
@@ -131,7 +135,6 @@ func newEngine(sys System, opts Options) *engine {
 		inc = id
 	}
 	rec, _ := sys.(StateRecycler)
-	trec, _ := sys.(TransitionRecycler)
 	dc, _ := sys.(DeltaCodec)
 	e := &engine{
 		sys:       sys,
@@ -141,21 +144,30 @@ func newEngine(sys System, opts Options) *engine {
 		canon:     ce,
 		inc:       inc,
 		rec:       rec,
-		trec:      trec,
 
 		frontierRecycle: rec != nil && !opts.NoEpochReclaim,
 
 		delta: dc,
 
-		opts:   opts,
-		st:     newStore(opts, opts.Strategy != StrategyDFS),
-		start:  time.Now(),
-		needH2: (opts.Store == Bitstate || opts.Store == Tiered) && !opts.NoDedup,
-		bufs: sync.Pool{New: func() any {
-			b := make([]byte, 0, 512)
-			return &b
-		}},
+		opts:     opts,
+		st:       newStore(opts, opts.Strategy != StrategyDFS),
+		start:    time.Now(),
+		needH2:   (opts.Store == Bitstate || opts.Store == Tiered) && !opts.NoDedup,
 		distinct: map[Violation]struct{}{},
+	}
+	// An uncertified reducer's proviso digests the candidate successors,
+	// so it needs them materialised: it stays on the eager adapter.
+	if stp, ok := sys.(Stepper); ok && (rd == nil || certified) {
+		e.stp, e.keyed = stp, true
+	} else {
+		eager := eagerStepper{sys: sys}
+		if opts.Strategy == StrategyDFS || e.frontierRecycle {
+			e.dupRec = rec
+			if rec != nil {
+				eager.trec, _ = sys.(TransitionRecycler)
+			}
+		}
+		e.stp = eager
 	}
 	e.tiered, _ = e.st.(*tieredStore)
 	// Checkpointing is DFS-only (the stack-invariant rebuild is its
@@ -225,8 +237,49 @@ func (e *engine) digest(s State, buf []byte) (digest, []byte) {
 	return d, buf
 }
 
-func (e *engine) getBuf() *[]byte  { return e.bufs.Get().(*[]byte) }
-func (e *engine) putBuf(b *[]byte) { e.bufs.Put(b) }
+// eagerStepper serves a System without the Stepper hook — and any
+// system under an uncertified reducer — through the engine's one
+// successor path: the stubs are Expand's transitions, already executed
+// and cloned, and Step hands the stub back. The strategies then treat
+// an eager successor exactly like a keyed one, except that one they do
+// not keep is a clone to recycle (engine.dupRec) instead of a borrowed
+// scratch.
+type eagerStepper struct {
+	sys System
+	// trec, when recycling is on for the run, takes back each Expand
+	// result once its entries are copied into the engine's buffer.
+	trec TransitionRecycler
+}
+
+func (a eagerStepper) Enabled(s State, buf []Transition) []Transition {
+	trs := a.sys.Expand(s)
+	buf = append(buf, trs...)
+	if a.trec != nil {
+		a.trec.RecycleTransitions(trs)
+	}
+	return buf
+}
+
+func (eagerStepper) NewScratch() Scratch { return nil }
+
+func (eagerStepper) Step(_ Scratch, _ State, stub *Transition) Transition { return *stub }
+
+func (eagerStepper) Keep(_ Scratch, next State) State { return next }
+
+// expander is one worker's private expansion context: the scratch the
+// system steps successors into, the stub buffer the frontier strategies
+// refill per expansion (the DFS keeps one per stack frame instead), the
+// state-vector encode buffer, and the worker's counter cell.
+type expander struct {
+	scratch Scratch
+	stubs   []Transition
+	buf     []byte
+	stat    statCell
+}
+
+func (e *engine) newExpander() *expander {
+	return &expander{scratch: e.stp.NewScratch(), buf: make([]byte, 0, 512)}
+}
 
 // record registers a violation if its (property, detail) pair is new,
 // reporting whether it was recorded. The trail is copied. The
@@ -346,24 +399,25 @@ func (e *engine) limitHit() bool {
 	return false
 }
 
-// expand returns the successors of state to explore: the system's full
-// successor list, reduced to a persistent subset when partial-order
-// reduction selects one at this state. Every strategy expands through
-// this path, so all three explore the same reduced graph.
+// enabled returns the stubs of the transitions to explore from state,
+// appended to stubs[:0]: the system's full list, reduced to a
+// persistent subset when partial-order reduction selects one at this
+// state. Every strategy expands through this path, so all three explore
+// the same reduced graph.
 //
 // The cycle/visited-state proviso is enforced here, so no violation
 // reachable through a pruned interleaving can be masked by the ignoring
 // problem (a transition postponed around a cycle forever). Reducers
 // that certify progress (ProgressCertifier) have proved no reduced
 // cycle can traverse a subset transition, which discharges the proviso
-// structurally. For any other reducer a proper subset is accepted only
+// structurally. For any other reducer — always on the eager adapter, so
+// the stubs carry their successors — a proper subset is accepted only
 // if at least one of its successors is not already in the visited
 // store: otherwise every subset transition closes back into explored
 // territory and the engine falls back to the full expansion. (The
-// probe digests each selected successor a second time — expandShared
+// probe digests each selected successor a second time — the strategy
 // re-digests them for the store insert — but only uncertified reducers
-// pay it, and only on accepted reductions; the model's certified
-// reducer skips the probe entirely.)
+// pay it, and only on accepted reductions.)
 //
 // count is false on the work-stealing strategy's depth-relaxation
 // re-expansions: those must replay exactly the subset the counted
@@ -374,8 +428,8 @@ func (e *engine) limitHit() bool {
 // (the steal strategy disables relaxation for them): their proviso
 // consults the visited store, whose contents have changed since the
 // counted expansion, so a replay could diverge from the counted graph.
-func (e *engine) expand(state State, buf []byte, count bool) ([]Transition, []byte) {
-	trs := e.sys.Expand(state)
+func (e *engine) enabled(state State, stubs []Transition, buf []byte, count bool) ([]Transition, []byte) {
+	trs := e.stp.Enabled(state, stubs[:0])
 	if e.reducer == nil || len(trs) < 2 {
 		e.noteFaults(trs, count)
 		return trs, buf
@@ -405,14 +459,11 @@ func (e *engine) expand(state State, buf []byte, count bool) ([]Transition, []by
 		e.porChoices.Add(1)
 		e.porPruned.Add(int64(len(trs) - len(sel)))
 	}
-	// Compact the selected transitions to the front of trs in place (sel
-	// is ascending, so every move is leftward) instead of allocating a
-	// fresh slice: the caller's strategy recycles the one backing array
-	// when it has consumed the subset, exactly as for an unreduced
-	// expansion. Pruned transitions never leave this expansion on any
-	// strategy, so their freshly cloned states go straight back to the
-	// free-list.
-	if e.rec != nil {
+	// Compact the selected stubs to the front of trs in place (sel is
+	// ascending, so every move is leftward). Pruned transitions never
+	// leave this expansion on any strategy, so on the eager path their
+	// freshly cloned states go straight back to the free-list.
+	if !e.keyed && e.rec != nil {
 		j := 0
 		for i := range trs {
 			if j < len(sel) && sel[j] == i {
@@ -501,12 +552,10 @@ func (e *engine) noteDepth(d int) {
 
 // visitInitial stores and inspects the initial state, returning it with
 // its digest.
-func (e *engine) visitInitial() (State, digest) {
+func (e *engine) visitInitial(x *expander) (State, digest) {
 	init := e.sys.Initial()
-	buf := e.getBuf()
-	d, b := e.digest(init, *buf)
-	*buf = b
-	e.putBuf(buf)
+	var d digest
+	d, x.buf = e.digest(init, x.buf)
 	if !e.st.seen(d) {
 		e.logVisit(d)
 	}

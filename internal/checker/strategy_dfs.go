@@ -12,57 +12,73 @@ import "bytes"
 // contract).
 type sequentialDFS struct{}
 
-// dfsFrame is one stack frame of the iterative DFS. The invariant the
-// checkpoint format leans on: for every non-top frame i, the child
-// frame i+1 holds succs[next-1].Next.
+// dfsFrame is one stack frame of the iterative DFS: a stored state, the
+// stubs of its transitions, and how many of them have been taken. The
+// successor of stub i is generated (Step) only when the search is about
+// to visit it, and becomes a frame (Keep) only when the store reports
+// it new. The invariant the checkpoint format leans on: for every
+// non-top frame i, the child frame i+1 holds the successor of
+// stubs[next-1].
 type dfsFrame struct {
 	state State
-	succs []Transition
+	stubs []Transition
 	next  int
+}
+
+// dfsStubs is the search's free-list of frame stub buffers: a popped
+// frame's buffer serves the next push.
+type dfsStubs [][]Transition
+
+func (f *dfsStubs) get() []Transition {
+	if n := len(*f); n > 0 {
+		b := (*f)[n-1]
+		*f = (*f)[:n-1]
+		return b
+	}
+	return nil
 }
 
 func (s sequentialDFS) search(e *engine) {
 	var trail []TrailStep
-	bufp := e.getBuf()
-	defer e.putBuf(bufp)
-	buf := *bufp
-	defer func() { *bufp = buf }()
+	x := e.newExpander()
+	var free dfsStubs
 
 	var stack []dfsFrame
 	if e.wal != nil && e.wal.resumeCk != nil {
-		stack, trail, buf = resumeDFS(e, buf)
+		stack, trail = resumeDFS(e, x)
 	}
 	if stack == nil {
-		init, _ := e.visitInitial()
+		init, _ := e.visitInitial(x)
 		if e.limitHit() {
 			e.truncated.Store(true)
 			return
 		}
-		var succs []Transition
-		succs, buf = e.expand(init, buf, true)
-		stack = []dfsFrame{{state: init, succs: succs}}
+		var stubs []Transition
+		stubs, x.buf = e.enabled(init, nil, x.buf, true)
+		stack = []dfsFrame{{state: init, stubs: stubs}}
 	}
 
 	for len(stack) > 0 {
 		if e.wal != nil {
 			// Loop top is the one point where the stack invariant holds
 			// for every frame, so it is the only checkpoint site.
-			buf = e.wal.maybeCheckpoint(e, stack, buf)
+			x.buf = e.wal.maybeCheckpoint(e, stack, x.buf)
 		}
 		if e.limitHit() {
 			e.truncated.Store(true)
 			break
 		}
 		top := &stack[len(stack)-1]
-		if top.next >= len(top.succs) || len(stack) > e.opts.MaxDepth {
+		if top.next >= len(top.stubs) || len(stack) > e.opts.MaxDepth {
 			if len(stack) > e.opts.MaxDepth {
 				e.truncated.Store(true)
-				if e.rec != nil {
-					// Depth-clipped successors were cloned but never
-					// digested or recorded anywhere — hand them back.
-					for i := top.next; i < len(top.succs); i++ {
-						e.rec.Recycle(top.succs[i].Next)
-						top.succs[i].Next = nil
+				if e.dupRec != nil {
+					// Eager successors clipped by the depth bound were
+					// cloned but never digested or recorded anywhere —
+					// hand them back. Keyed ones were never generated.
+					for i := top.next; i < len(top.stubs); i++ {
+						e.dupRec.Recycle(top.stubs[i].Next)
+						top.stubs[i].Next = nil
 					}
 				}
 			}
@@ -72,21 +88,19 @@ func (s sequentialDFS) search(e *engine) {
 				// replays before this point.
 				e.rec.Recycle(top.state)
 				top.state = nil
-				if e.trec != nil {
-					// Every succs entry was explored (child frames pop
-					// first), matched, or clipped above; trail steps copy
-					// Label/Steps out, so the array is reusable.
-					e.trec.RecycleTransitions(top.succs)
-					top.succs = nil
-				}
 			}
+			// Every stub was explored (child frames pop first), matched,
+			// or clipped above; trail steps copy Label/Steps out, so the
+			// buffer is reusable.
+			free = append(free, top.stubs)
+			top.stubs = nil
 			stack = stack[:len(stack)-1]
 			if len(trail) > 0 {
 				trail = trail[:len(trail)-1]
 			}
 			continue
 		}
-		tr := top.succs[top.next]
+		tr := e.stp.Step(x.scratch, top.state, &top.stubs[top.next])
 		top.next++
 
 		depth := len(stack)
@@ -94,40 +108,39 @@ func (s sequentialDFS) search(e *engine) {
 		e.noteDepth(depth)
 		// Admission order (shared with expandShared): edge violations for
 		// every successor, then digest → store, and only a state the store
-		// reports new is inspected, counted, and expanded. A duplicate's
-		// state violations were reserved when its first copy was admitted
-		// (System.Inspect is a function of the encoding), so skipping them
-		// changes no verdict.
+		// reports new is kept, inspected, counted, and expanded. A
+		// duplicate's state violations were reserved when its first copy
+		// was admitted (System.Inspect is a function of the encoding), so
+		// skipping them changes no verdict.
 		if e.recordAll(tr.Violations, trail, depth) {
 			e.truncated.Store(true)
 			break
 		}
 
 		var d digest
-		d, buf = e.digest(tr.Next, buf)
+		d, x.buf = e.digest(tr.Next, x.buf)
 		if e.st.seen(d) {
 			e.matched.Add(1)
 			trail = trail[:len(trail)-1]
-			if e.rec != nil {
-				// A duplicate child never enters the stack, the trail, or
-				// a recorded violation — its storage is immediately
-				// reusable. Duplicates are the bulk of the clones on
-				// diamond-heavy state spaces, so this is where the state
-				// free-list pays.
-				e.rec.Recycle(tr.Next)
-				top.succs[top.next-1].Next = nil
+			if e.dupRec != nil {
+				// An eager duplicate child never enters the stack, the
+				// trail, or a recorded violation — its storage is
+				// immediately reusable.
+				e.dupRec.Recycle(tr.Next)
+				top.stubs[top.next-1].Next = nil
 			}
 			continue
 		}
 		e.logVisit(d)
-		if e.recordAll(e.sys.Inspect(tr.Next), trail, depth) {
+		next := e.stp.Keep(x.scratch, tr.Next)
+		if e.recordAll(e.sys.Inspect(next), trail, depth) {
 			e.truncated.Store(true)
 			break
 		}
 		e.explored.Add(1)
-		var succs []Transition
-		succs, buf = e.expand(tr.Next, buf, true)
-		stack = append(stack, dfsFrame{state: tr.Next, succs: succs})
+		var stubs []Transition
+		stubs, x.buf = e.enabled(next, free.get(), x.buf, true)
+		stack = append(stack, dfsFrame{state: next, stubs: stubs})
 	}
 }
 
@@ -138,41 +151,42 @@ func (s sequentialDFS) search(e *engine) {
 // fresh search. Only after every frame verifies does the commit phase
 // replay the logged visits into the store and restore counters and
 // violations.
-func resumeDFS(e *engine, buf []byte) ([]dfsFrame, []TrailStep, []byte) {
+func resumeDFS(e *engine, x *expander) ([]dfsFrame, []TrailStep) {
 	w := e.wal
 	ck := w.resumeCk
-	abandon := func() ([]dfsFrame, []TrailStep, []byte) {
+	abandon := func() ([]dfsFrame, []TrailStep) {
 		w.reset(walFingerprint(e.opts))
-		return nil, nil, buf
+		return nil, nil
 	}
 	if len(ck.Frames) == 0 {
 		return abandon()
 	}
 
 	// Phase 1: rebuild and verify. Each frame's recorded delta must
-	// reproduce the re-expanded child's encoding byte for byte —
-	// checking both that the model still generates the same graph and
-	// that the block codec round-trips.
+	// reproduce the re-stepped child's encoding byte for byte — checking
+	// both that the model still generates the same graph and that the
+	// block codec round-trips.
 	init := e.sys.Initial()
 	var enc, scratch []byte
 	enc = init.Encode(enc)
 	if !ck.Frames[0].Full || !bytes.Equal(enc, ck.Frames[0].Delta) {
 		return abandon()
 	}
-	var succs []Transition
-	succs, buf = e.expand(init, buf, false)
+	var stubs []Transition
+	stubs, x.buf = e.enabled(init, nil, x.buf, false)
 	stack := make([]dfsFrame, 0, len(ck.Frames))
-	stack = append(stack, dfsFrame{state: init, succs: succs, next: ck.Frames[0].Next})
+	stack = append(stack, dfsFrame{state: init, stubs: stubs, next: ck.Frames[0].Next})
 	var trail []TrailStep
 	for i := 1; i < len(ck.Frames); i++ {
 		parent := &stack[i-1]
 		idx := parent.next - 1
-		if idx < 0 || idx >= len(parent.succs) {
+		if idx < 0 || idx >= len(parent.stubs) {
 			return abandon()
 		}
-		tr := parent.succs[idx]
+		tr := e.stp.Step(x.scratch, parent.state, &parent.stubs[idx])
+		child := e.stp.Keep(x.scratch, tr.Next)
 		fr := ck.Frames[i]
-		enc = tr.Next.Encode(enc[:0])
+		enc = child.Encode(enc[:0])
 		if fr.Full {
 			if !bytes.Equal(enc, fr.Delta) {
 				return abandon()
@@ -188,8 +202,8 @@ func resumeDFS(e *engine, buf []byte) ([]dfsFrame, []TrailStep, []byte) {
 			scratch = recon
 		}
 		trail = append(trail, TrailStep{Label: tr.Label, Steps: tr.Steps, From: parent.state, Key: tr.Key})
-		succs, buf = e.expand(tr.Next, buf, false)
-		stack = append(stack, dfsFrame{state: tr.Next, succs: succs, next: fr.Next})
+		stubs, x.buf = e.enabled(child, nil, x.buf, false)
+		stack = append(stack, dfsFrame{state: child, stubs: stubs, next: fr.Next})
 	}
 
 	// Phase 2: commit. Replaying the visit log rebuilds the visited
@@ -227,5 +241,5 @@ func resumeDFS(e *engine, buf []byte) ([]dfsFrame, []TrailStep, []byte) {
 	w.lastCkptExplored = ck.Explored
 	w.resumed = true
 	w.resumeCk, w.resumeVisits = nil, nil
-	return stack, trail, buf
+	return stack, trail
 }

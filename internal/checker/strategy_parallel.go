@@ -240,7 +240,13 @@ func (s *parallelBFS) search(e *engine) {
 		}()
 	}
 
-	init, d0 := e.visitInitial()
+	// One expander per worker for the whole search: the goroutines are
+	// per level, the scratch states and buffers are not.
+	xs := make([]*expander, workers)
+	for w := range xs {
+		xs[w] = e.newExpander()
+	}
+	init, d0 := e.visitInitial(xs[0])
 	if e.limitHit() {
 		e.truncated.Store(true)
 		return
@@ -254,7 +260,7 @@ func (s *parallelBFS) search(e *engine) {
 
 	frontier := []frontierEntry{{state: init, d: d0}}
 	if workers == 1 {
-		s.searchSingle(e, parents, spill, init, frontier)
+		s.searchSingle(e, xs[0], parents, spill, init, frontier)
 		return
 	}
 	// Per-worker next-frontier parts are allocated once and reused
@@ -275,14 +281,10 @@ func (s *parallelBFS) search(e *engine) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				bufp := e.getBuf()
-				defer e.putBuf(bufp)
-				buf := *bufp
-				defer func() { *bufp = buf }()
+				x := xs[w]
+				defer x.stat.flush(e)
 				part := next[w][:0]
 				defer func() { next[w] = part }()
-				var sc statCell
-				defer sc.flush(e)
 				// One enqueue closure per worker per level, not per
 				// expansion — the hot path must not allocate.
 				enq := func(st State, d digest) {
@@ -298,8 +300,7 @@ func (s *parallelBFS) search(e *engine) {
 						return
 					}
 					ent := frontier[i]
-					var ok bool
-					buf, ok = expandShared(e, parents, ent.state, ent.d.h1, depth, buf, true, &sc, enq, nil)
+					ok := e.expandShared(x, parents, ent.state, ent.d.h1, depth, true, enq, nil)
 					// The cursor claim is exclusive and the merge below
 					// overwrites the slot, so a fully expanded frontier
 					// state is dead here — each level barrier is a
@@ -334,13 +335,8 @@ func (s *parallelBFS) search(e *engine) {
 // instead of once per level. The general path at workers=1 paid all of
 // that per level for zero concurrency, which is where its per-worker
 // parity trailed the steal strategy's (BENCH_2026-08-07: 0.52 vs 0.77).
-func (s *parallelBFS) searchSingle(e *engine, parents *parentStore, spill func(digest), init State, frontier []frontierEntry) {
-	bufp := e.getBuf()
-	defer e.putBuf(bufp)
-	buf := *bufp
-	defer func() { *bufp = buf }()
-	var sc statCell
-	defer sc.flush(e)
+func (s *parallelBFS) searchSingle(e *engine, x *expander, parents *parentStore, spill func(digest), init State, frontier []frontierEntry) {
+	defer x.stat.flush(e)
 
 	var part []frontierEntry
 	enq := func(st State, d digest) {
@@ -358,9 +354,7 @@ func (s *parallelBFS) searchSingle(e *engine, parents *parentStore, spill func(d
 				return
 			}
 			ent := frontier[i]
-			var ok bool
-			buf, ok = expandShared(e, parents, ent.state, ent.d.h1, depth, buf, true, &sc, enq, nil)
-			if !ok {
+			if !e.expandShared(x, parents, ent.state, ent.d.h1, depth, true, enq, nil) {
 				return // limit hit mid-expansion; truncated is set
 			}
 			if e.frontierRecycle && ent.state != init {
@@ -376,33 +370,36 @@ func (s *parallelBFS) searchSingle(e *engine, parents *parentStore, spill func(d
 
 // expandShared is the expansion path common to the frontier strategies
 // (level-synchronous and work-stealing), in the admission order all
-// three strategies share: it records the transition (edge) violations
-// of every successor — reconstructing the parent trail prefix lazily,
-// only when a violation is actually recorded — then deduplicates the
-// successor through the visited store, and only a successor the store
-// reports new is linked to its parent, inspected for state violations,
-// counted, and handed to enqueue. A duplicate is never inspected: its
-// first copy was (System.Inspect is a function of the encoding), which
-// also keeps the steal strategy's count=false re-expansions free of
-// Inspect calls.
-// Expansion routes through engine.expand, so partial-order reduction
+// three strategies share: it steps the successors of state one at a
+// time into the worker's scratch, records the transition (edge)
+// violations of every successor — reconstructing the parent trail
+// prefix lazily, only when a violation is actually recorded — then
+// deduplicates the successor through the visited store, and only a
+// successor the store reports new is kept (cloned out of the scratch),
+// linked to its parent, inspected for state violations, counted, and
+// handed to enqueue. A duplicate is never inspected: its first copy was
+// (System.Inspect is a function of the encoding), which also keeps the
+// steal strategy's count=false re-expansions free of Inspect calls —
+// and of clones.
+// The stubs come from engine.enabled, so partial-order reduction
 // applies to the frontier strategies exactly as it does to DFS.
 //
 // count suppresses the matched counter when false: the work-stealing
 // strategy re-expands states whose depth improved (relaxation passes),
-// and those must not perturb the deterministic exploration statistics.
-// sc is the calling worker's (goroutine-local) counter cell; explored
-// and matched accumulate there and fold into the engine totals.
-// onDup, when non-nil, receives every successor that was already in the
-// visited store (the relaxation hook) and reports whether it kept the
-// state (re-enqueued it); unkept duplicate children were produced by
-// this expansion, shared with nobody, and are recycled on the spot —
-// on diamond-heavy state spaces they are the bulk of the clones, the
-// same place the DFS free-list pays. It returns the (possibly grown)
-// encode buffer and false when a limit was hit (truncated is already
-// set; the caller must stop, and must not recycle the expanded state
-// or its successor slice — unconsumed entries keep them conservative).
-func expandShared(e *engine, parents *parentStore, state State, h1 uint64, depth int, buf []byte, count bool, sc *statCell, enqueue func(State, digest), onDup func(State, digest) bool) ([]byte, bool) {
+// and those must not perturb the deterministic exploration statistics
+// — including when such a pass overlaps the state's counted expansion
+// and admits one of its successors first (see below).
+// x is the calling worker's expander; explored and matched accumulate
+// in its counter cell and fold into the engine totals.
+// relax, when non-nil, is asked about every successor that was already
+// in the visited store (the depth-relaxation hook) and reports whether
+// the state must be expanded again; such a duplicate is kept and
+// enqueued like a new state. Any other eager duplicate is a clone this
+// expansion produced and shared with nobody, recycled on the spot. It
+// returns false when a limit was hit (truncated is already set; the
+// caller must stop, and must not recycle the expanded state —
+// unconsumed successors keep it conservative).
+func (e *engine) expandShared(x *expander, parents *parentStore, state State, h1 uint64, depth int, count bool, enqueue func(State, digest), relax func(digest) bool) bool {
 	var prefix []TrailStep // parent trail, reconstructed lazily
 	havePrefix := false
 	record := func(v Violation, tr *Transition) bool {
@@ -422,59 +419,66 @@ func expandShared(e *engine, parents *parentStore, state State, h1 uint64, depth
 		return true
 	}
 
-	var trs []Transition
-	trs, buf = e.expand(state, buf, count)
-	if len(trs) > 0 && !e.depthByScan {
+	x.stubs, x.buf = e.enabled(state, x.stubs, x.buf, count)
+	if len(x.stubs) > 0 && !e.depthByScan {
 		// One depth note per generating expansion: every transition of
 		// this batch sits at the same depth, and the steal strategy's
 		// depth comes from the final parent-table scan instead.
 		e.noteDepth(depth)
 	}
-	for i := range trs {
-		tr := &trs[i]
+	for i := range x.stubs {
+		// The result overwrites its stub: the buffer is refilled per
+		// expansion, and a slot in it is addressable without escaping.
+		tr := &x.stubs[i]
+		*tr = e.stp.Step(x.scratch, state, tr)
 		for _, v := range tr.Violations {
 			if record(v, tr) && e.limitHit() {
 				e.truncated.Store(true)
-				return buf, false
+				return false
 			}
 		}
 
 		var d digest
-		d, buf = e.digest(tr.Next, buf)
+		d, x.buf = e.digest(tr.Next, x.buf)
 		if e.st.seen(d) {
 			if count {
-				sc.matched++
+				x.stat.matched++
 			}
-			kept := onDup != nil && onDup(tr.Next, d)
-			if !kept && e.frontierRecycle {
-				// A duplicate child that was not re-enqueued never
-				// entered a deque, the parent table, or a recorded
-				// trail (record materializes eagerly): nobody but this
-				// worker has ever seen the clone.
-				e.rec.Recycle(tr.Next)
+			if relax != nil && relax(d) {
+				enqueue(e.stp.Keep(x.scratch, tr.Next), d)
+			} else if e.dupRec != nil {
+				// An eager duplicate child that was not re-enqueued never
+				// entered a deque, the parent table, or a recorded trail
+				// (record materializes eagerly): nobody but this worker
+				// has ever seen the clone.
+				e.dupRec.Recycle(tr.Next)
 				tr.Next = nil
 			}
 			continue
 		}
+		if !count && !e.opts.NoDedup {
+			// A relaxation re-expansion running alongside the state's
+			// counted expansion won this successor's admission; the
+			// counted one will meet it as a duplicate. Cancel that match
+			// so the statistics stay those of one expansion per state.
+			// (Without dedup nothing ever matches, so there is nothing
+			// to cancel.)
+			x.stat.matched--
+		}
+		next := e.stp.Keep(x.scratch, tr.Next)
 		parents.put(d.h1, parentEdge{parent: h1, label: tr.Label, steps: tr.Steps, key: tr.Key, depth: int32(depth)})
-		for _, v := range e.sys.Inspect(tr.Next) {
+		for _, v := range e.sys.Inspect(next) {
 			if record(v, tr) && e.limitHit() {
 				e.truncated.Store(true)
-				return buf, false
+				return false
 			}
 		}
-		sc.bumpExplored(e)
-		enqueue(tr.Next, d)
+		x.stat.bumpExplored(e)
+		enqueue(next, d)
 		if e.limitHit() {
 			e.truncated.Store(true)
-			return buf, false
+			return false
 		}
 	}
-	if e.frontierRecycle && e.trec != nil {
-		// Every entry was enqueued (its state copied into a frontier
-		// structure), recycled above, or pruned inside engine.expand —
-		// the backing array itself is reusable, as on the DFS pop path.
-		e.trec.RecycleTransitions(trs)
-	}
-	return buf, true
+	return true
 }

@@ -60,12 +60,11 @@ import (
 //
 // With a recycling system (StateRecycler), the steal hot path is
 // allocation-free in steady state: deque entries come from per-worker
-// free-lists, consumed successor slices return through
-// TransitionRecycler, duplicate children are recycled where they are
-// produced, and consumed, fully expanded states are retired through
-// the epoch-based reclamation layer (reclaim.go) so a reference
-// briefly held by a concurrent steal attempt can never observe
-// recycled backing storage.
+// free-lists, successors are stepped into the worker's scratch and only
+// stored ones cloned out, and consumed, fully expanded states are
+// retired through the epoch-based reclamation layer (reclaim.go) so a
+// reference briefly held by a concurrent steal attempt can never
+// observe recycled backing storage.
 type workSteal struct {
 	workers int
 }
@@ -113,6 +112,9 @@ type stealRun struct {
 	deques  []*wsDeque
 	cnts    []wsCounters
 	pools   []wsEntryPool
+	// exps holds one expander per worker slot, created by the slot's
+	// first worker and inherited through retire/respawn like the deque.
+	exps []*expander
 	// reclaim is the epoch-based reclamation layer, nil when the system
 	// does not recycle or Options.NoEpochReclaim is set.
 	reclaim *reclaimer
@@ -138,7 +140,9 @@ func (s *workSteal) search(e *engine) {
 		max = runtime.GOMAXPROCS(0)
 	}
 
-	init, d0 := e.visitInitial()
+	exps := make([]*expander, max)
+	exps[0] = e.newExpander()
+	init, d0 := e.visitInitial(exps[0])
 	if e.limitHit() {
 		e.truncated.Store(true)
 		return
@@ -154,6 +158,7 @@ func (s *workSteal) search(e *engine) {
 		deques:   make([]*wsDeque, max),
 		cnts:     make([]wsCounters, max),
 		pools:    make([]wsEntryPool, max),
+		exps:     exps,
 		relaxOff: (e.reducer != nil && !e.certified) || e.canon != nil,
 		max:      max,
 	}
@@ -325,18 +330,18 @@ func (r *stealRun) putEntry(w int, ent *stealEntry) {
 	r.pools[w].free = append(r.pools[w].free, ent)
 }
 
-// wsCtx is one worker's expansion context. The enqueue/duplicate hooks
-// are bound once per worker (not per expansion — the hot path must not
+// wsCtx is one worker's expansion context. The enqueue/relax hooks are
+// bound once per worker (not per expansion — the hot path must not
 // allocate closures) and read the per-expansion fields from here.
 type wsCtx struct {
 	r          *stealRun
 	w          int
-	sc         *statCell
+	x          *expander
 	sent       int64 // running mirror of cnts[w].sent
 	childDepth int
 	epoch      uint64 // epoch pinned before the current entry was consumed
 	enq        func(State, digest)
-	dup        func(State, digest) bool
+	relax      func(digest) bool
 }
 
 // pushState counts and enqueues one newly stored state. The sent store
@@ -348,15 +353,12 @@ func (c *wsCtx) pushState(st State, d digest) {
 	c.r.deques[c.w].push(c.r.getEntry(c.w, st, d))
 }
 
-// relaxDup is the duplicate hook when depth relaxation is on: a
-// re-encountered successor whose depth improves is re-enqueued so the
-// shorter distance propagates; the entry is then live (kept).
-func (c *wsCtx) relaxDup(st State, d digest) bool {
-	if c.r.parents.relax(d.h1, int32(c.childDepth)) {
-		c.pushState(st, d)
-		return true
-	}
-	return false
+// relaxDup is the duplicate hook when depth relaxation is on: it
+// reports whether the re-encountered successor's depth improved, in
+// which case expandShared keeps and re-enqueues it so the shorter
+// distance propagates.
+func (c *wsCtx) relaxDup(d digest) bool {
+	return c.r.parents.relax(d.h1, int32(c.childDepth))
 }
 
 // work is one worker's main loop: drain the own deque LIFO, steal FIFO
@@ -364,17 +366,15 @@ func (c *wsCtx) relaxDup(st State, d digest) bool {
 // workers additionally retire when persistently idle.
 func (r *stealRun) work(w int, ownsToken bool) {
 	e := r.e
-	bufp := e.getBuf()
-	defer e.putBuf(bufp)
-	buf := *bufp
-	defer func() { *bufp = buf }()
+	if r.exps[w] == nil {
+		r.exps[w] = e.newExpander()
+	}
+	x := r.exps[w]
+	defer x.stat.flush(e)
 
-	var sc statCell
-	defer sc.flush(e)
-
-	c := &wsCtx{r: r, w: w, sc: &sc, sent: r.cnts[w].sent.Load()}
+	c := &wsCtx{r: r, w: w, x: x, sent: r.cnts[w].sent.Load()}
 	c.enq = c.pushState
-	c.dup = c.relaxDup
+	c.relax = c.relaxDup
 	if r.relaxOff {
 		// Depth relaxation re-expands states, which must replay exactly
 		// the transitions the counted expansion explored. With an
@@ -390,7 +390,7 @@ func (r *stealRun) work(w int, ownsToken bool) {
 		// record parent edges and trail steps whose replay keys do not
 		// stitch onto the representative's chain — counter-examples
 		// would stop being concrete executions.
-		c.dup = nil
+		c.relax = nil
 	}
 	done := r.cnts[w].done.Load()
 	if r.reclaim != nil {
@@ -465,7 +465,7 @@ func (r *stealRun) work(w int, ownsToken bool) {
 			offline()
 			return
 		}
-		buf = r.expand(ent, c, buf)
+		r.expand(ent, c)
 		done++
 		r.cnts[w].done.Store(done)
 		r.maybeGrow()
@@ -527,7 +527,7 @@ func (r *stealRun) retireState(w int, epoch uint64, st State, d digest) {
 // consumed state is retired under the worker's pinned epoch unless a
 // limit truncated the expansion (unconsumed successors then keep it
 // conservative).
-func (r *stealRun) expand(ent *stealEntry, c *wsCtx, buf []byte) []byte {
+func (r *stealRun) expand(ent *stealEntry, c *wsCtx) {
 	e := r.e
 	depth, count := r.parents.claimExpansion(ent.d.h1, int32(e.opts.MaxDepth))
 	if int(depth) >= e.opts.MaxDepth {
@@ -537,19 +537,17 @@ func (r *stealRun) expand(ent *stealEntry, c *wsCtx, buf []byte) []byte {
 		// still queued elsewhere continue to be expanded, and the final
 		// depth scan marks the result truncated once the search drains
 		// (unless a shorter path later relaxes this state below the
-		// bound and re-enqueues it — via the duplicate clone the onDup
-		// hook is handed, never this one, so this clone has left every
+		// bound and re-enqueues it — as the copy expandShared keeps for
+		// the relax hook, never this one, so this clone has left every
 		// live structure and can retire).
 		st, d := ent.state, ent.d
 		r.putEntry(c.w, ent)
 		r.retireState(c.w, c.epoch, st, d)
-		return buf
+		return
 	}
 	c.childDepth = int(depth) + 1
-	buf, ok := expandShared(e, r.parents, ent.state, ent.d.h1, c.childDepth, buf, count, c.sc, c.enq, c.dup)
-	if ok {
+	if e.expandShared(c.x, r.parents, ent.state, ent.d.h1, c.childDepth, count, c.enq, c.relax) {
 		r.retireState(c.w, c.epoch, ent.state, ent.d)
 	}
 	r.putEntry(c.w, ent)
-	return buf
 }

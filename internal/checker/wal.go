@@ -36,12 +36,12 @@ import (
 // Resume does not decode states from bytes — the state encoding is
 // deliberately lossy (CmdRec attribute/value strings and Time are not
 // part of the state vector), so spilled vectors cannot reconstruct
-// State objects. Instead the stack is rebuilt by deterministic
-// re-expansion from the initial state along the recorded next-indices
+// State objects. Instead the stack is rebuilt by deterministically
+// re-stepping from the initial state along the recorded next-indices
 // (the DFS invariant: a non-top frame's edge to its child is
-// succs[next-1]), and the spilled delta vectors serve as the
+// stubs[next-1]), and the spilled delta vectors serve as the
 // end-to-end integrity check: DeltaApply(parent, delta) must reproduce
-// the re-expanded child's encoding byte for byte. Any mismatch — a
+// the re-stepped child's encoding byte for byte. Any mismatch — a
 // model change, a corrupt record — abandons the resume and starts
 // fresh, which is always sound.
 
@@ -108,13 +108,21 @@ type wal struct {
 	resumed     bool
 }
 
+// walDigestEpoch versions the digest values a V batch records. They
+// come from engine.digest — the system's IncrementalDigest or a hash of
+// its encoding — and a build that changes either function must bump it,
+// so a log written under the old function is abandoned rather than
+// replayed into a store keyed by the new one. 2: the block-hash fold
+// became a position-salted sum.
+const walDigestEpoch = 2
+
 // walFingerprint serializes the options that determine the explored
-// graph. Limits (MaxStates, Deadline, MaxViolations) are deliberately
-// excluded: killing a run under one budget and resuming under another
-// is the whole point.
+// graph, plus the digest epoch. Limits (MaxStates, Deadline,
+// MaxViolations) are deliberately excluded: killing a run under one
+// budget and resuming under another is the whole point.
 func walFingerprint(opts Options) []byte {
-	return []byte(fmt.Sprintf("%s store=%d depth=%d por=%v sym=%v nodedup=%v",
-		walMagic, opts.Store, opts.MaxDepth, opts.POR, opts.Symmetry, opts.NoDedup))
+	return []byte(fmt.Sprintf("%s store=%d depth=%d por=%v sym=%v nodedup=%v digest=%d",
+		walMagic, opts.Store, opts.MaxDepth, opts.POR, opts.Symmetry, opts.NoDedup, walDigestEpoch))
 }
 
 func newWAL(opts Options, haveDelta bool) (*wal, error) {
@@ -197,7 +205,7 @@ func (w *wal) writeRecord(typ byte, payload []byte) error {
 // maybeCheckpoint appends a (visits, checkpoint) pair when enough new
 // states have been explored since the last one. Called at the top of
 // the DFS loop, where the stack invariant (child of frame i is
-// succs[next-1]) holds. Failures disarm the WAL rather than the search.
+// stubs[next-1]) holds. Failures disarm the WAL rather than the search.
 func (w *wal) maybeCheckpoint(e *engine, stack []dfsFrame, buf []byte) []byte {
 	explored := e.explored.Load()
 	if explored-w.lastCkptExplored < int64(w.every) {

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -190,6 +191,60 @@ func TestWALFingerprintMismatchFreshStart(t *testing.T) {
 	}
 	baseline := Run(sys, Options{MaxDepth: 19})
 	assertSameRun(t, "fingerprint-mismatch", rres, baseline)
+}
+
+// TestWALOlderDigestEpochFreshStart: a WAL whose header is the
+// fingerprint the previous build wrote — no digest epoch; its V batches
+// hold digests of the order-sensitive block fold — is abandoned, never
+// replayed into a store keyed by this build's digests. The log itself is
+// a valid one from this build with only the header record swapped, so
+// nothing but the fingerprint can be what rejects it.
+func TestWALOlderDigestEpochFreshStart(t *testing.T) {
+	sys := walChainSys()
+	dir := t.TempDir()
+	killed := walBaseOpts(dir)
+	killed.MaxStates = 500
+	if kres := Run(sys, killed); kres.Store.Checkpoints == 0 {
+		t.Fatal("killed run wrote no checkpoints")
+	}
+
+	path := filepath.Join(dir, walName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := walFingerprint(killed)
+	body := data[1+uvarintLen(uint64(len(cur)))+len(cur)+4:] // everything after the H record
+	old := []byte(fmt.Sprintf("%s store=%d depth=%d por=%v sym=%v nodedup=%v",
+		walMagic, killed.Store, killed.MaxDepth, killed.POR, killed.Symmetry, killed.NoDedup))
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &wal{f: f}
+	if err := w.writeRecord(recHeader, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	// The rewritten log is well-formed: under its own fingerprint it scans
+	// to a checkpoint.
+	if ck, _, _, serr := scanWAL(f, old); serr != nil || ck == nil {
+		t.Fatalf("rewritten WAL does not scan under the older fingerprint (ck=%v err=%v)", ck, serr)
+	}
+	f.Close()
+
+	resumed := walBaseOpts(dir)
+	resumed.Resume = true
+	rres := Run(sys, resumed)
+	if rres.Store.Resumed {
+		t.Fatal("resumed from a WAL written under an older digest epoch")
+	}
+	assertSameRun(t, "older-digest-epoch", rres, Run(sys, Options{MaxDepth: 20}))
 }
 
 // TestWALMissingFileFreshStart: Resume with no WAL present is a fresh

@@ -88,7 +88,7 @@ func TestCascadeZeroAllocs(t *testing.T) {
 		t.Fatalf("motion values missing: %v", d.Attrs[ai].Values)
 	}
 
-	x := m.newPooledExecutor()
+	x := m.newExecutor()
 	val := active
 	run := func() {
 		s.Cmds = s.Cmds[:0]
@@ -142,11 +142,15 @@ func TestCloneAllocBudget(t *testing.T) {
 
 // TestStealSteadyStateAllocParity is the CI allocation gate for the
 // parallel expansion hot path: a complete work-stealing search at
-// workers=1 (epoch reclamation on, so dead frontier states and
-// consumed successor arrays recycle through the model's pools) must
-// stay within 2× of sequential DFS in allocations per explored state.
-// Before PR 8 the ratio was ~5× — every steal frontier state was a
-// fresh clone; the gate pins the recycled steady state.
+// workers=1 (epoch reclamation on, so dead frontier states recycle
+// through the model's pool) must stay within two allocations per
+// explored state of sequential DFS — room for the parent-link table,
+// the deque and the reclamation limbo, which DFS does not have, but not
+// for a fresh clone per stored state (six allocations with the block
+// cache). The bound was a ratio (2×) while both strategies cloned every
+// generated successor; with successors stepped in a scratch DFS is
+// down to a fraction of an allocation per state and a ratio would gate
+// on the parent table's map growth.
 func TestStealSteadyStateAllocParity(t *testing.T) {
 	// Fixed per-search setup (deque ring, reclaimer slots, visited
 	// store, goroutine spawn) dwarfs the per-state cost on a model this
@@ -175,9 +179,15 @@ func TestStealSteadyStateAllocParity(t *testing.T) {
 	}
 	dfs := marginal(checker.StrategyDFS)
 	steal := marginal(checker.StrategySteal)
-	t.Logf("marginal allocs/state: dfs %.2f, steal(workers=1) %.2f (ratio %.2fx)", dfs, steal, steal/dfs)
-	if steal > 2*dfs {
-		t.Errorf("steal allocates %.2f/state vs dfs %.2f/state (%.2fx, want <= 2x)", steal, dfs, steal/dfs)
+	t.Logf("marginal allocs/state: dfs %.2f, steal(workers=1) %.2f", dfs, steal)
+	if raceEnabled {
+		return // the state pool leaks under the race detector; see raceEnabled
+	}
+	if dfs > 1 {
+		t.Errorf("dfs allocates %.2f/state, want <= 1 (a clone per generated successor is back?)", dfs)
+	}
+	if steal > dfs+2 {
+		t.Errorf("steal allocates %.2f/state vs dfs %.2f/state, want <= dfs+2", steal, dfs)
 	}
 }
 
@@ -203,5 +213,40 @@ func TestIncrementalDigestZeroAlloc(t *testing.T) {
 		m.IncrementalDigest(s, false)
 	}); allocs != 0 {
 		t.Errorf("all-dirty incremental digest allocates %.2f times, want 0", allocs)
+	}
+}
+
+// TestStepDuplicateZeroAlloc is the CI allocation gate for the keyed
+// successor path: listing a state's transitions into a reused stub
+// buffer, stepping each into a warm scratch and digesting it — all the
+// engine does for a successor the visited store then reports seen —
+// performs zero heap allocations. Only a successor that is kept costs a
+// clone (TestCloneIntoZeroAlloc: nothing, from a recycled state).
+func TestStepDuplicateZeroAlloc(t *testing.T) {
+	m := cascadeModelOpts(t, Options{MaxEvents: 3, Incremental: true})
+	sc := m.NewScratch()
+	root := m.Initial()
+	m.IncrementalDigest(root, false)
+	stubs := m.Enabled(root, nil)
+	first := sc.Step(root, &stubs[0])
+	m.IncrementalDigest(first.Next.(*State), false)
+	parent := sc.Keep()
+
+	steps := 0
+	run := func() {
+		stubs = m.Enabled(parent, stubs[:0])
+		for i := range stubs {
+			tr := sc.Step(parent, &stubs[i])
+			m.IncrementalDigest(tr.Next.(*State), false)
+			steps++
+		}
+	}
+	run() // warm the executor's queue, env stacks and the command log
+	run()
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 && !raceEnabled { // the encode-buffer pool leaks under race
+		t.Errorf("enumerate + step + digest allocates %.2f times per expansion, want 0", allocs)
+	}
+	if steps == 0 || sc.FullSyncs() != 1 {
+		t.Errorf("%d steps, %d whole-state copies: want steps from a parent on the scratch's chain", steps, sc.FullSyncs())
 	}
 }

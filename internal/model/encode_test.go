@@ -38,3 +38,20 @@ func TestEncodeWideFieldsNoAlias(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeEmptyLogsAlikeNil: a transition resets the cascade command
+// log by truncating it, so the backing array a clone or a scratch owns
+// is reused; the encoders, the block hashes and the delta codec must not
+// tell an empty log (or queue, or in-flight buffer) from a nil one.
+func TestEncodeEmptyLogsAlikeNil(t *testing.T) {
+	empty := State{Queue: make([]Pending, 0, 4), Cmds: make([]CmdRec, 0, 4), InFlight: make([]InFlightCmd, 0, 4)}
+	var zero State
+	if a, b := empty.Encode(nil), zero.Encode(nil); !bytes.Equal(a, b) {
+		t.Errorf("empty logs encode as %x, nil logs as %x", a, b)
+	}
+	for _, b := range []int{empty.queueBlock(), empty.cmdsBlock()} {
+		if x, y := encodeBlock(&empty, b, nil), encodeBlock(&zero, b, nil); !bytes.Equal(x, y) {
+			t.Errorf("block %d: empty encodes as %x, nil as %x", b, x, y)
+		}
+	}
+}

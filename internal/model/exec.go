@@ -56,11 +56,12 @@ type cyberEvent struct {
 }
 
 // executor runs handler cascades against a state; it implements
-// eval.Host for the app whose handler is currently executing. Executors
-// are pooled on the Model: all per-cascade storage (queue, step log,
-// notification flags, the compiled-execution Env) retains its capacity
-// across transitions, so taking a transition performs no executor
-// allocations.
+// eval.Host for the app whose handler is currently executing. An
+// executor lives as long as the Scratch it is bound to (or, for Expand
+// and Replay, is drawn from the Model's pool once per call): all
+// per-cascade storage (queue, step log, violations, notification flags,
+// the compiled-execution Env) retains its capacity across transitions,
+// so taking a transition performs no executor allocations.
 type executor struct {
 	m *Model
 	s *State
@@ -94,7 +95,7 @@ type executor struct {
 	evt    eval.Event
 }
 
-func (m *Model) newPooledExecutor() *executor {
+func (m *Model) newExecutor() *executor {
 	return &executor{
 		m:        m,
 		notified: make([]bool, len(m.Apps)),
@@ -102,16 +103,8 @@ func (m *Model) newPooledExecutor() *executor {
 	}
 }
 
-// getExec checks an executor out of the pool, bound to a state and
-// failure mode.
-func (m *Model) getExec(s *State, fm failMode, record bool) *executor {
-	x := m.execs.Get().(*executor)
-	x.reset(s, fm, record)
-	return x
-}
-
-// reset rebinds a pooled executor to a state, clearing per-cascade
-// storage while keeping slice capacity.
+// reset binds the executor to a state for one transition, clearing
+// per-cascade storage while keeping slice capacity.
 func (x *executor) reset(s *State, fm failMode, record bool) {
 	x.s = s
 	x.failMode = fm
@@ -129,23 +122,14 @@ func (x *executor) reset(s *State, fm failMode, record bool) {
 	}
 }
 
-// putExec returns an executor to the pool. Slices that escaped into the
-// transition (violations, recorded steps) must be taken with
-// takeViolations/takeSteps first.
-func (m *Model) putExec(x *executor) {
-	x.s = nil
-	m.execs.Put(x)
-}
-
-// takeViolations hands ownership of the violation slice to the caller
-// (it escapes into the Transition; the pool must not reuse it).
-func (x *executor) takeViolations() []checker.Violation {
+// violations lends the transition's violations to the caller: the slice
+// is the executor's own storage and is overwritten by its next reset, so
+// a transition that outlives that (Expand's) copies it.
+func (x *executor) violations() []checker.Violation {
 	if len(x.viols) == 0 {
 		return nil
 	}
-	v := x.viols
-	x.viols = nil
-	return v
+	return x.viols
 }
 
 // takeSteps hands ownership of the recorded step log to the caller.
@@ -160,6 +144,13 @@ func (x *executor) takeSteps() []string {
 
 func (x *executor) violate(prop, detail string) {
 	x.viols = append(x.viols, checker.Violation{Property: prop, Detail: detail})
+}
+
+// step logs one preformatted micro-step.
+func (x *executor) step(s string) {
+	if x.record {
+		x.steps = append(x.steps, s)
+	}
 }
 
 func (x *executor) stepf(format string, args ...any) {
@@ -200,7 +191,9 @@ func (x *executor) sensorUpdate(dev int, attrIdx int, val int16) {
 	}
 	ds.Attrs[attrIdx] = val
 	ds.report(attrIdx)
-	x.s.markDevice(dev)
+	if !skipDeviceMark { // fault gate for the negative oracle test
+		x.s.markDevice(dev)
+	}
 	vstr := d.attrString(attrIdx, val)
 	if x.record {
 		x.stepf("%s.%s = %s", d.Label, a.Name, vstr)
@@ -700,7 +693,10 @@ func (x *executor) Schedule(handler string, delaySeconds int64) {
 	as := &x.s.Apps[x.curApp]
 	for i := range as.Timers {
 		if as.Timers[i].Handler == handler {
+			// Delay is not encoded, but a scratch re-syncs only marked
+			// blocks: the overwrite must be undone like any other write.
 			as.Timers[i].Delay = delaySeconds // runIn overwrites by default
+			x.s.markApp(x.curApp)
 			return
 		}
 	}

@@ -20,6 +20,13 @@ import (
 // in lazy-trail form (precomputed label, no step log, a replay key),
 // and the micro-steps are regenerated by deterministic re-execution
 // only when a counter-example trail is materialized.
+//
+// And it implements checker.Stepper, which is how the engine actually
+// generates successors: Enabled lists a state's transitions as stubs,
+// Step runs one of them in the calling worker's Scratch, and Keep
+// clones the result out only when the visited store admitted it (see
+// scratch.go). The model's reducer reads only len(trs) and the state,
+// as the hook requires.
 func (m *Model) System() checker.System { return sysAdapter{m} }
 
 type sysAdapter struct{ m *Model }
@@ -28,6 +35,21 @@ func (a sysAdapter) Initial() checker.State { return a.m.Initial() }
 
 func (a sysAdapter) Expand(s checker.State) []checker.Transition {
 	return a.m.Expand(s.(*State))
+}
+
+func (a sysAdapter) Enabled(s checker.State, buf []checker.Transition) []checker.Transition {
+	return a.m.Enabled(s.(*State), buf)
+}
+
+func (a sysAdapter) NewScratch() checker.Scratch { return a.m.NewScratch() }
+
+func (a sysAdapter) Step(sc checker.Scratch, parent checker.State, stub *checker.Transition) (tr checker.Transition) {
+	sc.(*Scratch).step(parent.(*State), stub, &tr)
+	return tr
+}
+
+func (a sysAdapter) Keep(sc checker.Scratch, _ checker.State) checker.State {
+	return sc.(*Scratch).Keep()
 }
 
 func (a sysAdapter) Inspect(s checker.State) []checker.Violation {
@@ -164,82 +186,27 @@ func fltKey(op, idx int) uint64 {
 	return keyMark | keyKindFlt<<keyKindPos | uint64(op)<<59 | uint64(idx)
 }
 
-// Replay re-executes the transition identified by key from the given
-// state with step recording enabled, returning the trail label, the
-// micro-steps, and the successor state (which feeds the next step of a
-// forward trail replay). Execution is deterministic, so the regenerated
-// steps are exactly those the eager path would have produced.
-func (m *Model) Replay(s *State, key uint64) (string, []string, checker.State) {
-	if key&keyMark == 0 {
-		return "", nil, nil
-	}
-	switch key >> keyKindPos & 3 {
-	case keyKindExt:
-		evIdx := int(key >> 2 & (1<<59 - 1))
-		fm := failMode(key & 3)
-		if evIdx >= len(m.external) {
-			return "", nil, nil
-		}
-		tr := m.applyExternal(s, m.external[evIdx], evIdx, fm, true)
-		return tr.Label, tr.Steps, tr.Next
-	case keyKindTmr:
-		appIdx := int(key >> 32 & (1<<29 - 1))
-		methodIdx := int(key >> 2 & (1<<30 - 1))
-		fm := failMode(key & 3)
-		if appIdx >= len(m.Apps) || methodIdx >= len(m.Apps[appIdx].methodNames) {
-			return "", nil, nil
-		}
-		ev := ExtEvent{Kind: EvTimer, AppIdx: appIdx, Handler: m.Apps[appIdx].methodNames[methodIdx]}
-		tr := m.applyTimer(s, ev, methodIdx, fm, true)
-		return tr.Label, tr.Steps, tr.Next
-	case keyKindDisp:
-		i := int(key & (1<<61 - 1))
-		if i >= len(s.Queue) {
-			return "", nil, nil
-		}
-		tr := m.dispatchPending(s, i, true)
-		return tr.Label, tr.Steps, tr.Next
-	case keyKindFlt:
-		op := int(key >> 59 & 3)
-		idx := int(key & (1<<59 - 1))
-		if op == fltOffline || op == fltOnline {
-			if idx >= len(s.Devices) {
-				return "", nil, nil
-			}
-		} else if idx >= len(s.InFlight) {
-			return "", nil, nil
-		}
-		tr := m.applyFault(s, op, idx, true)
-		return tr.Label, tr.Steps, tr.Next
-	}
-	return "", nil, nil
+// tmrKeyless names a timer firing whose scheduled handler is not a
+// method of the app — it has no methodIdx to put in a replay key — by
+// the timer's position in the app's pending list. The mark bit stays
+// clear: the key identifies the stub to Step, which returns the
+// transition with Key 0 and its steps recorded, and Replay rejects it.
+func tmrKeyless(appIdx, pos int, fm failMode) uint64 {
+	return keyKindTmr<<keyKindPos | uint64(appIdx)<<32 | uint64(pos)<<2 | uint64(fm)
 }
 
-// Expand returns the successor transitions of a state: the
-// non-deterministic choice of the next external physical event
+// Enabled appends one stub per enabled transition of s to out, in the
+// order Expand returns them: Label, Key and Fault set, Next nil. It is
+// the non-deterministic choice of the next external physical event
 // (Algorithm 1 line 2), crossed with failure scenarios when enabled; in
 // the concurrent design, also the choice of which pending handler
-// invocation to dispatch next.
-func (m *Model) Expand(s *State) []checker.Transition {
-	nfm := 1
-	if m.Opts.Failures {
-		nfm = 4
-	}
-	timers := 0
-	for ai := range s.Apps {
-		timers += len(s.Apps[ai].Timers)
-	}
-	var out []checker.Transition
-	if v := m.trPool.Get(); v != nil {
-		out = (*v.(*[]checker.Transition))[:0]
-	} else {
-		out = make([]checker.Transition, 0, len(s.Queue)+(len(m.external)+timers)*nfm)
-	}
-
+// invocation to dispatch next. Nothing is executed: step runs the one
+// cascade a stub names.
+func (m *Model) Enabled(s *State, out []checker.Transition) []checker.Transition {
 	if m.Opts.Design == Concurrent {
 		// Interleaving choices: dispatch any pending handler invocation.
 		for i := range s.Queue {
-			out = append(out, m.dispatchPending(s, i, false))
+			out = append(out, checker.Transition{Label: m.dispLabel(s.Queue[i]), Key: dispKey(i)})
 		}
 	}
 
@@ -249,7 +216,7 @@ func (m *Model) Expand(s *State) []checker.Transition {
 		// drop of held commands) in the drain phase. The POR layer relies
 		// on this layout: transitions 0..len(Queue)-1 are dispatches,
 		// then exactly countFaultTransitions(s) fault choices.
-		out = m.appendFaultTransitions(s, out)
+		out = m.appendFaultStubs(s, out)
 	}
 
 	if s.EventsUsed >= m.Opts.MaxEvents {
@@ -275,24 +242,24 @@ func (m *Model) Expand(s *State) []checker.Transition {
 			if ev.Kind != EvDevice && (fm == failSensorOff || fm == failSensorComm) {
 				continue // sensor failures apply to sensed events only
 			}
-			out = append(out, m.applyExternal(s, ev, evIdx, fm, false))
+			out = append(out, checker.Transition{Label: m.extLabels[evIdx][fm], Key: extKey(evIdx, fm)})
 		}
 	}
 
 	// Scheduled timers are external choices too: they may fire at any
 	// point between other events.
 	for ai := range s.Apps {
-		for _, t := range s.Apps[ai].Timers {
-			ev := ExtEvent{Kind: EvTimer, AppIdx: ai, Handler: t.Handler}
+		for ti, t := range s.Apps[ai].Timers {
 			mi, ok := m.Apps[ai].methodIdx[t.Handler]
-			if !ok {
-				mi = -1
-			}
 			for _, fm := range fms {
 				if fm == failSensorOff || fm == failSensorComm {
 					continue
 				}
-				out = append(out, m.applyTimer(s, ev, mi, fm, false))
+				if ok {
+					out = append(out, checker.Transition{Label: m.timerLabels[ai][mi][fm], Key: tmrKey(ai, mi, fm)})
+				} else {
+					out = append(out, checker.Transition{Label: m.keylessTimerLabel(ai, t.Handler, fm), Key: tmrKeyless(ai, ti, fm)})
+				}
 			}
 		}
 	}
@@ -304,39 +271,42 @@ var (
 	fmAll  = [4]failMode{failNone, failSensorOff, failSensorComm, failActuators}
 )
 
-// appendFaultTransitions enumerates the persistent-fault choices of a
-// state: any online device may go offline (budget permitting), any
-// offline device may recover, and any held command may be delivered to
-// its recovered target or silently dropped (budget permitting).
+// appendFaultStubs enumerates the persistent-fault choices of a state:
+// any online device may go offline (budget permitting), any offline
+// device may recover, and any held command may be delivered to its
+// recovered target or silently dropped (budget permitting).
 // countFaultTransitions must mirror this enumeration exactly — the POR
-// layer uses it to recognise the dispatch/fault split of Expand's
+// layer uses it to recognise the dispatch/fault split of Enabled's
 // output.
-func (m *Model) appendFaultTransitions(s *State, out []checker.Transition) []checker.Transition {
+func (m *Model) appendFaultStubs(s *State, out []checker.Transition) []checker.Transition {
+	stub := func(op, idx int) checker.Transition {
+		return checker.Transition{Label: m.faultLabel(s, op, idx), Key: fltKey(op, idx), Fault: true}
+	}
 	budget := s.FaultsUsed < m.Opts.MaxFaults
 	for d := range s.Devices {
 		if s.Devices[d].Online {
 			if budget {
-				out = append(out, m.applyFault(s, fltOffline, d, false))
+				out = append(out, stub(fltOffline, d))
 			}
 		} else {
-			out = append(out, m.applyFault(s, fltOnline, d, false))
+			out = append(out, stub(fltOnline, d))
 		}
 	}
 	for i := range s.InFlight {
 		if s.Devices[s.InFlight[i].Dev].Online {
-			out = append(out, m.applyFault(s, fltDeliver, i, false))
+			out = append(out, stub(fltDeliver, i))
 		}
 		if budget {
-			out = append(out, m.applyFault(s, fltDrop, i, false))
+			out = append(out, stub(fltDrop, i))
 		}
 	}
 	return out
 }
 
-// countFaultTransitions returns how many transitions
-// appendFaultTransitions would emit for s. Zero whenever fault
-// injection is off or the budget is zero with no fault in progress, so
-// a MaxFaults=0 model expands exactly like a faults-off one.
+// countFaultTransitions returns how many stubs appendFaultStubs would
+// emit for s. Zero whenever fault injection is off or the budget is
+// zero with no fault in progress, so a MaxFaults=0 model expands
+// exactly like a faults-off one.
 func (m *Model) countFaultTransitions(s *State) int {
 	if !m.Opts.Faults {
 		return 0
@@ -363,12 +333,154 @@ func (m *Model) countFaultTransitions(s *State) int {
 	return n
 }
 
+// Labels that are not precomputed at New: they depend on the state (the
+// queued event value, the held command) or are rare enough to assemble
+// on demand. Enabled puts them in the stub and step reuses the stub's,
+// so a transition assembles its label once.
+
+func (m *Model) dispLabel(p Pending) string {
+	return m.dispPre[p.SubIdx] + p.Raw + m.dispPost[p.SubIdx]
+}
+
+func (m *Model) keylessTimerLabel(appIdx int, handler string, fm failMode) string {
+	label := "timer: " + m.Apps[appIdx].App.Name + "." + handler
+	if fm != failNone {
+		label += " [" + fm.String() + "]"
+	}
+	return label
+}
+
+func (m *Model) faultLabel(s *State, op, idx int) string {
+	switch op {
+	case fltOffline:
+		return m.faultLabels[idx][0]
+	case fltOnline:
+		return m.faultLabels[idx][1]
+	}
+	rec := s.InFlight[idx]
+	verb := "fault: deliver "
+	if op == fltDrop {
+		verb = "fault: drop "
+	}
+	return verb + m.Devices[rec.Dev].Label + "." + rec.Cmd + "()"
+}
+
+// step executes the transition key names on ns — a state whose content
+// equals the source state's: a fresh clone of it (Expand, Replay) or a
+// scratch synced to it (Scratch.Step) — with x as the executor, and
+// writes the transition to *tr (an out-parameter: a Transition is
+// twelve words, and this is the per-successor path). label is the
+// stub's label, or "" to have it assembled here (Replay knows only the
+// key). The transition's Next is ns, and its Violations are lent from
+// x. It reports false, with ns and *tr untouched, when key does not
+// name a transition of that state.
+func (m *Model) step(ns *State, x *executor, key uint64, label string, record bool, tr *checker.Transition) bool {
+	fm := failMode(key & 3)
+	switch key >> keyKindPos & 3 {
+	case keyKindTmr:
+		// Checked before the mark bit: a keyless timer stub carries none.
+		appIdx := int(key >> 32 & (1<<29 - 1))
+		idx := int(key >> 2 & (1<<30 - 1))
+		if appIdx >= len(m.Apps) {
+			break
+		}
+		if key&keyMark == 0 {
+			if idx >= len(ns.Apps[appIdx].Timers) {
+				break
+			}
+			m.applyTimer(ns, x, appIdx, ns.Apps[appIdx].Timers[idx].Handler, -1, fm, label, record, tr)
+			return true
+		}
+		if idx >= len(m.Apps[appIdx].methodNames) {
+			break
+		}
+		m.applyTimer(ns, x, appIdx, m.Apps[appIdx].methodNames[idx], idx, fm, label, record, tr)
+		return true
+	case keyKindExt:
+		evIdx := int(key >> 2 & (1<<59 - 1))
+		if key&keyMark == 0 || evIdx >= len(m.external) {
+			break
+		}
+		m.applyExternal(ns, x, evIdx, fm, record, tr)
+		return true
+	case keyKindDisp:
+		i := int(key & (1<<61 - 1))
+		if key&keyMark == 0 || i >= len(ns.Queue) {
+			break
+		}
+		m.dispatchPending(ns, x, i, label, record, tr)
+		return true
+	case keyKindFlt:
+		op := int(key >> 59 & 3)
+		idx := int(key & (1<<59 - 1))
+		if key&keyMark == 0 {
+			break
+		}
+		if op == fltOffline || op == fltOnline {
+			if idx >= len(ns.Devices) {
+				break
+			}
+		} else if idx >= len(ns.InFlight) {
+			break
+		}
+		m.applyFault(ns, x, op, idx, label, record, tr)
+		return true
+	}
+	return false
+}
+
+// Expand returns the successor transitions of a state, each executed on
+// its own fresh clone: Enabled, then step into s.Clone() per stub. The
+// search engine does not come through here — it steps one successor at
+// a time into a worker's Scratch and clones only the states its store
+// admits — but Expand is the reference every walk oracle and the
+// engine's eager adapter use, and it shares nothing with the scratch
+// re-sync: a mark the scratch path misses shows up as a difference
+// between the two.
+func (m *Model) Expand(s *State) []checker.Transition {
+	var out []checker.Transition
+	if v := m.trPool.Get(); v != nil {
+		out = (*v.(*[]checker.Transition))[:0]
+	}
+	out = m.Enabled(s, out)
+	x := m.execs.Get().(*executor)
+	for i := range out {
+		tr := &out[i] // the result overwrites its stub
+		m.step(s.Clone(), x, tr.Key, tr.Label, false, tr)
+		tr.Violations = append([]checker.Violation(nil), tr.Violations...)
+	}
+	m.execs.Put(x)
+	return out
+}
+
+// Replay re-executes the transition identified by key from the given
+// state with step recording enabled, returning the trail label, the
+// micro-steps, and the successor state (which feeds the next step of a
+// forward trail replay): step into a fresh clone. Execution is
+// deterministic, so the regenerated steps are exactly those an eagerly
+// recorded transition would have carried.
+func (m *Model) Replay(s *State, key uint64) (string, []string, checker.State) {
+	if key&keyMark == 0 {
+		return "", nil, nil
+	}
+	x := m.execs.Get().(*executor)
+	var tr checker.Transition
+	ok := m.step(s.Clone(), x, key, "", true, &tr)
+	m.execs.Put(x)
+	if !ok {
+		return "", nil, nil
+	}
+	return tr.Label, tr.Steps, tr.Next
+}
+
 // applyFault executes one fault transition. Fault transitions consume
 // no external-event budget and never reset the cascade command log:
 // they model the environment misbehaving between platform events.
-func (m *Model) applyFault(s *State, op, idx int, record bool) checker.Transition {
-	ns := s.Clone()
-	tr := checker.Transition{Key: fltKey(op, idx), Fault: true, Next: ns}
+func (m *Model) applyFault(ns *State, x *executor, op, idx int, label string, record bool, tr *checker.Transition) {
+	if label == "" {
+		label = m.faultLabel(ns, op, idx)
+	}
+	x.reset(ns, failNone, record)
 	switch op {
 	case fltOffline:
 		ns.FaultsUsed++
@@ -377,63 +489,49 @@ func (m *Model) applyFault(s *State, op, idx int, record bool) checker.Transitio
 		d.Online = false
 		d.LastReport = ns.EventsUsed
 		ns.markDevice(idx)
-		tr.Label = m.faultLabels[idx][0]
-		if record {
-			tr.Steps = []string{tr.Label}
-		}
+		x.step(label)
 	case fltOnline:
 		d := &ns.Devices[idx]
 		d.Online = true
 		d.LastReport = 0
 		copy(d.Reported, d.Attrs)
 		ns.markDevice(idx)
-		tr.Label = m.faultLabels[idx][1]
-		if record {
-			tr.Steps = []string{tr.Label, m.Devices[idx].Label + " reports resynchronize"}
-		}
+		x.step(label)
+		x.step(m.Devices[idx].Label + " reports resynchronize")
 	case fltDeliver:
 		rec := ns.InFlight[idx]
 		ns.InFlight = append(ns.InFlight[:idx], ns.InFlight[idx+1:]...)
 		ns.markCmds()
-		x := m.getExec(ns, failNone, record)
 		x.deliverCommand(rec)
 		if m.Opts.Design == Sequential {
 			x.drain()
 		} else {
 			x.finishCascade()
 		}
-		tr.Label = "fault: deliver " + m.Devices[rec.Dev].Label + "." + rec.Cmd + "()"
-		tr.Violations = x.takeViolations()
-		if record {
-			tr.Steps = x.takeSteps()
-		}
-		m.putExec(x)
 	case fltDrop:
 		ns.FaultsUsed++
 		ns.markHeader()
 		rec := ns.InFlight[idx]
 		ns.InFlight = append(ns.InFlight[:idx], ns.InFlight[idx+1:]...)
 		ns.markCmds()
-		tr.Label = "fault: drop " + m.Devices[rec.Dev].Label + "." + rec.Cmd + "()"
 		if m.Opts.CheckRobustness && !rec.Notified {
-			tr.Violations = []checker.Violation{{Property: PropRobustness, Detail: fmt.Sprintf(
+			x.violate(PropRobustness, fmt.Sprintf(
 				"%s's command %s.%s() is silently dropped during a device outage and the user is never notified",
-				m.Apps[rec.App].App.Name, m.Devices[rec.Dev].Label, rec.Cmd)}}
+				m.Apps[rec.App].App.Name, m.Devices[rec.Dev].Label, rec.Cmd))
 		}
-		if record {
-			tr.Steps = []string{tr.Label}
-		}
+		x.step(label)
 	}
-	return tr
+	x.finish(tr, ns, label, fltKey(op, idx), true)
 }
 
-// applyExternal executes one external (non-timer) event choice,
-// producing the successor state. In the sequential design the full
-// cascade runs to quiescence inside this transition (Algorithm 1 lines
-// 3-6). With record=false the step log is skipped; Replay re-executes
-// with record=true when a trail is materialized.
-func (m *Model) applyExternal(s *State, ev ExtEvent, evIdx int, fm failMode, record bool) checker.Transition {
-	ns, x := m.beginTransition(s, fm, record)
+// applyExternal executes one external (non-timer) event choice on ns.
+// In the sequential design the full cascade runs to quiescence inside
+// this transition (Algorithm 1 lines 3-6). With record=false the step
+// log is skipped; Replay re-executes with record=true when a trail is
+// materialized.
+func (m *Model) applyExternal(ns *State, x *executor, evIdx int, fm failMode, record bool, tr *checker.Transition) {
+	ev := &m.external[evIdx]
+	m.beginTransition(ns, x, fm, record)
 
 	switch ev.Kind {
 	case EvDevice:
@@ -451,63 +549,68 @@ func (m *Model) applyExternal(s *State, ev ExtEvent, evIdx int, fm failMode, rec
 		x.SetLocationMode(m.Cfg.Modes[ev.Val])
 	}
 
-	return m.endTransition(x, ns, ev, m.extLabels[evIdx][fm], extKey(evIdx, fm), fm, record)
+	m.endTransition(x, ev.Kind == EvDevice && fm == failSensorOff)
+	x.finish(tr, ns, m.extLabels[evIdx][fm], extKey(evIdx, fm), false)
 }
 
-// applyTimer executes a timer-firing choice. methodIdx may be -1 when
+// applyTimer executes a timer-firing choice on ns. methodIdx is -1 when
 // the scheduled handler does not name a method; the transition then has
 // no replay key and carries its steps eagerly.
-func (m *Model) applyTimer(s *State, ev ExtEvent, methodIdx int, fm failMode, record bool) checker.Transition {
-	var label string
+func (m *Model) applyTimer(ns *State, x *executor, appIdx int, handler string, methodIdx int, fm failMode, label string, record bool, tr *checker.Transition) {
 	var key uint64
 	if methodIdx >= 0 {
-		label = m.timerLabels[ev.AppIdx][methodIdx][fm]
-		key = tmrKey(ev.AppIdx, methodIdx, fm)
+		label = m.timerLabels[appIdx][methodIdx][fm]
+		key = tmrKey(appIdx, methodIdx, fm)
 	} else {
-		label = "timer: " + m.Apps[ev.AppIdx].App.Name + "." + ev.Handler
-		if fm != failNone {
-			label += " [" + fm.String() + "]"
+		if label == "" {
+			label = m.keylessTimerLabel(appIdx, handler, fm)
 		}
 		record = true // not replayable: record eagerly
 	}
 
-	ns, x := m.beginTransition(s, fm, record)
-	if removeTimer(&ns.Apps[ev.AppIdx], ev.Handler) {
-		ns.markApp(ev.AppIdx)
+	m.beginTransition(ns, x, fm, record)
+	if removeTimer(&ns.Apps[appIdx], handler) {
+		ns.markApp(appIdx)
 	}
-	x.fireTimer(ev.AppIdx, ev.Handler)
-	return m.endTransition(x, ns, ev, label, key, fm, record)
+	x.fireTimer(appIdx, handler)
+	m.endTransition(x, false)
+	x.finish(tr, ns, label, key, false)
 }
 
-// beginTransition clones the state and checks an executor out of the
-// pool against the clone.
-func (m *Model) beginTransition(s *State, fm failMode, record bool) (*State, *executor) {
-	ns := s.Clone()
+// beginTransition opens an external-event transition on ns: the event
+// budget advances, the cascade command log resets (truncated, so the
+// backing array the clone or the scratch already owns is reused), and
+// the executor binds to ns.
+func (m *Model) beginTransition(ns *State, x *executor, fm failMode, record bool) {
 	ns.EventsUsed++
 	ns.Time = int64(ns.EventsUsed) * 60
 	ns.markHeader()
 	if len(ns.Cmds) > 0 {
+		ns.Cmds = ns.Cmds[:0]
 		ns.markCmds()
 	}
-	ns.Cmds = nil // fresh cascade: command log resets per external event
-	return ns, m.getExec(ns, fm, record)
+	x.reset(ns, fm, record)
 }
 
-// endTransition drains the cascade per the design, releases the
-// executor, and assembles the transition.
-func (m *Model) endTransition(x *executor, ns *State, ev ExtEvent, label string, key uint64, fm failMode, record bool) checker.Transition {
+// endTransition drains the cascade per the design. unsensed marks a
+// sensed event lost to an offline sensor, which in the concurrent
+// design ends the transition without a cascade to finish.
+func (m *Model) endTransition(x *executor, unsensed bool) {
 	if m.Opts.Design == Sequential {
 		x.drain()
-	} else if ev.Kind != EvDevice || fm != failSensorOff {
+	} else if !unsensed {
 		x.finishCascade()
 	}
+}
 
-	tr := checker.Transition{Label: label, Key: key, Next: ns, Violations: x.takeViolations()}
-	if record {
+// finish writes the transition the executor just ran on ns to *tr.
+// Violations are lent (see executor.violations); the step log, recorded
+// only for Replay and keyless timers, is handed off.
+func (x *executor) finish(tr *checker.Transition, ns *State, label string, key uint64, fault bool) {
+	*tr = checker.Transition{Label: label, Key: key, Fault: fault, Next: ns, Violations: x.violations()}
+	if x.record {
 		tr.Steps = x.takeSteps()
 	}
-	m.putExec(x)
-	return tr
 }
 
 // deliverTouch routes an app-touch event to the app's touch handlers.
@@ -544,31 +647,22 @@ func removeTimer(as *AppState, handler string) bool {
 	return false
 }
 
-// dispatchPending runs one queued handler invocation (concurrent design:
-// handler-level interleaving, §8 "Concurrency Model"). The label is
-// assembled eagerly from precomputed halves — trails must keep their
+// dispatchPending runs one queued handler invocation on ns (concurrent
+// design: handler-level interleaving, §8 "Concurrency Model"). The label
+// is assembled eagerly from precomputed halves — trails must keep their
 // labels even when a broken replay chain degrades their steps.
-func (m *Model) dispatchPending(s *State, i int, record bool) checker.Transition {
-	ns := s.Clone()
+func (m *Model) dispatchPending(ns *State, x *executor, i int, label string, record bool, tr *checker.Transition) {
 	p := ns.Queue[i]
+	if label == "" {
+		label = m.dispLabel(p)
+	}
 	ns.Queue = append(ns.Queue[:i], ns.Queue[i+1:]...)
 	ns.markQueue()
 
-	sub := m.subs[p.SubIdx]
-	x := m.getExec(ns, failNone, record)
-	ev := m.pendingEvent(p)
-	x.runHandler(sub, ev)
+	x.reset(ns, failNone, record)
+	x.runHandler(m.subs[p.SubIdx], m.pendingEvent(p))
 	x.noteInFlight()
-
-	tr := checker.Transition{
-		Label: m.dispPre[p.SubIdx] + ev.VStr + m.dispPost[p.SubIdx],
-		Key:   dispKey(i), Next: ns, Violations: x.takeViolations(),
-	}
-	if record {
-		tr.Steps = x.takeSteps()
-	}
-	m.putExec(x)
-	return tr
+	x.finish(tr, ns, label, dispKey(i), false)
 }
 
 // pendingEvent reconstructs the cyber event payload of a queued

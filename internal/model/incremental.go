@@ -12,8 +12,9 @@ import "math/bits"
 // inherits the parent's hashes and the executors mark exactly the
 // blocks they write (the mark contract is documented in the README).
 // The engine digest then re-encodes only dirty blocks into a pooled
-// scratch buffer and combines the block hashes with an order-sensitive
-// mix, instead of re-serializing the whole vector per child state.
+// scratch buffer and swaps their terms in a position-salted sum over
+// the block hashes (foldTerms), instead of re-serializing — or even
+// re-folding — the whole vector per child state.
 //
 // The per-block hash is FNV-1a over exactly the bytes the per-block
 // encoder in state.go would append, and the full encoding is the
@@ -54,6 +55,12 @@ func (s *State) initCache() {
 	s.blockHash = back[:nb:nb]
 	s.dirtyMask = back[nb : nb+hw : nb+hw]
 	s.devRefMask = back[nb+hw:]
+	s.fold = [2]uint64{}
+	for b := range s.blockHash {
+		t1, t2 := foldTerms(b, 0)
+		s.fold[0] += t1
+		s.fold[1] += t2
+	}
 	s.MarkAllDirty()
 }
 
@@ -70,21 +77,26 @@ func (s *State) cloneCacheFrom(p *State) {
 	copy(s.devRefMask, p.devRefMask)
 }
 
-// markBlock flags block b stale. All mark methods are no-ops on states
-// without a cache (Options.Incremental off), so executors mark
-// unconditionally.
+// markBlock flags block b stale (dirtyMask, states with a cache) and
+// touched (touchMask, a scratch's working state). Executors mark
+// unconditionally; on a plain state without a cache it is a no-op.
 func (s *State) markBlock(b int) {
-	if s.dirtyMask == nil {
-		return
+	w, bit := b>>6, uint64(1)<<uint(b&63)
+	if s.dirtyMask != nil {
+		s.dirtyMask[w] |= bit
 	}
-	s.dirtyMask[b>>6] |= 1 << uint(b&63)
+	if s.touchMask != nil {
+		s.touchMask[w] |= bit
+	}
 }
 
 // The mark helpers below are the write half of the dirty-mask
 // contract: every mutation of block-backed State storage must be
-// paired with the matching helper in the same function. The
-// //iotsan:marks annotations teach the dirtymark analyzer
-// (internal/analysis) the mutation→mark map.
+// paired with the matching helper in the same function. A mark is both
+// "this block's cached hash is stale" and "a scratch must copy this
+// block back from the parent before the next step" — a missed mark is a
+// wrong digest and a missed undo. The //iotsan:marks annotations teach
+// the dirtymark analyzer (internal/analysis) the mutation→mark map.
 
 //iotsan:marks header
 func (s *State) markHeader() { s.markBlock(0) }
@@ -101,23 +113,26 @@ func (s *State) markQueue() { s.markBlock(s.queueBlock()) }
 //iotsan:marks cmds
 func (s *State) markCmds() { s.markBlock(s.cmdsBlock()) }
 
-// MarkAllDirty invalidates every cached block hash. Callers that mutate
-// a State outside the executor layer (symmetry canonicalization, test
-// harnesses) must call it before the state is digested again; it is a
-// no-op without a cache.
+// MarkAllDirty marks every block: all cached hashes stale and, on a
+// scratch's working state, every block due for re-sync. Callers that
+// mutate a State outside the executor layer (symmetry canonicalization,
+// test harnesses) must call it before the state is digested or stepped
+// from again; it is a no-op on a plain state without a cache.
 //
 //iotsan:marks all
 func (s *State) MarkAllDirty() {
-	if s.dirtyMask == nil {
-		return
-	}
-	nb := s.nBlocks()
-	for w := range s.dirtyMask {
+	fillMask(s.dirtyMask, s.nBlocks())
+	fillMask(s.touchMask, s.nBlocks())
+}
+
+// fillMask sets the low nb bits of mask (nil = nothing to do).
+func fillMask(mask []uint64, nb int) {
+	for w := range mask {
 		n := nb - w<<6
 		if n >= 64 {
-			s.dirtyMask[w] = ^uint64(0)
+			mask[w] = ^uint64(0)
 		} else {
-			s.dirtyMask[w] = 1<<uint(n) - 1
+			mask[w] = 1<<uint(n) - 1
 		}
 	}
 }
@@ -156,10 +171,27 @@ func fnv1a64(b []byte) uint64 {
 	return h
 }
 
-// blockMix folds block hashes in encode order into the (h1, h2) engine
-// digest. Both folds are order-sensitive: swapping two block hashes
-// changes the result, mirroring position-sensitivity of the flat
-// encoding.
+// foldTerms returns block b's two terms of the raw engine digest, which
+// is the pair of sums of these terms over all blocks. A sum is
+// commutative, so replacing one block's hash is one subtraction and one
+// addition (refreshBlocks) instead of a fold over every block; the
+// position enters through the salt mixed into each term, so swapping
+// the hashes of two blocks still changes the digest, as it changes the
+// flat encoding. The two salts differ, which keeps h2 independent of h1
+// for the stores that probe with both.
+func foldTerms(b int, bh uint64) (uint64, uint64) {
+	k := uint64(b + 1)
+	return splitmix64(bh ^ k*mixMult), splitmix64(bh ^ k*foldSalt2)
+}
+
+const foldSalt2 = 0xc2b2ae3d27d4eb4f
+
+// blockMix folds block hashes in canonical order into the (h1, h2)
+// digest of the symmetry path (canonicalFold), where the blocks a state
+// folds and their order depend on the state and a cached sum has
+// nothing to be incremental against. Both folds are order-sensitive:
+// swapping two block hashes changes the result, mirroring
+// position-sensitivity of the flat encoding.
 type blockMix struct {
 	h1, h2 uint64
 }
@@ -189,8 +221,10 @@ func splitmix64(h uint64) uint64 {
 }
 
 // refreshBlocks re-encodes every dirty block into a pooled scratch
-// buffer and updates its cached hash, clearing the dirty mask. No-op
-// (and allocation-free) on clean or cache-less states.
+// buffer and updates its cached hash and the state's fold, clearing the
+// dirty mask. A refreshed block counts as touched: its cache entry now
+// differs from the one a scratch inherited. No-op (and allocation-free)
+// on clean or cache-less states.
 //
 //iotsan:digest-funnel
 func (m *Model) refreshBlocks(s *State) {
@@ -230,7 +264,15 @@ func (m *Model) refreshBlocks(s *State) {
 			default:
 				buf = encodeCmds(buf, s.Cmds, s.InFlight)
 			}
-			s.blockHash[b] = fnv1a64(buf)
+			bh := fnv1a64(buf)
+			o1, o2 := foldTerms(b, s.blockHash[b])
+			n1, n2 := foldTerms(b, bh)
+			s.fold[0] += n1 - o1
+			s.fold[1] += n2 - o2
+			s.blockHash[b] = bh
+		}
+		if s.touchMask != nil {
+			s.touchMask[wi] |= s.dirtyMask[wi]
 		}
 		s.dirtyMask[wi] = 0
 	}
@@ -260,11 +302,7 @@ func (m *Model) IncrementalDigest(s *State, canonical bool) (uint64, uint64) {
 	// dirtiness (dirty masks are not invariant under the group action).
 	m.refreshBlocks(s)
 	if !canonical || m.sym == nil {
-		mx := newBlockMix()
-		for _, bh := range s.blockHash {
-			mx.mix(bh)
-		}
-		return mx.sum()
+		return s.fold[0], s.fold[1]
 	}
 	return m.canonicalFold(s)
 }

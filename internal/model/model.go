@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"iotsan/internal/config"
 	"iotsan/internal/device"
@@ -265,9 +266,18 @@ type Model struct {
 	byCap   map[string][]*DevInst
 	byAssoc map[string][]*DevInst
 
-	// execs pools executors (with their compiled-execution Envs) so a
-	// transition costs no executor allocations.
+	// watch holds the View's built-in predicates resolved to state
+	// indexes (see view.go).
+	watch viewWatch
+
+	// execs pools executors (with their compiled-execution Envs) for
+	// Expand and Replay, which draw one per call; a Scratch owns its
+	// executor outright.
 	execs sync.Pool
+
+	// serials numbers the states Initial and Scratch.Keep hand out (see
+	// State.serial); scratches draw from it in blocks.
+	serials atomic.Uint64
 
 	// encBufs pools the incremental digest's block-encode scratch
 	// buffers (refreshing a dirty block re-encodes just that block into
@@ -281,8 +291,8 @@ type Model struct {
 	statePool sync.Pool
 
 	// trPool is the matching free-list of successor-slice backing
-	// arrays (checker.TransitionRecycler): the DFS returns each frame's
-	// consumed []Transition on pop and Expand reuses it.
+	// arrays (checker.TransitionRecycler): the engine's eager adapter
+	// returns each consumed Expand result and Expand reuses it.
 	trPool sync.Pool
 
 	// por is the partial-order-reduction table (concurrent design only;
@@ -452,7 +462,8 @@ func New(cfg *config.System, apps map[string]*ir.App, opts Options) (*Model, err
 			m.byAssoc[d.Assoc] = append(m.byAssoc[d.Assoc], d)
 		}
 	}
-	m.execs.New = func() any { return m.newPooledExecutor() }
+	m.watch = m.resolveViewWatch()
+	m.execs.New = func() any { return m.newExecutor() }
 	if opts.Design == Concurrent {
 		m.buildPOR()
 	}

@@ -8,3 +8,7 @@ package model
 // build tag arms it so the negative runtime-oracle test can prove the
 // incremental-digest equivalence walk actually notices a missed mark.
 const skipQueueMark = false
+
+// skipDeviceMark gates the second fault: sensorUpdate writes a sensor
+// attribute without calling markDevice (see skipmark_on.go).
+const skipDeviceMark = false

@@ -8,3 +8,9 @@ package model
 // root asserts the walk oracle catches the divergence — the runtime
 // counterpart of the dirtymark analyzer's static check.
 const skipQueueMark = true
+
+// And sensorUpdate skips markDevice on its reporting path. Beyond the
+// stale device-block hash, a scratch then never copies the sensor's
+// block back from the parent: the keyed-vs-eager walk must diverge even
+// on a model with no block cache at all.
+const skipDeviceMark = true

@@ -147,6 +147,23 @@ type State struct {
 	blockHash  []uint64
 	dirtyMask  []uint64
 	devRefMask []uint64
+	// fold is the raw engine digest kept incrementally: the two
+	// position-salted sums over blockHash (see foldTerms). Always
+	// consistent with blockHash, stale entries included, so refreshing a
+	// dirty block swaps one term instead of re-folding every block.
+	fold [2]uint64
+
+	// touchMask is set only on a Scratch's working state: the blocks in
+	// which it may differ from the state it was last synced to. Every
+	// mark helper ORs it alongside dirtyMask, and unlike dirtyMask a
+	// digest does not clear it — it is the re-sync record (scratch.go).
+	touchMask []uint64
+
+	// serial identifies a state a Scratch handed out (Keep) or Initial
+	// built, so a scratch can tell which state it is synced to without
+	// comparing pointers — a recycled state object comes back under a
+	// new serial. Zero on every other clone.
+	serial uint64
 
 	// pool is the model's free-list of dead states (see Model.statePool):
 	// Clone draws recycled states from it and reuses their backing
@@ -206,6 +223,7 @@ func (m *Model) Initial() *State {
 		s.initCache()
 	}
 	s.pool = &m.statePool
+	s.serial = m.serials.Add(1)
 	return s
 }
 
@@ -314,32 +332,16 @@ func (s *State) cloneInto(n *State) *State {
 		}
 		off += k
 	}
-	for i := range s.slots {
-		n.slots[i] = cloneValue(s.slots[i])
-	}
 	soff := 0
 	for i := range s.Apps {
 		sa, na := &s.Apps[i], &n.Apps[i]
-		na.Unsubscribed = sa.Unsubscribed
 		if k := len(sa.Slots); k > 0 {
 			na.Slots = n.slots[soff : soff+k : soff+k]
 			soff += k
 		} else {
 			na.Slots = nil
 		}
-		na.Timers = append(na.Timers[:0], sa.Timers...)
-		if sa.KV != nil {
-			if na.KV == nil {
-				na.KV = make(map[string]ir.Value, len(sa.KV))
-			} else {
-				clear(na.KV)
-			}
-			for k, v := range sa.KV {
-				na.KV[k] = cloneValue(v)
-			}
-		} else {
-			na.KV = nil
-		}
+		copyApp(na, sa)
 	}
 	n.Queue = append(n.Queue[:0], s.Queue...)
 	n.Cmds = append(n.Cmds[:0], s.Cmds...)
@@ -354,8 +356,35 @@ func (s *State) cloneInto(n *State) *State {
 		copy(n.dirtyMask, s.dirtyMask)
 		copy(n.devRefMask, s.devRefMask)
 	}
+	n.fold = s.fold
+	n.serial = 0
 	n.pool = s.pool
 	return n
+}
+
+// copyApp deep-copies one app frame into dst, whose Slots header
+// already windows dst's own slot backing (same model, same layout).
+// Shared by cloneInto and the scratch re-sync.
+//
+//iotsan:allow dirtymark -- replicates already-hashed content; the callers copy or restore the block cache alongside
+func copyApp(dst, src *AppState) {
+	dst.Unsubscribed = src.Unsubscribed
+	for j := range src.Slots {
+		dst.Slots[j] = cloneValue(src.Slots[j])
+	}
+	dst.Timers = append(dst.Timers[:0], src.Timers...)
+	if src.KV == nil {
+		dst.KV = nil
+		return
+	}
+	if dst.KV == nil {
+		dst.KV = make(map[string]ir.Value, len(src.KV))
+	} else {
+		clear(dst.KV)
+	}
+	for k, v := range src.KV {
+		dst.KV[k] = cloneValue(v)
+	}
 }
 
 // aliasesWindow reports whether the device header h is exactly
@@ -427,6 +456,7 @@ func (s *State) cloneFresh() *State {
 	if s.blockHash != nil {
 		n.cloneCacheFrom(s)
 	}
+	n.fold = s.fold
 	n.pool = s.pool
 	return n
 }

@@ -50,19 +50,22 @@ func (v *View) Attr(dev int, attr string) (ir.Value, bool) {
 // ByAssociation returns the devices carrying the given association role
 // (§7 device association info). The returned slice is the model's
 // precomputed index — callers must not mutate it.
-func (v *View) ByAssociation(assoc string) []*DevInst {
-	return v.M.byAssoc[assoc]
-}
+func (m *Model) ByAssociation(assoc string) []*DevInst { return m.byAssoc[assoc] }
 
 // ByCapability returns the devices exposing a capability. The returned
 // slice is the model's precomputed index — callers must not mutate it.
-func (v *View) ByCapability(capName string) []*DevInst {
-	return v.M.byCap[capName]
-}
+func (m *Model) ByCapability(capName string) []*DevInst { return m.byCap[capName] }
+
+// ByAssociation is Model.ByAssociation for the view's model.
+func (v *View) ByAssociation(assoc string) []*DevInst { return v.M.byAssoc[assoc] }
+
+// ByCapability is Model.ByCapability for the view's model.
+func (v *View) ByCapability(capName string) []*DevInst { return v.M.byCap[capName] }
 
 // AttrEquals reports whether the device's attribute currently holds the
-// given string value. It compares raw encoded values without building
-// an ir.Value (invariant atoms call this on every reached state).
+// given string value, resolving the names on every call — an invariant
+// evaluated per state should resolve them once (EnumRefs) and use
+// AnyEq/AllEq.
 func (v *View) AttrEquals(d *DevInst, attr, value string) bool {
 	i := d.AttrIndex(attr)
 	if i < 0 {
@@ -76,7 +79,8 @@ func (v *View) AttrEquals(d *DevInst, attr, value string) bool {
 	return raw < len(a.Values) && a.Values[raw] == value
 }
 
-// AttrNumber returns a numeric attribute value.
+// AttrNumber returns a numeric attribute value (see AttrEquals on
+// resolving once: NumRefs and Raw).
 func (v *View) AttrNumber(d *DevInst, attr string) (int64, bool) {
 	i := d.AttrIndex(attr)
 	if i < 0 || !d.Attrs[i].Numeric {
@@ -85,58 +89,108 @@ func (v *View) AttrNumber(d *DevInst, attr string) (int64, bool) {
 	return int64(v.S.Devices[d.Idx].Attrs[i]), true
 }
 
+// AttrRef is one device attribute resolved to state indexes, with — for
+// an enum test — the index of the value tested for. Invariant atoms run
+// on every stored state; resolving their device lists and attribute and
+// value names once per model leaves an int16 compare per device.
+type AttrRef struct {
+	Dev, Attr int32
+	Val       int16
+}
+
+// EnumRefs resolves the test "attr == value" on each of devs. A device
+// on which it can never hold (no such attribute, a numeric one, or a
+// value outside its enum) gets no ref and clears all: an any-of test
+// skips it, an all-of test is false whatever the state.
+func EnumRefs(devs []*DevInst, attr, value string) (refs []AttrRef, all bool) {
+	all = true
+	for _, d := range devs {
+		i := d.AttrIndex(attr)
+		k := -1
+		if i >= 0 && !d.Attrs[i].Numeric {
+			k = indexOf(d.Attrs[i].Values, value)
+		}
+		if k < 0 {
+			all = false
+			continue
+		}
+		refs = append(refs, AttrRef{Dev: int32(d.Idx), Attr: int32(i), Val: int16(k)})
+	}
+	return refs, all
+}
+
+// NumRefs resolves the numeric attribute attr on each of devs that has
+// one (Val is unused).
+func NumRefs(devs []*DevInst, attr string) []AttrRef {
+	var refs []AttrRef
+	for _, d := range devs {
+		if i := d.AttrIndex(attr); i >= 0 && d.Attrs[i].Numeric {
+			refs = append(refs, AttrRef{Dev: int32(d.Idx), Attr: int32(i)})
+		}
+	}
+	return refs
+}
+
+// Raw returns the encoded value of the attribute r names.
+func (v *View) Raw(r AttrRef) int16 { return v.S.Devices[r.Dev].Attrs[r.Attr] }
+
+// AnyEq reports whether any of the enum tests holds.
+func (v *View) AnyEq(refs []AttrRef) bool {
+	for _, r := range refs {
+		if v.Raw(r) == r.Val {
+			return true
+		}
+	}
+	return false
+}
+
+// AllEq reports whether every one of the enum tests holds.
+func (v *View) AllEq(refs []AttrRef) bool {
+	for _, r := range refs {
+		if v.Raw(r) != r.Val {
+			return false
+		}
+	}
+	return true
+}
+
+// viewWatch is the View's built-in predicates resolved against the
+// model's device inventory at New.
+type viewWatch struct {
+	presence, motion, smoke, co, leak []AttrRef
+	noPresenceSensors                 bool
+}
+
+func (m *Model) resolveViewWatch() viewWatch {
+	anyOf := func(capName, attr, value string) []AttrRef {
+		refs, _ := EnumRefs(m.byCap[capName], attr, value)
+		return refs
+	}
+	return viewWatch{
+		presence:          anyOf("presenceSensor", "presence", "present"),
+		motion:            anyOf("motionSensor", "motion", "active"),
+		smoke:             anyOf("smokeDetector", "smoke", "detected"),
+		co:                anyOf("carbonMonoxideDetector", "carbonMonoxide", "detected"),
+		leak:              anyOf("waterSensor", "water", "wet"),
+		noPresenceSensors: len(m.byCap["presenceSensor"]) == 0,
+	}
+}
+
 // AnyoneHome reports whether any presence sensor reports "present".
 // Without presence sensors the home is conservatively considered
 // occupied (presence-conditioned properties never fire).
 func (v *View) AnyoneHome() bool {
-	devs := v.ByCapability("presenceSensor")
-	if len(devs) == 0 {
-		return true
-	}
-	for _, d := range devs {
-		if v.AttrEquals(d, "presence", "present") {
-			return true
-		}
-	}
-	return false
+	return v.M.watch.noPresenceSensors || v.AnyEq(v.M.watch.presence)
 }
 
 // AnyMotion reports whether any motion sensor is active.
-func (v *View) AnyMotion() bool {
-	for _, d := range v.ByCapability("motionSensor") {
-		if v.AttrEquals(d, "motion", "active") {
-			return true
-		}
-	}
-	return false
-}
+func (v *View) AnyMotion() bool { return v.AnyEq(v.M.watch.motion) }
 
 // SmokeDetected reports whether any smoke detector reports smoke.
-func (v *View) SmokeDetected() bool {
-	for _, d := range v.ByCapability("smokeDetector") {
-		if v.AttrEquals(d, "smoke", "detected") {
-			return true
-		}
-	}
-	return false
-}
+func (v *View) SmokeDetected() bool { return v.AnyEq(v.M.watch.smoke) }
 
 // CODetected reports whether any CO detector reports carbon monoxide.
-func (v *View) CODetected() bool {
-	for _, d := range v.ByCapability("carbonMonoxideDetector") {
-		if v.AttrEquals(d, "carbonMonoxide", "detected") {
-			return true
-		}
-	}
-	return false
-}
+func (v *View) CODetected() bool { return v.AnyEq(v.M.watch.co) }
 
 // LeakDetected reports whether any water sensor is wet.
-func (v *View) LeakDetected() bool {
-	for _, d := range v.ByCapability("waterSensor") {
-		if v.AttrEquals(d, "water", "wet") {
-			return true
-		}
-	}
-	return false
-}
+func (v *View) LeakDetected() bool { return v.AnyEq(v.M.watch.leak) }

@@ -1,6 +1,8 @@
 package props
 
 import (
+	"sync/atomic"
+
 	"iotsan/internal/config"
 	"iotsan/internal/device"
 	"iotsan/internal/model"
@@ -12,35 +14,95 @@ func modelOf(name string) *device.Model { return device.ModelByName(name) }
 
 type atomMap = map[string]func(v *model.View) bool
 
+// Atoms are built before the model exists (CompileInvariants feeds
+// model.New) and then run on every stored state, so each one resolves
+// its device list, attribute and value names to state indexes the first
+// time it meets a model and afterwards compares raw int16s.
+
+// perModel caches resolve(m) for the model the atom was last evaluated
+// on. Concurrent evaluations (the parallel strategies inspect from
+// several goroutines) may each resolve once; they store equal values.
+type perModel[T any] struct {
+	resolve func(*model.Model) T
+	bound   atomic.Pointer[modelBound[T]]
+}
+
+type modelBound[T any] struct {
+	m *model.Model
+	v T
+}
+
+func (c *perModel[T]) get(m *model.Model) *T {
+	b := c.bound.Load()
+	if b == nil || b.m != m {
+		b = &modelBound[T]{m: m, v: c.resolve(m)}
+		c.bound.Store(b)
+	}
+	return &b.v
+}
+
+// devSet names a device list of the model an atom runs against.
+type devSet func(*model.Model) []*model.DevInst
+
+func byRole(role string) devSet {
+	return func(m *model.Model) []*model.DevInst { return m.ByAssociation(role) }
+}
+
+func byCap(capName string) devSet {
+	return func(m *model.Model) []*model.DevInst { return m.ByCapability(capName) }
+}
+
+type enumTest struct {
+	refs []model.AttrRef
+	all  bool // every device of the set can hold the value
+}
+
+func enumAtom(devs devSet, attr, value string, all bool) func(v *model.View) bool {
+	c := &perModel[enumTest]{resolve: func(m *model.Model) enumTest {
+		refs, ok := model.EnumRefs(devs(m), attr, value)
+		return enumTest{refs: refs, all: ok}
+	}}
+	if all {
+		return func(v *model.View) bool {
+			t := c.get(v.M)
+			return t.all && v.AllEq(t.refs)
+		}
+	}
+	return func(v *model.View) bool { return v.AnyEq(c.get(v.M).refs) }
+}
+
 // anyAssoc is true when any device with the role has attr == value.
 func anyAssoc(role, attr, value string) func(v *model.View) bool {
-	return func(v *model.View) bool {
-		for _, d := range v.ByAssociation(role) {
-			if v.AttrEquals(d, attr, value) {
-				return true
-			}
-		}
-		return false
-	}
+	return enumAtom(byRole(role), attr, value, false)
 }
 
 // allAssoc is true when every device with the role has attr == value.
 func allAssoc(role, attr, value string) func(v *model.View) bool {
-	return func(v *model.View) bool {
-		for _, d := range v.ByAssociation(role) {
-			if !v.AttrEquals(d, attr, value) {
-				return false
-			}
-		}
-		return true
-	}
+	return enumAtom(byRole(role), attr, value, true)
 }
 
 // anyCap is true when any device with the capability has attr == value.
 func anyCap(capName, attr, value string) func(v *model.View) bool {
+	return enumAtom(byCap(capName), attr, value, false)
+}
+
+// numBelow / numAbove are true when any device with the capability
+// reads attr below / above the threshold.
+func numBelow(capName, attr string, th int64) func(v *model.View) bool {
+	return numAtom(capName, attr, func(n int64) bool { return n < th })
+}
+
+func numAbove(capName, attr string, th int64) func(v *model.View) bool {
+	return numAtom(capName, attr, func(n int64) bool { return n > th })
+}
+
+func numAtom(capName, attr string, test func(int64) bool) func(v *model.View) bool {
+	c := &perModel[[]model.AttrRef]{resolve: func(m *model.Model) []model.AttrRef {
+		return model.NumRefs(m.ByCapability(capName), attr)
+	}}
 	return func(v *model.View) bool {
-		for _, d := range v.ByCapability(capName) {
-			if v.AttrEquals(d, attr, value) {
+		for _, r := range *c.get(v.M) {
+			if test(int64(v.Raw(r))) {
 				return true
 			}
 		}
@@ -50,47 +112,11 @@ func anyCap(capName, attr, value string) func(v *model.View) bool {
 
 // tempBelow / tempAbove read any temperature sensor.
 func tempBelow(th int64) func(v *model.View) bool {
-	return func(v *model.View) bool {
-		for _, d := range v.ByCapability("temperatureMeasurement") {
-			if n, ok := v.AttrNumber(d, "temperature"); ok && n < th {
-				return true
-			}
-		}
-		return false
-	}
+	return numBelow("temperatureMeasurement", "temperature", th)
 }
 
 func tempAbove(th int64) func(v *model.View) bool {
-	return func(v *model.View) bool {
-		for _, d := range v.ByCapability("temperatureMeasurement") {
-			if n, ok := v.AttrNumber(d, "temperature"); ok && n > th {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-func numBelow(capName, attr string, th int64) func(v *model.View) bool {
-	return func(v *model.View) bool {
-		for _, d := range v.ByCapability(capName) {
-			if n, ok := v.AttrNumber(d, attr); ok && n < th {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-func numAbove(capName, attr string, th int64) func(v *model.View) bool {
-	return func(v *model.View) bool {
-		for _, d := range v.ByCapability(capName) {
-			if n, ok := v.AttrNumber(d, attr); ok && n > th {
-				return true
-			}
-		}
-		return false
-	}
+	return numAbove("temperatureMeasurement", "temperature", th)
 }
 
 func modeIs(mode string) func(v *model.View) bool {
@@ -157,6 +183,7 @@ func commonAtoms(sys *config.System, th Thresholds) atomMap {
 	if numSlots > model.ViewMemoSlots {
 		panic("props: atom catalog outgrew model.ViewMemoSlots")
 	}
+	allAlarmsOff := enumAtom(byCap("alarm"), "alarm", "off", true)
 	return atomMap{
 		"anyone_home":    shared(slotAnyoneHome, func(v *model.View) bool { return v.AnyoneHome() }),
 		"mode_away":      shared(slotModeAway, modeIs("Away")),
@@ -205,28 +232,33 @@ func commonAtoms(sys *config.System, th Thresholds) atomMap {
 		"entertainment_on":    shared(slotEntertainmentOn, anyAssoc(RoleEntertainment, "status", "playing")),
 		"shade_open":          shared(slotShadeOpen, anyAssoc(RoleShade, "windowShade", "open")),
 		"night_light_on":      shared(slotNightLightOn, anyAssoc(RoleNightLight, "switch", "on")),
-		"thermostat_span_bad": shared(slotThermSpanBad, thermostatSpanBad),
+		"thermostat_span_bad": shared(slotThermSpanBad, thermostatSpanBad()),
 	}
 }
 
-func allAlarmsOff(v *model.View) bool {
-	for _, d := range v.ByCapability("alarm") {
-		if !v.AttrEquals(d, "alarm", "off") {
-			return false
+// thermostatSpanBad is true when any thermostat's heating setpoint
+// exceeds its cooling setpoint.
+func thermostatSpanBad() func(v *model.View) bool {
+	type span struct{ heat, cool model.AttrRef }
+	c := &perModel[[]span]{resolve: func(m *model.Model) []span {
+		var spans []span
+		for _, d := range m.ByCapability("thermostat") {
+			one := []*model.DevInst{d}
+			h, c := model.NumRefs(one, "heatingSetpoint"), model.NumRefs(one, "coolingSetpoint")
+			if len(h) == 1 && len(c) == 1 {
+				spans = append(spans, span{heat: h[0], cool: c[0]})
+			}
 		}
-	}
-	return true
-}
-
-func thermostatSpanBad(v *model.View) bool {
-	for _, d := range v.ByCapability("thermostat") {
-		h, ok1 := v.AttrNumber(d, "heatingSetpoint")
-		c, ok2 := v.AttrNumber(d, "coolingSetpoint")
-		if ok1 && ok2 && h > c {
-			return true
+		return spans
+	}}
+	return func(v *model.View) bool {
+		for _, s := range *c.get(v.M) {
+			if v.Raw(s.heat) > v.Raw(s.cool) {
+				return true
+			}
 		}
+		return false
 	}
-	return false
 }
 
 func phys(id, category, desc, formula string, roles, caps []string) Property {

@@ -15,6 +15,12 @@
 // runtime equivalence oracle is not vacuous — if a mark were ever
 // skipped anyway, the walk would fail the build.
 //
+// The tag also arms a second fault — sensorUpdate skips markDevice — for
+// the other thing a mark now is: the record of what a scratch must copy
+// back from the parent before its next step. A skipped mark there is a
+// missed undo, and the keyed-vs-eager walk must diverge on it with no
+// block cache in play at all.
+//
 // Run with: go test -tags iotsan_skipmark -run TestSkipMark .
 package iotsan_test
 
@@ -63,4 +69,24 @@ func TestSkipMarkOracleCatchesMissingQueueMark(t *testing.T) {
 		t.Fatalf("markQueue was skipped on every enqueue, yet all %d states digest-matched their from-scratch oracle — the runtime oracle would miss a real missed mark", states)
 	}
 	t.Logf("oracle caught %d digest divergences across %d states with markQueue skipped", divergences, states)
+}
+
+// TestSkipMarkOracleCatchesMissedUndo: on a sequential-design model
+// without the block cache — no queue block, no digests: only the
+// skipped markDevice is in play — successors stepped in a scratch must
+// differ from Expand's fresh-clone successors, because the scratch
+// never restores the sensor attribute the previous step wrote.
+func TestSkipMarkOracleCatchesMissedUndo(t *testing.T) {
+	m := stealGroupModel(t, 2)
+	if m.Opts.Incremental || m.Opts.Design != model.Sequential {
+		t.Fatal("the negative oracle wants a sequential model without the block cache")
+	}
+	states, _, div := walkKeyed(m, 16, false)
+	if states == 0 {
+		t.Fatal("walk reached no states — the negative oracle is vacuous")
+	}
+	if div.count == 0 {
+		t.Fatalf("markDevice was skipped on every sensor update, yet all %d stepped successors matched Expand's — the walk would miss a real missed undo", states)
+	}
+	t.Logf("walk caught %d divergences across %d successors with markDevice skipped; first: %s", div.count, states, div.first)
 }
