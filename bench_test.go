@@ -319,45 +319,11 @@ func BenchmarkAblationBitstate(b *testing.B) {
 		results[true].StatesExplored, results[true].StatesStored, results[true].StatesMatched)
 }
 
-// BenchmarkParallelCheck measures the parallel frontier strategy's
-// scaling on the largest market group: the same bounded exploration
-// with 1 worker versus GOMAXPROCS workers (plus the sequential DFS as
-// the single-core baseline). The workload is capped by MaxStates so
-// every variant performs the same amount of expansion work.
-func BenchmarkParallelCheck(b *testing.B) {
-	m, copts, _, err := experiments.ParallelCheckWorkload()
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	run := func(strategy checker.StrategyKind, workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			var res *checker.Result
-			for i := 0; i < b.N; i++ {
-				o := copts
-				o.Strategy = strategy
-				o.Workers = workers
-				res = checker.Run(m.System(), o)
-			}
-			b.ReportMetric(float64(res.StatesExplored)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
-			b.ReportMetric(float64(res.StatesExplored), "states")
-		}
-	}
-	b.Run("dfs", run(checker.StrategyDFS, 0))
-	b.Run("workers=1", run(checker.StrategyParallel, 1))
-	b.Run("steal=1", run(checker.StrategySteal, 1))
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		b.Run(fmt.Sprintf("workers=%d", n), run(checker.StrategyParallel, 0))
-		b.Run(fmt.Sprintf("steal=%d", n), run(checker.StrategySteal, 0))
-	}
-}
-
-// BenchmarkStealEqualWork compares the three strategies on a fully
-// explored market group — no state cap, so every strategy performs
-// byte-for-byte identical expansion work and the states/s numbers are
-// directly comparable (the capped BenchmarkParallelCheck workload
-// explores a different 20k-state prefix per exploration order, which
-// skews cross-strategy comparison).
+// BenchmarkStealEqualWork compares the two strategies on a fully
+// explored market group — no state cap, so both perform byte-for-byte
+// identical expansion work and the states/s numbers are directly
+// comparable (a MaxStates-capped workload explores a different prefix
+// per exploration order, which skews cross-strategy comparison).
 func BenchmarkStealEqualWork(b *testing.B) {
 	sources := corpus.Group(2)
 	apps, err := experiments.TranslateAll(sources)
@@ -387,11 +353,9 @@ func BenchmarkStealEqualWork(b *testing.B) {
 	}
 	b.Run("dfs", run(checker.StrategyDFS, 0))
 	for _, w := range []int{1, 2} {
-		b.Run(fmt.Sprintf("parallel=%d", w), run(checker.StrategyParallel, w))
 		b.Run(fmt.Sprintf("steal=%d", w), run(checker.StrategySteal, w))
 	}
 	if n := runtime.GOMAXPROCS(0); n > 2 {
-		b.Run(fmt.Sprintf("parallel=%d", n), run(checker.StrategyParallel, n))
 		b.Run(fmt.Sprintf("steal=%d", n), run(checker.StrategySteal, n))
 	}
 }

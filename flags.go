@@ -10,10 +10,10 @@ import "flag"
 // the flag defaults are the zero values, except -max-faults 1.
 func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.Func("strategy",
-		"checker search strategy: dfs (sequential, default), parallel (level-synchronous), or steal (work-stealing)",
+		"checker search strategy: dfs (sequential, default) or steal (work-stealing, -workers goroutines)",
 		func(s string) (err error) { o.Strategy, err = ParseStrategy(s); return })
 	fs.IntVar(&o.Workers, "workers", 0,
-		"checker goroutines for -strategy parallel/steal and the -group-parallel budget (0 = GOMAXPROCS)")
+		"checker goroutines for -strategy steal and the -group-parallel budget (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.GroupParallel, "group-parallel", false,
 		"verify independent related sets concurrently under one shared worker budget")
 	fs.BoolVar(&o.POR, "por", false,

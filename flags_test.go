@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"iotsan"
@@ -77,5 +78,13 @@ func TestRegisterFlagsCoversOptions(t *testing.T) {
 		if _, fs := engineFlagSet(); fs.Parse(bad) == nil {
 			t.Errorf("%v parsed; want an error", bad)
 		}
+	}
+
+	// The deleted level-synchronous strategy's name fails like any
+	// unknown one, and the error names what is left.
+	_, fs = engineFlagSet()
+	if err := fs.Parse([]string{"-strategy", "parallel"}); err == nil ||
+		!strings.Contains(err.Error(), "dfs") || !strings.Contains(err.Error(), "steal") {
+		t.Errorf("-strategy parallel: error = %v, want a rejection naming dfs and steal", err)
 	}
 }

@@ -129,7 +129,7 @@ func admissionWorkloads() []admissionWorkload {
 
 // TestInspectAfterDedupEquivalence: on the six corpus groups, the
 // symmetry workload and the fault workload, under {plain, POR,
-// symmetry, POR+symmetry} × {dfs, parallel, steal}, the engine reports
+// symmetry, POR+symmetry} × {dfs, steal}, the engine reports
 // exactly what the inspect-every-successor oracle reports — the same
 // (Property, Detail) set and the same explored/matched/stored counts;
 // on DFS, whose order is deterministic, the same violations in the same
@@ -141,7 +141,7 @@ func admissionWorkloads() []admissionWorkload {
 // Under the race detector only the cheapest group runs; CI runs the
 // whole matrix without it.
 func TestInspectAfterDedupEquivalence(t *testing.T) {
-	strategies := []checker.StrategyKind{checker.StrategyDFS, checker.StrategyParallel, checker.StrategySteal}
+	strategies := []checker.StrategyKind{checker.StrategyDFS, checker.StrategySteal}
 	modes := []struct{ por, sym bool }{{false, false}, {true, false}, {false, true}, {true, true}}
 	workloads := admissionWorkloads()
 	var ran, relaxed atomic.Int64 // workloads run; steal runs that re-expanded at least one state

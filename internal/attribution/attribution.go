@@ -65,7 +65,7 @@ type Options struct {
 	// Strategy selects the checker search strategy for each
 	// verification run (sequential DFS default).
 	Strategy checker.StrategyKind
-	// Workers is the checker goroutine count for the parallel strategy
+	// Workers is the checker goroutine count for the steal strategy
 	// (0 = GOMAXPROCS).
 	Workers int
 }

@@ -4,26 +4,28 @@
 // hash of their encoded state vector, and reports property violations
 // together with Spin-style counter-example trails (Fig. 7).
 //
-// The search is organised as an engine with pluggable strategies:
+// The search is organised as an engine with two strategies:
 //
 //   - StrategyDFS (default) is a single-goroutine iterative depth-first
 //     search, the direct analogue of Spin's sequential verifier. It
 //     threads the counter-example trail through the DFS stack, so trails
 //     follow the depth-first exploration order exactly.
-//   - StrategyParallel is a level-synchronous parallel breadth-first
-//     frontier search in the spirit of Holzmann's multi-core Spin:
-//     worker goroutines claim states from the current frontier, expand
-//     them concurrently, and deduplicate through a lock-striped sharded
-//     visited store. Counter-example trails are reconstructed from
-//     per-state parent links instead of a threaded trail slice.
+//   - StrategySteal is the one concurrent frontier search, in the spirit
+//     of Holzmann's multi-core Spin: worker goroutines expand states
+//     from private work-stealing deques and deduplicate through a
+//     lock-striped sharded visited store. Counter-example trails are
+//     reconstructed from per-state parent links instead of a threaded
+//     trail slice.
 //
-// Two visited-state stores are provided, mirroring Spin's verification
-// modes: an exhaustive hash-compact store, and BITSTATE supertrace
-// hashing — an approximate store that keeps k hash bits per state in a
-// bit array, trading completeness for memory (§2.3; Holzmann's analysis
-// of bitstate hashing). Both come in a sequential flavour and a
-// concurrency-safe flavour (mutex-striped shards for the hash store,
-// atomic bit operations for the bit array) selected by the strategy.
+// On both, the trail reported for a violation is the first path that
+// reached it, not a shortest one.
+//
+// The visited-state stores mirror Spin's verification modes: an
+// exhaustive hash-compact store — in memory (one unlocked table for the
+// DFS, mutex-striped shards for the frontier search) or tiered out to
+// disk — and BITSTATE supertrace hashing, an approximate store that
+// keeps k hash bits per state in a bit array, trading completeness for
+// memory (§2.3; Holzmann's analysis of bitstate hashing).
 package checker
 
 import (
@@ -36,7 +38,7 @@ import (
 // encoding of itself (its state vector) to a buffer.
 //
 // States handed to the checker must be immutable once returned from
-// System.Initial or a Transition: the parallel strategy encodes and
+// System.Initial or a Transition: the frontier strategy encodes and
 // expands states from multiple goroutines without synchronisation.
 type State interface {
 	Encode(buf []byte) []byte
@@ -181,7 +183,7 @@ type CanonicalEncoder interface {
 // flat hash would. The first digest of a state mutates its cache
 // (refreshing dirty blocks), so the engine's contract is that each
 // state object is digested by the goroutine that produced it before
-// the state is shared; all three strategies satisfy this by digesting
+// the state is shared; both strategies satisfy this by digesting
 // children where they are expanded.
 type IncrementalDigester interface {
 	IncrementalDigest(s State, canonical bool) (h1, h2 uint64)
@@ -253,7 +255,7 @@ type ProgressCertifier interface {
 // System is the transition system under verification.
 //
 // Expand and Inspect must be safe for concurrent calls on distinct
-// states: the parallel strategy invokes them from several goroutines at
+// states: the frontier strategy invokes them from several goroutines at
 // once. Implementations must treat the receiver and the argument state
 // as read-only, cloning into fresh successor states. A System that also
 // implements Stepper is searched through that hook instead of Expand.
@@ -329,26 +331,18 @@ const (
 	// StrategyDFS is the sequential iterative depth-first search
 	// (default). Trails and exploration order are deterministic.
 	StrategyDFS StrategyKind = iota
-	// StrategyParallel is the parallel breadth-first frontier search:
-	// Options.Workers goroutines expand the frontier concurrently over a
-	// sharded visited store. The distinct-violation set matches
-	// StrategyDFS on a fully explored state space; trails are
-	// reconstructed from parent links and may differ between runs.
-	StrategyParallel
-	// StrategySteal is the work-stealing frontier search: per-worker
-	// Chase–Lev deques (owner LIFO, thieves FIFO) with no per-level
-	// barrier, over the same sharded visited store and parent-link
-	// trails as StrategyParallel. The distinct-violation set and
-	// explored state space match StrategyDFS on a fully explored state
-	// space; exploration order and trails may differ between runs.
+	// StrategySteal is the work-stealing frontier search:
+	// Options.Workers goroutines with per-worker Chase–Lev deques (owner
+	// LIFO, thieves FIFO) and no barrier, over a sharded visited store,
+	// with trails reconstructed from parent links. The
+	// distinct-violation set and explored state space match StrategyDFS
+	// on a fully explored state space; exploration order and trails may
+	// differ between runs.
 	StrategySteal
 )
 
 func (k StrategyKind) String() string {
-	switch k {
-	case StrategyParallel:
-		return "parallel"
-	case StrategySteal:
+	if k == StrategySteal {
 		return "steal"
 	}
 	return "dfs"
@@ -359,12 +353,10 @@ func ParseStrategy(name string) (StrategyKind, error) {
 	switch name {
 	case "", "dfs":
 		return StrategyDFS, nil
-	case "parallel":
-		return StrategyParallel, nil
 	case "steal":
 		return StrategySteal, nil
 	}
-	return StrategyDFS, fmt.Errorf("checker: unknown strategy %q (want dfs, parallel, or steal)", name)
+	return StrategyDFS, fmt.Errorf("checker: unknown strategy %q (want dfs or steal)", name)
 }
 
 // Options configure a verification run.
@@ -372,16 +364,15 @@ type Options struct {
 	Store StoreKind
 	// Strategy selects the search strategy (StrategyDFS default).
 	Strategy StrategyKind
-	// Workers is the number of expansion goroutines for
-	// StrategyParallel and StrategySteal (0 = GOMAXPROCS). Ignored by
-	// StrategyDFS.
+	// Workers is the number of expansion goroutines for StrategySteal
+	// (0 = GOMAXPROCS). Ignored by StrategyDFS.
 	Workers int
 	// Budget, when non-nil, bounds the run's worker goroutines by a
 	// token pool shared with other concurrent verification runs. The
 	// caller must hold one token for the run's first worker (the
 	// admission token) before calling Run and release it afterwards;
-	// the strategies claim additional tokens up to Workers with
-	// TryAcquire and release every claimed token before Run returns.
+	// StrategySteal claims additional tokens up to Workers with
+	// TryAcquire and releases every claimed token before Run returns.
 	Budget *WorkerBudget
 	// Stop, when non-nil, is a cooperative global cancellation flag:
 	// once set, all strategies stop at their next limit check and mark
@@ -397,14 +388,13 @@ type Options struct {
 	// store's hot tier; beyond it, the coldest fingerprints spill
 	// write-behind to the disk tier (0 = a generous default). Digests
 	// retired through epoch reclamation are preferred spill candidates,
-	// so eviction ordering follows epoch order on the frontier
-	// strategies.
+	// so eviction ordering follows epoch order on StrategySteal.
 	MemBudget int64
 	// Checkpoint enables write-ahead checkpointing on StrategyDFS:
 	// every CheckpointEvery explored states the engine appends the
 	// visited-set delta and a delta-encoded snapshot of the DFS stack
 	// to StoreDir's WAL, so a killed search can resume. Ignored (with
-	// the WAL left untouched) on the frontier strategies and under an
+	// the WAL left untouched) on StrategySteal and under an
 	// uncertified partial-order reducer, whose visited-state proviso
 	// makes re-expansion store-dependent and a rebuilt stack unsound.
 	Checkpoint bool
@@ -431,8 +421,6 @@ type Options struct {
 	// MaxViolations stops the search after that many distinct violations
 	// (0 = collect all).
 	MaxViolations int
-	// NoDedup disables state matching entirely (every path explored).
-	NoDedup bool
 	// POR enables partial-order reduction when the system implements
 	// Reducer: at each expansion the engine asks the system for a
 	// persistent subset of the enabled transitions and explores only
@@ -440,7 +428,7 @@ type Options struct {
 	// problem: a reduced subset is accepted only if at least one of its
 	// successors is a new (unvisited) state, otherwise the engine falls
 	// back to the full expansion — so no transition can be postponed
-	// around a cycle forever and no violation is masked. All strategies
+	// around a cycle forever and no violation is masked. Both strategies
 	// explore the same reduced graph (Reduce is a pure function of the
 	// state), preserving the cross-strategy equivalence guarantees.
 	POR bool
@@ -449,22 +437,21 @@ type Options struct {
 	// keyed off the same digests) stores canonical state keys, folding
 	// states that are permutations of interchangeable components into
 	// one representative, while raw states continue to flow through the
-	// frontier and trails so counter-examples replay concretely. All
+	// frontier and trails so counter-examples replay concretely. Both
 	// strategies share the one expansion/digest path, so the folded
-	// state graph is identical across DFS, parallel, and steal, and the
-	// reduction composes with POR (canonical keys also serve the
-	// visited-state proviso).
+	// state graph is identical across DFS and steal, and the reduction
+	// composes with POR (canonical keys also serve the visited-state
+	// proviso).
 	Symmetry bool
-	// NoEpochReclaim disables state recycling on the frontier strategies
-	// (StrategyParallel and StrategySteal). The zero value keeps it ON:
-	// dead duplicate children are recycled where they are produced, and
-	// consumed, fully expanded frontier states are retired through a
-	// per-worker epoch-based reclamation layer (see reclaim.go) before
-	// re-entering the system's free-lists. The flag is an A/B escape
-	// hatch mirroring the -epoch-reclaim CLI default; it does not affect
-	// the sequential DFS free-lists, which predate it, nor the recycling
-	// of partial-order-pruned successors, which never escape their
-	// expansion on any strategy.
+	// NoEpochReclaim disables state recycling on StrategySteal. The zero
+	// value keeps it ON: dead duplicate children are recycled where they
+	// are produced, and consumed, fully expanded frontier states are
+	// retired through a per-worker epoch-based reclamation layer (see
+	// reclaim.go) before re-entering the system's free-lists. The flag
+	// is an A/B escape hatch; it does not affect the sequential DFS
+	// free-lists, which predate it, nor the recycling of
+	// partial-order-pruned successors, which never escape their
+	// expansion on either strategy.
 	NoEpochReclaim bool
 }
 
@@ -494,14 +481,13 @@ type Result struct {
 	StatesMatched  int // successors pruned because already visited
 	StatesStored   int // entries in the visited store
 	// MaxDepthReached is strategy-flavoured: DFS reports the deepest
-	// stack depth of its (deterministic) exploration order and the
-	// level-synchronous strategy the deepest level that generated
-	// successors, both counting edges into already-visited states;
-	// StrategySteal reports the deepest stored state's minimal depth —
-	// the order-independent fixpoint of its depth relaxation — so the
-	// value is deterministic across runs and worker counts but can sit
-	// one below the other strategies' on graphs whose deepest edges
-	// only re-enter visited states.
+	// stack depth of its (deterministic) exploration order, counting
+	// edges into already-visited states; StrategySteal reports the
+	// deepest stored state's minimal depth — the order-independent
+	// fixpoint of its depth relaxation, i.e. the deepest level of a
+	// breadth-first search — so the value is deterministic across runs
+	// and worker counts, and on a graph with shortcuts it sits below the
+	// DFS's.
 	MaxDepthReached int
 	Truncated       bool // a limit stopped the search early
 	Elapsed         time.Duration
@@ -572,14 +558,9 @@ func Run(sys System, opts Options) *Result {
 		opts.MaxDepth = 64
 	}
 	e := newEngine(sys, opts)
-	var s strategy
-	switch opts.Strategy {
-	case StrategyParallel:
-		s = &parallelBFS{workers: opts.Workers}
-	case StrategySteal:
+	var s strategy = &sequentialDFS{}
+	if opts.Strategy == StrategySteal {
 		s = &workSteal{workers: opts.Workers}
-	default:
-		s = &sequentialDFS{}
 	}
 	s.search(e)
 	return e.finish()

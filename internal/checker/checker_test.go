@@ -65,10 +65,6 @@ func TestDedupPrunesRevisits(t *testing.T) {
 	if res.StatesMatched == 0 {
 		t.Error("expected matched states (2*2=4 is reachable two ways)")
 	}
-	nodedup := Run(&chainSys{bound: 10, bad: -1}, Options{MaxDepth: 16, NoDedup: true})
-	if nodedup.StatesExplored <= res.StatesExplored {
-		t.Errorf("NoDedup explored %d <= dedup %d", nodedup.StatesExplored, res.StatesExplored)
-	}
 }
 
 // TestBitstateFindsSameViolations: a bit array sized generously for the
@@ -122,7 +118,7 @@ func TestMaxViolationsStopsEarly(t *testing.T) {
 // (property: first insert of any hash returns false).
 func TestBitstoreNeverFalseNegativeOnFirstInsert(t *testing.T) {
 	f := func(h1, h2 uint64) bool {
-		s := newBitStore(16, 3)
+		s := newAtomicBitStore(16, 3)
 		d := digest{h1, h2}
 		return !s.seen(d) && s.seen(d)
 	}
@@ -199,10 +195,11 @@ func contains(s, sub string) bool {
 }
 
 // TestParseKindRoundTrip: every kind parses back from its String, ""
-// selects the default, and only the three documented spellings of each
-// are accepted.
+// selects the default, and only the documented spellings of each are
+// accepted — "parallel", the deleted level-synchronous strategy, is not
+// one of them.
 func TestParseKindRoundTrip(t *testing.T) {
-	for _, k := range []StrategyKind{StrategyDFS, StrategyParallel, StrategySteal} {
+	for _, k := range []StrategyKind{StrategyDFS, StrategySteal} {
 		if got, err := ParseStrategy(k.String()); err != nil || got != k {
 			t.Errorf("ParseStrategy(%q) = %v, %v", k.String(), got, err)
 		}
@@ -218,8 +215,8 @@ func TestParseKindRoundTrip(t *testing.T) {
 	if got, err := ParseStore(""); err != nil || got != Exhaustive {
 		t.Errorf(`ParseStore("") = %v, %v`, got, err)
 	}
-	for _, name := range []string{"sequential", "bfs", "frontier", "ws", "work-stealing"} {
-		if _, err := ParseStrategy(name); err == nil || !strings.Contains(err.Error(), "want dfs, parallel, or steal") {
+	for _, name := range []string{"parallel", "sequential", "bfs", "frontier", "ws", "work-stealing"} {
+		if _, err := ParseStrategy(name); err == nil || !strings.Contains(err.Error(), "want dfs or steal") {
 			t.Errorf("ParseStrategy(%q) error = %v", name, err)
 		}
 	}

@@ -39,24 +39,42 @@ func (d *diamondSys) Expand(s State) []Transition {
 
 func (d *diamondSys) Inspect(State) []Violation { return nil }
 
+// diamondBFS is the reference for the test below: a plain breadth-first
+// walk of the diamond, returning the number of states, the number of
+// edges that re-enter a visited state, and the deepest BFS level —
+// every state's level is its minimal depth by construction.
+func diamondBFS(d *diamondSys) (states, matched, maxDepth int) {
+	level := map[State]int{d.Initial(): 0}
+	for queue := []State{d.Initial()}; len(queue) > 0; queue = queue[1:] {
+		for _, tr := range d.Expand(queue[0]) {
+			if _, dup := level[tr.Next]; dup {
+				matched++
+				continue
+			}
+			level[tr.Next] = level[queue[0]] + 1
+			maxDepth = level[tr.Next]
+			queue = append(queue, tr.Next)
+		}
+	}
+	return len(level), matched, maxDepth
+}
+
 // TestStealDepthClippingDeterministic: on a depth-clipped search the
 // steal strategy's Truncated and MaxDepthReached must be derived from
 // minimal depths — independent of which path stored a state first —
-// and therefore stable across runs and worker counts, and equal to the
-// level-synchronous strategy's (whose levels are minimal by
-// construction). Before depth relaxation, a first-path order that
-// reached X through the long arm recorded the chain beyond the bound
-// and reported Truncated on a space that fits under it.
+// and therefore stable across runs and worker counts, and equal to a
+// breadth-first walk's (whose levels are minimal by construction).
+// Before depth relaxation, a first-path order that reached X through
+// the long arm recorded the chain beyond the bound and reported
+// Truncated on a space that fits under it.
 func TestStealDepthClippingDeterministic(t *testing.T) {
 	sys := &diamondSys{aLen: 8, cLen: 4}
-	const wantStates = 15 // root + A1..A8 + B1 + X + C1..C4
-
-	bfs := Run(sys, Options{MaxDepth: 10, Strategy: StrategyParallel})
-	if bfs.Truncated {
-		t.Fatalf("level-synchronous reference run truncated; minimal depths fit the bound")
-	}
-	if bfs.StatesExplored != wantStates {
-		t.Fatalf("reference explored %d states, want %d", bfs.StatesExplored, wantStates)
+	wantStates, wantMatched, wantDepth := diamondBFS(sys)
+	// root + A1..A8 + B1 + X + C1..C4; the one re-entering edge is the
+	// later arm's into X; the deepest minimal depth is A8's.
+	if wantStates != 15 || wantMatched != 1 || wantDepth != 8 {
+		t.Fatalf("reference BFS: %d states, %d matched, depth %d; the diamond's construction fixes 15, 1, 8",
+			wantStates, wantMatched, wantDepth)
 	}
 
 	for _, workers := range []int{1, 4} {
@@ -68,12 +86,12 @@ func TestStealDepthClippingDeterministic(t *testing.T) {
 			if res.StatesExplored != wantStates {
 				t.Errorf("workers=%d run=%d: explored %d states, want %d", workers, run, res.StatesExplored, wantStates)
 			}
-			if res.MaxDepthReached != 8 {
-				t.Errorf("workers=%d run=%d: MaxDepthReached=%d, want the deepest minimal depth 8",
-					workers, run, res.MaxDepthReached)
+			if res.MaxDepthReached != wantDepth {
+				t.Errorf("workers=%d run=%d: MaxDepthReached=%d, want the deepest minimal depth %d",
+					workers, run, res.MaxDepthReached, wantDepth)
 			}
-			if res.StatesMatched != bfs.StatesMatched {
-				t.Errorf("workers=%d run=%d: matched %d, reference %d", workers, run, res.StatesMatched, bfs.StatesMatched)
+			if res.StatesMatched != wantMatched {
+				t.Errorf("workers=%d run=%d: matched %d, reference %d", workers, run, res.StatesMatched, wantMatched)
 			}
 		}
 	}

@@ -106,10 +106,10 @@ func distinctViolations(res *checker.Result) []string {
 	return keys
 }
 
-// TestParallelDeterminismOnCorpus: with Workers = GOMAXPROCS the
-// parallel strategy reports the identical distinct-violation set (and
-// state count) as sequential DFS on three corpus systems.
-func TestParallelDeterminismOnCorpus(t *testing.T) {
+// TestStealDeterminismOnCorpus: with Workers = GOMAXPROCS the steal
+// strategy reports the identical distinct-violation set (and state
+// count) as sequential DFS on three hand-configured corpus systems.
+func TestStealDeterminismOnCorpus(t *testing.T) {
 	const maxEvents = 2
 	sawViolation := false
 	for name, sys := range corpusSystems() {
@@ -130,26 +130,26 @@ func TestParallelDeterminismOnCorpus(t *testing.T) {
 		opts := checker.Options{MaxDepth: maxEvents + 64}
 		seq := checker.Run(m.System(), opts)
 
-		opts.Strategy = checker.StrategyParallel
+		opts.Strategy = checker.StrategySteal
 		opts.Workers = runtime.GOMAXPROCS(0)
-		par := checker.Run(m.System(), opts)
+		st := checker.Run(m.System(), opts)
 
-		if seq.Truncated || par.Truncated {
-			t.Fatalf("%s: unexpected truncation (seq=%v par=%v)", name, seq.Truncated, par.Truncated)
+		if seq.Truncated || st.Truncated {
+			t.Fatalf("%s: unexpected truncation (seq=%v steal=%v)", name, seq.Truncated, st.Truncated)
 		}
-		got, want := distinctViolations(par), distinctViolations(seq)
+		got, want := distinctViolations(st), distinctViolations(seq)
 		if len(got) != len(want) {
-			t.Errorf("%s: parallel found %d distinct violations, dfs %d\nparallel: %v\ndfs: %v",
+			t.Errorf("%s: steal found %d distinct violations, dfs %d\nsteal: %v\ndfs: %v",
 				name, len(got), len(want), got, want)
 			continue
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Errorf("%s: violation sets differ at %d: parallel %q vs dfs %q", name, i, got[i], want[i])
+				t.Errorf("%s: violation sets differ at %d: steal %q vs dfs %q", name, i, got[i], want[i])
 			}
 		}
-		if par.StatesExplored != seq.StatesExplored {
-			t.Errorf("%s: parallel explored %d states, dfs %d", name, par.StatesExplored, seq.StatesExplored)
+		if st.StatesExplored != seq.StatesExplored {
+			t.Errorf("%s: steal explored %d states, dfs %d", name, st.StatesExplored, seq.StatesExplored)
 		}
 		if len(want) > 0 {
 			sawViolation = true

@@ -14,7 +14,7 @@ type strategy interface {
 
 // engine holds the state shared by all strategies of one verification
 // run. Counters are atomic and violation recording is mutex-guarded so
-// the same engine serves both the sequential and the parallel strategy.
+// the same engine serves both the sequential and the frontier strategy.
 type engine struct {
 	sys   System
 	opts  Options
@@ -52,8 +52,8 @@ type engine struct {
 	keyed bool
 
 	// rec is non-nil when the system recycles dead states: the
-	// sequential DFS hands back popped frames, the frontier strategies
-	// retire consumed states through epoch reclamation.
+	// sequential DFS hands back popped frames, the frontier strategy
+	// retires consumed states through epoch reclamation.
 	rec StateRecycler
 
 	// dupRec takes the successors the engine generated but will not keep
@@ -62,17 +62,10 @@ type engine struct {
 	// the strategy.
 	dupRec StateRecycler
 
-	// frontierRecycle is set when the frontier strategies (parallel,
-	// steal) may recycle dead states: rec non-nil and
-	// Options.NoEpochReclaim unset. The sequential DFS free-lists are
-	// independent of it.
+	// frontierRecycle is set when the frontier strategy may recycle dead
+	// states: rec non-nil and Options.NoEpochReclaim unset. The
+	// sequential DFS free-lists are independent of it.
 	frontierRecycle bool
-
-	// depthByScan is set by the work-stealing strategy, whose
-	// MaxDepthReached comes from the final parent-table depth scan (the
-	// order-independent fixpoint); per-expansion noteDepth calls would
-	// be overwritten by it, so expandShared skips them.
-	depthByScan bool
 
 	// needH2 is set when the store consumes the second hash — bitstate
 	// derives probe positions from it, the tiered store records it on
@@ -152,7 +145,7 @@ func newEngine(sys System, opts Options) *engine {
 		opts:     opts,
 		st:       newStore(opts, opts.Strategy != StrategyDFS),
 		start:    time.Now(),
-		needH2:   (opts.Store == Bitstate || opts.Store == Tiered) && !opts.NoDedup,
+		needH2:   opts.Store == Bitstate || opts.Store == Tiered,
 		distinct: map[Violation]struct{}{},
 	}
 	// An uncertified reducer's proviso digests the candidate successors,
@@ -189,7 +182,7 @@ func newEngine(sys System, opts Options) *engine {
 // spillFn returns the reclamation layer's spill hook: retired states'
 // digests become preferred eviction candidates of the tiered store
 // (eviction ordering follows epoch order under memory pressure). Nil
-// without a tiered store, so the frontier strategies pay nothing.
+// without a tiered store, so the reclaimer pays nothing.
 func (e *engine) spillFn() func(digest) {
 	if e.tiered == nil {
 		return nil
@@ -267,8 +260,8 @@ func (eagerStepper) Step(_ Scratch, _ State, stub *Transition) Transition { retu
 func (eagerStepper) Keep(_ Scratch, next State) State { return next }
 
 // expander is one worker's private expansion context: the scratch the
-// system steps successors into, the stub buffer the frontier strategies
-// refill per expansion (the DFS keeps one per stack frame instead), the
+// system steps successors into, the stub buffer the frontier strategy
+// refills per expansion (the DFS keeps one per stack frame instead), the
 // state-vector encode buffer, and the worker's counter cell.
 type expander struct {
 	scratch Scratch
@@ -286,8 +279,8 @@ func (e *engine) newExpander() *expander {
 // MaxViolations cap is enforced here, under the lock, so concurrent
 // workers can never overshoot it between their own limit checks.
 //
-// Callers that must pay to construct the trail (the frontier
-// strategies rebuild it from parent links per violation) should call
+// Callers that must pay to construct the trail (the frontier strategy
+// rebuilds it from parent links per violation) should call
 // reserve first and build the trail only for accepted violations —
 // on violation-dense state spaces almost every hit is a duplicate, and
 // constructing trails for them is pure allocation churn.
@@ -346,7 +339,7 @@ func (e *engine) commit(v Violation, trail []TrailStep, depth int) {
 // materialize resolves lazy trail steps in place by replaying forward:
 // the first step carries its source state, each replay returns the
 // successor the next step starts from. Steps whose chain is broken (an
-// eagerly recorded, keyless step in the middle of a parallel trail)
+// eagerly recorded, keyless step in the middle of a parent-link trail)
 // degrade to label-only. Runs outside the engine lock, only for
 // genuinely new violations — duplicates are rejected before reaching
 // it.
@@ -402,8 +395,8 @@ func (e *engine) limitHit() bool {
 // enabled returns the stubs of the transitions to explore from state,
 // appended to stubs[:0]: the system's full list, reduced to a
 // persistent subset when partial-order reduction selects one at this
-// state. Every strategy expands through this path, so all three explore
-// the same reduced graph.
+// state. Both strategies expand through this path, so they explore the
+// same reduced graph.
 //
 // The cycle/visited-state proviso is enforced here, so no violation
 // reachable through a pruned interleaving can be masked by the ignoring
@@ -486,7 +479,7 @@ func (e *engine) enabled(state State, stubs []Transition, buf []byte, count bool
 // atomics. Each worker goroutine keeps its own cell (stack-local — no
 // sharing, no padding needed) and folds it into the engine totals at
 // termination plus periodically, so the per-state counter cost on the
-// frontier hot paths is two local increments instead of contended
+// frontier hot path is two local increments instead of contended
 // read-modify-writes. With MaxStates set, explored folds on every bump
 // so limitHit sees the exact global count — truncation semantics are
 // unchanged from the per-state atomics.
@@ -540,13 +533,11 @@ func (e *engine) noteFaults(trs []Transition, count bool) {
 	}
 }
 
-// noteDepth raises MaxDepthReached to d.
+// noteDepth raises MaxDepthReached to d. DFS-only, so unsynchronised:
+// the frontier strategy stores the result of its final depth scan.
 func (e *engine) noteDepth(d int) {
-	for {
-		cur := e.maxDepth.Load()
-		if int64(d) <= cur || e.maxDepth.CompareAndSwap(cur, int64(d)) {
-			return
-		}
+	if int64(d) > e.maxDepth.Load() {
+		e.maxDepth.Store(int64(d))
 	}
 }
 

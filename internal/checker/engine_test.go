@@ -48,12 +48,10 @@ func violationKeys(res *Result) []string {
 
 func strategies() map[string]Options {
 	return map[string]Options{
-		"dfs":        {Strategy: StrategyDFS},
-		"parallel":   {Strategy: StrategyParallel},
-		"parallel-1": {Strategy: StrategyParallel, Workers: 1},
-		"steal":      {Strategy: StrategySteal},
-		"steal-1":    {Strategy: StrategySteal, Workers: 1},
-		"steal-4":    {Strategy: StrategySteal, Workers: 4},
+		"dfs":     {Strategy: StrategyDFS},
+		"steal":   {Strategy: StrategySteal},
+		"steal-1": {Strategy: StrategySteal, Workers: 1},
+		"steal-4": {Strategy: StrategySteal, Workers: 4},
 	}
 }
 
@@ -79,7 +77,7 @@ func TestMaxViolationsNeverOvershot(t *testing.T) {
 // TestTruncationLimits: MaxStates, MaxDepth, and Deadline all mark the
 // result truncated, for both strategies, without large overshoot.
 func TestTruncationLimits(t *testing.T) {
-	slack := 2 * runtime.GOMAXPROCS(0) // parallel workers may each finish one expansion
+	slack := 2 * runtime.GOMAXPROCS(0) // concurrent workers may each finish one expansion
 	for name, base := range strategies() {
 		opts := base
 		opts.MaxDepth = 64
@@ -148,36 +146,39 @@ func TestBitstateFalsePositives(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesDFSOnToys: the parallel strategy reports the same
-// distinct-violation set as sequential DFS on fully explored systems.
-func TestParallelMatchesDFSOnToys(t *testing.T) {
+// TestStealMatchesDFSOnToys: the steal strategy reports the same
+// distinct-violation set — state and edge violations — and state count
+// as sequential DFS on fully explored toy systems, which implement none
+// of the optional hooks (eager adapter, no recycling, eager trails).
+func TestStealMatchesDFSOnToys(t *testing.T) {
 	systems := map[string]System{
 		"chain":     &chainSys{bound: 8, bad: 24},
 		"multiViol": &multiViolSys{width: 12},
 	}
 	for name, sys := range systems {
 		seq := Run(sys, Options{MaxDepth: 32})
-		for _, strat := range []StrategyKind{StrategyParallel, StrategySteal} {
-			par := Run(sys, Options{MaxDepth: 32, Strategy: strat})
-			if seq.Truncated || par.Truncated {
-				t.Fatalf("%s/%v: unexpected truncation", name, strat)
+		for _, workers := range []int{1, 4} {
+			st := Run(sys, Options{MaxDepth: 32, Strategy: StrategySteal, Workers: workers})
+			if seq.Truncated || st.Truncated {
+				t.Fatalf("%s/steal-%d: unexpected truncation", name, workers)
 			}
-			if got, want := violationKeys(par), violationKeys(seq); !equalStrings(got, want) {
-				t.Errorf("%s: %v violations %v != dfs %v", name, strat, got, want)
+			if got, want := violationKeys(st), violationKeys(seq); !equalStrings(got, want) {
+				t.Errorf("%s: steal-%d violations %v != dfs %v", name, workers, got, want)
 			}
-			if par.StatesExplored != seq.StatesExplored {
-				t.Errorf("%s: %v explored %d, dfs %d", name, strat, par.StatesExplored, seq.StatesExplored)
+			if st.StatesExplored != seq.StatesExplored {
+				t.Errorf("%s: steal-%d explored %d, dfs %d", name, workers, st.StatesExplored, seq.StatesExplored)
 			}
 		}
 	}
 }
 
-// TestParallelTrailReplays: a trail reconstructed from parent links must
-// be a genuine path of the system — replaying its labels from the
-// initial state reaches the reported violation.
-func TestParallelTrailReplays(t *testing.T) {
+// TestStealTrailReplays: a trail reconstructed from parent links with
+// eagerly recorded steps (the toy system is no Replayer) must be a
+// genuine path of the system — replaying its labels from the initial
+// state reaches the reported violation.
+func TestStealTrailReplays(t *testing.T) {
 	sys := &chainSys{bound: 8, bad: 24}
-	res := Run(sys, Options{MaxDepth: 32, Strategy: StrategyParallel})
+	res := Run(sys, Options{MaxDepth: 32, Strategy: StrategySteal})
 	if !res.HasViolation("bad-value") {
 		t.Fatal("violation not found")
 	}
@@ -202,15 +203,6 @@ func TestParallelTrailReplays(t *testing.T) {
 		if len(sys.Inspect(cur)) == 0 {
 			t.Errorf("replayed trail for %s ends in a non-violating state", f.Violation)
 		}
-	}
-}
-
-// TestParallelNoDedup: NoDedup explores every path in parallel too.
-func TestParallelNoDedup(t *testing.T) {
-	dedup := Run(&chainSys{bound: 10, bad: -1}, Options{MaxDepth: 16, Strategy: StrategyParallel})
-	nodedup := Run(&chainSys{bound: 10, bad: -1}, Options{MaxDepth: 16, Strategy: StrategyParallel, NoDedup: true})
-	if nodedup.StatesExplored <= dedup.StatesExplored {
-		t.Errorf("NoDedup explored %d <= dedup %d", nodedup.StatesExplored, dedup.StatesExplored)
 	}
 }
 

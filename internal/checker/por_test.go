@@ -83,9 +83,8 @@ func TestPORCertifiedSkipsProviso(t *testing.T) {
 	}
 }
 
-// TestPORAppliesToAllStrategies: the reduced graph is the same for
-// DFS, the level-synchronous strategy, and work-stealing — POR routes
-// through the shared expansion path everywhere.
+// TestPORAppliesToAllStrategies: the reduced graph is the same for DFS
+// and work-stealing — POR routes through engine.enabled on both.
 func TestPORAppliesToAllStrategies(t *testing.T) {
 	for name, base := range strategies() {
 		opts := base

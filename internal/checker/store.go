@@ -66,46 +66,40 @@ func hash2(data []byte) uint64 {
 // expansion); size returns the number of stored entries (approximate
 // for bitstate).
 //
-// Sequential stores (hashStore, bitStore, nopStore) are not safe for
-// concurrent use; the engine selects their sharded/atomic counterparts
-// (shardedHashStore, atomicBitStore, atomicNopStore) for the parallel
-// strategy.
+// Four implementations, each with the workload it is there for:
+// hashStore (single-goroutine exhaustive: table8_dfs, market_t5),
+// shardedHashStore (concurrent exhaustive: table8_steal2),
+// tieredStore (out-of-core exhaustive: table8_tiered_wal) and
+// atomicBitStore (-store bitstate, the paper's supertrace mode; no
+// benchmark workload yet). Only hashStore is unsafe for concurrent use.
 type store interface {
 	seen(d digest) bool
 	peek(d digest) bool
 	size() int
 }
 
-// newStore builds the visited store for a run. parallel selects the
-// concurrency-safe variants; the tiered store is concurrency-safe by
-// construction and serves both. A tiered store that cannot open its
-// files (missing StoreDir, I/O failure) is an environment error the
-// caller cannot recover mid-run, so it panics with the cause — the
-// iotsan layer validates and creates the directory before running.
-func newStore(opts Options, parallel bool) store {
-	switch {
-	case opts.NoDedup:
-		if parallel {
-			return &atomicNopStore{}
-		}
-		return &nopStore{}
-	case opts.Store == Bitstate:
-		if parallel {
-			return newAtomicBitStore(opts.BitstateBits, opts.BitstateK)
-		}
-		return newBitStore(opts.BitstateBits, opts.BitstateK)
-	case opts.Store == Tiered:
+// newStore builds the visited store for a run. concurrent picks the
+// sharded exhaustive store over the single-goroutine one; the bitstate
+// and tiered stores are concurrency-safe by construction and serve both
+// strategies. A tiered store that cannot open its files (missing
+// StoreDir, I/O failure) is an environment error the caller cannot
+// recover mid-run, so it panics with the cause — the iotsan layer
+// validates and creates the directory before running.
+func newStore(opts Options, concurrent bool) store {
+	switch opts.Store {
+	case Bitstate:
+		return newAtomicBitStore(opts.BitstateBits, opts.BitstateK)
+	case Tiered:
 		ts, err := newTieredStore(opts.StoreDir, opts.MemBudget)
 		if err != nil {
 			panic(err)
 		}
 		return ts
-	default:
-		if parallel {
-			return &shardedHashStore{}
-		}
-		return &hashStore{}
 	}
+	if concurrent {
+		return &shardedHashStore{}
+	}
+	return &hashStore{}
 }
 
 // digestSet is the flat visited table behind both exhaustive in-memory
@@ -201,7 +195,15 @@ func (t *digestSet) grow() {
 	}
 }
 
-// hashStore is the sequential exhaustive hash-compact store.
+// hashStore is the exhaustive hash-compact store of the
+// single-goroutine DFS: one digestSet, no lock. It stays beside
+// shardedHashStore because DFS forced onto the sharded store measured
+// slower in 3 of 3 alternating benchmark pairs on both DFS workloads
+// (verdict_s table8_dfs 0.659→0.700, 0.632→0.652, 0.567→0.727;
+// market_t5 1.280→1.392, 1.253→1.393, 1.194→1.196 — a lock per probe,
+// and 256 lazily grown shards for each of market_t5's 81 related sets).
+// The engine picks between the two from the strategy, not from an
+// option.
 type hashStore struct{ set digestSet }
 
 func (s *hashStore) seen(d digest) bool { return s.set.add(d.h1) }
@@ -214,8 +216,8 @@ func (s *hashStore) size() int          { return s.set.n }
 const hashShards = 256
 
 // shardedHashStore is the lock-striped exhaustive store for the
-// parallel strategy: h1's top bits pick a shard, so insertions from
-// different workers rarely contend on the same mutex.
+// frontier strategy (table8_steal2): h1's top bits pick a shard, so
+// insertions from different workers rarely contend on the same mutex.
 type shardedHashStore struct {
 	//iotsan:padded
 	shards [hashShards]struct {
@@ -275,53 +277,12 @@ func (d digest) probe(i int, mask uint64) uint64 {
 	return (d.h1 + uint64(i)*(d.h2|1)) & mask
 }
 
-// bitStore is Spin's BITSTATE: k probes into a 2^bits bit array.
-type bitStore struct {
-	bits  []uint64
-	mask  uint64
-	k     int
-	count int
-}
-
-func newBitStore(logBits uint, k int) *bitStore {
-	logBits, k = bitstateDefaults(logBits, k)
-	n := uint64(1) << logBits
-	return &bitStore{bits: make([]uint64, n/64), mask: n - 1, k: k}
-}
-
-func (s *bitStore) seen(d digest) bool {
-	all := true
-	for i := 0; i < s.k; i++ {
-		pos := d.probe(i, s.mask)
-		w, b := pos/64, pos%64
-		if s.bits[w]&(1<<b) == 0 {
-			all = false
-			s.bits[w] |= 1 << b
-		}
-	}
-	if !all {
-		s.count++
-	}
-	return all
-}
-
-func (s *bitStore) peek(d digest) bool {
-	for i := 0; i < s.k; i++ {
-		pos := d.probe(i, s.mask)
-		if s.bits[pos/64]&(1<<(pos%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *bitStore) size() int { return s.count }
-
-// atomicBitStore is the bitstate store for the parallel strategy: the
-// same probe scheme with lock-free atomic bit operations, so insertion
-// scales with cores. Two workers racing on the same unseen state may
+// atomicBitStore is Spin's BITSTATE: k probes into a 2^bits bit array,
+// set with lock-free atomic bit operations so insertion scales with
+// cores; in the DFS's single goroutine its membership is exactly that
+// of a plain bit array. Two workers racing on the same unseen state may
 // both observe it as new (both count it explored); that duplication is
-// harmless — successors are deduplicated at the next level — and is the
+// harmless — their successors are deduplicated in turn — and is the
 // standard trade-off in lock-free bitstate implementations.
 type atomicBitStore struct {
 	bits  []atomic.Uint64
@@ -383,16 +344,3 @@ func (s *atomicBitStore) peek(d digest) bool {
 }
 
 func (s *atomicBitStore) size() int { return int(s.count.Load()) }
-
-// nopStore disables state matching (NoDedup).
-type nopStore struct{ count int }
-
-func (s *nopStore) seen(digest) bool { s.count++; return false }
-func (s *nopStore) peek(digest) bool { return false }
-func (s *nopStore) size() int        { return s.count }
-
-type atomicNopStore struct{ count atomic.Int64 }
-
-func (s *atomicNopStore) seen(digest) bool { s.count.Add(1); return false }
-func (s *atomicNopStore) peek(digest) bool { return false }
-func (s *atomicNopStore) size() int        { return int(s.count.Load()) }

@@ -7,16 +7,13 @@ import (
 	"time"
 )
 
-// workSteal is the work-stealing frontier strategy. Where
-// StrategyParallel is level-synchronous — every BFS level ends in a
-// full merge barrier that idles workers on irregular state graphs —
-// workSteal gives each worker a private Chase–Lev deque: the owner
-// pushes and pops newly stored states LIFO (locally depth-first), and
-// a worker whose deque runs dry steals the oldest entry FIFO from a
-// victim. No worker ever waits at a barrier; the only global
-// synchronisation is the sharded visited store (shared with
-// StrategyParallel) and per-worker sent/done counters used for
-// termination detection.
+// workSteal is the frontier strategy, the engine's one concurrent
+// search: each worker has a private Chase–Lev deque — the owner pushes
+// and pops newly stored states LIFO (locally depth-first), and a worker
+// whose deque runs dry steals the oldest entry FIFO from a victim. No
+// worker ever waits at a barrier; the only global synchronisation is
+// the sharded visited store, the parent-link table and per-worker
+// sent/done counters used for termination detection.
 //
 // Termination: each worker keeps two monotone, padded counters — sent
 // (states it pushed to its deque, root included) and done (expansions
@@ -32,8 +29,9 @@ import (
 // sent increment without its eventual done and miss termination, but
 // never falsely detect it; summing done first can do neither.)
 //
-// Like StrategyParallel, trails are reconstructed through the shared
-// parent-link table. Each stored state's depth starts as the length of
+// Trails are reconstructed through the parent-link table (parents.go);
+// the trail witnessing a violation is whichever path reached it first,
+// not a shortest one. Each stored state's depth starts as the length of
 // whichever path stored it first and is then lowered (CAS-min in the
 // parent store) every time a shorter path re-encounters the state; a
 // state whose depth improves is re-enqueued so the shorter distance
@@ -42,8 +40,8 @@ import (
 // stay identical to a run that found the minimal depths first. The
 // final depth table is therefore the shortest-distance fixpoint,
 // independent of exploration order: MaxDepth clips expansion at the
-// same bound as the other strategies (states at the bound are stored
-// but not expanded), and both Truncated and MaxDepthReached are
+// same bound as the DFS (states at the bound are stored but not
+// expanded), and both Truncated and MaxDepthReached are
 // computed from the final table after the search drains, so
 // depth-clipped searches report deterministic results instead of
 // "whichever path stored it first".
@@ -118,8 +116,20 @@ type stealRun struct {
 	// reclaim is the epoch-based reclamation layer, nil when the system
 	// does not recycle or Options.NoEpochReclaim is set.
 	reclaim *reclaimer
-	// relaxOff disables depth relaxation (uncertified POR or symmetry
-	// folding; see expand).
+	// relaxOff disables depth relaxation. Relaxation re-expands states,
+	// which must replay exactly the transitions the counted expansion
+	// explored. With an uncertified POR reducer the engine's
+	// visited-state proviso makes expansion store-dependent — a replay
+	// could diverge from the counted graph — so relaxation is off there
+	// (clipping then keeps the first-path semantics for that combination
+	// only). Certified reducers are pure functions of the state and
+	// replay identically. Symmetry reduction turns it off for the same
+	// reason in a different guise: a duplicate hit is then only
+	// *isomorphic* to the stored representative, not byte-identical, so
+	// re-expanding the duplicate raw state would record parent edges and
+	// trail steps whose replay keys do not stitch onto the
+	// representative's chain — counter-examples would stop being
+	// concrete executions.
 	relaxOff bool
 	live     atomic.Int32 // workers currently running (crew-size check)
 	nextIdx  atomic.Int32 // monotonic worker-index allocator
@@ -147,10 +157,6 @@ func (s *workSteal) search(e *engine) {
 		e.truncated.Store(true)
 		return
 	}
-
-	// MaxDepthReached comes from the final depth-table scan below;
-	// per-expansion notes would only be overwritten.
-	e.depthByScan = true
 
 	r := &stealRun{
 		e:        e,
@@ -330,18 +336,14 @@ func (r *stealRun) putEntry(w int, ent *stealEntry) {
 	r.pools[w].free = append(r.pools[w].free, ent)
 }
 
-// wsCtx is one worker's expansion context. The enqueue/relax hooks are
-// bound once per worker (not per expansion — the hot path must not
-// allocate closures) and read the per-expansion fields from here.
+// wsCtx is one worker's expansion context.
 type wsCtx struct {
 	r          *stealRun
 	w          int
 	x          *expander
-	sent       int64 // running mirror of cnts[w].sent
-	childDepth int
+	sent       int64  // running mirror of cnts[w].sent
+	childDepth int    // depth of the successors of the entry being expanded
 	epoch      uint64 // epoch pinned before the current entry was consumed
-	enq        func(State, digest)
-	relax      func(digest) bool
 }
 
 // pushState counts and enqueues one newly stored state. The sent store
@@ -353,12 +355,12 @@ func (c *wsCtx) pushState(st State, d digest) {
 	c.r.deques[c.w].push(c.r.getEntry(c.w, st, d))
 }
 
-// relaxDup is the duplicate hook when depth relaxation is on: it
-// reports whether the re-encountered successor's depth improved, in
-// which case expandShared keeps and re-enqueues it so the shorter
-// distance propagates.
+// relaxDup is asked about every successor that was already in the
+// visited store: with depth relaxation on, it reports whether the
+// re-encountered successor's depth improved, in which case expandState
+// keeps and re-enqueues it so the shorter distance propagates.
 func (c *wsCtx) relaxDup(d digest) bool {
-	return c.r.parents.relax(d.h1, int32(c.childDepth))
+	return !c.r.relaxOff && c.r.parents.relax(d.h1, int32(c.childDepth))
 }
 
 // work is one worker's main loop: drain the own deque LIFO, steal FIFO
@@ -373,25 +375,6 @@ func (r *stealRun) work(w int, ownsToken bool) {
 	defer x.stat.flush(e)
 
 	c := &wsCtx{r: r, w: w, x: x, sent: r.cnts[w].sent.Load()}
-	c.enq = c.pushState
-	c.relax = c.relaxDup
-	if r.relaxOff {
-		// Depth relaxation re-expands states, which must replay exactly
-		// the transitions the counted expansion explored. With an
-		// uncertified POR reducer the engine's visited-state proviso
-		// makes expansion store-dependent — a replay could diverge from
-		// the counted graph — so relaxation is disabled there (clipping
-		// then keeps the first-path semantics for that combination
-		// only). Certified reducers are pure functions of the state and
-		// replay identically. Symmetry reduction disables relaxation
-		// for the same reason in a different guise: a duplicate hit is
-		// then only *isomorphic* to the stored representative, not
-		// byte-identical, so re-expanding the duplicate raw state would
-		// record parent edges and trail steps whose replay keys do not
-		// stitch onto the representative's chain — counter-examples
-		// would stop being concrete executions.
-		c.relax = nil
-	}
 	done := r.cnts[w].done.Load()
 	if r.reclaim != nil {
 		r.reclaim.online(w)
@@ -465,7 +448,7 @@ func (r *stealRun) work(w int, ownsToken bool) {
 			offline()
 			return
 		}
-		r.expand(ent, c)
+		c.expand(ent)
 		done++
 		r.cnts[w].done.Store(done)
 		r.maybeGrow()
@@ -517,37 +500,139 @@ func (r *stealRun) retireState(w int, epoch uint64, st State, d digest) {
 	r.reclaim.retire(w, epoch, st, d)
 }
 
-// expand processes one entry through the shared expansion path,
-// pushing newly stored successors onto the worker's own deque. A
-// re-encountered successor whose depth improves is re-enqueued so the
-// shorter distance propagates; the parent store's expanded claim
-// arbitrates so exactly one expansion of each state contributes to the
-// counters, and the propagation passes run count-suppressed. The
-// consumed entry object returns to the worker's free-list, and the
-// consumed state is retired under the worker's pinned epoch unless a
-// limit truncated the expansion (unconsumed successors then keep it
-// conservative).
-func (r *stealRun) expand(ent *stealEntry, c *wsCtx) {
-	e := r.e
+// expand processes one popped or stolen entry, pushing newly stored
+// successors onto the worker's own deque. A re-encountered successor
+// whose depth improves is re-enqueued so the shorter distance
+// propagates; the parent store's expanded claim arbitrates so exactly
+// one expansion of each state contributes to the counters, and the
+// propagation passes run count-suppressed. The consumed entry object
+// returns to the worker's free-list, and the consumed state is retired
+// under the worker's pinned epoch unless a limit truncated the
+// expansion (unconsumed successors then keep it conservative).
+func (c *wsCtx) expand(ent *stealEntry) {
+	r, e := c.r, c.r.e
 	depth, count := r.parents.claimExpansion(ent.d.h1, int32(e.opts.MaxDepth))
 	if int(depth) >= e.opts.MaxDepth {
 		// States at the depth bound exist but are not expanded — the
-		// same truncation point as the DFS and level-synchronous
-		// strategies. Clipping is not a global abort: shallower entries
-		// still queued elsewhere continue to be expanded, and the final
-		// depth scan marks the result truncated once the search drains
-		// (unless a shorter path later relaxes this state below the
-		// bound and re-enqueues it — as the copy expandShared keeps for
-		// the relax hook, never this one, so this clone has left every
-		// live structure and can retire).
+		// same truncation point as the DFS. Clipping is not a global
+		// abort: shallower entries still queued elsewhere continue to be
+		// expanded, and the final depth scan marks the result truncated
+		// once the search drains (unless a shorter path later relaxes
+		// this state below the bound and re-enqueues it — as the copy
+		// expandState keeps on a relaxDup hit, never this one, so this
+		// clone has left every live structure and can retire).
 		st, d := ent.state, ent.d
 		r.putEntry(c.w, ent)
 		r.retireState(c.w, c.epoch, st, d)
 		return
 	}
 	c.childDepth = int(depth) + 1
-	if e.expandShared(c.x, r.parents, ent.state, ent.d.h1, c.childDepth, count, c.enq, c.relax) {
+	if c.expandState(ent, count) {
 		r.retireState(c.w, c.epoch, ent.state, ent.d)
 	}
 	r.putEntry(c.w, ent)
+}
+
+// expandState expands ent's state in the admission order both strategies
+// share: it steps the successors of the state one at a time into the
+// worker's scratch, records the transition (edge) violations of every
+// successor — reconstructing the parent trail prefix lazily, only when
+// a violation is actually recorded — then deduplicates the successor
+// through the visited store, and only a successor the store reports new
+// is kept (cloned out of the scratch), linked to its parent, inspected
+// for state violations, counted, and pushed. A duplicate is never
+// inspected: its first copy was (System.Inspect is a function of the
+// encoding), which also keeps the count=false re-expansions free of
+// Inspect calls — and of clones.
+// The stubs come from engine.enabled, so partial-order reduction
+// applies here exactly as it does to DFS.
+//
+// count suppresses the matched counter when false: a state whose depth
+// improved is expanded again (relaxation passes), and those passes must
+// not perturb the deterministic exploration statistics — including when
+// such a pass overlaps the state's counted expansion and admits one of
+// its successors first (see below). explored and matched accumulate in
+// the worker's counter cell and fold into the engine totals.
+// A duplicate that relaxDup says must be expanded again is kept and
+// pushed like a new state. Any other eager duplicate is a clone this
+// expansion produced and shared with nobody, recycled on the spot. It
+// returns false when a limit was hit (truncated is already set; the
+// caller must stop, and must not retire the expanded state — unconsumed
+// successors keep it conservative).
+func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
+	e, x, parents, depth := c.r.e, c.x, c.r.parents, c.childDepth
+	state, h1 := ent.state, ent.d.h1
+	var prefix []TrailStep // parent trail, reconstructed lazily
+	havePrefix := false
+	record := func(v Violation, tr *Transition) bool {
+		// Reserve before constructing anything: on violation-dense
+		// state spaces nearly every hit is a duplicate, and the trail
+		// walk + copy for a rejected violation is wasted allocation.
+		if !e.reserve(v) {
+			return false
+		}
+		if !havePrefix {
+			prefix = parents.trailTo(h1, e.opts.MaxDepth)
+			havePrefix = true
+		}
+		trail := append(append([]TrailStep(nil), prefix...),
+			TrailStep{Label: tr.Label, Steps: tr.Steps, From: state, Key: tr.Key})
+		e.commit(v, trail, depth)
+		return true
+	}
+
+	x.stubs, x.buf = e.enabled(state, x.stubs, x.buf, count)
+	for i := range x.stubs {
+		// The result overwrites its stub: the buffer is refilled per
+		// expansion, and a slot in it is addressable without escaping.
+		tr := &x.stubs[i]
+		*tr = e.stp.Step(x.scratch, state, tr)
+		for _, v := range tr.Violations {
+			if record(v, tr) && e.limitHit() {
+				e.truncated.Store(true)
+				return false
+			}
+		}
+
+		var d digest
+		d, x.buf = e.digest(tr.Next, x.buf)
+		if e.st.seen(d) {
+			if count {
+				x.stat.matched++
+			}
+			if c.relaxDup(d) {
+				c.pushState(e.stp.Keep(x.scratch, tr.Next), d)
+			} else if e.dupRec != nil {
+				// An eager duplicate child that was not re-enqueued never
+				// entered a deque, the parent table, or a recorded trail
+				// (record materializes eagerly): nobody but this worker
+				// has ever seen the clone.
+				e.dupRec.Recycle(tr.Next)
+				tr.Next = nil
+			}
+			continue
+		}
+		if !count {
+			// A relaxation re-expansion running alongside the state's
+			// counted expansion won this successor's admission; the
+			// counted one will meet it as a duplicate. Cancel that match
+			// so the statistics stay those of one expansion per state.
+			x.stat.matched--
+		}
+		next := e.stp.Keep(x.scratch, tr.Next)
+		parents.put(d.h1, parentEdge{parent: h1, label: tr.Label, steps: tr.Steps, key: tr.Key, depth: int32(depth)})
+		for _, v := range e.sys.Inspect(next) {
+			if record(v, tr) && e.limitHit() {
+				e.truncated.Store(true)
+				return false
+			}
+		}
+		x.stat.bumpExplored(e)
+		c.pushState(next, d)
+		if e.limitHit() {
+			e.truncated.Store(true)
+			return false
+		}
+	}
+	return true
 }

@@ -121,8 +121,8 @@ const walDigestEpoch = 2
 // MaxViolations) are deliberately excluded: killing a run under one
 // budget and resuming under another is the whole point.
 func walFingerprint(opts Options) []byte {
-	return []byte(fmt.Sprintf("%s store=%d depth=%d por=%v sym=%v nodedup=%v digest=%d",
-		walMagic, opts.Store, opts.MaxDepth, opts.POR, opts.Symmetry, opts.NoDedup, walDigestEpoch))
+	return []byte(fmt.Sprintf("%s store=%d depth=%d por=%v sym=%v digest=%d",
+		walMagic, opts.Store, opts.MaxDepth, opts.POR, opts.Symmetry, walDigestEpoch))
 }
 
 func newWAL(opts Options, haveDelta bool) (*wal, error) {

@@ -215,8 +215,8 @@ func TestWALOlderDigestEpochFreshStart(t *testing.T) {
 	}
 	cur := walFingerprint(killed)
 	body := data[1+uvarintLen(uint64(len(cur)))+len(cur)+4:] // everything after the H record
-	old := []byte(fmt.Sprintf("%s store=%d depth=%d por=%v sym=%v nodedup=%v",
-		walMagic, killed.Store, killed.MaxDepth, killed.POR, killed.Symmetry, killed.NoDedup))
+	old := []byte(fmt.Sprintf("%s store=%d depth=%d por=%v sym=%v nodedup=false",
+		walMagic, killed.Store, killed.MaxDepth, killed.POR, killed.Symmetry))
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 // ParallelCheckWorkload builds the canonical checker-throughput
 // workload: the largest market group under an expert configuration with
 // the full invariant catalog, capped so every engine variant performs
-// identical expansion work. BenchmarkParallelCheck and the per-worker
-// parity gates share this single definition.
+// identical expansion work. TestStealPerWorkerParity measures steal at
+// one worker against DFS on it.
 func ParallelCheckWorkload() (*model.Model, checker.Options, string, error) {
 	largest := 1
 	for g := 2; g <= 6; g++ {

@@ -13,7 +13,7 @@ import (
 // immutable after New (subscriptions, the external event space, the
 // device registry, and the compiled programs are all resolved at
 // construction), and Expand/Inspect mutate only executor-local data and
-// fresh clones of the argument state. The parallel checker strategy may
+// fresh clones of the argument state. The steal checker strategy may
 // therefore call Expand and Inspect concurrently on distinct states.
 //
 // The adapter also implements checker.Replayer: transitions are emitted

@@ -221,7 +221,7 @@ type resolvedSub struct {
 }
 
 // Model is the generated system model. It is immutable once New
-// returns: verification reads it from many goroutines (the parallel
+// returns: verification reads it from many goroutines (the steal
 // checker strategy), so any new field must be fully resolved during New
 // rather than filled in lazily.
 type Model struct {
@@ -690,8 +690,7 @@ func (m *Model) attrIsSensed(d *DevInst, attr string) bool {
 	return false
 }
 
-// ExternalEvents exposes the enumerated event space (for diagnostics and
-// the Promela emitter).
+// ExternalEvents exposes the enumerated event space (for diagnostics).
 func (m *Model) ExternalEvents() []ExtEvent { return m.external }
 
 // ModeIndex returns the index of a mode name in the configuration,

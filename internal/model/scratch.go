@@ -43,7 +43,7 @@ type Scratch struct {
 
 // FullSyncs returns how many times a Step had to copy the whole parent
 // into the scratch because it was not on the chain. A depth-first
-// search makes one (the root); the frontier strategies one per
+// search makes one (the root); the frontier strategy one per
 // expansion whose parent is not the state kept last.
 func (sc *Scratch) FullSyncs() int { return sc.fullSyncs }
 

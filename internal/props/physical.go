@@ -20,7 +20,7 @@ type atomMap = map[string]func(v *model.View) bool
 // time it meets a model and afterwards compares raw int16s.
 
 // perModel caches resolve(m) for the model the atom was last evaluated
-// on. Concurrent evaluations (the parallel strategies inspect from
+// on. Concurrent evaluations (the steal strategy inspects from
 // several goroutines) may each resolve once; they store equal values.
 type perModel[T any] struct {
 	resolve func(*model.Model) T

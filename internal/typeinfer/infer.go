@@ -1,8 +1,8 @@
 // Package typeinfer implements the static type inference the IotSan
 // translator performs on dynamically typed Groovy (§6 "Type inference").
 //
-// Groovy checks types at run time; a model amenable to checking (and the
-// Promela emitter) needs static types. Inference starts from anchor
+// Groovy checks types at run time; a model amenable to checking (the
+// paper's is Promela) needs static types. Inference starts from anchor
 // points — preference inputs with declared capabilities, literal
 // assignments, returns of known APIs, and known platform objects — and
 // propagates types through assignments, method arguments, and return

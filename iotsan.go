@@ -13,8 +13,7 @@
 // Analyze runs the full pipeline; the sub-packages under internal/
 // expose each stage (groovy parsing, type inference, dependency
 // analysis, model generation, the explicit-state checker, the property
-// catalog, violation attribution, Promela emission, and the IFTTT
-// front-end).
+// catalog, violation attribution, and the IFTTT front-end).
 package iotsan
 
 import (
@@ -69,18 +68,14 @@ const (
 	// StrategyDFS is the sequential depth-first search (default):
 	// deterministic exploration order and trails.
 	StrategyDFS = checker.StrategyDFS
-	// StrategyParallel is the parallel breadth-first frontier search:
-	// Workers goroutines expand states concurrently over a sharded
-	// visited store.
-	StrategyParallel = checker.StrategyParallel
-	// StrategySteal is the work-stealing frontier search: per-worker
-	// Chase–Lev deques with no per-level barrier; under GroupParallel
-	// it dynamically absorbs worker budget freed by finished groups.
+	// StrategySteal is the work-stealing frontier search: Workers
+	// goroutines expand states concurrently from per-worker Chase–Lev
+	// deques over a sharded visited store; under GroupParallel it
+	// dynamically absorbs worker budget freed by finished groups.
 	StrategySteal = checker.StrategySteal
 )
 
-// ParseStrategy maps a strategy name ("dfs", "parallel", "steal") to
-// its kind.
+// ParseStrategy maps a strategy name ("dfs", "steal") to its kind.
 func ParseStrategy(name string) (Strategy, error) { return checker.ParseStrategy(name) }
 
 // StoreSelector selects the checker's visited-state store.
@@ -165,13 +160,12 @@ type Options struct {
 	// fall back to a fresh search.
 	Resume bool
 	// Strategy selects the checker search strategy (StrategyDFS
-	// default; StrategyParallel and StrategySteal use Workers
-	// goroutines).
+	// default; StrategySteal uses Workers goroutines).
 	Strategy Strategy
-	// Workers is the number of checker goroutines for StrategyParallel
-	// and StrategySteal (0 = GOMAXPROCS). With GroupParallel it also
-	// sizes the worker budget shared by all concurrently running
-	// related-set verifications.
+	// Workers is the number of checker goroutines for StrategySteal
+	// (0 = GOMAXPROCS). With GroupParallel it also sizes the worker
+	// budget shared by all concurrently running related-set
+	// verifications.
 	Workers int
 	// POR enables partial-order reduction in the checker: at each
 	// expansion the concurrent design's pending-dispatch interleavings
@@ -193,7 +187,7 @@ type Options struct {
 	// visited store on a canonical encoding that folds states related by
 	// within-orbit permutations into one representative. The
 	// distinct-violation set is preserved exactly — a CI gate enforces it
-	// on the whole corpus across all strategies — while the explored
+	// on the whole corpus across both strategies — while the explored
 	// state space shrinks with the number of interchangeable devices.
 	// Composes multiplicatively with POR (reduction happens on the same
 	// canonical store the POR proviso probes) and with both parallel
@@ -225,8 +219,8 @@ type Options struct {
 	// value keeps incremental digests ON — the field is the flat-encode
 	// oracle of the equivalence tests, not a CLI flag.
 	NoIncremental bool
-	// NoEpochReclaim disables state recycling on the parallel checker
-	// strategies (dead duplicate children recycled in place; consumed,
+	// NoEpochReclaim disables state recycling on StrategySteal
+	// (dead duplicate children recycled in place; consumed,
 	// fully expanded frontier states retired through the per-worker
 	// epoch-based reclamation layer). The zero value keeps reclamation
 	// ON — the field is the allocate-per-state oracle of the

@@ -187,7 +187,7 @@ func (c *countingStepper) Keep(sc checker.Scratch, next checker.State) checker.S
 
 // TestKeyedSuccessorsEquivalence: on the six corpus groups, the
 // symmetry workload and the fault workload, under {plain, POR,
-// symmetry, POR+symmetry} × {dfs, parallel, steal} × {exhaustive,
+// symmetry, POR+symmetry} × {dfs, steal} × {exhaustive,
 // tiered}, the keyed engine reports exactly what the eager oracle
 // reports: the same (Property, Detail) set and the same
 // explored/matched/stored, fault-transition and POR counts; on DFS,
@@ -202,7 +202,7 @@ func (c *countingStepper) Keep(sc checker.Scratch, next checker.State) checker.S
 // Under the race detector only the cheapest group runs; CI runs the
 // whole matrix without it.
 func TestKeyedSuccessorsEquivalence(t *testing.T) {
-	strategies := []checker.StrategyKind{checker.StrategyDFS, checker.StrategyParallel, checker.StrategySteal}
+	strategies := []checker.StrategyKind{checker.StrategyDFS, checker.StrategySteal}
 	modes := []struct{ por, sym bool }{{false, false}, {true, false}, {false, true}, {true, true}}
 	stores := []checker.StoreKind{checker.Exhaustive, checker.Tiered}
 	for _, w := range admissionWorkloads() {
@@ -347,15 +347,15 @@ func (ps *poisonScratch) poison() {
 }
 
 // TestPoisonedScratchChurn: with every lent successor poisoned the
-// moment its window closes, the frontier strategies — whose workers
+// moment its window closes, the frontier strategy — whose workers
 // share states through deques, the parent table and depth relaxation —
-// still report exactly the eager oracle's verdict and counts. Run under
+// still reports exactly the eager oracle's verdict and counts. Run under
 // -race in CI, several rounds, on the cheapest corpus group.
 func TestPoisonedScratchChurn(t *testing.T) {
 	cfg := porCorpusConfigs[2]
 	sys := asEngineSystem(t, incGroupModel(t, 3, cfg.napps, cfg.events, true))
 	stp := sys.(checker.Stepper)
-	for _, strat := range []checker.StrategyKind{checker.StrategySteal, checker.StrategyParallel, checker.StrategyDFS} {
+	for _, strat := range []checker.StrategyKind{checker.StrategySteal, checker.StrategyDFS} {
 		opts := checker.Options{MaxDepth: 100, Strategy: strat, Workers: 4}
 		want := checker.Run(eagerSystem{sys}, opts)
 		if want.Truncated || len(want.Violations) == 0 {

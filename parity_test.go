@@ -1,11 +1,11 @@
-// Per-worker parity gate for the parallel strategies: with frontier
-// recycling (epoch-based reclamation) the fixed per-state overhead a
-// parallel strategy pays over sequential DFS must stay small, so that
+// Per-worker parity gate for the steal strategy: with frontier
+// recycling (epoch-based reclamation) the fixed per-state overhead the
+// frontier strategy pays over sequential DFS must stay small, so that
 // adding workers buys speedup instead of repaying overhead. Before
 // PR 8 steal at workers=1 ran at ~0.3× DFS throughput on this
-// workload; recycling brought it to ~1×. The gate bounds the ratio
-// well below the observed value so shared-runner noise cannot trip it,
-// while still catching a regression to the allocate-per-state path.
+// workload. The gate bounds the ratio well below the observed value so
+// shared-runner noise cannot trip it, while still catching a
+// regression to the allocate-per-state path.
 package iotsan_test
 
 import (
@@ -16,11 +16,11 @@ import (
 	"iotsan/internal/experiments"
 )
 
-// measureParityPair interleaves DFS and one strategy-at-workers=1 run
+// measureParityPair interleaves one DFS and one steal-at-workers=1 run
 // per repetition (both sides sample the same machine conditions) and
 // returns each side's best states/s over the repetitions.
 func measureParityPair(t *testing.T, m interface{ System() checker.System }, copts checker.Options,
-	strat checker.StrategyKind, reps int) (dfsRate, stratRate float64) {
+	reps int) (dfsRate, stealRate float64) {
 	t.Helper()
 	for i := 0; i < reps; i++ {
 		o := copts
@@ -28,7 +28,7 @@ func measureParityPair(t *testing.T, m interface{ System() checker.System }, cop
 		start := time.Now()
 		rd := checker.Run(m.System(), o)
 		sd := time.Since(start).Seconds()
-		o.Strategy = strat
+		o.Strategy = checker.StrategySteal
 		o.Workers = 1
 		start = time.Now()
 		rs := checker.Run(m.System(), o)
@@ -36,17 +36,18 @@ func measureParityPair(t *testing.T, m interface{ System() checker.System }, cop
 		if rate := float64(rd.StatesExplored) / sd; rate > dfsRate {
 			dfsRate = rate
 		}
-		if rate := float64(rs.StatesExplored) / ss; rate > stratRate {
-			stratRate = rate
+		if rate := float64(rs.StatesExplored) / ss; rate > stealRate {
+			stealRate = rate
 		}
 	}
-	return dfsRate, stratRate
+	return dfsRate, stealRate
 }
 
 // TestStealPerWorkerParity: work-stealing at a single worker must reach
 // at least half the sequential DFS throughput on the shared perf
-// workload (paired best-of-5). The measured post-recycling ratio is
-// ~1.0×; the seed's was ~0.3×.
+// workload (paired best-of-5). Ten runs on 2 vCPUs measure 0.67–0.79×
+// (the DFS has since got faster than steal did); the allocate-per-state
+// path the gate exists to catch ran at ~0.3×.
 func TestStealPerWorkerParity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing assertion skipped under the race detector")
@@ -58,39 +59,10 @@ func TestStealPerWorkerParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dfs, steal := measureParityPair(t, m, copts, checker.StrategySteal, 5)
+	dfs, steal := measureParityPair(t, m, copts, 5)
 	ratio := steal / dfs
 	t.Logf("%s: dfs %.0f states/s, steal=1 %.0f states/s → %.2fx", desc, dfs, steal, ratio)
 	if ratio < 0.5 {
 		t.Errorf("steal=1 runs at %.2fx of DFS throughput, want >= 0.5x", ratio)
-	}
-}
-
-// TestParallelPerWorkerParity: the level-synchronous strategy at a
-// single worker runs the searchSingle fast path (no goroutine spawn,
-// claim cursor, or merge barrier — worth ~5% on this workload), but it
-// still holds every state of the current BFS level live until the next
-// level completes, so the frontier recycler's free list starves on
-// growing levels and most clones allocate fresh (~38% of the profile,
-// plus the GC scanning the live level). That cost is semantic — steal
-// at one worker pops LIFO and keeps a DFS-sized live set, which is why
-// it holds ~0.9× while level-synchronous measures ~0.5×. The bound is
-// 0.40× (measured 0.49-0.56× across runs; the seed ran ~0.3×).
-func TestParallelPerWorkerParity(t *testing.T) {
-	if raceEnabled {
-		t.Skip("timing assertion skipped under the race detector")
-	}
-	if testing.Short() {
-		t.Skip("timing assertion skipped in -short mode")
-	}
-	m, copts, desc, err := experiments.ParallelCheckWorkload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dfs, par := measureParityPair(t, m, copts, checker.StrategyParallel, 5)
-	ratio := par / dfs
-	t.Logf("%s: dfs %.0f states/s, parallel=1 %.0f states/s → %.2fx", desc, dfs, par, ratio)
-	if ratio < 0.40 {
-		t.Errorf("parallel=1 runs at %.2fx of DFS throughput, want >= 0.40x", ratio)
 	}
 }

@@ -200,7 +200,7 @@ func TestStopCancelledGroupsReportTruncated(t *testing.T) {
 		t.Fatalf("capping group %d leaves no cancelled siblings to assert on", capIdx)
 	}
 
-	for _, strat := range []iotsan.Strategy{iotsan.StrategyDFS, iotsan.StrategyParallel, iotsan.StrategySteal} {
+	for _, strat := range []iotsan.Strategy{iotsan.StrategyDFS, iotsan.StrategySteal} {
 		rep, err := iotsan.AnalyzeTranslated(sys, apps, iotsan.Options{
 			MaxEvents:     2,
 			Strategy:      strat,

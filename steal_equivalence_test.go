@@ -124,15 +124,14 @@ func recycleGroupModel(t *testing.T, group, napps, maxEvents int) *model.Model {
 }
 
 // TestStealRecycleEquivalenceCorpus: frontier recycling (epoch-based
-// reclamation) is invisible to the search. On every corpus group, both
-// parallel strategies with recycling on and off explore exactly the
+// reclamation) is invisible to the search. On every corpus group, the
+// steal strategy with recycling on and off explores exactly the
 // DFS state space — identical explored/matched/stored counts — and
-// report the identical distinct-violation set, across the full
+// reports the identical distinct-violation set, across the full
 // reduction matrix {plain, POR, symmetry, POR+symmetry}. A divergence
 // between the on/off pairs would mean a state was reused while the
 // search still depended on it.
 func TestStealRecycleEquivalenceCorpus(t *testing.T) {
-	strategies := []checker.StrategyKind{checker.StrategyParallel, checker.StrategySteal}
 	groups := []int{1, 2, 3, 4, 5, 6}
 	if raceEnabled {
 		// ~10× slower per run under the race detector — the full corpus
@@ -159,27 +158,25 @@ func TestStealRecycleEquivalenceCorpus(t *testing.T) {
 					t.Fatalf("por=%v sym=%v: DFS run truncated; equivalence requires full exploration",
 						mode.por, mode.sym)
 				}
-				for _, strat := range strategies {
-					for _, noReclaim := range []bool{false, true} {
-						o := base
-						o.Strategy = strat
-						o.Workers = 4
-						o.NoEpochReclaim = noReclaim
-						res := checker.Run(m.System(), o)
-						name := fmt.Sprintf("%v por=%v sym=%v reclaim=%v", strat, mode.por, mode.sym, !noReclaim)
-						if res.Truncated {
-							t.Fatalf("%s: truncated", name)
-						}
-						if res.StatesExplored != dfs.StatesExplored || res.StatesMatched != dfs.StatesMatched ||
-							res.StatesStored != dfs.StatesStored {
-							t.Errorf("%s: state space diverges: explored=%d matched=%d stored=%d / dfs %d/%d/%d",
-								name, res.StatesExplored, res.StatesMatched, res.StatesStored,
-								dfs.StatesExplored, dfs.StatesMatched, dfs.StatesStored)
-						}
-						if !equalStringSlices(violationSet(res), violationSet(dfs)) {
-							t.Errorf("%s: violation sets differ:\n%v: %v\ndfs: %v",
-								name, strat, violationSet(res), violationSet(dfs))
-						}
+				for _, noReclaim := range []bool{false, true} {
+					o := base
+					o.Strategy = checker.StrategySteal
+					o.Workers = 4
+					o.NoEpochReclaim = noReclaim
+					res := checker.Run(m.System(), o)
+					name := fmt.Sprintf("por=%v sym=%v reclaim=%v", mode.por, mode.sym, !noReclaim)
+					if res.Truncated {
+						t.Fatalf("%s: truncated", name)
+					}
+					if res.StatesExplored != dfs.StatesExplored || res.StatesMatched != dfs.StatesMatched ||
+						res.StatesStored != dfs.StatesStored {
+						t.Errorf("%s: state space diverges: explored=%d matched=%d stored=%d / dfs %d/%d/%d",
+							name, res.StatesExplored, res.StatesMatched, res.StatesStored,
+							dfs.StatesExplored, dfs.StatesMatched, dfs.StatesStored)
+					}
+					if !equalStringSlices(violationSet(res), violationSet(dfs)) {
+						t.Errorf("%s: violation sets differ:\nsteal: %v\ndfs: %v",
+							name, violationSet(res), violationSet(dfs))
 					}
 				}
 			}
@@ -200,30 +197,28 @@ func TestStealRecycleFaultEquivalence(t *testing.T) {
 	if dfs.Truncated {
 		t.Fatal("DFS run truncated; equivalence requires full exploration")
 	}
-	for _, strat := range []checker.StrategyKind{checker.StrategyParallel, checker.StrategySteal} {
-		for _, noReclaim := range []bool{false, true} {
-			o := copts
-			o.Strategy = strat
-			o.Workers = 4
-			o.NoEpochReclaim = noReclaim
-			res := checker.Run(m.System(), o)
-			name := fmt.Sprintf("%v reclaim=%v", strat, !noReclaim)
-			if res.Truncated {
-				t.Fatalf("%s: truncated", name)
-			}
-			if res.StatesExplored != dfs.StatesExplored || res.StatesMatched != dfs.StatesMatched ||
-				res.StatesStored != dfs.StatesStored {
-				t.Errorf("%s: state space diverges: explored=%d matched=%d stored=%d / dfs %d/%d/%d",
-					name, res.StatesExplored, res.StatesMatched, res.StatesStored,
-					dfs.StatesExplored, dfs.StatesMatched, dfs.StatesStored)
-			}
-			if res.FaultTransitionsExplored != dfs.FaultTransitionsExplored {
-				t.Errorf("%s: fault transitions %d, dfs %d",
-					name, res.FaultTransitionsExplored, dfs.FaultTransitionsExplored)
-			}
-			if !equalStringSlices(violationSet(res), violationSet(dfs)) {
-				t.Errorf("%s: violation sets differ:\n%v\ndfs: %v", name, violationSet(res), violationSet(dfs))
-			}
+	for _, noReclaim := range []bool{false, true} {
+		o := copts
+		o.Strategy = checker.StrategySteal
+		o.Workers = 4
+		o.NoEpochReclaim = noReclaim
+		res := checker.Run(m.System(), o)
+		name := fmt.Sprintf("reclaim=%v", !noReclaim)
+		if res.Truncated {
+			t.Fatalf("%s: truncated", name)
+		}
+		if res.StatesExplored != dfs.StatesExplored || res.StatesMatched != dfs.StatesMatched ||
+			res.StatesStored != dfs.StatesStored {
+			t.Errorf("%s: state space diverges: explored=%d matched=%d stored=%d / dfs %d/%d/%d",
+				name, res.StatesExplored, res.StatesMatched, res.StatesStored,
+				dfs.StatesExplored, dfs.StatesMatched, dfs.StatesStored)
+		}
+		if res.FaultTransitionsExplored != dfs.FaultTransitionsExplored {
+			t.Errorf("%s: fault transitions %d, dfs %d",
+				name, res.FaultTransitionsExplored, dfs.FaultTransitionsExplored)
+		}
+		if !equalStringSlices(violationSet(res), violationSet(dfs)) {
+			t.Errorf("%s: violation sets differ:\n%v\ndfs: %v", name, violationSet(res), violationSet(dfs))
 		}
 	}
 }
