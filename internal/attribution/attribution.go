@@ -134,12 +134,50 @@ func AttributeNewApp(sys *config.System, newApp *ir.App, apps map[string]*ir.App
 		return nil, fmt.Errorf("attribution: no viable configuration for %q (missing devices)", newApp.Name)
 	}
 
-	relevant := relevantAttrs(newApp, sys, apps)
+	// Every candidate system has sys's devices and differs only in the new
+	// app's bindings: the device table, the invariant catalog and the
+	// installed apps' compiled programs are prepared once for all of them.
+	plan, err := model.Prepare(sys)
+	if err != nil {
+		return nil, err
+	}
+	installed, err := plan.PrepareApps(sys.Apps, apps, false)
+	if err != nil {
+		return nil, err
+	}
+	invs, err := props.CompileCatalog(plan, nil, opts.Thresholds)
+	if err != nil {
+		return nil, err
+	}
+	mopts := model.Options{
+		MaxEvents: opts.MaxEvents, Failures: opts.Failures,
+		CheckConflicts: true, CheckLeakage: true, CheckRobustness: opts.Failures,
+		Invariants:       invs,
+		RelevantAttrs:    relevantAttrs(newApp, sys, apps),
+		UserModeEvents:   true, // §9: reach mode-triggered behaviour standalone
+		UserDeviceEvents: true, // physical interaction on subscribed attributes
+	}
+	// verify checks one candidate: the given installed instances plus,
+	// when bindings is non-nil, the new app configured with them.
+	verify := func(insts []*model.AppInst, bindings map[string]config.Binding) ([]string, error) {
+		if bindings != nil {
+			a, err := plan.PrepareApp(config.AppInstance{App: newApp.Name, Bindings: bindings}, newApp, false)
+			if err != nil {
+				return nil, err
+			}
+			insts = append(insts[:len(insts):len(insts)], a)
+		}
+		m, err := plan.Build(insts, mopts)
+		if err != nil {
+			return nil, err
+		}
+		return check(m, opts), nil
+	}
 
 	// Baseline: properties violated by the environment with no app under
 	// test installed (e.g. "mode should be Away when empty" in a home
 	// with no mode manager). These are not attributable to the new app.
-	_, baseIDs, err := verify(sys, sys.Apps, apps, relevant, opts)
+	baseIDs, err := verify(installed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +197,7 @@ func AttributeNewApp(sys *config.System, newApp *ir.App, apps map[string]*ir.App
 
 	// Phase 1: the new app alone, each configuration independently.
 	for _, b := range configs {
-		_, ids, err := verify(sys, []config.AppInstance{{App: newApp.Name, Bindings: b}}, apps, relevant, opts)
+		ids, err := verify(nil, b)
 		if err != nil {
 			return nil, err
 		}
@@ -181,9 +219,7 @@ func AttributeNewApp(sys *config.System, newApp *ir.App, apps map[string]*ir.App
 	// Phase 2: in conjunction with the installed apps.
 	var anyViolation bool
 	for _, b := range configs {
-		instances := append(append([]config.AppInstance{}, sys.Apps...),
-			config.AppInstance{App: newApp.Name, Bindings: b})
-		_, ids, err := verify(sys, instances, apps, relevant, opts)
+		ids, err := verify(installed, b)
 		if err != nil {
 			return nil, err
 		}
@@ -213,44 +249,24 @@ func AttributeNewApp(sys *config.System, newApp *ir.App, apps map[string]*ir.App
 	return rep, nil
 }
 
-// verify builds and checks one candidate system, reporting whether any
-// property is violated. relevant restricts the event space: all sensed
-// attributes plus the attributes the analyzed apps subscribe to (so
-// actuator-triggered apps are reachable via physical user interaction,
-// without flooding the baseline with arbitrary manual actuations).
-func verify(sys *config.System, instances []config.AppInstance, apps map[string]*ir.App, relevant map[string]bool, opts Options) (bool, []string, error) {
-	cfg := &config.System{
-		Name: sys.Name, Modes: sys.Modes, Mode: sys.Mode,
-		Devices: sys.Devices, Apps: instances, Phones: sys.Phones,
-	}
-	invs, err := props.CompileInvariants(cfg, nil, opts.Thresholds)
-	if err != nil {
-		return false, nil, err
-	}
-	m, err := model.New(cfg, apps, model.Options{
-		MaxEvents: opts.MaxEvents, Failures: opts.Failures,
-		CheckConflicts: true, CheckLeakage: true, CheckRobustness: opts.Failures,
-		Invariants:       invs,
-		RelevantAttrs:    relevant,
-		UserModeEvents:   true, // §9: reach mode-triggered behaviour standalone
-		UserDeviceEvents: true, // physical interaction on subscribed attributes
-	})
-	if err != nil {
-		return false, nil, err
-	}
+// check searches one candidate model and returns the violated property
+// ids. The event space (model.Options.RelevantAttrs) is all sensed
+// attributes plus the attributes the analyzed apps subscribe to, so
+// actuator-triggered apps are reachable via physical user interaction
+// without flooding the baseline with arbitrary manual actuations.
+func check(m *model.Model, opts Options) []string {
 	res := checker.Run(m.System(), checker.Options{
 		MaxDepth: opts.MaxEvents + 4, MaxStates: 25000,
 		Strategy: opts.Strategy, Workers: opts.Workers,
 	})
-	ids := res.PropertyIDs()
 	// Execution errors are tooling diagnostics, not safety violations.
 	var real []string
-	for _, id := range ids {
+	for _, id := range res.PropertyIDs() {
 		if id != model.PropExecError {
 			real = append(real, id)
 		}
 	}
-	return len(real) > 0, real, nil
+	return real
 }
 
 // relevantAttrs builds the event space for attribution runs: every

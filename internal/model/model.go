@@ -87,6 +87,7 @@ type Options struct {
 	// interpreter instead of the closure-compiled programs. The two are
 	// observationally identical (the differential corpus test enforces
 	// it); the interpreter is retained as the oracle and for debugging.
+	// New hands it to PrepareApp, which is where programs are compiled.
 	Interpreter bool
 	// Symmetry computes device orbits at New (symmetry.go): maximal sets
 	// of interchangeable devices, proved by the compile-time footprint,
@@ -127,16 +128,24 @@ type Invariant struct {
 	ID          string
 	Description string
 	Holds       func(v *View) bool
+	// DeviceKey is the Plan.DeviceKey of the device list Holds was
+	// resolved against, when its atoms hold device and attribute indexes
+	// (props). Build refuses a model over any other device list — the
+	// indexes would read the wrong device and could report a wrong
+	// "safe". Empty for an invariant that reads the View by name and so
+	// fits any model.
+	DeviceKey string
 }
 
 // DevInst is one device instance in the model.
 type DevInst struct {
-	Idx     int
-	ID      string
-	Label   string
-	Model   *device.Model
-	Assoc   string
-	Attrs   []device.Attribute // flattened, deduplicated schema
+	Idx   int
+	ID    string
+	Label string
+	Model *device.Model
+	Assoc string
+	Attrs []device.Attribute // flattened, deduplicated schema
+	// attrIdx indexes Attrs by name; nil for layouts AttrIndex scans.
 	attrIdx map[string]int
 	// numStrs caches the string form of each numeric attribute's
 	// generated values (enum attributes render from Attrs[i].Values).
@@ -161,11 +170,14 @@ func (d *DevInst) attrString(ai int, raw int16) string {
 	return strconv.FormatInt(int64(raw), 10)
 }
 
+// attrScanMax is the widest layout AttrIndex scans instead of hashing.
+const attrScanMax = 8
+
 // AttrIndex returns the index of attr in the instance's layout, or -1.
 // Device layouts are small (a few attributes), so a linear scan beats
 // hashing the key; the map covers unusually wide layouts.
 func (d *DevInst) AttrIndex(attr string) int {
-	if len(d.Attrs) <= 8 {
+	if len(d.Attrs) <= attrScanMax {
 		for i := range d.Attrs {
 			if d.Attrs[i].Name == attr {
 				return i
@@ -220,11 +232,15 @@ type resolvedSub struct {
 	Value   string // event value filter, "" = any
 }
 
-// Model is the generated system model. It is immutable once New
+// Model is the generated system model. It is immutable once Build
 // returns: verification reads it from many goroutines (the steal
-// checker strategy), so any new field must be fully resolved during New
-// rather than filled in lazily.
+// checker strategy), so any new field must be fully resolved during
+// Build rather than filled in lazily. Cfg, Devices, the byCap/byAssoc
+// indexes and watch are the Plan's, and everything an AppInst points to
+// is PrepareApp's: shared with every other model of the plan, read-only.
 type Model struct {
+	// Cfg is the plan's configuration: the whole system. Apps, not
+	// Cfg.Apps, says which instances this model installs.
 	Cfg     *config.System
 	Devices []*DevInst
 	Apps    []*AppInst
@@ -261,13 +277,12 @@ type Model struct {
 	slotTotal int
 
 	// byCap/byAssoc index the (immutable) device inventory by capability
-	// and association role; invariant atoms query them on every reached
-	// state, so the per-state scan-and-allocate is hoisted to New.
+	// and association role (the Plan's indexes).
 	byCap   map[string][]*DevInst
 	byAssoc map[string][]*DevInst
 
 	// watch holds the View's built-in predicates resolved to state
-	// indexes (see view.go).
+	// indexes (see view.go), once per Plan.
 	watch viewWatch
 
 	// execs pools executors (with their compiled-execution Envs) for
@@ -338,139 +353,19 @@ type ExtEvent struct {
 }
 
 // New generates a model from a validated configuration and the
-// translated apps (keyed by app name).
+// translated apps (keyed by app name). It is the one-shot form of the
+// plan API (plan.go): prepare this system, prepare every installed
+// instance, build all of them.
 func New(cfg *config.System, apps map[string]*ir.App, opts Options) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
+	p, err := Prepare(cfg)
+	if err != nil {
 		return nil, err
 	}
-	if opts.MaxEvents <= 0 {
-		opts.MaxEvents = 3
+	insts, err := p.PrepareApps(cfg.Apps, apps, opts.Interpreter)
+	if err != nil {
+		return nil, err
 	}
-	m := &Model{Cfg: cfg, Opts: opts}
-	m.encBufs.New = func() any {
-		b := make([]byte, 0, 256)
-		return &b
-	}
-
-	for i, d := range cfg.Devices {
-		dm := device.ModelByName(d.Model)
-		inst := &DevInst{
-			Idx: i, ID: d.ID, Label: labelOf(d), Model: dm, Assoc: d.Association,
-			Attrs: dm.Attributes(), attrIdx: map[string]int{},
-		}
-		inst.numStrs = make([]map[int16]string, len(inst.Attrs))
-		for j, a := range inst.Attrs {
-			inst.attrIdx[a.Name] = j
-			if a.Numeric {
-				ns := make(map[int16]string, len(a.GenValues)+1)
-				ns[int16(a.Default)] = strconv.FormatInt(int64(a.Default), 10)
-				for _, gv := range a.GenValues {
-					ns[int16(gv)] = strconv.FormatInt(int64(gv), 10)
-				}
-				inst.numStrs[j] = ns
-			}
-		}
-		m.Devices = append(m.Devices, inst)
-	}
-
-	devIdx := map[string]int{}
-	for i, d := range m.Devices {
-		devIdx[d.ID] = i
-	}
-
-	for ai, inst := range cfg.Apps {
-		app := apps[inst.App]
-		if app == nil {
-			return nil, fmt.Errorf("model: app %q not translated", inst.App)
-		}
-		bound := map[string]ir.Value{}
-		for _, in := range app.Inputs {
-			b, ok := inst.Bindings[in.Name]
-			if !ok {
-				if in.Default.Kind != ir.VNull {
-					bound[in.Name] = in.Default
-				} else {
-					bound[in.Name] = ir.NullV()
-				}
-				continue
-			}
-			if in.Kind == ir.InputDevice {
-				var devs []ir.Value
-				for _, id := range b.DeviceIDs {
-					di, ok := devIdx[id]
-					if !ok {
-						return nil, fmt.Errorf("model: app %q input %q: unknown device %q", inst.App, in.Name, id)
-					}
-					devs = append(devs, ir.DeviceV(di))
-				}
-				if in.Multiple {
-					bound[in.Name] = ir.DevicesV(devs)
-				} else if len(devs) > 0 {
-					bound[in.Name] = devs[0]
-				} else {
-					bound[in.Name] = ir.NullV()
-				}
-			} else {
-				bound[in.Name] = config.BindingValue(b.Value)
-			}
-		}
-		m.Apps = append(m.Apps, &AppInst{Idx: ai, App: app, Bindings: bound})
-	}
-
-	// Static state layout + closure compilation, once per app instance.
-	for _, app := range m.Apps {
-		names := make([]string, 0, len(app.App.Methods))
-		for name := range app.App.Methods {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		app.methodNames = names
-		app.methodIdx = make(map[string]int, len(names))
-		for i, n := range names {
-			app.methodIdx[n] = i
-		}
-
-		if keys, ok := eval.StateLayout(app.App); ok {
-			app.StateKeys = keys
-			app.StateIdx = make(map[string]int, len(keys))
-			for i, k := range keys {
-				app.StateIdx[k] = i
-			}
-			m.slotTotal += len(keys)
-		}
-		if !opts.Interpreter {
-			ca := eval.Compile(app.App, app.Bindings, app.StateIdx)
-			if ca.Err == nil {
-				app.Prog = ca
-			}
-			// On compile failure the app runs under the interpreter
-			// with the same state layout — no mixed-mode execution.
-		}
-	}
-
-	m.resolveSubscriptions()
-	m.buildExternalEvents()
-	m.buildDispatchIndex()
-	m.buildLabels()
-	m.byCap = map[string][]*DevInst{}
-	m.byAssoc = map[string][]*DevInst{}
-	for _, d := range m.Devices {
-		for _, cn := range d.Model.Capabilities {
-			m.byCap[cn] = append(m.byCap[cn], d)
-		}
-		if d.Assoc != "" {
-			m.byAssoc[d.Assoc] = append(m.byAssoc[d.Assoc], d)
-		}
-	}
-	m.watch = m.resolveViewWatch()
-	m.execs.New = func() any { return m.newExecutor() }
-	if opts.Design == Concurrent {
-		m.buildPOR()
-	}
-	if opts.Symmetry {
-		m.buildSymmetry()
-	}
-	return m, nil
+	return p.Build(insts, opts)
 }
 
 // buildDispatchIndex precomputes the (source, attr) → subscriptions

@@ -47,19 +47,10 @@ func (v *View) Attr(dev int, attr string) (ir.Value, bool) {
 	return v.M.AttrValue(v.S, dev, attr)
 }
 
-// ByAssociation returns the devices carrying the given association role
-// (§7 device association info). The returned slice is the model's
-// precomputed index — callers must not mutate it.
-func (m *Model) ByAssociation(assoc string) []*DevInst { return m.byAssoc[assoc] }
-
-// ByCapability returns the devices exposing a capability. The returned
-// slice is the model's precomputed index — callers must not mutate it.
-func (m *Model) ByCapability(capName string) []*DevInst { return m.byCap[capName] }
-
-// ByAssociation is Model.ByAssociation for the view's model.
+// ByAssociation is Plan.ByAssociation for the view's model.
 func (v *View) ByAssociation(assoc string) []*DevInst { return v.M.byAssoc[assoc] }
 
-// ByCapability is Model.ByCapability for the view's model.
+// ByCapability is Plan.ByCapability for the view's model.
 func (v *View) ByCapability(capName string) []*DevInst { return v.M.byCap[capName] }
 
 // AttrEquals reports whether the device's attribute currently holds the
@@ -92,7 +83,7 @@ func (v *View) AttrNumber(d *DevInst, attr string) (int64, bool) {
 // AttrRef is one device attribute resolved to state indexes, with — for
 // an enum test — the index of the value tested for. Invariant atoms run
 // on every stored state; resolving their device lists and attribute and
-// value names once per model leaves an int16 compare per device.
+// value names once per Plan leaves an int16 compare per device.
 type AttrRef struct {
 	Dev, Attr int32
 	Val       int16
@@ -155,15 +146,15 @@ func (v *View) AllEq(refs []AttrRef) bool {
 }
 
 // viewWatch is the View's built-in predicates resolved against the
-// model's device inventory at New.
+// plan's device inventory at Prepare.
 type viewWatch struct {
 	presence, motion, smoke, co, leak []AttrRef
 	noPresenceSensors                 bool
 }
 
-func (m *Model) resolveViewWatch() viewWatch {
+func (p *Plan) resolveViewWatch() viewWatch {
 	anyOf := func(capName, attr, value string) []AttrRef {
-		refs, _ := EnumRefs(m.byCap[capName], attr, value)
+		refs, _ := EnumRefs(p.byCap[capName], attr, value)
 		return refs
 	}
 	return viewWatch{
@@ -172,7 +163,7 @@ func (m *Model) resolveViewWatch() viewWatch {
 		smoke:             anyOf("smokeDetector", "smoke", "detected"),
 		co:                anyOf("carbonMonoxideDetector", "carbonMonoxide", "detected"),
 		leak:              anyOf("waterSensor", "water", "wet"),
-		noPresenceSensors: len(m.byCap["presenceSensor"]) == 0,
+		noPresenceSensors: len(p.byCap["presenceSensor"]) == 0,
 	}
 }
 

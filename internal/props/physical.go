@@ -1,9 +1,6 @@
 package props
 
 import (
-	"sync/atomic"
-
-	"iotsan/internal/config"
 	"iotsan/internal/device"
 	"iotsan/internal/model"
 )
@@ -14,109 +11,40 @@ func modelOf(name string) *device.Model { return device.ModelByName(name) }
 
 type atomMap = map[string]func(v *model.View) bool
 
-// Atoms are built before the model exists (CompileInvariants feeds
-// model.New) and then run on every stored state, so each one resolves
-// its device list, attribute and value names to state indexes the first
-// time it meets a model and afterwards compares raw int16s.
+// Atoms are built before any model exists (CompileCatalog feeds
+// model.Plan.Build) and then run on every stored state, so each one
+// resolves its device list, attribute and value names to state indexes
+// when it is built, against the plan's device table, and afterwards
+// compares raw int16s. An atom is an immutable closure over those
+// indexes: it is valid on every model built from the plan — every such
+// model keeps every device at the same index — and only on those, which
+// model.Invariant.DeviceKey enforces.
 
-// perModel caches resolve(m) for the model the atom was last evaluated
-// on. Concurrent evaluations (the steal strategy inspects from
-// several goroutines) may each resolve once; they store equal values.
-type perModel[T any] struct {
-	resolve func(*model.Model) T
-	bound   atomic.Pointer[modelBound[T]]
-}
-
-type modelBound[T any] struct {
-	m *model.Model
-	v T
-}
-
-func (c *perModel[T]) get(m *model.Model) *T {
-	b := c.bound.Load()
-	if b == nil || b.m != m {
-		b = &modelBound[T]{m: m, v: c.resolve(m)}
-		c.bound.Store(b)
+// enumAtom tests attr == value on any (or, with all, on every) device
+// of devs.
+func enumAtom(devs []*model.DevInst, attr, value string, all bool) func(v *model.View) bool {
+	refs, ok := model.EnumRefs(devs, attr, value)
+	switch {
+	case !all:
+		return func(v *model.View) bool { return v.AnyEq(refs) }
+	case !ok: // some device of the set can never hold the value
+		return func(*model.View) bool { return false }
 	}
-	return &b.v
+	return func(v *model.View) bool { return v.AllEq(refs) }
 }
 
-// devSet names a device list of the model an atom runs against.
-type devSet func(*model.Model) []*model.DevInst
-
-func byRole(role string) devSet {
-	return func(m *model.Model) []*model.DevInst { return m.ByAssociation(role) }
-}
-
-func byCap(capName string) devSet {
-	return func(m *model.Model) []*model.DevInst { return m.ByCapability(capName) }
-}
-
-type enumTest struct {
-	refs []model.AttrRef
-	all  bool // every device of the set can hold the value
-}
-
-func enumAtom(devs devSet, attr, value string, all bool) func(v *model.View) bool {
-	c := &perModel[enumTest]{resolve: func(m *model.Model) enumTest {
-		refs, ok := model.EnumRefs(devs(m), attr, value)
-		return enumTest{refs: refs, all: ok}
-	}}
-	if all {
-		return func(v *model.View) bool {
-			t := c.get(v.M)
-			return t.all && v.AllEq(t.refs)
-		}
-	}
-	return func(v *model.View) bool { return v.AnyEq(c.get(v.M).refs) }
-}
-
-// anyAssoc is true when any device with the role has attr == value.
-func anyAssoc(role, attr, value string) func(v *model.View) bool {
-	return enumAtom(byRole(role), attr, value, false)
-}
-
-// allAssoc is true when every device with the role has attr == value.
-func allAssoc(role, attr, value string) func(v *model.View) bool {
-	return enumAtom(byRole(role), attr, value, true)
-}
-
-// anyCap is true when any device with the capability has attr == value.
-func anyCap(capName, attr, value string) func(v *model.View) bool {
-	return enumAtom(byCap(capName), attr, value, false)
-}
-
-// numBelow / numAbove are true when any device with the capability
-// reads attr below / above the threshold.
-func numBelow(capName, attr string, th int64) func(v *model.View) bool {
-	return numAtom(capName, attr, func(n int64) bool { return n < th })
-}
-
-func numAbove(capName, attr string, th int64) func(v *model.View) bool {
-	return numAtom(capName, attr, func(n int64) bool { return n > th })
-}
-
-func numAtom(capName, attr string, test func(int64) bool) func(v *model.View) bool {
-	c := &perModel[[]model.AttrRef]{resolve: func(m *model.Model) []model.AttrRef {
-		return model.NumRefs(m.ByCapability(capName), attr)
-	}}
+// numAtom is true when any of devs reads the numeric attr at a value
+// passing test.
+func numAtom(devs []*model.DevInst, attr string, test func(int64) bool) func(v *model.View) bool {
+	refs := model.NumRefs(devs, attr)
 	return func(v *model.View) bool {
-		for _, r := range *c.get(v.M) {
+		for _, r := range refs {
 			if test(int64(v.Raw(r))) {
 				return true
 			}
 		}
 		return false
 	}
-}
-
-// tempBelow / tempAbove read any temperature sensor.
-func tempBelow(th int64) func(v *model.View) bool {
-	return numBelow("temperatureMeasurement", "temperature", th)
-}
-
-func tempAbove(th int64) func(v *model.View) bool {
-	return numAbove("temperatureMeasurement", "temperature", th)
 }
 
 func modeIs(mode string) func(v *model.View) bool {
@@ -127,8 +55,9 @@ func modeIs(mode string) func(v *model.View) bool {
 // the dozens of catalog properties referencing the same predicate scan
 // the device lists once per inspected state instead of once per
 // property. Slot identity assumes one Thresholds per compiled invariant
-// set (CompileInvariants compiles a whole catalog with a single th, so
-// same-named atoms are identical predicates).
+// set (CompileCatalog compiles a whole catalog with a single th, so
+// same-named atoms are identical predicates). numSlots must fit
+// model.ViewMemoSlots (TestAtomSlotsFitViewMemo).
 const (
 	slotAnyoneHome = iota
 	slotModeAway
@@ -178,12 +107,28 @@ func shared(slot int, f func(*model.View) bool) func(*model.View) bool {
 	return func(v *model.View) bool { return v.Memo(slot, f) }
 }
 
-// commonAtoms are shared across the catalog.
-func commonAtoms(sys *config.System, th Thresholds) atomMap {
-	if numSlots > model.ViewMemoSlots {
-		panic("props: atom catalog outgrew model.ViewMemoSlots")
+// commonAtoms builds the atom table the whole catalog shares, resolved
+// against plan's devices.
+func commonAtoms(plan *model.Plan, th Thresholds) atomMap {
+	plan.Counts.AtomTables++
+	// any/all device with the role or capability has attr == value
+	anyAssoc := func(role, attr, value string) func(*model.View) bool {
+		return enumAtom(plan.ByAssociation(role), attr, value, false)
 	}
-	allAlarmsOff := enumAtom(byCap("alarm"), "alarm", "off", true)
+	allAssoc := func(role, attr, value string) func(*model.View) bool {
+		return enumAtom(plan.ByAssociation(role), attr, value, true)
+	}
+	anyCap := func(capName, attr, value string) func(*model.View) bool {
+		return enumAtom(plan.ByCapability(capName), attr, value, false)
+	}
+	// any device with the capability reads attr below / above th
+	numBelow := func(capName, attr string, th int64) func(*model.View) bool {
+		return numAtom(plan.ByCapability(capName), attr, func(n int64) bool { return n < th })
+	}
+	numAbove := func(capName, attr string, th int64) func(*model.View) bool {
+		return numAtom(plan.ByCapability(capName), attr, func(n int64) bool { return n > th })
+	}
+	allAlarmsOff := enumAtom(plan.ByCapability("alarm"), "alarm", "off", true)
 	return atomMap{
 		"anyone_home":    shared(slotAnyoneHome, func(v *model.View) bool { return v.AnyoneHome() }),
 		"mode_away":      shared(slotModeAway, modeIs("Away")),
@@ -193,8 +138,8 @@ func commonAtoms(sys *config.System, th Thresholds) atomMap {
 		"co_detected":    shared(slotCO, func(v *model.View) bool { return v.CODetected() }),
 		"leak_detected":  shared(slotLeak, func(v *model.View) bool { return v.LeakDetected() }),
 		"motion_active":  shared(slotMotion, func(v *model.View) bool { return v.AnyMotion() }),
-		"temp_low":       shared(slotTempLow, tempBelow(th.TempLow)),
-		"temp_high":      shared(slotTempHigh, tempAbove(th.TempHigh)),
+		"temp_low":       shared(slotTempLow, numBelow("temperatureMeasurement", "temperature", th.TempLow)),
+		"temp_high":      shared(slotTempHigh, numAbove("temperatureMeasurement", "temperature", th.TempHigh)),
 
 		"heater_on":  shared(slotHeaterOn, anyAssoc(RoleHeater, "switch", "on")),
 		"heater_off": shared(slotHeaterOff, anyAssoc(RoleHeater, "switch", "off")),
@@ -232,27 +177,24 @@ func commonAtoms(sys *config.System, th Thresholds) atomMap {
 		"entertainment_on":    shared(slotEntertainmentOn, anyAssoc(RoleEntertainment, "status", "playing")),
 		"shade_open":          shared(slotShadeOpen, anyAssoc(RoleShade, "windowShade", "open")),
 		"night_light_on":      shared(slotNightLightOn, anyAssoc(RoleNightLight, "switch", "on")),
-		"thermostat_span_bad": shared(slotThermSpanBad, thermostatSpanBad()),
+		"thermostat_span_bad": shared(slotThermSpanBad, thermostatSpanBad(plan.ByCapability("thermostat"))),
 	}
 }
 
 // thermostatSpanBad is true when any thermostat's heating setpoint
 // exceeds its cooling setpoint.
-func thermostatSpanBad() func(v *model.View) bool {
+func thermostatSpanBad(thermostats []*model.DevInst) func(v *model.View) bool {
 	type span struct{ heat, cool model.AttrRef }
-	c := &perModel[[]span]{resolve: func(m *model.Model) []span {
-		var spans []span
-		for _, d := range m.ByCapability("thermostat") {
-			one := []*model.DevInst{d}
-			h, c := model.NumRefs(one, "heatingSetpoint"), model.NumRefs(one, "coolingSetpoint")
-			if len(h) == 1 && len(c) == 1 {
-				spans = append(spans, span{heat: h[0], cool: c[0]})
-			}
+	var spans []span
+	for _, d := range thermostats {
+		one := []*model.DevInst{d}
+		h, c := model.NumRefs(one, "heatingSetpoint"), model.NumRefs(one, "coolingSetpoint")
+		if len(h) == 1 && len(c) == 1 {
+			spans = append(spans, span{heat: h[0], cool: c[0]})
 		}
-		return spans
-	}}
+	}
 	return func(v *model.View) bool {
-		for _, s := range *c.get(v.M) {
+		for _, s := range spans {
 			if v.Raw(s.heat) > v.Raw(s.cool) {
 				return true
 			}
@@ -265,7 +207,6 @@ func phys(id, category, desc, formula string, roles, caps []string) Property {
 	return Property{
 		ID: id, Category: category, Description: desc, Kind: Physical,
 		LTL: formula, Roles: roles, Capabilities: caps,
-		atoms: commonAtoms,
 	}
 }
 

@@ -62,8 +62,6 @@ type Property struct {
 	// only when every requirement is satisfiable in the system.
 	Roles        []string
 	Capabilities []string
-	// atoms binds the LTL atom names to state predicates.
-	atoms func(sys *config.System, th Thresholds) map[string]func(v *model.View) bool
 }
 
 // Association roles the catalog binds to (users assign these in the
@@ -157,8 +155,19 @@ func systemHasCapability(sys *config.System, capName string) bool {
 	return false
 }
 
-// Compile builds the model invariant for a physical property.
+// Compile builds the model invariant for a physical property: the
+// one-property form of CompileInvariants.
 func (p *Property) Compile(sys *config.System, th Thresholds) (model.Invariant, error) {
+	plan, err := model.Prepare(sys)
+	if err != nil {
+		return model.Invariant{}, err
+	}
+	return p.compile(plan, commonAtoms(plan, th))
+}
+
+// compile binds the property's LTL to an atom table resolved against
+// plan's devices.
+func (p *Property) compile(plan *model.Plan, atoms atomMap) (model.Invariant, error) {
 	if p.Kind != Physical {
 		return model.Invariant{}, fmt.Errorf("props: %s is not a physical property", p.ID)
 	}
@@ -173,7 +182,6 @@ func (p *Property) Compile(sys *config.System, th Thresholds) (model.Invariant, 
 	if mon.Kind != ltl.Invariant {
 		return model.Invariant{}, fmt.Errorf("props: %s: only invariant monitors can run under DFS", p.ID)
 	}
-	atoms := p.atoms(sys, th)
 	// Bind the invariant's propositional body straight to the atom
 	// evaluators: stepping it per state is then closed closure calls
 	// with no per-evaluation environment closure or atom map lookups.
@@ -185,16 +193,35 @@ func (p *Property) Compile(sys *config.System, th Thresholds) (model.Invariant, 
 		ID:          p.ID,
 		Description: p.Description,
 		Holds:       bound,
+		DeviceKey:   plan.DeviceKey(),
 	}, nil
 }
 
 // CompileInvariants compiles every applicable physical property (or the
-// selected subset when ids is non-nil) against a system.
+// selected subset when ids is non-nil) against a system: the one-shot
+// form of CompileCatalog, over a device table of its own. The result
+// fits any model over an equal device list (model.Plan.DeviceKey).
 func CompileInvariants(sys *config.System, ids []string, th Thresholds) ([]model.Invariant, error) {
+	plan, err := model.Prepare(sys)
+	if err != nil {
+		return nil, err
+	}
+	return CompileCatalog(plan, ids, th)
+}
+
+// CompileCatalog compiles every applicable physical property (or the
+// selected subset when ids is non-nil) against plan's device table: one
+// atom table, resolved to device and attribute indexes here, shared by
+// every property. The invariants are immutable closures over those
+// indexes, so one catalog serves every model built from the plan, from
+// any number of goroutines; model.Plan.Build rejects any other device
+// list.
+func CompileCatalog(plan *model.Plan, ids []string, th Thresholds) ([]model.Invariant, error) {
 	want := map[string]bool{}
 	for _, id := range ids {
 		want[id] = true
 	}
+	atoms := commonAtoms(plan, th)
 	var out []model.Invariant
 	for _, p := range Catalog() {
 		if p.Kind != Physical {
@@ -203,10 +230,10 @@ func CompileInvariants(sys *config.System, ids []string, th Thresholds) ([]model
 		if ids != nil && !want[p.ID] {
 			continue
 		}
-		if !p.Applicable(sys) {
+		if !p.Applicable(plan.Cfg) {
 			continue
 		}
-		inv, err := p.Compile(sys, th)
+		inv, err := p.compile(plan, atoms)
 		if err != nil {
 			return nil, err
 		}

@@ -19,9 +19,11 @@ package iotsan
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -271,6 +273,10 @@ type Report struct {
 	Apps map[string]*ir.App
 	// Elapsed is total verification time.
 	Elapsed time.Duration
+
+	// compiled is the call's plan counters (programs compiled, atom
+	// tables resolved), kept for the compile-once gate.
+	compiled model.PlanCounts
 }
 
 // ViolatedProperties returns the distinct violated property ids.
@@ -333,8 +339,10 @@ func analyzeTranslated(sys *System, apps map[string]*ir.App, opts Options) (*Rep
 	// sets via their handlers' input/output events.
 	var handlers []smartapp.HandlerInfo
 	var handlerApp []string // handler index → installed app name
-	for _, inst := range sys.Apps {
-		for _, hi := range smartapp.AnalyzeHandlers(apps[inst.App]) {
+	instHandlers := make([][]smartapp.HandlerInfo, len(sys.Apps))
+	for i, inst := range sys.Apps {
+		instHandlers[i] = smartapp.AnalyzeHandlers(apps[inst.App])
+		for _, hi := range instHandlers[i] {
 			handlerApp = append(handlerApp, inst.App)
 			handlers = append(handlers, hi)
 		}
@@ -342,11 +350,115 @@ func analyzeTranslated(sys *System, apps map[string]*ir.App, opts Options) (*Rep
 	rep.Scale = depgraph.Scale(handlers)
 
 	groups := relatedAppGroups(sys, handlers, handlerApp, opts.NoDepGraph)
-	if err := runGroups(rep, sys, apps, groups, opts); err != nil {
+	pl, err := newPlan(sys, apps, instHandlers, opts)
+	if err != nil {
 		return nil, err
 	}
+	if err := runGroups(rep, pl, groups, opts); err != nil {
+		return nil, err
+	}
+	rep.compiled = pl.model.Counts
 	rep.Elapsed = time.Since(start)
 	return rep, nil
+}
+
+// plan is what one Analyze call derives from the system alone, built
+// once before the group scheduler starts and only read afterwards, by
+// every verifyGroup of the call — one after another or, under
+// GroupParallel, concurrently. It rests on related sets differing in
+// their apps only: every group keeps every device of the system (see
+// model.Plan), so the device table, the invariant catalog resolved
+// against it, and each installed instance's bindings and compiled
+// program are the same for every group that contains the instance.
+// Nothing here outlives the call.
+type plan struct {
+	sys   *System
+	model *model.Plan
+	// insts[i] is sys.Apps[i] prepared (bindings, state layout, compiled
+	// program); handlers[i] is its handler analysis.
+	insts    []*model.AppInst
+	handlers [][]smartapp.HandlerInfo
+	// invs is the selected invariant catalog, compiled once.
+	invs []model.Invariant
+	// checkConflicts/Leakage/Robustness are the selected event
+	// properties.
+	checkConflicts, checkLeakage, checkRobustness bool
+	// propAttrs are the sensed attributes the applicable properties
+	// observe: the half of a group's relevant attributes that does not
+	// depend on the group.
+	propAttrs map[string]bool
+}
+
+func newPlan(sys *System, apps map[string]*ir.App, handlers [][]smartapp.HandlerInfo, opts Options) (*plan, error) {
+	mp, err := model.Prepare(sys)
+	if err != nil {
+		return nil, err
+	}
+	pl := &plan{sys: sys, model: mp, handlers: handlers}
+	if pl.insts, err = mp.PrepareApps(sys.Apps, apps, opts.Interpreter); err != nil {
+		return nil, err
+	}
+	if pl.invs, err = props.CompileCatalog(mp, filterPhysical(opts.Properties), opts.Thresholds); err != nil {
+		return nil, err
+	}
+	sel := propertySelection(opts.Properties)
+	pl.checkConflicts = sel[model.PropConflicting] || sel[model.PropRepeated]
+	pl.checkLeakage = sel[model.PropLeakNetwork]
+	pl.checkRobustness = (opts.Failures || opts.Faults) && sel[model.PropRobustness]
+
+	// Properties observe presence/smoke/co/water/motion/etc.; include
+	// the sensed attributes of the devices that applicable properties
+	// reference, so missing-response violations remain reachable.
+	// anyone_home guards most properties: presence must vary if present.
+	pl.propAttrs = map[string]bool{"presence": true}
+	for _, p := range props.Catalog() {
+		if p.Kind != props.Physical || !p.Applicable(sys) {
+			continue
+		}
+		for _, capName := range p.Capabilities {
+			if c := deviceCap(capName); c != nil && c.Sensor {
+				for _, a := range c.Attributes {
+					pl.propAttrs[a.Name] = true
+				}
+			}
+		}
+	}
+	return pl, nil
+}
+
+// groupInstances returns the positions in sys.Apps of the instances a
+// related set installs, in installation order. A group is a choice of
+// apps and nothing else: it keeps every device of the system
+// (associations drive property compilation, and the plan's device
+// indexes are shared by every group), so narrowing a group's device
+// list would invalidate the plan.
+func (pl *plan) groupInstances(appNames []string) []int {
+	want := map[string]bool{}
+	for _, n := range appNames {
+		want[n] = true
+	}
+	var out []int
+	for i, inst := range pl.sys.Apps {
+		if want[inst.App] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// relevantAttrs computes the sensor attributes worth generating events
+// for in one related set: those its apps subscribe to or read, plus
+// those the applicable properties observe.
+func (pl *plan) relevantAttrs(group []int) map[string]bool {
+	attrs := maps.Clone(pl.propAttrs)
+	for _, i := range group {
+		for _, hi := range pl.handlers[i] {
+			for _, in := range hi.Inputs {
+				attrs[in.Attr] = true
+			}
+		}
+	}
+	return attrs
 }
 
 // runGroups is the group scheduler: it verifies every related set and
@@ -358,7 +470,7 @@ func analyzeTranslated(sys *System, apps map[string]*ir.App, opts Options) (*Rep
 // can spare, so workers freed by finished groups are absorbed by
 // groups still running. A shared stop flag cancels sibling searches as
 // soon as the global MaxViolations cap is reached (or a group fails).
-func runGroups(rep *Report, sys *System, apps map[string]*ir.App, groups [][]string, opts Options) error {
+func runGroups(rep *Report, pl *plan, groups [][]string, opts Options) error {
 	stop := new(atomic.Bool)
 	seen := map[string]bool{}
 
@@ -368,7 +480,7 @@ func runGroups(rep *Report, sys *System, apps map[string]*ir.App, groups [][]str
 			// verifications return immediately (truncated at the initial
 			// state) but still produce a GroupResult, so Report.Groups
 			// always covers every related set in order.
-			gr, err := verifyGroup(subSystem(sys, groupApps), apps, opts, i, stop, nil)
+			gr, err := verifyGroup(pl, pl.groupInstances(groupApps), opts, i, stop, nil)
 			if err != nil {
 				return err
 			}
@@ -392,7 +504,7 @@ func runGroups(rep *Report, sys *System, apps map[string]*ir.App, groups [][]str
 			// A group admitted after the stop flag is set still runs —
 			// its search stops at the initial state — so Report.Groups
 			// carries one entry per related set in both scheduler modes.
-			results[i], errs[i] = verifyGroup(subSystem(sys, groupApps), apps, opts, i, stop, budget)
+			results[i], errs[i] = verifyGroup(pl, pl.groupInstances(groupApps), opts, i, stop, budget)
 		}(i, groupApps)
 	}
 
@@ -459,7 +571,9 @@ func relatedAppGroups(sys *System, handlers []smartapp.HandlerInfo, handlerApp [
 			names = append(names, handlerApp[i])
 		}
 		names = dedupe(names)
-		k := fmt.Sprint(names)
+		// NUL-joined: app names contain spaces, so a printed list would
+		// merge ["Good Night", "Lights"] with ["Good", "Night Lights"].
+		k := strings.Join(names, "\x00")
 		if !seenGroups[k] && len(names) > 0 {
 			seenGroups[k] = true
 			groups = append(groups, names)
@@ -481,47 +595,33 @@ func dedupe(in []string) []string {
 	return out
 }
 
-// subSystem restricts a configuration to the given apps, keeping every
-// device (associations drive property compilation).
-func subSystem(sys *System, appNames []string) *System {
-	want := map[string]bool{}
-	for _, n := range appNames {
-		want[n] = true
-	}
-	sub := &System{
-		Name: sys.Name, Modes: sys.Modes, Mode: sys.Mode,
-		Devices: sys.Devices, Phones: sys.Phones,
-	}
-	for _, inst := range sys.Apps {
-		if want[inst.App] {
-			sub.Apps = append(sub.Apps, inst)
-		}
-	}
-	return sub
-}
-
-// verifyGroup checks one related set. gidx is the set's position in
+// verifyGroup checks one related set: group lists the positions in
+// sys.Apps of the instances it installs. Everything that does not depend
+// on the group comes from the plan; the group's own work is the model's
+// per-group build and the search. gidx is the set's position in
 // deterministic group order; it keys the group's private tiered-store
 // subdirectory, which is what makes a -resume run find the WAL the
 // killed run wrote for the same group.
-func verifyGroup(sub *System, apps map[string]*ir.App, opts Options, gidx int, stop *atomic.Bool, budget *checker.WorkerBudget) (*GroupResult, error) {
-	invs, err := props.CompileInvariants(sub, filterPhysical(opts.Properties), opts.Thresholds)
-	if err != nil {
-		return nil, err
+func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Bool, budget *checker.WorkerBudget) (*GroupResult, error) {
+	insts := make([]*model.AppInst, len(group))
+	names := make([]string, len(group))
+	handlers := 0
+	for k, i := range group {
+		insts[k] = pl.insts[i]
+		names[k] = pl.sys.Apps[i].App
+		handlers += len(insts[k].App.HandlerNames())
 	}
-	sel := propertySelection(opts.Properties)
-
-	m, err := model.New(sub, apps, model.Options{
+	m, err := pl.model.Build(insts, model.Options{
 		Design:          opts.Design,
 		MaxEvents:       opts.MaxEvents,
 		Failures:        opts.Failures,
 		Faults:          opts.Faults,
 		MaxFaults:       opts.MaxFaults,
-		CheckConflicts:  sel[model.PropConflicting] || sel[model.PropRepeated],
-		CheckLeakage:    sel[model.PropLeakNetwork],
-		CheckRobustness: (opts.Failures || opts.Faults) && sel[model.PropRobustness],
-		Invariants:      invs,
-		RelevantAttrs:   relevantAttrs(sub, apps),
+		CheckConflicts:  pl.checkConflicts,
+		CheckLeakage:    pl.checkLeakage,
+		CheckRobustness: pl.checkRobustness,
+		Invariants:      pl.invs,
+		RelevantAttrs:   pl.relevantAttrs(group),
 		Interpreter:     opts.Interpreter,
 		Symmetry:        opts.Symmetry,
 		Incremental:     !opts.NoIncremental,
@@ -573,14 +673,7 @@ func verifyGroup(sub *System, apps map[string]*ir.App, opts Options, gidx int, s
 		copts.Resume = opts.Resume
 	}
 	res := checker.Run(m.System(), copts)
-
-	var names []string
-	handlers := 0
-	for _, inst := range sub.Apps {
-		names = append(names, inst.App)
-		handlers += len(apps[inst.App].HandlerNames())
-	}
-	return &GroupResult{Apps: names, Handlers: handlers, Result: res, InvariantCount: len(invs)}, nil
+	return &GroupResult{Apps: names, Handlers: handlers, Result: res, InvariantCount: len(pl.invs)}, nil
 }
 
 // propertySelection returns a predicate set over property ids; a nil
@@ -610,48 +703,6 @@ func filterPhysical(ids []string) []string {
 		}
 	}
 	return out
-}
-
-// relevantAttrs computes the sensor attributes worth generating events
-// for: those the installed apps subscribe to or read, plus those the
-// applicable properties observe.
-func relevantAttrs(sys *System, apps map[string]*ir.App) map[string]bool {
-	attrs := map[string]bool{}
-	for _, inst := range sys.Apps {
-		app := apps[inst.App]
-		if app == nil {
-			continue
-		}
-		for _, hi := range smartapp.AnalyzeHandlers(app) {
-			for _, in := range hi.Inputs {
-				attrs[in.Attr] = true
-			}
-		}
-	}
-	// Properties observe presence/smoke/co/water/motion/etc.; include
-	// the sensed attributes of the devices that applicable properties
-	// reference, so missing-response violations remain reachable.
-	for _, p := range props.Catalog() {
-		if p.Kind != props.Physical || !p.Applicable(sys) {
-			continue
-		}
-		for _, capName := range p.Capabilities {
-			addSensedAttrs(attrs, capName)
-		}
-	}
-	// anyone_home guards most properties: presence must vary if present.
-	attrs["presence"] = true
-	return attrs
-}
-
-func addSensedAttrs(attrs map[string]bool, capName string) {
-	c := deviceCap(capName)
-	if c == nil || !c.Sensor {
-		return
-	}
-	for _, a := range c.Attributes {
-		attrs[a.Name] = true
-	}
 }
 
 // Attribute runs the Output Analyzer for a newly installed app (§9).
