@@ -9,11 +9,17 @@
 //
 // Apps are looked up as <apps-dir>/<app name>.groovy; app names from the
 // built-in corpus resolve automatically when no directory is given.
+//
+// Exit status: 0 no violation and every related set searched to the
+// end; 1 violations found; 2 usage, configuration or source error;
+// 3 inconclusive — no violation found, but a state cap or deadline
+// stopped at least one related set early.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -63,23 +69,42 @@ func main() {
 	}
 
 	fmt.Printf("system %q: %d app(s), %d device(s)\n", sys.Name, len(sys.Apps), len(sys.Devices))
-	fmt.Printf("dependency analysis: %d handlers, largest related set %d (%.1fx reduction)\n",
+	os.Exit(report(rep, *trails, os.Stdout))
+}
+
+// report prints the outcome of an analysis to w and returns the exit
+// status: 1 when violations were found; otherwise 3, not 0, when any
+// related set was stopped before its state space was exhausted — "no
+// violations" is a verdict only about the part that was explored.
+func report(rep *iotsan.Report, trails bool, w io.Writer) int {
+	fmt.Fprintf(w, "dependency analysis: %d handlers, largest related set %d (%.1fx reduction)\n",
 		rep.Scale.OriginalSize, rep.Scale.NewSize, rep.Scale.Ratio())
-	fmt.Printf("verified %d related group(s) in %v\n\n", len(rep.Groups), rep.Elapsed)
+	fmt.Fprintf(w, "verified %d related group(s) in %v\n\n", len(rep.Groups), rep.Elapsed)
 
 	if len(rep.Violations) == 0 {
-		fmt.Println("no violations detected")
-		return
+		stopped := 0
+		for _, g := range rep.Groups {
+			if g.Result.Truncated {
+				stopped++
+			}
+		}
+		if stopped > 0 {
+			fmt.Fprintf(w, "inconclusive: %d of %d related set(s) stopped early (state cap or deadline) — no violation found within the explored part\n",
+				stopped, len(rep.Groups))
+			return 3
+		}
+		fmt.Fprintln(w, "no violations detected")
+		return 0
 	}
-	fmt.Printf("%d violation(s) of %d propert(ies):\n\n", len(rep.Violations), len(rep.ViolatedProperties()))
+	fmt.Fprintf(w, "%d violation(s) of %d propert(ies):\n\n", len(rep.Violations), len(rep.ViolatedProperties()))
 	for _, v := range rep.Violations {
-		if *trails {
-			fmt.Println(checker.FormatTrail(v))
+		if trails {
+			fmt.Fprintln(w, checker.FormatTrail(v))
 		} else {
-			fmt.Printf("  %s: %s\n", v.Property, v.Detail)
+			fmt.Fprintf(w, "  %s: %s\n", v.Property, v.Detail)
 		}
 	}
-	os.Exit(1)
+	return 1
 }
 
 func loadSource(dir, name string) (string, bool) {
@@ -97,5 +122,5 @@ func loadSource(dir, name string) (string, bool) {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "iotsan:", err)
-	os.Exit(1)
+	os.Exit(2)
 }

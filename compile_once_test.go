@@ -75,6 +75,19 @@ func oneShotGroup(t *testing.T, sys *config.System, apps map[string]*ir.App, nam
 			sub.Apps = append(sub.Apps, inst)
 		}
 	}
+	m := oneShotModel(t, sub, apps, opts.MaxEvents)
+	res := checker.Run(m.System(), checker.Options{
+		MaxDepth: opts.MaxEvents + 64, MaxStates: 1_000_000,
+		Strategy: opts.Strategy, Workers: opts.Workers,
+	})
+	return iotsan.GroupResult{Apps: names, Result: res, InvariantCount: len(m.Opts.Invariants)}
+}
+
+// oneShotModel builds the model Analyze builds for a related set that is
+// the whole of sub — the catalog, the relevant-attribute event space,
+// the block cache — through the one-shot entry points.
+func oneShotModel(t *testing.T, sub *config.System, apps map[string]*ir.App, maxEvents int) *model.Model {
+	t.Helper()
 	invs, err := props.CompileInvariants(sub, nil, props.DefaultThresholds())
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +113,7 @@ func oneShotGroup(t *testing.T, sys *config.System, apps map[string]*ir.App, nam
 		}
 	}
 	m, err := model.New(sub, apps, model.Options{
-		MaxEvents:      opts.MaxEvents,
+		MaxEvents:      maxEvents,
 		CheckConflicts: true, CheckLeakage: true,
 		Invariants:    invs,
 		RelevantAttrs: relevant,
@@ -109,11 +122,7 @@ func oneShotGroup(t *testing.T, sys *config.System, apps map[string]*ir.App, nam
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := checker.Run(m.System(), checker.Options{
-		MaxDepth: opts.MaxEvents + 64, MaxStates: 1_000_000,
-		Strategy: opts.Strategy, Workers: opts.Workers,
-	})
-	return iotsan.GroupResult{Apps: names, Result: res, InvariantCount: len(invs)}
+	return m
 }
 
 func TestCompileOnceEquivalence(t *testing.T) {

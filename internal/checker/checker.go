@@ -276,6 +276,10 @@ type System interface {
 	// admitted. A property of how a state was reached, not of the state,
 	// belongs in Transition.Violations, which are recorded for every
 	// successor generated.
+	//
+	// The engine only ranges over the result, so a System may return the
+	// same slice for every state with the same answer; callers must not
+	// write to it or append in place.
 	Inspect(s State) []Violation
 }
 

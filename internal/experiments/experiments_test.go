@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"iotsan"
 )
@@ -48,5 +49,44 @@ func TestTable8HonoursStoreOptions(t *testing.T) {
 	if tiered[0].States != mem[0].States || tiered[0].Truncated != mem[0].Truncated {
 		t.Errorf("tiered run: states=%d truncated=%v, in-memory run: states=%d truncated=%v",
 			tiered[0].States, tiered[0].Truncated, mem[0].States, mem[0].Truncated)
+	}
+}
+
+// An experiment defaults the per-set limits only when the caller left
+// them unset: a caller's state cap or deadline is the one that stops
+// the search, and without one the experiment's own applies.
+func TestExperimentsHonourCallerLimits(t *testing.T) {
+	var opts iotsan.Options
+	defaultLimits(&opts, 60000, 10*time.Second)
+	if opts.MaxStatesPerSet != 60000 || opts.Deadline != 10*time.Second {
+		t.Errorf("unset limits defaulted to %d states / %v, want the experiment's 60000 / 10s", opts.MaxStatesPerSet, opts.Deadline)
+	}
+	opts = iotsan.Options{MaxStatesPerSet: 7, Deadline: 10 * time.Minute}
+	defaultLimits(&opts, 60000, 10*time.Second)
+	if opts.MaxStatesPerSet != 7 || opts.Deadline != 10*time.Minute {
+		t.Errorf("set limits overwritten with %d states / %v", opts.MaxStatesPerSet, opts.Deadline)
+	}
+
+	// Through to the checker, on Table 8 at 3 events.
+	run := func(opts iotsan.Options, stateCap int) Table8Row {
+		t.Helper()
+		rows, err := RunTable8(opts, []int{3}, stateCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows[0]
+	}
+	full := run(iotsan.Options{}, 400_000)
+	if full.Truncated || full.States < 1000 {
+		t.Fatalf("the uncapped row explored %d states (truncated=%v): nothing for a cap to cut", full.States, full.Truncated)
+	}
+	if capped := run(iotsan.Options{MaxStatesPerSet: 200}, 400_000); !capped.Truncated || capped.States >= full.States/2 {
+		t.Errorf("the caller's 200-state cap did not reach the checker: states=%d truncated=%v", capped.States, capped.Truncated)
+	}
+	if own := run(iotsan.Options{}, 200); !own.Truncated || own.States >= full.States/2 {
+		t.Errorf("the experiment's own 200-state cap did not apply to unset options: states=%d truncated=%v", own.States, own.Truncated)
+	}
+	if late := run(iotsan.Options{Deadline: time.Nanosecond}, 400_000); !late.Truncated {
+		t.Errorf("the caller's 1ns deadline did not reach the checker: states=%d", late.States)
 	}
 }

@@ -58,16 +58,29 @@ type Table5Result struct {
 	FailureExtraProperties int
 }
 
+// defaultLimits gives an experiment's per-set state cap and deadline to
+// an engine configuration that sets neither: a caller's own limits — a
+// ten-minute deadline for an eight-event Table 8 row — are the ones that
+// reach the checker.
+func defaultLimits(opts *iotsan.Options, maxStates int, deadline time.Duration) {
+	if opts.MaxStatesPerSet == 0 {
+		opts.MaxStatesPerSet = maxStates
+	}
+	if opts.Deadline == 0 {
+		opts.Deadline = deadline
+	}
+}
+
 // RunTable5 reproduces the first experiment of §10.1/§10.2: the market
 // apps of the six groups with expert configurations, iterating
 // remove-a-bad-app-and-repeat until no violation is detected, then once
 // more with failures enabled. opts carries the engine configuration;
-// the experiment overlays only the event count and per-set limits it
-// fixes (and Failures for the second pass).
+// the experiment overlays only the event count it fixes (and Failures
+// for the second pass) and defaults the per-set limits the caller left
+// unset.
 func RunTable5(opts iotsan.Options, maxEvents int, groups []int) (*Table5Result, error) {
 	opts.MaxEvents = maxEvents
-	opts.MaxStatesPerSet = 60000
-	opts.Deadline = 10 * time.Second
+	defaultLimits(&opts, 60000, 10*time.Second)
 	failOpts := opts
 	failOpts.Failures = true
 
@@ -200,8 +213,7 @@ func volunteerGroups() [][]string {
 // (engine configuration from opts, as in RunTable5).
 func RunTable6(opts iotsan.Options, maxEvents int, volunteers int, groupLimit int) (*Table6Result, error) {
 	opts.MaxEvents = maxEvents
-	opts.MaxStatesPerSet = 40000
-	opts.Deadline = 8 * time.Second
+	defaultLimits(&opts, 40000, 8*time.Second)
 
 	res := &Table6Result{}
 	byClass := map[ViolationClass]map[string]int{}
@@ -326,8 +338,7 @@ func RunTable7b(opts iotsan.Options, maxEventsList []int, stateCap int) ([]Table
 	if err != nil {
 		return nil, err
 	}
-	opts.MaxStatesPerSet = stateCap
-	opts.Deadline = 12 * time.Second
+	defaultLimits(&opts, stateCap, 12*time.Second)
 	var rows []Table7bRow
 	for _, n := range maxEventsList {
 		row := Table7bRow{Events: n}
@@ -365,9 +376,9 @@ type Table8Row struct {
 	Truncated bool
 }
 
-// RunTable8 measures sequential verification time versus event count for
-// a bigger violation-free system (5 related apps, 10 devices in use).
-func RunTable8(opts iotsan.Options, events []int, stateCap int) ([]Table8Row, error) {
+// Table8System builds the bigger violation-free system Table 8 times (5
+// related apps, 10 devices in use).
+func Table8System() (*config.System, map[string]*ir.App, error) {
 	names := []string{"Good Night", "It's Too Cold", "Light Follows Me",
 		"Darken Behind Me", "Lights Out at Night"}
 	var sources []corpus.Source
@@ -377,12 +388,20 @@ func RunTable8(opts iotsan.Options, events []int, stateCap int) ([]Table8Row, er
 	}
 	apps, err := TranslateAll(sources)
 	if err != nil {
+		return nil, nil, err
+	}
+	return ExpertConfig("table8", sources, apps), apps, nil
+}
+
+// RunTable8 measures sequential verification time versus event count on
+// Table8System.
+func RunTable8(opts iotsan.Options, events []int, stateCap int) ([]Table8Row, error) {
+	sys, apps, err := Table8System()
+	if err != nil {
 		return nil, err
 	}
-	sys := ExpertConfig("table8", sources, apps)
 	opts.NoDepGraph = true
-	opts.MaxStatesPerSet = stateCap
-	opts.Deadline = 30 * time.Second
+	defaultLimits(&opts, stateCap, 30*time.Second)
 	var rows []Table8Row
 	for _, n := range events {
 		opts.MaxEvents = n

@@ -2,6 +2,7 @@ package model
 
 import (
 	"testing"
+	"unsafe"
 
 	"iotsan/internal/checker"
 	"iotsan/internal/config"
@@ -34,13 +35,8 @@ func cascadeModel(t *testing.T, interpreter bool) *Model {
 	return cascadeModelOpts(t, Options{MaxEvents: 3, Interpreter: interpreter})
 }
 
-func cascadeModelOpts(t *testing.T, opts Options) *Model {
-	t.Helper()
-	app, err := smartapp.Translate(cascadeApp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := &config.System{
+func cascadeConfig() *config.System {
+	return &config.System{
 		Name: "alloc-home",
 		Devices: []config.Device{
 			{ID: "m1", Label: "Motion", Model: "Motion Sensor"},
@@ -53,7 +49,15 @@ func cascadeModelOpts(t *testing.T, opts Options) *Model {
 			}},
 		},
 	}
-	m, err := New(cfg, map[string]*ir.App{"Cascade": app}, opts)
+}
+
+func cascadeModelOpts(t *testing.T, opts Options) *Model {
+	t.Helper()
+	app, err := smartapp.Translate(cascadeApp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(cascadeConfig(), map[string]*ir.App{"Cascade": app}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,5 +252,15 @@ func TestStepDuplicateZeroAlloc(t *testing.T) {
 	}
 	if steps == 0 || sc.FullSyncs() != 1 {
 		t.Errorf("%d steps, %d whole-state copies: want steps from a parent on the scratch's chain", steps, sc.FullSyncs())
+	}
+}
+
+// TestStateSizeClass: a State header fills its allocator size class
+// (352 bytes) exactly. The frontier strategy keeps tens of thousands of
+// states alive, so a word past the class boundary costs 32 bytes on
+// each; a new field has to find its room inside.
+func TestStateSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(State{}); size > 352 {
+		t.Errorf("State is %d bytes, over the 352-byte size class it is kept within", size)
 	}
 }

@@ -355,10 +355,14 @@ func (x *executor) drain() {
 }
 
 // inspectIntermediate evaluates the invariants on the current
-// (mid-cascade) state.
+// (mid-cascade) state, whose atoms go stale by what the cascade wrote so
+// far.
 func (x *executor) inspectIntermediate() {
 	if !x.m.Opts.InspectCascade || len(x.m.Opts.Invariants) == 0 {
 		return
+	}
+	if x.m.atoms != nil {
+		x.m.atoms.staleTouched(x.s)
 	}
 	x.viols = append(x.viols, x.m.Inspect(x.s)...)
 }
@@ -563,7 +567,9 @@ func (x *executor) SetLocationMode(mode string) {
 
 func (x *executor) Modes() []string { return x.m.Cfg.Modes }
 
-func (x *executor) Now() int64 { return x.s.Time }
+// Now is the model's clock: a minute per external event, derived from
+// the event budget and so never stored or encoded.
+func (x *executor) Now() int64 { return int64(x.s.EventsUsed) * 60 }
 
 func (x *executor) AppState() map[string]ir.Value {
 	as := &x.s.Apps[x.curApp]

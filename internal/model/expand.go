@@ -130,22 +130,6 @@ func (a sysAdapter) RecycleTransitions(trs []checker.Transition) {
 // por.go).
 func (a sysAdapter) CertifiesProgress() bool { return true }
 
-// Inspect evaluates the compiled safe-physical-state invariants on a
-// state (§8 "Safety Properties").
-func (m *Model) Inspect(s *State) []checker.Violation {
-	if len(m.Opts.Invariants) == 0 {
-		return nil
-	}
-	v := &View{M: m, S: s}
-	var out []checker.Violation
-	for _, inv := range m.Opts.Invariants {
-		if !inv.Holds(v) {
-			out = append(out, checker.Violation{Property: inv.ID, Detail: inv.Description})
-		}
-	}
-	return out
-}
-
 // Replay keys identify a transition of a given source state: the
 // external-event/failure-mode choice, a timer firing, a pending
 // dispatch (concurrent design), or a fault transition. Bit 63 marks a
@@ -282,7 +266,7 @@ func (m *Model) appendFaultStubs(s *State, out []checker.Transition) []checker.T
 	stub := func(op, idx int) checker.Transition {
 		return checker.Transition{Label: m.faultLabel(s, op, idx), Key: fltKey(op, idx), Fault: true}
 	}
-	budget := s.FaultsUsed < m.Opts.MaxFaults
+	budget := int(s.FaultsUsed) < m.Opts.MaxFaults
 	for d := range s.Devices {
 		if s.Devices[d].Online {
 			if budget {
@@ -312,7 +296,7 @@ func (m *Model) countFaultTransitions(s *State) int {
 		return 0
 	}
 	n := 0
-	budget := s.FaultsUsed < m.Opts.MaxFaults
+	budget := int(s.FaultsUsed) < m.Opts.MaxFaults
 	for d := range s.Devices {
 		if s.Devices[d].Online {
 			if budget {
@@ -374,7 +358,21 @@ func (m *Model) faultLabel(s *State, op, idx int) string {
 // key). The transition's Next is ns, and its Violations are lent from
 // x. It reports false, with ns and *tr untouched, when key does not
 // name a transition of that state.
+//
+// ns also starts out with the source state's atom valuation; whatever
+// the transition wrote, the atoms reading it are stale on ns afterwards
+// (AtomTable.staleTouched) — here, for the scratch, Expand and Replay
+// alike, so that no path hands out a successor carrying its parent's
+// word as fresh.
 func (m *Model) step(ns *State, x *executor, key uint64, label string, record bool, tr *checker.Transition) bool {
+	ok := m.apply(ns, x, key, label, record, tr)
+	if ok && m.atoms != nil {
+		m.atoms.staleTouched(ns)
+	}
+	return ok
+}
+
+func (m *Model) apply(ns *State, x *executor, key uint64, label string, record bool, tr *checker.Transition) bool {
 	fm := failMode(key & 3)
 	switch key >> keyKindPos & 3 {
 	case keyKindTmr:
@@ -583,7 +581,6 @@ func (m *Model) applyTimer(ns *State, x *executor, appIdx int, handler string, m
 // the executor binds to ns.
 func (m *Model) beginTransition(ns *State, x *executor, fm failMode, record bool) {
 	ns.EventsUsed++
-	ns.Time = int64(ns.EventsUsed) * 60
 	ns.markHeader()
 	if len(ns.Cmds) > 0 {
 		ns.Cmds = ns.Cmds[:0]

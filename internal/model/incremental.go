@@ -113,16 +113,17 @@ func (s *State) markQueue() { s.markBlock(s.queueBlock()) }
 //iotsan:marks cmds
 func (s *State) markCmds() { s.markBlock(s.cmdsBlock()) }
 
-// MarkAllDirty marks every block: all cached hashes stale and, on a
-// scratch's working state, every block due for re-sync. Callers that
-// mutate a State outside the executor layer (symmetry canonicalization,
-// test harnesses) must call it before the state is digested or stepped
-// from again; it is a no-op on a plain state without a cache.
+// MarkAllDirty marks every block: all cached hashes stale, every atom
+// of the valuation stale and, on a scratch's working state, every block
+// due for re-sync. Callers that mutate a State outside the executor
+// layer (symmetry canonicalization, test harnesses) must call it before
+// the state is digested, inspected or stepped from again.
 //
 //iotsan:marks all
 func (s *State) MarkAllDirty() {
 	fillMask(s.dirtyMask, s.nBlocks())
 	fillMask(s.touchMask, s.nBlocks())
+	s.atomFresh = 0
 }
 
 // fillMask sets the low nb bits of mask (nil = nothing to do).

@@ -122,14 +122,24 @@ func (o *Options) maxCascade() int {
 	return o.MaxCascade
 }
 
-// Invariant is a compiled safe-physical-state property: Holds must be
-// true in every reachable state.
+// Invariant is a compiled safe-physical-state property, true in every
+// reachable state of a safe system. It comes in two forms. A catalog
+// invariant is a boolean function Over the valuation word of an atom
+// table (atoms.go): all invariants of a model share one table, a state
+// carries its word, and Inspect decides each distinct word once. An
+// opaque invariant has only Holds, which Inspect calls on a View of
+// every inspected state.
 type Invariant struct {
 	ID          string
 	Description string
-	Holds       func(v *View) bool
-	// DeviceKey is the Plan.DeviceKey of the device list Holds was
-	// resolved against, when its atoms hold device and attribute indexes
+	// Holds evaluates an opaque invariant. Nil on a catalog invariant.
+	Holds func(v *View) bool
+	// Atoms and Over make a catalog invariant: bit i of word is
+	// Atoms.Atoms[i] on the state.
+	Atoms *AtomTable
+	Over  func(word uint64) bool
+	// DeviceKey is the Plan.DeviceKey of the device list the invariant
+	// was resolved against, when it holds device and attribute indexes
 	// (props). Build refuses a model over any other device list — the
 	// indexes would read the wrong device and could report a wrong
 	// "safe". Empty for an invariant that reads the View by name and so
@@ -235,9 +245,11 @@ type resolvedSub struct {
 // Model is the generated system model. It is immutable once Build
 // returns: verification reads it from many goroutines (the steal
 // checker strategy), so any new field must be fully resolved during
-// Build rather than filled in lazily. Cfg, Devices, the byCap/byAssoc
-// indexes and watch are the Plan's, and everything an AppInst points to
-// is PrepareApp's: shared with every other model of the plan, read-only.
+// Build rather than filled in lazily — the pools and the verdict cache,
+// which synchronise themselves, are the exceptions. Cfg, Devices, the
+// byCap/byAssoc indexes and watch are the Plan's, and everything an
+// AppInst points to is PrepareApp's: shared with every other model of
+// the plan, read-only.
 type Model struct {
 	// Cfg is the plan's configuration: the whole system. Apps, not
 	// Cfg.Apps, says which instances this model installs.
@@ -283,7 +295,16 @@ type Model struct {
 
 	// watch holds the View's built-in predicates resolved to state
 	// indexes (see view.go), once per Plan.
-	watch viewWatch
+	watch Watch
+
+	// Opts.Invariants split by form (see Invariant): decided are the
+	// catalog invariants, all over the one table atoms (nil without any),
+	// with verdicts caching what they say per valuation; opaque are
+	// evaluated per state.
+	atoms    *AtomTable
+	decided  []Invariant
+	opaque   []Invariant
+	verdicts verdictCache
 
 	// execs pools executors (with their compiled-execution Envs) for
 	// Expand and Replay, which draw one per call; a Scratch owns its

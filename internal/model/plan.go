@@ -38,7 +38,7 @@ type Plan struct {
 	devIdx  map[string]int
 	byCap   map[string][]*DevInst
 	byAssoc map[string][]*DevInst
-	watch   viewWatch
+	watch   Watch
 	devKey  string
 
 	// Counts tallies the work done against this plan; the compile-once
@@ -232,11 +232,6 @@ func (p *Plan) PrepareApps(insts []config.AppInstance, apps map[string]*ir.App, 
 // goroutines may Build from one plan at once. opts.Interpreter is not
 // consulted: each instance runs the program PrepareApp gave it.
 func (p *Plan) Build(apps []*AppInst, opts Options) (*Model, error) {
-	for _, inv := range opts.Invariants {
-		if inv.DeviceKey != "" && inv.DeviceKey != p.devKey {
-			return nil, fmt.Errorf("model: invariant %s was compiled against a different device list than this model's", inv.ID)
-		}
-	}
 	if opts.MaxEvents <= 0 {
 		opts.MaxEvents = 3
 	}
@@ -244,6 +239,22 @@ func (p *Plan) Build(apps []*AppInst, opts Options) (*Model, error) {
 		Cfg: p.Cfg, Devices: p.Devices, Opts: opts,
 		Apps:  make([]*AppInst, len(apps)),
 		byCap: p.byCap, byAssoc: p.byAssoc, watch: p.watch,
+	}
+	m.decided = make([]Invariant, 0, len(opts.Invariants))
+	for _, inv := range opts.Invariants {
+		switch {
+		case inv.DeviceKey != "" && inv.DeviceKey != p.devKey, inv.Atoms != nil && inv.Atoms.devKey != p.devKey:
+			return nil, fmt.Errorf("model: invariant %s was compiled against a different device list than this model's", inv.ID)
+		case inv.Atoms == nil && inv.Holds == nil, inv.Atoms != nil && inv.Over == nil:
+			return nil, fmt.Errorf("model: invariant %s has nothing to evaluate", inv.ID)
+		case inv.Atoms == nil:
+			m.opaque = append(m.opaque, inv)
+			continue
+		case m.atoms != nil && m.atoms != inv.Atoms:
+			return nil, fmt.Errorf("model: invariant %s is over a second atom table; a model's catalog invariants share one", inv.ID)
+		}
+		m.atoms = inv.Atoms
+		m.decided = append(m.decided, inv)
 	}
 	m.encBufs.New = func() any {
 		b := make([]byte, 0, 256)

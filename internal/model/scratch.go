@@ -156,7 +156,7 @@ func (sc *Scratch) resync(p *State, mask []uint64) {
 			b := wi<<6 + bits.TrailingZeros64(w)
 			switch {
 			case b == 0:
-				s.Time, s.Mode, s.EventsUsed, s.FaultsUsed = p.Time, p.Mode, p.EventsUsed, p.FaultsUsed
+				s.Mode, s.EventsUsed, s.FaultsUsed = p.Mode, p.EventsUsed, p.FaultsUsed
 			case b <= nDev:
 				sd, pd := &s.Devices[b-1], &p.Devices[b-1]
 				sd.Online, sd.LastReport = pd.Online, pd.LastReport
@@ -182,4 +182,7 @@ func (sc *Scratch) resync(p *State, mask []uint64) {
 		copy(s.devRefMask, p.devRefMask)
 		s.fold = p.fold
 	}
+	// The atom valuation is p's as well — p's current one: Inspect may
+	// have settled it since the scratch last equalled p.
+	s.atoms, s.atomFresh = p.atoms, p.atomFresh
 }

@@ -108,8 +108,11 @@ type InFlightCmd struct {
 // again — executors write only to the clone of the state they are
 // deriving — so states may be encoded and expanded concurrently.
 type State struct {
-	Time       int64      // derived from EventsUsed; never encoded, so no block
-	Mode       uint8      //iotsan:block header
+	Mode uint8 //iotsan:block header
+	// FaultsUsed counts the budgeted fault transitions taken (device
+	// outage, command drop) under Options.Faults. It shares a word with
+	// Mode: State is sized to its allocation class (TestStateSizeClass).
+	FaultsUsed int32      //iotsan:block header
 	EventsUsed int        //iotsan:block header
 	Devices    []DevState //iotsan:block device
 	Apps       []AppState //iotsan:block app
@@ -125,17 +128,15 @@ type State struct {
 	// across transitions until the next external injection).
 	Cmds []CmdRec //iotsan:block cmds
 
-	// Fault-injection state (Options.Faults). FaultsUsed counts the
-	// budgeted fault transitions taken (device outage, command drop);
+	// Fault-injection state (Options.Faults), with FaultsUsed above.
 	// InFlight holds commands swallowed by offline devices awaiting
 	// delivery or drop; reported is the flat backing array the
 	// per-device Reported subslices point into (nil when faults off).
 	// All three stay at their zero values while MaxFaults is 0, which
 	// the encoders below exploit to keep the encoding byte-identical to
 	// a faults-off model.
-	FaultsUsed int           //iotsan:block header
-	InFlight   []InFlightCmd //iotsan:block cmds
-	reported   []int16       //iotsan:block device
+	InFlight []InFlightCmd //iotsan:block cmds
+	reported []int16       //iotsan:block device
 
 	// Incremental-digest cache (nil unless Options.Incremental). The
 	// three slices share one backing array so Clone pays one allocation:
@@ -152,6 +153,16 @@ type State struct {
 	// consistent with blockHash, stale entries included, so refreshing a
 	// dirty block swaps one term instead of re-folding every block.
 	fold [2]uint64
+
+	// atoms is the state's valuation over the model's atom table (bit i:
+	// atom i holds) and atomFresh the bits of it known to be current; a
+	// stale bit is re-evaluated by the next Inspect, which settles both
+	// (atoms.go). Like the block cache they ride along outside the
+	// encoding: a clone inherits the pair, and a transition withdraws the
+	// freshness of the atoms that read what it wrote. Fresh, not stale, so
+	// that the zero State knows nothing: Initial and MarkAllDirty leave
+	// atomFresh zero.
+	atoms, atomFresh uint64
 
 	// touchMask is set only on a Scratch's working state: the blocks in
 	// which it may differ from the state it was last synced to. Every
@@ -311,7 +322,7 @@ func (s *State) cloneInto(n *State) *State {
 		len(n.reported) != len(s.reported) {
 		return s.cloneFresh()
 	}
-	n.Time, n.Mode, n.EventsUsed = s.Time, s.Mode, s.EventsUsed
+	n.Mode, n.EventsUsed = s.Mode, s.EventsUsed
 	n.FaultsUsed = s.FaultsUsed
 	copy(n.attrs, s.attrs)
 	copy(n.reported, s.reported)
@@ -357,6 +368,7 @@ func (s *State) cloneInto(n *State) *State {
 		copy(n.devRefMask, s.devRefMask)
 	}
 	n.fold = s.fold
+	n.atoms, n.atomFresh = s.atoms, s.atomFresh
 	n.serial = 0
 	n.pool = s.pool
 	return n
@@ -397,7 +409,7 @@ func aliasesWindow(h, backing []int16, off, k int) bool {
 //iotsan:allow dirtymark -- clone replicates already-hashed content and copies the source's block cache, dirty mask included
 func (s *State) cloneFresh() *State {
 	n := &State{
-		Time: s.Time, Mode: s.Mode, EventsUsed: s.EventsUsed,
+		Mode: s.Mode, EventsUsed: s.EventsUsed,
 		FaultsUsed: s.FaultsUsed,
 		Devices:    make([]DevState, len(s.Devices)),
 		Apps:       make([]AppState, len(s.Apps)),
@@ -457,6 +469,7 @@ func (s *State) cloneFresh() *State {
 		n.cloneCacheFrom(s)
 	}
 	n.fold = s.fold
+	n.atoms, n.atomFresh = s.atoms, s.atomFresh
 	n.pool = s.pool
 	return n
 }
@@ -543,8 +556,7 @@ func (s *State) encode(buf []byte, cv *canonView) []byte {
 
 // encodeHeader appends the header block: mode plus the external-event
 // budget counter. EventsUsed is a varint — a single byte historically,
-// which aliased counts 256 apart. Time is derived from EventsUsed and
-// deliberately not encoded. The fault budget counter is appended only
+// which aliased counts 256 apart. The fault budget counter is appended only
 // when non-zero: uvarints are prefix-free against the fixed block
 // layout that follows, and the omission keeps a faults-enabled model
 // with MaxFaults=0 byte-identical to a faults-off model.

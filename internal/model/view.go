@@ -4,39 +4,11 @@ import (
 	"iotsan/internal/ir"
 )
 
-// ViewMemoSlots is the size of the View's per-state atom memo table
-// (see View.Memo). The props package assigns one slot per shared atom
-// name; the constant leaves headroom for catalog growth.
-const ViewMemoSlots = 48
-
-// View is a read-only window over one state, used by property monitors
-// (the props package builds Invariants whose atoms query a View).
+// View is a read-only window over one state by device, attribute and
+// mode name: what an opaque invariant (Invariant.Holds) queries.
 type View struct {
 	M *Model
 	S *State
-
-	// memo caches shared atom results for this state: the invariant
-	// catalog re-evaluates the same named predicates (anyone_home,
-	// mode_away, ...) across dozens of properties, and Inspect builds
-	// one View per state, so each memoized atom runs its device scan
-	// once. 0 = unevaluated, 1 = false, 2 = true.
-	memo [ViewMemoSlots]uint8
-}
-
-// Memo returns f(v), computing it at most once per View per slot. Slots
-// are assigned by the atom catalog (props); predicates must be pure
-// functions of the underlying state.
-func (v *View) Memo(slot int, f func(*View) bool) bool {
-	if m := v.memo[slot]; m != 0 {
-		return m == 2
-	}
-	r := f(v)
-	if r {
-		v.memo[slot] = 2
-	} else {
-		v.memo[slot] = 1
-	}
-	return r
 }
 
 // Mode returns the current location mode.
@@ -56,7 +28,7 @@ func (v *View) ByCapability(capName string) []*DevInst { return v.M.byCap[capNam
 // AttrEquals reports whether the device's attribute currently holds the
 // given string value, resolving the names on every call — an invariant
 // evaluated per state should resolve them once (EnumRefs) and use
-// AnyEq/AllEq.
+// State.AnyEq/AllEq.
 func (v *View) AttrEquals(d *DevInst, attr, value string) bool {
 	i := d.AttrIndex(attr)
 	if i < 0 {
@@ -81,9 +53,10 @@ func (v *View) AttrNumber(d *DevInst, attr string) (int64, bool) {
 }
 
 // AttrRef is one device attribute resolved to state indexes, with — for
-// an enum test — the index of the value tested for. Invariant atoms run
-// on every stored state; resolving their device lists and attribute and
-// value names once per Plan leaves an int16 compare per device.
+// an enum test — the index of the value tested for. Resolving an atom's
+// device lists and attribute and value names once per Plan leaves an
+// int16 compare per device, and the refs an atom scans are the reads it
+// declares (Atom.Reads).
 type AttrRef struct {
 	Dev, Attr int32
 	Val       int16
@@ -123,12 +96,12 @@ func NumRefs(devs []*DevInst, attr string) []AttrRef {
 }
 
 // Raw returns the encoded value of the attribute r names.
-func (v *View) Raw(r AttrRef) int16 { return v.S.Devices[r.Dev].Attrs[r.Attr] }
+func (s *State) Raw(r AttrRef) int16 { return s.Devices[r.Dev].Attrs[r.Attr] }
 
 // AnyEq reports whether any of the enum tests holds.
-func (v *View) AnyEq(refs []AttrRef) bool {
+func (s *State) AnyEq(refs []AttrRef) bool {
 	for _, r := range refs {
-		if v.Raw(r) == r.Val {
+		if s.Raw(r) == r.Val {
 			return true
 		}
 	}
@@ -136,34 +109,39 @@ func (v *View) AnyEq(refs []AttrRef) bool {
 }
 
 // AllEq reports whether every one of the enum tests holds.
-func (v *View) AllEq(refs []AttrRef) bool {
+func (s *State) AllEq(refs []AttrRef) bool {
 	for _, r := range refs {
-		if v.Raw(r) != r.Val {
+		if s.Raw(r) != r.Val {
 			return false
 		}
 	}
 	return true
 }
 
-// viewWatch is the View's built-in predicates resolved against the
-// plan's device inventory at Prepare.
-type viewWatch struct {
-	presence, motion, smoke, co, leak []AttrRef
-	noPresenceSensors                 bool
+// Watch is the enum tests behind the View's built-in predicates — a
+// sensor of the kind reporting the value — resolved against the plan's
+// device inventory at Prepare. The catalog's atoms of the same meaning
+// are built from these refs (props).
+type Watch struct {
+	Presence, Motion, Smoke, CO, Leak []AttrRef
+	NoPresenceSensors                 bool
 }
 
-func (p *Plan) resolveViewWatch() viewWatch {
+// Watch returns the plan's resolved built-in predicates.
+func (p *Plan) Watch() Watch { return p.watch }
+
+func (p *Plan) resolveViewWatch() Watch {
 	anyOf := func(capName, attr, value string) []AttrRef {
 		refs, _ := EnumRefs(p.byCap[capName], attr, value)
 		return refs
 	}
-	return viewWatch{
-		presence:          anyOf("presenceSensor", "presence", "present"),
-		motion:            anyOf("motionSensor", "motion", "active"),
-		smoke:             anyOf("smokeDetector", "smoke", "detected"),
-		co:                anyOf("carbonMonoxideDetector", "carbonMonoxide", "detected"),
-		leak:              anyOf("waterSensor", "water", "wet"),
-		noPresenceSensors: len(p.byCap["presenceSensor"]) == 0,
+	return Watch{
+		Presence:          anyOf("presenceSensor", "presence", "present"),
+		Motion:            anyOf("motionSensor", "motion", "active"),
+		Smoke:             anyOf("smokeDetector", "smoke", "detected"),
+		CO:                anyOf("carbonMonoxideDetector", "carbonMonoxide", "detected"),
+		Leak:              anyOf("waterSensor", "water", "wet"),
+		NoPresenceSensors: len(p.byCap["presenceSensor"]) == 0,
 	}
 }
 
@@ -171,17 +149,11 @@ func (p *Plan) resolveViewWatch() viewWatch {
 // Without presence sensors the home is conservatively considered
 // occupied (presence-conditioned properties never fire).
 func (v *View) AnyoneHome() bool {
-	return v.M.watch.noPresenceSensors || v.AnyEq(v.M.watch.presence)
+	return v.M.watch.NoPresenceSensors || v.S.AnyEq(v.M.watch.Presence)
 }
 
 // AnyMotion reports whether any motion sensor is active.
-func (v *View) AnyMotion() bool { return v.AnyEq(v.M.watch.motion) }
+func (v *View) AnyMotion() bool { return v.S.AnyEq(v.M.watch.Motion) }
 
 // SmokeDetected reports whether any smoke detector reports smoke.
-func (v *View) SmokeDetected() bool { return v.AnyEq(v.M.watch.smoke) }
-
-// CODetected reports whether any CO detector reports carbon monoxide.
-func (v *View) CODetected() bool { return v.AnyEq(v.M.watch.co) }
-
-// LeakDetected reports whether any water sensor is wet.
-func (v *View) LeakDetected() bool { return v.AnyEq(v.M.watch.leak) }
+func (v *View) SmokeDetected() bool { return v.S.AnyEq(v.M.watch.Smoke) }

@@ -1,4 +1,4 @@
 package props
 
-// NumSlots is the number of View memo slots the shared atoms occupy.
+// NumSlots is the number of atoms in the catalog's table.
 const NumSlots = numSlots

@@ -9,55 +9,72 @@ func modelOf(name string) *device.Model { return device.ModelByName(name) }
 
 // ---- atom builders ----
 
-type atomMap = map[string]func(v *model.View) bool
-
 // Atoms are built before any model exists (CompileCatalog feeds
-// model.Plan.Build) and then run on every stored state, so each one
-// resolves its device list, attribute and value names to state indexes
-// when it is built, against the plan's device table, and afterwards
-// compares raw int16s. An atom is an immutable closure over those
-// indexes: it is valid on every model built from the plan — every such
-// model keeps every device at the same index — and only on those, which
-// model.Invariant.DeviceKey enforces.
+// model.Plan.Build), so each one resolves its device list, attribute and
+// value names to state indexes when it is built, against the plan's
+// device table, and afterwards compares raw int16s. An atom is an
+// immutable closure over those indexes: it is valid on every model built
+// from the plan — every such model keeps every device at the same index
+// — and only on those, which model.Invariant.DeviceKey enforces.
+//
+// Every builder returns the predicate together with the reads it
+// declares (model.Atom), taken from the same refs the predicate scans:
+// Inspect re-evaluates an atom only on a state whose transition wrote a
+// device in its Reads (or the mode, with ReadsMode), so an atom must
+// read nothing it does not declare. TestAtomReadSets holds every atom to
+// that.
+
+func anyEq(refs []model.AttrRef) model.Atom {
+	return model.Atom{Reads: refs, Holds: func(s *model.State) bool { return s.AnyEq(refs) }}
+}
+
+// constant is an atom whose value no state can change: it reads nothing.
+func constant(b bool) model.Atom {
+	return model.Atom{Holds: func(*model.State) bool { return b }}
+}
 
 // enumAtom tests attr == value on any (or, with all, on every) device
 // of devs.
-func enumAtom(devs []*model.DevInst, attr, value string, all bool) func(v *model.View) bool {
+func enumAtom(devs []*model.DevInst, attr, value string, all bool) model.Atom {
 	refs, ok := model.EnumRefs(devs, attr, value)
 	switch {
 	case !all:
-		return func(v *model.View) bool { return v.AnyEq(refs) }
+		return anyEq(refs)
 	case !ok: // some device of the set can never hold the value
-		return func(*model.View) bool { return false }
+		return constant(false)
 	}
-	return func(v *model.View) bool { return v.AllEq(refs) }
+	return model.Atom{Reads: refs, Holds: func(s *model.State) bool { return s.AllEq(refs) }}
 }
 
 // numAtom is true when any of devs reads the numeric attr at a value
 // passing test.
-func numAtom(devs []*model.DevInst, attr string, test func(int64) bool) func(v *model.View) bool {
+func numAtom(devs []*model.DevInst, attr string, test func(int64) bool) model.Atom {
 	refs := model.NumRefs(devs, attr)
-	return func(v *model.View) bool {
+	return model.Atom{Reads: refs, Holds: func(s *model.State) bool {
 		for _, r := range refs {
-			if test(int64(v.Raw(r))) {
+			if test(int64(s.Raw(r))) {
 				return true
 			}
 		}
 		return false
+	}}
+}
+
+// modeIs tests the location mode by index: is[i] says whether the
+// configuration's i-th mode is the named one.
+func modeIs(modes []string, mode string) model.Atom {
+	is := make([]bool, len(modes))
+	for i, m := range modes {
+		is[i] = m == mode
 	}
+	return model.Atom{ReadsMode: true, Holds: func(s *model.State) bool { return is[s.Mode] }}
 }
 
-func modeIs(mode string) func(v *model.View) bool {
-	return func(v *model.View) bool { return v.Mode() == mode }
-}
-
-// Memo slots for the shared atoms: one View.Memo slot per atom name, so
-// the dozens of catalog properties referencing the same predicate scan
-// the device lists once per inspected state instead of once per
-// property. Slot identity assumes one Thresholds per compiled invariant
-// set (CompileCatalog compiles a whole catalog with a single th, so
-// same-named atoms are identical predicates). numSlots must fit
-// model.ViewMemoSlots (TestAtomSlotsFitViewMemo).
+// Slots of the shared atoms: atom i of the catalog's table is bit i of
+// a state's valuation word, and each property's formula is bound to bit
+// tests on that word. Slot identity assumes one Thresholds per table
+// (CompileCatalog compiles a whole catalog with a single th). numSlots
+// must fit model.MaxAtoms (TestAtomSlotsFitOneWord).
 const (
 	slotAnyoneHome = iota
 	slotModeAway
@@ -102,105 +119,112 @@ const (
 	numSlots
 )
 
-// shared wraps an atom predicate in its per-state memo slot.
-func shared(slot int, f func(*model.View) bool) func(*model.View) bool {
-	return func(v *model.View) bool { return v.Memo(slot, f) }
-}
-
-// commonAtoms builds the atom table the whole catalog shares, resolved
-// against plan's devices.
-func commonAtoms(plan *model.Plan, th Thresholds) atomMap {
+// commonAtoms builds the slot-indexed atom table the whole catalog
+// shares, resolved against plan's devices.
+func commonAtoms(plan *model.Plan, th Thresholds) []model.Atom {
 	plan.Counts.AtomTables++
 	// any/all device with the role or capability has attr == value
-	anyAssoc := func(role, attr, value string) func(*model.View) bool {
+	anyAssoc := func(role, attr, value string) model.Atom {
 		return enumAtom(plan.ByAssociation(role), attr, value, false)
 	}
-	allAssoc := func(role, attr, value string) func(*model.View) bool {
+	allAssoc := func(role, attr, value string) model.Atom {
 		return enumAtom(plan.ByAssociation(role), attr, value, true)
 	}
-	anyCap := func(capName, attr, value string) func(*model.View) bool {
+	anyCap := func(capName, attr, value string) model.Atom {
 		return enumAtom(plan.ByCapability(capName), attr, value, false)
 	}
 	// any device with the capability reads attr below / above th
-	numBelow := func(capName, attr string, th int64) func(*model.View) bool {
+	numBelow := func(capName, attr string, th int64) model.Atom {
 		return numAtom(plan.ByCapability(capName), attr, func(n int64) bool { return n < th })
 	}
-	numAbove := func(capName, attr string, th int64) func(*model.View) bool {
+	numAbove := func(capName, attr string, th int64) model.Atom {
 		return numAtom(plan.ByCapability(capName), attr, func(n int64) bool { return n > th })
 	}
-	allAlarmsOff := enumAtom(plan.ByCapability("alarm"), "alarm", "off", true)
-	return atomMap{
-		"anyone_home":    shared(slotAnyoneHome, func(v *model.View) bool { return v.AnyoneHome() }),
-		"mode_away":      shared(slotModeAway, modeIs("Away")),
-		"mode_home":      shared(slotModeHome, modeIs("Home")),
-		"mode_night":     shared(slotModeNight, modeIs("Night")),
-		"smoke_detected": shared(slotSmoke, func(v *model.View) bool { return v.SmokeDetected() }),
-		"co_detected":    shared(slotCO, func(v *model.View) bool { return v.CODetected() }),
-		"leak_detected":  shared(slotLeak, func(v *model.View) bool { return v.LeakDetected() }),
-		"motion_active":  shared(slotMotion, func(v *model.View) bool { return v.AnyMotion() }),
-		"temp_low":       shared(slotTempLow, numBelow("temperatureMeasurement", "temperature", th.TempLow)),
-		"temp_high":      shared(slotTempHigh, numAbove("temperatureMeasurement", "temperature", th.TempHigh)),
-
-		"heater_on":  shared(slotHeaterOn, anyAssoc(RoleHeater, "switch", "on")),
-		"heater_off": shared(slotHeaterOff, anyAssoc(RoleHeater, "switch", "off")),
-		"ac_on":      shared(slotACOn, anyAssoc(RoleAC, "switch", "on")),
-		"ac_off":     shared(slotACOff, anyAssoc(RoleAC, "switch", "off")),
-
-		"main_door_locked":   shared(slotMainLocked, allAssoc(RoleMainDoor, "lock", "locked")),
-		"main_door_unlocked": shared(slotMainUnlocked, anyAssoc(RoleMainDoor, "lock", "unlocked")),
-		"any_lock_unlocked":  shared(slotAnyLockUnlocked, anyCap("lock", "lock", "unlocked")),
-		"garage_open":        shared(slotGarageOpen, anyAssoc(RoleGarage, "door", "open")),
-		"garage_closed":      shared(slotGarageClosed, allAssoc(RoleGarage, "door", "closed")),
-		"entry_contact_open": shared(slotEntryOpen, anyAssoc(RoleEntryContact, "contact", "open")),
-		"any_door_open":      shared(slotAnyDoorOpen, anyCap("doorControl", "door", "open")),
-
-		// alarm_active shares alarm_off's slot (it is its negation), so
-		// the alarm scan runs at most once per state.
-		"alarm_active":     func(v *model.View) bool { return !v.Memo(slotAlarmOff, allAlarmsOff) },
-		"alarm_off":        shared(slotAlarmOff, allAlarmsOff),
-		"security_armed":   shared(slotSecurityArmed, anyAssoc(RoleSecuritySw, "switch", "on")),
-		"camera_capturing": shared(slotCamera, anyAssoc(RoleCamera, "image", "taken")),
-		"button_held":      shared(slotButtonHeld, anyCap("button", "button", "held")),
-		"sleeping":         shared(slotSleeping, anyCap("sleepSensor", "sleeping", "sleeping")),
-
-		"fire_valve_closed": shared(slotFireValveClosed, anyAssoc(RoleFireValve, "valve", "closed")),
-		"water_main_open":   shared(slotWaterMainOpen, anyAssoc(RoleWaterMain, "valve", "open")),
-		"water_main_closed": shared(slotWaterMainClosed, allAssoc(RoleWaterMain, "valve", "closed")),
-		"sprinkler_on":      shared(slotSprinklerOn, anyAssoc(RoleSprinkler, "switch", "on")),
-		"sprinkler_off":     shared(slotSprinklerOff, allAssoc(RoleSprinkler, "switch", "off")),
-		"soil_dry":          shared(slotSoilDry, numBelow("soilMoistureMeasurement", "soilMoisture", th.SoilLow)),
-		"soil_wet":          shared(slotSoilWet, numAbove("soilMoistureMeasurement", "soilMoisture", th.SoilHigh)),
-		"humidity_high":     shared(slotHumidityHigh, numAbove("relativeHumidityMeasurement", "humidity", th.HumidHigh)),
-
-		"away_device_on":      shared(slotAwayDeviceOn, anyAssoc(RoleAwayDevice, "switch", "on")),
-		"night_device_on":     shared(slotNightDeviceOn, anyAssoc(RoleNightDevice, "switch", "on")),
-		"entertainment_on":    shared(slotEntertainmentOn, anyAssoc(RoleEntertainment, "status", "playing")),
-		"shade_open":          shared(slotShadeOpen, anyAssoc(RoleShade, "windowShade", "open")),
-		"night_light_on":      shared(slotNightLightOn, anyAssoc(RoleNightLight, "switch", "on")),
-		"thermostat_span_bad": shared(slotThermSpanBad, thermostatSpanBad(plan.ByCapability("thermostat"))),
+	// The View's built-ins, from the same resolved refs. Without presence
+	// sensors the home is conservatively occupied.
+	watch := plan.Watch()
+	anyoneHome := anyEq(watch.Presence)
+	if watch.NoPresenceSensors {
+		anyoneHome = constant(true)
 	}
+	modes := plan.Cfg.Modes
+
+	atoms := make([]model.Atom, numSlots)
+	set := func(slot int, name string, a model.Atom) {
+		a.Name = name
+		atoms[slot] = a
+	}
+	set(slotAnyoneHome, "anyone_home", anyoneHome)
+	set(slotModeAway, "mode_away", modeIs(modes, "Away"))
+	set(slotModeHome, "mode_home", modeIs(modes, "Home"))
+	set(slotModeNight, "mode_night", modeIs(modes, "Night"))
+	set(slotSmoke, "smoke_detected", anyEq(watch.Smoke))
+	set(slotCO, "co_detected", anyEq(watch.CO))
+	set(slotLeak, "leak_detected", anyEq(watch.Leak))
+	set(slotMotion, "motion_active", anyEq(watch.Motion))
+	set(slotTempLow, "temp_low", numBelow("temperatureMeasurement", "temperature", th.TempLow))
+	set(slotTempHigh, "temp_high", numAbove("temperatureMeasurement", "temperature", th.TempHigh))
+
+	set(slotHeaterOn, "heater_on", anyAssoc(RoleHeater, "switch", "on"))
+	set(slotHeaterOff, "heater_off", anyAssoc(RoleHeater, "switch", "off"))
+	set(slotACOn, "ac_on", anyAssoc(RoleAC, "switch", "on"))
+	set(slotACOff, "ac_off", anyAssoc(RoleAC, "switch", "off"))
+
+	set(slotMainLocked, "main_door_locked", allAssoc(RoleMainDoor, "lock", "locked"))
+	set(slotMainUnlocked, "main_door_unlocked", anyAssoc(RoleMainDoor, "lock", "unlocked"))
+	set(slotAnyLockUnlocked, "any_lock_unlocked", anyCap("lock", "lock", "unlocked"))
+	set(slotGarageOpen, "garage_open", anyAssoc(RoleGarage, "door", "open"))
+	set(slotGarageClosed, "garage_closed", allAssoc(RoleGarage, "door", "closed"))
+	set(slotEntryOpen, "entry_contact_open", anyAssoc(RoleEntryContact, "contact", "open"))
+	set(slotAnyDoorOpen, "any_door_open", anyCap("doorControl", "door", "open"))
+
+	// alarm_active is alarm_off's negation (see bind).
+	set(slotAlarmOff, "alarm_off", enumAtom(plan.ByCapability("alarm"), "alarm", "off", true))
+	set(slotSecurityArmed, "security_armed", anyAssoc(RoleSecuritySw, "switch", "on"))
+	set(slotCamera, "camera_capturing", anyAssoc(RoleCamera, "image", "taken"))
+	set(slotButtonHeld, "button_held", anyCap("button", "button", "held"))
+	set(slotSleeping, "sleeping", anyCap("sleepSensor", "sleeping", "sleeping"))
+
+	set(slotFireValveClosed, "fire_valve_closed", anyAssoc(RoleFireValve, "valve", "closed"))
+	set(slotWaterMainOpen, "water_main_open", anyAssoc(RoleWaterMain, "valve", "open"))
+	set(slotWaterMainClosed, "water_main_closed", allAssoc(RoleWaterMain, "valve", "closed"))
+	set(slotSprinklerOn, "sprinkler_on", anyAssoc(RoleSprinkler, "switch", "on"))
+	set(slotSprinklerOff, "sprinkler_off", allAssoc(RoleSprinkler, "switch", "off"))
+	set(slotSoilDry, "soil_dry", numBelow("soilMoistureMeasurement", "soilMoisture", th.SoilLow))
+	set(slotSoilWet, "soil_wet", numAbove("soilMoistureMeasurement", "soilMoisture", th.SoilHigh))
+	set(slotHumidityHigh, "humidity_high", numAbove("relativeHumidityMeasurement", "humidity", th.HumidHigh))
+
+	set(slotAwayDeviceOn, "away_device_on", anyAssoc(RoleAwayDevice, "switch", "on"))
+	set(slotNightDeviceOn, "night_device_on", anyAssoc(RoleNightDevice, "switch", "on"))
+	set(slotEntertainmentOn, "entertainment_on", anyAssoc(RoleEntertainment, "status", "playing"))
+	set(slotShadeOpen, "shade_open", anyAssoc(RoleShade, "windowShade", "open"))
+	set(slotNightLightOn, "night_light_on", anyAssoc(RoleNightLight, "switch", "on"))
+	set(slotThermSpanBad, "thermostat_span_bad", thermostatSpanBad(plan.ByCapability("thermostat")))
+	return atoms
 }
 
 // thermostatSpanBad is true when any thermostat's heating setpoint
 // exceeds its cooling setpoint.
-func thermostatSpanBad(thermostats []*model.DevInst) func(v *model.View) bool {
+func thermostatSpanBad(thermostats []*model.DevInst) model.Atom {
 	type span struct{ heat, cool model.AttrRef }
 	var spans []span
+	var reads []model.AttrRef
 	for _, d := range thermostats {
 		one := []*model.DevInst{d}
 		h, c := model.NumRefs(one, "heatingSetpoint"), model.NumRefs(one, "coolingSetpoint")
 		if len(h) == 1 && len(c) == 1 {
 			spans = append(spans, span{heat: h[0], cool: c[0]})
+			reads = append(reads, h[0], c[0])
 		}
 	}
-	return func(v *model.View) bool {
-		for _, s := range spans {
-			if v.Raw(s.heat) > v.Raw(s.cool) {
+	return model.Atom{Reads: reads, Holds: func(s *model.State) bool {
+		for _, sp := range spans {
+			if s.Raw(sp.heat) > s.Raw(sp.cool) {
 				return true
 			}
 		}
 		return false
-	}
+	}}
 }
 
 func phys(id, category, desc, formula string, roles, caps []string) Property {

@@ -155,46 +155,71 @@ func systemHasCapability(sys *config.System, capName string) bool {
 	return false
 }
 
-// Compile builds the model invariant for a physical property: the
-// one-property form of CompileInvariants.
+// Compile builds the model invariant for one physical property on its
+// own: an opaque invariant whose Holds runs the formula straight over
+// the atom predicates, every atom it names scanned on every call — no
+// valuation word, no verdict cache. It shares the atom builders with
+// CompileCatalog and nothing else, which makes it the twin the catalog
+// path is tested against.
 func (p *Property) Compile(sys *config.System, th Thresholds) (model.Invariant, error) {
 	plan, err := model.Prepare(sys)
 	if err != nil {
 		return model.Invariant{}, err
 	}
-	return p.compile(plan, commonAtoms(plan, th))
-}
-
-// compile binds the property's LTL to an atom table resolved against
-// plan's devices.
-func (p *Property) compile(plan *model.Plan, atoms atomMap) (model.Invariant, error) {
-	if p.Kind != Physical {
-		return model.Invariant{}, fmt.Errorf("props: %s is not a physical property", p.ID)
-	}
-	f, err := ltl.Parse(p.LTL)
+	atoms := commonAtoms(plan, th)
+	bound, err := bind(p, atoms, func(slot int) func(*model.State) bool { return atoms[slot].Holds })
 	if err != nil {
-		return model.Invariant{}, fmt.Errorf("props: %s: %w", p.ID, err)
-	}
-	mon, err := ltl.CompileSafety(f)
-	if err != nil {
-		return model.Invariant{}, fmt.Errorf("props: %s: %w", p.ID, err)
-	}
-	if mon.Kind != ltl.Invariant {
-		return model.Invariant{}, fmt.Errorf("props: %s: only invariant monitors can run under DFS", p.ID)
-	}
-	// Bind the invariant's propositional body straight to the atom
-	// evaluators: stepping it per state is then closed closure calls
-	// with no per-evaluation environment closure or atom map lookups.
-	bound, err := ltl.Bind(f.L, func(name string) func(*model.View) bool { return atoms[name] })
-	if err != nil {
-		return model.Invariant{}, fmt.Errorf("props: %s: %w", p.ID, err)
+		return model.Invariant{}, err
 	}
 	return model.Invariant{
 		ID:          p.ID,
 		Description: p.Description,
-		Holds:       bound,
+		Holds:       func(v *model.View) bool { return bound(v.S) },
 		DeviceKey:   plan.DeviceKey(),
 	}, nil
+}
+
+// bind binds the property's propositional body to evaluators over T,
+// one per slot of atoms: stepping it is then closed closure calls with
+// no per-evaluation environment closure or atom map lookups.
+func bind[T any](p *Property, atoms []model.Atom, bySlot func(slot int) func(T) bool) (func(T) bool, error) {
+	if p.Kind != Physical {
+		return nil, fmt.Errorf("props: %s is not a physical property", p.ID)
+	}
+	f, err := ltl.Parse(p.LTL)
+	if err != nil {
+		return nil, fmt.Errorf("props: %s: %w", p.ID, err)
+	}
+	mon, err := ltl.CompileSafety(f)
+	if err != nil {
+		return nil, fmt.Errorf("props: %s: %w", p.ID, err)
+	}
+	if mon.Kind != ltl.Invariant {
+		return nil, fmt.Errorf("props: %s: only invariant monitors can run under DFS", p.ID)
+	}
+	bound, err := ltl.Bind(f.L, func(name string) func(T) bool {
+		// alarm_active is alarm_off's negation: it has no slot, scan or
+		// read-set of its own.
+		negate := name == "alarm_active"
+		if negate {
+			name = "alarm_off"
+		}
+		for slot := range atoms {
+			if atoms[slot].Name != name {
+				continue
+			}
+			a := bySlot(slot)
+			if negate {
+				return func(v T) bool { return !a(v) }
+			}
+			return a
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("props: %s: %w", p.ID, err)
+	}
+	return bound, nil
 }
 
 // CompileInvariants compiles every applicable physical property (or the
@@ -211,17 +236,26 @@ func CompileInvariants(sys *config.System, ids []string, th Thresholds) ([]model
 
 // CompileCatalog compiles every applicable physical property (or the
 // selected subset when ids is non-nil) against plan's device table: one
-// atom table, resolved to device and attribute indexes here, shared by
-// every property. The invariants are immutable closures over those
-// indexes, so one catalog serves every model built from the plan, from
-// any number of goroutines; model.Plan.Build rejects any other device
-// list.
+// atom table, resolved to device and attribute indexes here and shared
+// by every property, each of which becomes a function of the table's
+// valuation word — atom i is a test of bit i. The table and the
+// invariants are immutable, so one catalog serves every model built from
+// the plan, from any number of goroutines; model.Plan.Build rejects any
+// other device list.
 func CompileCatalog(plan *model.Plan, ids []string, th Thresholds) ([]model.Invariant, error) {
 	want := map[string]bool{}
 	for _, id := range ids {
 		want[id] = true
 	}
 	atoms := commonAtoms(plan, th)
+	table, err := plan.NewAtomTable(atoms)
+	if err != nil {
+		return nil, err
+	}
+	bit := func(slot int) func(uint64) bool {
+		mask := uint64(1) << uint(slot)
+		return func(word uint64) bool { return word&mask != 0 }
+	}
 	var out []model.Invariant
 	for _, p := range Catalog() {
 		if p.Kind != Physical {
@@ -233,11 +267,17 @@ func CompileCatalog(plan *model.Plan, ids []string, th Thresholds) ([]model.Inva
 		if !p.Applicable(plan.Cfg) {
 			continue
 		}
-		inv, err := p.compile(plan, atoms)
+		over, err := bind(&p, atoms, bit)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, inv)
+		out = append(out, model.Invariant{
+			ID:          p.ID,
+			Description: p.Description,
+			Atoms:       table,
+			Over:        over,
+			DeviceKey:   plan.DeviceKey(),
+		})
 	}
 	return out, nil
 }

@@ -2,6 +2,8 @@ package props_test
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,7 +63,7 @@ func TestCatalogCompilesOnFullSystem(t *testing.T) {
 		inv, err := p.Compile(sys, th)
 		if err != nil {
 			t.Errorf("%s: %v", p.ID, err)
-		} else if inv.ID != p.ID || inv.Holds == nil || inv.DeviceKey == "" {
+		} else if inv.ID != p.ID || inv.Holds == nil || inv.Atoms != nil || inv.DeviceKey == "" {
 			t.Errorf("%s: compiled to %+v", p.ID, inv)
 		}
 	}
@@ -81,6 +83,9 @@ func TestCatalogCompilesOnFullSystem(t *testing.T) {
 		if inv.ID != phys[i].ID || inv.DeviceKey != plan.DeviceKey() {
 			t.Errorf("invariant %d is %s keyed %q, want %s keyed to the plan", i, inv.ID, inv.DeviceKey, phys[i].ID)
 		}
+		if inv.Over == nil || inv.Holds != nil || inv.Atoms != invs[0].Atoms || len(inv.Atoms.Atoms) != props.NumSlots {
+			t.Errorf("invariant %s is not a function of the catalog's one atom table: %+v", inv.ID, inv)
+		}
 	}
 	if plan.Counts.AtomTables != 1 {
 		t.Errorf("%d atom tables for one catalog compile, want 1", plan.Counts.AtomTables)
@@ -99,9 +104,105 @@ func TestCatalogCompilesOnFullSystem(t *testing.T) {
 	}
 }
 
-func TestAtomSlotsFitViewMemo(t *testing.T) {
-	if props.NumSlots > model.ViewMemoSlots {
-		t.Fatalf("the atom catalog uses %d memo slots, model.ViewMemoSlots is %d", props.NumSlots, model.ViewMemoSlots)
+// The atom table fits one 64-bit valuation word.
+func TestAtomSlotsFitOneWord(t *testing.T) {
+	if props.NumSlots > model.MaxAtoms {
+		t.Fatalf("the atom catalog has %d atoms, a valuation word holds %d", props.NumSlots, model.MaxAtoms)
+	}
+	plan, err := model.Prepare(fullSystem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.NewAtomTable(make([]model.Atom, model.MaxAtoms+1)); err == nil {
+		t.Error("an atom table wider than the word was accepted")
+	}
+}
+
+// An atom is re-evaluated only on a state whose transition wrote a
+// device in its declared Reads (or the mode, with ReadsMode), so the
+// declaration must cover everything the predicate reads. On random
+// states of the full-catalog system, rewriting any attribute of any
+// device — or the mode — changes no atom that does not declare the
+// read; and no declaration is idle: every atom changes under some write
+// inside its read-set.
+func TestAtomReadSets(t *testing.T) {
+	sys := fullSystem()
+	invs, err := props.CompileInvariants(sys, nil, props.DefaultThresholds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := model.New(sys, nil, model.Options{Invariants: invs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := invs[0].Atoms
+	reads := make([]map[int]bool, len(table.Atoms)) // atom → devices declared
+	for i, a := range table.Atoms {
+		reads[i] = map[int]bool{}
+		for _, r := range a.Reads {
+			reads[i][int(r.Dev)] = true
+		}
+		if a.Name == "" || a.Holds == nil {
+			t.Fatalf("slot %d has no atom", i)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(22))
+	// pick draws a value of the attribute's domain: any enum index; for
+	// a numeric one its generated values or anything around the
+	// catalog's thresholds.
+	pick := func(a device.Attribute) int16 {
+		if !a.Numeric {
+			return int16(rng.Intn(len(a.Values)))
+		}
+		if len(a.GenValues) > 0 && rng.Intn(2) == 0 {
+			return int16(a.GenValues[rng.Intn(len(a.GenValues))])
+		}
+		return int16(rng.Intn(131) - 10)
+	}
+	flipped := make([]bool, len(table.Atoms))
+	s := m.Initial()
+	for trial := 0; trial < 60; trial++ {
+		for d, dev := range m.Devices {
+			for j, a := range dev.Attrs {
+				s.Devices[d].Attrs[j] = pick(a)
+			}
+		}
+		s.Mode = uint8(rng.Intn(len(m.Cfg.Modes)))
+		before := table.Valuation(s)
+		check := func(what string, declared func(atom int) bool) {
+			changed := before ^ table.Valuation(s)
+			for i := range table.Atoms {
+				if changed&(1<<uint(i)) == 0 {
+					continue
+				}
+				flipped[i] = true
+				if !declared(i) {
+					t.Fatalf("trial %d: atom %s changed with %s, which it does not declare reading", trial, table.Atoms[i].Name, what)
+				}
+			}
+		}
+		for d, dev := range m.Devices {
+			for j, a := range dev.Attrs {
+				old := s.Devices[d].Attrs[j]
+				for k := 0; k < 4; k++ {
+					s.Devices[d].Attrs[j] = pick(a)
+					check(fmt.Sprintf("%s.%s", dev.ID, a.Name), func(i int) bool { return reads[i][d] })
+				}
+				s.Devices[d].Attrs[j] = old
+			}
+		}
+		old := s.Mode
+		for mode := range m.Cfg.Modes {
+			s.Mode = uint8(mode)
+			check("the mode", func(i int) bool { return table.Atoms[i].ReadsMode })
+		}
+		s.Mode = old
+	}
+	for i, a := range table.Atoms {
+		if !flipped[i] {
+			t.Errorf("atom %s (reads %d devices, mode %v) never changed under a write inside its read-set", a.Name, len(reads[i]), a.ReadsMode)
+		}
 	}
 }
 
@@ -115,10 +216,10 @@ func corpusGroup(t *testing.T, g int) (*config.System, map[string]*ir.App) {
 	return experiments.ExpertConfig(fmt.Sprintf("group%d", g), sources, apps), apps
 }
 
-// The shared catalog (one atom table, one View memo per state for all
-// properties) agrees state by state with twins compiled one property at
-// a time, each over a device table and atom table of its own and
-// evaluated on a View of its own.
+// The shared catalog (one atom table, one valuation word per state, one
+// verdict per distinct word) agrees state by state with twins compiled
+// one property at a time, each over a device table and atom table of its
+// own and run atom by atom on a View.
 func TestSharedCatalogMatchesPerPropertyCompile(t *testing.T) {
 	sys, apps := corpusGroup(t, 3)
 	th := props.DefaultThresholds()
@@ -151,15 +252,19 @@ func TestSharedCatalogMatchesPerPropertyCompile(t *testing.T) {
 	violated := map[string]bool{}
 	for queue := []*model.State{init}; len(queue) > 0; queue = queue[1:] {
 		s := queue[0]
-		view := &model.View{M: m, S: s}
-		for i, inv := range shared {
-			got, want := inv.Holds(view), twins[i].Holds(&model.View{M: m, S: s})
-			if got != want {
-				t.Fatalf("state %d: %s holds = %v on the shared catalog, %v on its twin", len(seen), inv.ID, got, want)
+		var want []string
+		for _, twin := range twins {
+			if !twin.Holds(&model.View{M: m, S: s}) {
+				want = append(want, twin.ID)
+				violated[twin.ID] = true
 			}
-			if !got {
-				violated[inv.ID] = true
-			}
+		}
+		var got []string
+		for _, v := range m.Inspect(s) {
+			got = append(got, v.Property)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("state %d: the shared catalog reports %q, the twins %q", len(seen), got, want)
 		}
 		for _, tr := range m.Expand(s) {
 			next := tr.Next.(*model.State)

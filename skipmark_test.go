@@ -19,7 +19,8 @@
 // the other thing a mark now is: the record of what a scratch must copy
 // back from the parent before its next step. A skipped mark there is a
 // missed undo, and the keyed-vs-eager walk must diverge on it with no
-// block cache in play at all.
+// block cache in play at all. And the same fault is a stale atom: the
+// Inspect differential must diverge on it too.
 //
 // Run with: go test -tags iotsan_skipmark -run TestSkipMark .
 package iotsan_test
@@ -89,4 +90,42 @@ func TestSkipMarkOracleCatchesMissedUndo(t *testing.T) {
 		t.Fatalf("markDevice was skipped on every sensor update, yet all %d stepped successors matched Expand's — the walk would miss a real missed undo", states)
 	}
 	t.Logf("walk caught %d divergences across %d successors with markDevice skipped; first: %s", div.count, states, div.first)
+}
+
+// TestSkipMarkOracleCatchesStaleAtom: the third reader of a mark is the
+// atom valuation — a transition withdraws the freshness of the atoms
+// that read a block it marked. With markDevice skipped on sensor
+// updates, the atoms reading a sensor keep their parent's value on the
+// successor, and the Inspect differential must see a settled word that
+// differs from the from-scratch one. Along a walk of Expand's
+// successors, not a search: the stale digests of the same fault would
+// collapse a visited store to a handful of states.
+func TestSkipMarkOracleCatchesStaleAtom(t *testing.T) {
+	cfg := porCorpusConfigs[0]
+	m := incGroupModel(t, 1, cfg.napps, cfg.events, true)
+	o := newValuationOracle(t, m)
+	rng := rand.New(rand.NewSource(7919))
+	for walk := 0; walk < 4; walk++ {
+		cur := m.Initial()
+		m.IncrementalDigest(cur, false) // digest, then inspect: the engine's order
+		o.inspect(cur)
+		for step := 0; step < 40; step++ {
+			trs := m.Expand(cur)
+			if len(trs) == 0 {
+				break
+			}
+			for _, tr := range trs {
+				m.IncrementalDigest(tr.Next.(*model.State), false)
+				o.inspect(tr.Next)
+			}
+			cur = trs[rng.Intn(len(trs))].Next.(*model.State)
+		}
+	}
+	if o.inspected.Load() == 0 {
+		t.Fatal("nothing was inspected — the negative oracle is vacuous")
+	}
+	if o.failures == 0 {
+		t.Fatalf("markDevice was skipped on every sensor update, yet all %d inspected states settled to their from-scratch valuation — the differential would miss a real missed mark", o.inspected.Load())
+	}
+	t.Logf("differential caught %d divergences across %d inspected states with markDevice skipped; first: %s", o.failures, o.inspected.Load(), o.first)
 }
