@@ -87,10 +87,14 @@ type engine struct {
 	// Options.Checkpoint and a StoreDir, no uncertified reducer).
 	wal *wal
 
-	explored    atomic.Int64
-	matched     atomic.Int64
-	maxDepth    atomic.Int64
-	violCount   atomic.Int64
+	explored  atomic.Int64
+	matched   atomic.Int64
+	maxDepth  atomic.Int64
+	violCount atomic.Int64
+	// clockPolls counts limitHit calls under a Deadline; late latches the
+	// first clock reading past it for every later call and worker.
+	clockPolls  atomic.Uint32
+	late        atomic.Bool
 	truncated   atomic.Bool
 	porChoices  atomic.Int64
 	porPruned   atomic.Int64
@@ -372,6 +376,11 @@ func (e *engine) materialize(ts []TrailStep) {
 	}
 }
 
+// clockPollEvery is how many limitHit calls — one per state or successor,
+// microseconds apart — share a reading of the clock: the first reads it,
+// then every 256th, which keeps time.Now off the per-state path.
+const clockPollEvery = 256
+
 // limitHit reports whether a search limit has been reached. Strategies
 // must consult it after every recorded violation and explored state —
 // not only per iteration — so MaxViolations and Deadline cannot be
@@ -383,8 +392,14 @@ func (e *engine) limitHit() bool {
 	if e.opts.MaxStates > 0 && int(e.explored.Load()) >= e.opts.MaxStates {
 		return true
 	}
-	if e.opts.Deadline > 0 && time.Since(e.start) > e.opts.Deadline {
-		return true
+	if e.opts.Deadline > 0 {
+		if e.late.Load() {
+			return true
+		}
+		if e.clockPolls.Add(1)%clockPollEvery == 1 && time.Since(e.start) > e.opts.Deadline {
+			e.late.Store(true)
+			return true
+		}
 	}
 	if e.opts.MaxViolations > 0 && int(e.violCount.Load()) >= e.opts.MaxViolations {
 		return true

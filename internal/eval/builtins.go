@@ -104,17 +104,16 @@ func bareBuiltin(r rt, x *groovy.CallExpr, args []ir.Value, named map[string]ir.
 		host.Unschedule()
 		return ir.NullV(), true
 	case "sendSms", "sendSmsMessage":
-		phone, msg := argStr(args, 0), argStr(args, 1)
-		host.SendSMS(phone, msg)
+		host.SendSMS(argStr(args, 0))
 		return ir.NullV(), true
 	case "sendPush", "sendPushMessage", "sendNotification":
-		host.SendPush(argStr(args, 0))
+		host.SendPush()
 		return ir.NullV(), true
 	case "sendNotificationToContacts":
-		host.SendNotificationToContacts(argStr(args, 0))
+		host.SendNotificationToContacts()
 		return ir.NullV(), true
 	case "sendNotificationEvent":
-		host.Log("notification", argStr(args, 0))
+		host.Log("notification")
 		return ir.NullV(), true
 	case "httpPost", "httpPostJson", "httpGet", "httpPut", "httpDelete":
 		method := strings.ToUpper(strings.TrimPrefix(x.Name, "http"))
@@ -228,12 +227,12 @@ func mathMethod(appName, name string, args []float64, pos groovy.Pos) (ir.Value,
 func methodOnValue(r rt, recv ir.Value, x *groovy.CallExpr, args []ir.Value, cl any) (ir.Value, bool, error) {
 	switch recv.Kind {
 	case ir.VDevice:
-		v, err := deviceMethod(r.rtHost(), recv.Dev, x, args)
+		v, err := deviceMethod(r.rtHost(), recv.Dev(), x, args)
 		return v, true, err
 	case ir.VDevices:
 		// Command on a multiple:true input fans out to every device.
-		for _, d := range recv.L {
-			if _, err := deviceMethod(r.rtHost(), d.Dev, x, args); err != nil {
+		for _, d := range recv.L() {
+			if _, err := deviceMethod(r.rtHost(), d.Dev(), x, args); err != nil {
 				return ir.NullV(), true, err
 			}
 		}
@@ -262,10 +261,10 @@ func methodOnValue(r rt, recv ir.Value, x *groovy.CallExpr, args []ir.Value, cl 
 			return ir.IntV(0), true, nil
 		case "abs":
 			if recv.Kind == ir.VNum {
-				return ir.NumV(math.Abs(recv.F)), true, nil
+				return ir.NumV(math.Abs(recv.F())), true, nil
 			}
-			if recv.I < 0 {
-				return ir.IntV(-recv.I), true, nil
+			if recv.I() < 0 {
+				return ir.IntV(-recv.I()), true, nil
 			}
 			return recv, true, nil
 		case "times":
@@ -317,7 +316,7 @@ func deviceMethod(host Host, dev int, x *groovy.CallExpr, args []ir.Value) (ir.V
 // listMethod implements the Groovy collection utilities the paper's
 // translator supports (§6: find, findAll, each, collect, first, +, ...).
 func listMethod(r rt, recv ir.Value, x *groovy.CallExpr, args []ir.Value, cl any) (ir.Value, error) {
-	items := recv.L
+	items := recv.L()
 	switch x.Name {
 	case "each":
 		if cl != nil {
@@ -568,29 +567,30 @@ func sameKind(orig ir.Value, items []ir.Value) ir.Value {
 }
 
 func mapMethod(r rt, recv ir.Value, x *groovy.CallExpr, args []ir.Value, cl any) (ir.Value, error) {
+	m := recv.M()
 	switch x.Name {
 	case "get":
-		return recv.M[argStr(args, 0)], nil
+		return m[argStr(args, 0)], nil
 	case "put":
 		if len(args) >= 2 {
-			recv.M[args[0].String()] = args[1]
+			m[args[0].String()] = args[1]
 		}
 		return ir.NullV(), nil
 	case "containsKey":
-		_, ok := recv.M[argStr(args, 0)]
+		_, ok := m[argStr(args, 0)]
 		return ir.BoolV(ok), nil
 	case "remove":
-		v := recv.M[argStr(args, 0)]
-		delete(recv.M, argStr(args, 0))
+		v := m[argStr(args, 0)]
+		delete(m, argStr(args, 0))
 		return v, nil
 	case "size":
-		return ir.IntV(int64(len(recv.M))), nil
+		return ir.IntV(int64(len(m))), nil
 	case "isEmpty":
-		return ir.BoolV(len(recv.M) == 0), nil
+		return ir.BoolV(len(m) == 0), nil
 	case "each":
 		if cl != nil {
-			for _, k := range sortedKeys(recv.M) {
-				entry := ir.MapV(map[string]ir.Value{"key": ir.StrV(k), "value": recv.M[k]})
+			for _, k := range sortedKeys(m) {
+				entry := ir.MapV(map[string]ir.Value{"key": ir.StrV(k), "value": m[k]})
 				if _, err := r.rtCall(cl, []ir.Value{entry}); err != nil {
 					return ir.NullV(), err
 				}
@@ -599,14 +599,14 @@ func mapMethod(r rt, recv ir.Value, x *groovy.CallExpr, args []ir.Value, cl any)
 		return recv, nil
 	case "keySet", "keys":
 		var out []ir.Value
-		for _, k := range sortedKeys(recv.M) {
+		for _, k := range sortedKeys(m) {
 			out = append(out, ir.StrV(k))
 		}
 		return ir.ListV(out), nil
 	case "values":
 		var out []ir.Value
-		for _, k := range sortedKeys(recv.M) {
-			out = append(out, recv.M[k])
+		for _, k := range sortedKeys(m) {
+			out = append(out, m[k])
 		}
 		return ir.ListV(out), nil
 	case "toString":
@@ -695,20 +695,20 @@ func stringMethod(appName string, recv ir.Value, x *groovy.CallExpr, args []ir.V
 func propertyOfValue(host Host, recv ir.Value, name string, pos groovy.Pos) (ir.Value, error) {
 	switch recv.Kind {
 	case ir.VDevice:
-		return devicePropertyOf(host, recv.Dev, name)
+		return devicePropertyOf(host, recv.Dev(), name)
 	case ir.VDevices:
 		// Reading an attribute from a multi-device input returns the
 		// first device's value (SmartThings' common-usage shortcut) —
 		// except pseudo-properties.
 		switch name {
 		case "size":
-			return ir.IntV(int64(len(recv.L))), nil
+			return ir.IntV(int64(len(recv.L()))), nil
 		}
-		if len(recv.L) == 1 {
-			return propertyOfValue(host, recv.L[0], name, pos)
+		if len(recv.L()) == 1 {
+			return propertyOfValue(host, recv.L()[0], name, pos)
 		}
 		var out []ir.Value
-		for _, d := range recv.L {
+		for _, d := range recv.L() {
 			v, err := propertyOfValue(host, d, name, pos)
 			if err != nil {
 				return ir.NullV(), err
@@ -717,15 +717,15 @@ func propertyOfValue(host Host, recv ir.Value, name string, pos groovy.Pos) (ir.
 		}
 		return ir.ListV(out), nil
 	case ir.VMap:
-		if v, ok := recv.M[name]; ok {
+		if v, ok := recv.M()[name]; ok {
 			return v, nil
 		}
 		switch name {
 		case "size":
-			return ir.IntV(int64(len(recv.M))), nil
+			return ir.IntV(int64(len(recv.M()))), nil
 		case "numericValue", "doubleValue", "floatValue", "integerValue":
 			// Event objects carry value as string; coerce on demand.
-			if v, ok := recv.M["value"]; ok {
+			if v, ok := recv.M()["value"]; ok {
 				if n, okk := parseNumeric(v.String()); okk {
 					return n, nil
 				}
@@ -735,19 +735,19 @@ func propertyOfValue(host Host, recv ir.Value, name string, pos groovy.Pos) (ir.
 	case ir.VList:
 		switch name {
 		case "size":
-			return ir.IntV(int64(len(recv.L))), nil
+			return ir.IntV(int64(len(recv.L()))), nil
 		case "first":
-			if len(recv.L) > 0 {
-				return recv.L[0], nil
+			if len(recv.L()) > 0 {
+				return recv.L()[0], nil
 			}
 			return ir.NullV(), nil
 		case "last":
-			if len(recv.L) > 0 {
-				return recv.L[len(recv.L)-1], nil
+			if len(recv.L()) > 0 {
+				return recv.L()[len(recv.L())-1], nil
 			}
 			return ir.NullV(), nil
 		case "empty":
-			return ir.BoolV(len(recv.L) == 0), nil
+			return ir.BoolV(len(recv.L()) == 0), nil
 		}
 		return ir.NullV(), nil
 	case ir.VStr:

@@ -41,15 +41,12 @@ func closureHandle(cl *groovy.ClosureExpr, sc *scope) any {
 func (ev *Evaluator) evalCall(x *groovy.CallExpr, sc *scope) (ir.Value, error) {
 	// log.debug / log.info / ... — cheap and extremely common.
 	if id, ok := x.Recv.(*groovy.Ident); ok && id.Name == "log" {
-		msg := ""
 		if len(x.Args) > 0 {
-			v, err := ev.evalExpr(x.Args[0], sc)
-			if err != nil {
+			if _, err := ev.evalExpr(x.Args[0], sc); err != nil {
 				return ir.NullV(), err
 			}
-			msg = v.String()
 		}
-		ev.Host.Log(x.Name, msg)
+		ev.Host.Log(x.Name)
 		return ir.NullV(), nil
 	}
 	if id, ok := x.Recv.(*groovy.Ident); ok && id.Name == "Math" {
@@ -114,7 +111,7 @@ func (ev *Evaluator) bareCall(x *groovy.CallExpr, args []ir.Value, named map[str
 	// Closure-valued variable: def f = {...}; f(x).
 	if owner, ok := sc.lookup(x.Name); ok {
 		if cv := owner.vars[x.Name]; cv.Kind == ir.VClosure {
-			return ev.callClosure(cv.Closure, args, sc)
+			return ev.callClosure(cv.Closure(), args, sc)
 		}
 	}
 	return ir.NullV(), &ExecError{App: ev.App.Name, Pos: x.Pos,

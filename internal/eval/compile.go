@@ -628,23 +628,23 @@ func (c *compiler) assign(s *groovy.AssignStmt) stmtFn {
 			switch recv.Kind {
 			case ir.VList, ir.VDevices:
 				i := int(idx.AsInt())
-				if i < 0 || i >= len(recv.L) {
+				if i < 0 || i >= len(recv.L()) {
 					return ir.NullV(), ctlNormal, &ExecError{App: appName, Pos: lpos,
-						Msg: fmt.Sprintf("index %d out of range (len %d)", i, len(recv.L))}
+						Msg: fmt.Sprintf("index %d out of range (len %d)", i, len(recv.L()))}
 				}
-				nv, err := apply(recv.L[i], rhs)
+				nv, err := apply(recv.L()[i], rhs)
 				if err != nil {
 					return ir.NullV(), ctlNormal, err
 				}
-				recv.L[i] = nv
+				recv.L()[i] = nv
 				return nv, ctlNormal, nil
 			case ir.VMap:
 				key := idx.String()
-				nv, err := apply(recv.M[key], rhs)
+				nv, err := apply(recv.M()[key], rhs)
 				if err != nil {
 					return ir.NullV(), ctlNormal, err
 				}
-				recv.M[key] = nv
+				recv.M()[key] = nv
 				return nv, ctlNormal, nil
 			}
 			return ir.NullV(), ctlNormal, &ExecError{App: appName, Pos: lpos,
@@ -1507,16 +1507,8 @@ func (w *effectsWalker) call(x *groovy.CallExpr) {
 	// Notification message bodies are discarded by the model host; only
 	// the Notifies flag (set below in bareCall) is observable, so
 	// identity reads inside them are suppressed for the symmetry
-	// certificate. The recipient argument of sendSms/sendSmsMessage is
-	// NOT discarded — it reaches recipientConfigured and leak-property
-	// violation details verbatim — so suppression starts at the message.
-	suppressFrom := -1
-	if x.Recv == nil && notifyMessageCalls[x.Name] {
-		suppressFrom = 0
-		if x.Name == "sendSms" || x.Name == "sendSmsMessage" {
-			suppressFrom = 1
-		}
-	}
+	// certificate.
+	suppressFrom := unreadArgsFrom(x)
 	if x.Recv == nil && x.Name == "sendEvent" && w.suppress == 0 {
 		// Synthetic event payloads re-enter the model as state: a
 		// device-list-derived value there is a symmetry sink exactly
@@ -1709,6 +1701,20 @@ var notifyMessageCalls = map[string]bool{
 	"sendSms": true, "sendSmsMessage": true, "sendPush": true,
 	"sendPushMessage": true, "sendNotification": true,
 	"sendNotificationToContacts": true, "sendNotificationEvent": true,
+}
+
+// unreadArgsFrom returns the index from which the host never sees x's
+// arguments (named ones included), or -1 when it reads them all. The
+// recipient of sendSms/sendSmsMessage IS read — it reaches
+// recipientConfigured and leak-property details verbatim.
+func unreadArgsFrom(x *groovy.CallExpr) int {
+	if x.Recv != nil || !notifyMessageCalls[x.Name] {
+		return -1
+	}
+	if x.Name == "sendSms" || x.Name == "sendSmsMessage" {
+		return 1
+	}
+	return 0
 }
 
 // comparisonOps are the binary operators that observe a value rather

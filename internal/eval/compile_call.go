@@ -19,22 +19,19 @@ func (c *compiler) call(x *groovy.CallExpr) exprFn {
 	if id, ok := x.Recv.(*groovy.Ident); ok && id.Name == "log" {
 		var arg exprFn
 		if len(x.Args) > 0 {
-			arg = c.expr(x.Args[0])
+			arg = c.unread(x.Args[0])
 		}
 		level := x.Name
 		return func(env *Env) (ir.Value, error) {
 			if err := env.step(pos); err != nil {
 				return ir.NullV(), err
 			}
-			msg := ""
 			if arg != nil {
-				v, err := arg(env)
-				if err != nil {
+				if _, err := arg(env); err != nil {
 					return ir.NullV(), err
 				}
-				msg = v.String()
 			}
-			env.Host.Log(level, msg)
+			env.Host.Log(level)
 			return ir.NullV(), nil
 		}
 	}
@@ -61,9 +58,19 @@ func (c *compiler) call(x *groovy.CallExpr) exprFn {
 		}
 	}
 
+	// The host discards the arguments of a notification builtin from the
+	// message on (Host takes no text), so those compile through unread.
+	unreadFrom := unreadArgsFrom(x)
+	compileArg := c.expr
 	argFns := make([]exprFn, len(x.Args))
 	for i, a := range x.Args {
-		argFns[i] = c.expr(a)
+		if i == unreadFrom {
+			compileArg = c.unread
+		}
+		argFns[i] = compileArg(a)
+	}
+	if unreadFrom >= 0 {
+		compileArg = c.unread
 	}
 	type cnamed struct {
 		key string
@@ -71,7 +78,7 @@ func (c *compiler) call(x *groovy.CallExpr) exprFn {
 	}
 	namedFns := make([]cnamed, len(x.NamedArgs))
 	for i, na := range x.NamedArgs {
-		namedFns[i] = cnamed{key: na.Key, fn: c.expr(na.Value)}
+		namedFns[i] = cnamed{key: na.Key, fn: compileArg(na.Value)}
 	}
 	// evalArgs evaluates positional args onto the env arg stack and the
 	// named args into a map (only allocated when present), preserving

@@ -127,7 +127,7 @@ func (c *compiler) expr(e groovy.Expr) exprFn {
 				return ir.BoolV(!v.Truthy()), nil
 			case groovy.Minus:
 				if v.Kind == ir.VNum {
-					return ir.NumV(-v.F), nil
+					return ir.NumV(-v.F()), nil
 				}
 				return ir.IntV(-v.AsInt()), nil
 			}
@@ -245,6 +245,81 @@ func (c *compiler) constExpr(pos groovy.Pos, v ir.Value) exprFn {
 	}
 }
 
+// unread compiles an argument nobody reads: the message of a log
+// statement or of a notification builtin (unreadArgsFrom), which Host
+// does not accept. A total, effect-free expression evaluates nothing and
+// builds no string: it charges the steps evaluation would have counted,
+// one per node, so a livelocking handler still exhausts its budget at the
+// same node. Anything else compiles as usual and the caller drops the
+// value, so a call or an increment inside a message still runs. The
+// interpreter evaluates every message in full — it is the oracle.
+func (c *compiler) unread(e groovy.Expr) exprFn {
+	var nodes []groovy.Pos
+	if !c.total(e, &nodes) {
+		return c.expr(e)
+	}
+	n := len(nodes)
+	return func(env *Env) (ir.Value, error) {
+		if env.steps+n <= env.maxSteps {
+			env.steps += n
+			return ir.NullV(), nil
+		}
+		for _, pos := range nodes {
+			if err := env.step(pos); err != nil {
+				return ir.NullV(), err
+			}
+		}
+		return ir.NullV(), nil
+	}
+}
+
+// total reports whether evaluating e can neither fail nor change
+// anything, appending the position of every node evaluation steps
+// through, in order. The total forms are those whose compiled closures
+// return a nil error unconditionally: literals, identifiers (a slot read
+// or a constant), platform-object and direct-event properties, property
+// reads over a total receiver (propertyOfValue has no error of its own)
+// and GStrings of those. A state read counts as effect-free: at most the
+// host marks the app block dirty, which re-hashes equal content. Calls,
+// indexing, operators, ++/--, ternary/elvis and everything else are not.
+func (c *compiler) total(e groovy.Expr, nodes *[]groovy.Pos) bool {
+	*nodes = append(*nodes, e.NodePos())
+	switch x := e.(type) {
+	case *groovy.IntLit, *groovy.NumLit, *groovy.StrLit, *groovy.BoolLit, *groovy.NullLit:
+		return true
+	case *groovy.Ident:
+		if _, ok := c.resolve(x.Name); ok {
+			return true
+		}
+		if _, ok := c.bindings[x.Name]; ok {
+			return true
+		}
+		// The bare state map is handed out live (or fails compilation).
+		return x.Name != "state" && x.Name != "atomicState"
+	case *groovy.GStringLit:
+		for _, ge := range x.Exprs {
+			if !c.total(ge, nodes) {
+				return false
+			}
+		}
+		return true
+	case *groovy.PropertyExpr:
+		if id, ok := x.Recv.(*groovy.Ident); ok {
+			if _, shadowed := c.resolve(id.Name); !shadowed {
+				switch id.Name {
+				case "state", "atomicState":
+					_, laidOut := c.stateIdx[x.Name]
+					return c.stateIdx == nil || laidOut
+				case "settings", "location", "app", "Math":
+					return true
+				}
+			}
+		}
+		return c.total(x.Recv, nodes)
+	}
+	return false
+}
+
 func (c *compiler) gstring(g *groovy.GStringLit) exprFn {
 	pos := g.Pos
 	type gpart struct {
@@ -276,7 +351,7 @@ func (c *compiler) gstring(g *groovy.GStringLit) exprFn {
 				return ir.NullV(), err
 			}
 			if v.Kind == ir.VDevice {
-				sb.WriteString(env.Host.DeviceLabel(v.Dev))
+				sb.WriteString(env.Host.DeviceLabel(v.Dev()))
 			} else {
 				sb.WriteString(v.String())
 			}
@@ -362,7 +437,7 @@ func (c *compiler) incDec(x *groovy.IncDecExpr) exprFn {
 		}
 		var nv ir.Value
 		if old.Kind == ir.VNum {
-			nv = ir.NumV(old.F + float64(delta))
+			nv = ir.NumV(old.F() + float64(delta))
 		} else {
 			nv = ir.IntV(old.AsInt() + delta)
 		}
@@ -455,14 +530,14 @@ func (c *compiler) index(x *groovy.IndexExpr) exprFn {
 		case ir.VList, ir.VDevices:
 			i := int(iv.AsInt())
 			if i < 0 {
-				i += len(rv.L)
+				i += len(rv.L())
 			}
-			if i < 0 || i >= len(rv.L) {
+			if i < 0 || i >= len(rv.L()) {
 				return ir.NullV(), nil // Groovy returns null out of range
 			}
-			return rv.L[i], nil
+			return rv.L()[i], nil
 		case ir.VMap:
-			return rv.M[iv.String()], nil
+			return rv.M()[iv.String()], nil
 		case ir.VStr:
 			i := int(iv.AsInt())
 			if i < 0 || i >= len(rv.S) {
@@ -514,7 +589,10 @@ func (c *compiler) property(x *groovy.PropertyExpr) exprFn {
 				if err := env.step(pos); err != nil {
 					return ir.NullV(), err
 				}
-				return eventProp(env.Host, &env.event, name), nil
+				if err := env.step(id.Pos); err != nil { // the receiver, which the interpreter evaluates
+					return ir.NullV(), err
+				}
+				return eventProp(env.Host, env.event, name), nil
 			}
 		}
 	}

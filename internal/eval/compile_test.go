@@ -336,3 +336,135 @@ def h(evt) {
 		t.Errorf("compiled dispatch allocates %.1f per run, want 0", allocs)
 	}
 }
+
+// TestUnreadMessageElision: the compiler builds no string for a log or
+// notification message the Host never receives, and nothing but the
+// garbage can tell. The interpreter evaluates every message in full and
+// is the oracle throughout.
+func TestUnreadMessageElision(t *testing.T) {
+	evt := &Event{Device: 0, Name: "switch", Value: ir.StrV("on"), DisplayName: "Hall"}
+	bindings := map[string]ir.Value{"sw": ir.DeviceV(0), "limit": ir.IntV(60), "phone": ir.StrV("555")}
+
+	// (a) A message that contains a call or an increment is evaluated:
+	// its effects are the handler's.
+	t.Run("effects-survive", func(t *testing.T) {
+		ih, ch := runBoth(t, header+`
+def bump() { state.calls = (state.calls ?: 0) + 1; return state.calls }
+def h(evt) {
+    def n = 0
+    log.debug "bumped ${bump()}"
+    sendPush("x ${n++}")
+    sendSms(phone, "call ${bump()} of ${sw.displayName}")
+    sendNotificationEvent("e" + bump())
+    sendNotificationToContacts("c", [sw], [event: bump()])
+    state.n = n
+}
+`, "h", evt, bindings)
+		for _, h := range []*fakeHost{ih, ch} {
+			if h.state["calls"].AsInt() != 4 || h.state["n"].AsInt() != 1 || len(h.sms) != 1 || h.sms[0] != "555" {
+				t.Errorf("calls=%v n=%v sms=%v, want 4, 1, [555]", h.state["calls"], h.state["n"], h.sms)
+			}
+		}
+		runBoth(t, header+`
+def h(evt) {
+    log.debug "ratio ${limit / 0}"
+    sw.on()
+}
+`, "h", evt, bindings) // the division fails in both, at the same position, before the command
+	})
+
+	// (b) A message of total expressions costs no allocation — no
+	// strings.Builder, no rendered operand — where the same message with
+	// one method call in it allocates.
+	t.Run("total-message-zero-alloc", func(t *testing.T) {
+		allocs := func(msg string) float64 {
+			t.Helper()
+			app, err := smartapp.Translate(header + `
+def h(evt) {
+    log.debug ` + msg + `
+    sendSms(phone, ` + msg + `)
+    sendPush(` + msg + `)
+}
+`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ca := Compile(app, bindings, map[string]int{"count": 0})
+			if ca.Err != nil {
+				t.Fatal(ca.Err)
+			}
+			host := newFakeHost()
+			host.slots = []ir.Value{ir.IntV(3)}
+			host.attrs[key(0, "switch")] = ir.StrV("on")
+			env := &Env{}
+			run := func() {
+				host.sms = host.sms[:0]
+				env.Reset(host, ca)
+				if err := env.CallHandler("h", evt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm the stacks
+			return testing.AllocsPerRun(100, run)
+		}
+		total := `"${evt.displayName} is $evt.value at ${evt.doubleValue} (limit $limit, ${sw.currentSwitch} ${sw.displayName}, seen $state.count, ${location.mode} ${app.label} $settings.limit)"`
+		if n := allocs(total); n != 0 {
+			t.Errorf("a message of total expressions allocates %.1f per run, want 0", n)
+		}
+		if n := allocs(`"${evt.displayName.toUpperCase()} is $evt.value"`); n == 0 {
+			t.Error("a message containing a method call allocates nothing: the control cannot see a string being built")
+		}
+	})
+
+	// (c) The static step charge is exact: under every budget up to three
+	// past the handler's own step count, compiled and interpreted runs end
+	// alike — the same effects, or the same ExecError at the same position
+	// (inside an elided message included).
+	t.Run("step-charge-exact", func(t *testing.T) {
+		src := header + `
+def note() { state.notes = (state.notes ?: 0) + 1 }
+def h(evt) {
+    state.count = 1
+    log.debug "a ${evt.value} b ${sw.displayName} c ${state.count} d $limit"
+    sw.on()
+    try { log.info "in try ${evt.name}" } finally { note() }
+    sendSms(phone, "${sw.label} says ${evt.name} in ${location.mode}")
+}
+`
+		app, err := smartapp.Translate(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ca := Compile(app, bindings, nil)
+		if ca.Err != nil {
+			t.Fatal(ca.Err)
+		}
+		exec := func(maxSteps int) (ih, ch *fakeHost, isteps, csteps int, ierr, cerr error) {
+			ih, ch = newFakeHost(), newFakeHost()
+			iev := &Evaluator{App: app, Bindings: bindings, Host: ih, Limits: Limits{MaxSteps: maxSteps}}
+			ierr = iev.CallHandler("h", evt)
+			env := &Env{Limits: Limits{MaxSteps: maxSteps}}
+			env.Reset(ch, ca)
+			cerr = env.CallHandler("h", evt)
+			return ih, ch, iev.steps, env.steps, ierr, cerr
+		}
+		_, _, k, ck, ierr, cerr := exec(0)
+		if ierr != nil || cerr != nil || k != ck || k < 30 {
+			t.Fatalf("unbounded run: interp %d steps (%v), compiled %d steps (%v)", k, ierr, ck, cerr)
+		}
+		t.Logf("handler takes %d steps", k)
+		for budget := 1; budget <= k+3; budget++ {
+			ih, ch, isteps, csteps, ierr, cerr := exec(budget)
+			if (budget >= k) != (ierr == nil) {
+				t.Fatalf("budget %d of %d steps: interpreter error %v", budget, k, ierr)
+			}
+			if fmt.Sprint(ierr) != fmt.Sprint(cerr) || isteps != csteps {
+				t.Errorf("budget %d: interp stopped after %d steps with %v, compiled after %d with %v", budget, isteps, ierr, csteps, cerr)
+			}
+			if !reflect.DeepEqual(ih.commands, ch.commands) || !reflect.DeepEqual(ih.sms, ch.sms) || fmt.Sprint(ih.state) != fmt.Sprint(ch.state) {
+				t.Errorf("budget %d: effects diverge: interp %v %v %v, compiled %v %v %v",
+					budget, ih.commands, ih.sms, ih.state, ch.commands, ch.sms, ch.state)
+			}
+		}
+	})
+}

@@ -79,10 +79,11 @@ type Env struct {
 	stack     []ir.Value // slot frames, [base:top) is the current frame
 	base, top int
 	args      []ir.Value // argument scratch stack
-	// event holds the current handler event by value (evtDirect
-	// programs read it in place; copying keeps the caller's Event off
-	// the heap). Only valid while an evtDirect handler runs.
-	event Event
+	// event is the current handler's event, which evtDirect programs
+	// read in place: CallHandler's argument, so the caller must leave it
+	// alone until CallHandler returns. Only valid while an evtDirect
+	// handler runs.
+	event *Event
 
 	steps, depth       int
 	maxSteps, maxDepth int
@@ -177,7 +178,7 @@ func (e *Env) CallHandler(name string, evt *Event) error {
 	e.depth = 0
 	if len(p.decl.Params) > 0 {
 		if p.evtDirect {
-			e.event = *evt
+			e.event = evt
 			_, err := e.call(p, nil)
 			return err
 		}

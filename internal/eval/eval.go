@@ -45,11 +45,13 @@ type Host interface {
 	StateSlot(i int) ir.Value
 	SetStateSlot(i int, v ir.Value)
 	// SendSMS, SendPush, HTTPRequest, SendNotificationToContacts record
-	// messaging effects (§8's leakage properties hook in here).
-	SendSMS(phone, msg string)
-	SendPush(msg string)
+	// messaging effects (§8's leakage properties hook in here). None takes
+	// the message text: the model never reads it, which is what entitles
+	// the compiler to build none (compiler.unread).
+	SendSMS(phone string)
+	SendPush()
 	HTTPRequest(method, url string)
-	SendNotificationToContacts(msg string)
+	SendNotificationToContacts()
 	// Unsubscribe records execution of the security-sensitive
 	// unsubscribe command.
 	Unsubscribe()
@@ -59,8 +61,8 @@ type Host interface {
 	Schedule(handler string, delaySeconds int64)
 	// Unschedule cancels timers.
 	Unschedule()
-	// Log records a log statement (ignored by the model, kept for trails).
-	Log(level, msg string)
+	// Log records that a log statement or sendNotificationEvent ran.
+	Log(level string)
 }
 
 // Event is the cyber event delivered to a handler.
@@ -525,23 +527,23 @@ func (ev *Evaluator) execAssign(s *groovy.AssignStmt, sc *scope) (ir.Value, cont
 		switch recv.Kind {
 		case ir.VList, ir.VDevices:
 			i := int(idx.AsInt())
-			if i < 0 || i >= len(recv.L) {
+			if i < 0 || i >= len(recv.L()) {
 				return ir.NullV(), ctlNormal, &ExecError{App: ev.App.Name, Pos: lhs.Pos,
-					Msg: fmt.Sprintf("index %d out of range (len %d)", i, len(recv.L))}
+					Msg: fmt.Sprintf("index %d out of range (len %d)", i, len(recv.L()))}
 			}
-			nv, err := apply(recv.L[i])
+			nv, err := apply(recv.L()[i])
 			if err != nil {
 				return ir.NullV(), ctlNormal, err
 			}
-			recv.L[i] = nv
+			recv.L()[i] = nv
 			return nv, ctlNormal, nil
 		case ir.VMap:
 			key := idx.String()
-			nv, err := apply(recv.M[key])
+			nv, err := apply(recv.M()[key])
 			if err != nil {
 				return ir.NullV(), ctlNormal, err
 			}
-			recv.M[key] = nv
+			recv.M()[key] = nv
 			return nv, ctlNormal, nil
 		}
 		return ir.NullV(), ctlNormal, &ExecError{App: ev.App.Name, Pos: lhs.Pos,
@@ -554,7 +556,7 @@ func (ev *Evaluator) execAssign(s *groovy.AssignStmt, sc *scope) (ir.Value, cont
 func iterate(v ir.Value) []ir.Value {
 	switch v.Kind {
 	case ir.VList, ir.VDevices:
-		return v.L
+		return v.L()
 	case ir.VNull:
 		return nil
 	default:

@@ -40,22 +40,22 @@ func (h *fakeHost) DeviceLabel(dev int) string { return "dev" }
 func (h *fakeHost) DeviceCommand(dev int, cmd string, args []ir.Value) {
 	h.commands = append(h.commands, cmd)
 }
-func (h *fakeHost) LocationMode() string              { return h.mode }
-func (h *fakeHost) SetLocationMode(m string)          { h.mode = m }
-func (h *fakeHost) Modes() []string                   { return []string{"Home", "Away", "Night"} }
-func (h *fakeHost) Now() int64                        { return 1000 }
-func (h *fakeHost) AppState() map[string]ir.Value     { return h.state }
-func (h *fakeHost) StateSlot(i int) ir.Value          { return h.slots[i] }
-func (h *fakeHost) SetStateSlot(i int, v ir.Value)    { h.slots[i] = v }
-func (h *fakeHost) SendSMS(p, m string)               { h.sms = append(h.sms, p) }
-func (h *fakeHost) SendPush(m string)                 {}
-func (h *fakeHost) HTTPRequest(m, u string)           { h.http = append(h.http, u) }
-func (h *fakeHost) SendNotificationToContacts(string) {}
-func (h *fakeHost) Unsubscribe()                      { h.unsubbed = true }
-func (h *fakeHost) SendEvent(n, v string)             { h.events = append(h.events, n+"="+v) }
-func (h *fakeHost) Schedule(handler string, d int64)  { h.timers = append(h.timers, handler) }
-func (h *fakeHost) Unschedule()                       {}
-func (h *fakeHost) Log(level, msg string)             {}
+func (h *fakeHost) LocationMode() string             { return h.mode }
+func (h *fakeHost) SetLocationMode(m string)         { h.mode = m }
+func (h *fakeHost) Modes() []string                  { return []string{"Home", "Away", "Night"} }
+func (h *fakeHost) Now() int64                       { return 1000 }
+func (h *fakeHost) AppState() map[string]ir.Value    { return h.state }
+func (h *fakeHost) StateSlot(i int) ir.Value         { return h.slots[i] }
+func (h *fakeHost) SetStateSlot(i int, v ir.Value)   { h.slots[i] = v }
+func (h *fakeHost) SendSMS(p string)                 { h.sms = append(h.sms, p) }
+func (h *fakeHost) SendPush()                        {}
+func (h *fakeHost) HTTPRequest(m, u string)          { h.http = append(h.http, u) }
+func (h *fakeHost) SendNotificationToContacts()      {}
+func (h *fakeHost) Unsubscribe()                     { h.unsubbed = true }
+func (h *fakeHost) SendEvent(n, v string)            { h.events = append(h.events, n+"="+v) }
+func (h *fakeHost) Schedule(handler string, d int64) { h.timers = append(h.timers, handler) }
+func (h *fakeHost) Unschedule()                      {}
+func (h *fakeHost) Log(level string)                 {}
 
 func run(t *testing.T, src string, handler string, evt *Event, host *fakeHost, bindings map[string]ir.Value) {
 	t.Helper()
@@ -212,7 +212,7 @@ func TestBinaryOpProperties(t *testing.T) {
 	}
 	cmp := func(a, b int16) bool {
 		v, err := binaryOp(groovy.Lt, ir.IntV(int64(a)), ir.IntV(int64(b)), groovy.Pos{}, "t")
-		return err == nil && v.B == (a < b)
+		return err == nil && v.B() == (a < b)
 	}
 	if err := quick.Check(cmp, nil); err != nil {
 		t.Error(err)

@@ -86,7 +86,7 @@ func (ev *Evaluator) evalExpr(e groovy.Expr, sc *scope) (ir.Value, error) {
 			return ir.BoolV(!v.Truthy()), nil
 		case groovy.Minus:
 			if v.Kind == ir.VNum {
-				return ir.NumV(-v.F), nil
+				return ir.NumV(-v.F()), nil
 			}
 			return ir.IntV(-v.AsInt()), nil
 		}
@@ -138,7 +138,7 @@ func (ev *Evaluator) evalExpr(e groovy.Expr, sc *scope) (ir.Value, error) {
 	case *groovy.CallExpr:
 		return ev.evalCall(x, sc)
 	case *groovy.ClosureExpr:
-		return ir.Value{Kind: ir.VClosure, Closure: x}, nil
+		return ir.ClosureV(x), nil
 	}
 	return ir.NullV(), &ExecError{App: ev.App.Name, Pos: e.NodePos(),
 		Msg: fmt.Sprintf("unsupported expression %T", e)}
@@ -158,7 +158,7 @@ func (ev *Evaluator) evalGString(g *groovy.GStringLit, sc *scope) (ir.Value, err
 			return ir.NullV(), err
 		}
 		if v.Kind == ir.VDevice {
-			sb.WriteString(ev.Host.DeviceLabel(v.Dev))
+			sb.WriteString(ev.Host.DeviceLabel(v.Dev()))
 		} else {
 			sb.WriteString(v.String())
 		}
@@ -209,7 +209,7 @@ func (ev *Evaluator) evalIncDec(x *groovy.IncDecExpr, sc *scope) (ir.Value, erro
 	}
 	var nv ir.Value
 	if old.Kind == ir.VNum {
-		nv = ir.NumV(old.F + float64(delta))
+		nv = ir.NumV(old.F() + float64(delta))
 	} else {
 		nv = ir.IntV(old.AsInt() + delta)
 	}
@@ -302,7 +302,7 @@ func binaryOp(op groovy.Kind, l, r ir.Value, pos groovy.Pos, appName string) (ir
 		case l.Kind == ir.VStr || r.Kind == ir.VStr:
 			return ir.StrV(l.String() + r.String()), nil
 		case l.Kind == ir.VList || l.Kind == ir.VDevices:
-			out := append(append([]ir.Value{}, l.L...), iterate(r)...)
+			out := append(append([]ir.Value{}, l.L()...), iterate(r)...)
 			if l.Kind == ir.VDevices {
 				return ir.DevicesV(out), nil
 			}
@@ -315,7 +315,7 @@ func binaryOp(op groovy.Kind, l, r ir.Value, pos groovy.Pos, appName string) (ir
 	case groovy.Minus:
 		if l.Kind == ir.VList {
 			var out []ir.Value
-			for _, item := range l.L {
+			for _, item := range l.L() {
 				remove := false
 				for _, o := range iterate(r) {
 					if looseEqual(item, o) {
@@ -466,14 +466,14 @@ func (ev *Evaluator) evalIndex(x *groovy.IndexExpr, sc *scope) (ir.Value, error)
 	case ir.VList, ir.VDevices:
 		i := int(idx.AsInt())
 		if i < 0 {
-			i += len(recv.L)
+			i += len(recv.L())
 		}
-		if i < 0 || i >= len(recv.L) {
+		if i < 0 || i >= len(recv.L()) {
 			return ir.NullV(), nil // Groovy returns null out of range
 		}
-		return recv.L[i], nil
+		return recv.L()[i], nil
 	case ir.VMap:
-		return recv.M[idx.String()], nil
+		return recv.M()[idx.String()], nil
 	case ir.VStr:
 		i := int(idx.AsInt())
 		if i < 0 || i >= len(recv.S) {

@@ -90,3 +90,36 @@ func TestExperimentsHonourCallerLimits(t *testing.T) {
 		t.Errorf("the caller's 1ns deadline did not reach the checker: states=%d", late.States)
 	}
 }
+
+// TestDeadlineOvershoot: the engine reads the clock on one limit check
+// in 256, so a 50 ms deadline on the Table 8 system at 5 events (several
+// hundred ms of search) must still stop the search within 10 ms of it.
+// Load on the machine can only lengthen an overshoot, so the best of
+// three runs is what the bound is held against.
+func TestDeadlineOvershoot(t *testing.T) {
+	sys, apps, err := Table8System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deadline, slack = 50 * time.Millisecond, 10 * time.Millisecond
+	best := time.Hour
+	for try := 0; try < 3 && best >= deadline+slack; try++ {
+		rep, err := iotsan.AnalyzeTranslated(sys, apps, iotsan.Options{
+			MaxEvents: 5, NoDepGraph: true, Deadline: deadline, MaxStatesPerSet: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := rep.Groups[0].Result
+		if len(rep.Groups) != 1 || !res.Truncated {
+			t.Fatalf("%d groups, truncated=%v after %v (%d states): the deadline did not stop the search",
+				len(rep.Groups), res.Truncated, res.Elapsed, res.StatesExplored)
+		}
+		if res.Elapsed < deadline {
+			t.Fatalf("search stopped at %v, before its %v deadline", res.Elapsed, deadline)
+		}
+		best = min(best, res.Elapsed)
+	}
+	if best >= deadline+slack {
+		t.Errorf("a %v deadline stopped the search only after %v (best of 3), want < %v", deadline, best, deadline+slack)
+	}
+}

@@ -8,6 +8,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -245,7 +246,7 @@ func (t Type) String() string {
 // ---- Runtime values ----
 
 // ValueKind discriminates Value.
-type ValueKind int
+type ValueKind uint8
 
 // Value kinds.
 const (
@@ -263,31 +264,76 @@ const (
 )
 
 // Value is a runtime value in the evaluator and in persisted app state.
-// The zero Value is null.
+// The zero Value is null. It is five words, so operands, frame slots and
+// persisted state slots move by a few register-sized copies: the kind,
+// one payload word for whichever scalar the kind has (bool, int64 or
+// time, float64 bits, device index), the string, and one reference to a
+// box for the kinds that own a container or a closure. Build values with
+// the constructors and read them through the accessors below.
 type Value struct {
-	Kind    ValueKind
-	B       bool
-	I       int64
-	F       float64
-	S       string
-	L       []Value
-	M       map[string]Value
-	Dev     int // device instance index for VDevice
-	Closure *groovy.ClosureExpr
+	Kind ValueKind
+	w    uint64
+	S    string
+	box  *box
 }
 
-// Convenience constructors.
-func NullV() Value          { return Value{} }
-func BoolV(b bool) Value    { return Value{Kind: VBool, B: b} }
-func IntV(i int64) Value    { return Value{Kind: VInt, I: i} }
-func NumV(f float64) Value  { return Value{Kind: VNum, F: f} }
-func StrV(s string) Value   { return Value{Kind: VStr, S: s} }
-func ListV(l []Value) Value { return Value{Kind: VList, L: l} }
-func DeviceV(idx int) Value { return Value{Kind: VDevice, Dev: idx} }
-func DevicesV(l []Value) Value {
-	return Value{Kind: VDevices, L: l}
+// box is what a VList/VDevices, VMap or VClosure value refers to. A copy
+// of the Value shares it, as a copied slice header shares its array.
+type box struct {
+	l       []Value
+	m       map[string]Value
+	closure *groovy.ClosureExpr
 }
-func MapV(m map[string]Value) Value { return Value{Kind: VMap, M: m} }
+
+var noBox box
+
+// Convenience constructors.
+func NullV() Value { return Value{} }
+func BoolV(b bool) Value {
+	if b {
+		return Value{Kind: VBool, w: 1}
+	}
+	return Value{Kind: VBool}
+}
+func IntV(i int64) Value    { return Value{Kind: VInt, w: uint64(i)} }
+func NumV(f float64) Value  { return Value{Kind: VNum, w: math.Float64bits(f)} }
+func StrV(s string) Value   { return Value{Kind: VStr, S: s} }
+func ListV(l []Value) Value { return Value{Kind: VList, box: &box{l: l}} }
+func DeviceV(idx int) Value { return Value{Kind: VDevice, w: uint64(int64(idx))} }
+func DevicesV(l []Value) Value {
+	return Value{Kind: VDevices, box: &box{l: l}}
+}
+func MapV(m map[string]Value) Value { return Value{Kind: VMap, box: &box{m: m}} }
+func ClosureV(c *groovy.ClosureExpr) Value {
+	return Value{Kind: VClosure, box: &box{closure: c}}
+}
+
+// Accessors: B of a VBool, I of a VInt or VTime, F of a VNum, Dev (the
+// device instance index) of a VDevice, L of a VList or VDevices, M of a
+// VMap, Closure of a VClosure — each the zero of its type on any other
+// kind (AsInt/AsFloat are the coercing reads). L and M are the value's
+// own slice and map: a write through them reaches every copy.
+func (v Value) B() bool                      { return v.Kind == VBool && v.w != 0 }
+func (v Value) I() int64                     { return int64(v.word(VInt, VTime)) }
+func (v Value) F() float64                   { return math.Float64frombits(v.word(VNum, VNum)) }
+func (v Value) Dev() int                     { return int(int64(v.word(VDevice, VDevice))) }
+func (v Value) L() []Value                   { return v.ref().l }
+func (v Value) M() map[string]Value          { return v.ref().m }
+func (v Value) Closure() *groovy.ClosureExpr { return v.ref().closure }
+
+func (v Value) word(k1, k2 ValueKind) uint64 {
+	if v.Kind == k1 || v.Kind == k2 {
+		return v.w
+	}
+	return 0
+}
+
+func (v Value) ref() *box {
+	if v.box == nil {
+		return &noBox
+	}
+	return v.box
+}
 
 // Truthy implements Groovy truth: null/false/0/""/empty collections are
 // false, everything else true.
@@ -295,18 +341,16 @@ func (v Value) Truthy() bool {
 	switch v.Kind {
 	case VNull:
 		return false
-	case VBool:
-		return v.B
-	case VInt:
-		return v.I != 0
+	case VBool, VInt:
+		return v.w != 0
 	case VNum:
-		return v.F != 0
+		return v.F() != 0
 	case VStr:
 		return v.S != ""
 	case VList, VDevices:
-		return len(v.L) > 0
+		return len(v.L()) > 0
 	case VMap:
-		return len(v.M) > 0
+		return len(v.M()) > 0
 	}
 	return true
 }
@@ -318,11 +362,11 @@ func (v Value) IsNumeric() bool { return v.Kind == VInt || v.Kind == VNum }
 func (v Value) AsFloat() float64 {
 	switch v.Kind {
 	case VInt:
-		return float64(v.I)
+		return float64(int64(v.w))
 	case VNum:
-		return v.F
+		return math.Float64frombits(v.w)
 	case VBool:
-		if v.B {
+		if v.w != 0 {
 			return 1
 		}
 	}
@@ -332,9 +376,9 @@ func (v Value) AsFloat() float64 {
 // AsInt returns the value truncated to int64.
 func (v Value) AsInt() int64 {
 	if v.Kind == VNum {
-		return int64(v.F)
+		return int64(v.F())
 	}
-	return v.I
+	return v.I()
 }
 
 // Equal compares two values Groovy-style: numerics compare by value
@@ -349,28 +393,28 @@ func (v Value) Equal(o Value) bool {
 	switch v.Kind {
 	case VNull:
 		return true
-	case VBool:
-		return v.B == o.B
+	case VBool, VDevice:
+		return v.w == o.w
 	case VStr:
 		return v.S == o.S
-	case VDevice:
-		return v.Dev == o.Dev
 	case VList, VDevices:
-		if len(v.L) != len(o.L) {
+		vl, ol := v.L(), o.L()
+		if len(vl) != len(ol) {
 			return false
 		}
-		for i := range v.L {
-			if !v.L[i].Equal(o.L[i]) {
+		for i := range vl {
+			if !vl[i].Equal(ol[i]) {
 				return false
 			}
 		}
 		return true
 	case VMap:
-		if len(v.M) != len(o.M) {
+		vm, om := v.M(), o.M()
+		if len(vm) != len(om) {
 			return false
 		}
-		for k, a := range v.M {
-			b, ok := o.M[k]
+		for k, a := range vm {
+			b, ok := om[k]
 			if !ok || !a.Equal(b) {
 				return false
 			}
@@ -386,39 +430,40 @@ func (v Value) String() string {
 	case VNull:
 		return "null"
 	case VBool:
-		if v.B {
+		if v.B() {
 			return "true"
 		}
 		return "false"
 	case VInt:
-		return fmt.Sprintf("%d", v.I)
+		return fmt.Sprintf("%d", v.I())
 	case VNum:
-		return strings.TrimSuffix(strings.TrimRight(fmt.Sprintf("%.4f", v.F), "0"), ".")
+		return strings.TrimSuffix(strings.TrimRight(fmt.Sprintf("%.4f", v.F()), "0"), ".")
 	case VStr:
 		return v.S
 	case VList, VDevices:
-		parts := make([]string, len(v.L))
-		for i, e := range v.L {
+		parts := make([]string, len(v.L()))
+		for i, e := range v.L() {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	case VMap:
-		keys := make([]string, 0, len(v.M))
-		for k := range v.M {
+		m := v.M()
+		keys := make([]string, 0, len(m))
+		for k := range m {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		parts := make([]string, len(keys))
 		for i, k := range keys {
-			parts[i] = k + ":" + v.M[k].String()
+			parts[i] = k + ":" + m[k].String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	case VDevice:
-		return fmt.Sprintf("device#%d", v.Dev)
+		return fmt.Sprintf("device#%d", v.Dev())
 	case VClosure:
 		return "{ ... }"
 	case VTime:
-		return fmt.Sprintf("t+%ds", v.I)
+		return fmt.Sprintf("t+%ds", v.I())
 	}
 	return "?"
 }
@@ -451,34 +496,28 @@ func (v Value) EncodeMappedDev(buf []byte, devMap []int32) ([]byte, bool) {
 	buf = append(buf, byte(v.Kind))
 	switch v.Kind {
 	case VBool:
-		if v.B {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = append(buf, byte(v.w))
 	case VInt, VTime:
-		buf = appendInt64(buf, v.I)
+		buf = appendInt64(buf, int64(v.w))
 	case VNum:
-		buf = appendInt64(buf, int64(v.F*1000))
+		buf = appendInt64(buf, int64(v.F()*1000))
 	case VStr:
 		buf = appendString(buf, v.S)
 	case VDevice:
 		hasDev = true
-		d := int64(v.Dev)
-		if devMap != nil && v.Dev >= 0 && v.Dev < len(devMap) {
-			d = int64(devMap[v.Dev])
-		}
-		buf = appendInt64(buf, d)
+		buf = appendInt64(buf, int64(mapDev(v.Dev(), devMap)))
 	case VList, VDevices:
-		buf = appendInt64(buf, int64(len(v.L)))
-		for _, e := range v.L {
+		l := v.L()
+		buf = appendInt64(buf, int64(len(l)))
+		for i := range l {
 			var h bool
-			buf, h = e.EncodeMappedDev(buf, devMap)
+			buf, h = l[i].EncodeMappedDev(buf, devMap)
 			hasDev = hasDev || h
 		}
 	case VMap:
-		keys := make([]string, 0, len(v.M))
-		for k := range v.M {
+		m := v.M()
+		keys := make([]string, 0, len(m))
+		for k := range m {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
@@ -486,11 +525,19 @@ func (v Value) EncodeMappedDev(buf []byte, devMap []int32) ([]byte, bool) {
 		for _, k := range keys {
 			buf = appendString(buf, k)
 			var h bool
-			buf, h = v.M[k].EncodeMappedDev(buf, devMap)
+			buf, h = m[k].EncodeMappedDev(buf, devMap)
 			hasDev = hasDev || h
 		}
 	}
 	return buf, hasDev
+}
+
+// mapDev renumbers a device index (indices outside devMap pass through).
+func mapDev(d int, devMap []int32) int {
+	if d >= 0 && d < len(devMap) {
+		return int(devMap[d])
+	}
+	return d
 }
 
 // MapDevices returns a deep copy of v with device references renumbered
@@ -499,23 +546,29 @@ func (v Value) MapDevices(devMap []int32) Value {
 	if devMap == nil {
 		return v
 	}
+	return v.deepCopy(devMap)
+}
+
+// Clone returns a deep copy of v: lists and maps get their own box and
+// backing store, recursively, so no write through the copy reaches v.
+func (v Value) Clone() Value { return v.deepCopy(nil) }
+
+func (v Value) deepCopy(devMap []int32) Value {
 	switch v.Kind {
 	case VDevice:
-		if v.Dev >= 0 && v.Dev < len(devMap) {
-			v.Dev = int(devMap[v.Dev])
-		}
+		return DeviceV(mapDev(v.Dev(), devMap))
 	case VList, VDevices:
-		l := make([]Value, len(v.L))
-		for i, e := range v.L {
-			l[i] = e.MapDevices(devMap)
+		l := make([]Value, len(v.L()))
+		for i, e := range v.L() {
+			l[i] = e.deepCopy(devMap)
 		}
-		v.L = l
+		v.box = &box{l: l}
 	case VMap:
-		m := make(map[string]Value, len(v.M))
-		for k, e := range v.M {
-			m[k] = e.MapDevices(devMap)
+		m := make(map[string]Value, len(v.M()))
+		for k, e := range v.M() {
+			m[k] = e.deepCopy(devMap)
 		}
-		v.M = m
+		v.box = &box{m: m}
 	}
 	return v
 }

@@ -46,13 +46,39 @@ func (f failMode) String() string {
 	return "no failure"
 }
 
-// cyberEvent is an event propagating inside the platform.
+// cyberEvent is an event propagating inside the platform. A device
+// attribute change is carried by reference — Attr indexes the source
+// device's schema, Raw is the new raw value — and its ir.Value and string
+// form are materialised only where a handler or a filter reads them
+// (value, vstr). Every other event has Attr -1 and its value in Str.
 type cyberEvent struct {
-	Source int // device index, or src* pseudo-source
-	Attr   string
-	Value  ir.Value
-	VStr   string // string form used for subscription filters
-	Label  string
+	Source int    // device index, or src* pseudo-source
+	Attr   int32  // schema index of a device attribute change, else -1
+	Raw    int16  // the attribute's new raw value
+	Name   string // event name: the attribute, "mode", "sun", "touch", ...
+	Str    string // value of an event that is not an attribute change
+	Label  string // the handler's evt.displayName
+}
+
+// attrEvent is the event of device d's attribute ai changing to raw.
+func attrEvent(d *DevInst, ai int, raw int16) cyberEvent {
+	return cyberEvent{Source: d.Idx, Attr: int32(ai), Raw: raw, Name: d.Attrs[ai].Name, Label: d.Label}
+}
+
+// vstr is the event value as subscription filters and trails read it.
+func (m *Model) vstr(ev *cyberEvent) string {
+	if ev.Attr < 0 {
+		return ev.Str
+	}
+	return m.Devices[ev.Source].attrString(int(ev.Attr), ev.Raw)
+}
+
+// value is the event value a handler receives as evt.value.
+func (m *Model) value(ev *cyberEvent) ir.Value {
+	if ev.Attr < 0 {
+		return ir.StrV(ev.Str)
+	}
+	return decodeAttr(&m.Devices[ev.Source].Attrs[ev.Attr], ev.Raw)
 }
 
 // executor runs handler cascades against a state; it implements
@@ -166,7 +192,6 @@ func (x *executor) stepf(format string, args ...any) {
 // (Algorithm 1, sensor_state_update) and enqueues the notification.
 func (x *executor) sensorUpdate(dev int, attrIdx int, val int16) {
 	d := x.m.Devices[dev]
-	a := d.Attrs[attrIdx]
 	if x.failMode == failSensorOff {
 		if x.record {
 			x.stepf("%s offline: physical event not sensed", d.Label)
@@ -185,7 +210,7 @@ func (x *executor) sensorUpdate(dev int, attrIdx int, val int16) {
 		x.s.markDevice(dev)
 		if x.record {
 			x.stepf("%s.%s = %s (device offline: report suppressed)",
-				d.Label, a.Name, d.attrString(attrIdx, val))
+				d.Label, d.Attrs[attrIdx].Name, d.attrString(attrIdx, val))
 		}
 		return
 	}
@@ -194,9 +219,8 @@ func (x *executor) sensorUpdate(dev int, attrIdx int, val int16) {
 	if !skipDeviceMark { // fault gate for the negative oracle test
 		x.s.markDevice(dev)
 	}
-	vstr := d.attrString(attrIdx, val)
 	if x.record {
-		x.stepf("%s.%s = %s", d.Label, a.Name, vstr)
+		x.stepf("%s.%s = %s", d.Label, d.Attrs[attrIdx].Name, d.attrString(attrIdx, val))
 	}
 	if x.failMode == failSensorComm {
 		if x.record {
@@ -204,10 +228,8 @@ func (x *executor) sensorUpdate(dev int, attrIdx int, val int16) {
 		}
 		return
 	}
-	x.enqueue(cyberEvent{
-		Source: dev, Attr: a.Name, Value: decodeAttr(a, val), VStr: vstr,
-		Label: d.Label,
-	})
+	ev := attrEvent(d, attrIdx, val)
+	x.enqueue(&ev)
 }
 
 // actuatorUpdate applies a command result to an actuator (Algorithm 1,
@@ -270,12 +292,11 @@ func (x *executor) actuatorUpdate(dev int, cmd *device.Command, argVal int16) {
 	if ai < 0 {
 		return
 	}
-	a := d.Attrs[ai]
 	var nv int16
 	if cmd.TakesArg {
 		nv = argVal
 	} else {
-		nv = int16(indexOf(a.Values, cmd.Value))
+		nv = int16(indexOf(d.Attrs[ai].Values, cmd.Value))
 		if nv < 0 {
 			return
 		}
@@ -286,25 +307,24 @@ func (x *executor) actuatorUpdate(dev int, cmd *device.Command, argVal int16) {
 	x.s.Devices[dev].Attrs[ai] = nv
 	x.s.Devices[dev].report(ai)
 	x.s.markDevice(dev)
-	vstr := d.attrString(ai, nv)
 	if x.record {
-		x.stepf("%s.%s = %s", d.Label, a.Name, vstr)
+		x.stepf("%s.%s = %s", d.Label, d.Attrs[ai].Name, d.attrString(ai, nv))
 	}
-	x.enqueue(cyberEvent{
-		Source: dev, Attr: a.Name, Value: decodeAttr(a, nv), VStr: vstr,
-		Label: d.Label,
-	})
+	ev := attrEvent(d, ai, nv)
+	x.enqueue(&ev)
 }
 
-func (x *executor) enqueue(ev cyberEvent) {
+func (x *executor) enqueue(ev *cyberEvent) {
 	if x.m.Opts.Design == Concurrent {
 		// Queue one pending invocation per matching subscription; the
 		// checker interleaves them.
-		for _, si := range x.m.subsFor(ev.Source, ev.Attr) {
-			if x.matches(x.m.subs[si], ev) {
-				x.s.Queue = append(x.s.Queue, Pending{
-					SubIdx: int(si), Source: ev.Source, Val: encodeEventVal(ev), Raw: ev.VStr,
-				})
+		for _, si := range x.m.subsFor(ev.Source, ev.Name) {
+			if x.matches(&x.m.subs[si], ev) {
+				p := Pending{SubIdx: int(si), Source: ev.Source, Raw: x.m.vstr(ev)}
+				if ev.Attr >= 0 && x.m.Devices[ev.Source].Attrs[ev.Attr].Numeric {
+					p.Val = ev.Raw
+				}
+				x.s.Queue = append(x.s.Queue, p)
 				if !skipQueueMark { // fault gate for the negative oracle test
 					x.s.markQueue()
 				}
@@ -312,17 +332,17 @@ func (x *executor) enqueue(ev cyberEvent) {
 		}
 		return
 	}
-	x.queue = append(x.queue, ev)
+	x.queue = append(x.queue, *ev)
 }
 
 // matches applies the runtime part of subscription filtering: the
 // dispatch index already narrowed to (source, attr); only the dynamic
 // unsubscribe flag and the value filter remain.
-func (x *executor) matches(sub resolvedSub, ev cyberEvent) bool {
+func (x *executor) matches(sub *resolvedSub, ev *cyberEvent) bool {
 	if x.s.Apps[sub.AppIdx].Unsubscribed {
 		return false
 	}
-	return sub.Value == "" || sub.Value == ev.VStr
+	return sub.Value == "" || sub.Value == x.m.vstr(ev)
 }
 
 // drain dispatches pending events until quiescence (sequential design,
@@ -340,13 +360,15 @@ func (x *executor) drain() {
 			x.qhead = 0
 			return
 		}
-		ev := x.queue[x.qhead]
+		// The event is addressed by index throughout: a handler's own
+		// enqueues may move the queue's backing array under a pointer.
+		qi := x.qhead
 		x.qhead++
 		x.dispatches++
-		for _, si := range x.m.subsFor(ev.Source, ev.Attr) {
-			sub := x.m.subs[si]
-			if x.matches(sub, ev) {
-				x.runHandler(sub, ev)
+		for _, si := range x.m.subsFor(x.queue[qi].Source, x.queue[qi].Name) {
+			sub := &x.m.subs[si]
+			if x.matches(sub, &x.queue[qi]) {
+				x.runHandler(sub, &x.queue[qi])
 				x.inspectIntermediate()
 			}
 		}
@@ -414,12 +436,11 @@ func (x *executor) deliverCommand(rec InFlightCmd) {
 	if ai < 0 {
 		return
 	}
-	a := d.Attrs[ai]
 	var nv int16
 	if cmd.TakesArg {
 		nv = rec.Arg
 	} else {
-		nv = int16(indexOf(a.Values, cmd.Value))
+		nv = int16(indexOf(d.Attrs[ai].Values, cmd.Value))
 		if nv < 0 {
 			return
 		}
@@ -433,30 +454,28 @@ func (x *executor) deliverCommand(rec InFlightCmd) {
 	x.s.Devices[rec.Dev].Attrs[ai] = nv
 	x.s.Devices[rec.Dev].report(ai)
 	x.s.markDevice(rec.Dev)
-	vstr := d.attrString(ai, nv)
 	if x.record {
-		x.stepf("%s.%s = %s", d.Label, a.Name, vstr)
+		x.stepf("%s.%s = %s", d.Label, d.Attrs[ai].Name, d.attrString(ai, nv))
 	}
-	x.enqueue(cyberEvent{
-		Source: rec.Dev, Attr: a.Name, Value: decodeAttr(a, nv), VStr: vstr,
-		Label: d.Label,
-	})
+	ev := attrEvent(d, ai, nv)
+	x.enqueue(&ev)
 }
 
 // runHandler executes one subscribed handler for an event: through the
 // app's closure-compiled program when available, through the
-// tree-walking interpreter otherwise.
-func (x *executor) runHandler(sub resolvedSub, ev cyberEvent) {
+// tree-walking interpreter otherwise. ev is read only before the handler
+// starts: it may point into x.queue, which the handler's enqueues move.
+func (x *executor) runHandler(sub *resolvedSub, ev *cyberEvent) {
 	app := x.m.Apps[sub.AppIdx]
 	prev := x.curApp
 	x.curApp = sub.AppIdx
 	defer func() { x.curApp = prev }()
 
 	if x.record {
-		x.stepf("%s.%s(evt: %s/%s)", app.App.Name, sub.Handler, ev.Attr, ev.VStr)
+		x.stepf("%s.%s(evt: %s/%s)", app.App.Name, sub.Handler, ev.Name, x.m.vstr(ev))
 	}
 
-	x.evt = eval.Event{Device: ev.Source, Name: ev.Attr, Value: ev.Value, DisplayName: ev.Label}
+	x.evt = eval.Event{Device: ev.Source, Name: ev.Name, Value: x.m.value(ev), DisplayName: ev.Label}
 	if ev.Source < 0 {
 		x.evt.Device = -1
 	}
@@ -561,8 +580,7 @@ func (x *executor) SetLocationMode(mode string) {
 	if x.record {
 		x.stepf("location.mode = %s", mode)
 	}
-	x.enqueue(cyberEvent{Source: srcLocation, Attr: "mode",
-		Value: ir.StrV(mode), VStr: mode, Label: "location"})
+	x.enqueue(&cyberEvent{Source: srcLocation, Attr: -1, Name: "mode", Str: mode, Label: "location"})
 }
 
 func (x *executor) Modes() []string { return x.m.Cfg.Modes }
@@ -598,7 +616,7 @@ func (x *executor) SetStateSlot(i int, v ir.Value) {
 	x.s.markApp(x.curApp)
 }
 
-func (x *executor) SendSMS(phone, msg string) {
+func (x *executor) SendSMS(phone string) {
 	app := x.m.Apps[x.curApp]
 	x.notified[x.curApp] = true
 	if x.record {
@@ -634,14 +652,14 @@ func (x *executor) recipientConfigured(phone string) bool {
 	return false
 }
 
-func (x *executor) SendPush(msg string) {
+func (x *executor) SendPush() {
 	x.notified[x.curApp] = true
 	if x.record {
 		x.stepf("%s sends push notification", x.m.Apps[x.curApp].App.Name)
 	}
 }
 
-func (x *executor) SendNotificationToContacts(msg string) {
+func (x *executor) SendNotificationToContacts() {
 	x.notified[x.curApp] = true
 	if x.record {
 		x.stepf("%s notifies contacts", x.m.Apps[x.curApp].App.Name)
@@ -682,8 +700,7 @@ func (x *executor) SendEvent(name, value string) {
 			"%s generates a fake %q event (value %q) with no physical cause",
 			app.App.Name, name, value))
 	}
-	x.enqueue(cyberEvent{Source: srcSynth, Attr: name,
-		Value: ir.StrV(value), VStr: value, Label: app.App.Name})
+	x.enqueue(&cyberEvent{Source: srcSynth, Attr: -1, Name: name, Str: value, Label: app.App.Name})
 }
 
 func attributeExists(name string) bool {
@@ -720,10 +737,8 @@ func (x *executor) Unschedule() {
 	}
 }
 
-func (x *executor) Log(level, msg string) {
-	// Log output is not part of the model state; retained in trails for
-	// debuggability at verbose levels only.
-}
+// Log output is not part of the model state or of trails.
+func (x *executor) Log(level string) {}
 
 // ---- helpers ----
 
@@ -736,7 +751,7 @@ func indexOf(values []string, v string) int {
 	return -1
 }
 
-func decodeAttr(a device.Attribute, raw int16) ir.Value {
+func decodeAttr(a *device.Attribute, raw int16) ir.Value {
 	if a.Numeric {
 		return ir.IntV(int64(raw))
 	}
@@ -744,11 +759,4 @@ func decodeAttr(a device.Attribute, raw int16) ir.Value {
 		return ir.StrV(a.Values[raw])
 	}
 	return ir.NullV()
-}
-
-func encodeEventVal(ev cyberEvent) int16 {
-	if ev.Value.IsNumeric() {
-		return int16(ev.Value.AsInt())
-	}
-	return 0
 }

@@ -2,9 +2,9 @@ package model
 
 import (
 	"fmt"
+	"slices"
 
 	"iotsan/internal/checker"
-	"iotsan/internal/ir"
 )
 
 // System adapts the model to the checker's transition-system interface.
@@ -190,7 +190,7 @@ func (m *Model) Enabled(s *State, out []checker.Transition) []checker.Transition
 	if m.Opts.Design == Concurrent {
 		// Interleaving choices: dispatch any pending handler invocation.
 		for i := range s.Queue {
-			out = append(out, checker.Transition{Label: m.dispLabel(s.Queue[i]), Key: dispKey(i)})
+			out = appendStub(out, m.dispLabel(s.Queue[i]), dispKey(i), false)
 		}
 	}
 
@@ -212,7 +212,8 @@ func (m *Model) Enabled(s *State, out []checker.Transition) []checker.Transition
 		fms = fmAll[:]
 	}
 
-	for evIdx, ev := range m.external {
+	for evIdx := range m.external {
+		ev := &m.external[evIdx]
 		if ev.Kind == EvDevice {
 			// Skip non-events: the generated value equals the current one.
 			if s.Devices[ev.Dev].Attrs[ev.AttrIdx] == ev.Val {
@@ -226,7 +227,7 @@ func (m *Model) Enabled(s *State, out []checker.Transition) []checker.Transition
 			if ev.Kind != EvDevice && (fm == failSensorOff || fm == failSensorComm) {
 				continue // sensor failures apply to sensed events only
 			}
-			out = append(out, checker.Transition{Label: m.extLabels[evIdx][fm], Key: extKey(evIdx, fm)})
+			out = appendStub(out, m.extLabels[evIdx][fm], extKey(evIdx, fm), false)
 		}
 	}
 
@@ -240,13 +241,23 @@ func (m *Model) Enabled(s *State, out []checker.Transition) []checker.Transition
 					continue
 				}
 				if ok {
-					out = append(out, checker.Transition{Label: m.timerLabels[ai][mi][fm], Key: tmrKey(ai, mi, fm)})
+					out = appendStub(out, m.timerLabels[ai][mi][fm], tmrKey(ai, mi, fm), false)
 				} else {
-					out = append(out, checker.Transition{Label: m.keylessTimerLabel(ai, t.Handler, fm), Key: tmrKeyless(ai, ti, fm)})
+					out = appendStub(out, m.keylessTimerLabel(ai, t.Handler, fm), tmrKeyless(ai, ti, fm), false)
 				}
 			}
 		}
 	}
+	return out
+}
+
+// appendStub appends one stub, written in place: a Transition is twelve
+// words, and building one to copy it in is most of what a stub costs.
+func appendStub(out []checker.Transition, label string, key uint64, fault bool) []checker.Transition {
+	out = slices.Grow(out, 1)[:len(out)+1]
+	tr := &out[len(out)-1]
+	tr.Label, tr.Key, tr.Fault = label, key, fault
+	tr.Steps, tr.Next, tr.Violations = nil, nil, nil
 	return out
 }
 
@@ -263,25 +274,25 @@ var (
 // layer uses it to recognise the dispatch/fault split of Enabled's
 // output.
 func (m *Model) appendFaultStubs(s *State, out []checker.Transition) []checker.Transition {
-	stub := func(op, idx int) checker.Transition {
-		return checker.Transition{Label: m.faultLabel(s, op, idx), Key: fltKey(op, idx), Fault: true}
+	stub := func(op, idx int) {
+		out = appendStub(out, m.faultLabel(s, op, idx), fltKey(op, idx), true)
 	}
 	budget := int(s.FaultsUsed) < m.Opts.MaxFaults
 	for d := range s.Devices {
 		if s.Devices[d].Online {
 			if budget {
-				out = append(out, stub(fltOffline, d))
+				stub(fltOffline, d)
 			}
 		} else {
-			out = append(out, stub(fltOnline, d))
+			stub(fltOnline, d)
 		}
 	}
 	for i := range s.InFlight {
 		if s.Devices[s.InFlight[i].Dev].Online {
-			out = append(out, stub(fltDeliver, i))
+			stub(fltDeliver, i)
 		}
 		if budget {
-			out = append(out, stub(fltDrop, i))
+			stub(fltDrop, i)
 		}
 	}
 	return out
@@ -541,8 +552,7 @@ func (m *Model) applyExternal(ns *State, x *executor, evIdx int, fm failMode, re
 		if ev.Val == 1 {
 			phase = "sunset"
 		}
-		x.enqueue(cyberEvent{Source: srcSun, Attr: "sun",
-			Value: ir.StrV(phase), VStr: phase, Label: "location"})
+		x.enqueue(&cyberEvent{Source: srcSun, Attr: -1, Name: "sun", Str: phase, Label: "location"})
 	case EvMode:
 		x.SetLocationMode(m.Cfg.Modes[ev.Val])
 	}
@@ -604,7 +614,8 @@ func (m *Model) endTransition(x *executor, unsensed bool) {
 // Violations are lent (see executor.violations); the step log, recorded
 // only for Replay and keyless timers, is handed off.
 func (x *executor) finish(tr *checker.Transition, ns *State, label string, key uint64, fault bool) {
-	*tr = checker.Transition{Label: label, Key: key, Fault: fault, Next: ns, Violations: x.violations()}
+	tr.Label, tr.Key, tr.Fault, tr.Next, tr.Violations = label, key, fault, ns, x.violations()
+	tr.Steps = nil
 	if x.record {
 		tr.Steps = x.takeSteps()
 	}
@@ -612,10 +623,9 @@ func (x *executor) finish(tr *checker.Transition, ns *State, label string, key u
 
 // deliverTouch routes an app-touch event to the app's touch handlers.
 func (x *executor) deliverTouch(appIdx int) {
-	ev := cyberEvent{Source: srcApp, Attr: "touch",
-		Value: ir.StrV("touched"), VStr: "touched", Label: "app"}
+	ev := cyberEvent{Source: srcApp, Attr: -1, Name: "touch", Str: "touched", Label: "app"}
 	for _, si := range x.m.touchIdx[appIdx] {
-		sub := x.m.subs[si]
+		sub := &x.m.subs[si]
 		if x.s.Apps[sub.AppIdx].Unsubscribed {
 			continue
 		}
@@ -624,7 +634,7 @@ func (x *executor) deliverTouch(appIdx int) {
 			x.s.markQueue()
 			continue
 		}
-		x.runHandler(sub, ev)
+		x.runHandler(sub, &ev)
 	}
 }
 
@@ -657,25 +667,23 @@ func (m *Model) dispatchPending(ns *State, x *executor, i int, label string, rec
 	ns.markQueue()
 
 	x.reset(ns, failNone, record)
-	x.runHandler(m.subs[p.SubIdx], m.pendingEvent(p))
+	ev := m.pendingEvent(&p)
+	x.runHandler(&m.subs[p.SubIdx], &ev)
 	x.noteInFlight()
 	x.finish(tr, ns, label, dispKey(i), false)
 }
 
 // pendingEvent reconstructs the cyber event payload of a queued
-// invocation.
-func (m *Model) pendingEvent(p Pending) cyberEvent {
-	ev := cyberEvent{Source: p.Source, VStr: p.Raw, Label: "event"}
-	sub := m.subs[p.SubIdx]
-	ev.Attr = sub.Attr
+// invocation: a numeric device attribute by reference (Raw was rendered
+// from Val when it was queued), anything else as its queued string.
+func (m *Model) pendingEvent(p *Pending) cyberEvent {
+	attr := m.subs[p.SubIdx].Attr
 	if p.Source >= 0 {
 		d := m.Devices[p.Source]
-		ev.Label = d.Label
-		if ai := d.AttrIndex(sub.Attr); ai >= 0 && d.Attrs[ai].Numeric {
-			ev.Value = ir.IntV(int64(p.Val))
-			return ev
+		if ai := d.AttrIndex(attr); ai >= 0 && d.Attrs[ai].Numeric {
+			return attrEvent(d, ai, p.Val)
 		}
+		return cyberEvent{Source: p.Source, Attr: -1, Name: attr, Str: p.Raw, Label: d.Label}
 	}
-	ev.Value = ir.StrV(p.Raw)
-	return ev
+	return cyberEvent{Source: p.Source, Attr: -1, Name: attr, Str: p.Raw, Label: "event"}
 }

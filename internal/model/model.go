@@ -157,24 +157,31 @@ type DevInst struct {
 	Attrs []device.Attribute // flattened, deduplicated schema
 	// attrIdx indexes Attrs by name; nil for layouts AttrIndex scans.
 	attrIdx map[string]int
-	// numStrs caches the string form of each numeric attribute's
-	// generated values (enum attributes render from Attrs[i].Values).
-	numStrs []map[int16]string
+	// numStrs[i] caches the string form of numeric attribute i's default
+	// and generated values, in that order — a handful, scanned (enum
+	// attributes render from Attrs[i].Values).
+	numStrs [][]numStr
+}
+
+// numStr is one precomputed rendering of a numeric attribute value.
+type numStr struct {
+	raw int16
+	str string
 }
 
 // attrString renders an attribute value without allocating for the
 // precomputed (enum and generated-numeric) cases.
 func (d *DevInst) attrString(ai int, raw int16) string {
-	a := d.Attrs[ai]
+	a := &d.Attrs[ai]
 	if !a.Numeric {
 		if int(raw) < len(a.Values) {
 			return a.Values[raw]
 		}
 		return "null"
 	}
-	if m := d.numStrs[ai]; m != nil {
-		if s, ok := m[raw]; ok {
-			return s
+	for i := range d.numStrs[ai] {
+		if ns := &d.numStrs[ai][i]; ns.raw == raw {
+			return ns.str
 		}
 	}
 	return strconv.FormatInt(int64(raw), 10)
@@ -515,12 +522,12 @@ func trimTime(s string) string {
 func devicesOf(v ir.Value) []int {
 	switch v.Kind {
 	case ir.VDevice:
-		return []int{v.Dev}
+		return []int{v.Dev()}
 	case ir.VDevices, ir.VList:
 		var out []int
-		for _, e := range v.L {
+		for _, e := range v.L() {
 			if e.Kind == ir.VDevice {
-				out = append(out, e.Dev)
+				out = append(out, e.Dev())
 			}
 		}
 		return out

@@ -101,7 +101,7 @@ func Prepare(cfg *config.System) (*Plan, error) {
 // lookup tables.
 func (d *DevInst) setSchema(attrs []device.Attribute) {
 	d.Attrs = attrs
-	d.numStrs = make([]map[int16]string, len(attrs))
+	d.numStrs = make([][]numStr, len(attrs))
 	if len(attrs) > attrScanMax {
 		d.attrIdx = make(map[string]int, len(attrs))
 	}
@@ -110,12 +110,9 @@ func (d *DevInst) setSchema(attrs []device.Attribute) {
 			d.attrIdx[a.Name] = j
 		}
 		if a.Numeric {
-			ns := make(map[int16]string, len(a.GenValues)+1)
-			ns[int16(a.Default)] = strconv.FormatInt(int64(a.Default), 10)
-			for _, gv := range a.GenValues {
-				ns[int16(gv)] = strconv.FormatInt(int64(gv), 10)
+			for _, v := range append([]int{a.Default}, a.GenValues...) {
+				d.numStrs[j] = append(d.numStrs[j], numStr{int16(v), strconv.FormatInt(int64(v), 10)})
 			}
-			d.numStrs[j] = ns
 		}
 	}
 }

@@ -382,7 +382,7 @@ func (s *State) cloneInto(n *State) *State {
 func copyApp(dst, src *AppState) {
 	dst.Unsubscribed = src.Unsubscribed
 	for j := range src.Slots {
-		dst.Slots[j] = cloneValue(src.Slots[j])
+		dst.Slots[j] = src.Slots[j].Clone()
 	}
 	dst.Timers = append(dst.Timers[:0], src.Timers...)
 	if src.KV == nil {
@@ -395,7 +395,7 @@ func copyApp(dst, src *AppState) {
 		clear(dst.KV)
 	}
 	for k, v := range src.KV {
-		dst.KV[k] = cloneValue(v)
+		dst.KV[k] = v.Clone()
 	}
 }
 
@@ -435,7 +435,7 @@ func (s *State) cloneFresh() *State {
 	if len(s.slots) > 0 {
 		n.slots = make([]ir.Value, len(s.slots))
 		for i, v := range s.slots {
-			n.slots[i] = cloneValue(v)
+			n.slots[i] = v.Clone()
 		}
 	}
 	soff := 0
@@ -448,7 +448,7 @@ func (s *State) cloneFresh() *State {
 		if a.KV != nil {
 			na.KV = make(map[string]ir.Value, len(a.KV))
 			for k, v := range a.KV {
-				na.KV[k] = cloneValue(v)
+				na.KV[k] = v.Clone()
 			}
 		}
 		if len(a.Timers) > 0 {
@@ -472,24 +472,6 @@ func (s *State) cloneFresh() *State {
 	n.atoms, n.atomFresh = s.atoms, s.atomFresh
 	n.pool = s.pool
 	return n
-}
-
-func cloneValue(v ir.Value) ir.Value {
-	switch v.Kind {
-	case ir.VList, ir.VDevices:
-		l := make([]ir.Value, len(v.L))
-		for i, e := range v.L {
-			l[i] = cloneValue(e)
-		}
-		v.L = l
-	case ir.VMap:
-		m := make(map[string]ir.Value, len(v.M))
-		for k, e := range v.M {
-			m[k] = cloneValue(e)
-		}
-		v.M = m
-	}
-	return v
 }
 
 // Encode appends a deterministic binary encoding of the state (the
@@ -686,15 +668,8 @@ func (m *Model) AttrValue(s *State, dev int, attr string) (ir.Value, bool) {
 	if i < 0 {
 		return ir.NullV(), false
 	}
-	a := d.Attrs[i]
-	raw := s.Devices[dev].Attrs[i]
-	if a.Numeric {
-		return ir.IntV(int64(raw)), true
-	}
-	if int(raw) < len(a.Values) {
-		return ir.StrV(a.Values[raw]), true
-	}
-	return ir.NullV(), false
+	v := decodeAttr(&d.Attrs[i], s.Devices[dev].Attrs[i])
+	return v, v.Kind != ir.VNull
 }
 
 // reportedValue decodes a device attribute from the hub's stale
@@ -711,13 +686,6 @@ func (m *Model) reportedValue(s *State, dev int, attr string) (ir.Value, bool) {
 	if i < 0 {
 		return ir.NullV(), false
 	}
-	a := d.Attrs[i]
-	raw := ds.Reported[i]
-	if a.Numeric {
-		return ir.IntV(int64(raw)), true
-	}
-	if int(raw) < len(a.Values) {
-		return ir.StrV(a.Values[raw]), true
-	}
-	return ir.NullV(), false
+	v := decodeAttr(&d.Attrs[i], ds.Reported[i])
+	return v, v.Kind != ir.VNull
 }

@@ -828,24 +828,24 @@ func (m *Model) bucketProfileItems(s *State, cs *canonScratch) {
 func (m *Model) bucketValueRefs(v *ir.Value, cs *canonScratch) {
 	switch v.Kind {
 	case ir.VDevice:
-		if v.Dev >= 0 && v.Dev < len(m.sym.orbitOf) && m.sym.orbitOf[v.Dev] >= 0 {
+		if v.Dev() >= 0 && v.Dev() < len(m.sym.orbitOf) && m.sym.orbitOf[v.Dev()] >= 0 {
 			start := len(cs.arena)
 			cs.arena = append(cs.arena, cs.refHdr...)
-			cs.addItem(v.Dev, start)
+			cs.addItem(v.Dev(), start)
 		}
 	case ir.VList, ir.VDevices:
 		n := len(cs.refHdr)
-		for i := range v.L {
+		for i := range v.L() {
 			cs.refHdr = append(cs.refHdr[:n], byte(i), byte(i>>8))
-			m.bucketValueRefs(&v.L[i], cs)
+			m.bucketValueRefs(&v.L()[i], cs)
 		}
 		cs.refHdr = cs.refHdr[:n]
 	case ir.VMap:
 		n := len(cs.refHdr)
-		for k := range v.M {
+		for k := range v.M() {
 			cs.refHdr = append(cs.refHdr[:n], k...)
 			cs.refHdr = append(cs.refHdr, 0)
-			e := v.M[k]
+			e := v.M()[k]
 			m.bucketValueRefs(&e, cs)
 		}
 		cs.refHdr = cs.refHdr[:n]

@@ -16,11 +16,15 @@ import (
 	"math/rand"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"iotsan/internal/checker"
+	"iotsan/internal/config"
+	"iotsan/internal/ir"
 	"iotsan/internal/model"
+	"iotsan/internal/smartapp"
 )
 
 // eagerSystem hides checker.Stepper: engineSystem does not list it, so
@@ -371,6 +375,133 @@ func TestPoisonedScratchChurn(t *testing.T) {
 					got.StatesExplored, got.StatesMatched, got.StatesStored,
 					want.StatesExplored, want.StatesMatched, want.StatesStored)
 			}
+		}
+	}
+}
+
+// burstApps is a two-app system whose first handler enqueues 20 events
+// while the cascade that runs it is draining its first: 18 switch
+// changes carried by reference, a synthetic string-valued event and a
+// mode change. The executor's queue outgrows its backing array in the
+// middle of that dispatch, and the second subscriber of the same event
+// (Witness.saw) is delivered from the moved queue.
+const burstApp = `
+definition(name: "Burst", namespace: "t", author: "t", description: "t", category: "t")
+preferences {
+    section("s") { input "door", "capability.contactSensor" }
+    section("l") { input "lights", "capability.switch", multiple: true }
+}
+def installed() { subscribe(door, "contact.open", burst) }
+def updated() { unsubscribe(); subscribe(door, "contact.open", burst) }
+def burst(evt) {
+    lights.on()
+    sendEvent(name: "switch", value: "flash")
+    setLocationMode("Away")
+}
+`
+
+const witnessApp = `
+definition(name: "Witness", namespace: "t", author: "t", description: "t", category: "t")
+preferences {
+    section("s") { input "door", "capability.contactSensor" }
+    section("l") { input "lights", "capability.switch", multiple: true }
+}
+def installed() {
+    subscribe(door, "contact", saw)
+    subscribe(lights, "switch", echo)
+    subscribe(location, "mode", modeChanged)
+}
+def updated() { unsubscribe(); installed() }
+def saw(evt) { state.door = "${evt.name}=${evt.value} from ${evt.displayName}" }
+def echo(evt) {
+    state.echoes = (state.echoes ?: 0) + 1
+    state.last = "${evt.displayName}:${evt.value}"
+    if (evt.value == "on" && state.echoes == 18) { lights.off() }
+}
+def modeChanged(evt) { state.mode = evt.value }
+`
+
+func burstModel(t *testing.T, design model.Design) *model.Model {
+	t.Helper()
+	apps := map[string]*ir.App{}
+	for name, src := range map[string]string{"Burst": burstApp, "Witness": witnessApp} {
+		app, err := smartapp.Translate(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps[name] = app
+	}
+	sys := &config.System{Name: "burst-home", Modes: []string{"Home", "Away"}, Mode: "Home",
+		Devices: []config.Device{{ID: "door", Label: "Front Door", Model: "Contact Sensor"}}}
+	var lights []string
+	for i := 0; i < 18; i++ {
+		id := fmt.Sprintf("sw%02d", i)
+		lights = append(lights, id)
+		sys.Devices = append(sys.Devices, config.Device{ID: id, Label: "Light " + id, Model: "Smart Switch"})
+	}
+	bind := map[string]config.Binding{"door": {DeviceIDs: []string{"door"}}, "lights": {DeviceIDs: lights}}
+	sys.Apps = []config.AppInstance{{App: "Burst", Bindings: bind}, {App: "Witness", Bindings: bind}}
+	m, err := model.New(sys, apps, model.Options{Design: design, MaxEvents: 3, UserModeEvents: true, CheckConflicts: true,
+		CheckLeakage: true, Incremental: true, RelevantAttrs: map[string]bool{"contact": true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestQueueReallocationMidDispatch: events are queued by reference and
+// drained by index, so a handler that outgrows the queue while its own
+// event is being dispatched changes nothing — under both designs the
+// keyed path equals Expand successor by successor (labels, steps,
+// violations, Encode bytes, digests), and on the sequential design,
+// whose cascades run the queue, a whole search equals the eager
+// oracle's: violations in order, counts, FormatTrail text.
+func TestQueueReallocationMidDispatch(t *testing.T) {
+	for _, design := range []model.Design{model.Sequential, model.Concurrent} {
+		m, total := burstModel(t, design), 0
+		for seed := int64(1); seed <= 8; seed++ { // the state graph is narrow: a walk descends a few levels
+			states, _, div := walkKeyed(m, seed, true)
+			if div.count > 0 {
+				t.Fatalf("%v: %d divergences over %d successors; first: %s", design, div.count, states, div.first)
+			}
+			total += states
+		}
+		if total < 20 {
+			t.Fatalf("%v: the walks compared only %d successors", design, total)
+		}
+	}
+
+	m := burstModel(t, model.Sequential)
+	open := m.Expand(m.Initial())
+	storm := false
+	for _, tr := range open {
+		_, steps, _ := m.Replay(m.Initial(), tr.Key)
+		n := 0
+		for _, s := range steps {
+			if strings.HasPrefix(s, "Witness.echo(") {
+				n++
+			}
+		}
+		storm = storm || n >= 19 // 18 lights on + the synthetic event, before the offs
+	}
+	if !storm {
+		t.Fatal("no cascade delivered the 19 events Burst.burst enqueues mid-dispatch: the fixture no longer forces the queue to grow")
+	}
+	sys := asEngineSystem(t, m)
+	opts := checker.Options{MaxDepth: 16, Strategy: checker.StrategyDFS}
+	want, got := checker.Run(eagerSystem{sys}, opts), checker.Run(sys, opts)
+	if want.Truncated || got.Truncated || len(want.Violations) == 0 {
+		t.Fatalf("truncated (eager=%v keyed=%v) or vacuous (%d violations)", want.Truncated, got.Truncated, len(want.Violations))
+	}
+	if got.StatesExplored != want.StatesExplored || got.StatesMatched != want.StatesMatched ||
+		got.StatesStored != want.StatesStored || len(got.Violations) != len(want.Violations) {
+		t.Fatalf("keyed explored/matched/stored/violations %d/%d/%d/%d, eager %d/%d/%d/%d",
+			got.StatesExplored, got.StatesMatched, got.StatesStored, len(got.Violations),
+			want.StatesExplored, want.StatesMatched, want.StatesStored, len(want.Violations))
+	}
+	for k := range want.Violations {
+		if g, o := checker.FormatTrail(got.Violations[k]), checker.FormatTrail(want.Violations[k]); g != o {
+			t.Errorf("violation %d diverges:\n--- keyed ---\n%s--- eager ---\n%s", k, g, o)
 		}
 	}
 }
