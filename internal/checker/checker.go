@@ -12,20 +12,20 @@
 //     follow the depth-first exploration order exactly.
 //   - StrategySteal is the one concurrent frontier search, in the spirit
 //     of Holzmann's multi-core Spin: worker goroutines expand states
-//     from private work-stealing deques and deduplicate through a
-//     lock-striped sharded visited store. Counter-example trails are
-//     reconstructed from per-state parent links instead of a threaded
-//     trail slice.
+//     from private work-stealing deques and admit successors to one
+//     lock-striped link table — visited set and per-state parent links
+//     in one probe. Counter-example trails are reconstructed from the
+//     links instead of a threaded trail slice.
 //
 // On both, the trail reported for a violation is the first path that
 // reached it, not a shortest one.
 //
 // The visited-state stores mirror Spin's verification modes: an
 // exhaustive hash-compact store — in memory (one unlocked table for the
-// DFS, mutex-striped shards for the frontier search) or tiered out to
-// disk — and BITSTATE supertrace hashing, an approximate store that
-// keeps k hash bits per state in a bit array, trading completeness for
-// memory (§2.3; Holzmann's analysis of bitstate hashing).
+// DFS, the mutex-striped link table for the frontier search) or tiered
+// out to disk — and BITSTATE supertrace hashing, an approximate store
+// that keeps k hash bits per state in a bit array, trading completeness
+// for memory (§2.3; Holzmann's analysis of bitstate hashing).
 package checker
 
 import (
@@ -337,8 +337,9 @@ const (
 	StrategyDFS StrategyKind = iota
 	// StrategySteal is the work-stealing frontier search:
 	// Options.Workers goroutines with per-worker Chase–Lev deques (owner
-	// LIFO, thieves FIFO) and no barrier, over a sharded visited store,
-	// with trails reconstructed from parent links. The
+	// LIFO, thieves FIFO) and no barrier, over a sharded link table that
+	// is visited store and parent links at once (trails are rebuilt from
+	// the links). The
 	// distinct-violation set and explored state space match StrategyDFS
 	// on a fully explored state space; exploration order and trails may
 	// differ between runs.
@@ -437,8 +438,8 @@ type Options struct {
 	// state), preserving the cross-strategy equivalence guarantees.
 	POR bool
 	// Symmetry enables symmetry reduction when the system implements
-	// CanonicalEncoder: the visited store (and the parent-link table
-	// keyed off the same digests) stores canonical state keys, folding
+	// CanonicalEncoder: the visited store (and the link table keyed
+	// off the same digests) stores canonical state keys, folding
 	// states that are permutations of interchangeable components into
 	// one representative, while raw states continue to flow through the
 	// frontier and trails so counter-examples replay concretely. Both

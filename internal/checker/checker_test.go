@@ -147,8 +147,8 @@ func TestHashStoreExact(t *testing.T) {
 			t := &digestSet{}
 			return ops{seen: t.add, peek: t.has, size: func() int { return t.n }}
 		},
-		"hashStore":        func() ops { return fromStore(&hashStore{}) },
-		"shardedHashStore": func() ops { return fromStore(&shardedHashStore{}) },
+		"hashStore": func() ops { return fromStore(&hashStore{}) },
+		"linkTable": func() ops { return fromStore(&linkTable{}) },
 	} {
 		f := func(hs []uint64) bool {
 			s := mk()

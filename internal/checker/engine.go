@@ -205,7 +205,7 @@ func (e *engine) logVisit(d digest) {
 // digest encodes s into buf (reusing its capacity) and returns the
 // fingerprint plus the grown buffer. With symmetry reduction the
 // canonical encoding is hashed instead of the raw one — this is the
-// single funnel every strategy, the parent-link table, and the POR
+// single funnel every strategy, the link table, and the POR
 // proviso key states through, so switching it folds the whole search
 // onto orbit representatives. With an incremental digester the
 // fingerprint folds the state's cached block hashes instead, skipping

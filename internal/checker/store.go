@@ -2,13 +2,12 @@ package checker
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
 // digest is the 128-bit fingerprint of an encoded state vector: two
-// independent 64-bit hashes. h1 keys the exhaustive store and the
-// parent-link table; bitstate probes are derived from both by double
+// independent 64-bit hashes. h1 keys the exhaustive stores and the
+// link table; bitstate probes are derived from both by double
 // hashing, so the k probe positions are pairwise independent instead of
 // all being unfolded from a single 64-bit value.
 //
@@ -68,10 +67,11 @@ func hash2(data []byte) uint64 {
 //
 // Four implementations, each with the workload it is there for:
 // hashStore (single-goroutine exhaustive: table8_dfs, market_t5),
-// shardedHashStore (concurrent exhaustive: table8_steal2),
-// tieredStore (out-of-core exhaustive: table8_tiered_wal) and
-// atomicBitStore (-store bitstate, the paper's supertrace mode; no
-// benchmark workload yet). Only hashStore is unsafe for concurrent use.
+// linkTable (concurrent exhaustive, fused with the frontier strategy's
+// parent links: table8_steal2), tieredStore (out-of-core exhaustive:
+// table8_tiered_wal) and atomicBitStore (-store bitstate, the paper's
+// supertrace mode; no benchmark workload yet). Only hashStore is unsafe
+// for concurrent use.
 type store interface {
 	seen(d digest) bool
 	peek(d digest) bool
@@ -79,7 +79,7 @@ type store interface {
 }
 
 // newStore builds the visited store for a run. concurrent picks the
-// sharded exhaustive store over the single-goroutine one; the bitstate
+// link table over the single-goroutine exhaustive store; the bitstate
 // and tiered stores are concurrency-safe by construction and serve both
 // strategies. A tiered store that cannot open its files (missing
 // StoreDir, I/O failure) is an environment error the caller cannot
@@ -97,20 +97,20 @@ func newStore(opts Options, concurrent bool) store {
 		return ts
 	}
 	if concurrent {
-		return &shardedHashStore{}
+		return &linkTable{}
 	}
 	return &hashStore{}
 }
 
-// digestSet is the flat visited table behind both exhaustive in-memory
-// stores: an open-addressed, linear-probe set of 64-bit fingerprints in
-// one []uint64. A zero slot is empty, so the zero fingerprint lives in
+// digestSet is the flat visited table behind hashStore (the link
+// table's shards share its layout): an open-addressed, linear-probe set
+// of 64-bit fingerprints in one []uint64. A zero slot is empty, so the zero fingerprint lives in
 // a flag beside the table. The table doubles whenever the next insert
 // could push it past 75 % load, which bounds every probe sequence. The
-// zero value is an empty set that allocates on its first insert — 256
-// idle shards, or the store of a ten-state related set, cost nothing.
+// zero value is an empty set that allocates on its first insert — the
+// store of a ten-state related set costs nothing.
 //
-// Fingerprints arrive already mixed, but the sharded store has spent
+// Fingerprints arrive already mixed, but the link table has spent
 // their top bits on shard selection and nothing promises the low bits
 // of an arbitrary System's encoding hash; a slot index is therefore the
 // top bits of a Fibonacci multiply of the whole word (plain word
@@ -196,64 +196,15 @@ func (t *digestSet) grow() {
 }
 
 // hashStore is the exhaustive hash-compact store of the
-// single-goroutine DFS: one digestSet, no lock. It stays beside
-// shardedHashStore because DFS forced onto the sharded store measured
-// slower in 3 of 3 alternating benchmark pairs on both DFS workloads
-// (verdict_s table8_dfs 0.659→0.700, 0.632→0.652, 0.567→0.727;
-// market_t5 1.280→1.392, 1.253→1.393, 1.194→1.196 — a lock per probe,
-// and 256 lazily grown shards for each of market_t5's 81 related sets).
-// The engine picks between the two from the strategy, not from an
-// option.
+// single-goroutine DFS: one digestSet, no lock — 8 bytes a state, where
+// the frontier strategy's linkTable pays a lock per probe and 32 bytes
+// for the parent link the DFS keeps on its stack. The engine picks
+// between the two from the strategy, not from an option.
 type hashStore struct{ set digestSet }
 
 func (s *hashStore) seen(d digest) bool { return s.set.add(d.h1) }
 func (s *hashStore) peek(d digest) bool { return s.set.has(d.h1) }
 func (s *hashStore) size() int          { return s.set.n }
-
-// hashShards is the number of lock stripes in the sharded store. 256
-// stripes keep contention negligible for any practical worker count
-// while costing only a few KB of mutexes.
-const hashShards = 256
-
-// shardedHashStore is the lock-striped exhaustive store for the
-// frontier strategy (table8_steal2): h1's top bits pick a shard, so
-// insertions from different workers rarely contend on the same mutex.
-type shardedHashStore struct {
-	//iotsan:padded
-	shards [hashShards]struct {
-		mu  sync.Mutex
-		set digestSet
-		// pad the 8-byte mutex + 48-byte table header to a full 64-byte
-		// cache line so neighboring shards' hot mutexes never false-share
-		_ [8]byte
-	}
-}
-
-func (s *shardedHashStore) seen(d digest) bool {
-	sh := &s.shards[d.h1>>56&(hashShards-1)]
-	sh.mu.Lock()
-	ok := sh.set.add(d.h1)
-	sh.mu.Unlock()
-	return ok
-}
-
-func (s *shardedHashStore) peek(d digest) bool {
-	sh := &s.shards[d.h1>>56&(hashShards-1)]
-	sh.mu.Lock()
-	ok := sh.set.has(d.h1)
-	sh.mu.Unlock()
-	return ok
-}
-
-func (s *shardedHashStore) size() int {
-	n := 0
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-		n += s.shards[i].set.n
-		s.shards[i].mu.Unlock()
-	}
-	return n
-}
 
 // bitstateDefaults normalises the bitstate sizing parameters.
 func bitstateDefaults(logBits uint, k int) (uint, int) {

@@ -91,20 +91,20 @@ func TestDigestSetDifferential(t *testing.T) {
 	}
 }
 
-// TestDigestSetStartsEmpty: an idle table owns no memory — what lets
-// 256 shards and the store of a ten-state related set cost nothing —
-// and the first insert allocates the minimum table.
+// TestDigestSetStartsEmpty: an idle link-table shard owns no memory —
+// what lets 256 of them per frontier search cost nothing — and the first
+// insert allocates the minimum table.
 func TestDigestSetStartsEmpty(t *testing.T) {
-	var s shardedHashStore
+	var s linkTable
 	for i := range s.shards {
-		if s.shards[i].set.slots != nil {
+		if s.shards[i].slots != nil || s.shards[i].text != nil {
 			t.Fatalf("shard %d allocated before its first insert", i)
 		}
 	}
 	if s.seen(digest{h1: 7}) || !s.seen(digest{h1: 7}) || s.size() != 1 {
 		t.Fatal("first insert misreported")
 	}
-	if got := len(s.shards[0].set.slots); got != digestSetMinSlots {
+	if got := len(s.shards[0].slots); got != digestSetMinSlots {
 		t.Errorf("first insert allocated %d slots, want %d", got, digestSetMinSlots)
 	}
 }

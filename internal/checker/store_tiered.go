@@ -129,7 +129,7 @@ func newTieredStore(dir string, memBudget int64) (*tieredStore, error) {
 }
 
 // seen implements the store contract with hash-compact semantics
-// identical to hashStore/shardedHashStore: membership is keyed on h1.
+// identical to hashStore and linkTable: membership is keyed on h1.
 // The whole decision runs under one shard lock; the spiller sets the
 // filter bit and the disk record before deleting a hot entry (also
 // under this lock), so a digest mid-spill is found in whichever tier

@@ -12,7 +12,7 @@ import (
 // and pops newly stored states LIFO (locally depth-first), and a worker
 // whose deque runs dry steals the oldest entry FIFO from a victim. No
 // worker ever waits at a barrier; the only global synchronisation is
-// the sharded visited store, the parent-link table and per-worker
+// the link table (visited set and parent links in one) and per-worker
 // sent/done counters used for termination detection.
 //
 // Termination: each worker keeps two monotone, padded counters — sent
@@ -29,11 +29,11 @@ import (
 // sent increment without its eventual done and miss termination, but
 // never falsely detect it; summing done first can do neither.)
 //
-// Trails are reconstructed through the parent-link table (parents.go);
+// Trails are reconstructed through the link table (linktable.go);
 // the trail witnessing a violation is whichever path reached it first,
 // not a shortest one. Each stored state's depth starts as the length of
 // whichever path stored it first and is then lowered (CAS-min in the
-// parent store) every time a shorter path re-encounters the state; a
+// link table) every time a shorter path re-encounters the state; a
 // state whose depth improves is re-enqueued so the shorter distance
 // propagates to its descendants — a relaxation pass whose expansions
 // run with the matched counter suppressed, so exploration statistics
@@ -68,7 +68,7 @@ type workSteal struct {
 }
 
 // stealEntry is one state awaiting expansion; its digest keys the
-// parent-link table, which also carries the state's (minimal known)
+// link table, which also carries the state's (minimal known)
 // depth — entries deliberately do not cache the depth, so a pop always
 // expands at the freshest distance. Entry objects are pooled per
 // worker: the Chase–Lev top-CAS guarantees exactly-once consumption,
@@ -105,11 +105,13 @@ type wsEntryPool struct {
 
 // stealRun is the shared state of one work-stealing search.
 type stealRun struct {
-	e       *engine
-	parents *parentStore
-	deques  []*wsDeque
-	cnts    []wsCounters
-	pools   []wsEntryPool
+	e      *engine
+	links  *linkTable // e.st itself when fused, else written right after e.st.seen
+	fused  bool
+	root   State // initial state: forward replay of lazy trails starts here
+	deques []*wsDeque
+	cnts   []wsCounters
+	pools  []wsEntryPool
 	// exps holds one expander per worker slot, created by the slot's
 	// first worker and inherited through retire/respawn like the deque.
 	exps []*expander
@@ -158,9 +160,17 @@ func (s *workSteal) search(e *engine) {
 		return
 	}
 
+	links, fused := e.st.(*linkTable)
+	if !fused {
+		links = &linkTable{}
+		links.seen(d0)
+	}
+	links.lazy = e.replayer != nil
 	r := &stealRun{
 		e:        e,
-		parents:  newParentStore(d0.h1, init),
+		links:    links,
+		fused:    fused,
+		root:     init,
 		deques:   make([]*wsDeque, max),
 		cnts:     make([]wsCounters, max),
 		pools:    make([]wsEntryPool, max),
@@ -197,11 +207,11 @@ func (s *workSteal) search(e *engine) {
 		// grace periods kept in limbo goes back to the free-lists now.
 		r.reclaim.drainAll()
 	}
-	// Clipping and the reported depth come from the final depth table —
+	// Clipping and the reported depth come from the final depths —
 	// the shortest-distance fixpoint — not from per-path bookkeeping, so
 	// depth-clipped searches are deterministic across runs and worker
 	// counts.
-	maxd, clipped := r.parents.scan(int32(e.opts.MaxDepth))
+	maxd, clipped := r.links.scan(int32(e.opts.MaxDepth))
 	if clipped {
 		e.truncated.Store(true)
 	}
@@ -355,14 +365,6 @@ func (c *wsCtx) pushState(st State, d digest) {
 	c.r.deques[c.w].push(c.r.getEntry(c.w, st, d))
 }
 
-// relaxDup is asked about every successor that was already in the
-// visited store: with depth relaxation on, it reports whether the
-// re-encountered successor's depth improved, in which case expandState
-// keeps and re-enqueues it so the shorter distance propagates.
-func (c *wsCtx) relaxDup(d digest) bool {
-	return !c.r.relaxOff && c.r.parents.relax(d.h1, int32(c.childDepth))
-}
-
 // work is one worker's main loop: drain the own deque LIFO, steal FIFO
 // when dry, exit on global termination or a hit limit. ownsToken
 // workers additionally retire when persistently idle.
@@ -494,7 +496,7 @@ func (r *stealRun) stealFrom(w int, rng *uint64) *stealEntry {
 //
 //iotsan:retires st
 func (r *stealRun) retireState(w int, epoch uint64, st State, d digest) {
-	if r.reclaim == nil || st == r.parents.rootState {
+	if r.reclaim == nil || st == r.root {
 		return
 	}
 	r.reclaim.retire(w, epoch, st, d)
@@ -503,7 +505,7 @@ func (r *stealRun) retireState(w int, epoch uint64, st State, d digest) {
 // expand processes one popped or stolen entry, pushing newly stored
 // successors onto the worker's own deque. A re-encountered successor
 // whose depth improves is re-enqueued so the shorter distance
-// propagates; the parent store's expanded claim arbitrates so exactly
+// propagates; the link table's expanded claim arbitrates so exactly
 // one expansion of each state contributes to the counters, and the
 // propagation passes run count-suppressed. The consumed entry object
 // returns to the worker's free-list, and the consumed state is retired
@@ -511,7 +513,7 @@ func (r *stealRun) retireState(w int, epoch uint64, st State, d digest) {
 // expansion (unconsumed successors then keep it conservative).
 func (c *wsCtx) expand(ent *stealEntry) {
 	r, e := c.r, c.r.e
-	depth, count := r.parents.claimExpansion(ent.d.h1, int32(e.opts.MaxDepth))
+	depth, count := r.links.claimExpansion(ent.d.h1, int32(e.opts.MaxDepth))
 	if int(depth) >= e.opts.MaxDepth {
 		// States at the depth bound exist but are not expanded — the
 		// same truncation point as the DFS. Clipping is not a global
@@ -519,7 +521,7 @@ func (c *wsCtx) expand(ent *stealEntry) {
 		// expanded, and the final depth scan marks the result truncated
 		// once the search drains (unless a shorter path later relaxes
 		// this state below the bound and re-enqueues it — as the copy
-		// expandState keeps on a relaxDup hit, never this one, so this
+		// expandState keeps on an improved admit, never this one, so this
 		// clone has left every live structure and can retire).
 		st, d := ent.state, ent.d
 		r.putEntry(c.w, ent)
@@ -537,10 +539,12 @@ func (c *wsCtx) expand(ent *stealEntry) {
 // share: it steps the successors of the state one at a time into the
 // worker's scratch, records the transition (edge) violations of every
 // successor — reconstructing the parent trail prefix lazily, only when
-// a violation is actually recorded — then deduplicates the successor
-// through the visited store, and only a successor the store reports new
-// is kept (cloned out of the scratch), linked to its parent, inspected
-// for state violations, counted, and pushed. A duplicate is never
+// a violation is actually recorded — then admits the successor: one
+// probe of the link table stores and links it or, a duplicate, lowers
+// its depth (after a tiered or bitstate store's seen, whichever worker
+// reaches the table first writes a complete edge, later ones only lower
+// the depth). Only a new successor is kept (cloned out of the scratch),
+// inspected for state violations, counted, and pushed. A duplicate is never
 // inspected: its first copy was (System.Inspect is a function of the
 // encoding), which also keeps the count=false re-expansions free of
 // Inspect calls — and of clones.
@@ -553,14 +557,14 @@ func (c *wsCtx) expand(ent *stealEntry) {
 // such a pass overlaps the state's counted expansion and admits one of
 // its successors first (see below). explored and matched accumulate in
 // the worker's counter cell and fold into the engine totals.
-// A duplicate that relaxDup says must be expanded again is kept and
-// pushed like a new state. Any other eager duplicate is a clone this
+// A duplicate whose depth improved must be expanded again: it is kept
+// and pushed like a new state. Any other eager duplicate is a clone this
 // expansion produced and shared with nobody, recycled on the spot. It
 // returns false when a limit was hit (truncated is already set; the
 // caller must stop, and must not retire the expanded state — unconsumed
 // successors keep it conservative).
 func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
-	e, x, parents, depth := c.r.e, c.x, c.r.parents, c.childDepth
+	e, x, links, depth, relax := c.r.e, c.x, c.r.links, c.childDepth, !c.r.relaxOff
 	state, h1 := ent.state, ent.d.h1
 	var prefix []TrailStep // parent trail, reconstructed lazily
 	havePrefix := false
@@ -572,7 +576,7 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 			return false
 		}
 		if !havePrefix {
-			prefix = parents.trailTo(h1, e.opts.MaxDepth)
+			prefix = links.trailTo(h1, c.r.root)
 			havePrefix = true
 		}
 		trail := append(append([]TrailStep(nil), prefix...),
@@ -596,15 +600,21 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 
 		var d digest
 		d, x.buf = e.digest(tr.Next, x.buf)
-		if e.st.seen(d) {
+		var fresh, improved bool
+		if c.r.fused {
+			fresh, improved = links.admit(d.h1, h1, int32(depth), tr, relax)
+		} else if fresh = !e.st.seen(d); fresh || relax {
+			_, improved = links.admit(d.h1, h1, int32(depth), tr, relax)
+		}
+		if !fresh {
 			if count {
 				x.stat.matched++
 			}
-			if c.relaxDup(d) {
+			if improved {
 				c.pushState(e.stp.Keep(x.scratch, tr.Next), d)
 			} else if e.dupRec != nil {
 				// An eager duplicate child that was not re-enqueued never
-				// entered a deque, the parent table, or a recorded trail
+				// entered a deque, the link table, or a recorded trail
 				// (record materializes eagerly): nobody but this worker
 				// has ever seen the clone.
 				e.dupRec.Recycle(tr.Next)
@@ -620,7 +630,6 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 			x.stat.matched--
 		}
 		next := e.stp.Keep(x.scratch, tr.Next)
-		parents.put(d.h1, parentEdge{parent: h1, label: tr.Label, steps: tr.Steps, key: tr.Key, depth: int32(depth)})
 		for _, v := range e.sys.Inspect(next) {
 			if record(v, tr) && e.limitHit() {
 				e.truncated.Store(true)

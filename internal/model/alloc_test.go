@@ -147,14 +147,15 @@ func TestCloneAllocBudget(t *testing.T) {
 // TestStealSteadyStateAllocParity is the CI allocation gate for the
 // parallel expansion hot path: a complete work-stealing search at
 // workers=1 (epoch reclamation on, so dead frontier states recycle
-// through the model's pool) must stay within two allocations per
-// explored state of sequential DFS — room for the parent-link table,
-// the deque and the reclamation limbo, which DFS does not have, but not
-// for a fresh clone per stored state (six allocations with the block
-// cache). The bound was a ratio (2×) while both strategies cloned every
-// generated successor; with successors stepped in a scratch DFS is
-// down to a fraction of an allocation per state and a ratio would gate
-// on the parent table's map growth.
+// through the model's pool) must stay within one allocation per
+// explored state of sequential DFS — room for the link table's
+// doublings, the deque and the reclamation limbo, which DFS does not
+// have (0.68 measured), but not for a per-state map entry or retained
+// label string (1.32 with the parent-link maps), let alone a fresh clone
+// per stored state (six allocations with the block cache). The bound
+// was a ratio (2×) while both strategies cloned every generated
+// successor; with successors stepped in a scratch DFS is down to a
+// fraction of an allocation per state and a ratio would gate on noise.
 func TestStealSteadyStateAllocParity(t *testing.T) {
 	// Fixed per-search setup (deque ring, reclaimer slots, visited
 	// store, goroutine spawn) dwarfs the per-state cost on a model this
@@ -190,8 +191,8 @@ func TestStealSteadyStateAllocParity(t *testing.T) {
 	if dfs > 1 {
 		t.Errorf("dfs allocates %.2f/state, want <= 1 (a clone per generated successor is back?)", dfs)
 	}
-	if steal > dfs+2 {
-		t.Errorf("steal allocates %.2f/state vs dfs %.2f/state, want <= dfs+2", steal, dfs)
+	if steal > dfs+1 {
+		t.Errorf("steal allocates %.2f/state vs dfs %.2f/state, want <= dfs+1", steal, dfs)
 	}
 }
 

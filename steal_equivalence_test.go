@@ -226,43 +226,63 @@ func TestStealRecycleFaultEquivalence(t *testing.T) {
 // TestStealTrailReplaysOnModel: every trail the steal strategy reports
 // on a real model replays from the initial state through genuine
 // transitions (matched by label) to a state or transition exhibiting
-// the violation's property.
+// the violation's property — on the link table as the visited store
+// and, behind a tiered store that spills or a bitstate store sized to
+// be exact, as the table written after the store's seen. A lazy edge
+// keeps no text, so a label is there only if the chain replayed from
+// the root: none may be blank.
 func TestStealTrailReplaysOnModel(t *testing.T) {
 	m := stealGroupModel(t, 1)
 	sys := m.System()
-	res := checker.Run(sys, checker.Options{MaxDepth: 66, Strategy: checker.StrategySteal, Workers: 4})
-	if len(res.Violations) == 0 {
-		t.Fatal("no violations reported — the replay check is vacuous")
-	}
-	for _, f := range res.Violations {
-		if f.Depth != len(f.Trail) {
-			t.Errorf("%s: depth=%d but trail has %d steps", f.Violation, f.Depth, len(f.Trail))
-		}
-		cur := sys.Initial()
-		violated := false
-	steps:
-		for i, step := range f.Trail {
-			for _, tr := range sys.Expand(cur) {
-				if tr.Label != step.Label {
-					continue
+	for _, store := range []checker.StoreKind{checker.Exhaustive, checker.Tiered, checker.Bitstate} {
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("%v/workers=%d", store, workers)
+			o := checker.Options{MaxDepth: 66, Strategy: checker.StrategySteal, Workers: workers,
+				Store: store, BitstateBits: 26}
+			if store == checker.Tiered {
+				o.StoreDir, o.MemBudget = t.TempDir(), 1 // the hot-tier floor
+			}
+			res := checker.Run(sys, o)
+			if len(res.Violations) == 0 {
+				t.Fatalf("%s: no violations reported — the replay check is vacuous", name)
+			}
+			if store == checker.Tiered && res.Store.Spilled == 0 {
+				t.Errorf("%s: nothing spilled out of %d stored states", name, res.StatesStored)
+			}
+			for _, f := range res.Violations {
+				if f.Depth != len(f.Trail) {
+					t.Errorf("%s: %s: depth=%d but trail has %d steps", name, f.Violation, f.Depth, len(f.Trail))
 				}
-				for _, v := range tr.Violations {
+				cur := sys.Initial()
+				violated := false
+			steps:
+				for i, step := range f.Trail {
+					if step.Label == "" {
+						t.Fatalf("%s: %s: trail step %d has no label", name, f.Violation, i)
+					}
+					for _, tr := range sys.Expand(cur) {
+						if tr.Label != step.Label {
+							continue
+						}
+						for _, v := range tr.Violations {
+							if v.Property == f.Property && v.Detail == f.Detail {
+								violated = true
+							}
+						}
+						cur = tr.Next
+						continue steps
+					}
+					t.Fatalf("%s: %s: trail step %d (%q) is not a transition of the replayed state", name, f.Violation, i, step.Label)
+				}
+				for _, v := range sys.Inspect(cur) {
 					if v.Property == f.Property && v.Detail == f.Detail {
 						violated = true
 					}
 				}
-				cur = tr.Next
-				continue steps
+				if !violated {
+					t.Errorf("%s: %s: replayed trail does not exhibit the violation", name, f.Violation)
+				}
 			}
-			t.Fatalf("%s: trail step %d (%q) is not a transition of the replayed state", f.Violation, i, step.Label)
-		}
-		for _, v := range sys.Inspect(cur) {
-			if v.Property == f.Property && v.Detail == f.Detail {
-				violated = true
-			}
-		}
-		if !violated {
-			t.Errorf("%s: replayed trail does not exhibit the violation", f.Violation)
 		}
 	}
 }
