@@ -170,7 +170,12 @@ func (e *Env) popArgs(mark int) { e.args = e.args[:mark] }
 // CallHandler invokes a compiled handler method with an event argument,
 // mirroring Evaluator.CallHandler.
 func (e *Env) CallHandler(name string, evt *Event) error {
-	p := e.capp.Methods[name]
+	return e.CallProgram(e.capp.Methods[name], name, evt)
+}
+
+// CallProgram is CallHandler for a caller that resolved p, the app's
+// Methods[name], ahead of time (nil: the app has no such method).
+func (e *Env) CallProgram(p *Program, name string, evt *Event) error {
 	if p == nil {
 		return &ExecError{App: e.capp.App.Name, Msg: fmt.Sprintf("no such handler %q", name)}
 	}

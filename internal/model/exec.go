@@ -318,7 +318,7 @@ func (x *executor) enqueue(ev *cyberEvent) {
 	if x.m.Opts.Design == Concurrent {
 		// Queue one pending invocation per matching subscription; the
 		// checker interleaves them.
-		for _, si := range x.m.subsFor(ev.Source, ev.Name) {
+		for _, si := range x.m.subsFor(ev) {
 			if x.matches(&x.m.subs[si], ev) {
 				p := Pending{SubIdx: int(si), Source: ev.Source, Raw: x.m.vstr(ev)}
 				if ev.Attr >= 0 && x.m.Devices[ev.Source].Attrs[ev.Attr].Numeric {
@@ -365,7 +365,7 @@ func (x *executor) drain() {
 		qi := x.qhead
 		x.qhead++
 		x.dispatches++
-		for _, si := range x.m.subsFor(x.queue[qi].Source, x.queue[qi].Name) {
+		for _, si := range x.m.subsFor(&x.queue[qi]) {
 			sub := &x.m.subs[si]
 			if x.matches(sub, &x.queue[qi]) {
 				x.runHandler(sub, &x.queue[qi])
@@ -482,7 +482,7 @@ func (x *executor) runHandler(sub *resolvedSub, ev *cyberEvent) {
 	var err error
 	if app.Prog != nil {
 		x.env.Reset(x, app.Prog)
-		err = x.env.CallHandler(sub.Handler, &x.evt)
+		err = x.env.CallProgram(sub.prog, sub.Handler, &x.evt)
 	} else {
 		x.interp = eval.Evaluator{App: app.App, Bindings: app.Bindings, Host: x, StateIdx: app.StateIdx}
 		err = x.interp.CallHandler(sub.Handler, &x.evt)

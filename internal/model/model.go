@@ -247,6 +247,9 @@ type resolvedSub struct {
 	Source  int // device index or one of the src* pseudo-sources
 	Attr    string
 	Value   string // event value filter, "" = any
+	// prog is Handler in the app's compiled program, resolved at Build;
+	// nil under the interpreter and for a handler the app does not define.
+	prog *eval.Program
 }
 
 // Model is the generated system model. It is immutable once Build
@@ -269,10 +272,13 @@ type Model struct {
 	external []ExtEvent
 
 	// Dispatch indexes, precomputed at New so event delivery never
-	// scans the full subscription table:
-	//   subIdx   (source, attr) → subscription indices, in table order
+	// scans the full subscription table; each lists subscription indices
+	// in table order:
+	//   devSubs  [device][schema index] → subscriptions on that attribute
+	//   subIdx   (pseudo-source, name) → subscriptions (mode, sun)
 	//   synthIdx attr → device-sourced subscriptions (sendEvent fakes)
 	//   touchIdx app → its app-touch subscriptions
+	devSubs  [][][]int32
 	subIdx   map[subKey][]int32
 	synthIdx map[string][]int32
 	touchIdx [][]int32
@@ -351,7 +357,7 @@ type Model struct {
 	sym *symData
 }
 
-// subKey indexes resolved subscriptions by event source and attribute.
+// subKey indexes the subscriptions on a pseudo-source by event name.
 type subKey struct {
 	src  int32
 	attr string
@@ -396,35 +402,48 @@ func New(cfg *config.System, apps map[string]*ir.App, opts Options) (*Model, err
 	return p.Build(insts, opts)
 }
 
-// buildDispatchIndex precomputes the (source, attr) → subscriptions
-// index replacing linear scans of the subscription table during event
+// buildDispatchIndex precomputes the event → subscriptions indexes
+// replacing linear scans of the subscription table during event
 // delivery. Per-key lists preserve table order, so dispatch order is
-// identical to the scans it replaces.
+// identical to the scans it replaces. A device subscription on an
+// attribute its device's schema lacks is reachable by sendEvent only.
 func (m *Model) buildDispatchIndex() {
+	m.devSubs = make([][][]int32, len(m.Devices))
+	for d, dev := range m.Devices {
+		m.devSubs[d] = make([][]int32, len(dev.Attrs))
+	}
 	m.subIdx = map[subKey][]int32{}
 	m.synthIdx = map[string][]int32{}
 	m.touchIdx = make([][]int32, len(m.Apps))
 	for si, sub := range m.subs {
-		k := subKey{src: int32(sub.Source), attr: sub.Attr}
-		m.subIdx[k] = append(m.subIdx[k], int32(si))
-		if sub.Source >= 0 {
+		switch {
+		case sub.Source >= 0:
+			if ai := m.Devices[sub.Source].AttrIndex(sub.Attr); ai >= 0 {
+				m.devSubs[sub.Source][ai] = append(m.devSubs[sub.Source][ai], int32(si))
+			}
 			m.synthIdx[sub.Attr] = append(m.synthIdx[sub.Attr], int32(si))
-		}
-		if sub.Source == srcApp {
+		case sub.Source == srcApp:
 			m.touchIdx[sub.AppIdx] = append(m.touchIdx[sub.AppIdx], int32(si))
+		default:
+			k := subKey{src: int32(sub.Source), attr: sub.Attr}
+			m.subIdx[k] = append(m.subIdx[k], int32(si))
 		}
 	}
 }
 
 // subsFor returns the subscription indices an event can reach before
-// value filtering: exact (source, attr) matches, plus — for synthetic
-// sendEvent events, which impersonate devices — every device-sourced
-// subscription on the attribute.
-func (m *Model) subsFor(source int, attr string) []int32 {
-	if source == srcSynth {
-		return m.synthIdx[attr]
+// value filtering: for a device attribute change — which always carries
+// its schema index — two indexings, no hashing; for a synthetic
+// sendEvent event, which impersonates devices, every device-sourced
+// subscription on the attribute; else the pseudo-source's by name.
+func (m *Model) subsFor(ev *cyberEvent) []int32 {
+	switch {
+	case ev.Attr >= 0:
+		return m.devSubs[ev.Source][ev.Attr]
+	case ev.Source == srcSynth:
+		return m.synthIdx[ev.Name]
 	}
-	return m.subIdx[subKey{src: int32(source), attr: attr}]
+	return m.subIdx[subKey{src: int32(ev.Source), attr: ev.Name}]
 }
 
 // buildLabels precomputes every transition label (external event ×
@@ -473,8 +492,8 @@ func labelOf(d config.Device) string {
 }
 
 // resolveSubscriptions flattens app subscriptions to (source, attr,
-// value) → handler entries. A subscription on a multi-device input
-// yields one entry per bound device.
+// value) → handler entries, each with its compiled handler looked up. A
+// subscription on a multi-device input yields one entry per bound device.
 func (m *Model) resolveSubscriptions() {
 	for _, app := range m.Apps {
 		for _, sub := range app.App.Subscriptions {
@@ -505,6 +524,11 @@ func (m *Model) resolveSubscriptions() {
 					})
 				}
 			}
+		}
+	}
+	for i := range m.subs {
+		if prog := m.Apps[m.subs[i].AppIdx].Prog; prog != nil {
+			m.subs[i].prog = prog.Methods[m.subs[i].Handler]
 		}
 	}
 }
