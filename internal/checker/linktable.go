@@ -208,11 +208,12 @@ const brokenTrail = "<trail incomplete: parent links end before the initial stat
 // the state's (minimal) depth and than Options.MaxDepth.
 func (t *linkTable) trailTo(h uint64, root State) []TrailStep {
 	var rev []TrailStep
-	for done := false; !done; {
+	for walking := true; walking; {
 		sh, s := t.find(h)
-		if done = s == nil || s.depth == 0; s == nil {
+		walking = s != nil && s.depth != 0
+		if s == nil {
 			rev = append(rev, TrailStep{Label: brokenTrail})
-		} else if !done {
+		} else if walking {
 			var step TrailStep
 			if i := s.meta >> linkTextShift; i != 0 {
 				step = sh.text[i-1]

@@ -84,11 +84,9 @@ func TestLinkTableConcurrentAdmit(t *testing.T) {
 		if f, c := fresh[i].Load(), claims[i].Load(); f != 1 || c != 1 {
 			t.Fatalf("key %#x: fresh %d times, expansion claimed %d times, want 1 and 1", k, f, c)
 		}
-		min := offered(0, i)
+		least := offered(0, i)
 		for w := 1; w < workers; w++ {
-			if d := offered(w, i); d < min {
-				min = d
-			}
+			least = min(least, offered(w, i))
 		}
 		sh, s := table.find(k)
 		if s == nil {
@@ -96,8 +94,8 @@ func TestLinkTableConcurrentAdmit(t *testing.T) {
 		}
 		l := *s
 		sh.mu.Unlock()
-		if l.depth != min {
-			t.Errorf("key %#x: depth %d, minimum offered %d", k, l.depth, min)
+		if l.depth != least {
+			t.Errorf("key %#x: depth %d, minimum offered %d", k, l.depth, least)
 		}
 		if l.parent < 1 || l.parent > workers || l.key != l.parent<<32|uint64(i) {
 			t.Errorf("key %#x: edge (parent %d, key %#x) is not one writer's", k, l.parent, l.key)

@@ -408,9 +408,14 @@ func New(cfg *config.System, apps map[string]*ir.App, opts Options) (*Model, err
 // identical to the scans it replaces. A device subscription on an
 // attribute its device's schema lacks is reachable by sendEvent only.
 func (m *Model) buildDispatchIndex() {
+	nattrs := 0
+	for _, dev := range m.Devices {
+		nattrs += len(dev.Attrs)
+	}
+	flat := make([][]int32, nattrs) // one backing for every device's row
 	m.devSubs = make([][][]int32, len(m.Devices))
 	for d, dev := range m.Devices {
-		m.devSubs[d] = make([][]int32, len(dev.Attrs))
+		m.devSubs[d], flat = flat[:len(dev.Attrs):len(dev.Attrs)], flat[len(dev.Attrs):]
 	}
 	m.subIdx = map[subKey][]int32{}
 	m.synthIdx = map[string][]int32{}
