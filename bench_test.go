@@ -361,26 +361,23 @@ func BenchmarkStealEqualWork(b *testing.B) {
 }
 
 // BenchmarkGroupScheduler measures multi-group Analyze wall-clock with
-// sequential groups versus the concurrent group scheduler under the
-// shared worker budget (each group's exploration is identical in both
-// modes, so the comparison is pure scheduling).
+// related sets verified one after another (workers=1) versus
+// concurrently under a budget of GOMAXPROCS tokens (each group's
+// exploration is identical at every width, so the comparison is pure
+// scheduling).
 func BenchmarkGroupScheduler(b *testing.B) {
 	sys, apps, opts, desc, err := experiments.GroupSchedulerWorkload()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Logf("workload: %s", desc)
-	for _, mode := range []struct {
-		name          string
-		groupParallel bool
-	}{{"sequential", false}, {"group-parallel", true}} {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var rep *iotsan.Report
 			for i := 0; i < b.N; i++ {
 				o := opts
 				o.Strategy = iotsan.StrategySteal
-				o.Workers = runtime.GOMAXPROCS(0)
-				o.GroupParallel = mode.groupParallel
+				o.Workers = workers
 				rep, err = iotsan.AnalyzeTranslated(sys, apps, o)
 				if err != nil {
 					b.Fatal(err)

@@ -201,11 +201,19 @@ func TestCompileOnceEquivalence(t *testing.T) {
 						}
 					}
 					row := fmt.Sprintf("%s/events%d/%s", name, events, e.name)
-					t.Run(row+"/sequential", func(t *testing.T) { check(t, base) })
-					t.Run(row+"/group-parallel", func(t *testing.T) {
+					// Workers: 1 verifies the related sets one after
+					// another; wider budgets verify them concurrently.
+					t.Run(row+"/sequential", func(t *testing.T) {
 						opts := base
-						opts.GroupParallel, opts.Workers = true, 4
+						opts.Workers = 1
 						check(t, opts)
+					})
+					t.Run(row+"/group-parallel", func(t *testing.T) {
+						for _, workers := range []int{2, 4} {
+							opts := base
+							opts.Workers = workers
+							check(t, opts)
+						}
 					})
 					if dfs {
 						t.Run(row+"/interpreter", func(t *testing.T) {

@@ -13,9 +13,7 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 		"checker search strategy: dfs (sequential, default) or steal (work-stealing, -workers goroutines)",
 		func(s string) (err error) { o.Strategy, err = ParseStrategy(s); return })
 	fs.IntVar(&o.Workers, "workers", 0,
-		"checker goroutines for -strategy steal and the -group-parallel budget (0 = GOMAXPROCS)")
-	fs.BoolVar(&o.GroupParallel, "group-parallel", false,
-		"verify independent related sets concurrently under one shared worker budget")
+		"engine width: apps translated, concurrent related sets, and steal goroutines (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.POR, "por", false,
 		"partial-order reduction: prune equivalent handler interleavings (concurrent design)")
 	fs.BoolVar(&o.Symmetry, "symmetry", false,

@@ -18,7 +18,7 @@ var apiOnly = map[string]bool{
 	"MaxEvents": true, "Design": true, "Properties": true, "Thresholds": true,
 	"NoDepGraph": true, "Bitstate": true, "MaxViolations": true,
 	"MaxStatesPerSet": true, "Deadline": true, "Interpreter": true,
-	"NoIncremental": true, "NoEpochReclaim": true,
+	"NoIncremental": true, "NoEpochReclaim": true, "GroupParallel": true,
 }
 
 // engineFlagSet registers the engine flags of a zero Options on a
@@ -39,7 +39,7 @@ func TestRegisterFlagsCoversOptions(t *testing.T) {
 
 	// Every registered flag, each at a non-default value.
 	args := []string{
-		"-strategy", "steal", "-workers", "3", "-group-parallel", "-por", "-symmetry",
+		"-strategy", "steal", "-workers", "3", "-por", "-symmetry",
 		"-failures", "-faults", "-max-faults", "2",
 		"-store", "tiered", "-store-dir", "/tmp/s", "-mem-budget", "65536",
 		"-checkpoint", "-resume",
@@ -48,7 +48,7 @@ func TestRegisterFlagsCoversOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := iotsan.Options{
-		Strategy: iotsan.StrategySteal, Workers: 3, GroupParallel: true, POR: true, Symmetry: true,
+		Strategy: iotsan.StrategySteal, Workers: 3, POR: true, Symmetry: true,
 		Failures: true, Faults: true, MaxFaults: 2,
 		Store: iotsan.StoreTiered, StoreDir: "/tmp/s", MemBudget: 65536,
 		Checkpoint: true, Resume: true,
@@ -74,7 +74,7 @@ func TestRegisterFlagsCoversOptions(t *testing.T) {
 		}
 	}
 
-	for _, bad := range [][]string{{"-strategy", "bfs"}, {"-store", "ooc"}, {"-incremental=false"}, {"-epoch-reclaim=false"}} {
+	for _, bad := range [][]string{{"-strategy", "bfs"}, {"-store", "ooc"}, {"-incremental=false"}, {"-epoch-reclaim=false"}, {"-group-parallel"}} {
 		if _, fs := engineFlagSet(); fs.Parse(bad) == nil {
 			t.Errorf("%v parsed; want an error", bad)
 		}

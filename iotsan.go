@@ -22,8 +22,11 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,8 +75,10 @@ const (
 	StrategyDFS = checker.StrategyDFS
 	// StrategySteal is the work-stealing frontier search: Workers
 	// goroutines expand states concurrently from per-worker Chase–Lev
-	// deques over a sharded visited store; under GroupParallel it
-	// dynamically absorbs worker budget freed by finished groups.
+	// deques over one link table. On a system with one related set it
+	// runs that fixed crew; with several, each set's search starts on
+	// the token its scheduler goroutine holds and dynamically absorbs
+	// worker budget freed by finished sets.
 	StrategySteal = checker.StrategySteal
 )
 
@@ -144,8 +149,8 @@ type Options struct {
 	// per state the store admits as new, which is exact on the two
 	// exhaustive stores and inherits supertrace's incompleteness on
 	// StoreBitstate. StoreTiered requires StoreDir: each
-	// related set gets its own subdirectory of tier files, so groups can
-	// verify concurrently under GroupParallel.
+	// related set gets its own subdirectory of tier files, so sets can
+	// verify concurrently.
 	Store StoreSelector
 	// StoreDir is the scratch/WAL directory for StoreTiered (and for
 	// Checkpoint/Resume). Created if missing.
@@ -164,10 +169,13 @@ type Options struct {
 	// Strategy selects the checker search strategy (StrategyDFS
 	// default; StrategySteal uses Workers goroutines).
 	Strategy Strategy
-	// Workers is the number of checker goroutines for StrategySteal
-	// (0 = GOMAXPROCS). With GroupParallel it also sizes the worker
-	// budget shared by all concurrently running related-set
-	// verifications.
+	// Workers is the engine's width (0 = GOMAXPROCS): how many apps
+	// Analyze translates at once, how many related sets it verifies at
+	// once under one shared budget of Workers tokens, and how many
+	// goroutines StrategySteal runs. Workers: 1 verifies the sets one
+	// after another in group order. A system with a single related set
+	// verifies it on the calling goroutine, with StrategySteal's crew of
+	// Workers goroutines.
 	Workers int
 	// POR enables partial-order reduction in the checker: at each
 	// expansion the concurrent design's pending-dispatch interleavings
@@ -196,17 +204,24 @@ type Options struct {
 	// levels. Trails still replay on the raw model: frontier states and
 	// parent-link replay keys stay concrete.
 	Symmetry bool
-	// GroupParallel verifies independent related sets concurrently
-	// under one shared worker budget of Workers tokens instead of
-	// strictly one after another. Per-group results and the deduped
-	// violation list are still committed in deterministic group order.
+	// GroupParallel is ignored: related sets verify concurrently by
+	// default, and Workers alone sets how many at once (1 = one after
+	// another).
+	//
+	// Deprecated: set Workers instead. The field is removed together with
+	// the benchmark's hand copy of Analyze (ROADMAP item 1(b)), its last
+	// reader.
 	GroupParallel bool
 	// MaxViolations stops the whole analysis once that many distinct
 	// violations have been committed to the report (0 = collect all).
-	// The cap is enforced when a group's results are committed (in
-	// group order), so the reported violations are exact; reaching it
-	// cancels sibling group verifications, whose GroupResult entries
-	// then reflect the partial exploration at cancellation.
+	// The cap is enforced when a group's results are committed, in
+	// group order at every Workers width, so the report carries exactly
+	// the cap, taken from the earliest groups; reaching it cancels the
+	// related sets still running or not yet started, whose GroupResult
+	// entries then reflect the partial exploration at cancellation
+	// (Truncated). At Workers > 1 a set after the capping one may have
+	// finished before the cap was reached, so how much such a set
+	// explored depends on timing.
 	MaxViolations int
 	// MaxStatesPerSet caps exploration per related set (0 = 1e6).
 	MaxStatesPerSet int
@@ -229,6 +244,15 @@ type Options struct {
 	// equivalence tests, not a CLI flag. Sequential DFS free-lists are
 	// unaffected.
 	NoEpochReclaim bool
+}
+
+// width is how many apps are translated, or related sets verified, at
+// once.
+func (o Options) width() int {
+	if o.Workers > 0 {
+		return o.Workers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 func (o Options) withDefaults() Options {
@@ -307,13 +331,20 @@ func Analyze(sys *System, sources map[string]string, opts Options) (*Report, err
 		return nil, err
 	}
 
-	apps := map[string]*ir.App{}
-	for name, src := range sources {
-		app, err := smartapp.Translate(src)
-		if err != nil {
-			return nil, fmt.Errorf("iotsan: translating %q: %w", name, err)
+	// Sorted names make the reported error the first failing name's,
+	// whatever order the translations finish in.
+	names := slices.Sorted(maps.Keys(sources))
+	translated := make([]*ir.App, len(names))
+	errs := make([]error, len(names))
+	forEachIndex(len(names), opts.width(), func(i int) {
+		translated[i], errs[i] = smartapp.Translate(sources[names[i]])
+	})
+	apps := make(map[string]*ir.App, len(names))
+	for i, name := range names {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("iotsan: translating %q: %w", name, errs[i])
 		}
-		apps[name] = app
+		apps[name] = translated[i]
 	}
 	for _, inst := range sys.Apps {
 		if apps[inst.App] == nil {
@@ -364,12 +395,12 @@ func analyzeTranslated(sys *System, apps map[string]*ir.App, opts Options) (*Rep
 
 // plan is what one Analyze call derives from the system alone, built
 // once before the group scheduler starts and only read afterwards, by
-// every verifyGroup of the call — one after another or, under
-// GroupParallel, concurrently. It rests on related sets differing in
-// their apps only: every group keeps every device of the system (see
-// model.Plan), so the device table, the invariant catalog resolved
-// against it, and each installed instance's bindings and compiled
-// program are the same for every group that contains the instance.
+// every verifyGroup of the call, concurrently. It rests on related sets
+// differing in their apps only: every group keeps every device of the
+// system (see model.Plan), so the device table, the invariant catalog
+// resolved against it, and each installed instance's bindings and
+// compiled program are the same for every group that contains the
+// instance.
 // Nothing here outlives the call.
 type plan struct {
 	sys   *System
@@ -462,67 +493,84 @@ func (pl *plan) relevantAttrs(group []int) map[string]bool {
 }
 
 // runGroups is the group scheduler: it verifies every related set and
-// streams results into the report in deterministic group order. With
-// GroupParallel, independent groups run concurrently under one worker
-// budget of Options.Workers tokens — each group's verification is
-// admitted on one token (its first search worker) and the
+// commits the results into the report in group order.
+//
+// A single set is verified on the caller's goroutine with no budget, so
+// StrategySteal runs its fixed crew of Options.Workers goroutines.
+// Several sets are taken in group order by a fixed pool of
+// min(Workers, sets) goroutines under one budget of Workers tokens:
+// each verification holds one token (its first search worker), and the
 // work-stealing strategy grows extra workers from whatever the budget
-// can spare, so workers freed by finished groups are absorbed by
-// groups still running. A shared stop flag cancels sibling searches as
-// soon as the global MaxViolations cap is reached (or a group fails).
+// can spare, so workers freed by finished sets are absorbed by sets
+// still running. The goroutine that finishes a set commits every set of
+// the finished group-order prefix, so Report.Groups and the deduped
+// violation list never depend on which set finished first, and at
+// Workers: 1 a set is committed before the next one starts — the
+// sequential order exactly. A shared stop flag cancels the searches
+// still running once the global MaxViolations cap is reached or a set
+// fails; a set started after that still runs, stopping at its initial
+// state, so Report.Groups always covers every related set in order.
+//
+// Because sets verify concurrently, their GroupResult.Result.Elapsed
+// values overlap and can sum to more than Report.Elapsed.
 func runGroups(rep *Report, pl *plan, groups [][]string, opts Options) error {
 	stop := new(atomic.Bool)
 	seen := map[string]bool{}
-
-	if !opts.GroupParallel || len(groups) <= 1 {
-		for i, groupApps := range groups {
-			// Once the violation cap sets the stop flag, remaining
-			// verifications return immediately (truncated at the initial
-			// state) but still produce a GroupResult, so Report.Groups
-			// always covers every related set in order.
-			gr, err := verifyGroup(pl, pl.groupInstances(groupApps), opts, i, stop, nil)
-			if err != nil {
-				return err
-			}
-			commitGroup(rep, gr, opts, seen, stop)
+	if len(groups) == 1 {
+		gr, err := verifyGroup(pl, pl.groupInstances(groups[0]), opts, 0, stop, nil)
+		if err != nil {
+			return err
 		}
+		commitGroup(rep, gr, opts, seen, stop)
 		return nil
 	}
 
-	budget := checker.NewWorkerBudget(opts.Workers)
+	budget := checker.NewWorkerBudget(opts.width())
 	results := make([]*GroupResult, len(groups))
 	errs := make([]error, len(groups))
-	done := make([]chan struct{}, len(groups))
-	for i := range groups {
-		done[i] = make(chan struct{})
-	}
-	for i, groupApps := range groups {
-		go func(i int, groupApps []string) {
-			defer close(done[i])
-			budget.Acquire() // admission token = this group's first worker
-			defer budget.Release()
-			// A group admitted after the stop flag is set still runs —
-			// its search stops at the initial state — so Report.Groups
-			// carries one entry per related set in both scheduler modes.
-			results[i], errs[i] = verifyGroup(pl, pl.groupInstances(groupApps), opts, i, stop, budget)
-		}(i, groupApps)
-	}
+	done := make([]bool, len(groups))
+	var (
+		mu        sync.Mutex // guards results, errs, done, committed, firstErr and rep
+		committed int        // groups[:committed] are committed
+		firstErr  error
+	)
+	forEachIndex(len(groups), budget.Size(), func(i int) {
+		budget.Acquire()
+		gr, err := verifyGroup(pl, pl.groupInstances(groups[i]), opts, i, stop, budget)
+		budget.Release()
 
-	// Commit completed groups strictly in group order, so the report's
-	// group sequence and deduped violation list are independent of which
-	// verification finished first.
-	var firstErr error
-	for i := range groups {
-		<-done[i]
-		if errs[i] != nil && firstErr == nil {
-			firstErr = errs[i]
-			stop.Store(true)
+		mu.Lock()
+		defer mu.Unlock()
+		results[i], errs[i], done[i] = gr, err, true
+		for ; committed < len(groups) && done[committed]; committed++ {
+			if firstErr == nil && errs[committed] != nil {
+				firstErr = errs[committed]
+				stop.Store(true)
+			}
+			if firstErr == nil {
+				commitGroup(rep, results[committed], opts, seen, stop)
+			}
 		}
-		if firstErr == nil && results[i] != nil {
-			commitGroup(rep, results[i], opts, seen, stop)
-		}
-	}
+	})
 	return firstErr
+}
+
+// forEachIndex calls f(i) for every i in [0, n) from a fixed pool of
+// min(width, n) goroutines, which take the indices in increasing order
+// from one counter, and returns once every call has returned.
+func forEachIndex(n, width int, f func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(width, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // commitGroup appends one group's result to the report and folds its
@@ -661,8 +709,8 @@ func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Boo
 	}
 	if copts.Store == checker.Tiered || opts.Checkpoint || opts.Resume {
 		// One subdirectory per related set: groups verify concurrently
-		// under GroupParallel and must not share tier files, and the
-		// per-group WAL path must be stable across runs for Resume.
+		// and must not share tier files, and the per-group WAL path must
+		// be stable across runs for Resume.
 		dir := filepath.Join(opts.StoreDir, fmt.Sprintf("group-%03d", gidx))
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("iotsan: store directory: %w", err)

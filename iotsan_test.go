@@ -1,12 +1,18 @@
 package iotsan_test
 
 import (
+	"fmt"
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"iotsan"
 	"iotsan/internal/corpus"
 	"iotsan/internal/experiments"
+	"iotsan/internal/groovy"
+	"iotsan/internal/ir"
 )
 
 // TestAnalyzePipeline runs the full public pipeline on the §8 example.
@@ -61,6 +67,96 @@ func TestAnalyzeErrors(t *testing.T) {
 	if _, err := iotsan.Analyze(sys, map[string]string{"Nope": "not groovy ("}, iotsan.Options{}); err == nil {
 		t.Error("bad source should fail")
 	}
+}
+
+// TestAnalyzeTranslationErrorOrder: Analyze translates its sources
+// concurrently, and with two unparsable sources the error it returns
+// is always the one for the lexicographically first name.
+func TestAnalyzeTranslationErrorOrder(t *testing.T) {
+	sys := &iotsan.System{
+		Devices: []iotsan.Device{{ID: "l1", Model: "Smart Lock"}},
+		Apps: []iotsan.AppInstance{{App: "Unlock Door", Bindings: map[string]iotsan.Binding{
+			"lock1": {DeviceIDs: []string{"l1"}},
+		}}},
+	}
+	sources := map[string]string{"b broken": "definition(", "a broken": "not groovy ("}
+	for _, name := range []string{"Unlock Door", "Auto Mode Change", "It's Too Cold", "Good Night"} {
+		sources[name] = corpus.MustSource(name)
+	}
+	for _, workers := range []int{1, 2} {
+		for run := 0; run < 20; run++ {
+			_, err := iotsan.Analyze(sys, sources, iotsan.Options{Workers: workers})
+			if err == nil || !strings.Contains(err.Error(), `translating "a broken"`) {
+				t.Fatalf("workers=%d run %d: error = %v, want the error for %q", workers, run, err, "a broken")
+			}
+		}
+	}
+}
+
+// TestAnalyzeTranslationConcurrent: the translations Analyze makes
+// concurrently equal sequential ones, app by app, over the whole
+// corpus. Under -race this shows that the groovy, smartapp and
+// typeinfer packages share no mutable state between translations.
+func TestAnalyzeTranslationConcurrent(t *testing.T) {
+	sources := map[string]string{}
+	for _, s := range corpus.Apps() {
+		sources[s.Name] = s.Groovy
+	}
+	// A system with no apps: Analyze translates every source and has no
+	// related set to verify.
+	rep, err := iotsan.Analyze(&iotsan.System{Name: "corpus"}, sources, iotsan.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Apps) != len(sources) {
+		t.Fatalf("Analyze kept %d translations of %d sources", len(rep.Apps), len(sources))
+	}
+	for name, src := range sources {
+		want, err := iotsan.Translate(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d := translationDiff(rep.Apps[name], want); d != "" {
+			t.Errorf("%s: concurrent translation differs from sequential: %s", name, d)
+		}
+	}
+}
+
+// translationDiff compares two translations of one source. Types is
+// keyed by AST node, whose pointers differ between two parses, so it is
+// compared as the types met in one walk of each AST; everything else
+// with reflect.DeepEqual.
+func translationDiff(got, want *ir.App) string {
+	g, w := *got, *want
+	g.Types, w.Types = nil, nil
+	if !reflect.DeepEqual(g, w) {
+		return "translations differ outside Types"
+	}
+	gt, wt := typesInWalkOrder(got), typesInWalkOrder(want)
+	switch {
+	case len(gt) != len(got.Types) || len(wt) != len(want.Types):
+		return fmt.Sprintf("a walk of the methods reaches %d and %d of %d and %d typed nodes", len(gt), len(wt), len(got.Types), len(want.Types))
+	case !reflect.DeepEqual(gt, wt):
+		return "inferred types differ"
+	}
+	return ""
+}
+
+// typesInWalkOrder lists the inferred type of every typed AST node in a
+// fixed walk of the app's methods, keyed by walk position.
+func typesInWalkOrder(app *ir.App) map[int]ir.Type {
+	out := map[int]ir.Type{}
+	pos := 0
+	for _, name := range slices.Sorted(maps.Keys(app.Methods)) {
+		groovy.Walk(app.Methods[name], func(n groovy.Node) bool {
+			if ty, ok := app.Types[n]; ok {
+				out[pos] = ty
+			}
+			pos++
+			return true
+		})
+	}
+	return out
 }
 
 // TestStoreDirValidatedBeforeTranslation: each option combination that

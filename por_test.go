@@ -2,7 +2,7 @@
 // only prune interleavings, never violations. Every corpus group is
 // verified under the concurrent design with POR off (the oracle) and
 // with POR on, across both search strategies — and through the
-// group scheduler with and without GroupParallel — and the distinct
+// group scheduler at several Workers widths — and the distinct
 // violation sets must be identical. A separate gate asserts the
 // reduction actually pays: on a multi-event group the explored state
 // count must shrink by at least 20%.
@@ -114,14 +114,14 @@ func TestPORViolationEquivalenceCorpus(t *testing.T) {
 	}
 }
 
-// TestPORGroupSchedulerEquivalence: POR composes with both group
-// scheduler modes — the full pipeline (dependency analysis, related-set
+// TestPORGroupSchedulerEquivalence: POR composes with the group
+// scheduler — the full pipeline (dependency analysis, related-set
 // decomposition, per-group verification) reports the identical deduped
-// violation set with POR on, for every strategy, with GroupParallel off
-// and on.
+// violation set with POR on, for every strategy, with related sets
+// verified one after another and concurrently.
 func TestPORGroupSchedulerEquivalence(t *testing.T) {
-	// A 12-app prefix keeps the 5 full-pipeline runs (oracle + two
-	// strategies × two scheduler modes) within CI budget while still
+	// A 12-app prefix keeps the 7 full-pipeline runs (oracle + two
+	// strategies × three widths) within CI budget while still
 	// decomposing into several related sets.
 	sources := corpus.Group(1)[:12]
 	apps, err := experiments.TranslateAll(sources)
@@ -130,7 +130,7 @@ func TestPORGroupSchedulerEquivalence(t *testing.T) {
 	}
 	sys := experiments.ExpertConfig("por-sched", sources, apps)
 
-	base := iotsan.Options{MaxEvents: 2, Design: iotsan.Concurrent}
+	base := iotsan.Options{MaxEvents: 2, Design: iotsan.Concurrent, Workers: 1}
 	oracle, err := iotsan.AnalyzeTranslated(sys, apps, base)
 	if err != nil {
 		t.Fatal(err)
@@ -141,12 +141,11 @@ func TestPORGroupSchedulerEquivalence(t *testing.T) {
 	}
 
 	for _, strat := range []iotsan.Strategy{iotsan.StrategyDFS, iotsan.StrategySteal} {
-		for _, groupParallel := range []bool{false, true} {
-			name := fmt.Sprintf("strategy=%v group-parallel=%v", strat, groupParallel)
+		for _, workers := range schedulerWidths {
+			name := fmt.Sprintf("strategy=%v workers=%d", strat, workers)
 			o := base
 			o.Strategy = strat
-			o.Workers = 4
-			o.GroupParallel = groupParallel
+			o.Workers = workers
 			o.POR = true
 			rep, err := iotsan.AnalyzeTranslated(sys, apps, o)
 			if err != nil {

@@ -1,12 +1,13 @@
 // Tests for the group scheduler: related-set verifications running
 // concurrently under one shared worker budget must produce exactly the
-// report a sequential run produces — same deduped violation set, same
+// report a Workers: 1 run produces — same deduped violation set, same
 // deterministic group order — and a global violation cap must cancel
 // sibling searches instead of letting them run to completion.
 package iotsan_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -47,14 +48,18 @@ func groupOrder(rep *iotsan.Report) string {
 	return s
 }
 
+// schedulerWidths are the Workers values the scheduler tests run: the
+// sequential order, the benchmark's two cores, and more tokens than
+// cores.
+var schedulerWidths = []int{1, 2, 4}
+
 // TestAnalyzeGroupDeterminism: Analyze produces an identical deduped
-// violation set and identical group ordering for workers ∈ {1, 4, 8},
-// with the group scheduler on and off, across all strategies' default
-// (steal) engine.
+// violation set, identical group ordering and identical per-group
+// explored-state counts on both strategies for every Workers width.
 func TestAnalyzeGroupDeterminism(t *testing.T) {
 	sys, apps := multiGroupSystem(t)
 
-	base, err := iotsan.AnalyzeTranslated(sys, apps, iotsan.Options{MaxEvents: 2})
+	base, err := iotsan.AnalyzeTranslated(sys, apps, iotsan.Options{MaxEvents: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +72,13 @@ func TestAnalyzeGroupDeterminism(t *testing.T) {
 		t.Fatal("baseline found no violations — the determinism check is vacuous")
 	}
 
-	for _, workers := range []int{1, 4, 8} {
-		for _, groupParallel := range []bool{false, true} {
-			name := fmt.Sprintf("workers=%d group-parallel=%v", workers, groupParallel)
+	for _, strat := range []iotsan.Strategy{iotsan.StrategyDFS, iotsan.StrategySteal} {
+		for _, workers := range schedulerWidths {
+			name := fmt.Sprintf("strategy=%v workers=%d", strat, workers)
 			rep, err := iotsan.AnalyzeTranslated(sys, apps, iotsan.Options{
-				MaxEvents:     2,
-				Strategy:      iotsan.StrategySteal,
-				Workers:       workers,
-				GroupParallel: groupParallel,
+				MaxEvents: 2,
+				Strategy:  strat,
+				Workers:   workers,
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -82,16 +86,8 @@ func TestAnalyzeGroupDeterminism(t *testing.T) {
 			if got := groupOrder(rep); got != wantOrder {
 				t.Errorf("%s: group order diverges:\ngot:  %s\nwant: %s", name, got, wantOrder)
 			}
-			got := reportViolationKeys(rep)
-			if len(got) != len(wantKeys) {
-				t.Errorf("%s: %d distinct violations, want %d", name, len(got), len(wantKeys))
-				continue
-			}
-			for i := range got {
-				if got[i] != wantKeys[i] {
-					t.Errorf("%s: violation sets differ at %d:\ngot:  %q\nwant: %q", name, i, got[i], wantKeys[i])
-					break
-				}
+			if got := reportViolationKeys(rep); !slices.Equal(got, wantKeys) {
+				t.Errorf("%s: violation sets differ:\ngot:  %q\nwant: %q", name, got, wantKeys)
 			}
 			if len(rep.Groups) != len(base.Groups) {
 				t.Errorf("%s: %d groups, baseline %d", name, len(rep.Groups), len(base.Groups))
@@ -114,7 +110,7 @@ func TestAnalyzeGroupDeterminism(t *testing.T) {
 func TestAnalyzeMaxViolationsCancelsSiblings(t *testing.T) {
 	sys, apps := multiGroupSystem(t)
 
-	full, err := iotsan.AnalyzeTranslated(sys, apps, iotsan.Options{MaxEvents: 2})
+	full, err := iotsan.AnalyzeTranslated(sys, apps, iotsan.Options{MaxEvents: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,41 +122,40 @@ func TestAnalyzeMaxViolationsCancelsSiblings(t *testing.T) {
 		fullStates += g.Result.StatesExplored
 	}
 
-	for _, groupParallel := range []bool{false, true} {
+	for _, workers := range schedulerWidths {
 		rep, err := iotsan.AnalyzeTranslated(sys, apps, iotsan.Options{
 			MaxEvents:     2,
 			Strategy:      iotsan.StrategySteal,
-			Workers:       4,
-			GroupParallel: groupParallel,
+			Workers:       workers,
 			MaxViolations: 1,
 		})
 		if err != nil {
-			t.Fatalf("group-parallel=%v: %v", groupParallel, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if len(rep.Violations) != 1 {
-			t.Errorf("group-parallel=%v: report carries %d violations, cap is 1", groupParallel, len(rep.Violations))
+			t.Errorf("workers=%d: report carries %d violations, cap is 1", workers, len(rep.Violations))
 		}
 		if len(rep.Groups) != len(full.Groups) {
-			t.Errorf("group-parallel=%v: %d group entries, want one per related set (%d)",
-				groupParallel, len(rep.Groups), len(full.Groups))
+			t.Errorf("workers=%d: %d group entries, want one per related set (%d)",
+				workers, len(rep.Groups), len(full.Groups))
 		}
 		states := 0
 		for _, g := range rep.Groups {
 			states += g.Result.StatesExplored
 		}
 		if states > fullStates {
-			t.Errorf("group-parallel=%v: capped run explored %d states, more than uncapped %d",
-				groupParallel, states, fullStates)
+			t.Errorf("workers=%d: capped run explored %d states, more than uncapped %d",
+				workers, states, fullStates)
 		}
-		// The strict shrinkage assertion is deterministic only for the
-		// sequential scheduler: groups run in commit order, so every
-		// group after the capping one is cancelled at its initial state.
-		// Under group-parallel, admission order is arbitrary — siblings
-		// that happened to finish before the capping group committed
-		// were legitimately explored in full — so cancellation there is
-		// best-effort and asserting shrinkage would be a timing flake.
-		if !groupParallel && states >= fullStates {
-			t.Errorf("sequential capped run explored %d states, uncapped %d — cancellation did not propagate",
+		// The strict shrinkage assertion is deterministic only at
+		// Workers: 1: each group is committed before the next starts, so
+		// every group after the capping one is cancelled at its initial
+		// state. With more workers, siblings that happened to finish
+		// before the capping group committed were legitimately explored
+		// in full, so cancellation is best-effort and asserting shrinkage
+		// would be a timing flake.
+		if workers == 1 && states >= fullStates {
+			t.Errorf("workers=1: capped run explored %d states, uncapped %d — cancellation did not propagate",
 				states, fullStates)
 		}
 	}
@@ -169,16 +164,17 @@ func TestAnalyzeMaxViolationsCancelsSiblings(t *testing.T) {
 // TestStopCancelledGroupsReportTruncated: a group whose search was cut
 // short by the global MaxViolations stop flag must never be reported as
 // a complete (violation-free) verification — its GroupResult carries
-// Truncated. Deterministic under the sequential scheduler: the cap
-// commits in group order, so every group after the capping one starts
-// with the stop flag already set and must report exactly one explored
-// state (the initial state) and Truncated. A group that genuinely
-// finished before the cap keeps Truncated=false — completeness is only
-// claimed where it is true.
+// Truncated. At Workers: 1 the cap commits before the next group starts,
+// so every group after the capping one starts with the stop flag
+// already set and must report exactly one explored state (the initial
+// state) and Truncated. At Workers: 2 a group after the capping one may
+// have run before the cap was reached, so it is either Truncated or
+// equal, in explored states and violations, to the uncapped run — a
+// partial search is never reported as complete.
 func TestStopCancelledGroupsReportTruncated(t *testing.T) {
 	sys, apps := multiGroupSystem(t)
 
-	full, err := iotsan.AnalyzeTranslated(sys, apps, iotsan.Options{MaxEvents: 2})
+	full, err := iotsan.AnalyzeTranslated(sys, apps, iotsan.Options{MaxEvents: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,27 +197,42 @@ func TestStopCancelledGroupsReportTruncated(t *testing.T) {
 	}
 
 	for _, strat := range []iotsan.Strategy{iotsan.StrategyDFS, iotsan.StrategySteal} {
-		rep, err := iotsan.AnalyzeTranslated(sys, apps, iotsan.Options{
-			MaxEvents:     2,
-			Strategy:      strat,
-			Workers:       2,
-			MaxViolations: 1,
-		})
-		if err != nil {
-			t.Fatalf("strategy %v: %v", strat, err)
-		}
-		if len(rep.Groups) != len(full.Groups) {
-			t.Fatalf("strategy %v: %d group entries, want %d", strat, len(rep.Groups), len(full.Groups))
-		}
-		for i := capIdx + 1; i < len(rep.Groups); i++ {
-			g := rep.Groups[i]
-			if !g.Result.Truncated {
-				t.Errorf("strategy %v: cancelled group %d (%v) reported as complete (Truncated=false, %d states)",
-					strat, i, g.Apps, g.Result.StatesExplored)
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("strategy=%v workers=%d", strat, workers)
+			rep, err := iotsan.AnalyzeTranslated(sys, apps, iotsan.Options{
+				MaxEvents:     2,
+				Strategy:      strat,
+				Workers:       workers,
+				MaxViolations: 1,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			if g.Result.StatesExplored != 1 {
-				t.Errorf("strategy %v: cancelled group %d explored %d states, want 1 (initial only)",
-					strat, i, g.Result.StatesExplored)
+			if len(rep.Groups) != len(full.Groups) {
+				t.Fatalf("%s: %d group entries, want %d", name, len(rep.Groups), len(full.Groups))
+			}
+			for i := capIdx + 1; i < len(rep.Groups); i++ {
+				g, f := rep.Groups[i], full.Groups[i]
+				if workers == 1 {
+					if !g.Result.Truncated {
+						t.Errorf("%s: cancelled group %d (%v) reported as complete (Truncated=false, %d states)",
+							name, i, g.Apps, g.Result.StatesExplored)
+					}
+					if g.Result.StatesExplored != 1 {
+						t.Errorf("%s: cancelled group %d explored %d states, want 1 (initial only)",
+							name, i, g.Result.StatesExplored)
+					}
+					continue
+				}
+				if g.Result.Truncated {
+					continue
+				}
+				if g.Result.StatesExplored != f.Result.StatesExplored ||
+					!slices.Equal(violationSet(g.Result), violationSet(f.Result)) {
+					t.Errorf("%s: group %d (%v) reported as complete with %d states and %d violations, uncapped run %d and %d",
+						name, i, g.Apps, g.Result.StatesExplored, len(g.Result.Violations),
+						f.Result.StatesExplored, len(f.Result.Violations))
+				}
 			}
 		}
 	}

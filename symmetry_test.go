@@ -172,7 +172,8 @@ func TestSymmetryViolationEquivalenceInterchangeable(t *testing.T) {
 // TestSymmetryGroupSchedulerEquivalence: symmetry composes with the
 // full pipeline — dependency analysis, related-set decomposition,
 // per-group verification — reporting the identical deduped violation
-// set for every strategy with GroupParallel off and on.
+// set for every strategy with related sets verified one after another
+// and concurrently.
 func TestSymmetryGroupSchedulerEquivalence(t *testing.T) {
 	sources := corpus.Group(1)[:12]
 	apps, err := experiments.TranslateAll(sources)
@@ -181,7 +182,7 @@ func TestSymmetryGroupSchedulerEquivalence(t *testing.T) {
 	}
 	sys := experiments.ExpertConfig("sym-sched", sources, apps)
 
-	base := iotsan.Options{MaxEvents: 2, Design: iotsan.Concurrent}
+	base := iotsan.Options{MaxEvents: 2, Design: iotsan.Concurrent, Workers: 1}
 	oracle, err := iotsan.AnalyzeTranslated(sys, apps, base)
 	if err != nil {
 		t.Fatal(err)
@@ -192,12 +193,11 @@ func TestSymmetryGroupSchedulerEquivalence(t *testing.T) {
 	}
 
 	for _, strat := range []iotsan.Strategy{iotsan.StrategyDFS, iotsan.StrategySteal} {
-		for _, groupParallel := range []bool{false, true} {
-			name := fmt.Sprintf("strategy=%v group-parallel=%v", strat, groupParallel)
+		for _, workers := range schedulerWidths {
+			name := fmt.Sprintf("strategy=%v workers=%d", strat, workers)
 			o := base
 			o.Strategy = strat
-			o.Workers = 4
-			o.GroupParallel = groupParallel
+			o.Workers = workers
 			o.Symmetry = true
 			rep, err := iotsan.AnalyzeTranslated(sys, apps, o)
 			if err != nil {
