@@ -76,6 +76,9 @@ type Model struct {
 var (
 	capabilities = map[string]*Capability{}
 	models       = map[string]*Model{}
+	// attributes holds the name of every attribute of a registered
+	// capability, kept by RegisterCapability.
+	attributes = map[string]bool{}
 )
 
 // RegisterCapability adds a capability to the global registry. It panics
@@ -86,6 +89,9 @@ func RegisterCapability(c *Capability) *Capability {
 		panic(fmt.Sprintf("device: duplicate capability %q", c.Name))
 	}
 	capabilities[c.Name] = c
+	for _, a := range c.Attributes {
+		attributes[a.Name] = true
+	}
 	return c
 }
 
@@ -105,6 +111,10 @@ func RegisterModel(m *Model) *Model {
 
 // CapabilityByName returns a registered capability, or nil.
 func CapabilityByName(name string) *Capability { return capabilities[name] }
+
+// IsAttribute reports whether any registered capability has an attribute
+// of the given name.
+func IsAttribute(name string) bool { return attributes[name] }
 
 // ModelByName returns a registered device model, or nil.
 func ModelByName(name string) *Model { return models[name] }

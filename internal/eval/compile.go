@@ -1465,22 +1465,13 @@ func attrOfProperty(name string) (string, bool) {
 	} else if strings.HasSuffix(name, "State") && len(name) > len("State") {
 		cand = name[:len(name)-len("State")]
 	}
-	if registryHasAttr(cand) {
+	if device.IsAttribute(cand) {
 		return cand, true
 	}
-	if cand != name && registryHasAttr(name) {
+	if cand != name && device.IsAttribute(name) {
 		return name, true
 	}
 	return "", false
-}
-
-func registryHasAttr(attr string) bool {
-	for _, cn := range device.Capabilities() {
-		if device.CapabilityByName(cn).Attribute(attr) != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // call classifies a call expression. The dispatch mirrors the

@@ -256,6 +256,91 @@ func TestStepDuplicateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestReducedStepZeroAlloc is the reduced-path twin of
+// TestStepDuplicateZeroAlloc: expanding a queue-drain state of the
+// concurrent interchangeable-device model — list its transitions,
+// choose the persistent subset, step each member into a warm scratch
+// and take its canonical digest — performs zero heap allocations. It
+// is the gate for the paths only POR plus symmetry run: pending
+// dispatch labels, Reduce, the orbit-profile sorts and the violation
+// details of repeated commands.
+func TestReducedStepZeroAlloc(t *testing.T) {
+	// The symmetry test deployment plus Arrival Counter, whose pure-local
+	// dispatches on the presence orbit are what Reduce can choose.
+	sys := symTestSystem()
+	sys.Apps = append(sys.Apps, config.AppInstance{App: "Arrival Counter",
+		Bindings: map[string]config.Binding{"people": {DeviceIDs: []string{"presA", "presB", "presC"}}}})
+	apps := translate(t, "Any Door Light On", "Any Door Light Off",
+		"Arrival Hall Light", "Last Out Lock", "First In Unlock", "Arrival Counter")
+	m, err := New(sys, apps, Options{Design: Concurrent, Incremental: true, Symmetry: true,
+		MaxEvents: 2, CheckConflicts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := m.NewScratch()
+	root := m.Initial()
+	m.IncrementalDigest(root, false)
+
+	// Breadth-first over kept states until one is in the drain phase with
+	// a proper persistent subset and a successor that raises a violation;
+	// the scratch ends on its chain.
+	var stubs []checker.Transition
+	raises := func(s *State) bool {
+		for _, stub := range m.Enabled(s, nil) {
+			if tr := sc.Step(s, &stub); len(tr.Violations) > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	var parent *State
+	frontier := []*State{root}
+	for len(frontier) > 0 && parent == nil {
+		p := frontier[0]
+		frontier = frontier[1:]
+		for _, stub := range m.Enabled(p, nil) {
+			tr := sc.Step(p, &stub)
+			m.IncrementalDigest(tr.Next.(*State), false)
+			c := sc.Keep()
+			frontier = append(frontier, c)
+			if stubs = m.Enabled(c, stubs[:0]); m.Reduce(c, stubs) != nil && raises(c) {
+				parent = c
+				break
+			}
+		}
+	}
+	if parent == nil {
+		t.Fatal("no state with a persistent subset and a violating successor")
+	}
+
+	// Every stub is stepped: the subset the engine would keep and the
+	// pruned rest, whose impure handlers raise command-log violations.
+	steps, subsets, viols, syncs := 0, 0, 0, sc.FullSyncs()
+	run := func() {
+		stubs = m.Enabled(parent, stubs[:0])
+		if len(m.Reduce(parent, stubs)) > 0 {
+			subsets++
+		}
+		for i := range stubs {
+			tr := sc.Step(parent, &stubs[i])
+			m.IncrementalDigest(tr.Next.(*State), true)
+			viols += len(tr.Violations)
+			steps++
+		}
+	}
+	run() // warm the executor, the detail cache and the pooled scratch
+	run()
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 && !raceEnabled { // sync.Pool leaks under race
+		t.Errorf("enumerate + reduce + step + canonical digest allocates %.2f times per expansion, want 0", allocs)
+	}
+	if steps == 0 || sc.FullSyncs() != syncs {
+		t.Errorf("%d steps, %d whole-state copies: want steps from a parent on the scratch's chain", steps, sc.FullSyncs()-syncs)
+	}
+	if subsets == 0 || viols == 0 {
+		t.Errorf("%d subsets, %d violations: the expansion misses the path it gates", subsets, viols)
+	}
+}
+
 // TestStateSizeClass: a State header fills its allocator size class
 // (352 bytes) exactly. The frontier strategy keeps tens of thousands of
 // states alive, so a word past the class boundary costs 32 bytes on

@@ -119,6 +119,35 @@ type executor struct {
 	env    eval.Env
 	interp eval.Evaluator
 	evt    eval.Event
+
+	// details interns the violation details this executor has formatted,
+	// by everything each is formatted from (see violatef): a search meets
+	// the same repeated command or leaking call over and over.
+	details map[detailKey]string
+}
+
+// detailKind names one violation-detail format.
+type detailKind uint8
+
+const (
+	detRepeated detailKind = iota
+	detConflicting
+	detUnverified
+	detSilentDrop
+	detLeakSMS
+	detLeakNetwork
+	detUnsubscribe
+	detFakeEvent
+)
+
+// detailKey identifies a violation detail by its format and the inputs
+// the format reads: device and app indexes stand for their labels and
+// names, which the model fixes.
+type detailKey struct {
+	kind       detailKind
+	dev        int
+	app1, app2 int
+	s1, s2     string
 }
 
 func (m *Model) newExecutor() *executor {
@@ -170,6 +199,21 @@ func (x *executor) takeSteps() []string {
 
 func (x *executor) violate(prop, detail string) {
 	x.viols = append(x.viols, checker.Violation{Property: prop, Detail: detail})
+}
+
+// violatef raises prop with the detail format renders, calling format
+// only the first time this executor meets key. key must hold every input
+// format reads.
+func (x *executor) violatef(prop string, key detailKey, format func() string) {
+	d, ok := x.details[key]
+	if !ok {
+		if x.details == nil {
+			x.details = map[detailKey]string{}
+		}
+		d = format()
+		x.details[key] = d
+	}
+	x.violate(prop, d)
 }
 
 // step logs one preformatted micro-step.
@@ -245,9 +289,10 @@ func (x *executor) actuatorUpdate(dev int, cmd *device.Command, argVal int16) {
 				continue
 			}
 			if prev.Cmd == rec.Cmd && prev.Arg == rec.Arg {
-				x.violate(PropRepeated, fmt.Sprintf(
-					"%s receives repeated %q commands (%s and %s)",
-					d.Label, rec.Cmd, x.m.Apps[prev.App].App.Name, x.m.Apps[rec.App].App.Name))
+				x.violatef(PropRepeated, detailKey{kind: detRepeated, dev: dev, app1: prev.App, app2: rec.App, s1: rec.Cmd}, func() string {
+					return fmt.Sprintf("%s receives repeated %q commands (%s and %s)",
+						d.Label, rec.Cmd, x.m.Apps[prev.App].App.Name, x.m.Apps[rec.App].App.Name)
+				})
 				break
 			}
 		}
@@ -256,9 +301,10 @@ func (x *executor) actuatorUpdate(dev int, cmd *device.Command, argVal int16) {
 				continue
 			}
 			if prev.Value != "" && rec.Value != "" && prev.Value != rec.Value {
-				x.violate(PropConflicting, fmt.Sprintf(
-					"%s receives conflicting commands %q and %q (%s vs %s)",
-					d.Label, prev.Cmd, rec.Cmd, x.m.Apps[prev.App].App.Name, x.m.Apps[rec.App].App.Name))
+				x.violatef(PropConflicting, detailKey{kind: detConflicting, dev: dev, app1: prev.App, app2: rec.App, s1: prev.Cmd, s2: rec.Cmd}, func() string {
+					return fmt.Sprintf("%s receives conflicting commands %q and %q (%s vs %s)",
+						d.Label, prev.Cmd, rec.Cmd, x.m.Apps[prev.App].App.Name, x.m.Apps[rec.App].App.Name)
+				})
 				break
 			}
 		}
@@ -401,9 +447,10 @@ func (x *executor) finishCascade() {
 	}
 	for app, drop := range x.dropped {
 		if drop && !x.notified[app] {
-			x.violate(PropRobustness, fmt.Sprintf(
-				"%s does not verify actuator commands and sends no SMS/Push on failure",
-				x.m.Apps[app].App.Name))
+			x.violatef(PropRobustness, detailKey{kind: detUnverified, app1: app}, func() string {
+				return fmt.Sprintf("%s does not verify actuator commands and sends no SMS/Push on failure",
+					x.m.Apps[app].App.Name)
+			})
 		}
 	}
 }
@@ -626,8 +673,9 @@ func (x *executor) SendSMS(phone string) {
 		return
 	}
 	if !x.recipientConfigured(phone) {
-		x.violate(PropLeakSMS, fmt.Sprintf(
-			"%s sends SMS to %q, which is not a configured recipient", app.App.Name, phone))
+		x.violatef(PropLeakSMS, detailKey{kind: detLeakSMS, app1: x.curApp, s1: phone}, func() string {
+			return fmt.Sprintf("%s sends SMS to %q, which is not a configured recipient", app.App.Name, phone)
+		})
 	}
 }
 
@@ -672,8 +720,9 @@ func (x *executor) HTTPRequest(method, url string) {
 		x.stepf("%s issues %s %s", app.App.Name, method, url)
 	}
 	if x.m.Opts.CheckLeakage {
-		x.violate(PropLeakNetwork, fmt.Sprintf(
-			"%s sends data via network interface (%s %s)", app.App.Name, method, url))
+		x.violatef(PropLeakNetwork, detailKey{kind: detLeakNetwork, app1: x.curApp, s1: method, s2: url}, func() string {
+			return fmt.Sprintf("%s sends data via network interface (%s %s)", app.App.Name, method, url)
+		})
 	}
 }
 
@@ -685,8 +734,9 @@ func (x *executor) Unsubscribe() {
 		x.stepf("%s executes unsubscribe()", app.App.Name)
 	}
 	if x.m.Opts.CheckLeakage {
-		x.violate(PropSuspUnsub, fmt.Sprintf(
-			"%s executes the security-sensitive command unsubscribe at run time", app.App.Name))
+		x.violatef(PropSuspUnsub, detailKey{kind: detUnsubscribe, app1: x.curApp}, func() string {
+			return fmt.Sprintf("%s executes the security-sensitive command unsubscribe at run time", app.App.Name)
+		})
 	}
 }
 
@@ -695,21 +745,13 @@ func (x *executor) SendEvent(name, value string) {
 	if x.record {
 		x.stepf("%s raises synthetic event %s=%s", app.App.Name, name, value)
 	}
-	if x.m.Opts.CheckLeakage && attributeExists(name) {
-		x.violate(PropSuspFakeEvent, fmt.Sprintf(
-			"%s generates a fake %q event (value %q) with no physical cause",
-			app.App.Name, name, value))
+	if x.m.Opts.CheckLeakage && device.IsAttribute(name) {
+		x.violatef(PropSuspFakeEvent, detailKey{kind: detFakeEvent, app1: x.curApp, s1: name, s2: value}, func() string {
+			return fmt.Sprintf("%s generates a fake %q event (value %q) with no physical cause",
+				app.App.Name, name, value)
+		})
 	}
 	x.enqueue(&cyberEvent{Source: srcSynth, Attr: -1, Name: name, Str: value, Label: app.App.Name})
-}
-
-func attributeExists(name string) bool {
-	for _, cn := range device.Capabilities() {
-		if device.CapabilityByName(cn).Attribute(name) != nil {
-			return true
-		}
-	}
-	return false
 }
 
 func (x *executor) Schedule(handler string, delaySeconds int64) {

@@ -333,8 +333,20 @@ func (m *Model) countFaultTransitions(s *State) int {
 // on demand. Enabled puts them in the stub and step reuses the stub's,
 // so a transition assembles its label once.
 
+// dispLabel is the label of dispatching p: interned at Build for every
+// value subValues lists, concatenated for any other.
 func (m *Model) dispLabel(p Pending) string {
-	return m.dispPre[p.SubIdx] + p.Raw + m.dispPost[p.SubIdx]
+	for _, l := range m.dispLabels[p.SubIdx] {
+		if l.val == p.Raw {
+			return l.label
+		}
+	}
+	return m.dispLabelOf(p.SubIdx, p.Raw)
+}
+
+func (m *Model) dispLabelOf(si int, raw string) string {
+	sub := &m.subs[si]
+	return "dispatch " + sub.Attr + "/" + raw + " to " + m.Apps[sub.AppIdx].App.Name + "." + sub.Handler
 }
 
 func (m *Model) keylessTimerLabel(appIdx int, handler string, fm failMode) string {
@@ -524,9 +536,10 @@ func (m *Model) applyFault(ns *State, x *executor, op, idx int, label string, re
 		ns.InFlight = append(ns.InFlight[:idx], ns.InFlight[idx+1:]...)
 		ns.markCmds()
 		if m.Opts.CheckRobustness && !rec.Notified {
-			x.violate(PropRobustness, fmt.Sprintf(
-				"%s's command %s.%s() is silently dropped during a device outage and the user is never notified",
-				m.Apps[rec.App].App.Name, m.Devices[rec.Dev].Label, rec.Cmd))
+			x.violatef(PropRobustness, detailKey{kind: detSilentDrop, dev: rec.Dev, app1: rec.App, s1: rec.Cmd}, func() string {
+				return fmt.Sprintf("%s's command %s.%s() is silently dropped during a device outage and the user is never notified",
+					m.Apps[rec.App].App.Name, m.Devices[rec.Dev].Label, rec.Cmd)
+			})
 		}
 		x.step(label)
 	}

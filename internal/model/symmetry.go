@@ -2,8 +2,9 @@ package model
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -269,8 +270,8 @@ func (m *Model) buildSymmetry() {
 			orbitKeys = append(orbitKeys, k)
 		}
 	}
-	sort.Slice(orbitKeys, func(a, b int) bool {
-		return groups[orbitKeys[a]][0] < groups[orbitKeys[b]][0]
+	slices.SortFunc(orbitKeys, func(a, b string) int {
+		return cmp.Compare(groups[a][0], groups[b][0])
 	})
 	for _, k := range orbitKeys {
 		id := int32(len(p.orbits))
@@ -546,8 +547,8 @@ func (m *Model) buildCanonView(s *State, cs *canonScratch) *canonView {
 			cs.prof[d] = m.devProfile(s, int(d), cs.prof[d][:0], cs)
 		}
 		cs.members = append(cs.members[:0], orbit...)
-		sort.SliceStable(cs.members, func(a, b int) bool {
-			return bytes.Compare(cs.prof[cs.members[a]], cs.prof[cs.members[b]]) < 0
+		slices.SortStableFunc(cs.members, func(a, b int32) int {
+			return bytes.Compare(cs.prof[a], cs.prof[b])
 		})
 		// Positions available to the orbit are its own device indices
 		// (ascending); the k-th smallest position receives the k-th
@@ -606,19 +607,7 @@ func (m *Model) buildCanonView(s *State, cs *canonScratch) *canonView {
 		for _, i := range cs.qpos {
 			cs.qtmp = append(cs.qtmp, cv.queue[i])
 		}
-		sort.SliceStable(cs.qtmp, func(a, b int) bool {
-			x, y := cs.qtmp[a], cs.qtmp[b]
-			if x.SubIdx != y.SubIdx {
-				return x.SubIdx < y.SubIdx
-			}
-			if x.Source != y.Source {
-				return x.Source < y.Source
-			}
-			if x.Val != y.Val {
-				return x.Val < y.Val
-			}
-			return x.Raw < y.Raw
-		})
+		slices.SortStableFunc(cs.qtmp, comparePending)
 		for k, i := range cs.qpos {
 			cv.queue[i] = cs.qtmp[k]
 		}
@@ -659,24 +648,6 @@ func canonCmds(p *symData, cv *canonView, cs *canonScratch, s *State) {
 		cv.cmds, cv.inFlight = s.Cmds, s.InFlight
 		return
 	}
-	cmdLess := func(x, y CmdRec) bool {
-		if x.Dev != y.Dev {
-			return x.Dev < y.Dev
-		}
-		if x.Cmd != y.Cmd {
-			return x.Cmd < y.Cmd
-		}
-		if x.Arg != y.Arg {
-			return x.Arg < y.Arg
-		}
-		if x.App != y.App {
-			return x.App < y.App
-		}
-		if x.Attr != y.Attr {
-			return x.Attr < y.Attr
-		}
-		return x.Value < y.Value
-	}
 	cs.cmdsBuf = append(cs.cmdsBuf[:0], s.Cmds...)
 	cmds := cs.cmdsBuf
 	if hasOrbitCmds {
@@ -693,9 +664,7 @@ func canonCmds(p *symData, cv *canonView, cs *canonScratch, s *State) {
 			for _, i := range cs.qpos {
 				cs.ctmp = append(cs.ctmp, cmds[i])
 			}
-			sort.SliceStable(cs.ctmp, func(a, b int) bool {
-				return cmdLess(cs.ctmp[a], cs.ctmp[b])
-			})
+			slices.SortStableFunc(cs.ctmp, compareCmdRec)
 			for k, i := range cs.qpos {
 				cmds[i] = cs.ctmp[k]
 			}
@@ -717,19 +686,59 @@ func canonCmds(p *symData, cv *canonView, cs *canonScratch, s *State) {
 			for _, i := range cs.qpos {
 				cs.iftmp = append(cs.iftmp, ifl[i])
 			}
-			sort.SliceStable(cs.iftmp, func(a, b int) bool {
-				x, y := cs.iftmp[a], cs.iftmp[b]
-				if x.Notified != y.Notified {
-					return !x.Notified
-				}
-				return cmdLess(x.CmdRec, y.CmdRec)
-			})
+			slices.SortStableFunc(cs.iftmp, compareInFlight)
 			for k, i := range cs.qpos {
 				ifl[i] = cs.iftmp[k]
 			}
 		}
 	}
 	cv.cmds, cv.inFlight = cmds, ifl
+}
+
+// comparePending, compareCmdRec and compareInFlight order the renamed
+// orbit entries of the queue, the command log and the in-flight buffer
+// field by field. The canonical choice depends on these orders and on
+// the sorts being stable: TestCanonicalDigestGolden pins the result.
+func comparePending(x, y Pending) int {
+	if x.SubIdx != y.SubIdx {
+		return cmp.Compare(x.SubIdx, y.SubIdx)
+	}
+	if x.Source != y.Source {
+		return cmp.Compare(x.Source, y.Source)
+	}
+	if x.Val != y.Val {
+		return cmp.Compare(x.Val, y.Val)
+	}
+	return strings.Compare(x.Raw, y.Raw)
+}
+
+func compareCmdRec(x, y CmdRec) int {
+	if x.Dev != y.Dev {
+		return cmp.Compare(x.Dev, y.Dev)
+	}
+	if x.Cmd != y.Cmd {
+		return strings.Compare(x.Cmd, y.Cmd)
+	}
+	if x.Arg != y.Arg {
+		return cmp.Compare(x.Arg, y.Arg)
+	}
+	if x.App != y.App {
+		return cmp.Compare(x.App, y.App)
+	}
+	if x.Attr != y.Attr {
+		return strings.Compare(x.Attr, y.Attr)
+	}
+	return strings.Compare(x.Value, y.Value)
+}
+
+func compareInFlight(x, y InFlightCmd) int {
+	if x.Notified != y.Notified {
+		if x.Notified {
+			return 1
+		}
+		return -1
+	}
+	return compareCmdRec(x.CmdRec, y.CmdRec)
 }
 
 // bucketProfileItems makes one pass over the state's queue, command
@@ -885,11 +894,14 @@ func (m *Model) devProfile(s *State, d int, buf []byte, cs *canonScratch) []byte
 		// across two store keys.
 		buf = encodeDevice(buf, &s.Devices[d])
 	}
+	// Items that compare equal are byte-identical, so an unstable sort
+	// yields the same profile.
 	items := cs.itemsByDev[d]
-	sort.Slice(items, func(a, b int) bool {
-		return bytes.Compare(cs.arena[items[a].start:items[a].end],
-			cs.arena[items[b].start:items[b].end]) < 0
-	})
+	if len(items) > 1 {
+		slices.SortFunc(items, func(a, b itemSpan) int {
+			return bytes.Compare(cs.arena[a.start:a.end], cs.arena[b.start:b.end])
+		})
+	}
 	buf = append(buf, 0xFC)
 	for _, it := range items {
 		buf = append(buf, cs.arena[it.start:it.end]...)

@@ -2,8 +2,12 @@ package model
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"iotsan/internal/config"
@@ -1214,5 +1218,69 @@ func TestSymmetryCorpusGroupTranslates(t *testing.T) {
 	}
 	if n := len(corpus.SymmetryGroup()); n < 4 {
 		t.Errorf("symmetry group has %d apps, want >= 4", n)
+	}
+}
+
+// updateCanonicalGolden rewrites testdata/canonical_digest.golden from
+// the current code instead of comparing against it.
+var updateCanonicalGolden = flag.Bool("update-canonical-golden", false,
+	"rewrite testdata/canonical_digest.golden from the current canonicalization")
+
+// TestCanonicalDigestGolden pins the canonical representative the
+// symmetry layer picks for the first 64 sampled states of the
+// interchangeable-device deployment: the CanonicalEncode bytes and the
+// canonical IncrementalDigest pair of each, with and without the block
+// cache (hash-keyed versus content-keyed orbit profiles). The
+// equivalence tests accept any representative of the orbit, so this is
+// what holds the choice itself — and with it every stored digest and
+// state count — fixed across changes to how the profiles are sorted.
+func TestCanonicalDigestGolden(t *testing.T) {
+	inc := symTestModel(t, Options{Design: Concurrent, Incremental: true})
+	plain := symTestModel(t, Options{Design: Concurrent})
+	plainStates := symSampleStates(plain, 64)
+	var got bytes.Buffer
+	moved, sortedQueues := 0, 0
+	for i, s := range symSampleStates(inc, 64) {
+		enc := inc.CanonicalEncode(s, nil)
+		h1, h2 := inc.IncrementalDigest(s, true)
+		fmt.Fprintf(&got, "%d %x %016x %016x %x\n", i, enc, h1, h2, plain.CanonicalEncode(plainStates[i], nil))
+		if !bytes.Equal(enc, s.Encode(nil)) {
+			moved++
+		}
+		orbitEntries := 0
+		for _, pe := range s.Queue {
+			if inc.sym.roleOf[pe.SubIdx] >= 0 {
+				orbitEntries++
+			}
+		}
+		if orbitEntries > 1 {
+			sortedQueues++
+		}
+	}
+	// The sample must exercise what it pins: representatives that differ
+	// from the raw state, and queues with several orbit entries to sort.
+	t.Logf("%d of 64 states canonicalize away from raw, %d sort an orbit queue", moved, sortedQueues)
+	if moved == 0 || sortedQueues == 0 {
+		t.Fatalf("sample too shallow: %d states canonicalize away from raw, %d sort an orbit queue", moved, sortedQueues)
+	}
+	path := filepath.Join("testdata", "canonical_digest.golden")
+	if *updateCanonicalGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d golden lines, want %d", len(gotLines), len(wantLines))
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("state %d: canonical encoding or digest changed\n got %s\nwant %s", i, gotLines[i], wantLines[i])
+		}
 	}
 }

@@ -498,16 +498,7 @@ func (a *bodyAnalysis) inputHasAttr(inputName, attr string) bool {
 	if in == nil || in.Kind != ir.InputDevice {
 		return false
 	}
-	cap := device.CapabilityByName(in.Capability)
-	if cap != nil && cap.Attribute(attr) != nil {
-		return true
-	}
-	for _, cn := range device.Capabilities() {
-		if device.CapabilityByName(cn).Attribute(attr) != nil {
-			return true
-		}
-	}
-	return false
+	return device.IsAttribute(attr)
 }
 
 func handlerArg(c *groovy.CallExpr, i int) string {
