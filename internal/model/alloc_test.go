@@ -260,10 +260,10 @@ func TestStepDuplicateZeroAlloc(t *testing.T) {
 // TestStepDuplicateZeroAlloc: expanding a queue-drain state of the
 // concurrent interchangeable-device model — list its transitions,
 // choose the persistent subset, step each member into a warm scratch
-// and take its canonical digest — performs zero heap allocations. It
-// is the gate for the paths only POR plus symmetry run: pending
-// dispatch labels, Reduce, the orbit-profile sorts and the violation
-// details of repeated commands.
+// and take its canonical digest — allocates only the index slice Reduce
+// returns; every transition allocates nothing. It is the gate for the
+// paths only POR plus symmetry run: pending dispatch labels, Reduce, the
+// orbit-profile sorts and the violation details of repeated commands.
 func TestReducedStepZeroAlloc(t *testing.T) {
 	// The symmetry test deployment plus Arrival Counter, whose pure-local
 	// dispatches on the presence orbit are what Reduce can choose.
@@ -330,8 +330,8 @@ func TestReducedStepZeroAlloc(t *testing.T) {
 	}
 	run() // warm the executor, the detail cache and the pooled scratch
 	run()
-	if allocs := testing.AllocsPerRun(200, run); allocs != 0 && !raceEnabled { // sync.Pool leaks under race
-		t.Errorf("enumerate + reduce + step + canonical digest allocates %.2f times per expansion, want 0", allocs)
+	if allocs := testing.AllocsPerRun(200, run); allocs != 1 && !raceEnabled { // sync.Pool leaks under race
+		t.Errorf("enumerate + reduce + step + canonical digest allocates %.2f times per expansion, want 1 (Reduce's subset)", allocs)
 	}
 	if steps == 0 || sc.FullSyncs() != syncs {
 		t.Errorf("%d steps, %d whole-state copies: want steps from a parent on the scratch's chain", steps, sc.FullSyncs()-syncs)

@@ -120,34 +120,19 @@ type executor struct {
 	interp eval.Evaluator
 	evt    eval.Event
 
-	// details interns the violation details this executor has formatted,
-	// by everything each is formatted from (see violatef): a search meets
-	// the same repeated command or leaking call over and over.
-	details map[detailKey]string
+	// cmdDetails interns the repeated/conflicting-command details this
+	// executor has formatted (see cmdDetail): a search meets the same
+	// command pair over and over.
+	cmdDetails map[cmdPair]string
 }
 
-// detailKind names one violation-detail format.
-type detailKind uint8
-
-const (
-	detRepeated detailKind = iota
-	detConflicting
-	detUnverified
-	detSilentDrop
-	detLeakSMS
-	detLeakNetwork
-	detUnsubscribe
-	detFakeEvent
-)
-
-// detailKey identifies a violation detail by its format and the inputs
-// the format reads: device and app indexes stand for their labels and
-// names, which the model fixes.
-type detailKey struct {
-	kind       detailKind
-	dev        int
-	app1, app2 int
-	s1, s2     string
+// cmdPair identifies a repeated or conflicting command detail by
+// everything it is formatted from: device and app indexes stand for
+// their labels and names, which the model fixes.
+type cmdPair struct {
+	conflicting       bool
+	dev, prevApp, app int
+	prevCmd, cmd      string
 }
 
 func (m *Model) newExecutor() *executor {
@@ -201,19 +186,24 @@ func (x *executor) violate(prop, detail string) {
 	x.viols = append(x.viols, checker.Violation{Property: prop, Detail: detail})
 }
 
-// violatef raises prop with the detail format renders, calling format
-// only the first time this executor meets key. key must hold every input
-// format reads.
-func (x *executor) violatef(prop string, key detailKey, format func() string) {
-	d, ok := x.details[key]
-	if !ok {
-		if x.details == nil {
-			x.details = map[detailKey]string{}
-		}
-		d = format()
-		x.details[key] = d
+// cmdDetail is the violation detail of the command pair p, formatted
+// the first time this executor meets p.
+func (x *executor) cmdDetail(p cmdPair) string {
+	if d, ok := x.cmdDetails[p]; ok {
+		return d
 	}
-	x.violate(prop, d)
+	label, prev, cur := x.m.Devices[p.dev].Label, x.m.Apps[p.prevApp].App.Name, x.m.Apps[p.app].App.Name
+	var d string
+	if p.conflicting {
+		d = fmt.Sprintf("%s receives conflicting commands %q and %q (%s vs %s)", label, p.prevCmd, p.cmd, prev, cur)
+	} else {
+		d = fmt.Sprintf("%s receives repeated %q commands (%s and %s)", label, p.cmd, prev, cur)
+	}
+	if x.cmdDetails == nil {
+		x.cmdDetails = map[cmdPair]string{}
+	}
+	x.cmdDetails[p] = d
+	return d
 }
 
 // step logs one preformatted micro-step.
@@ -289,10 +279,7 @@ func (x *executor) actuatorUpdate(dev int, cmd *device.Command, argVal int16) {
 				continue
 			}
 			if prev.Cmd == rec.Cmd && prev.Arg == rec.Arg {
-				x.violatef(PropRepeated, detailKey{kind: detRepeated, dev: dev, app1: prev.App, app2: rec.App, s1: rec.Cmd}, func() string {
-					return fmt.Sprintf("%s receives repeated %q commands (%s and %s)",
-						d.Label, rec.Cmd, x.m.Apps[prev.App].App.Name, x.m.Apps[rec.App].App.Name)
-				})
+				x.violate(PropRepeated, x.cmdDetail(cmdPair{false, dev, prev.App, rec.App, prev.Cmd, rec.Cmd}))
 				break
 			}
 		}
@@ -301,10 +288,7 @@ func (x *executor) actuatorUpdate(dev int, cmd *device.Command, argVal int16) {
 				continue
 			}
 			if prev.Value != "" && rec.Value != "" && prev.Value != rec.Value {
-				x.violatef(PropConflicting, detailKey{kind: detConflicting, dev: dev, app1: prev.App, app2: rec.App, s1: prev.Cmd, s2: rec.Cmd}, func() string {
-					return fmt.Sprintf("%s receives conflicting commands %q and %q (%s vs %s)",
-						d.Label, prev.Cmd, rec.Cmd, x.m.Apps[prev.App].App.Name, x.m.Apps[rec.App].App.Name)
-				})
+				x.violate(PropConflicting, x.cmdDetail(cmdPair{true, dev, prev.App, rec.App, prev.Cmd, rec.Cmd}))
 				break
 			}
 		}
@@ -447,10 +431,9 @@ func (x *executor) finishCascade() {
 	}
 	for app, drop := range x.dropped {
 		if drop && !x.notified[app] {
-			x.violatef(PropRobustness, detailKey{kind: detUnverified, app1: app}, func() string {
-				return fmt.Sprintf("%s does not verify actuator commands and sends no SMS/Push on failure",
-					x.m.Apps[app].App.Name)
-			})
+			x.violate(PropRobustness, fmt.Sprintf(
+				"%s does not verify actuator commands and sends no SMS/Push on failure",
+				x.m.Apps[app].App.Name))
 		}
 	}
 }
@@ -673,9 +656,8 @@ func (x *executor) SendSMS(phone string) {
 		return
 	}
 	if !x.recipientConfigured(phone) {
-		x.violatef(PropLeakSMS, detailKey{kind: detLeakSMS, app1: x.curApp, s1: phone}, func() string {
-			return fmt.Sprintf("%s sends SMS to %q, which is not a configured recipient", app.App.Name, phone)
-		})
+		x.violate(PropLeakSMS, fmt.Sprintf(
+			"%s sends SMS to %q, which is not a configured recipient", app.App.Name, phone))
 	}
 }
 
@@ -720,9 +702,8 @@ func (x *executor) HTTPRequest(method, url string) {
 		x.stepf("%s issues %s %s", app.App.Name, method, url)
 	}
 	if x.m.Opts.CheckLeakage {
-		x.violatef(PropLeakNetwork, detailKey{kind: detLeakNetwork, app1: x.curApp, s1: method, s2: url}, func() string {
-			return fmt.Sprintf("%s sends data via network interface (%s %s)", app.App.Name, method, url)
-		})
+		x.violate(PropLeakNetwork, fmt.Sprintf(
+			"%s sends data via network interface (%s %s)", app.App.Name, method, url))
 	}
 }
 
@@ -734,9 +715,8 @@ func (x *executor) Unsubscribe() {
 		x.stepf("%s executes unsubscribe()", app.App.Name)
 	}
 	if x.m.Opts.CheckLeakage {
-		x.violatef(PropSuspUnsub, detailKey{kind: detUnsubscribe, app1: x.curApp}, func() string {
-			return fmt.Sprintf("%s executes the security-sensitive command unsubscribe at run time", app.App.Name)
-		})
+		x.violate(PropSuspUnsub, fmt.Sprintf(
+			"%s executes the security-sensitive command unsubscribe at run time", app.App.Name))
 	}
 }
 
@@ -746,10 +726,9 @@ func (x *executor) SendEvent(name, value string) {
 		x.stepf("%s raises synthetic event %s=%s", app.App.Name, name, value)
 	}
 	if x.m.Opts.CheckLeakage && device.IsAttribute(name) {
-		x.violatef(PropSuspFakeEvent, detailKey{kind: detFakeEvent, app1: x.curApp, s1: name, s2: value}, func() string {
-			return fmt.Sprintf("%s generates a fake %q event (value %q) with no physical cause",
-				app.App.Name, name, value)
-		})
+		x.violate(PropSuspFakeEvent, fmt.Sprintf(
+			"%s generates a fake %q event (value %q) with no physical cause",
+			app.App.Name, name, value))
 	}
 	x.enqueue(&cyberEvent{Source: srcSynth, Attr: -1, Name: name, Str: value, Label: app.App.Name})
 }

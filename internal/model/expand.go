@@ -536,10 +536,9 @@ func (m *Model) applyFault(ns *State, x *executor, op, idx int, label string, re
 		ns.InFlight = append(ns.InFlight[:idx], ns.InFlight[idx+1:]...)
 		ns.markCmds()
 		if m.Opts.CheckRobustness && !rec.Notified {
-			x.violatef(PropRobustness, detailKey{kind: detSilentDrop, dev: rec.Dev, app1: rec.App, s1: rec.Cmd}, func() string {
-				return fmt.Sprintf("%s's command %s.%s() is silently dropped during a device outage and the user is never notified",
-					m.Apps[rec.App].App.Name, m.Devices[rec.Dev].Label, rec.Cmd)
-			})
+			x.violate(PropRobustness, fmt.Sprintf(
+				"%s's command %s.%s() is silently dropped during a device outage and the user is never notified",
+				m.Apps[rec.App].App.Name, m.Devices[rec.Dev].Label, rec.Cmd))
 		}
 		x.step(label)
 	}
@@ -669,8 +668,8 @@ func removeTimer(as *AppState, handler string) bool {
 
 // dispatchPending runs one queued handler invocation on ns (concurrent
 // design: handler-level interleaving, §8 "Concurrency Model"). The label
-// is assembled eagerly from precomputed halves — trails must keep their
-// labels even when a broken replay chain degrades their steps.
+// is resolved eagerly (dispLabel) — trails must keep their labels even
+// when a broken replay chain degrades their steps.
 func (m *Model) dispatchPending(ns *State, x *executor, i int, label string, record bool, tr *checker.Transition) {
 	p := ns.Queue[i]
 	if label == "" {

@@ -81,9 +81,6 @@ type porData struct {
 	trigClo  map[string]porBits
 
 	scratch sync.Pool // *porScratch
-	// runs[i] = i: Reduce returns a subset of consecutive queue positions
-	// as a read-only window of it instead of a fresh slice.
-	runs []int
 }
 
 // porScratch is one Reduce call's working set: the queue's classes and
@@ -92,10 +89,6 @@ type porScratch struct {
 	qc                                 []int32
 	tried, set, depOfSet, best, threat porBits
 }
-
-// maxRun bounds the consecutive-position subsets Reduce serves from
-// porData.runs; a longer one is returned in a fresh slice.
-const maxRun = 64
 
 // porBits is a fixed-width bitset over class ids.
 type porBits []uint64
@@ -158,10 +151,6 @@ func (m *Model) buildPOR() {
 	p.nclass = len(p.classes)
 	p.words = (p.nclass + 63) / 64
 	p.scratch.New = p.newScratch
-	p.runs = make([]int, maxRun)
-	for i := range p.runs {
-		p.runs[i] = i
-	}
 	if p.nclass == 0 {
 		m.por = p
 		return
@@ -356,10 +345,8 @@ func attrsIntersect(a, b []string) bool {
 // Reduce implements checker.Reducer: it returns the indices of a
 // persistent subset of the enabled transitions, or nil when no
 // reduction applies. It is a pure function of the state, so every
-// search strategy prunes the identical interleavings. The returned slice
-// is read-only: a subset of consecutive positions (six in ten on the
-// symmetry corpus) is a window of a table the model shares and costs no
-// allocation.
+// search strategy prunes the identical interleavings. It works in pooled
+// scratch, so the returned slice is its only allocation.
 //
 // Reduction applies only in the concurrent design's queue-drain phase,
 // where Expand's transition list is exactly the pending queue in order
@@ -436,15 +423,6 @@ func (m *Model) Reduce(s *State, trs []checker.Transition) []int {
 	}
 	if bestLen < 0 {
 		return nil
-	}
-	last := bestFirst
-	for i := bestFirst; i < len(qc); i++ {
-		if sc.best.has(qc[i]) {
-			last = i
-		}
-	}
-	if last-bestFirst+1 == bestLen && last < len(p.runs) {
-		return p.runs[bestFirst : last+1 : last+1]
 	}
 	out := make([]int, 0, bestLen)
 	for i, c := range qc {

@@ -2,7 +2,6 @@ package model
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -1221,11 +1220,6 @@ func TestSymmetryCorpusGroupTranslates(t *testing.T) {
 	}
 }
 
-// updateCanonicalGolden rewrites testdata/canonical_digest.golden from
-// the current code instead of comparing against it.
-var updateCanonicalGolden = flag.Bool("update-canonical-golden", false,
-	"rewrite testdata/canonical_digest.golden from the current canonicalization")
-
 // TestCanonicalDigestGolden pins the canonical representative the
 // symmetry layer picks for the first 64 sampled states of the
 // interchangeable-device deployment: the CanonicalEncode bytes and the
@@ -1234,6 +1228,12 @@ var updateCanonicalGolden = flag.Bool("update-canonical-golden", false,
 // equivalence tests accept any representative of the orbit, so this is
 // what holds the choice itself — and with it every stored digest and
 // state count — fixed across changes to how the profiles are sorted.
+//
+// testdata/canonical_digest.golden is the output of this loop at the
+// commit before the orbit-profile, queue and command-log sorts moved
+// from sort.Slice to the slices package, written once by a copy of the
+// test that saved got instead of comparing it. It is never rewritten
+// from later code: a mismatch means a representative changed.
 func TestCanonicalDigestGolden(t *testing.T) {
 	inc := symTestModel(t, Options{Design: Concurrent, Incremental: true})
 	plain := symTestModel(t, Options{Design: Concurrent})
@@ -1263,14 +1263,7 @@ func TestCanonicalDigestGolden(t *testing.T) {
 	if moved == 0 || sortedQueues == 0 {
 		t.Fatalf("sample too shallow: %d states canonicalize away from raw, %d sort an orbit queue", moved, sortedQueues)
 	}
-	path := filepath.Join("testdata", "canonical_digest.golden")
-	if *updateCanonicalGolden {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
+	want, err := os.ReadFile(filepath.Join("testdata", "canonical_digest.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
