@@ -8,7 +8,6 @@ package iotsan_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -317,81 +316,4 @@ func BenchmarkAblationBitstate(b *testing.B) {
 		results[false].StatesExplored, results[false].StatesStored, results[false].StatesMatched)
 	b.Logf("bitstate:   explored=%d stored=%d matched=%d",
 		results[true].StatesExplored, results[true].StatesStored, results[true].StatesMatched)
-}
-
-// BenchmarkStealEqualWork compares the two strategies on a fully
-// explored market group — no state cap, so both perform byte-for-byte
-// identical expansion work and the states/s numbers are directly
-// comparable (a MaxStates-capped workload explores a different prefix
-// per exploration order, which skews cross-strategy comparison).
-func BenchmarkStealEqualWork(b *testing.B) {
-	sources := corpus.Group(2)
-	apps, err := experiments.TranslateAll(sources)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys := experiments.ExpertConfig("steal-equal-work", sources, apps)
-	m, err := experiments.GroupModel(sys, apps)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	run := func(strategy checker.StrategyKind, workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			var res *checker.Result
-			for i := 0; i < b.N; i++ {
-				res = checker.Run(m.System(), checker.Options{
-					MaxDepth: 66, Strategy: strategy, Workers: workers,
-				})
-				if res.Truncated {
-					b.Fatal("equal-work run truncated")
-				}
-			}
-			b.ReportMetric(float64(res.StatesExplored)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
-			b.ReportMetric(float64(res.StatesExplored), "states")
-		}
-	}
-	b.Run("dfs", run(checker.StrategyDFS, 0))
-	for _, w := range []int{1, 2} {
-		b.Run(fmt.Sprintf("steal=%d", w), run(checker.StrategySteal, w))
-	}
-	if n := runtime.GOMAXPROCS(0); n > 2 {
-		b.Run(fmt.Sprintf("steal=%d", n), run(checker.StrategySteal, n))
-	}
-}
-
-// BenchmarkGroupScheduler measures multi-group Analyze wall-clock with
-// related sets verified one after another (workers=1) versus
-// concurrently under a budget of GOMAXPROCS tokens (each group's
-// exploration is identical at every width, so the comparison is pure
-// scheduling).
-func BenchmarkGroupScheduler(b *testing.B) {
-	sys, apps, opts, desc, err := experiments.GroupSchedulerWorkload()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("workload: %s", desc)
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var rep *iotsan.Report
-			for i := 0; i < b.N; i++ {
-				o := opts
-				o.Strategy = iotsan.StrategySteal
-				o.Workers = workers
-				rep, err = iotsan.AnalyzeTranslated(sys, apps, o)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(rep.Groups)), "groups")
-			b.ReportMetric(float64(len(rep.Violations)), "violations")
-		})
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,10 +5,11 @@
 //
 // Usage:
 //
-//	iotsan -config system.json -apps ./apps [-events 3] [-failures] [-faults -max-faults 2] [-design concurrent]
+//	iotsan -config system.json -apps ./apps [-events 3] [-failures] [-faults -max-faults 2] [-concurrent]
 //
-// Apps are looked up as <apps-dir>/<app name>.groovy; app names from the
-// built-in corpus resolve automatically when no directory is given.
+// With -apps, every app is read from <apps-dir>/<app name>.groovy, and a
+// missing or unreadable file is an error; without it, app names resolve
+// from the built-in corpus.
 //
 // Exit status: 0 no violation and every related set searched to the
 // end; 1 violations found; 2 usage, configuration or source error;
@@ -51,13 +52,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sources := map[string]string{}
-	for _, inst := range sys.Apps {
-		if src, ok := loadSource(*appsDir, inst.App); ok {
-			sources[inst.App] = src
-		} else {
-			fatal(fmt.Errorf("no source for app %q", inst.App))
-		}
+	sources, err := loadSources(*appsDir, sys)
+	if err != nil {
+		fatal(err)
 	}
 
 	if *concurrent {
@@ -107,17 +104,24 @@ func report(rep *iotsan.Report, trails bool, w io.Writer) int {
 	return 1
 }
 
-func loadSource(dir, name string) (string, bool) {
-	if dir != "" {
-		data, err := os.ReadFile(filepath.Join(dir, name+".groovy"))
-		if err == nil {
-			return string(data), true
+// loadSources reads the source of every app the system installs: from
+// dir when it is set, from the built-in corpus otherwise.
+func loadSources(dir string, sys *config.System) (map[string]string, error) {
+	sources := map[string]string{}
+	for _, inst := range sys.Apps {
+		if dir != "" {
+			data, err := os.ReadFile(filepath.Join(dir, inst.App+".groovy"))
+			if err != nil {
+				return nil, err
+			}
+			sources[inst.App] = string(data)
+		} else if s, ok := corpus.ByName(inst.App); ok {
+			sources[inst.App] = s.Groovy
+		} else {
+			return nil, fmt.Errorf("no source for app %q in the built-in corpus", inst.App)
 		}
 	}
-	if s, ok := corpus.ByName(name); ok {
-		return s.Groovy, true
-	}
-	return "", false
+	return sources, nil
 }
 
 func fatal(err error) {

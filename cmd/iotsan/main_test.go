@@ -1,10 +1,17 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"iotsan"
+	"iotsan/internal/config"
 	"iotsan/internal/corpus"
 )
 
@@ -51,5 +58,62 @@ func TestReportExitStatus(t *testing.T) {
 	const line = "inconclusive: 1 of 1 related set(s) stopped early (state cap or deadline) — no violation found within the explored part\n"
 	if code != 3 || !strings.Contains(out, line) || strings.Contains(out, "no violations detected") {
 		t.Errorf("run stopped at the 50-state cap: exit %d, output:\n%s", code, out)
+	}
+}
+
+// With -apps, an app's source is its file and nothing else: a missing or
+// unreadable file is an error naming the path, never the built-in corpus
+// app of the same name. Without -apps the corpus serves.
+func TestLoadSources(t *testing.T) {
+	sys := &config.System{Apps: []config.AppInstance{{App: "Unlock Door"}}}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "Unlock Door.groovy")
+
+	if _, err := loadSources(dir, sys); !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), path) {
+		t.Errorf("missing file: error %v, want one naming %s", err, path)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil { // a directory: the read fails
+		t.Fatal(err)
+	}
+	if _, err := loadSources(dir, sys); err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("unreadable file: error %v, want one naming %s", err, path)
+	}
+
+	mine := t.TempDir()
+	if err := os.WriteFile(filepath.Join(mine, "Unlock Door.groovy"), []byte("// mine"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if src, err := loadSources(mine, sys); err != nil || src["Unlock Door"] != "// mine" {
+		t.Errorf("-apps file: sources %q, error %v", src, err)
+	}
+	if src, err := loadSources("", sys); err != nil || src["Unlock Door"] != corpus.MustSource("Unlock Door") {
+		t.Errorf("built-in corpus: error %v", err)
+	}
+	if _, err := loadSources("", &config.System{Apps: []config.AppInstance{{App: "Nope"}}}); err == nil {
+		t.Error("an app in no corpus resolved")
+	}
+}
+
+// The command exits 2 on a missing -apps source, naming the file. The
+// test binary re-runs itself as the command.
+func TestMissingAppSourceExits2(t *testing.T) {
+	if os.Getenv("IOTSAN_MAIN") == "1" {
+		os.Args = append([]string{"iotsan"}, flag.Args()...)
+		flag.CommandLine = flag.NewFlagSet("iotsan", flag.ExitOnError)
+		main()
+		return
+	}
+	dir := t.TempDir()
+	cfg := filepath.Join(dir, "home.json")
+	if err := os.WriteFile(cfg, []byte(`{"name": "h", "devices": [{"id": "l", "model": "Smart Lock"}],
+		"apps": [{"app": "Unlock Door", "bindings": {"lock1": {"devices": ["l"]}}}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMissingAppSourceExits2$", "--", "-config", cfg, "-apps", dir)
+	cmd.Env = append(os.Environ(), "IOTSAN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), filepath.Join(dir, "Unlock Door.groovy")) {
+		t.Errorf("exit %v, output:\n%s", err, out)
 	}
 }

@@ -126,6 +126,7 @@ func oneShotModel(t *testing.T, sub *config.System, apps map[string]*ir.App, max
 }
 
 func TestCompileOnceEquivalence(t *testing.T) {
+	t.Parallel()
 	engines := []struct {
 		name string
 		opts iotsan.Options

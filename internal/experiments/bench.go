@@ -1,86 +1,11 @@
 package experiments
 
 import (
-	"fmt"
-
-	"iotsan"
-	"iotsan/internal/checker"
 	"iotsan/internal/config"
 	"iotsan/internal/corpus"
 	"iotsan/internal/ir"
-	"iotsan/internal/model"
 	"iotsan/internal/props"
 )
-
-// ParallelCheckWorkload builds the canonical checker-throughput
-// workload: the largest market group under an expert configuration with
-// the full invariant catalog, capped so every engine variant performs
-// identical expansion work. TestStealPerWorkerParity measures steal at
-// one worker against DFS on it.
-func ParallelCheckWorkload() (*model.Model, checker.Options, string, error) {
-	largest := 1
-	for g := 2; g <= 6; g++ {
-		if len(corpus.Group(g)) > len(corpus.Group(largest)) {
-			largest = g
-		}
-	}
-	sources := corpus.Group(largest)
-	apps, err := TranslateAll(sources)
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	sys := ExpertConfig("parallel-bench", sources, apps)
-	invs, err := props.CompileInvariants(sys, nil, props.DefaultThresholds())
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	m, err := model.New(sys, apps, model.Options{
-		MaxEvents: 3, CheckConflicts: true, Invariants: invs,
-		Incremental: true,
-	})
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	copts := checker.Options{MaxDepth: 66, MaxStates: 20000}
-	desc := fmt.Sprintf("market group %d (%d apps), MaxEvents=3, full invariants, cap %d states",
-		largest, len(sources), copts.MaxStates)
-	return m, copts, desc, nil
-}
-
-// GroupSchedulerWorkload builds the canonical multi-group Analyze
-// workload: the two largest market groups installed as one system, so
-// dependency analysis decomposes verification into many independent
-// related sets. BenchmarkGroupScheduler runs it with sequential groups
-// and with the concurrent group scheduler under the shared worker
-// budget.
-func GroupSchedulerWorkload() (*config.System, map[string]*ir.App, iotsan.Options, string, error) {
-	sizes := make([]int, 7)
-	for g := 1; g <= 6; g++ {
-		sizes[g] = len(corpus.Group(g))
-	}
-	first, second := 1, 2
-	for g := 2; g <= 6; g++ {
-		switch {
-		case sizes[g] > sizes[first]:
-			first, second = g, first
-		case g != first && sizes[g] > sizes[second]:
-			second = g
-		}
-	}
-	sources := append(append([]corpus.Source{}, corpus.Group(first)...), corpus.Group(second)...)
-	apps, err := TranslateAll(sources)
-	if err != nil {
-		return nil, nil, iotsan.Options{}, "", err
-	}
-	sys := ExpertConfig("group-sched-bench", sources, apps)
-	opts := iotsan.Options{
-		MaxEvents:       2,
-		MaxStatesPerSet: 20000,
-	}
-	desc := fmt.Sprintf("market groups %d+%d (%d apps), MaxEvents=2, cap %d states/set",
-		first, second, len(sources), opts.MaxStatesPerSet)
-	return sys, apps, opts, desc, nil
-}
 
 // SymmetrySystem builds the interchangeable-device deployment the
 // symmetry gates and benchmarks share: the corpus symmetry group
@@ -134,36 +59,6 @@ func SymmetrySystem(name string) (*config.System, map[string]*ir.App, error) {
 	return sys, apps, nil
 }
 
-// SymmetryWorkload builds the canonical symmetry-reduction workload:
-// the interchangeable-device system under the concurrent design at
-// MaxEvents=2 with the full invariant catalog and Options.Symmetry
-// model tables — fully explorable, so with/without-symmetry state
-// counts compare complete searches — the workload of the ≥30% fold
-// gate (TestSymmetryReductionGate).
-func SymmetryWorkload() (*model.Model, checker.Options, string, error) {
-	sys, apps, err := SymmetrySystem("symmetry-bench")
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	invs, err := props.CompileInvariants(sys, nil, props.DefaultThresholds())
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	m, err := model.New(sys, apps, model.Options{
-		MaxEvents: 2, CheckConflicts: true, Invariants: invs,
-		Design: model.Concurrent, Symmetry: true,
-		Incremental: true,
-	})
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	copts := checker.Options{MaxDepth: 100}
-	st := m.SymmetryStats()
-	desc := fmt.Sprintf("symmetry group (%d apps, 3+3 interchangeable devices, %d orbits), concurrent design, MaxEvents=2, full invariants",
-		len(sys.Apps), st.Orbits)
-	return m, copts, desc, nil
-}
-
 // FaultSystem builds the climate deployment the fault-injection gates
 // and benchmarks share: the corpus fault group installed over a
 // temperature sensor, a space-heater outlet (association "heater"), a
@@ -209,75 +104,4 @@ func FaultSystem(name string) (*config.System, map[string]*ir.App, error) {
 		sys.Apps = append(sys.Apps, inst)
 	}
 	return sys, apps, nil
-}
-
-// FaultWorkload builds the canonical fault-injection workload: the
-// climate deployment at MaxEvents=2 with the full invariant catalog and
-// the persistent fault layer configured with the given budget — fully
-// explorable, so faults-off and faults-on state counts compare complete
-// searches. The fault-only-violation reachability gate and the
-// MaxFaults=0 equivalence gate share this workload.
-func FaultWorkload(faults bool, maxFaults int) (*model.Model, checker.Options, string, error) {
-	sys, apps, err := FaultSystem("fault-bench")
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	invs, err := props.CompileInvariants(sys, nil, props.DefaultThresholds())
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	m, err := model.New(sys, apps, model.Options{
-		MaxEvents: 2, CheckConflicts: true, CheckRobustness: faults, Invariants: invs,
-		Faults: faults, MaxFaults: maxFaults,
-		Incremental: true,
-	})
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	copts := checker.Options{MaxDepth: 100 + 8*maxFaults}
-	desc := fmt.Sprintf("fault group (%d apps, heater/AC exclusion), MaxEvents=2, full invariants, MaxFaults=%d",
-		len(sys.Apps), maxFaults)
-	return m, copts, desc, nil
-}
-
-// GroupModel builds the verification model for a configured system
-// with the full invariant catalog at MaxEvents=2 — the equal-work
-// benchmark workload (fully explorable, so every checker strategy
-// performs identical expansion work).
-func GroupModel(sys *config.System, apps map[string]*ir.App) (*model.Model, error) {
-	invs, err := props.CompileInvariants(sys, nil, props.DefaultThresholds())
-	if err != nil {
-		return nil, err
-	}
-	return model.New(sys, apps, model.Options{
-		MaxEvents: 2, CheckConflicts: true, Invariants: invs,
-		Incremental: true,
-	})
-}
-
-// SymmetryEncodeWorkload is the SymmetryWorkload with the incremental
-// cache explicitly on or off — the canonical-path pair of the
-// TestIncremental* digest oracles (cached per-device block hashes
-// double as orbit profile keys, so the canonical path is where
-// incremental reuse compounds).
-func SymmetryEncodeWorkload(incremental bool) (*model.Model, checker.Options, string, error) {
-	sys, apps, err := SymmetrySystem("symmetry-encode-bench")
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	invs, err := props.CompileInvariants(sys, nil, props.DefaultThresholds())
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	m, err := model.New(sys, apps, model.Options{
-		MaxEvents: 2, CheckConflicts: true, Invariants: invs,
-		Design: model.Concurrent, Symmetry: true,
-		Incremental: incremental,
-	})
-	if err != nil {
-		return nil, checker.Options{}, "", err
-	}
-	copts := checker.Options{MaxDepth: 100}
-	desc := fmt.Sprintf("symmetry group (%d apps, 3+3 interchangeable devices), concurrent design, MaxEvents=2, full invariants", len(sys.Apps))
-	return m, copts, desc, nil
 }

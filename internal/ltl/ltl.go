@@ -3,16 +3,13 @@
 // properties can be verified using linear temporal logic").
 //
 // The package provides a parser for full propositional LTL (G F X U W R,
-// boolean connectives, named atoms), a classifier for the safety
-// fragment, and monitor compilation for the forms the model checker
-// evaluates on every reached state:
-//
-//	G p          — an invariant over propositional p
-//	G (p -> X q) — a one-step response
-//
-// Liveness formulas parse but are rejected by CompileSafety; bounded
-// model checking of safety properties is what IotSan (like Spin used as
-// a falsifier, §2.3) performs.
+// boolean connectives, named atoms), a check for the one safety form the
+// model checker evaluates on every reached state — G p, an invariant
+// over propositional p — and Bind, which compiles p into a closed
+// evaluator. Every other formula, liveness included, parses but is
+// rejected by CompileSafety; bounded model checking of safety
+// properties is what IotSan (like Spin used as a falsifier, §2.3)
+// performs.
 package ltl
 
 import (
@@ -125,30 +122,6 @@ func (f *Formula) IsPropositional() bool {
 	return f.L.IsPropositional() && f.R.IsPropositional()
 }
 
-// EvalProp evaluates a propositional formula under an atom assignment.
-// It panics on temporal operators; callers classify first.
-func (f *Formula) EvalProp(env func(atom string) bool) bool {
-	switch f.Op {
-	case OpAtom:
-		return env(f.Atom)
-	case OpTrue:
-		return true
-	case OpFalse:
-		return false
-	case OpNot:
-		return !f.L.EvalProp(env)
-	case OpAnd:
-		return f.L.EvalProp(env) && f.R.EvalProp(env)
-	case OpOr:
-		return f.L.EvalProp(env) || f.R.EvalProp(env)
-	case OpImplies:
-		return !f.L.EvalProp(env) || f.R.EvalProp(env)
-	case OpIff:
-		return f.L.EvalProp(env) == f.R.EvalProp(env)
-	}
-	panic("ltl: EvalProp on temporal formula " + f.String())
-}
-
 // ---- Parser ----
 
 // A ParseError reports a syntax error in a formula.
@@ -179,15 +152,6 @@ func Parse(input string) (*Formula, error) {
 		return nil, &ParseError{p.in, p.pos, "trailing input"}
 	}
 	return f, nil
-}
-
-// MustParse parses or panics; for the static property catalog.
-func MustParse(input string) *Formula {
-	f, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return f
 }
 
 func (p *fparser) skipWS() {
@@ -381,53 +345,17 @@ func (p *fparser) parseAtom() (*Formula, error) {
 	return &Formula{Op: OpAtom, Atom: word}, nil
 }
 
-// ---- Safety monitors ----
-
-// MonitorKind classifies compiled safety monitors.
-type MonitorKind int
-
-// Monitor kinds.
-const (
-	// Invariant monitors check a propositional formula on every state
-	// (from G p).
-	Invariant MonitorKind = iota
-	// NextResponse monitors check G (p -> X q): if p held in the
-	// previous state, q must hold now.
-	NextResponse
-)
-
-// Monitor is a compiled safety-property observer, stepped on every
-// state of an execution.
-type Monitor struct {
-	Kind    MonitorKind
-	Source  *Formula
-	p, q    *Formula
-	armed   bool // for NextResponse: p held in the previous state
-	started bool
-}
-
-// CompileSafety compiles a safety-fragment formula to a monitor. It
-// accepts G p (p propositional) and G (p -> X q); other shapes return an
-// error.
-func CompileSafety(f *Formula) (*Monitor, error) {
+// CompileSafety checks that f is G p with p propositional — an
+// invariant, checked on every reached state — and returns p, the body
+// Bind compiles. Any other shape is an error.
+func CompileSafety(f *Formula) (*Formula, error) {
 	if f.Op != OpGlobally {
 		return nil, fmt.Errorf("ltl: %s is not a G-rooted safety formula", f)
 	}
-	body := f.L
-	if body.IsPropositional() {
-		return &Monitor{Kind: Invariant, Source: f, p: body}, nil
+	if !f.L.IsPropositional() {
+		return nil, fmt.Errorf("ltl: %s is outside the supported safety fragment", f)
 	}
-	if body.Op == OpImplies && body.L.IsPropositional() &&
-		body.R.Op == OpNext && body.R.L.IsPropositional() {
-		return &Monitor{Kind: NextResponse, Source: f, p: body.L, q: body.R.L}, nil
-	}
-	return nil, fmt.Errorf("ltl: %s is outside the supported safety fragment", f)
-}
-
-// Reset prepares the monitor for a fresh execution.
-func (m *Monitor) Reset() {
-	m.armed = false
-	m.started = false
+	return f.L, nil
 }
 
 // Bind compiles a propositional formula into a closed evaluator over a
@@ -496,22 +424,4 @@ func Bind[T any](f *Formula, atom func(name string) func(T) bool) (func(T) bool,
 		return func(v T) bool { return l(v) == r(v) }, nil
 	}
 	return nil, fmt.Errorf("ltl: Bind on temporal formula %s", f)
-}
-
-// Step observes the next state (via its atom assignment) and reports
-// whether the property still holds.
-func (m *Monitor) Step(env func(atom string) bool) bool {
-	switch m.Kind {
-	case Invariant:
-		return m.p.EvalProp(env)
-	case NextResponse:
-		ok := true
-		if m.started && m.armed {
-			ok = m.q.EvalProp(env)
-		}
-		m.armed = m.p.EvalProp(env)
-		m.started = true
-		return ok
-	}
-	return true
 }

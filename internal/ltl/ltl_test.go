@@ -6,6 +6,39 @@ import (
 	"testing/quick"
 )
 
+// MustParse parses or panics.
+func MustParse(input string) *Formula {
+	f, err := Parse(input)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// evalProp evaluates a propositional formula under an atom assignment
+// by walking the tree: the reference Bind's closures must agree with.
+func evalProp(f *Formula, env func(atom string) bool) bool {
+	switch f.Op {
+	case OpAtom:
+		return env(f.Atom)
+	case OpTrue:
+		return true
+	case OpFalse:
+		return false
+	case OpNot:
+		return !evalProp(f.L, env)
+	case OpAnd:
+		return evalProp(f.L, env) && evalProp(f.R, env)
+	case OpOr:
+		return evalProp(f.L, env) || evalProp(f.R, env)
+	case OpImplies:
+		return !evalProp(f.L, env) || evalProp(f.R, env)
+	case OpIff:
+		return evalProp(f.L, env) == evalProp(f.R, env)
+	}
+	panic("evalProp on temporal formula " + f.String())
+}
+
 func TestParseAndRender(t *testing.T) {
 	tests := []struct{ in, want string }{
 		{"G p", "G p"},
@@ -58,56 +91,38 @@ func TestEvalProp(t *testing.T) {
 	env := func(m map[string]bool) func(string) bool {
 		return func(a string) bool { return m[a] }
 	}
-	if !f.EvalProp(env(map[string]bool{"a": true, "b": false})) {
+	if !evalProp(f, env(map[string]bool{"a": true, "b": false})) {
 		t.Error("a&&!b should hold")
 	}
-	if !f.EvalProp(env(map[string]bool{"c": false})) {
+	if !evalProp(f, env(map[string]bool{"c": false})) {
 		t.Error("c->d with !c should hold")
 	}
-	if f.EvalProp(env(map[string]bool{"a": true, "b": true, "c": true, "d": false})) {
+	if evalProp(f, env(map[string]bool{"a": true, "b": true, "c": true, "d": false})) {
 		t.Error("should not hold")
 	}
 }
 
 func TestCompileSafetyInvariant(t *testing.T) {
-	m, err := CompileSafety(MustParse("G !(away && unlocked)"))
+	body, err := CompileSafety(MustParse("G !(away && unlocked)"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Kind != Invariant {
-		t.Fatalf("kind = %v", m.Kind)
+	if got := body.String(); got != "!(away && unlocked)" {
+		t.Fatalf("body = %q", got)
 	}
-	ok := m.Step(func(a string) bool { return a == "away" })
-	if !ok {
+	if !evalProp(body, func(a string) bool { return a == "away" }) {
 		t.Error("away && !unlocked should satisfy")
 	}
-	ok = m.Step(func(a string) bool { return true })
-	if ok {
+	if evalProp(body, func(string) bool { return true }) {
 		t.Error("away && unlocked should violate")
 	}
 }
 
+// A one-step response needs a monitor stepped along an execution, which
+// the checker does not run: the formula is outside the fragment.
 func TestCompileSafetyNextResponse(t *testing.T) {
-	m, err := CompileSafety(MustParse("G (req -> X ack)"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Kind != NextResponse {
-		t.Fatalf("kind = %v", m.Kind)
-	}
-	m.Reset()
-	states := []map[string]bool{
-		{"req": true},                // arm
-		{"ack": true},                // satisfied
-		{"req": true},                // arm again
-		{"req": false, "ack": false}, // violated
-	}
-	results := []bool{true, true, true, false}
-	for i, st := range states {
-		got := m.Step(func(a string) bool { return st[a] })
-		if got != results[i] {
-			t.Errorf("step %d = %v, want %v", i, got, results[i])
-		}
+	if body, err := CompileSafety(MustParse("G (req -> X ack)")); err == nil {
+		t.Errorf("CompileSafety accepted a next-response formula (body %s)", body)
 	}
 }
 
@@ -116,6 +131,56 @@ func TestCompileSafetyRejectsLiveness(t *testing.T) {
 		if _, err := CompileSafety(MustParse(in)); err == nil {
 			t.Errorf("CompileSafety(%q): expected rejection", in)
 		}
+	}
+}
+
+// TestBindMatchesEvalProp: Bind's closed evaluator agrees with a walk of
+// the formula tree on random propositional formulas under every
+// assignment of their atoms (property-based).
+func TestBindMatchesEvalProp(t *testing.T) {
+	atoms := []string{"a", "b", "c"}
+	var gen func(seed int64, depth int) *Formula
+	gen = func(seed int64, depth int) *Formula {
+		op := Op(abs(seed) % int64(OpIff+1))
+		switch {
+		case depth <= 0 || op == OpAtom:
+			return &Formula{Op: OpAtom, Atom: atoms[abs(seed/9)%int64(len(atoms))]}
+		case op == OpTrue || op == OpFalse:
+			return &Formula{Op: op}
+		case op == OpNot:
+			return &Formula{Op: op, L: gen(seed/3, depth-1)}
+		}
+		return &Formula{Op: op, L: gen(seed/3, depth-1), R: gen(seed/5, depth-1)}
+	}
+	// An assignment is a bit per atom.
+	holds := func(v uint) func(string) bool {
+		return func(name string) bool { return v&(1<<strings.Index("abc", name)) != 0 }
+	}
+	prop := func(seed int64) bool {
+		f := gen(seed, 4)
+		bound, err := Bind(f, func(name string) func(uint) bool {
+			return func(v uint) bool { return holds(v)(name) }
+		})
+		if err != nil {
+			t.Logf("Bind(%s): %v", f, err)
+			return false
+		}
+		for v := uint(0); v < 8; v++ {
+			if got, want := bound(v), evalProp(f, holds(v)); got != want {
+				t.Logf("%s under %03b: Bind %v, tree walk %v", f, v, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	if _, err := Bind(MustParse("G p"), func(string) func(uint) bool { return nil }); err == nil {
+		t.Error("Bind accepted a temporal formula")
+	}
+	if _, err := Bind(MustParse("p && q"), func(string) func(uint) bool { return nil }); err == nil {
+		t.Error("Bind accepted an unbound atom")
 	}
 }
 
@@ -175,7 +240,7 @@ func TestEvalPropTotality(t *testing.T) {
 	prop := func(a, b, c bool) bool {
 		f := MustParse("((x -> y) <-> (!x || y)) && (z || !z)")
 		env := map[string]bool{"x": a, "y": b, "z": c}
-		return f.EvalProp(func(at string) bool { return env[at] })
+		return evalProp(f, func(at string) bool { return env[at] })
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)

@@ -291,13 +291,6 @@ func (m *Model) refreshBlocks(s *State) {
 //
 //iotsan:digest-funnel
 func (m *Model) IncrementalDigest(s *State, canonical bool) (uint64, uint64) {
-	if canonical && m.sym != nil && m.sym.flatCanon {
-		// Flat canonicalization reads only state content — devProfile
-		// delegates to the block encoder on flat-canonical tables — so
-		// the dirty blocks need no refresh first (their cached hashes
-		// stay stale until a raw digest of this state wants them).
-		return m.flatCanonicalDigest(s)
-	}
 	// Refresh before any canonical-view construction: orbit profiles key
 	// on cached device-block hashes, which must reflect content, never
 	// dirtiness (dirty masks are not invariant under the group action).
@@ -306,32 +299,6 @@ func (m *Model) IncrementalDigest(s *State, canonical bool) (uint64, uint64) {
 		return s.fold[0], s.fold[1]
 	}
 	return m.canonicalFold(s)
-}
-
-// flatCanonicalDigest hashes the flat canonical encoding directly. On
-// tiny-orbit workloads the cached-hash canonical fold costs more than
-// it saves (profile sorting dominates and almost every block re-hashes
-// anyway), so buildSymmetry flags such symmetry tables with flatCanon
-// and the digest takes this path instead — without refreshing the
-// block-hash cache, since on flat-canonical tables the orbit profiles
-// inside CanonicalEncode are content-keyed (devProfile) rather than
-// cached-hash-keyed.
-//
-//iotsan:digest-funnel
-func (m *Model) flatCanonicalDigest(s *State) (uint64, uint64) {
-	bp := m.encBufs.Get().(*[]byte)
-	buf := m.CanonicalEncode(s, (*bp)[:0])
-	// One fused pass: h1 is fnv1a64(buf); h2 runs the blockMix-style
-	// second accumulator over the same bytes, splitmix-finalised so the
-	// pair stays independent of h1.
-	h1, h2 := uint64(fnvOffset64), uint64(mixSeed)
-	for _, c := range buf {
-		h1 = (h1 ^ uint64(c)) * fnvPrime64
-		h2 = (h2 ^ uint64(c)) * mixMult
-	}
-	*bp = buf
-	m.encBufs.Put(bp)
-	return h1, splitmix64(h2)
 }
 
 // canonicalFold combines cached block hashes through the canonical

@@ -82,25 +82,8 @@ type symData struct {
 	roleOf    []int32   // subscription index → role among its device's subs (-1 otherwise)
 	subByRole [][]int32 // device index → role → subscription index (orbit devices only)
 
-	// flatCanon routes the incremental canonical digest through the flat
-	// CanonicalEncode instead of the cached-hash canonical fold. On
-	// tiny-orbit inventories the fold's profile bookkeeping costs more
-	// than the re-hash it avoids, so buildSymmetry sets this when every
-	// orbit is at most flatCanonMaxOrbit devices.
-	flatCanon bool
-
 	scratch sync.Pool // *canonScratch
 }
-
-// flatCanonMaxOrbit is the orbit-size threshold below which the
-// cached-hash canonical fold stops paying for itself. Paired
-// full-vs-incremental measurements (the `encode_runs` dfs+sym row) put
-// the crossover below orbit size 3: already at 3-device orbits the
-// fold's cache reuse beats a flat re-encode (~1.1x), so only degenerate
-// pair orbits — where building the canonical view and sorting profiles
-// cannot amortise over a two-element sort — route through the flat
-// encoder.
-const flatCanonMaxOrbit = 2
 
 // SymmetryStats summarises the computed orbits.
 type SymmetryStats struct {
@@ -301,14 +284,6 @@ func (m *Model) buildSymmetry() {
 			p.subByRole[d] = append(p.subByRole[d], int32(si))
 		}
 	}
-
-	largest := 0
-	for _, o := range p.orbits {
-		if len(o) > largest {
-			largest = len(o)
-		}
-	}
-	p.flatCanon = largest <= flatCanonMaxOrbit
 
 	p.scratch.New = func() any {
 		return &canonScratch{
@@ -876,11 +851,7 @@ func (m *Model) bucketValueRefs(v *ir.Value, cs *canonScratch) {
 // collisions, which can only make the canonical choice fold less,
 // never unsoundly).
 func (m *Model) devProfile(s *State, d int, buf []byte, cs *canonScratch) []byte {
-	// Flat-canonical tables profile from state content even when a hash
-	// cache exists: flatCanonicalDigest skips the dirty-block refresh, so
-	// cached hashes may be stale there, and content-keyed profiles keep
-	// the canonical representative identical to the cache-less model's.
-	if s.blockHash != nil && !m.sym.flatCanon {
+	if s.blockHash != nil {
 		h := s.blockHash[1+d]
 		buf = append(buf,
 			byte(h), byte(h>>8), byte(h>>16), byte(h>>24),

@@ -190,14 +190,11 @@ func bind[T any](p *Property, atoms []model.Atom, bySlot func(slot int) func(T) 
 	if err != nil {
 		return nil, fmt.Errorf("props: %s: %w", p.ID, err)
 	}
-	mon, err := ltl.CompileSafety(f)
+	body, err := ltl.CompileSafety(f)
 	if err != nil {
 		return nil, fmt.Errorf("props: %s: %w", p.ID, err)
 	}
-	if mon.Kind != ltl.Invariant {
-		return nil, fmt.Errorf("props: %s: only invariant monitors can run under DFS", p.ID)
-	}
-	bound, err := ltl.Bind(f.L, func(name string) func(T) bool {
+	bound, err := ltl.Bind(body, func(name string) func(T) bool {
 		// alarm_active is alarm_off's negation: it has no slot, scan or
 		// read-set of its own.
 		negate := name == "alarm_active"

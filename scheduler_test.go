@@ -12,22 +12,18 @@ import (
 	"testing"
 
 	"iotsan"
-	"iotsan/internal/corpus"
-	"iotsan/internal/experiments"
 	"iotsan/internal/ir"
 )
 
-// multiGroupSystem builds a deployment that dependency analysis splits
-// into several independent related sets (a full market group under an
-// expert configuration).
+// multiGroupSystem is a deployment that dependency analysis splits into
+// several independent related sets: a whole market group under an
+// expert configuration.
 func multiGroupSystem(t *testing.T) (*iotsan.System, map[string]*ir.App) {
 	t.Helper()
-	sources := corpus.Group(1)
-	apps, err := experiments.TranslateAll(sources)
+	sys, apps, err := corpusSystem(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := experiments.ExpertConfig("sched-test", sources, apps)
 	return sys, apps
 }
 
@@ -236,4 +232,47 @@ func TestStopCancelledGroupsReportTruncated(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reducedSchedulerEquivalence: a reduction composes with the group
+// scheduler — the full pipeline (dependency analysis, related-set
+// decomposition, per-group verification) on a 12-app prefix of a market
+// group reports the unreduced deduped violation set, on both strategies,
+// with related sets verified one after another and concurrently.
+func reducedSchedulerEquivalence(t *testing.T, reduce func(*iotsan.Options)) {
+	sys, apps, err := corpusSystem(1, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := iotsan.Options{MaxEvents: 2, Design: iotsan.Concurrent, Workers: 1}
+	oracle, err := iotsan.AnalyzeTranslated(sys, apps, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reportViolationKeys(oracle)
+	if len(want) == 0 {
+		t.Fatal("oracle found no violations — the equivalence check is vacuous")
+	}
+	for _, strat := range []iotsan.Strategy{iotsan.StrategyDFS, iotsan.StrategySteal} {
+		for _, workers := range schedulerWidths {
+			o := base
+			o.Strategy, o.Workers = strat, workers
+			reduce(&o)
+			rep, err := iotsan.AnalyzeTranslated(sys, apps, o)
+			if err != nil {
+				t.Fatalf("strategy=%v workers=%d: %v", strat, workers, err)
+			}
+			if got := reportViolationKeys(rep); !slices.Equal(got, want) {
+				t.Errorf("strategy=%v workers=%d: violation sets differ:\ngot:    %q\noracle: %q", strat, workers, got, want)
+			}
+		}
+	}
+}
+
+func TestPORGroupSchedulerEquivalence(t *testing.T) {
+	reducedSchedulerEquivalence(t, func(o *iotsan.Options) { o.POR = true })
+}
+
+func TestSymmetryGroupSchedulerEquivalence(t *testing.T) {
+	reducedSchedulerEquivalence(t, func(o *iotsan.Options) { o.Symmetry = true })
 }

@@ -1,0 +1,532 @@
+// The walker: one depth-first walk per model that checks, at every
+// successor it meets, the per-state contracts the engine's shortcuts
+// rest on. Each check compares a shortcut with what it replaces:
+//
+//	keyed      stub + Step + Keep on one scratch ≡ Expand(s)[i]: label, key, fault flag,
+//	           steps, violations, Encode bytes before and after Keep, digests
+//	digest     the incremental digest ≡ that of a clone with every block dirty, raw and canonical
+//	valuation  the atom word Inspect settles ≡ every atom evaluated from scratch, and its
+//	           verdict ≡ a plain loop over the properties compiled one at a time
+//	purity     equal Encode bytes, or equal CanonicalEncode bytes, give equal Inspect results
+//	budget0    a fault layer with a zero budget ≡ none, in lockstep: no fault transition,
+//	           byte-identical raw and canonical encodings and digests
+//
+// The walk steps a state's next child only after returning from the
+// previous child's subtree, as the DFS strategy does, so the scratch
+// re-syncs across pops. It descends into one random child of every state
+// (so it reaches the leaves) and, near the root, into a third of the
+// others, and starts again from the root until it has checked 1500
+// successors.
+package iotsan_test
+
+import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math/bits"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"iotsan/internal/checker"
+	"iotsan/internal/config"
+	"iotsan/internal/experiments"
+	"iotsan/internal/ir"
+	"iotsan/internal/model"
+	"iotsan/internal/props"
+)
+
+// divergence counts the failures of one check and keeps the first.
+type divergence struct {
+	count int
+	first string
+}
+
+func (d *divergence) note(format string, args ...any) {
+	if d.count == 0 {
+		d.first = fmt.Sprintf(format, args...)
+	}
+	d.count++
+}
+
+// valuation checks Inspect against two things that share none of it:
+// every atom of the catalog evaluated from scratch, and the catalog's
+// properties compiled one at a time (props.Property.Compile), followed by
+// the model's opaque invariants, run as a plain Holds loop.
+type valuation struct {
+	m     *model.Model
+	table *model.AtomTable
+	all   uint64
+	twins []model.Invariant
+
+	inspected, evaluated int // Inspect calls; atoms they found stale
+	div                  divergence
+}
+
+// newValuation returns nil for a model without catalog invariants.
+func newValuation(m *model.Model) (*valuation, error) {
+	o := &valuation{m: m}
+	var opaque []model.Invariant
+	for _, inv := range m.Opts.Invariants {
+		if inv.Atoms == nil {
+			opaque = append(opaque, inv)
+			continue
+		}
+		o.table = inv.Atoms
+		p, ok := props.ByID(inv.ID)
+		if !ok {
+			return nil, fmt.Errorf("catalog invariant %s is not a catalog property", inv.ID)
+		}
+		twin, err := p.Compile(m.Cfg, props.DefaultThresholds())
+		if err != nil {
+			return nil, err
+		}
+		o.twins = append(o.twins, twin)
+	}
+	if o.table == nil {
+		return nil, nil
+	}
+	o.twins = append(o.twins, opaque...)
+	o.all = 1<<uint(len(o.table.Atoms)) - 1
+	return o, nil
+}
+
+// inspect runs the model's Inspect on s and checks what it settled and
+// what it returned.
+func (o *valuation) inspect(s *model.State) []checker.Violation {
+	_, fresh := s.AtomWord()
+	o.inspected++
+	o.evaluated += bits.OnesCount64(o.all &^ fresh)
+
+	got := o.m.Inspect(s)
+
+	word, fresh := s.AtomWord()
+	if want := o.table.Valuation(s); word != want || fresh != o.all {
+		var names []string
+		for diff := word ^ want; diff != 0; diff &= diff - 1 {
+			names = append(names, o.table.Atoms[bits.TrailingZeros64(diff)].Name)
+		}
+		o.div.note("settled word %#x (fresh %#x), from scratch %#x: wrong atoms %v", word, fresh, want, names)
+	}
+	var want []checker.Violation
+	view := &model.View{M: o.m, S: s}
+	for _, twin := range o.twins {
+		if !twin.Holds(view) {
+			want = append(want, checker.Violation{Property: twin.ID, Detail: twin.Description})
+		}
+	}
+	if !slices.Equal(got, want) {
+		o.div.note("Inspect reports %q, the per-invariant loop %q", got, want)
+	}
+	return got
+}
+
+// walkResult is what one walk found.
+type walkResult struct {
+	successors, fullSyncs int
+	checked               map[string]int
+	div                   map[string]*divergence
+	val                   *valuation
+	repeats, folded       int // purity: states met again by raw encoding; by canonical encoding only
+	orbitLargest          int
+}
+
+type walker struct {
+	m, twin *model.Model
+	sc      *model.Scratch
+	rng     *rand.Rand
+	budget  int
+	res     *walkResult
+	byRaw   map[string]string
+	byCanon map[string][2]string // canonical encoding → (raw encoding, verdict)
+	a, b    []byte
+}
+
+func (w *walker) note(check, format string, args ...any) { w.res.div[check].note(format, args...) }
+
+// walk checks up to 1500 successors of m, in lockstep with twin when it
+// is not nil.
+func walk(m, twin *model.Model, seed int64) (*walkResult, error) {
+	res := &walkResult{checked: map[string]int{}, div: map[string]*divergence{}, orbitLargest: m.SymmetryStats().Largest}
+	for _, check := range []string{"keyed", "digest", "valuation", "purity", "budget0"} {
+		res.div[check] = &divergence{}
+	}
+	val, err := newValuation(m)
+	if err != nil {
+		return nil, err
+	}
+	res.val = val
+	w := &walker{m: m, twin: twin, sc: m.NewScratch(), rng: rand.New(rand.NewSource(seed)), budget: 1500, res: res,
+		byRaw: map[string]string{}, byCanon: map[string][2]string{}}
+	init := m.Initial()
+	var tinit *model.State
+	if twin != nil {
+		tinit = twin.Initial()
+		w.lockstep(init, tinit, "initial")
+	}
+	w.state(init, "initial") // settles the root's cache, as the engine's first digest does
+	// A small graph is walked again, down other random paths, until the
+	// budget is spent: states met twice are what the purity check compares.
+	for left := -1; w.budget > 0 && w.budget != left; {
+		left = w.budget
+		w.visit(init, tinit, 0)
+	}
+	res.fullSyncs = w.sc.FullSyncs()
+	if val != nil {
+		res.div["valuation"] = &val.div
+		res.checked["valuation"] = val.inspected
+	}
+	return res, nil
+}
+
+func (w *walker) visit(s, ts *model.State, depth int) {
+	want := w.m.Expand(s)
+	stubs := w.m.Enabled(s, nil)
+	if len(stubs) != len(want) {
+		w.note("keyed", "depth %d: %d stubs for %d successors", depth, len(stubs), len(want))
+		return
+	}
+	var twins []checker.Transition
+	if w.twin != nil {
+		if twins = w.twin.Expand(ts); len(twins) != len(want) {
+			w.note("budget0", "depth %d: %d transitions, the zero-budget twin %d", depth, len(want), len(twins))
+			return
+		}
+	}
+	pick := 0
+	if len(want) > 0 {
+		pick = w.rng.Intn(len(want))
+	}
+	for i := range stubs {
+		if w.budget == 0 {
+			return
+		}
+		w.budget--
+		w.res.successors++
+		e := want[i]
+		at := fmt.Sprintf("depth %d successor %d (%s)", depth, i, e.Label)
+		next := w.step(s, &stubs[i], e, at)
+		w.state(next, at)
+		if w.res.val != nil {
+			w.res.val.inspect(e.Next.(*model.State)) // the eager path's inherited word
+		}
+		var tnext *model.State
+		if twins != nil {
+			if twins[i].Label != e.Label || twins[i].Fault {
+				w.note("budget0", "%s: the zero-budget twin takes %q (fault=%v)", at, twins[i].Label, twins[i].Fault)
+			}
+			tnext = twins[i].Next.(*model.State)
+			w.lockstep(next, tnext, at)
+		}
+		if i == pick || depth < 3 && w.rng.Intn(3) == 0 {
+			w.visit(next, tnext, depth+1)
+		}
+	}
+}
+
+// step is the keyed check: stub + Step + Keep against Expand's successor.
+func (w *walker) step(s *model.State, stub *checker.Transition, e checker.Transition, at string) *model.State {
+	tr := w.sc.Step(s, stub)
+	if tr.Label != e.Label || tr.Key != e.Key || tr.Fault != e.Fault || stub.Fault != e.Fault ||
+		!slices.Equal(tr.Steps, e.Steps) || !slices.Equal(tr.Violations, e.Violations) {
+		w.note("keyed", "%s: transition differs:\nkeyed %+v\neager %+v", at, tr, e)
+	}
+	if w.a, w.b = tr.Next.Encode(w.a[:0]), e.Next.Encode(w.b[:0]); !bytes.Equal(w.a, w.b) {
+		w.note("keyed", "%s: the stepped state's encoding differs from Expand's", at)
+	}
+	if w.m.Opts.Incremental {
+		for _, canonical := range []bool{false, true} {
+			k1, k2 := w.m.IncrementalDigest(tr.Next.(*model.State), canonical)
+			e1, e2 := w.m.IncrementalDigest(e.Next.(*model.State), canonical)
+			if k1 != e1 || k2 != e2 {
+				w.note("keyed", "%s: digest differs from Expand's (canonical=%v)", at, canonical)
+			}
+		}
+	}
+	kept := w.sc.Keep()
+	if w.a = kept.Encode(w.a[:0]); !bytes.Equal(w.a, w.b) {
+		w.note("keyed", "%s: the kept state's encoding differs from Expand's", at)
+	}
+	w.res.checked["keyed"]++
+	return kept
+}
+
+// state runs the digest, valuation and purity checks on s, in the
+// engine's order: digest, then Inspect.
+func (w *walker) state(s *model.State, at string) {
+	if w.m.Opts.Incremental {
+		for _, canonical := range []bool{false, true} {
+			h1, h2 := w.m.IncrementalDigest(s, canonical)
+			sc := s.Clone()
+			sc.MarkAllDirty()
+			if w1, w2 := w.m.IncrementalDigest(sc, canonical); h1 != w1 || h2 != w2 {
+				w.note("digest", "%s: incremental digest (%#x,%#x), from scratch (%#x,%#x) [canonical=%v]", at, h1, h2, w1, w2, canonical)
+			}
+		}
+		w.res.checked["digest"]++
+	}
+	var got []checker.Violation
+	if w.res.val != nil {
+		got = w.res.val.inspect(s)
+	} else {
+		got = w.m.Inspect(s)
+	}
+	verdict := fmt.Sprintf("%q", got)
+	raw := string(s.Encode(w.a[:0]))
+	if prev, ok := w.byRaw[raw]; !ok {
+		w.byRaw[raw] = verdict
+	} else if w.res.repeats++; prev != verdict {
+		w.note("purity", "%s: equal encodings, different Inspect results:\n%s\n%s", at, prev, verdict)
+	}
+	canon := string(w.m.CanonicalEncode(s, w.a[:0]))
+	if prev, ok := w.byCanon[canon]; !ok {
+		w.byCanon[canon] = [2]string{raw, verdict}
+	} else {
+		if prev[0] != raw {
+			w.res.folded++
+		}
+		if prev[1] != verdict {
+			w.note("purity", "%s: equal canonical encodings, different Inspect results:\n%s\n%s", at, prev[1], verdict)
+		}
+	}
+	w.res.checked["purity"]++
+}
+
+// lockstep is the budget0 check on one pair of corresponding states.
+func (w *walker) lockstep(s, ts *model.State, at string) {
+	if w.a, w.b = s.Encode(w.a[:0]), ts.Encode(w.b[:0]); !bytes.Equal(w.a, w.b) {
+		w.note("budget0", "%s: raw encodings differ (%d bytes, zero-budget twin %d)", at, len(w.a), len(w.b))
+	}
+	if w.a, w.b = w.m.CanonicalEncode(s, w.a[:0]), w.twin.CanonicalEncode(ts, w.b[:0]); !bytes.Equal(w.a, w.b) {
+		w.note("budget0", "%s: canonical encodings differ", at)
+	}
+	for _, canonical := range []bool{false, true} {
+		h1, h2 := w.m.IncrementalDigest(s, canonical)
+		t1, t2 := w.twin.IncrementalDigest(ts, canonical)
+		if h1 != t1 || h2 != t2 {
+			w.note("budget0", "%s: digests differ [canonical=%v]", at, canonical)
+		}
+	}
+	w.res.checked["budget0"]++
+}
+
+// assert fails t on the check's divergences, or when it checked too
+// little to mean anything.
+func (r *walkResult) assert(t *testing.T, check string) {
+	t.Helper()
+	if d := r.div[check]; d.count > 0 {
+		t.Fatalf("%s: %d divergences over %d successors; first: %s", check, d.count, r.successors, d.first)
+	}
+	if r.checked[check] == 0 {
+		t.Fatalf("%s: nothing checked", check)
+	}
+	switch check {
+	case "keyed":
+		if r.successors < 30 {
+			t.Errorf("the walk compared only %d successors", r.successors)
+		}
+		// Every parent is on the scratch's chain (the walk descends only
+		// into states it kept), so after the first copy from the root
+		// every re-sync is by touched blocks.
+		if r.fullSyncs > 1 {
+			t.Errorf("%d whole-state copies into the scratch over %d steps, want at most 1", r.fullSyncs, r.successors)
+		}
+	case "valuation":
+		// Not vacuous: where a block cache says what a transition wrote,
+		// most atoms are inherited, not re-evaluated.
+		if v := r.val; v.m.Opts.Incremental && v.evaluated*2 > v.inspected*len(v.table.Atoms) {
+			t.Errorf("%d atoms of %d re-evaluated over %d states: the valuation is not being inherited", v.evaluated, len(v.table.Atoms), v.inspected)
+		}
+	case "purity":
+		if r.repeats == 0 {
+			t.Error("no encoding repeated along the walk: the check is vacuous")
+		}
+		if r.orbitLargest >= 3 && r.folded == 0 {
+			t.Error("no two raw-distinct states shared a canonical encoding: the orbit half of the check is vacuous")
+		}
+	}
+}
+
+// walkRow is one model the walker explores: a workload in one encode
+// variant.
+type walkRow struct {
+	name string
+	c    cell
+}
+
+// applies reports whether the row's model has what the check compares.
+func (r walkRow) applies(check string) bool {
+	switch check {
+	case "digest":
+		return r.c.encode == incremental
+	case "budget0":
+		return r.twin()
+	}
+	return true
+}
+
+// twin reports whether the row walks in lockstep with a zero-budget
+// fault twin: every cached row without a fault layer of its own.
+func (r walkRow) twin() bool { return r.c.encode == incremental && !r.c.w.opts.Faults }
+
+func (r walkRow) result() (*walkResult, error) {
+	return memo(r, func() (*walkResult, error) {
+		m, err := r.c.model()
+		if err != nil {
+			return nil, err
+		}
+		var twin *model.Model
+		if r.twin() {
+			if twin, err = r.c.w.modelWith("budget0", func(o *model.Options) {
+				o.Incremental, o.Faults, o.MaxFaults = true, true, 0
+			}); err != nil {
+				return nil, err
+			}
+		}
+		h := fnv.New64a()
+		h.Write([]byte(r.name))
+		return walk(m, twin, int64(h.Sum64()>>1))
+	})
+}
+
+// fleet is the interchangeable-device deployment with a live fault
+// budget and its presence orbit resized: extra > 0 adds that many
+// presence sensors to the fleet and to every "people" binding; extra < 0
+// removes |extra| of the three stock members from both orbits.
+func fleet(name string, extra int) *workload {
+	return &workload{name: name,
+		opts: model.Options{MaxEvents: 1, Design: model.Concurrent, Faults: true, MaxFaults: 1},
+		system: func() (*config.System, map[string]*ir.App, error) {
+			sys, apps, err := experiments.SymmetrySystem(name)
+			if err != nil {
+				return nil, nil, err
+			}
+			drop := map[string]bool{}
+			for _, id := range []string{"presC", "contactC", "presB", "contactB"}[:max(0, -2*extra)] {
+				drop[id] = true
+			}
+			sys.Devices = slices.DeleteFunc(sys.Devices, func(d config.Device) bool { return drop[d.ID] })
+			for i := 0; i < extra; i++ {
+				sys.Devices = append(sys.Devices, config.Device{
+					ID: fmt.Sprintf("presX%d", i), Label: fmt.Sprintf("Presence X%d", i), Model: "Presence Sensor"})
+			}
+			for _, inst := range sys.Apps {
+				for in, b := range inst.Bindings {
+					b.DeviceIDs = slices.DeleteFunc(slices.Clone(b.DeviceIDs), func(id string) bool { return drop[id] })
+					for i := 0; in == "people" && i < extra; i++ {
+						b.DeviceIDs = append(b.DeviceIDs, fmt.Sprintf("presX%d", i))
+					}
+					inst.Bindings[in] = b
+				}
+			}
+			return sys, apps, nil
+		}}
+}
+
+var (
+	pairFleet  = fleet("fault-pair-orbit", -1) // two orbits of two
+	largeFleet = fleet("fault-large-orbit", 2) // a presence orbit of five
+)
+
+// sequentialGroups are two whole market groups under the sequential
+// design: atomic cascades and timers.
+var sequentialGroups = func() (ws []*workload) {
+	for _, g := range []int{2, 4} {
+		ws = append(ws, &workload{name: fmt.Sprintf("sequential%d", g), opts: model.Options{MaxEvents: 2},
+			system: func() (*config.System, map[string]*ir.App, error) { return corpusSystem(g, 0) }})
+	}
+	return ws
+}()
+
+// walkRows are every matrix workload with and without the block cache,
+// and — outside the race detector — the sequential groups without it and
+// the resized fault fleets with it.
+func walkRows() []walkRow {
+	var rows []walkRow
+	for _, w := range matrixWorkloads() {
+		rows = append(rows, walkRow{w.name, cell{w: w}}, walkRow{w.name + "-nocache", cell{w: w, encode: flat}})
+	}
+	if raceEnabled {
+		return rows
+	}
+	for _, w := range sequentialGroups {
+		rows = append(rows, walkRow{w.name, cell{w: w, encode: flat}})
+	}
+	return append(rows, walkRow{pairFleet.name, cell{w: pairFleet}}, walkRow{largeFleet.name, cell{w: largeFleet}})
+}
+
+func walkRowNamed(name string) walkRow {
+	for _, r := range walkRows() {
+		if r.name == name {
+			return r
+		}
+	}
+	panic("no walk row " + name)
+}
+
+// walkView asserts one check on every row it applies to, or only on the
+// named rows.
+func walkView(t *testing.T, check string, only ...string) {
+	t.Parallel()
+	for _, r := range walkRows() {
+		if !r.applies(check) || len(only) > 0 && !slices.Contains(only, r.name) {
+			continue
+		}
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			res, err := r.result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.assert(t, check)
+		})
+	}
+}
+
+func TestWalk(t *testing.T) {
+	t.Parallel()
+	for _, r := range walkRows() {
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			res, err := r.result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, check := range []string{"keyed", "digest", "valuation", "purity", "budget0"} {
+				if r.applies(check) {
+					res.assert(t, check)
+				}
+			}
+			t.Logf("%d successors, checked %v", res.successors, res.checked)
+		})
+	}
+}
+
+// The step-level gates the walker replaced keep their names as views
+// onto it: each asserts one check on every row it applies to.
+
+func TestKeyedSuccessorsWalk(t *testing.T)              { walkView(t, "keyed") }
+func TestIncrementalDigestWalkEquivalence(t *testing.T) { walkView(t, "digest") }
+func TestInspectValuationDifferential(t *testing.T)     { walkView(t, "valuation") }
+func TestInspectPureOverEncoding(t *testing.T)          { walkView(t, "purity") }
+func TestFaultBudgetZeroEquivalence(t *testing.T)       { walkView(t, "budget0") }
+
+// TestFaultDigestWalkEquivalence: the digest check over fault content —
+// offline devices' stale Reported vectors, report epochs, non-empty
+// in-flight buffers — so every fault mutation site must mark what it
+// touches.
+func TestFaultDigestWalkEquivalence(t *testing.T) {
+	walkView(t, "digest", "fault", "fault1", pairFleet.name, largeFleet.name)
+}
+
+// TestFaultCanonicalFoldLargeOrbit: with five interchangeable presence
+// sensors the canonical digest folds a large orbit over fault content.
+func TestFaultCanonicalFoldLargeOrbit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the fleets walk outside the race detector")
+	}
+	if st := cellModel(t, cell{w: largeFleet}).SymmetryStats(); st.Largest < 5 {
+		t.Fatalf("largest orbit %d: the extended presence fleet should form one of 5", st.Largest)
+	}
+	walkView(t, "digest", largeFleet.name)
+}
