@@ -40,7 +40,6 @@ func main() {
 	)
 	flag.IntVar(&opts.MaxEvents, "events", 3, "external events to inject")
 	flag.IntVar(&opts.MaxViolations, "max-violations", 0, "stop after this many distinct violations, cancelling sibling group searches (0 = collect all)")
-	flag.BoolVar(&opts.Interpreter, "interp", false, "run handlers under the tree-walking interpreter instead of compiled programs (oracle mode)")
 	opts.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if *configPath == "" {

@@ -80,17 +80,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// AllowedFunc reports whether fn carries a justified function-scope
-// suppression for this analyzer, so an analyzer can skip a whole body.
-func (p *Pass) AllowedFunc(fn *ast.FuncDecl) bool {
-	for _, d := range parseDirectives(fn.Doc) {
-		if d.kind == "allow" && d.allowName() == p.Analyzer.Name && d.allowJustified() {
-			return true
-		}
-	}
-	return false
-}
-
 // reportBareAllows emits a diagnostic for every //iotsan:allow naming
 // this analyzer that lacks the mandatory justification text. Bare
 // allows are inert: they never suppress, so these diagnostics cannot
@@ -227,9 +216,8 @@ func (d directive) allowJustified() bool {
 // allowIndex records, per file and line, which analyzers carry a
 // justified suppression. An allow comment on line L covers findings on
 // L (trailing comment) and L+1 (comment on its own line above the
-// statement). Function-doc allows are handled separately by
-// Pass.AllowedFunc plus a range index here so expression-level
-// diagnostics inside the function are also covered.
+// statement). A function-doc allow covers the whole function through
+// the range index, so diagnostics inside its body are covered too.
 type allowIndex struct {
 	// lines maps filename -> line -> set of analyzer names allowed.
 	lines map[string]map[int]map[string]bool

@@ -109,11 +109,9 @@ type Replayer interface {
 //     the scratch's last Step.
 //
 // A System that is also a Reducer is handed stubs: its Reduce must read
-// only the state and the stubs' count, Label, Key and Fault. The engine
-// falls back to Expand for a reducer that does not certify progress,
-// whose proviso digests the candidates' Next. Every System without the
-// hook is served through the same code path by an adapter whose Enabled
-// is Expand and whose Step returns the stub.
+// only the state and the stubs' count, Label, Key and Fault. Every
+// System without the hook is served through the same code path by an
+// adapter whose Enabled is Expand and whose Step returns the stub.
 type Stepper interface {
 	Enabled(s State, buf []Transition) []Transition
 	NewScratch() Scratch
@@ -134,10 +132,11 @@ type Scratch any
 // means no reduction applies and the engine expands every transition.
 //
 // Reduce must be a pure function of the state: all strategies must see
-// the same reduced graph or cross-strategy equivalence breaks. The
-// engine additionally applies a visited-state proviso before committing
-// to a subset (see Options.POR) unless the reducer certifies progress,
-// so Reduce itself does not need access to the visited store.
+// the same reduced graph or cross-strategy equivalence breaks, and the
+// steal strategy's relaxation passes and the checkpoint rebuild replay
+// a counted expansion by calling it again. The engine adopts a Reducer
+// only from a System that also certifies progress (ProgressCertifier);
+// it ignores any other and expands every state in full.
 type Reducer interface {
 	Reduce(s State, trs []Transition) []int
 }
@@ -148,14 +147,12 @@ type Reducer interface {
 // group (e.g. a permutation of interchangeable devices) must produce
 // identical canonical encodings, and two inequivalent states must not.
 // With Options.Symmetry set, the engine derives every visited-store
-// digest — including the partial-order-reduction proviso's probes, so a
-// symmetry-folded state counts as visited for the cycle proviso — from
-// the canonical encoding instead of State.Encode. Everything else (the
-// frontier, parent-link trails, expansion, replay) keeps operating on
-// raw states, so reported counter-example trails replay as concrete
-// executions of the unreduced model: the stored representative of each
-// orbit is the first raw state that reached it, and the parent edge
-// recorded for it replays from that raw state.
+// digest from the canonical encoding instead of State.Encode.
+// Everything else (the frontier, parent-link trails, expansion, replay)
+// keeps operating on raw states, so reported counter-example trails
+// replay as concrete executions of the unreduced model: the stored
+// representative of each orbit is the first raw state that reached it,
+// and the parent edge recorded for it replays from that raw state.
 //
 // CanonicalEncode must be safe for concurrent calls on distinct states
 // (same contract as Expand/Inspect).
@@ -237,17 +234,18 @@ type DeltaCodec interface {
 	DeltaApply(parent State, delta []byte, buf []byte) ([]byte, error)
 }
 
-// ProgressCertifier is optionally implemented by Reducers that can
-// prove no cycle of the reduced state graph traverses a reduced-subset
-// transition — e.g. because every subset transition strictly decreases
-// a well-founded measure of the state that nothing outside the subset
-// can increase. For such reducers the ignoring problem cannot arise
-// structurally, and the engine skips the visited-state proviso: this
-// matters because in heavily confluent (diamond-shaped) state spaces
-// the reduced successor is usually already visited through an
-// equivalent interleaving, and falling back there would forfeit exactly
-// the reductions partial order reduction exists for. Reducers that do
-// not certify progress get the conservative proviso instead.
+// ProgressCertifier is implemented by Reducers that prove no cycle of
+// the reduced state graph traverses a reduced-subset transition: every
+// subset transition strictly decreases a well-founded measure of the
+// state that no other transition increases. The ignoring problem (a
+// transition postponed around a cycle forever) then cannot arise, so
+// the engine needs no visited-state proviso — which matters because in
+// confluent (diamond-shaped) state spaces the reduced successor is
+// usually already visited through an equivalent interleaving, exactly
+// where a proviso would forfeit the reduction. Options.POR takes effect
+// only for a Reducer whose CertifiesProgress returns true. The model's
+// certificate is checked, not trusted: the root walker's progress check
+// measures it on every reduced expansion it meets.
 type ProgressCertifier interface {
 	CertifiesProgress() bool
 }
@@ -399,9 +397,7 @@ type Options struct {
 	// every CheckpointEvery explored states the engine appends the
 	// visited-set delta and a delta-encoded snapshot of the DFS stack
 	// to StoreDir's WAL, so a killed search can resume. Ignored (with
-	// the WAL left untouched) on StrategySteal and under an
-	// uncertified partial-order reducer, whose visited-state proviso
-	// makes re-expansion store-dependent and a rebuilt stack unsound.
+	// the WAL left untouched) on StrategySteal.
 	Checkpoint bool
 	// Resume restarts a checkpointed search from StoreDir's last
 	// durable checkpoint instead of from the initial state. A missing,
@@ -427,15 +423,13 @@ type Options struct {
 	// (0 = collect all).
 	MaxViolations int
 	// POR enables partial-order reduction when the system implements
-	// Reducer: at each expansion the engine asks the system for a
-	// persistent subset of the enabled transitions and explores only
-	// that subset. A visited-state proviso guards against the ignoring
-	// problem: a reduced subset is accepted only if at least one of its
-	// successors is a new (unvisited) state, otherwise the engine falls
-	// back to the full expansion — so no transition can be postponed
-	// around a cycle forever and no violation is masked. Both strategies
-	// explore the same reduced graph (Reduce is a pure function of the
-	// state), preserving the cross-strategy equivalence guarantees.
+	// Reducer and certifies progress (ProgressCertifier): at each
+	// expansion the engine asks the system for a persistent subset of
+	// the enabled transitions and explores only that subset. The
+	// certificate rules out the ignoring problem, so the subset is taken
+	// as is. Without it POR is a no-op. Both strategies explore the same
+	// reduced graph (Reduce is a pure function of the state), preserving
+	// the cross-strategy equivalence guarantees.
 	POR bool
 	// Symmetry enables symmetry reduction when the system implements
 	// CanonicalEncoder: the visited store (and the link table keyed
@@ -445,8 +439,7 @@ type Options struct {
 	// frontier and trails so counter-examples replay concretely. Both
 	// strategies share the one expansion/digest path, so the folded
 	// state graph is identical across DFS and steal, and the reduction
-	// composes with POR (canonical keys also serve the visited-state
-	// proviso).
+	// composes with POR.
 	Symmetry bool
 	// NoEpochReclaim disables state recycling on StrategySteal. The zero
 	// value keeps it ON: dead duplicate children are recycled where they
@@ -500,11 +493,9 @@ type Result struct {
 	// PORChoicePoints counts expansions where partial-order reduction
 	// replaced the full enabled set with a persistent subset;
 	// PORPrunedTransitions is the total number of transitions those
-	// expansions skipped; PORFallbacks counts expansions where a
-	// candidate subset was rejected by the visited-state proviso.
+	// expansions skipped.
 	PORChoicePoints      int
 	PORPrunedTransitions int
-	PORFallbacks         int
 
 	// FaultTransitionsExplored counts explored transitions flagged as
 	// environment faults (Transition.Fault) — zero on fault-free models.

@@ -25,18 +25,15 @@ type engine struct {
 	// resolves TrailStep replay handles through it.
 	replayer Replayer
 
-	// reducer is non-nil when Options.POR is set and the system supports
-	// partial-order reduction; expansions then route through reduce.
-	// certified marks reducers that prove their subsets cannot lie on a
-	// cycle of the reduced graph, which exempts them from the
-	// visited-state proviso.
-	reducer   Reducer
-	certified bool
+	// reducer is non-nil when Options.POR is set and the system is a
+	// Reducer that certifies progress; expansions then route through
+	// Reduce.
+	reducer Reducer
 
 	// canon is non-nil when Options.Symmetry is set and the system
 	// supports symmetry canonicalization; every visited-store digest is
 	// then derived from the canonical encoding (digest is the single
-	// funnel, so all strategies and the POR proviso fold identically).
+	// funnel, so all strategies fold identically).
 	canon CanonicalEncoder
 
 	// inc is non-nil when the system's states carry an incremental
@@ -84,7 +81,7 @@ type engine struct {
 	delta DeltaCodec
 
 	// wal is non-nil when write-ahead checkpointing is armed (DFS with
-	// Options.Checkpoint and a StoreDir, no uncertified reducer).
+	// Options.Checkpoint and a StoreDir).
 	wal *wal
 
 	explored  atomic.Int64
@@ -93,13 +90,12 @@ type engine struct {
 	violCount atomic.Int64
 	// clockPolls counts limitHit calls under a Deadline; late latches the
 	// first clock reading past it for every later call and worker.
-	clockPolls  atomic.Uint32
-	late        atomic.Bool
-	truncated   atomic.Bool
-	porChoices  atomic.Int64
-	porPruned   atomic.Int64
-	porFallback atomic.Int64
-	faultTrs    atomic.Int64
+	clockPolls atomic.Uint32
+	late       atomic.Bool
+	truncated  atomic.Bool
+	porChoices atomic.Int64
+	porPruned  atomic.Int64
+	faultTrs   atomic.Int64
 
 	mu       sync.Mutex // guards violations + distinct
 	distinct map[Violation]struct{}
@@ -109,13 +105,11 @@ type engine struct {
 
 func newEngine(sys System, opts Options) *engine {
 	rp, _ := sys.(Replayer)
+	// Only a reducer that certifies progress is adopted. Ignoring any
+	// other is sound: the search then takes every full expansion.
 	var rd Reducer
-	certified := false
-	if opts.POR {
+	if pc, ok := sys.(ProgressCertifier); opts.POR && ok && pc.CertifiesProgress() {
 		rd, _ = sys.(Reducer)
-		if pc, ok := sys.(ProgressCertifier); ok {
-			certified = pc.CertifiesProgress()
-		}
 	}
 	var ce CanonicalEncoder
 	if opts.Symmetry {
@@ -134,13 +128,12 @@ func newEngine(sys System, opts Options) *engine {
 	rec, _ := sys.(StateRecycler)
 	dc, _ := sys.(DeltaCodec)
 	e := &engine{
-		sys:       sys,
-		replayer:  rp,
-		reducer:   rd,
-		certified: certified,
-		canon:     ce,
-		inc:       inc,
-		rec:       rec,
+		sys:      sys,
+		replayer: rp,
+		reducer:  rd,
+		canon:    ce,
+		inc:      inc,
+		rec:      rec,
 
 		frontierRecycle: rec != nil && !opts.NoEpochReclaim,
 
@@ -152,9 +145,7 @@ func newEngine(sys System, opts Options) *engine {
 		needH2:   opts.Store == Bitstate || opts.Store == Tiered,
 		distinct: map[Violation]struct{}{},
 	}
-	// An uncertified reducer's proviso digests the candidate successors,
-	// so it needs them materialised: it stays on the eager adapter.
-	if stp, ok := sys.(Stepper); ok && (rd == nil || certified) {
+	if stp, ok := sys.(Stepper); ok {
 		e.stp, e.keyed = stp, true
 	} else {
 		eager := eagerStepper{sys: sys}
@@ -167,13 +158,10 @@ func newEngine(sys System, opts Options) *engine {
 		e.stp = eager
 	}
 	e.tiered, _ = e.st.(*tieredStore)
-	// Checkpointing is DFS-only (the stack-invariant rebuild is its
-	// resume mechanism) and requires deterministic re-expansion: an
-	// uncertified reducer's visited-state proviso makes Reduce
-	// store-dependent, so a rebuilt stack could diverge from the
-	// checkpointed one — the WAL stays unarmed there.
-	if opts.Checkpoint && opts.StoreDir != "" && opts.Strategy == StrategyDFS &&
-		(e.reducer == nil || e.certified) {
+	// Checkpointing is DFS-only: the stack-invariant rebuild is its
+	// resume mechanism, and it re-expands deterministically because
+	// Reduce is a pure function of the state.
+	if opts.Checkpoint && opts.StoreDir != "" && opts.Strategy == StrategyDFS {
 		w, err := newWAL(opts, e.delta != nil)
 		if err != nil {
 			panic(err)
@@ -205,12 +193,12 @@ func (e *engine) logVisit(d digest) {
 // digest encodes s into buf (reusing its capacity) and returns the
 // fingerprint plus the grown buffer. With symmetry reduction the
 // canonical encoding is hashed instead of the raw one — this is the
-// single funnel every strategy, the link table, and the POR
-// proviso key states through, so switching it folds the whole search
-// onto orbit representatives. With an incremental digester the
-// fingerprint folds the state's cached block hashes instead, skipping
-// the flat re-encode entirely (buf passes through untouched). h2 is
-// only computed when the store probes with it.
+// single funnel every strategy and the link table key states through,
+// so switching it folds the whole search onto orbit representatives.
+// With an incremental digester the fingerprint folds the state's cached
+// block hashes instead, skipping the flat re-encode entirely (buf
+// passes through untouched). h2 is only computed when the store probes
+// with it.
 //
 //iotsan:digest-funnel
 func (e *engine) digest(s State, buf []byte) (digest, []byte) {
@@ -234,13 +222,12 @@ func (e *engine) digest(s State, buf []byte) (digest, []byte) {
 	return d, buf
 }
 
-// eagerStepper serves a System without the Stepper hook — and any
-// system under an uncertified reducer — through the engine's one
-// successor path: the stubs are Expand's transitions, already executed
-// and cloned, and Step hands the stub back. The strategies then treat
-// an eager successor exactly like a keyed one, except that one they do
-// not keep is a clone to recycle (engine.dupRec) instead of a borrowed
-// scratch.
+// eagerStepper serves a System without the Stepper hook through the
+// engine's one successor path: the stubs are Expand's transitions,
+// already executed and cloned, and Step hands the stub back. The
+// strategies then treat an eager successor exactly like a keyed one,
+// except that one they do not keep is a clone to recycle
+// (engine.dupRec) instead of a borrowed scratch.
 type eagerStepper struct {
 	sys System
 	// trec, when recycling is on for the run, takes back each Expand
@@ -411,57 +398,25 @@ func (e *engine) limitHit() bool {
 // appended to stubs[:0]: the system's full list, reduced to a
 // persistent subset when partial-order reduction selects one at this
 // state. Both strategies expand through this path, so they explore the
-// same reduced graph.
+// same reduced graph. The reducer certifies progress, so no reduced
+// cycle can postpone a subset transition forever (the ignoring
+// problem) and no visited-state proviso is needed.
 //
-// The cycle/visited-state proviso is enforced here, so no violation
-// reachable through a pruned interleaving can be masked by the ignoring
-// problem (a transition postponed around a cycle forever). Reducers
-// that certify progress (ProgressCertifier) have proved no reduced
-// cycle can traverse a subset transition, which discharges the proviso
-// structurally. For any other reducer — always on the eager adapter, so
-// the stubs carry their successors — a proper subset is accepted only
-// if at least one of its successors is not already in the visited
-// store: otherwise every subset transition closes back into explored
-// territory and the engine falls back to the full expansion. (The
-// probe digests each selected successor a second time — the strategy
-// re-digests them for the store insert — but only uncertified reducers
-// pay it, and only on accepted reductions.)
-//
-// count is false on the work-stealing strategy's depth-relaxation
-// re-expansions: those must replay exactly the subset the counted
-// expansion explored — for a certified reducer, Reduce is a pure
-// function of the state, so re-running it yields the identical subset;
-// the reduction counters are suppressed so statistics count each choice
-// point once. Uncertified reducers never reach here with count=false
-// (the steal strategy disables relaxation for them): their proviso
-// consults the visited store, whose contents have changed since the
-// counted expansion, so a replay could diverge from the counted graph.
-func (e *engine) enabled(state State, stubs []Transition, buf []byte, count bool) ([]Transition, []byte) {
+// count is false on replays of a counted expansion — the steal
+// strategy's depth-relaxation re-expansions and the checkpoint
+// rebuild — which see the identical subset because Reduce is a pure
+// function of the state; the reduction and fault counters are
+// suppressed so statistics count each choice point once.
+func (e *engine) enabled(state State, stubs []Transition, count bool) []Transition {
 	trs := e.stp.Enabled(state, stubs[:0])
 	if e.reducer == nil || len(trs) < 2 {
 		e.noteFaults(trs, count)
-		return trs, buf
+		return trs
 	}
 	sel := e.reducer.Reduce(state, trs)
 	if len(sel) == 0 || len(sel) >= len(trs) {
 		e.noteFaults(trs, count)
-		return trs, buf
-	}
-	if !e.certified {
-		fresh := false
-		for _, i := range sel {
-			var d digest
-			d, buf = e.digest(trs[i].Next, buf)
-			if !e.st.peek(d) {
-				fresh = true
-				break
-			}
-		}
-		if !fresh {
-			e.porFallback.Add(1)
-			e.noteFaults(trs, count)
-			return trs, buf
-		}
+		return trs
 	}
 	if count {
 		e.porChoices.Add(1)
@@ -487,20 +442,20 @@ func (e *engine) enabled(state State, stubs []Transition, buf []byte, count bool
 	}
 	out := trs[:len(sel)]
 	e.noteFaults(out, count)
-	return out, buf
+	return out
 }
 
-// statCell batches one worker's explored/matched counts off the shared
-// atomics. Each worker goroutine keeps its own cell (stack-local — no
-// sharing, no padding needed) and folds it into the engine totals at
-// termination plus periodically, so the per-state counter cost on the
-// frontier hot path is two local increments instead of contended
-// read-modify-writes. With MaxStates set, explored folds on every bump
-// so limitHit sees the exact global count — truncation semantics are
-// unchanged from the per-state atomics.
+// statCell is one frontier worker's counters, kept off the shared
+// atomics. explored folds into the engine total at termination plus
+// periodically, so the per-state counter cost on the hot path is a
+// local increment instead of a contended read-modify-write; with
+// MaxStates set it folds on every bump so limitHit sees the exact
+// global count. generated counts the successors of the worker's counted
+// expansions; the strategy derives StatesMatched from the sum once the
+// deques drain.
 type statCell struct {
-	explored int64
-	matched  int64
+	explored  int64
+	generated int64
 }
 
 // statFlushEvery bounds how many explored states a worker accumulates
@@ -515,18 +470,12 @@ func (sc *statCell) bumpExplored(e *engine) {
 	}
 }
 
-// flush folds the residues into the engine totals. Workers flush on
-// exit (before the strategy's WaitGroup releases the main goroutine),
-// so Result totals are exact.
+// flush folds the explored residue into the engine total. Workers flush
+// on exit (before the strategy's WaitGroup releases the main
+// goroutine), so Result totals are exact.
 func (sc *statCell) flush(e *engine) {
-	if sc.explored != 0 {
-		e.explored.Add(sc.explored)
-		sc.explored = 0
-	}
-	if sc.matched != 0 {
-		e.matched.Add(sc.matched)
-		sc.matched = 0
-	}
+	e.explored.Add(sc.explored)
+	sc.explored = 0
 }
 
 // noteFaults adds the fault-flagged transitions in the final successor
@@ -608,7 +557,6 @@ func (e *engine) finish() *Result {
 
 		PORChoicePoints:      int(e.porChoices.Load()),
 		PORPrunedTransitions: int(e.porPruned.Load()),
-		PORFallbacks:         int(e.porFallback.Load()),
 
 		FaultTransitionsExplored: int(e.faultTrs.Load()),
 	}

@@ -138,18 +138,12 @@ func (t *linkTable) admit(h, parent uint64, depth int32, tr *Transition, relax b
 	return true, false
 }
 
-// seen, peek and size make the table the visited store of an in-memory
+// seen and size make the table the visited store of an in-memory
 // exhaustive frontier search: the strategy admits successors through
-// admit, seen serves the root and peek the POR proviso.
+// admit, and seen serves the root.
 func (t *linkTable) seen(d digest) bool {
 	fresh, _ := t.admit(d.h1, 0, 0, nil, false)
 	return !fresh
-}
-
-func (t *linkTable) peek(d digest) bool {
-	sh, s := t.find(d.h1)
-	sh.mu.Unlock()
-	return s != nil
 }
 
 func (t *linkTable) size() (n int) {

@@ -59,11 +59,8 @@ func hash2(data []byte) uint64 {
 }
 
 // store is the visited-state set abstraction. seen inserts the state
-// fingerprint, reporting whether it was already present; peek looks a
-// fingerprint up without inserting it (the partial-order reduction
-// proviso probes candidate successors before committing to a reduced
-// expansion); size returns the number of stored entries (approximate
-// for bitstate).
+// fingerprint, reporting whether it was already present; size returns
+// the number of stored entries (approximate for bitstate).
 //
 // Four implementations, each with the workload it is there for:
 // hashStore (single-goroutine exhaustive: table8_dfs, market_t5),
@@ -74,7 +71,6 @@ func hash2(data []byte) uint64 {
 // for concurrent use.
 type store interface {
 	seen(d digest) bool
-	peek(d digest) bool
 	size() int
 }
 
@@ -164,18 +160,6 @@ func (t *digestSet) add(k uint64) bool {
 	return found
 }
 
-// has reports whether k is a member.
-func (t *digestSet) has(k uint64) bool {
-	if k == 0 {
-		return t.zero
-	}
-	if len(t.slots) == 0 {
-		return false
-	}
-	_, found := t.find(k)
-	return found
-}
-
 // grow doubles the table (or allocates the first one) and re-inserts
 // every key; the old array is garbage as soon as it returns.
 func (t *digestSet) grow() {
@@ -203,7 +187,6 @@ func (t *digestSet) grow() {
 type hashStore struct{ set digestSet }
 
 func (s *hashStore) seen(d digest) bool { return s.set.add(d.h1) }
-func (s *hashStore) peek(d digest) bool { return s.set.has(d.h1) }
 func (s *hashStore) size() int          { return s.set.n }
 
 // bitstateDefaults normalises the bitstate sizing parameters.
@@ -282,16 +265,6 @@ func (s *atomicBitStore) setBit(w, mask uint64) bool {
 			return false
 		}
 	}
-}
-
-func (s *atomicBitStore) peek(d digest) bool {
-	for i := 0; i < s.k; i++ {
-		pos := d.probe(i, s.mask)
-		if s.bits[pos/64].Load()&(1<<(pos%64)) == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func (s *atomicBitStore) size() int { return int(s.count.Load()) }

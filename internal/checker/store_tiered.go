@@ -171,23 +171,6 @@ func (ts *tieredStore) seen(d digest) bool {
 	return false
 }
 
-func (ts *tieredStore) peek(d digest) bool {
-	sh := &ts.shards[d.h1>>58&(tieredShards-1)]
-	sh.mu.Lock()
-	if _, ok := sh.m[d.h1]; ok {
-		sh.mu.Unlock()
-		return true
-	}
-	if ts.filter.maybeContains(d.h1) {
-		if _, ok := ts.disk.lookup(d.h1); ok {
-			sh.mu.Unlock()
-			return true
-		}
-	}
-	sh.mu.Unlock()
-	return false
-}
-
 // size counts distinct stored fingerprints across the hot and disk
 // tiers. A digest mid-spill is briefly counted in both (its disk
 // record is written before its hot entry is deleted), so the count is

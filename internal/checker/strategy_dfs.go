@@ -53,9 +53,7 @@ func (s sequentialDFS) search(e *engine) {
 			e.truncated.Store(true)
 			return
 		}
-		var stubs []Transition
-		stubs, x.buf = e.enabled(init, nil, x.buf, true)
-		stack = []dfsFrame{{state: init, stubs: stubs}}
+		stack = []dfsFrame{{state: init, stubs: e.enabled(init, nil, true)}}
 	}
 
 	for len(stack) > 0 {
@@ -138,9 +136,7 @@ func (s sequentialDFS) search(e *engine) {
 			break
 		}
 		e.explored.Add(1)
-		var stubs []Transition
-		stubs, x.buf = e.enabled(next, free.get(), x.buf, true)
-		stack = append(stack, dfsFrame{state: next, stubs: stubs})
+		stack = append(stack, dfsFrame{state: next, stubs: e.enabled(next, free.get(), true)})
 	}
 }
 
@@ -172,10 +168,8 @@ func resumeDFS(e *engine, x *expander) ([]dfsFrame, []TrailStep) {
 	if !ck.Frames[0].Full || !bytes.Equal(enc, ck.Frames[0].Delta) {
 		return abandon()
 	}
-	var stubs []Transition
-	stubs, x.buf = e.enabled(init, nil, x.buf, false)
 	stack := make([]dfsFrame, 0, len(ck.Frames))
-	stack = append(stack, dfsFrame{state: init, stubs: stubs, next: ck.Frames[0].Next})
+	stack = append(stack, dfsFrame{state: init, stubs: e.enabled(init, nil, false), next: ck.Frames[0].Next})
 	var trail []TrailStep
 	for i := 1; i < len(ck.Frames); i++ {
 		parent := &stack[i-1]
@@ -202,8 +196,7 @@ func resumeDFS(e *engine, x *expander) ([]dfsFrame, []TrailStep) {
 			scratch = recon
 		}
 		trail = append(trail, TrailStep{Label: tr.Label, Steps: tr.Steps, From: parent.state, Key: tr.Key})
-		stubs, x.buf = e.enabled(child, nil, x.buf, false)
-		stack = append(stack, dfsFrame{state: child, stubs: stubs, next: fr.Next})
+		stack = append(stack, dfsFrame{state: child, stubs: e.enabled(child, nil, false), next: fr.Next})
 	}
 
 	// Phase 2: commit. Replaying the visit log rebuilds the visited
@@ -218,7 +211,6 @@ func resumeDFS(e *engine, x *expander) ([]dfsFrame, []TrailStep) {
 	e.maxDepth.Store(ck.MaxDepth)
 	e.porChoices.Store(ck.PORChoices)
 	e.porPruned.Store(ck.PORPruned)
-	e.porFallback.Store(ck.PORFallback)
 	e.faultTrs.Store(ck.FaultTrs)
 	for _, v := range ck.Violations {
 		f := Found{

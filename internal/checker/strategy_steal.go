@@ -36,13 +36,12 @@ import (
 // link table) every time a shorter path re-encounters the state; a
 // state whose depth improves is re-enqueued so the shorter distance
 // propagates to its descendants — a relaxation pass whose expansions
-// run with the matched counter suppressed, so exploration statistics
-// stay identical to a run that found the minimal depths first. The
-// final depth table is therefore the shortest-distance fixpoint,
-// independent of exploration order: MaxDepth clips expansion at the
-// same bound as the DFS (states at the bound are stored but not
-// expanded), and both Truncated and MaxDepthReached are
-// computed from the final table after the search drains, so
+// count nothing, so exploration statistics stay identical to a run that
+// found the minimal depths first. The final depth table is therefore
+// the shortest-distance fixpoint, independent of exploration order:
+// MaxDepth clips expansion at the same bound as the DFS (states at the
+// bound are stored but not expanded), and Truncated, MaxDepthReached
+// and StatesMatched are computed after the search drains, so
 // depth-clipped searches report deterministic results instead of
 // "whichever path stored it first".
 //
@@ -118,20 +117,14 @@ type stealRun struct {
 	// reclaim is the epoch-based reclamation layer, nil when the system
 	// does not recycle or Options.NoEpochReclaim is set.
 	reclaim *reclaimer
-	// relaxOff disables depth relaxation. Relaxation re-expands states,
-	// which must replay exactly the transitions the counted expansion
-	// explored. With an uncertified POR reducer the engine's
-	// visited-state proviso makes expansion store-dependent — a replay
-	// could diverge from the counted graph — so relaxation is off there
-	// (clipping then keeps the first-path semantics for that combination
-	// only). Certified reducers are pure functions of the state and
-	// replay identically. Symmetry reduction turns it off for the same
-	// reason in a different guise: a duplicate hit is then only
-	// *isomorphic* to the stored representative, not byte-identical, so
-	// re-expanding the duplicate raw state would record parent edges and
-	// trail steps whose replay keys do not stitch onto the
-	// representative's chain — counter-examples would stop being
-	// concrete executions.
+	// relaxOff disables depth relaxation, which is on unless symmetry
+	// reduction folds states: a duplicate hit is then only *isomorphic*
+	// to the stored representative, not byte-identical, so re-expanding
+	// the duplicate raw state would record parent edges and trail steps
+	// whose replay keys do not stitch onto the representative's chain —
+	// counter-examples would stop being concrete executions. (Clipping
+	// then keeps the first-path semantics.) Reduce is a pure function of
+	// the state, so under POR a relaxation replays the counted subset.
 	relaxOff bool
 	live     atomic.Int32 // workers currently running (crew-size check)
 	nextIdx  atomic.Int32 // monotonic worker-index allocator
@@ -175,7 +168,7 @@ func (s *workSteal) search(e *engine) {
 		cnts:     make([]wsCounters, max),
 		pools:    make([]wsEntryPool, max),
 		exps:     exps,
-		relaxOff: (e.reducer != nil && !e.certified) || e.canon != nil,
+		relaxOff: e.canon != nil,
 		max:      max,
 	}
 	for i := range r.deques {
@@ -216,6 +209,15 @@ func (s *workSteal) search(e *engine) {
 		e.truncated.Store(true)
 	}
 	e.maxDepth.Store(int64(maxd))
+	// Every stored state but the root was admitted fresh once; every other
+	// successor a counted expansion generated was a duplicate.
+	var generated int64
+	for _, x := range r.exps {
+		if x != nil {
+			generated += x.stat.generated
+		}
+	}
+	e.matched.Store(generated - (e.explored.Load() - 1))
 }
 
 // spawn starts worker w. ownsToken marks workers holding a
@@ -506,8 +508,8 @@ func (r *stealRun) retireState(w int, epoch uint64, st State, d digest) {
 // successors onto the worker's own deque. A re-encountered successor
 // whose depth improves is re-enqueued so the shorter distance
 // propagates; the link table's expanded claim arbitrates so exactly
-// one expansion of each state contributes to the counters, and the
-// propagation passes run count-suppressed. The consumed entry object
+// one expansion of each state counts its successors, and the
+// propagation passes count none. The consumed entry object
 // returns to the worker's free-list, and the consumed state is retired
 // under the worker's pinned epoch unless a limit truncated the
 // expansion (unconsumed successors then keep it conservative).
@@ -551,12 +553,12 @@ func (c *wsCtx) expand(ent *stealEntry) {
 // The stubs come from engine.enabled, so partial-order reduction
 // applies here exactly as it does to DFS.
 //
-// count suppresses the matched counter when false: a state whose depth
-// improved is expanded again (relaxation passes), and those passes must
-// not perturb the deterministic exploration statistics — including when
-// such a pass overlaps the state's counted expansion and admits one of
-// its successors first (see below). explored and matched accumulate in
-// the worker's counter cell and fold into the engine totals.
+// count is false on a relaxation pass — a state whose depth improved,
+// expanded again — whose successors are not counted as generated. A
+// successor is counted explored wherever it is admitted, even when a
+// relaxation pass admits it first, so the counted expansion meets it as
+// a duplicate; StatesMatched, derived from the generated and explored
+// totals after the drain, stays that of one expansion per state.
 // A duplicate whose depth improved must be expanded again: it is kept
 // and pushed like a new state. Any other eager duplicate is a clone this
 // expansion produced and shared with nobody, recycled on the spot. It
@@ -585,7 +587,7 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 		return true
 	}
 
-	x.stubs, x.buf = e.enabled(state, x.stubs, x.buf, count)
+	x.stubs = e.enabled(state, x.stubs, count)
 	for i := range x.stubs {
 		// The result overwrites its stub: the buffer is refilled per
 		// expansion, and a slot in it is addressable without escaping.
@@ -606,10 +608,10 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 		} else if fresh = !e.st.seen(d); fresh || relax {
 			_, improved = links.admit(d.h1, h1, int32(depth), tr, relax)
 		}
+		if count {
+			x.stat.generated++
+		}
 		if !fresh {
-			if count {
-				x.stat.matched++
-			}
 			if improved {
 				c.pushState(e.stp.Keep(x.scratch, tr.Next), d)
 			} else if e.dupRec != nil {
@@ -621,13 +623,6 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 				tr.Next = nil
 			}
 			continue
-		}
-		if !count {
-			// A relaxation re-expansion running alongside the state's
-			// counted expansion won this successor's admission; the
-			// counted one will meet it as a duplicate. Cancel that match
-			// so the statistics stay those of one expansion per state.
-			x.stat.matched--
 		}
 		next := e.stp.Keep(x.scratch, tr.Next)
 		for _, v := range e.sys.Inspect(next) {

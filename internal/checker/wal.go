@@ -58,12 +58,12 @@ const (
 
 // ckptData is the gob-encoded checkpoint payload.
 type ckptData struct {
-	Seq                                int64
-	Explored, Matched, MaxDepth        int64
-	PORChoices, PORPruned, PORFallback int64
-	FaultTrs                           int64
-	Violations                         []walFound
-	Frames                             []walFrame
+	Seq                         int64
+	Explored, Matched, MaxDepth int64
+	PORChoices, PORPruned       int64
+	FaultTrs                    int64
+	Violations                  []walFound
+	Frames                      []walFrame
 }
 
 type walFound struct {
@@ -223,14 +223,13 @@ func (w *wal) maybeCheckpoint(e *engine, stack []dfsFrame, buf []byte) []byte {
 	}
 
 	ck := ckptData{
-		Seq:         seq,
-		Explored:    explored,
-		Matched:     e.matched.Load(),
-		MaxDepth:    e.maxDepth.Load(),
-		PORChoices:  e.porChoices.Load(),
-		PORPruned:   e.porPruned.Load(),
-		PORFallback: e.porFallback.Load(),
-		FaultTrs:    e.faultTrs.Load(),
+		Seq:        seq,
+		Explored:   explored,
+		Matched:    e.matched.Load(),
+		MaxDepth:   e.maxDepth.Load(),
+		PORChoices: e.porChoices.Load(),
+		PORPruned:  e.porPruned.Load(),
+		FaultTrs:   e.faultTrs.Load(),
 	}
 	for _, f := range e.found {
 		wf := walFound{Property: f.Property, Detail: f.Detail, Depth: f.Depth}

@@ -94,16 +94,6 @@ func (s *System) Validate() error {
 	return nil
 }
 
-// DeviceByID returns the device with the given id, or nil.
-func (s *System) DeviceByID(id string) *Device {
-	for i := range s.Devices {
-		if s.Devices[i].ID == id {
-			return &s.Devices[i]
-		}
-	}
-	return nil
-}
-
 // DevicesByAssociation returns the ids of devices with the given
 // association role.
 func (s *System) DevicesByAssociation(assoc string) []string {
@@ -163,18 +153,4 @@ func Decode(data []byte) (*System, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// Encode renders the configuration as indented JSON.
-func (s *System) Encode() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
-// Save writes the configuration to a JSON file.
-func (s *System) Save(path string) error {
-	data, err := s.Encode()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

@@ -402,9 +402,14 @@ func (s ScaleStats) Ratio() float64 {
 }
 
 // Scale computes the scale statistics of a handler set.
-func Scale(handlers []smartapp.HandlerInfo) ScaleStats {
-	g := Build(handlers)
-	stats := ScaleStats{OriginalSize: len(handlers)}
+func Scale(handlers []smartapp.HandlerInfo) ScaleStats { return Build(handlers).Scale() }
+
+// Scale computes the scale statistics of the graph's handlers.
+func (g *Graph) Scale() ScaleStats {
+	var stats ScaleStats
+	for _, v := range g.Vertices {
+		stats.OriginalSize += len(v.Handlers)
+	}
 	for _, rs := range g.FinalSets() {
 		size := 0
 		for _, id := range rs.VertexIDs {
@@ -446,31 +451,4 @@ func Independent(a, b RW) bool {
 		return false
 	}
 	return true
-}
-
-// Independence returns the vertex-level independence matrix of the
-// graph: m[u][v] is true when every handler of vertex u is independent
-// of every handler of vertex v (by their analyzed input/output event
-// signatures, inputs as reads and outputs as writes). The matrix is
-// symmetric with a false diagonal — a vertex is never independent of
-// itself. This is the coarse, signature-level relation; the model's
-// reducer refines it with the compile-time effects extracted by the
-// eval package.
-func (g *Graph) Independence() [][]bool {
-	n := len(g.Vertices)
-	rws := make([]RW, n)
-	for i, v := range g.Vertices {
-		rws[i] = RW{Reads: v.Inputs, Writes: v.Outputs}
-	}
-	m := make([][]bool, n)
-	for i := range m {
-		m[i] = make([]bool, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			ind := Independent(rws[i], rws[j])
-			m[i][j], m[j][i] = ind, ind
-		}
-	}
-	return m
 }

@@ -175,34 +175,3 @@ func (m *Model) FindCommand(name string) (*Capability, *Command) {
 	}
 	return nil, nil
 }
-
-// FindAttribute resolves an attribute name against the model's capabilities.
-func (m *Model) FindAttribute(name string) *Attribute {
-	for _, cn := range m.Capabilities {
-		if a := capabilities[cn].Attribute(name); a != nil {
-			return a
-		}
-	}
-	return nil
-}
-
-// IsSensor reports whether any capability of the model generates
-// environment events.
-func (m *Model) IsSensor() bool {
-	for _, cn := range m.Capabilities {
-		if capabilities[cn].Sensor {
-			return true
-		}
-	}
-	return false
-}
-
-// IsActuator reports whether the model accepts any command.
-func (m *Model) IsActuator() bool {
-	for _, cn := range m.Capabilities {
-		if len(capabilities[cn].Commands) > 0 {
-			return true
-		}
-	}
-	return false
-}

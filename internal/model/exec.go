@@ -382,7 +382,7 @@ func (x *executor) matches(sub *resolvedSub, ev *cyberEvent) bool {
 // and immediately off by another app) are still caught.
 func (x *executor) drain() {
 	for x.qhead < len(x.queue) {
-		if x.dispatches >= x.m.Opts.maxCascade() {
+		if x.dispatches >= maxCascade {
 			if x.record {
 				x.stepf("cascade truncated after %d dispatches", x.dispatches)
 			}

@@ -125,9 +125,10 @@ func (a sysAdapter) RecycleTransitions(trs []checker.Transition) {
 // too: outages, recoveries, and drops enqueue nothing, and a delivery
 // can only enqueue trigger-closure classes, which the reducer's
 // fault-threat side condition keeps disjoint from every subset. No
-// cycle of the reduced graph can traverse a subset transition, which
-// discharges the engine's visited-state proviso structurally (see
-// por.go).
+// cycle of the reduced graph can traverse a subset transition, so the
+// checker needs no visited-state proviso (see por.go). The root
+// walker's progress check measures exactly this on every reduced
+// expansion it meets.
 func (a sysAdapter) CertifiesProgress() bool { return true }
 
 // Replay keys identify a transition of a given source state: the

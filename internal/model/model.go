@@ -60,9 +60,6 @@ type Options struct {
 	// Invariants are the safe-physical-state monitors evaluated on every
 	// reached state.
 	Invariants []Invariant
-	// MaxCascade bounds internal event dispatches per external event in
-	// the sequential design (livelock guard).
-	MaxCascade int
 	// UserDeviceEvents adds physical user interaction with actuators to
 	// the event space (flipping a switch by hand, using a key in a
 	// lock): every enum attribute can change externally, not only those
@@ -115,12 +112,9 @@ type Options struct {
 	MaxFaults int
 }
 
-func (o *Options) maxCascade() int {
-	if o.MaxCascade <= 0 {
-		return 64
-	}
-	return o.MaxCascade
-}
+// maxCascade bounds internal event dispatches per external event in the
+// sequential design (livelock guard).
+const maxCascade = 64
 
 // Invariant is a compiled safe-physical-state property, true in every
 // reachable state of a safe system. It comes in two forms. A catalog

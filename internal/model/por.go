@@ -38,10 +38,13 @@ import (
 // phase (EventsUsed ≥ MaxEvents, when external events and timers are
 // exhausted and the enabled set is exactly the pending queue); before
 // that phase the environment can enable arbitrary transitions and no
-// small persistent set exists under a static relation. The checker
-// additionally applies its visited-state proviso before committing to a
-// subset, so a reduced expansion always makes progress into unvisited
-// territory and no transition is postponed forever.
+// small persistent set exists under a static relation. No transition is
+// postponed forever: the three conditions make the count of pending
+// entries of P's classes a measure that every P-transition lowers and
+// no other transition raises, which is the progress certificate the
+// checker relies on instead of a visited-state proviso
+// (sysAdapter.CertifiesProgress; the root walker's progress check
+// measures it on every reduced expansion it meets).
 //
 // The dependence relation is seeded from the same overlaps/conflicts
 // predicates dependency analysis uses (depgraph.Independent) over the
@@ -56,6 +59,14 @@ import (
 type porClass struct {
 	appIdx  int
 	handler string
+}
+
+// DispatchedHandler names what a pending entry runs: its app instance's
+// index in Apps and the handler — the pair that makes one reduction
+// class.
+func (m *Model) DispatchedHandler(p Pending) (app int, handler string) {
+	sub := &m.subs[p.SubIdx]
+	return sub.AppIdx, sub.Handler
 }
 
 // porData is the static reduction table, precomputed at New for

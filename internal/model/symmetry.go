@@ -69,10 +69,8 @@ import (
 // model.
 //
 // Symmetry composes multiplicatively with partial-order reduction: POR
-// prunes interleavings before successors reach the store, symmetry
-// folds the survivors across device permutations, and a folded state
-// counts as visited for POR's cycle proviso because the proviso probes
-// the same canonical store.
+// prunes interleavings before successors reach the store, and symmetry
+// folds the survivors across device permutations.
 
 // symData is the symmetry-reduction table, built at New when
 // Options.Symmetry is set and at least one non-trivial orbit exists.

@@ -42,16 +42,6 @@ func (v *View) AttrEquals(d *DevInst, attr, value string) bool {
 	return raw < len(a.Values) && a.Values[raw] == value
 }
 
-// AttrNumber returns a numeric attribute value (see AttrEquals on
-// resolving once: NumRefs and Raw).
-func (v *View) AttrNumber(d *DevInst, attr string) (int64, bool) {
-	i := d.AttrIndex(attr)
-	if i < 0 || !d.Attrs[i].Numeric {
-		return 0, false
-	}
-	return int64(v.S.Devices[d.Idx].Attrs[i]), true
-}
-
 // AttrRef is one device attribute resolved to state indexes, with — for
 // an enum test — the index of the value tested for. Resolving an atom's
 // device lists and attribute and value names once per Plan leaves an

@@ -199,9 +199,9 @@ type Options struct {
 	// distinct-violation set is preserved exactly — a CI gate enforces it
 	// on the whole corpus across both strategies — while the explored
 	// state space shrinks with the number of interchangeable devices.
-	// Composes multiplicatively with POR (reduction happens on the same
-	// canonical store the POR proviso probes) and with both parallel
-	// levels. Trails still replay on the raw model: frontier states and
+	// Composes multiplicatively with POR (POR prunes interleavings,
+	// symmetry folds the survivors) and with both parallel levels.
+	// Trails still replay on the raw model: frontier states and
 	// parent-link replay keys stay concrete.
 	Symmetry bool
 	// GroupParallel is ignored: related sets verify concurrently by
@@ -378,9 +378,10 @@ func analyzeTranslated(sys *System, apps map[string]*ir.App, opts Options) (*Rep
 			handlers = append(handlers, hi)
 		}
 	}
-	rep.Scale = depgraph.Scale(handlers)
+	g := depgraph.Build(handlers)
+	rep.Scale = g.Scale()
 
-	groups := relatedAppGroups(sys, handlers, handlerApp, opts.NoDepGraph)
+	groups := relatedAppGroups(sys, g, handlerApp, opts.NoDepGraph)
 	pl, err := newPlan(sys, apps, instHandlers, opts)
 	if err != nil {
 		return nil, err
@@ -597,12 +598,13 @@ func commitGroup(rep *Report, gr *GroupResult, opts Options, seen map[string]boo
 	}
 }
 
-// relatedAppGroups converts handler-level related sets into groups of
-// installed app names. Graph vertices are correlated back to installed
-// apps by handler index (depgraph records each handler's position in
-// the slice passed to Build), so grouping can never silently drop a
-// handler the way identity-keyed matching could.
-func relatedAppGroups(sys *System, handlers []smartapp.HandlerInfo, handlerApp []string, noDepGraph bool) [][]string {
+// relatedAppGroups converts the related sets of g, the dependency graph
+// of every installed handler, into groups of installed app names. Graph
+// vertices are correlated back to installed apps by handler index
+// (depgraph records each handler's position in the slice passed to
+// Build, and handlerApp maps it to its app), so grouping can never
+// silently drop a handler the way identity-keyed matching could.
+func relatedAppGroups(sys *System, g *depgraph.Graph, handlerApp []string, noDepGraph bool) [][]string {
 	if noDepGraph {
 		var all []string
 		for _, inst := range sys.Apps {
@@ -610,7 +612,6 @@ func relatedAppGroups(sys *System, handlers []smartapp.HandlerInfo, handlerApp [
 		}
 		return [][]string{dedupe(all)}
 	}
-	g := depgraph.Build(handlers)
 	var groups [][]string
 	seenGroups := map[string]bool{}
 	for _, rs := range g.FinalSets() {

@@ -24,7 +24,8 @@
 // model.
 //
 // A plain go test runs an all-pairs covering array of the axes, with the
-// workload an axis too, plus the anchors; one flag runs the full product:
+// workload an axis too, the full product on the small workloads, and the
+// anchors; one flag runs the full product everywhere:
 //
 //	go test -run TestMatrix -count=1 . -args -matrix.full
 //
@@ -90,6 +91,7 @@ type workload struct {
 	maxDepth int
 	opts     model.Options // CheckConflicts, Symmetry and the catalog are added for every row
 	system   func() (*config.System, map[string]*ir.App, error)
+	small    bool // a plain go test runs the full product of the axes on it
 }
 
 // workloads is the matrix's table, shared with the walker and with every
@@ -120,6 +122,15 @@ var workloads = func() []*workload {
 		&workload{name: "failures", maxDepth: 100,
 			opts:   model.Options{MaxEvents: 2, Failures: true, CheckRobustness: true, CheckLeakage: true},
 			system: func() (*config.System, map[string]*ir.App, error) { return corpusSystem(2, 0) }},
+		// The POR side-condition rows (por_conditions_test.go).
+		&workload{name: "por-spawn", maxDepth: 100, small: true, opts: model.Options{MaxEvents: 1, Design: model.Concurrent},
+			system: func() (*config.System, map[string]*ir.App, error) {
+				return porConditionSystem("por-spawn", porSpawnApps)
+			}},
+		&workload{name: "por-impure", maxDepth: 100, small: true, opts: model.Options{MaxEvents: 1, Design: model.Concurrent},
+			system: func() (*config.System, map[string]*ir.App, error) {
+				return porConditionSystem("por-impure", porImpureApps)
+			}},
 	)
 }()
 
@@ -502,9 +513,9 @@ func (c cell) check(t *testing.T) {
 // counter, and each violation's depth and trail text in found order.
 func dfsOutcome(r *checker.Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "explored %d matched %d stored %d fault transitions %d depth %d POR choices %d pruned %d fallbacks %d\n",
+	fmt.Fprintf(&b, "explored %d matched %d stored %d fault transitions %d depth %d POR choices %d pruned %d\n",
 		r.StatesExplored, r.StatesMatched, r.StatesStored, r.FaultTransitionsExplored, r.MaxDepthReached,
-		r.PORChoicePoints, r.PORPrunedTransitions, r.PORFallbacks)
+		r.PORChoicePoints, r.PORPrunedTransitions)
 	for _, f := range r.Violations {
 		fmt.Fprintf(&b, "at depth %d %s", f.Depth, checker.FormatTrail(f))
 	}
@@ -634,28 +645,40 @@ func matrixWorkloads() []*workload {
 // matrixCells is the default cell list — the default engine on every
 // workload under every reduction and, unreduced, on four steal workers
 // (whose depth relaxation the deep fault graphs exercise); the covering
-// array over the workload and the six axes; and the anchor of every DFS
-// cell — or, with -matrix.full, the full product.
+// array over the workload and the six axes, or the full product of the
+// axes on a small workload; and the anchor of every DFS cell — or, with
+// -matrix.full, the full product everywhere. Small workloads stay out of
+// the covering array, so adding one leaves every other cell in place.
 func matrixCells() []cell {
-	ws := matrixWorkloads()
-	sizes := []int{len(ws)}
+	var ws, small []*workload
+	for _, w := range matrixWorkloads() {
+		if w.small || *matrixFull {
+			small = append(small, w)
+		} else {
+			ws = append(ws, w)
+		}
+	}
+	var sizes []int
 	for _, vs := range axes {
 		sizes = append(sizes, len(vs))
 	}
-	var rows [][]int
-	if *matrixFull {
-		rows = [][]int{{}}
+	var rows [][]int // a workload index into ws, then one value per axis
+	if len(ws) > 0 {
+		rows = allPairs(append([]int{len(ws)}, sizes...))
+	}
+	for _, w := range small {
+		product := [][]int{{len(ws)}}
 		for _, n := range sizes {
 			var next [][]int
-			for _, r := range rows {
+			for _, r := range product {
 				for v := 0; v < n; v++ {
 					next = append(next, append(slices.Clone(r), v))
 				}
 			}
-			rows = next
+			product = next
 		}
-	} else {
-		rows = allPairs(sizes)
+		rows = append(rows, product...)
+		ws = append(ws, w)
 	}
 	seen := map[cell]bool{}
 	var cells []cell

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"iotsan/internal/depgraph"
 	"iotsan/internal/smartapp"
 )
 
@@ -25,7 +26,7 @@ func TestRelatedAppGroupsKeepsNamesApart(t *testing.T) {
 	for _, name := range handlerApp {
 		sys.Apps = append(sys.Apps, AppInstance{App: name})
 	}
-	got := relatedAppGroups(sys, handlers, handlerApp, false)
+	got := relatedAppGroups(sys, depgraph.Build(handlers), handlerApp, false)
 	want := [][]string{{"Good Night", "Lights"}, {"Good", "Night Lights"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("related sets = %q, want %q", got, want)

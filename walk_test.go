@@ -10,6 +10,9 @@
 //	purity     equal Encode bytes, or equal CanonicalEncode bytes, give equal Inspect results
 //	budget0    a fault layer with a zero budget ≡ none, in lockstep: no fault transition,
 //	           byte-identical raw and canonical encodings and digests
+//	progress   POR's progress certificate, where Reduce prunes: the pending entries of the
+//	           selected classes strictly fall along every selected successor, with
+//	           EventsUsed frozen, and rise along no other
 //
 // The walk steps a state's next child only after returning from the
 // previous child's subtree, as the DFS strategy does, so the scratch
@@ -148,7 +151,7 @@ func (w *walker) note(check, format string, args ...any) { w.res.div[check].note
 // is not nil.
 func walk(m, twin *model.Model, seed int64) (*walkResult, error) {
 	res := &walkResult{checked: map[string]int{}, div: map[string]*divergence{}, orbitLargest: m.SymmetryStats().Largest}
-	for _, check := range []string{"keyed", "digest", "valuation", "purity", "budget0"} {
+	for _, check := range checks {
 		res.div[check] = &divergence{}
 	}
 	val, err := newValuation(m)
@@ -207,6 +210,9 @@ func (w *walker) visit(s, ts *model.State, depth int) {
 		at := fmt.Sprintf("depth %d successor %d (%s)", depth, i, e.Label)
 		next := w.step(s, &stubs[i], e, at)
 		w.state(next, at)
+		if w.m.Opts.Design == model.Concurrent {
+			w.progress(next, at)
+		}
 		if w.res.val != nil {
 			w.res.val.inspect(e.Next.(*model.State)) // the eager path's inherited word
 		}
@@ -249,6 +255,53 @@ func (w *walker) step(s *model.State, stub *checker.Transition, e checker.Transi
 	}
 	w.res.checked["keyed"]++
 	return kept
+}
+
+// progress is the progress check on the expansion of s, which the
+// walker runs on every successor it meets (the root, before the drain
+// phase, is never reduced): where Reduce prunes, its certificate
+// (checker.ProgressCertifier) is that the pending entries whose class —
+// app instance and handler — is one the selected subset dispatches form
+// a measure every selected successor lowers, with EventsUsed frozen,
+// and no other successor, dispatch or fault, raises.
+func (w *walker) progress(s *model.State, at string) {
+	stubs := w.m.Enabled(s, nil)
+	sel := w.m.Reduce(s, stubs)
+	if len(sel) == 0 || len(sel) >= len(stubs) {
+		return
+	}
+	trs := w.m.Expand(s)
+	type class struct {
+		app     int
+		handler string
+	}
+	selected := map[class]bool{}
+	for _, i := range sel {
+		app, handler := w.m.DispatchedHandler(s.Queue[i])
+		selected[class{app, handler}] = true
+	}
+	measure := func(x *model.State) (n int) {
+		for _, p := range x.Queue {
+			if app, handler := w.m.DispatchedHandler(p); selected[class{app, handler}] {
+				n++
+			}
+		}
+		return n
+	}
+	before := measure(s)
+	for i, tr := range trs {
+		next := tr.Next.(*model.State)
+		after := measure(next)
+		if slices.Contains(sel, i) {
+			if next.EventsUsed != s.EventsUsed || after >= before {
+				w.note("progress", "%s, then %q (selected): measure %d → %d, events used %d → %d",
+					at, tr.Label, before, after, s.EventsUsed, next.EventsUsed)
+			}
+		} else if after > before {
+			w.note("progress", "%s, then %q (not selected): measure %d → %d", at, tr.Label, before, after)
+		}
+	}
+	w.res.checked["progress"]++
 }
 
 // state runs the digest, valuation and purity checks on s, in the
@@ -354,6 +407,9 @@ type walkRow struct {
 	c    cell
 }
 
+// checks are the walker's checks, in the order TestWalk asserts them.
+var checks = []string{"keyed", "digest", "valuation", "purity", "budget0", "progress"}
+
 // applies reports whether the row's model has what the check compares.
 func (r walkRow) applies(check string) bool {
 	switch check {
@@ -361,6 +417,8 @@ func (r walkRow) applies(check string) bool {
 		return r.c.encode == incremental
 	case "budget0":
 		return r.twin()
+	case "progress":
+		return r.c.w.opts.Design == model.Concurrent
 	}
 	return true
 }
@@ -492,7 +550,7 @@ func TestWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, check := range []string{"keyed", "digest", "valuation", "purity", "budget0"} {
+			for _, check := range checks {
 				if r.applies(check) {
 					res.assert(t, check)
 				}
@@ -510,6 +568,7 @@ func TestIncrementalDigestWalkEquivalence(t *testing.T) { walkView(t, "digest") 
 func TestInspectValuationDifferential(t *testing.T)     { walkView(t, "valuation") }
 func TestInspectPureOverEncoding(t *testing.T)          { walkView(t, "purity") }
 func TestFaultBudgetZeroEquivalence(t *testing.T)       { walkView(t, "budget0") }
+func TestPORProgressCertificate(t *testing.T)           { walkView(t, "progress") }
 
 // TestFaultDigestWalkEquivalence: the digest check over fault content —
 // offline devices' stale Reported vectors, report epochs, non-empty
