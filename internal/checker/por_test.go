@@ -10,7 +10,9 @@ import "testing"
 // "b" never raises it — so certifies tells the truth. The full graph
 // has 9 states and 12 transitions; the reduced one is the chain
 // (0,0) → (1,0) → (2,0) → (2,1) → (2,2), with two choice points.
-type porToySys struct{ certifies bool }
+// fullAtOrigin leaves (0,0) unreduced, so the reduced graph gains the
+// branch (0,1) → (1,1) → (2,1), which rejoins the chain.
+type porToySys struct{ certifies, fullAtOrigin bool }
 
 func (p *porToySys) Initial() State { return intState(0) }
 
@@ -34,7 +36,7 @@ func (p *porToySys) Inspect(s State) []Violation {
 }
 
 func (p *porToySys) Reduce(s State, trs []Transition) []int {
-	if len(trs) < 2 {
+	if len(trs) < 2 || (p.fullAtOrigin && s.(intState) == 0) {
 		return nil
 	}
 	return []int{0}
@@ -78,6 +80,31 @@ func TestPORAppliesToAllStrategies(t *testing.T) {
 		}
 		if res.PORChoicePoints != 2 || res.PORPrunedTransitions != 2 {
 			t.Errorf("%s: %d choices, %d pruned, want 2 and 2", name, res.PORChoicePoints, res.PORPrunedTransitions)
+		}
+	}
+}
+
+// TestPORCertifiedSkipsProviso: there is no visited-state proviso — a
+// certified reducer's subset is taken as it is even when its selected
+// successor is already visited. With (0,0) unreduced, DFS reaches (2,1)
+// along the chain first, so the choice point (1,1) selects only a
+// visited state; a proviso would fall back there and add (1,2). Taken
+// as they are, the subsets give 7 states and one match on every
+// strategy, with (1,0), (0,1) and (1,1) reduced.
+func TestPORCertifiedSkipsProviso(t *testing.T) {
+	for name, base := range strategies() {
+		opts := base
+		opts.MaxDepth = 16
+		opts.POR = true
+		res := Run(&porToySys{certifies: true, fullAtOrigin: true}, opts)
+		if !res.HasViolation("reach-22") {
+			t.Errorf("%s: violation masked under POR", name)
+		}
+		if res.StatesExplored != 7 || res.StatesMatched != 1 {
+			t.Errorf("%s: explored %d states, matched %d, want 7 and 1", name, res.StatesExplored, res.StatesMatched)
+		}
+		if res.PORChoicePoints != 3 || res.PORPrunedTransitions != 3 {
+			t.Errorf("%s: %d choices, %d pruned, want 3 and 3", name, res.PORChoicePoints, res.PORPrunedTransitions)
 		}
 	}
 }
