@@ -12,7 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 
 	"iotsan/internal/corpus"
 	"iotsan/internal/smartapp"
@@ -80,8 +82,9 @@ func main() {
 	}
 
 	fmt.Println("\ninferred method signatures:")
-	for name, sig := range typeinfer.Infer(app) {
-		fmt.Printf("  %s%v -> %s\n", name, sig.Params, sig.Return)
+	sigs := typeinfer.Infer(app)
+	for _, name := range slices.Sorted(maps.Keys(sigs)) {
+		fmt.Printf("  %s%v -> %s\n", name, sigs[name].Params, sigs[name].Return)
 	}
 }
 

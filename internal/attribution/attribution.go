@@ -16,6 +16,8 @@ package attribution
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"iotsan/internal/checker"
 	"iotsan/internal/config"
@@ -212,7 +214,7 @@ func AttributeNewApp(sys *config.System, newApp *ir.App, apps map[string]*ir.App
 	}
 	if rep.Phase1Ratio() >= opts.Threshold {
 		rep.Verdict = Malicious
-		rep.ViolatedProperties = keys(violProps)
+		rep.ViolatedProperties = slices.Sorted(maps.Keys(violProps))
 		return rep, nil
 	}
 
@@ -235,7 +237,7 @@ func AttributeNewApp(sys *config.System, newApp *ir.App, apps map[string]*ir.App
 			rep.SafeBindings = append(rep.SafeBindings, b)
 		}
 	}
-	rep.ViolatedProperties = keys(violProps)
+	rep.ViolatedProperties = slices.Sorted(maps.Keys(violProps))
 	switch {
 	case rep.Phase2Ratio() >= opts.Threshold:
 		rep.Verdict = Bad
@@ -298,23 +300,6 @@ func relevantAttrs(newApp *ir.App, sys *config.System, apps map[string]*ir.App) 
 		add(apps[inst.App])
 	}
 	return out
-}
-
-func keys(m map[string]bool) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	sortStrings(out)
-	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // EnumerateConfigs generates the possible configurations of an app

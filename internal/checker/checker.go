@@ -368,15 +368,10 @@ type Options struct {
 	// Strategy selects the search strategy (StrategyDFS default).
 	Strategy StrategyKind
 	// Workers is the number of expansion goroutines for StrategySteal
-	// (0 = GOMAXPROCS). Ignored by StrategyDFS.
+	// (0 = GOMAXPROCS), a fixed crew for the whole search. Ignored by
+	// StrategyDFS. The iotsan group scheduler sets it to each related
+	// set's share of the engine's width.
 	Workers int
-	// Budget, when non-nil, bounds the run's worker goroutines by a
-	// token pool shared with other concurrent verification runs. The
-	// caller must hold one token for the run's first worker (the
-	// admission token) before calling Run and release it afterwards;
-	// StrategySteal claims additional tokens up to Workers with
-	// TryAcquire and releases every claimed token before Run returns.
-	Budget *WorkerBudget
 	// Stop, when non-nil, is a cooperative global cancellation flag:
 	// once set, all strategies stop at their next limit check and mark
 	// the result truncated. The iotsan group scheduler uses it to cancel
@@ -504,6 +499,11 @@ type Result struct {
 	// Store carries the tiered store's per-tier counters (zero-valued
 	// for the in-memory stores).
 	Store StoreStats
+
+	// Err is set, and nothing else, when the search could not start:
+	// the tiered store or the checkpoint WAL could not be opened under
+	// Options.StoreDir.
+	Err error
 }
 
 // StoreStats is the per-tier observability of a Tiered-store run.
@@ -553,7 +553,10 @@ func Run(sys System, opts Options) *Result {
 	if opts.MaxDepth <= 0 {
 		opts.MaxDepth = 64
 	}
-	e := newEngine(sys, opts)
+	e, err := newEngine(sys, opts)
+	if err != nil {
+		return &Result{Err: err}
+	}
 	var s strategy = &sequentialDFS{}
 	if opts.Strategy == StrategySteal {
 		s = &workSteal{workers: opts.Workers}

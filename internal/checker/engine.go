@@ -103,7 +103,13 @@ type engine struct {
 	found    []Found
 }
 
-func newEngine(sys System, opts Options) *engine {
+// newEngine sets up one run. It fails only when the tiered store or the
+// WAL cannot be opened under Options.StoreDir.
+func newEngine(sys System, opts Options) (*engine, error) {
+	st, err := newStore(opts, opts.Strategy != StrategyDFS)
+	if err != nil {
+		return nil, err
+	}
 	rp, _ := sys.(Replayer)
 	// Only a reducer that certifies progress is adopted. Ignoring any
 	// other is sound: the search then takes every full expansion.
@@ -140,7 +146,7 @@ func newEngine(sys System, opts Options) *engine {
 		delta: dc,
 
 		opts:     opts,
-		st:       newStore(opts, opts.Strategy != StrategyDFS),
+		st:       st,
 		start:    time.Now(),
 		needH2:   opts.Store == Bitstate || opts.Store == Tiered,
 		distinct: map[Violation]struct{}{},
@@ -164,11 +170,14 @@ func newEngine(sys System, opts Options) *engine {
 	if opts.Checkpoint && opts.StoreDir != "" && opts.Strategy == StrategyDFS {
 		w, err := newWAL(opts, e.delta != nil)
 		if err != nil {
-			panic(err)
+			if e.tiered != nil {
+				e.tiered.close()
+			}
+			return nil, err
 		}
 		e.wal = w
 	}
-	return e
+	return e, nil
 }
 
 // spillFn returns the reclamation layer's spill hook: retired states'

@@ -28,9 +28,8 @@ import "sync/atomic"
 //     is not recycled directly; it is retired into the consuming
 //     worker's limbo list stamped with the worker's pinned epoch e, and
 //     only handed to StateRecycler.Recycle once the global epoch has
-//     advanced twice past e. Advancing requires every online worker —
-//     including crew grown and retired dynamically under WorkerBudget —
-//     to re-pin, so by reclamation time every steal attempt that was in
+//     advanced twice past e. Advancing requires every online worker to
+//     re-pin, so by reclamation time every steal attempt that was in
 //     flight when the state was retired has completed or restarted.
 //
 // The two layers compose: (1) bounds which stale pointers can ever be
@@ -68,11 +67,7 @@ type limboBucket struct {
 }
 
 // reclaimSlot is one worker's view of the reclamation protocol. The
-// slot index is the worker's deque index: ownership transfers with the
-// deque on retire/respawn (the freeMu publish in strategy_steal.go
-// happens strictly after goOffline, so a replacement under the same
-// index never shares the slot with its predecessor and inherits any
-// limbo states the predecessor could not yet reclaim).
+// slot index is the worker's deque index.
 //
 //iotsan:padded
 type reclaimSlot struct {
@@ -111,11 +106,9 @@ func (rc *reclaimer) online(w int) {
 	rc.slots[w].local.Store(rc.global.Load() + 1)
 }
 
-// offline marks slot w as not participating, so a retired worker cannot
-// block epoch advancement forever. The caller must hold no frontier
-// references and — on the retire path — must call this strictly before
-// publishing its deque index for reuse, or the replacement's pin could
-// be wiped. Owner-only.
+// offline marks slot w as not participating, so an exited worker cannot
+// block epoch advancement for the workers still running. The caller must
+// hold no frontier references. Owner-only.
 func (rc *reclaimer) offline(w int) {
 	rc.slots[w].local.Store(0)
 }

@@ -168,135 +168,3 @@ func TestEpochReclaimPoison(t *testing.T) {
 		t.Errorf("NoEpochReclaim: explored=%d, dfs %d", res.StatesExplored, seq.StatesExplored)
 	}
 }
-
-// poisonPulse is pulseSys (retire_test.go) with heap states and the
-// poisoning recycler: narrow chain phases retire grown workers —
-// taking their reclamation slots offline and handing unswept limbo to
-// any replacement — and wide fan phases respawn them onto the same
-// slot. Epoch advancement must keep working across the churn (an
-// offline slot must not stall the global epoch) and handed-over limbo
-// must still drain.
-type poisonPulse struct {
-	cycles, chain, fan int
-
-	mu   sync.Mutex
-	free []*pulsePState
-
-	recycled atomic.Int64
-	poisoned atomic.Int64
-}
-
-type pulsePState struct {
-	c, phase, i int
-	dead        bool
-}
-
-func (s *pulsePState) Encode(buf []byte) []byte {
-	return append(buf, byte(s.c), byte(s.phase), byte(s.i), byte(s.i>>8))
-}
-
-func (p *poisonPulse) get(c, phase, i int) *pulsePState {
-	p.mu.Lock()
-	var s *pulsePState
-	if n := len(p.free); n > 0 {
-		s, p.free = p.free[n-1], p.free[:n-1]
-	}
-	p.mu.Unlock()
-	if s == nil {
-		return &pulsePState{c: c, phase: phase, i: i}
-	}
-	s.c, s.phase, s.i, s.dead = c, phase, i, false
-	return s
-}
-
-func (p *poisonPulse) Initial() State { return p.get(0, 0, 0) }
-
-func (p *poisonPulse) Expand(st State) []Transition {
-	s := st.(*pulsePState)
-	if s.dead {
-		p.poisoned.Add(1)
-		return nil
-	}
-	if s.c >= p.cycles {
-		return nil
-	}
-	if s.phase == 0 {
-		if s.i < p.chain {
-			return []Transition{{Label: "step", Next: p.get(s.c, 0, s.i+1)}}
-		}
-		out := make([]Transition, p.fan)
-		for j := 0; j < p.fan; j++ {
-			out[j] = Transition{Label: "fan", Next: p.get(s.c, 1, j)}
-		}
-		return out
-	}
-	return []Transition{{Label: "join", Next: p.get(s.c+1, 0, 0)}}
-}
-
-func (p *poisonPulse) Inspect(st State) []Violation {
-	s := st.(*pulsePState)
-	if s.dead {
-		p.poisoned.Add(1)
-		return nil
-	}
-	if s.c == p.cycles {
-		return []Violation{{Property: "end-reached", Detail: "final cycle"}}
-	}
-	return nil
-}
-
-func (p *poisonPulse) Recycle(st State) {
-	s := st.(*pulsePState)
-	if s.dead {
-		p.poisoned.Add(1)
-		return
-	}
-	s.dead = true
-	s.c, s.phase, s.i = -1, -1, -1
-	p.recycled.Add(1)
-	p.mu.Lock()
-	p.free = append(p.free, s)
-	p.mu.Unlock()
-}
-
-// TestEpochReclaimRetireRespawnChurn hammers epoch advancement against
-// worker retire/respawn under a two-token budget (every grown worker
-// funnels through the same token and usually the same reclamation
-// slot). With -race this additionally validates the
-// offline-before-republish ordering in strategy_steal.go: a retiring
-// worker must zero its reclamation slot before the freed deque index
-// becomes claimable, or the replacement's pin would be wiped.
-func TestEpochReclaimRetireRespawnChurn(t *testing.T) {
-	mk := func() *poisonPulse { return &poisonPulse{cycles: 6, chain: 100, fan: 32} }
-	ref := mk()
-	seq := Run(ref, Options{MaxDepth: 10000})
-	if seq.Truncated {
-		t.Fatal("reference run truncated")
-	}
-
-	for run := 0; run < 5; run++ {
-		sys := mk()
-		b := NewWorkerBudget(2)
-		b.Acquire()
-		res := Run(sys, Options{MaxDepth: 10000, Strategy: StrategySteal, Workers: 4, Budget: b})
-		b.Release()
-		if !b.TryAcquire() || !b.TryAcquire() {
-			t.Fatalf("run %d: search leaked budget tokens", run)
-		}
-		if n := sys.poisoned.Load(); n != 0 {
-			t.Fatalf("run %d: %d dead-state uses across retire/respawn churn", run, n)
-		}
-		if sys.recycled.Load() == 0 {
-			t.Errorf("run %d: recycler never invoked", run)
-		}
-		if res.StatesExplored != seq.StatesExplored || res.StatesMatched != seq.StatesMatched ||
-			res.StatesStored != seq.StatesStored {
-			t.Errorf("run %d: explored=%d matched=%d stored=%d, dfs %d/%d/%d",
-				run, res.StatesExplored, res.StatesMatched, res.StatesStored,
-				seq.StatesExplored, seq.StatesMatched, seq.StatesStored)
-		}
-		if len(res.Violations) != len(seq.Violations) {
-			t.Errorf("run %d: %d violations, want %d", run, len(res.Violations), len(seq.Violations))
-		}
-	}
-}

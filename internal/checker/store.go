@@ -77,25 +77,23 @@ type store interface {
 // newStore builds the visited store for a run. concurrent picks the
 // link table over the single-goroutine exhaustive store; the bitstate
 // and tiered stores are concurrency-safe by construction and serve both
-// strategies. A tiered store that cannot open its files (missing
-// StoreDir, I/O failure) is an environment error the caller cannot
-// recover mid-run, so it panics with the cause — the iotsan layer
-// validates and creates the directory before running.
-func newStore(opts Options, concurrent bool) store {
+// strategies. Only the tiered store can fail: it returns the error of
+// opening its files (missing StoreDir, I/O failure).
+func newStore(opts Options, concurrent bool) (store, error) {
 	switch opts.Store {
 	case Bitstate:
-		return newAtomicBitStore(opts.BitstateBits, opts.BitstateK)
+		return newAtomicBitStore(opts.BitstateBits, opts.BitstateK), nil
 	case Tiered:
 		ts, err := newTieredStore(opts.StoreDir, opts.MemBudget)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		return ts
+		return ts, nil
 	}
 	if concurrent {
-		return &linkTable{}
+		return &linkTable{}, nil
 	}
-	return &hashStore{}
+	return &hashStore{}, nil
 }
 
 // digestSet is the flat visited table behind hashStore (the link

@@ -2,6 +2,8 @@ package checker
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -170,6 +172,28 @@ func TestDiskTableZeroDigest(t *testing.T) {
 	}
 	if _, ok := dt.lookup(0); !ok {
 		t.Fatal("zero digest lost")
+	}
+}
+
+// TestStoreDirNotADirectory: when StoreDir is a regular file, neither
+// the tiered store nor the checkpoint WAL can open, and Run reports the
+// failure in Result.Err instead of panicking.
+func TestStoreDirNotADirectory(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]Options{
+		"tiered":     {Store: Tiered, StoreDir: file},
+		"checkpoint": {Checkpoint: true, StoreDir: file},
+	} {
+		res := Run(&chainSys{bound: 3, bad: 99}, opts)
+		if res.Err == nil {
+			t.Errorf("%s: Run reported no error", name)
+		}
+		if res.StatesExplored != 0 {
+			t.Errorf("%s: explored %d states without a store", name, res.StatesExplored)
+		}
 	}
 }
 

@@ -45,15 +45,8 @@ import (
 // depth-clipped searches report deterministic results instead of
 // "whichever path stored it first".
 //
-// Under a shared WorkerBudget (Options.Budget), the search starts with
-// the single admission token its caller holds and grows workers
-// dynamically: after an expansion leaves surplus work queued, the
-// worker tries to claim a spare token and spawns a sibling. A grown
-// worker that stays idle for retireAfter scavenge passes retires and
-// returns its token immediately — it does not spin-hold capacity a
-// sibling group could admit on — and every claimed token is released
-// by the time the search ends, so budget freed by one finished group
-// flows to groups that still have work.
+// The crew is fixed: Options.Workers goroutines, one per deque, run
+// from the first expansion until the search drains or a limit stops it.
 //
 // With a recycling system (StateRecycler), the steal hot path is
 // allocation-free in steady state: deque entries come from per-worker
@@ -82,9 +75,7 @@ type stealEntry struct {
 // wsCounters is one worker slot's termination-detection pair. Written
 // (plain atomic stores — the owner is the only writer) by the slot's
 // worker, scanned by any worker checking quiescence; padded so
-// neighbouring slots never false-share. Ownership follows the deque
-// index through retire/respawn handoff, and the counters survive it:
-// they are monotone for the slot, not the goroutine.
+// neighbouring slots never false-share.
 //
 //iotsan:padded
 type wsCounters struct {
@@ -111,8 +102,8 @@ type stealRun struct {
 	deques []*wsDeque
 	cnts   []wsCounters
 	pools  []wsEntryPool
-	// exps holds one expander per worker slot, created by the slot's
-	// first worker and inherited through retire/respawn like the deque.
+	// exps holds one expander per worker, each created by its worker
+	// except worker 0's, which also stepped the initial state.
 	exps []*expander
 	// reclaim is the epoch-based reclamation layer, nil when the system
 	// does not recycle or Options.NoEpochReclaim is set.
@@ -126,17 +117,6 @@ type stealRun struct {
 	// then keeps the first-path semantics.) Reduce is a pure function of
 	// the state, so under POR a relaxation replays the counted subset.
 	relaxOff bool
-	live     atomic.Int32 // workers currently running (crew-size check)
-	nextIdx  atomic.Int32 // monotonic worker-index allocator
-	max      int
-	wg       sync.WaitGroup
-
-	// freeMu guards freeIdx, the deque indices of retired workers. A
-	// retiring worker publishes its index here strictly after its last
-	// deque operation and its reclaim offline, so a replacement spawned
-	// under the same index never shares ownership with it.
-	freeMu  sync.Mutex
-	freeIdx []int
 }
 
 func (s *workSteal) search(e *engine) {
@@ -169,7 +149,6 @@ func (s *workSteal) search(e *engine) {
 		pools:    make([]wsEntryPool, max),
 		exps:     exps,
 		relaxOff: e.canon != nil,
-		max:      max,
 	}
 	for i := range r.deques {
 		r.deques[i] = newWSDeque()
@@ -180,21 +159,15 @@ func (s *workSteal) search(e *engine) {
 	r.cnts[0].sent.Store(1)
 	r.deques[0].push(&stealEntry{state: init, d: d0})
 
-	if e.opts.Budget == nil {
-		// Fixed crew: all workers up front.
-		r.live.Store(int32(max))
-		r.nextIdx.Store(int32(max))
-		for w := 0; w < max; w++ {
-			r.spawn(w, false)
-		}
-	} else {
-		// Worker 0 rides the admission token the caller already holds;
-		// the rest are claimed dynamically from the shared budget.
-		r.live.Store(1)
-		r.nextIdx.Store(1)
-		r.spawn(0, false)
+	var wg sync.WaitGroup
+	wg.Add(max)
+	for w := range max {
+		go func() {
+			defer wg.Done()
+			r.work(w)
+		}()
 	}
-	r.wg.Wait()
+	wg.Wait()
 	if r.reclaim != nil {
 		// No worker holds any frontier reference anymore: whatever the
 		// grace periods kept in limbo goes back to the free-lists now.
@@ -213,24 +186,9 @@ func (s *workSteal) search(e *engine) {
 	// successor a counted expansion generated was a duplicate.
 	var generated int64
 	for _, x := range r.exps {
-		if x != nil {
-			generated += x.stat.generated
-		}
+		generated += x.stat.generated
 	}
 	e.matched.Store(generated - (e.explored.Load() - 1))
-}
-
-// spawn starts worker w. ownsToken marks workers holding a
-// dynamically claimed budget token, which they release on exit.
-func (r *stealRun) spawn(w int, ownsToken bool) {
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		if ownsToken {
-			defer r.e.opts.Budget.Release()
-		}
-		r.work(w, ownsToken)
-	}()
 }
 
 // quiescent reports whether every pushed state has been fully expanded.
@@ -251,75 +209,13 @@ func (r *stealRun) quiescent() bool {
 	return sent == done
 }
 
-// approxPending is a racy estimate of states pushed but not yet
-// expanded, for the grow heuristic only.
-func (r *stealRun) approxPending() int64 {
-	var n int64
-	for i := range r.cnts {
-		n += r.cnts[i].sent.Load() - r.cnts[i].done.Load()
-	}
-	return n
-}
-
-// maybeGrow claims one spare budget token and spawns an extra worker
-// when queued work exceeds the crew that could be expanding it.
-func (r *stealRun) maybeGrow() {
-	if r.e.opts.Budget == nil {
-		return
-	}
-	for {
-		l := r.live.Load()
-		if int(l) >= r.max || r.approxPending() <= int64(l)+1 {
-			return
-		}
-		if !r.e.opts.Budget.TryAcquire() {
-			return
-		}
-		if !r.live.CompareAndSwap(l, l+1) {
-			// Lost the crew-count race; return the token and re-evaluate.
-			r.e.opts.Budget.Release()
-			continue
-		}
-		// Allocate a deque index: prefer one freed by a retired worker,
-		// else a fresh slot.
-		idx := -1
-		r.freeMu.Lock()
-		if n := len(r.freeIdx); n > 0 {
-			idx = r.freeIdx[n-1]
-			r.freeIdx = r.freeIdx[:n-1]
-		}
-		r.freeMu.Unlock()
-		if idx < 0 {
-			if fresh := int(r.nextIdx.Add(1)) - 1; fresh < r.max {
-				idx = fresh
-			} else {
-				r.nextIdx.Add(-1)
-			}
-		}
-		if idx < 0 {
-			// Concurrent grows transiently exhausted the index space;
-			// undo and let a later surplus try again.
-			r.live.Add(-1)
-			r.e.opts.Budget.Release()
-			return
-		}
-		r.spawn(idx, true)
-		return
-	}
-}
-
-// retireAfter is the number of consecutive futile scavenge passes (own
-// deque empty, nothing stealable) after which a dynamically grown
-// worker retires and returns its token to the shared budget, instead
-// of spin-holding capacity a sibling group's admission could use.
-const retireAfter = 128
-
-// Futile-scavenge backoff: a worker that cannot retire (fixed crew or
-// admission worker) sleeps between scavenge passes once the futile
-// streak passes retireAfter, starting short — the tail is often one
-// in-flight expansion away from ending — and doubling up to a cap so a
-// long convergence tail neither burns a core nor oversleeps the wakeup.
+// Futile-scavenge backoff: after backoffAfter consecutive futile
+// scavenge passes (own deque empty, nothing stealable) a worker sleeps
+// between passes, starting short — the tail is often one in-flight
+// expansion away from ending — and doubling up to a cap so a long
+// convergence tail neither burns a core nor oversleeps the wakeup.
 const (
+	backoffAfter      = 128
 	scavengeSleepBase = 2 * time.Microsecond
 	scavengeSleepMax  = 256 * time.Microsecond
 )
@@ -368,25 +264,24 @@ func (c *wsCtx) pushState(st State, d digest) {
 }
 
 // work is one worker's main loop: drain the own deque LIFO, steal FIFO
-// when dry, exit on global termination or a hit limit. ownsToken
-// workers additionally retire when persistently idle.
-func (r *stealRun) work(w int, ownsToken bool) {
+// when dry, exit on global termination or a hit limit.
+func (r *stealRun) work(w int) {
 	e := r.e
 	if r.exps[w] == nil {
+		// Allocated here, not beside worker 0's: two expanders from one
+		// goroutine can share a cache line, and both are written on
+		// every expansion.
 		r.exps[w] = e.newExpander()
 	}
 	x := r.exps[w]
 	defer x.stat.flush(e)
 
 	c := &wsCtx{r: r, w: w, x: x, sent: r.cnts[w].sent.Load()}
-	done := r.cnts[w].done.Load()
+	var done int64
 	if r.reclaim != nil {
 		r.reclaim.online(w)
-	}
-	offline := func() {
-		if r.reclaim != nil {
-			r.reclaim.offline(w)
-		}
+		// An exited worker must not hold the epoch back for the others.
+		defer r.reclaim.offline(w)
 	}
 
 	// Victim scan order: a per-worker xorshift sequence so idle workers
@@ -397,7 +292,6 @@ func (r *stealRun) work(w int, ownsToken bool) {
 	sleep := scavengeSleepBase
 	for {
 		if e.truncated.Load() {
-			offline()
 			return // another worker hit a limit; abandon the search
 		}
 		if r.reclaim != nil {
@@ -411,26 +305,11 @@ func (r *stealRun) work(w int, ownsToken bool) {
 		}
 		if ent == nil {
 			if r.quiescent() {
-				offline()
 				return // every pushed state fully expanded: search done
 			}
 			idle++
-			if idle >= retireAfter {
-				if ownsToken {
-					// Retire: go offline first, then publish the deque
-					// index (after the last deque touch above) so a
-					// future grow can reuse the slot without sharing it;
-					// the spawn wrapper releases the token.
-					offline()
-					r.freeMu.Lock()
-					r.freeIdx = append(r.freeIdx, w)
-					r.freeMu.Unlock()
-					r.live.Add(-1)
-					return
-				}
-				// Fixed-crew and admission workers cannot retire (the
-				// search needs at least one worker alive), but a long
-				// futile streak means the tail is one in-flight
+			if idle >= backoffAfter {
+				// A long futile streak means the tail is one in-flight
 				// expansion elsewhere — back off with doubling sleeps
 				// instead of burning a core on Gosched spins.
 				time.Sleep(sleep)
@@ -449,13 +328,11 @@ func (r *stealRun) work(w int, ownsToken bool) {
 		// tail where expansions store nothing new.
 		if e.limitHit() {
 			e.truncated.Store(true)
-			offline()
 			return
 		}
 		c.expand(ent)
 		done++
 		r.cnts[w].done.Store(done)
-		r.maybeGrow()
 	}
 }
 

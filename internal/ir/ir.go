@@ -114,10 +114,6 @@ type App struct {
 	// Fields lists script-level variables (rare in market apps).
 	Fields []string
 
-	// Types holds inferred static types for AST nodes (identifiers,
-	// calls, property accesses), produced by the typeinfer package.
-	Types map[groovy.Node]Type
-
 	// Source retains the original Groovy for diagnostics.
 	Source string
 }

@@ -13,7 +13,6 @@ import (
 	"iotsan/internal/device"
 	"iotsan/internal/groovy"
 	"iotsan/internal/ir"
-	"iotsan/internal/typeinfer"
 )
 
 // A TranslateError reports a translation problem.
@@ -27,7 +26,7 @@ func (e *TranslateError) Error() string {
 }
 
 // Translate parses and translates a smart app's Groovy source into an
-// ir.App, including type inference results.
+// ir.App.
 func Translate(src string) (*ir.App, error) {
 	script, err := groovy.ParseScript(src)
 	if err != nil {
@@ -36,7 +35,6 @@ func Translate(src string) (*ir.App, error) {
 	app := &ir.App{
 		Methods: script.Methods(),
 		Fields:  script.Fields(),
-		Types:   map[groovy.Node]ir.Type{},
 		Source:  src,
 	}
 	for _, call := range script.TopLevelCalls() {
@@ -55,7 +53,6 @@ func Translate(src string) (*ir.App, error) {
 		return nil, &TranslateError{App: "?", Msg: "missing definition(name: ...)"}
 	}
 	extractWiring(app)
-	typeinfer.Infer(app)
 	return app, nil
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"iotsan/internal/corpus"
 	"iotsan/internal/ir"
+	"iotsan/internal/typeinfer"
 )
 
 func mustTranslate(t *testing.T, name string) *ir.App {
@@ -238,14 +239,13 @@ func TestInferredTypes(t *testing.T) {
 	app := mustTranslate(t, "Virtual Thermostat")
 	// The evaluate() helper's parameters must be inferred numeric from
 	// its call sites (anchor: evt.numericValue and the decimal input).
-	sawNumeric := false
-	for n, typ := range app.Types {
-		_ = n
-		if typ.Kind == ir.KindNum {
-			sawNumeric = true
-		}
+	sig := typeinfer.Infer(app)["evaluate"]
+	if sig == nil || len(sig.Params) != 2 {
+		t.Fatalf("evaluate signature = %+v, want two parameters", sig)
 	}
-	if !sawNumeric {
-		t.Error("no numeric types inferred in Virtual Thermostat")
+	for i, p := range sig.Params {
+		if p.Kind != ir.KindNum {
+			t.Errorf("evaluate parameter %d inferred %s, want decimal", i, p)
+		}
 	}
 }

@@ -7,6 +7,9 @@
 // assignments, returns of known APIs, and known platform objects — and
 // propagates types through assignments, method arguments, and return
 // values iteratively until no new variable types can be inferred.
+//
+// smartapp.Translate does not run it: nothing on the verification path
+// reads inferred types. cmd/iotsan-translate prints the signatures.
 package typeinfer
 
 import (
@@ -17,8 +20,7 @@ import (
 	"iotsan/internal/ir"
 )
 
-// Infer computes types for the app's method bodies, filling app.Types
-// (keyed by AST node) and returning the per-method signatures.
+// Infer computes the signature of every method of the app.
 func Infer(app *ir.App) map[string]*Signature {
 	inf := &inferencer{
 		app:  app,
@@ -189,7 +191,6 @@ func (inf *inferencer) inferStmt(st groovy.Stmt, env map[string]ir.Type, sig *Si
 			t = merge(t, inf.inferExpr(s.Init, env, sig))
 		}
 		env[s.Name] = t
-		inf.record(st, t)
 	case *groovy.AssignStmt:
 		rt := inf.inferExpr(s.RHS, env, sig)
 		if id, ok := s.LHS.(*groovy.Ident); ok {
@@ -199,7 +200,6 @@ func (inf *inferencer) inferStmt(st groovy.Stmt, env map[string]ir.Type, sig *Si
 			} else {
 				env[id.Name] = rt
 			}
-			inf.record(id, env[id.Name])
 		} else {
 			inf.inferExpr(s.LHS, env, sig)
 		}
@@ -264,19 +264,7 @@ func (inf *inferencer) inferStmt(st groovy.Stmt, env map[string]ir.Type, sig *Si
 	return ir.Dynamic
 }
 
-func (inf *inferencer) record(n groovy.Node, t ir.Type) {
-	if t.Kind != ir.KindDynamic {
-		inf.app.Types[n] = t
-	}
-}
-
 func (inf *inferencer) inferExpr(e groovy.Expr, env map[string]ir.Type, sig *Signature) ir.Type {
-	t := inf.inferExprUncached(e, env, sig)
-	inf.record(e, t)
-	return t
-}
-
-func (inf *inferencer) inferExprUncached(e groovy.Expr, env map[string]ir.Type, sig *Signature) ir.Type {
 	switch x := e.(type) {
 	case *groovy.IntLit:
 		return ir.Int

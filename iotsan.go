@@ -73,12 +73,10 @@ const (
 	// StrategyDFS is the sequential depth-first search (default):
 	// deterministic exploration order and trails.
 	StrategyDFS = checker.StrategyDFS
-	// StrategySteal is the work-stealing frontier search: Workers
-	// goroutines expand states concurrently from per-worker Chase–Lev
-	// deques over one link table. On a system with one related set it
-	// runs that fixed crew; with several, each set's search starts on
-	// the token its scheduler goroutine holds and dynamically absorbs
-	// worker budget freed by finished sets.
+	// StrategySteal is the work-stealing frontier search: goroutines
+	// expand states concurrently from per-worker Chase–Lev deques over
+	// one link table. Each related set's search runs a fixed crew, its
+	// share of Options.Workers — all of them on a system with one set.
 	StrategySteal = checker.StrategySteal
 )
 
@@ -170,12 +168,12 @@ type Options struct {
 	// default; StrategySteal uses Workers goroutines).
 	Strategy Strategy
 	// Workers is the engine's width (0 = GOMAXPROCS): how many apps
-	// Analyze translates at once, how many related sets it verifies at
-	// once under one shared budget of Workers tokens, and how many
-	// goroutines StrategySteal runs. Workers: 1 verifies the sets one
-	// after another in group order. A system with a single related set
-	// verifies it on the calling goroutine, with StrategySteal's crew of
-	// Workers goroutines.
+	// Analyze translates at once, and how many search goroutines verify
+	// related sets at once. min(Workers, sets) sets verify concurrently,
+	// and each StrategySteal search runs a fixed crew of Workers divided
+	// by that number, so a system with a single related set gives its
+	// search all Workers. Workers: 1 verifies the sets one after another
+	// in group order.
 	Workers int
 	// POR enables partial-order reduction in the checker: at each
 	// expansion the concurrent design's pending-dispatch interleavings
@@ -493,40 +491,31 @@ func (pl *plan) relevantAttrs(group []int) map[string]bool {
 	return attrs
 }
 
-// runGroups is the group scheduler: it verifies every related set and
+// runGroups is the group scheduler, and the one place that splits the
+// engine's width between searches: it verifies every related set and
 // commits the results into the report in group order.
 //
-// A single set is verified on the caller's goroutine with no budget, so
-// StrategySteal runs its fixed crew of Options.Workers goroutines.
-// Several sets are taken in group order by a fixed pool of
-// min(Workers, sets) goroutines under one budget of Workers tokens:
-// each verification holds one token (its first search worker), and the
-// work-stealing strategy grows extra workers from whatever the budget
-// can spare, so workers freed by finished sets are absorbed by sets
-// still running. The goroutine that finishes a set commits every set of
-// the finished group-order prefix, so Report.Groups and the deduped
-// violation list never depend on which set finished first, and at
-// Workers: 1 a set is committed before the next one starts — the
-// sequential order exactly. A shared stop flag cancels the searches
-// still running once the global MaxViolations cap is reached or a set
-// fails; a set started after that still runs, stopping at its initial
-// state, so Report.Groups always covers every related set in order.
+// A fixed pool of min(width, sets) goroutines takes the sets in group
+// order, and each search gets a fixed crew of width/pool workers, so at
+// most width search goroutines run at once; a system with one related
+// set gives its search the whole width. The goroutine that finishes a
+// set commits every set of the finished group-order prefix, so
+// Report.Groups and the deduped violation list never depend on which
+// set finished first, and at Workers: 1 a set is committed before the
+// next one starts — the sequential order exactly. A shared stop flag
+// cancels the searches still running once the global MaxViolations cap
+// is reached or a set fails; a set started after that still runs,
+// stopping at its initial state, so Report.Groups always covers every
+// related set in order.
 //
 // Because sets verify concurrently, their GroupResult.Result.Elapsed
 // values overlap and can sum to more than Report.Elapsed.
 func runGroups(rep *Report, pl *plan, groups [][]string, opts Options) error {
+	width := opts.width()
+	pool := max(1, min(width, len(groups)))
+	crew := width / pool // pool <= width: every search gets a worker
 	stop := new(atomic.Bool)
 	seen := map[string]bool{}
-	if len(groups) == 1 {
-		gr, err := verifyGroup(pl, pl.groupInstances(groups[0]), opts, 0, stop, nil)
-		if err != nil {
-			return err
-		}
-		commitGroup(rep, gr, opts, seen, stop)
-		return nil
-	}
-
-	budget := checker.NewWorkerBudget(opts.width())
 	results := make([]*GroupResult, len(groups))
 	errs := make([]error, len(groups))
 	done := make([]bool, len(groups))
@@ -535,11 +524,8 @@ func runGroups(rep *Report, pl *plan, groups [][]string, opts Options) error {
 		committed int        // groups[:committed] are committed
 		firstErr  error
 	)
-	forEachIndex(len(groups), budget.Size(), func(i int) {
-		budget.Acquire()
-		gr, err := verifyGroup(pl, pl.groupInstances(groups[i]), opts, i, stop, budget)
-		budget.Release()
-
+	forEachIndex(len(groups), pool, func(i int) {
+		gr, err := verifyGroup(pl, pl.groupInstances(groups[i]), opts, i, stop, crew)
 		mu.Lock()
 		defer mu.Unlock()
 		results[i], errs[i], done[i] = gr, err, true
@@ -650,8 +636,8 @@ func dedupe(in []string) []string {
 // per-group build and the search. gidx is the set's position in
 // deterministic group order; it keys the group's private tiered-store
 // subdirectory, which is what makes a -resume run find the WAL the
-// killed run wrote for the same group.
-func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Bool, budget *checker.WorkerBudget) (*GroupResult, error) {
+// killed run wrote for the same group. workers is the search's crew.
+func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Bool, workers int) (*GroupResult, error) {
 	insts := make([]*model.AppInst, len(group))
 	names := make([]string, len(group))
 	handlers := 0
@@ -694,9 +680,8 @@ func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Boo
 		MaxStates: opts.MaxStatesPerSet,
 		Deadline:  opts.Deadline,
 		Strategy:  opts.Strategy,
-		Workers:   opts.Workers,
+		Workers:   workers,
 		Stop:      stop,
-		Budget:    budget,
 		POR:       opts.POR,
 		Symmetry:  opts.Symmetry,
 
@@ -722,6 +707,9 @@ func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Boo
 		copts.Resume = opts.Resume
 	}
 	res := checker.Run(m.System(), copts)
+	if res.Err != nil {
+		return nil, fmt.Errorf("iotsan: related set %d: %w", gidx, res.Err)
+	}
 	return &GroupResult{Apps: names, Handlers: handlers, Result: res, InvariantCount: len(pl.invs)}, nil
 }
 

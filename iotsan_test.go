@@ -1,18 +1,15 @@
 package iotsan_test
 
 import (
-	"fmt"
-	"maps"
+	"os"
+	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
 	"iotsan"
 	"iotsan/internal/corpus"
 	"iotsan/internal/experiments"
-	"iotsan/internal/groovy"
-	"iotsan/internal/ir"
 )
 
 // TestAnalyzePipeline runs the full public pipeline on the §8 example.
@@ -116,47 +113,30 @@ func TestAnalyzeTranslationConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if d := translationDiff(rep.Apps[name], want); d != "" {
-			t.Errorf("%s: concurrent translation differs from sequential: %s", name, d)
+		if !reflect.DeepEqual(rep.Apps[name], want) {
+			t.Errorf("%s: concurrent translation differs from sequential", name)
 		}
 	}
 }
 
-// translationDiff compares two translations of one source. Types is
-// keyed by AST node, whose pointers differ between two parses, so it is
-// compared as the types met in one walk of each AST; everything else
-// with reflect.DeepEqual.
-func translationDiff(got, want *ir.App) string {
-	g, w := *got, *want
-	g.Types, w.Types = nil, nil
-	if !reflect.DeepEqual(g, w) {
-		return "translations differ outside Types"
+// TestWALPathNotAFileIsAnError: when a related set's WAL path is a
+// directory, Analyze fails with the cause instead of panicking.
+func TestWALPathNotAFileIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "group-000", "wal.log"), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	gt, wt := typesInWalkOrder(got), typesInWalkOrder(want)
-	switch {
-	case len(gt) != len(got.Types) || len(wt) != len(want.Types):
-		return fmt.Sprintf("a walk of the methods reaches %d and %d of %d and %d typed nodes", len(gt), len(wt), len(got.Types), len(want.Types))
-	case !reflect.DeepEqual(gt, wt):
-		return "inferred types differ"
+	sys := &iotsan.System{
+		Devices: []iotsan.Device{{ID: "l1", Model: "Smart Lock"}},
+		Apps: []iotsan.AppInstance{{App: "Unlock Door", Bindings: map[string]iotsan.Binding{
+			"lock1": {DeviceIDs: []string{"l1"}},
+		}}},
 	}
-	return ""
-}
-
-// typesInWalkOrder lists the inferred type of every typed AST node in a
-// fixed walk of the app's methods, keyed by walk position.
-func typesInWalkOrder(app *ir.App) map[int]ir.Type {
-	out := map[int]ir.Type{}
-	pos := 0
-	for _, name := range slices.Sorted(maps.Keys(app.Methods)) {
-		groovy.Walk(app.Methods[name], func(n groovy.Node) bool {
-			if ty, ok := app.Types[n]; ok {
-				out[pos] = ty
-			}
-			pos++
-			return true
-		})
+	sources := map[string]string{"Unlock Door": corpus.MustSource("Unlock Door")}
+	_, err := iotsan.Analyze(sys, sources, iotsan.Options{MaxEvents: 1, Checkpoint: true, StoreDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "wal.log") {
+		t.Fatalf("Analyze error = %v, want the WAL open error", err)
 	}
-	return out
 }
 
 // TestStoreDirValidatedBeforeTranslation: each option combination that
