@@ -94,26 +94,68 @@ func TestLoadSources(t *testing.T) {
 	}
 }
 
-// The command exits 2 on a missing -apps source, naming the file. The
-// test binary re-runs itself as the command.
-func TestMissingAppSourceExits2(t *testing.T) {
+// asMain runs the command on the arguments after "--" when the test
+// binary was re-executed by runCommand. main exits, so asMain returns
+// only in an ordinary test run.
+func asMain() {
 	if os.Getenv("IOTSAN_MAIN") == "1" {
 		os.Args = append([]string{"iotsan"}, flag.Args()...)
 		flag.CommandLine = flag.NewFlagSet("iotsan", flag.ExitOnError)
 		main()
-		return
 	}
-	dir := t.TempDir()
+}
+
+// runCommand re-executes the test binary as the command: the test named
+// test, which must call asMain first, runs main on args. It returns the
+// command's combined output and exit status.
+func runCommand(t *testing.T, test string, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^" + test + "$", "--"}, args...)...)
+	cmd.Env = append(os.Environ(), "IOTSAN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return string(out), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), 0
+}
+
+// lockHome writes a one-lock system configuration into dir.
+func lockHome(t *testing.T, dir string) string {
+	t.Helper()
 	cfg := filepath.Join(dir, "home.json")
 	if err := os.WriteFile(cfg, []byte(`{"name": "h", "devices": [{"id": "l", "model": "Smart Lock"}],
 		"apps": [{"app": "Unlock Door", "bindings": {"lock1": {"devices": ["l"]}}}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestMissingAppSourceExits2$", "--", "-config", cfg, "-apps", dir)
-	cmd.Env = append(os.Environ(), "IOTSAN_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), filepath.Join(dir, "Unlock Door.groovy")) {
-		t.Errorf("exit %v, output:\n%s", err, out)
+	return cfg
+}
+
+// The command exits 2 on a missing -apps source, naming the file.
+func TestMissingAppSourceExits2(t *testing.T) {
+	asMain()
+	dir := t.TempDir()
+	out, code := runCommand(t, "TestMissingAppSourceExits2", "-config", lockHome(t, dir), "-apps", dir)
+	if code != 2 || !strings.Contains(out, filepath.Join(dir, "Unlock Door.groovy")) {
+		t.Errorf("exit %d, output:\n%s", code, out)
+	}
+}
+
+// The command exits 2 on the steal strategy with the tiered store, a
+// combination the checker refuses, and searches nothing.
+func TestStealTieredExits2(t *testing.T) {
+	asMain()
+	dir := t.TempDir()
+	store := filepath.Join(dir, "store")
+	out, code := runCommand(t, "TestStealTieredExits2", "-config", lockHome(t, dir),
+		"-strategy", "steal", "-store", "tiered", "-store-dir", store)
+	if code != 2 || !strings.Contains(out, "steal strategy") {
+		t.Errorf("exit %d, output:\n%s", code, out)
+	}
+	if _, err := os.Stat(store); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the refused run created its store directory (stat: %v)", err)
 	}
 }

@@ -21,14 +21,18 @@
 // reached it, not a shortest one.
 //
 // The visited-state stores mirror Spin's verification modes: an
-// exhaustive hash-compact store — in memory (one unlocked table for the
-// DFS, the mutex-striped link table for the frontier search) or tiered
-// out to disk — and BITSTATE supertrace hashing, an approximate store
-// that keeps k hash bits per state in a bit array, trading completeness
-// for memory (§2.3; Holzmann's analysis of bitstate hashing).
+// exhaustive hash-compact store in memory (one unlocked table for the
+// DFS, the mutex-striped link table for the frontier search), and two
+// stores that bound memory and serve the DFS alone — the same store
+// tiered out to disk, and BITSTATE supertrace hashing, an approximate
+// store that keeps k hash bits per state in a bit array, trading
+// completeness for memory (§2.3; Holzmann's analysis of bitstate
+// hashing). Checkpointing is DFS-only too; Options.Validate states the
+// rule.
 package checker
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -290,15 +294,15 @@ const (
 	Exhaustive StoreKind = iota
 	// Bitstate stores k bits per state in a fixed bit array (Spin's
 	// BITSTATE / supertrace mode). A false-positive "seen" drops the
-	// state before it is inspected or expanded.
+	// state before it is inspected or expanded. StrategyDFS only.
 	Bitstate
 	// Tiered is the out-of-core exhaustive store: a hot in-process
-	// sharded tier bounded by Options.MemBudget, a file-backed bitstate
+	// tier bounded by Options.MemBudget, a file-backed bitstate
 	// filter, and an on-disk open-addressed hash tier under
 	// Options.StoreDir. Membership semantics are identical to the
 	// in-memory exhaustive store (hash-compact, keyed on the digest's
 	// first hash); the extra tiers only change where cold fingerprints
-	// live. Requires StoreDir.
+	// live. Requires StoreDir. StrategyDFS only.
 	Tiered
 )
 
@@ -337,7 +341,8 @@ const (
 	// Options.Workers goroutines with per-worker Chase–Lev deques (owner
 	// LIFO, thieves FIFO) and no barrier, over a sharded link table that
 	// is visited store and parent links at once (trails are rebuilt from
-	// the links). The
+	// the links). It runs only on the Exhaustive store and without
+	// checkpoints (Options.Validate). The
 	// distinct-violation set and explored state space match StrategyDFS
 	// on a fully explored state space; exploration order and trails may
 	// differ between runs.
@@ -380,25 +385,24 @@ type Options struct {
 	// StoreDir is the scratch directory of the Tiered store (its filter
 	// and disk-tier files) and of the write-ahead checkpoint log. The
 	// tier files are recreated per run; only the WAL carries state
-	// across a restart. Required for Tiered and for Checkpoint.
+	// across a restart. Required for Tiered, Checkpoint and Resume.
 	StoreDir string
 	// MemBudget approximately bounds the resident bytes of the Tiered
-	// store's hot tier; beyond it, the coldest fingerprints spill
-	// write-behind to the disk tier (0 = a generous default). Digests
-	// retired through epoch reclamation are preferred spill candidates,
-	// so eviction ordering follows epoch order on StrategySteal.
+	// store's hot tier; beyond it, the oldest fingerprints spill
+	// write-behind to the disk tier (0 = a generous default).
 	MemBudget int64
-	// Checkpoint enables write-ahead checkpointing on StrategyDFS:
-	// every CheckpointEvery explored states the engine appends the
-	// visited-set delta and a delta-encoded snapshot of the DFS stack
-	// to StoreDir's WAL, so a killed search can resume. Ignored (with
-	// the WAL left untouched) on StrategySteal.
+	// Checkpoint enables write-ahead checkpointing of the DFS, on any
+	// store: every CheckpointEvery explored states the engine appends
+	// the visited-set delta and a delta-encoded snapshot of the DFS
+	// stack to StoreDir's WAL, so a killed search can resume.
+	// StrategySteal refuses it.
 	Checkpoint bool
 	// Resume restarts a checkpointed search from StoreDir's last
-	// durable checkpoint instead of from the initial state. A missing,
-	// corrupt, or configuration-mismatched WAL falls back to a fresh
-	// search (the WAL is truncation-tolerant: a kill mid-append resumes
-	// from the previous intact checkpoint).
+	// durable checkpoint instead of from the initial state, and goes on
+	// checkpointing as Checkpoint does. A missing, corrupt, or
+	// configuration-mismatched WAL falls back to a fresh search (the WAL
+	// is truncation-tolerant: a kill mid-append resumes from the
+	// previous intact checkpoint). StrategySteal refuses it.
 	Resume bool
 	// CheckpointEvery is the number of explored states between
 	// checkpoints (default 4096).
@@ -406,8 +410,6 @@ type Options struct {
 	// BitstateBits is log2 of the bit-array size for Bitstate (default
 	// 26 → 64 Mbit = 8 MB).
 	BitstateBits uint
-	// BitstateK is the number of hash functions (default 3).
-	BitstateK int
 	// MaxDepth bounds the search depth in transitions (default 64).
 	MaxDepth int
 	// MaxStates bounds the number of states explored (0 = unlimited).
@@ -446,6 +448,28 @@ type Options struct {
 	// partial-order-pruned successors, which never escape their
 	// expansion on either strategy.
 	NoEpochReclaim bool
+}
+
+// Validate states which option combinations a search runs under, and
+// Run refuses every other through Result.Err. Steal keeps its visited
+// set in its link table, at 32 bytes a state, so a tiered or bitstate
+// store could not bound its memory; and only the DFS stack can be
+// checkpointed. StrategySteal therefore runs only on the Exhaustive
+// store, without Checkpoint or Resume. Checkpoint and Resume need
+// StoreDir for the WAL.
+func (o Options) Validate() error {
+	if o.Strategy == StrategySteal {
+		if o.Store != Exhaustive {
+			return fmt.Errorf("checker: the steal strategy runs only on the exhaustive store, not %s", o.Store)
+		}
+		if o.Checkpoint || o.Resume {
+			return errors.New("checker: the steal strategy cannot checkpoint or resume")
+		}
+	}
+	if (o.Checkpoint || o.Resume) && o.StoreDir == "" {
+		return errors.New("checker: checkpoint and resume require a store directory")
+	}
+	return nil
 }
 
 // TrailStep is one step of a counter-example trail. From/Key carry the
@@ -501,8 +525,8 @@ type Result struct {
 	Store StoreStats
 
 	// Err is set, and nothing else, when the search could not start:
-	// the tiered store or the checkpoint WAL could not be opened under
-	// Options.StoreDir.
+	// Options.Validate refused the options, or the tiered store or the
+	// checkpoint WAL could not be opened under Options.StoreDir.
 	Err error
 }
 

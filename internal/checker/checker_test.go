@@ -68,29 +68,22 @@ func TestDedupPrunesRevisits(t *testing.T) {
 }
 
 // TestBitstateFindsSameViolations: a bit array sized generously for the
-// state count has no false positives, so every strategy reports the
-// exhaustive store's violation set and state count. (A false positive
-// would skip that state's Inspect along with its expansion.)
+// state count has no false positives, so the DFS reports the exhaustive
+// store's violation set and state count. (A false positive would skip
+// that state's Inspect along with its expansion.)
 func TestBitstateFindsSameViolations(t *testing.T) {
 	systems := map[string]System{
 		"chain":     &chainSys{bound: 8, bad: 24},
 		"multiViol": &multiViolSys{width: 12},
 	}
-	for sname, sys := range systems {
-		for name, base := range strategies() {
-			base.MaxDepth = 32
-			ex := Run(sys, base)
-			base.Store = Bitstate
-			base.BitstateBits = 24
-			bs := Run(sys, base)
-			if got, want := violationKeys(bs), violationKeys(ex); len(want) == 0 || !equalStrings(got, want) {
-				t.Errorf("%s/%s: bitstate violations %q, exhaustive %q", sname, name, got, want)
-			}
-			// Not equality: two workers racing on one unseen state may
-			// both be told it is new (see atomicBitStore).
-			if bs.StatesExplored < ex.StatesExplored {
-				t.Errorf("%s/%s: bitstate explored %d, fewer than exhaustive %d", sname, name, bs.StatesExplored, ex.StatesExplored)
-			}
+	for name, sys := range systems {
+		ex := Run(sys, Options{MaxDepth: 32})
+		bs := Run(sys, Options{MaxDepth: 32, Store: Bitstate, BitstateBits: 24})
+		if got, want := violationKeys(bs), violationKeys(ex); len(want) == 0 || !equalStrings(got, want) {
+			t.Errorf("%s: bitstate violations %q, exhaustive %q", name, got, want)
+		}
+		if bs.StatesExplored != ex.StatesExplored {
+			t.Errorf("%s: bitstate explored %d, exhaustive %d", name, bs.StatesExplored, ex.StatesExplored)
 		}
 	}
 }
@@ -118,7 +111,7 @@ func TestMaxViolationsStopsEarly(t *testing.T) {
 // (property: first insert of any hash returns false).
 func TestBitstoreNeverFalseNegativeOnFirstInsert(t *testing.T) {
 	f := func(h1, h2 uint64) bool {
-		s := newAtomicBitStore(16, 3)
+		s := newBitStore(16)
 		d := digest{h1, h2}
 		return !s.seen(d) && s.seen(d)
 	}

@@ -72,7 +72,7 @@ type engine struct {
 	needH2 bool
 
 	// tiered is the store downcast when Options.Store == Tiered, for
-	// the spill-hint hook and the per-tier stats in Result.
+	// the per-tier stats in Result.
 	tiered *tieredStore
 
 	// delta is non-nil when the system supports block-delta encoding
@@ -80,8 +80,8 @@ type engine struct {
 	// block bytes) against their parent instead of full vectors.
 	delta DeltaCodec
 
-	// wal is non-nil when write-ahead checkpointing is armed (DFS with
-	// Options.Checkpoint and a StoreDir).
+	// wal is non-nil when write-ahead checkpointing is armed
+	// (Options.Checkpoint or Options.Resume; DFS only).
 	wal *wal
 
 	explored  atomic.Int64
@@ -103,10 +103,14 @@ type engine struct {
 	found    []Found
 }
 
-// newEngine sets up one run. It fails only when the tiered store or the
-// WAL cannot be opened under Options.StoreDir.
+// newEngine sets up one run. It fails when Options.Validate refuses the
+// options, or when the tiered store or the WAL cannot be opened under
+// Options.StoreDir.
 func newEngine(sys System, opts Options) (*engine, error) {
-	st, err := newStore(opts, opts.Strategy != StrategyDFS)
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	st, err := newStore(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -164,10 +168,11 @@ func newEngine(sys System, opts Options) (*engine, error) {
 		e.stp = eager
 	}
 	e.tiered, _ = e.st.(*tieredStore)
-	// Checkpointing is DFS-only: the stack-invariant rebuild is its
-	// resume mechanism, and it re-expands deterministically because
-	// Reduce is a pure function of the state.
-	if opts.Checkpoint && opts.StoreDir != "" && opts.Strategy == StrategyDFS {
+	// Checkpointing is DFS-only (Validate): the stack-invariant rebuild
+	// is its resume mechanism, and it re-expands deterministically
+	// because Reduce is a pure function of the state. A resumed search
+	// goes on checkpointing.
+	if opts.Checkpoint || opts.Resume {
 		w, err := newWAL(opts, e.delta != nil)
 		if err != nil {
 			if e.tiered != nil {
@@ -178,17 +183,6 @@ func newEngine(sys System, opts Options) (*engine, error) {
 		e.wal = w
 	}
 	return e, nil
-}
-
-// spillFn returns the reclamation layer's spill hook: retired states'
-// digests become preferred eviction candidates of the tiered store
-// (eviction ordering follows epoch order under memory pressure). Nil
-// without a tiered store, so the reclaimer pays nothing.
-func (e *engine) spillFn() func(digest) {
-	if e.tiered == nil {
-		return nil
-	}
-	return e.tiered.spillHint
 }
 
 // logVisit appends a newly stored digest to the WAL's pending visit

@@ -2,6 +2,8 @@ package checker
 
 import (
 	"fmt"
+	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -117,32 +119,58 @@ func TestTruncationLimits(t *testing.T) {
 // to a false positive is neither expanded nor inspected: Inspect runs
 // once per state the store admitted, the same as on every other store.
 func TestBitstateFalsePositives(t *testing.T) {
-	for name, base := range strategies() {
-		ex := base
-		ex.MaxDepth = 24
-		exRes := Run(&chainSys{bound: 18, bad: -1}, ex)
+	exRes := Run(&chainSys{bound: 18, bad: -1}, Options{MaxDepth: 24})
+	sys := &inspectCounter{System: &chainSys{bound: 18, bad: -1}}
+	// 1024 bits — far below the state count.
+	bsRes := Run(sys, Options{MaxDepth: 24, Store: Bitstate, BitstateBits: 10})
 
-		bs := base
-		bs.MaxDepth = 24
-		bs.Store = Bitstate
-		bs.BitstateBits = 10 // 1024 bits — far below the state count
-		sys := &inspectCounter{System: &chainSys{bound: 18, bad: -1}}
-		bsRes := Run(sys, bs)
+	if bsRes.StatesExplored >= exRes.StatesExplored {
+		t.Errorf("bitstate explored %d, want fewer than exhaustive %d (false positives must prune)",
+			bsRes.StatesExplored, exRes.StatesExplored)
+	}
+	if bsRes.StatesMatched == 0 {
+		t.Error("bitstate matched no states under a saturated bit array")
+	}
+	if bsRes.StatesStored > 1<<10 {
+		t.Errorf("bitstate stored %d > bit capacity", bsRes.StatesStored)
+	}
+	if got := int(sys.calls.Load()); got != bsRes.StatesExplored {
+		t.Errorf("%d Inspect calls for %d admitted states (matched %d): a false positive must skip Inspect too",
+			got, bsRes.StatesExplored, bsRes.StatesMatched)
+	}
+}
 
-		if bsRes.StatesExplored >= exRes.StatesExplored {
-			t.Errorf("%s: bitstate explored %d, want fewer than exhaustive %d (false positives must prune)",
-				name, bsRes.StatesExplored, exRes.StatesExplored)
+// TestStealRefusesDFSOnlyOptions: steal with a tiered or bitstate
+// store, Checkpoint or Resume, and checkpointing without a store
+// directory, are refused — Run returns Result.Err and nothing else,
+// without inspecting a state or creating a file.
+func TestStealRefusesDFSOnlyOptions(t *testing.T) {
+	dir := t.TempDir()
+	for name, opts := range map[string]Options{
+		"steal-tiered":      {Strategy: StrategySteal, StoreDir: dir, Store: Tiered},
+		"steal-bitstate":    {Strategy: StrategySteal, Store: Bitstate},
+		"steal-checkpoint":  {Strategy: StrategySteal, StoreDir: dir, Checkpoint: true},
+		"steal-resume":      {Strategy: StrategySteal, StoreDir: dir, Resume: true},
+		"checkpoint-no-dir": {Checkpoint: true},
+		"resume-no-dir":     {Resume: true},
+	} {
+		if opts.Validate() == nil {
+			t.Errorf("%s: Validate accepted %+v", name, opts)
 		}
-		if bsRes.StatesMatched == 0 {
-			t.Errorf("%s: bitstate matched no states under a saturated bit array", name)
+		sys := &inspectCounter{System: &chainSys{bound: 3, bad: 99}}
+		res := Run(sys, opts)
+		if res.Err == nil || !reflect.DeepEqual(res, &Result{Err: res.Err}) {
+			t.Errorf("%s: Run = %+v, want only an error", name, res)
 		}
-		if bsRes.StatesStored > 1<<10 {
-			t.Errorf("%s: bitstate stored %d > bit capacity", name, bsRes.StatesStored)
+		if n := sys.calls.Load(); n != 0 {
+			t.Errorf("%s: the refused search inspected %d states", name, n)
 		}
-		if got := int(sys.calls.Load()); got != bsRes.StatesExplored {
-			t.Errorf("%s: %d Inspect calls for %d admitted states (matched %d): a false positive must skip Inspect too",
-				name, got, bsRes.StatesExplored, bsRes.StatesMatched)
-		}
+	}
+	if err := (Options{Strategy: StrategySteal}).Validate(); err != nil {
+		t.Errorf("steal on the exhaustive store refused: %v", err)
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Errorf("refused searches left %d files in the store directory (%v)", len(files), err)
 	}
 }
 

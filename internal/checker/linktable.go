@@ -57,9 +57,8 @@ type linkShard struct {
 // linkTable is the frontier strategy's one concurrent table: visited
 // set, parent links, depths and expansion claims of every stored state,
 // one lock and one probe per operation, striped over 256 shards by h1's
-// top byte. With the in-memory exhaustive store it is the visited store
-// itself (newStore returns it); the tiered and bitstate stores keep
-// membership and the table is written right after their seen.
+// top byte. It is the frontier strategy's visited store (newStore
+// returns it), the only one that strategy runs on.
 type linkTable struct {
 	shards [256]linkShard
 	// lazy is set when the system is a Replayer: an edge with a replay
@@ -138,9 +137,9 @@ func (t *linkTable) admit(h, parent uint64, depth int32, tr *Transition, relax b
 	return true, false
 }
 
-// seen and size make the table the visited store of an in-memory
-// exhaustive frontier search: the strategy admits successors through
-// admit, and seen serves the root.
+// seen and size make the table the visited store of the frontier
+// search: the strategy admits successors through admit, and seen serves
+// the root.
 func (t *linkTable) seen(d digest) bool {
 	fresh, _ := t.admit(d.h1, 0, 0, nil, false)
 	return !fresh

@@ -51,19 +51,13 @@ import "sync/atomic"
 // every online worker's fresh pin.
 const reclaimEpochLag = 2
 
-// limboBucket holds states retired at one epoch, alongside their
-// visited-store digests: a retired state is exactly a proven-cold
-// state, so its digest is the tiered store's preferred spill candidate
-// — drain hands states to the free-list and digests to the spill
-// write-behind in the same pass, which is how eviction ordering falls
-// out of epoch order for free. Buckets are recycled modulo
-// reclaimEpochLag+1: by the time a bucket's index comes around again
-// the global epoch has necessarily advanced past its fill epoch by at
-// least reclaimEpochLag+1, so refilling it first drains it.
+// limboBucket holds states retired at one epoch. Buckets are recycled
+// modulo reclaimEpochLag+1: by the time a bucket's index comes around
+// again the global epoch has necessarily advanced past its fill epoch
+// by at least reclaimEpochLag+1, so refilling it first drains it.
 type limboBucket struct {
-	epoch   uint64
-	states  []State
-	digests []digest
+	epoch  uint64
+	states []State
 }
 
 // reclaimSlot is one worker's view of the reclamation protocol. The
@@ -78,22 +72,18 @@ type reclaimSlot struct {
 	local atomic.Uint64
 	_     [56]byte
 	limbo [reclaimEpochLag + 1]limboBucket // owner-only
-	_pad  [24]byte
+	_pad  [32]byte
 }
 
-// reclaimer coordinates epoch-based reclamation for one search. spill,
-// when non-nil (tiered store), receives each drained state's digest —
-// the write-behind attachment point the out-of-core store evicts
-// through.
+// reclaimer coordinates epoch-based reclamation for one search.
 type reclaimer struct {
 	rec    StateRecycler
-	spill  func(digest)
 	global atomic.Uint64
 	slots  []reclaimSlot
 }
 
-func newReclaimer(rec StateRecycler, slots int, spill func(digest)) *reclaimer {
-	rc := &reclaimer{rec: rec, spill: spill, slots: make([]reclaimSlot, slots)}
+func newReclaimer(rec StateRecycler, slots int) *reclaimer {
+	rc := &reclaimer{rec: rec, slots: make([]reclaimSlot, slots)}
 	// Start above zero so an empty bucket's zero fill-epoch can never
 	// alias a live epoch.
 	rc.global.Store(1)
@@ -134,12 +124,10 @@ func (rc *reclaimer) pin(w int) uint64 {
 }
 
 // retire places a consumed, fully expanded state in w's limbo, stamped
-// with the epoch w pinned before consuming it and paired with its
-// visited-store digest (the spill candidate drain forwards to the
-// tiered store). Owner-only.
+// with the epoch w pinned before consuming it. Owner-only.
 //
 //iotsan:retires s
-func (rc *reclaimer) retire(w int, epoch uint64, s State, d digest) {
+func (rc *reclaimer) retire(w int, epoch uint64, s State) {
 	b := &rc.slots[w].limbo[epoch%(reclaimEpochLag+1)]
 	if b.epoch != epoch {
 		// The bucket index wrapped around: its fill epoch trails the
@@ -151,7 +139,6 @@ func (rc *reclaimer) retire(w int, epoch uint64, s State, d digest) {
 		b.epoch = epoch
 	}
 	b.states = append(b.states, s)
-	b.digests = append(b.digests, d)
 }
 
 // tryAdvance moves the global epoch forward one step if every online
@@ -169,22 +156,13 @@ func (rc *reclaimer) tryAdvance() {
 	rc.global.CompareAndSwap(g, g+1)
 }
 
-// drain recycles a grace-period-expired bucket's states and, with a
-// tiered store attached, hands their digests to the spill write-behind
-// — the retired set is exactly the proven-cold set, so this is the one
-// place eviction pressure enters in epoch order.
+// drain recycles a grace-period-expired bucket's states.
 func (rc *reclaimer) drain(b *limboBucket) {
 	for i, st := range b.states {
 		rc.rec.Recycle(st)
 		b.states[i] = nil
 	}
 	b.states = b.states[:0]
-	if rc.spill != nil {
-		for _, d := range b.digests {
-			rc.spill(d)
-		}
-	}
-	b.digests = b.digests[:0]
 }
 
 // drainAll reclaims every limbo state unconditionally. Only safe after

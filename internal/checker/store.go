@@ -1,9 +1,6 @@
 package checker
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // digest is the 128-bit fingerprint of an encoded state vector: two
 // independent 64-bit hashes. h1 keys the exhaustive stores and the
@@ -63,35 +60,35 @@ func hash2(data []byte) uint64 {
 // the number of stored entries (approximate for bitstate).
 //
 // Four implementations, each with the workload it is there for:
-// hashStore (single-goroutine exhaustive: table8_dfs, market_t5),
-// linkTable (concurrent exhaustive, fused with the frontier strategy's
-// parent links: table8_steal2), tieredStore (out-of-core exhaustive:
-// table8_tiered_wal) and atomicBitStore (-store bitstate, the paper's
-// supertrace mode; no benchmark workload yet). Only hashStore is unsafe
-// for concurrent use.
+// linkTable (the frontier strategy's only store, fused with its parent
+// links: table8_steal2) and, for the single-goroutine DFS, hashStore
+// (exhaustive: table8_dfs, market_t5), tieredStore (out-of-core
+// exhaustive: table8_tiered_wal) and bitStore (-store bitstate, the
+// paper's supertrace mode; no benchmark workload yet). linkTable is
+// safe for concurrent use; tieredStore too, because its spiller runs
+// beside the search.
 type store interface {
 	seen(d digest) bool
 	size() int
 }
 
-// newStore builds the visited store for a run. concurrent picks the
-// link table over the single-goroutine exhaustive store; the bitstate
-// and tiered stores are concurrency-safe by construction and serve both
-// strategies. Only the tiered store can fail: it returns the error of
-// opening its files (missing StoreDir, I/O failure).
-func newStore(opts Options, concurrent bool) (store, error) {
-	switch opts.Store {
-	case Bitstate:
-		return newAtomicBitStore(opts.BitstateBits, opts.BitstateK), nil
-	case Tiered:
+// newStore builds the visited store for a run: the link table for the
+// frontier strategy, which runs on no other (Options.Validate), and the
+// selected store for the DFS. Only the tiered store can fail: it
+// returns the error of opening its files (missing StoreDir, I/O
+// failure).
+func newStore(opts Options) (store, error) {
+	switch {
+	case opts.Strategy == StrategySteal:
+		return &linkTable{}, nil
+	case opts.Store == Bitstate:
+		return newBitStore(opts.BitstateBits), nil
+	case opts.Store == Tiered:
 		ts, err := newTieredStore(opts.StoreDir, opts.MemBudget)
 		if err != nil {
 			return nil, err
 		}
 		return ts, nil
-	}
-	if concurrent {
-		return &linkTable{}, nil
 	}
 	return &hashStore{}, nil
 }
@@ -187,19 +184,9 @@ type hashStore struct{ set digestSet }
 func (s *hashStore) seen(d digest) bool { return s.set.add(d.h1) }
 func (s *hashStore) size() int          { return s.set.n }
 
-// bitstateDefaults normalises the bitstate sizing parameters.
-func bitstateDefaults(logBits uint, k int) (uint, int) {
-	if logBits == 0 {
-		logBits = 26
-	}
-	if logBits < 10 {
-		logBits = 10
-	}
-	if k <= 0 {
-		k = 3
-	}
-	return logBits, k
-}
+// bitstateK is the number of bits, one per hash function, a bitStore
+// sets per state.
+const bitstateK = 3
 
 // probe returns the i-th bit position for a fingerprint by double
 // hashing: pos_i = h1 + i*(h2|1). Forcing the stride odd keeps it
@@ -209,60 +196,40 @@ func (d digest) probe(i int, mask uint64) uint64 {
 	return (d.h1 + uint64(i)*(d.h2|1)) & mask
 }
 
-// atomicBitStore is Spin's BITSTATE: k probes into a 2^bits bit array,
-// set with lock-free atomic bit operations so insertion scales with
-// cores; in the DFS's single goroutine its membership is exactly that
-// of a plain bit array. Two workers racing on the same unseen state may
-// both observe it as new (both count it explored); that duplication is
-// harmless — their successors are deduplicated in turn — and is the
-// standard trade-off in lock-free bitstate implementations.
-type atomicBitStore struct {
-	bits  []atomic.Uint64
+// bitStore is Spin's BITSTATE: bitstateK probes into a 2^bits bit
+// array. A state is seen when all its bits were already set, so a state
+// whose bits other states set is lost without being visited — the
+// supertrace trade of completeness for memory.
+type bitStore struct {
+	bits  []uint64
 	mask  uint64
-	k     int
-	count atomic.Int64
+	count int
 }
 
-func newAtomicBitStore(logBits uint, k int) *atomicBitStore {
-	logBits, k = bitstateDefaults(logBits, k)
-	n := uint64(1) << logBits
-	return &atomicBitStore{bits: make([]atomic.Uint64, n/64), mask: n - 1, k: k}
+// newBitStore allocates a 2^logBits bit array (0 = 2^26 bits, 8 MB;
+// at least 2^10).
+func newBitStore(logBits uint) *bitStore {
+	if logBits == 0 {
+		logBits = 26
+	}
+	n := uint64(1) << max(logBits, 10)
+	return &bitStore{bits: make([]uint64, n/64), mask: n - 1}
 }
 
-func (s *atomicBitStore) seen(d digest) bool {
+func (s *bitStore) seen(d digest) bool {
 	all := true
-	for i := 0; i < s.k; i++ {
+	for i := 0; i < bitstateK; i++ {
 		pos := d.probe(i, s.mask)
-		w, b := pos/64, pos%64
-		if !s.setBit(w, uint64(1)<<b) {
+		w, b := &s.bits[pos/64], uint64(1)<<(pos%64)
+		if *w&b == 0 {
+			*w |= b
 			all = false
 		}
 	}
 	if !all {
-		s.count.Add(1)
+		s.count++
 	}
 	return all
 }
 
-// setBit sets mask's bit in word w, reporting whether it was already
-// set. A load + CompareAndSwap loop rather than atomic.Uint64.Or: with
-// the Or form, go1.24.0 emits code for this method that faults on its
-// first call (SIGSEGV in the checker's test suite, reproducible by
-// swapping the forms back; a minimal standalone Or-with-result-consumed
-// program does not trigger it, so the miscompilation is specific to
-// this inlining/register context). The load fast path — bit already
-// set, no write — is also what bitstate lookups mostly hit once the
-// array fills.
-func (s *atomicBitStore) setBit(w, mask uint64) bool {
-	for {
-		old := s.bits[w].Load()
-		if old&mask != 0 {
-			return true
-		}
-		if s.bits[w].CompareAndSwap(old, old|mask) {
-			return false
-		}
-	}
-}
-
-func (s *atomicBitStore) size() int { return int(s.count.Load()) }
+func (s *bitStore) size() int { return s.count }

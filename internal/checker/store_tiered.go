@@ -15,8 +15,8 @@ import (
 // canonical 128-bit digest (engine.digest is the single funnel, so no
 // tier ever sees a state — only fingerprints):
 //
-//	hot    lock-striped in-process shards (h1 → h2) bounded by
-//	       Options.MemBudget; the working set of recent fingerprints.
+//	hot    an in-process map (h1 → h2) bounded by Options.MemBudget;
+//	       the working set of recent fingerprints.
 //	filter a file-backed bit array whose k probe positions derive from
 //	       h1 alone. A fingerprint's bits are set when it spills, so a
 //	       filter negative proves the disk tier cannot contain it and
@@ -27,38 +27,18 @@ import (
 //	       so a tiered run explores the identical state graph; h2 is
 //	       stored as a collision diagnostic (StoreStats.H1Collisions).
 //
-// Spill is write-behind: eviction candidates (budget-pressure FIFO per
-// shard, plus digests the reclamation layer retires — see
-// reclaimer.drain) queue to a single spiller goroutine that writes the
-// disk record and filter bits first and only then deletes the hot
-// entry. A fingerprint is therefore always findable in hot ∪ disk, and
-// because every lookup checks the hot shard and the filter under the
-// same shard lock the spiller deletes under, the spill of a digest can
-// never race a concurrent seen of the same digest into a false "new".
+// Spill is write-behind: under budget pressure the oldest hot entry
+// queues to a single spiller goroutine that writes the disk record and
+// filter bits first and only then deletes the hot entry. A fingerprint
+// is therefore always findable in hot ∪ disk, and because every lookup
+// checks the hot map and the filter under the lock the spiller deletes
+// under, the spill of a digest can never race a seen of the same digest
+// into a false "new". The store serves the single-goroutine DFS, so
+// that lock is contended by the search and the spiller alone.
 //
 // The tier files are per-run scratch (recreated on open): crash
 // durability lives entirely in the checkpoint WAL, which rebuilds the
 // store from logged visit digests on resume.
-
-// tieredShards is the hot tier's lock-stripe count: enough that the
-// frontier workers rarely contend, few enough that per-shard FIFO
-// rings stay cheap.
-const tieredShards = 64
-
-// tieredShard is one hot-tier stripe: the fingerprint map plus a FIFO
-// ring of insertion order for budget-pressure eviction (ring entries
-// whose fingerprint already spilled are skipped lazily).
-//
-//iotsan:padded
-type tieredShard struct {
-	mu   sync.Mutex
-	m    map[uint64]uint64 // h1 → h2
-	ring []uint64          // h1 insertion order; head..len(ring) live
-	head int
-	// mutex(8) + map(8) + slice(24) + int(8) = 48; pad to a cache line
-	// so neighbouring shards' hot mutexes never false-share.
-	_ [16]byte
-}
 
 // tieredBudgetDefault is the hot-tier entry budget when MemBudget is
 // unset; tieredEntryBytes the approximate resident cost of one hot
@@ -70,16 +50,19 @@ const (
 )
 
 type tieredStore struct {
-	shards [tieredShards]tieredShard
+	// mu guards the hot tier: the fingerprint map and the ring of its
+	// insertion order, which eviction consumes from head.
+	mu   sync.Mutex
+	m    map[uint64]uint64 // h1 → h2
+	ring []uint64          // h1 insertion order; head..len(ring) live
+	head int
+
 	budget int64 // max hot-tier entries
 	filter *bitFilter
 	disk   *diskTable
 
 	resident atomic.Int64
 	peak     atomic.Int64
-	// evictCursor round-robins budget-pressure eviction over shards so
-	// no one stripe is drained preferentially.
-	evictCursor atomic.Uint64
 
 	spillCh chan digest
 	spillWG sync.WaitGroup
@@ -118,11 +101,8 @@ func newTieredStore(dir string, memBudget int64) (*tieredStore, error) {
 		filter.close()
 		return nil, err
 	}
-	ts := &tieredStore{budget: budget, filter: filter, disk: disk,
+	ts := &tieredStore{m: make(map[uint64]uint64), budget: budget, filter: filter, disk: disk,
 		spillCh: make(chan digest, 4096)}
-	for i := range ts.shards {
-		ts.shards[i].m = make(map[uint64]uint64)
-	}
 	ts.spillWG.Add(1)
 	go ts.spiller()
 	return ts, nil
@@ -130,21 +110,20 @@ func newTieredStore(dir string, memBudget int64) (*tieredStore, error) {
 
 // seen implements the store contract with hash-compact semantics
 // identical to hashStore and linkTable: membership is keyed on h1.
-// The whole decision runs under one shard lock; the spiller sets the
-// filter bit and the disk record before deleting a hot entry (also
+// The whole decision runs under the hot tier's lock; the spiller sets
+// the filter bit and the disk record before deleting a hot entry (also
 // under this lock), so a digest mid-spill is found in whichever tier
 // currently holds it.
 func (ts *tieredStore) seen(d digest) bool {
-	sh := &ts.shards[d.h1>>58&(tieredShards-1)]
-	sh.mu.Lock()
-	if _, ok := sh.m[d.h1]; ok {
-		sh.mu.Unlock()
+	ts.mu.Lock()
+	if _, ok := ts.m[d.h1]; ok {
+		ts.mu.Unlock()
 		ts.hotHits.Add(1)
 		return true
 	}
 	if ts.filter.maybeContains(d.h1) {
 		if h2, ok := ts.disk.lookup(d.h1); ok {
-			sh.mu.Unlock()
+			ts.mu.Unlock()
 			ts.diskHits.Add(1)
 			if h2 != d.h2 {
 				ts.h1Collide.Add(1)
@@ -154,9 +133,9 @@ func (ts *tieredStore) seen(d digest) bool {
 	} else {
 		ts.filterNeg.Add(1)
 	}
-	sh.m[d.h1] = d.h2
-	sh.ring = append(sh.ring, d.h1)
-	sh.mu.Unlock()
+	ts.m[d.h1] = d.h2
+	ts.ring = append(ts.ring, d.h1)
+	ts.mu.Unlock()
 	ts.stored.Add(1)
 	r := ts.resident.Add(1)
 	for {
@@ -180,71 +159,43 @@ func (ts *tieredStore) size() int {
 	return int(ts.resident.Load() + ts.disk.count())
 }
 
-// evictOne picks the oldest hot entry of the next shard (round-robin)
-// and queues it for spill. The entry stays visible in the hot tier
-// until the spiller has made it durable in the disk tier.
+// evictOne queues the oldest hot entry for spill. The entry stays
+// visible in the hot tier until the spiller has made it durable in the
+// disk tier. Once more than half the ring is consumed, its live tail
+// moves to the front, so the ring holds at most twice the hot entries.
 func (ts *tieredStore) evictOne() {
-	for tries := 0; tries < tieredShards; tries++ {
-		sh := &ts.shards[ts.evictCursor.Add(1)&(tieredShards-1)]
-		var d digest
-		found := false
-		sh.mu.Lock()
-		for sh.head < len(sh.ring) {
-			h1 := sh.ring[sh.head]
-			sh.head++
-			if sh.head == len(sh.ring) {
-				sh.ring = sh.ring[:0]
-				sh.head = 0
-			}
-			if h2, ok := sh.m[h1]; ok {
-				d, found = digest{h1: h1, h2: h2}, true
-				break
-			}
-		}
-		sh.mu.Unlock()
-		if found {
-			ts.spillCh <- d
-			return
-		}
-	}
-}
-
-// spillHint marks d a preferred eviction candidate: the reclamation
-// layer calls it when the state behind d retires (proven cold —
-// expanded and unreachable from any live worker), so under memory
-// pressure eviction ordering follows epoch order. Below budget the
-// hint is a no-op — nothing needs to leave memory.
-func (ts *tieredStore) spillHint(d digest) {
-	if ts.resident.Load() <= ts.budget {
+	ts.mu.Lock()
+	if ts.head == len(ts.ring) {
+		ts.mu.Unlock()
 		return
 	}
+	h1 := ts.ring[ts.head]
+	ts.head++
+	if ts.head > len(ts.ring)/2 {
+		ts.ring = ts.ring[:copy(ts.ring, ts.ring[ts.head:])]
+		ts.head = 0
+	}
+	d := digest{h1: h1, h2: ts.m[h1]}
+	ts.mu.Unlock()
 	ts.spillCh <- d
 }
 
 // spiller is the single write-behind goroutine: for each queued digest
-// still resident in the hot tier it writes the disk record, sets the
-// filter bits, and only then deletes the hot entry (under the shard
-// lock every lookup holds), preserving hot ∪ disk visibility at every
-// instant.
+// it writes the disk record, sets the filter bits, and only then
+// deletes the hot entry (under the lock every lookup holds), preserving
+// hot ∪ disk visibility at every instant.
 func (ts *tieredStore) spiller() {
 	defer ts.spillWG.Done()
 	for d := range ts.spillCh {
-		sh := &ts.shards[d.h1>>58&(tieredShards-1)]
-		sh.mu.Lock()
-		h2, ok := sh.m[d.h1]
-		sh.mu.Unlock()
-		if !ok {
-			continue // already spilled (duplicate hint) or never stored
-		}
-		if err := ts.disk.insert(d.h1, h2); err != nil {
+		if err := ts.disk.insert(d.h1, d.h2); err != nil {
 			// Disk-tier failure (out of space): keep the entry hot —
 			// correctness is unaffected, the run just stops shrinking.
 			continue
 		}
 		ts.filter.set(d.h1)
-		sh.mu.Lock()
-		delete(sh.m, d.h1)
-		sh.mu.Unlock()
+		ts.mu.Lock()
+		delete(ts.m, d.h1)
+		ts.mu.Unlock()
 		ts.resident.Add(-1)
 		ts.spilled.Add(1)
 	}
@@ -325,12 +276,19 @@ func (f *bitFilter) maybeContains(h1 uint64) bool {
 	return true
 }
 
+// set sets h1's filter bits. The spiller writes them while the search
+// reads them in maybeContains, hence the atomics: a load +
+// CompareAndSwap loop rather than atomic.OrUint64, because with the Or
+// form go1.24.0 emitted code for the bitstate store's equivalent that
+// faulted on its first call (SIGSEGV in the checker's test suite; a
+// minimal standalone Or-with-result-consumed program does not trigger
+// it, so the miscompilation is specific to that inlining/register
+// context). The load fast path — bit already set, no write — is also
+// what a filling filter mostly hits.
 func (f *bitFilter) set(h1 uint64) {
 	for i := 0; i < filterK; i++ {
 		pos := f.probe(h1, i)
 		w, bit := &f.words[pos/64], uint64(1)<<(pos%64)
-		// Load + CAS rather than atomic.OrUint64 — see
-		// atomicBitStore.setBit for the miscompilation this sidesteps.
 		for {
 			old := atomic.LoadUint64(w)
 			if old&bit != 0 || atomic.CompareAndSwapUint64(w, old, old|bit) {

@@ -86,7 +86,7 @@ func TestTieredStoreH1Compact(t *testing.T) {
 
 // TestTieredStoreConcurrent: many goroutines inserting overlapping
 // fingerprint sets must admit each distinct h1 exactly once in total —
-// the shard-lock/spiller ordering may move entries between tiers but
+// the lock/spiller ordering may move entries between tiers but
 // can never double-admit or lose one. Run under -race in CI.
 func TestTieredStoreConcurrent(t *testing.T) {
 	ts := newTestTiered(t)
@@ -197,41 +197,40 @@ func TestStoreDirNotADirectory(t *testing.T) {
 	}
 }
 
-// TestTieredChainEquivalence: complete searches over the chain system
-// with the tiered store under heavy spill report the identical
+// TestTieredChainEquivalence: a complete DFS over the chain system with
+// the tiered store under heavy spill reports the identical
 // explored/matched/stored counts and violation sets as the in-memory
-// exhaustive store, for every strategy.
+// exhaustive store. The tiered store is DFS-only, so DFS is the one
+// strategy case.
 func TestTieredChainEquivalence(t *testing.T) {
 	sys := &chainSys{bound: 13, bad: 24}
-	for _, strat := range []StrategyKind{StrategyDFS, StrategySteal} {
-		t.Run(strat.String(), func(t *testing.T) {
-			base := Options{MaxDepth: 20, Strategy: strat, Workers: 2}
-			mem := Run(sys, base)
-			tiered := base
-			tiered.Store = Tiered
-			tiered.StoreDir = t.TempDir()
-			tiered.MemBudget = 1
-			tr := Run(sys, tiered)
-			if mem.StatesExplored != tr.StatesExplored || mem.StatesMatched != tr.StatesMatched ||
-				mem.StatesStored != tr.StatesStored {
-				t.Errorf("state space diverges: tiered explored=%d matched=%d stored=%d / inmem explored=%d matched=%d stored=%d",
-					tr.StatesExplored, tr.StatesMatched, tr.StatesStored,
-					mem.StatesExplored, mem.StatesMatched, mem.StatesStored)
-			}
-			if mem.HasViolation("bad-value") != tr.HasViolation("bad-value") {
-				t.Errorf("violations diverge: inmem=%v tiered=%v",
-					mem.HasViolation("bad-value"), tr.HasViolation("bad-value"))
-			}
-			if tr.Store.StoredNew == 0 {
-				t.Error("tiered store recorded no admissions — wiring broken")
-			}
-			if tr.Store.Spilled == 0 && tr.StatesStored > 2*tieredMinBudget {
-				t.Errorf("no spill despite %d stored states vs %d-entry budget floor",
-					tr.StatesStored, tieredMinBudget)
-			}
-			t.Logf("stored=%d spilled=%d peak=%d disk-hits=%d filter-rejects=%d",
-				tr.Store.StoredNew, tr.Store.Spilled, tr.Store.PeakResident,
-				tr.Store.DiskHits, tr.Store.FilterRejects)
-		})
-	}
+	t.Run(StrategyDFS.String(), func(t *testing.T) {
+		base := Options{MaxDepth: 20, Strategy: StrategyDFS}
+		mem := Run(sys, base)
+		tiered := base
+		tiered.Store = Tiered
+		tiered.StoreDir = t.TempDir()
+		tiered.MemBudget = 1
+		tr := Run(sys, tiered)
+		if mem.StatesExplored != tr.StatesExplored || mem.StatesMatched != tr.StatesMatched ||
+			mem.StatesStored != tr.StatesStored {
+			t.Errorf("state space diverges: tiered explored=%d matched=%d stored=%d / inmem explored=%d matched=%d stored=%d",
+				tr.StatesExplored, tr.StatesMatched, tr.StatesStored,
+				mem.StatesExplored, mem.StatesMatched, mem.StatesStored)
+		}
+		if mem.HasViolation("bad-value") != tr.HasViolation("bad-value") {
+			t.Errorf("violations diverge: inmem=%v tiered=%v",
+				mem.HasViolation("bad-value"), tr.HasViolation("bad-value"))
+		}
+		if tr.Store.StoredNew == 0 {
+			t.Error("tiered store recorded no admissions — wiring broken")
+		}
+		if tr.Store.Spilled == 0 && tr.StatesStored > 2*tieredMinBudget {
+			t.Errorf("no spill despite %d stored states vs %d-entry budget floor",
+				tr.StatesStored, tieredMinBudget)
+		}
+		t.Logf("stored=%d spilled=%d peak=%d disk-hits=%d filter-rejects=%d",
+			tr.Store.StoredNew, tr.Store.Spilled, tr.Store.PeakResident,
+			tr.Store.DiskHits, tr.Store.FilterRejects)
+	})
 }

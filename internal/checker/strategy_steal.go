@@ -96,9 +96,8 @@ type wsEntryPool struct {
 // stealRun is the shared state of one work-stealing search.
 type stealRun struct {
 	e      *engine
-	links  *linkTable // e.st itself when fused, else written right after e.st.seen
-	fused  bool
-	root   State // initial state: forward replay of lazy trails starts here
+	links  *linkTable // e.st: the run's visited store
+	root   State      // initial state: forward replay of lazy trails starts here
 	deques []*wsDeque
 	cnts   []wsCounters
 	pools  []wsEntryPool
@@ -133,16 +132,11 @@ func (s *workSteal) search(e *engine) {
 		return
 	}
 
-	links, fused := e.st.(*linkTable)
-	if !fused {
-		links = &linkTable{}
-		links.seen(d0)
-	}
+	links := e.st.(*linkTable)
 	links.lazy = e.replayer != nil
 	r := &stealRun{
 		e:        e,
 		links:    links,
-		fused:    fused,
 		root:     init,
 		deques:   make([]*wsDeque, max),
 		cnts:     make([]wsCounters, max),
@@ -154,7 +148,7 @@ func (s *workSteal) search(e *engine) {
 		r.deques[i] = newWSDeque()
 	}
 	if e.frontierRecycle {
-		r.reclaim = newReclaimer(e.rec, max, e.spillFn())
+		r.reclaim = newReclaimer(e.rec, max)
 	}
 	r.cnts[0].sent.Store(1)
 	r.deques[0].push(&stealEntry{state: init, d: d0})
@@ -369,16 +363,14 @@ func (r *stealRun) stealFrom(w int, rng *uint64) *stealEntry {
 }
 
 // retireState hands a consumed, fully expanded state to the
-// reclamation layer together with its digest — the spill candidate the
-// tiered store evicts in epoch order (the root is exempt: trail replay
-// starts from it).
+// reclamation layer (the root is exempt: trail replay starts from it).
 //
 //iotsan:retires st
-func (r *stealRun) retireState(w int, epoch uint64, st State, d digest) {
+func (r *stealRun) retireState(w int, epoch uint64, st State) {
 	if r.reclaim == nil || st == r.root {
 		return
 	}
-	r.reclaim.retire(w, epoch, st, d)
+	r.reclaim.retire(w, epoch, st)
 }
 
 // expand processes one popped or stolen entry, pushing newly stored
@@ -402,14 +394,14 @@ func (c *wsCtx) expand(ent *stealEntry) {
 		// this state below the bound and re-enqueues it — as the copy
 		// expandState keeps on an improved admit, never this one, so this
 		// clone has left every live structure and can retire).
-		st, d := ent.state, ent.d
+		st := ent.state
 		r.putEntry(c.w, ent)
-		r.retireState(c.w, c.epoch, st, d)
+		r.retireState(c.w, c.epoch, st)
 		return
 	}
 	c.childDepth = int(depth) + 1
 	if c.expandState(ent, count) {
-		r.retireState(c.w, c.epoch, ent.state, ent.d)
+		r.retireState(c.w, c.epoch, ent.state)
 	}
 	r.putEntry(c.w, ent)
 }
@@ -420,9 +412,7 @@ func (c *wsCtx) expand(ent *stealEntry) {
 // successor — reconstructing the parent trail prefix lazily, only when
 // a violation is actually recorded — then admits the successor: one
 // probe of the link table stores and links it or, a duplicate, lowers
-// its depth (after a tiered or bitstate store's seen, whichever worker
-// reaches the table first writes a complete edge, later ones only lower
-// the depth). Only a new successor is kept (cloned out of the scratch),
+// its depth. Only a new successor is kept (cloned out of the scratch),
 // inspected for state violations, counted, and pushed. A duplicate is never
 // inspected: its first copy was (System.Inspect is a function of the
 // encoding), which also keeps the count=false re-expansions free of
@@ -479,12 +469,7 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 
 		var d digest
 		d, x.buf = e.digest(tr.Next, x.buf)
-		var fresh, improved bool
-		if c.r.fused {
-			fresh, improved = links.admit(d.h1, h1, int32(depth), tr, relax)
-		} else if fresh = !e.st.seen(d); fresh || relax {
-			_, improved = links.admit(d.h1, h1, int32(depth), tr, relax)
-		}
+		fresh, improved := links.admit(d.h1, h1, int32(depth), tr, relax)
 		if count {
 			x.stat.generated++
 		}

@@ -14,8 +14,9 @@ import (
 
 // Write-ahead checkpoint log for the sequential DFS.
 //
-// The WAL is the one durable artifact of a tiered-store run (the tier
-// files are per-run scratch). Its record stream is:
+// The WAL is the one durable artifact of a checkpointed run, on any
+// store (the tiered store's files are per-run scratch). Its record
+// stream is:
 //
 //	H  header: magic + a fingerprint of the options that shape the
 //	   explored graph; a resume under different options starts fresh.

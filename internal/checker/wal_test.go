@@ -86,6 +86,29 @@ func TestWALKillResumeRoundTrip(t *testing.T) {
 	assertSameRun(t, "resume", rres, baseline)
 }
 
+// TestWALResumeWithoutCheckpoint: Resume alone arms the WAL — it
+// resumes a killed checkpointed search to the uninterrupted result
+// rather than silently starting over.
+func TestWALResumeWithoutCheckpoint(t *testing.T) {
+	sys := walChainSys()
+	baseline := Run(sys, Options{MaxDepth: 20})
+
+	dir := t.TempDir()
+	killed := walBaseOpts(dir)
+	killed.MaxStates = baseline.StatesExplored / 2
+	if kres := Run(sys, killed); !kres.Truncated || kres.Store.Checkpoints == 0 {
+		t.Fatalf("killed run: truncated=%v checkpoints=%d", kres.Truncated, kres.Store.Checkpoints)
+	}
+
+	resumed := walBaseOpts(dir)
+	resumed.Checkpoint, resumed.Resume = false, true
+	rres := Run(sys, resumed)
+	if !rres.Store.Resumed {
+		t.Fatal("Resume without Checkpoint started a fresh search")
+	}
+	assertSameRun(t, "resume-only", rres, baseline)
+}
+
 // TestWALKillResumeTiered: the same round trip through the tiered
 // store with a spill-forcing budget — resume replays the visit log
 // through tiered admission, so the rebuilt store spans hot and disk

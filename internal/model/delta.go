@@ -50,21 +50,22 @@ func (a sysAdapter) DeltaApply(parent checker.State, delta []byte, buf []byte) (
 
 // encodeBlock appends the single-block encoding of block b of s —
 // exactly the bytes refreshBlocks hashes for that block, and exactly
-// the slice of the flat encoding the block occupies.
-func encodeBlock(s *State, b int, buf []byte) []byte {
+// the slice of the flat encoding the block occupies. devRef reports,
+// for an app block, whether the app's state references a device (the
+// symmetry fold's devRefMask bit); it is false for every other block.
+func encodeBlock(s *State, b int, buf []byte) (out []byte, devRef bool) {
 	nDev, nApp := len(s.Devices), len(s.Apps)
 	switch {
 	case b == 0:
-		return s.encodeHeader(buf)
+		return s.encodeHeader(buf), false
 	case b <= nDev:
-		return encodeDevice(buf, &s.Devices[b-1])
+		return encodeDevice(buf, &s.Devices[b-1]), false
 	case b <= nDev+nApp:
-		out, _ := encodeApp(buf, &s.Apps[b-1-nDev], nil)
-		return out
+		return encodeApp(buf, &s.Apps[b-1-nDev], nil)
 	case b == s.queueBlock():
-		return encodeQueue(buf, s.Queue)
+		return encodeQueue(buf, s.Queue), false
 	default:
-		return encodeCmds(buf, s.Cmds, s.InFlight)
+		return encodeCmds(buf, s.Cmds, s.InFlight), false
 	}
 }
 
@@ -94,8 +95,8 @@ func (m *Model) DeltaEncode(child, parent *State, buf []byte) []byte {
 		return buf
 	}
 	for b := 0; b < nb; b++ {
-		cb = encodeBlock(child, b, cb[:0])
-		pb = encodeBlock(parent, b, pb[:0])
+		cb, _ = encodeBlock(child, b, cb[:0])
+		pb, _ = encodeBlock(parent, b, pb[:0])
 		if !bytes.Equal(cb, pb) {
 			mask[b>>6] |= 1 << uint(b&63)
 		}
@@ -111,7 +112,7 @@ func (m *Model) DeltaEncode(child, parent *State, buf []byte) []byte {
 		if mask[b>>6]&(1<<uint(b&63)) == 0 {
 			continue
 		}
-		cb = encodeBlock(child, b, cb[:0])
+		cb, _ = encodeBlock(child, b, cb[:0])
 		buf = binary.AppendUvarint(buf, uint64(len(cb)))
 		buf = append(buf, cb...)
 	}
@@ -159,7 +160,7 @@ func (m *Model) DeltaApply(parent *State, delta []byte, buf []byte) ([]byte, err
 	buf = buf[:0]
 	for b := 0; b < nb; b++ {
 		if mask[b>>6]&(1<<uint(b&63)) == 0 {
-			buf = encodeBlock(parent, b, buf)
+			buf, _ = encodeBlock(parent, b, buf)
 			continue
 		}
 		blen, n := binary.Uvarint(rest)

@@ -249,21 +249,10 @@ func (m *Model) refreshBlocks(s *State) {
 		for word != 0 {
 			b := wi<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			buf = buf[:0]
-			switch {
-			case b == 0:
-				buf = s.encodeHeader(buf)
-			case b <= nDev:
-				buf = encodeDevice(buf, &s.Devices[b-1])
-			case b <= nDev+nApp:
-				ai := b - 1 - nDev
-				var ref bool
-				buf, ref = encodeApp(buf, &s.Apps[ai], nil)
-				s.setDevRef(ai, ref)
-			case b == s.queueBlock():
-				buf = encodeQueue(buf, s.Queue)
-			default:
-				buf = encodeCmds(buf, s.Cmds, s.InFlight)
+			var ref bool
+			buf, ref = encodeBlock(s, b, buf[:0])
+			if b > nDev && b <= nDev+nApp {
+				s.setDevRef(b-1-nDev, ref)
 			}
 			bh := fnv1a64(buf)
 			o1, o2 := foldTerms(b, s.blockHash[b])

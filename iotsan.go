@@ -77,6 +77,7 @@ const (
 	// expand states concurrently from per-worker Chase–Lev deques over
 	// one link table. Each related set's search runs a fixed crew, its
 	// share of Options.Workers — all of them on a system with one set.
+	// It runs on the in-memory exhaustive store, without checkpoints.
 	StrategySteal = checker.StrategySteal
 )
 
@@ -97,8 +98,7 @@ const (
 	StoreBitstate = checker.Bitstate
 	// StoreTiered is the out-of-core store: a memory-budgeted hot tier
 	// spilling through a file-backed bit filter to an on-disk hash
-	// tier, with optional write-ahead checkpointing. Requires
-	// Options.StoreDir.
+	// tier. Requires Options.StoreDir.
 	StoreTiered = checker.Tiered
 )
 
@@ -146,9 +146,10 @@ type Options struct {
 	// StoreBitstate / StoreTiered). Safety invariants are evaluated once
 	// per state the store admits as new, which is exact on the two
 	// exhaustive stores and inherits supertrace's incompleteness on
-	// StoreBitstate. StoreTiered requires StoreDir: each
-	// related set gets its own subdirectory of tier files, so sets can
-	// verify concurrently.
+	// StoreBitstate. StoreBitstate and StoreTiered serve StrategyDFS
+	// only: StrategySteal with either is an error. StoreTiered requires
+	// StoreDir: each related set gets its own subdirectory of tier
+	// files, so sets can verify concurrently.
 	Store StoreSelector
 	// StoreDir is the scratch/WAL directory for StoreTiered (and for
 	// Checkpoint/Resume). Created if missing.
@@ -157,12 +158,13 @@ type Options struct {
 	// bytes per related set (0 = 64 MiB).
 	MemBudget int64
 	// Checkpoint write-ahead logs the search so a killed run can
-	// Resume from the last durable checkpoint. Effective on the
-	// sequential DFS with StoreTiered.
+	// Resume from the last durable checkpoint. StrategyDFS only, on any
+	// store; StrategySteal with it is an error.
 	Checkpoint bool
 	// Resume continues each related set from its last intact checkpoint
-	// under StoreDir; corrupt, missing, or configuration-mismatched WALs
-	// fall back to a fresh search.
+	// under StoreDir, and goes on checkpointing; corrupt, missing, or
+	// configuration-mismatched WALs fall back to a fresh search.
+	// StrategyDFS only, like Checkpoint.
 	Resume bool
 	// Strategy selects the checker search strategy (StrategyDFS
 	// default; StrategySteal uses Workers goroutines).
@@ -266,13 +268,38 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// validate rejects option combinations no search can run under. It is
-// the only such check, made before any source is translated.
+// validate rejects option combinations no search can run under, before
+// any source is translated: the store directory the tiered store and
+// the WAL need, then the checker's own rule (checker.Options.Validate)
+// on the options that reach it.
 func (o Options) validate() error {
 	if (o.Store == StoreTiered || o.Checkpoint || o.Resume) && o.StoreDir == "" {
 		return errors.New("iotsan: StoreTiered/Checkpoint/Resume require Options.StoreDir")
 	}
-	return nil
+	return o.checkerOptions().Validate()
+}
+
+// checkerOptions is the part of o every related set's search shares,
+// with the legacy Bitstate toggle mapped to its store.
+func (o Options) checkerOptions() checker.Options {
+	copts := checker.Options{
+		Strategy:   o.Strategy,
+		Store:      o.Store,
+		StoreDir:   o.StoreDir,
+		Checkpoint: o.Checkpoint,
+		Resume:     o.Resume,
+		POR:        o.POR,
+		Symmetry:   o.Symmetry,
+		Deadline:   o.Deadline,
+		MaxStates:  o.MaxStatesPerSet,
+		MemBudget:  o.MemBudget,
+
+		NoEpochReclaim: o.NoEpochReclaim,
+	}
+	if o.Bitstate && o.Store == StoreExhaustive {
+		copts.Store = StoreBitstate
+	}
+	return copts
 }
 
 // GroupResult is the verification result of one related set.
@@ -675,36 +702,17 @@ func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Boo
 	// Fault transitions extend paths beyond the event budget (an
 	// outage/recovery/delivery chain can interleave between events), so
 	// the depth bound grows with the fault budget.
-	copts := checker.Options{
-		MaxDepth:  opts.MaxEvents + 64 + 8*opts.MaxFaults,
-		MaxStates: opts.MaxStatesPerSet,
-		Deadline:  opts.Deadline,
-		Strategy:  opts.Strategy,
-		Workers:   workers,
-		Stop:      stop,
-		POR:       opts.POR,
-		Symmetry:  opts.Symmetry,
-
-		NoEpochReclaim: opts.NoEpochReclaim,
-	}
-	if opts.Bitstate {
-		copts.Store = checker.Bitstate
-	}
-	if opts.Store != checker.Exhaustive {
-		copts.Store = opts.Store
-	}
-	if copts.Store == checker.Tiered || opts.Checkpoint || opts.Resume {
+	copts := opts.checkerOptions()
+	copts.MaxDepth = opts.MaxEvents + 64 + 8*opts.MaxFaults
+	copts.Workers, copts.Stop = workers, stop
+	if copts.Store == checker.Tiered || copts.Checkpoint || copts.Resume {
 		// One subdirectory per related set: groups verify concurrently
 		// and must not share tier files, and the per-group WAL path must
 		// be stable across runs for Resume.
-		dir := filepath.Join(opts.StoreDir, fmt.Sprintf("group-%03d", gidx))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		copts.StoreDir = filepath.Join(opts.StoreDir, fmt.Sprintf("group-%03d", gidx))
+		if err := os.MkdirAll(copts.StoreDir, 0o755); err != nil {
 			return nil, fmt.Errorf("iotsan: store directory: %w", err)
 		}
-		copts.StoreDir = dir
-		copts.MemBudget = opts.MemBudget
-		copts.Checkpoint = opts.Checkpoint
-		copts.Resume = opts.Resume
 	}
 	res := checker.Run(m.System(), copts)
 	if res.Err != nil {

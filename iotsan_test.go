@@ -139,27 +139,40 @@ func TestWALPathNotAFileIsAnError(t *testing.T) {
 	}
 }
 
-// TestStoreDirValidatedBeforeTranslation: each option combination that
-// needs a store directory is rejected up front — the store error wins
-// over the unparsable source, so nothing was translated first.
+// TestStoreDirValidatedBeforeTranslation: each option combination no
+// search runs under is rejected up front — one that needs a store
+// directory, and steal with a store other than the in-memory exhaustive
+// one (the legacy Bitstate toggle included) or with checkpointing, which
+// the checker's rule refuses. The error wins over the unparsable
+// source, so nothing was translated first.
 func TestStoreDirValidatedBeforeTranslation(t *testing.T) {
 	sys := &iotsan.System{
 		Devices: []iotsan.Device{{ID: "d", Model: "Smart Switch"}},
 		Apps:    []iotsan.AppInstance{{App: "Nope"}},
 	}
 	bad := map[string]string{"Nope": "not groovy ("}
-	for name, opts := range map[string]iotsan.Options{
-		"tiered":     {Store: iotsan.StoreTiered},
-		"checkpoint": {Checkpoint: true},
-		"resume":     {Resume: true},
+	dir := t.TempDir()
+	const noDir, steal = "require Options.StoreDir", "steal strategy"
+	for name, c := range map[string]struct {
+		opts iotsan.Options
+		want string
+	}{
+		"tiered":                {iotsan.Options{Store: iotsan.StoreTiered}, noDir},
+		"checkpoint":            {iotsan.Options{Checkpoint: true}, noDir},
+		"resume":                {iotsan.Options{Resume: true}, noDir},
+		"steal-tiered":          {iotsan.Options{Strategy: iotsan.StrategySteal, Store: iotsan.StoreTiered, StoreDir: dir}, steal},
+		"steal-bitstate":        {iotsan.Options{Strategy: iotsan.StrategySteal, Store: iotsan.StoreBitstate}, steal},
+		"steal-bitstate-legacy": {iotsan.Options{Strategy: iotsan.StrategySteal, Bitstate: true}, steal},
+		"steal-checkpoint":      {iotsan.Options{Strategy: iotsan.StrategySteal, Checkpoint: true, StoreDir: dir}, steal},
+		"steal-resume":          {iotsan.Options{Strategy: iotsan.StrategySteal, Resume: true, StoreDir: dir}, steal},
 	} {
-		_, err := iotsan.Analyze(sys, bad, opts)
-		if err == nil || !strings.Contains(err.Error(), "require Options.StoreDir") {
-			t.Errorf("%s: Analyze error = %v, want the store-directory error", name, err)
+		_, err := iotsan.Analyze(sys, bad, c.opts)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Analyze error = %v, want %q", name, err, c.want)
 		}
-		_, err = iotsan.AnalyzeTranslated(sys, nil, opts)
-		if err == nil || !strings.Contains(err.Error(), "require Options.StoreDir") {
-			t.Errorf("%s: AnalyzeTranslated error = %v, want the store-directory error", name, err)
+		_, err = iotsan.AnalyzeTranslated(sys, nil, c.opts)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: AnalyzeTranslated error = %v, want %q", name, err, c.want)
 		}
 	}
 }

@@ -13,7 +13,9 @@
 //	executor   compiled, interpreter
 //	encode     incremental block cache, flat
 //
-// — and is held to the oracle. A plain cell stores exactly the
+// — and is held to the oracle. Steal runs only on the hash store: a
+// steal cell on another store holds the checker to its refusal, an
+// error and nothing else. A plain cell stores exactly the
 // reference's states, takes exactly its transitions and reports exactly
 // its violation set, and on steal reaches exactly its deepest level. A
 // symmetry cell stores exactly the canonical reference's states. A POR
@@ -36,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -217,6 +220,10 @@ func (c cell) String() string {
 	}
 	return strings.Join(parts, "-")
 }
+
+// refused reports whether the checker refuses c's options: steal keeps
+// its visited set in its link table and runs on no other store.
+func (c cell) refused() bool { return c.strategy != dfs && c.store != hash }
 
 // anchor is the cell c's DFS results must equal: the default engine on
 // c's workload and reduction. Under symmetry the two encoders may pick
@@ -437,6 +444,16 @@ func (c cell) check(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if c.refused() {
+		if r.Err == nil || !reflect.DeepEqual(r.Result, &checker.Result{Err: r.Err}) || r.inspects+r.steps+r.keeps != 0 {
+			t.Errorf("want the checker's refusal and nothing else, got %+v after %d Inspect, %d Step and %d Keep calls",
+				r.Result, r.inspects, r.steps, r.keeps)
+		}
+		return
+	}
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
 	if r.Truncated {
 		t.Fatal("truncated: the matrix compares complete searches")
 	}
@@ -456,12 +473,8 @@ func (c cell) check(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Two steal workers racing on one unseen state may both be told it
-	// is new by the lock-free bitstate store (atomicBitStore): there the
-	// engine's counts may only exceed the reference's.
-	racy := c.store == bitstate && c.strategy == steal4
 	count := func(what string, got, want int) {
-		if got != want && !(racy && got > want) {
+		if got != want {
 			t.Errorf("%d %s, the reference %d", got, what, want)
 		}
 	}
@@ -476,7 +489,7 @@ func (c cell) check(t *testing.T) {
 	case sym:
 		count("stored states", r.StatesStored, bound.states)
 	default:
-		if r.StatesStored > bound.states && !racy {
+		if r.StatesStored > bound.states {
 			t.Errorf("stored %d states, more than the unreduced reference's %d", r.StatesStored, bound.states)
 		}
 	}
@@ -800,8 +813,8 @@ func TestStealRecycleEquivalenceCorpus(t *testing.T) {
 	matrixView(t, func(c cell) bool { return c.strategy == steal4 })
 }
 
-// TestStealTrailReplaysOnModel: steal behind the stores whose table is
-// written after the store's seen.
+// TestStealTrailReplaysOnModel: steal on the stores it refuses; each
+// cell must see the refusal.
 func TestStealTrailReplaysOnModel(t *testing.T) {
 	matrixView(t, func(c cell) bool { return c.strategy != dfs && c.store != hash })
 }
