@@ -25,12 +25,12 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.MaxFaults, "max-faults", 1,
 		"budget of fault transitions per path with -faults (outages and drops each cost one; 0 keeps the fault layer inert)")
 	fs.Func("store",
-		"visited-state store: exhaustive (in-memory hash-compact, default), bitstate (supertrace bit array), or tiered (out-of-core: memory-budgeted hot tier spilling to file-backed filter + disk hash tiers; requires -store-dir); bitstate and tiered are -strategy dfs only",
+		"visited-state store: exhaustive (in-memory hash-compact, default), bitstate (supertrace bit array), or tiered (out-of-core: memory-budgeted hot tier spilling to a memory-mapped hash table behind a heap filter; requires -store-dir); bitstate and tiered are -strategy dfs only",
 		func(s string) (err error) { o.Store, err = ParseStore(s); return })
 	fs.StringVar(&o.StoreDir, "store-dir", "",
 		"scratch directory for -store tiered and -checkpoint/-resume (per-group tier files and the checkpoint WAL)")
 	fs.Int64Var(&o.MemBudget, "mem-budget", 0,
-		"approximate resident bytes of hot-tier fingerprints per related set with -store tiered (0 = 64 MiB)")
+		"bytes of the hot tier per related set with -store tiered; the older half spills to disk when the newer half fills (0 = 64 MiB)")
 	fs.BoolVar(&o.Checkpoint, "checkpoint", false,
 		"write-ahead checkpoint the search to <store-dir>/*/wal.log (-strategy dfs, any store); a killed run can continue with -resume")
 	fs.BoolVar(&o.Resume, "resume", false,

@@ -296,13 +296,14 @@ const (
 	// BITSTATE / supertrace mode). A false-positive "seen" drops the
 	// state before it is inspected or expanded. StrategyDFS only.
 	Bitstate
-	// Tiered is the out-of-core exhaustive store: a hot in-process
-	// tier bounded by Options.MemBudget, a file-backed bitstate
-	// filter, and an on-disk open-addressed hash tier under
-	// Options.StoreDir. Membership semantics are identical to the
-	// in-memory exhaustive store (hash-compact, keyed on the digest's
-	// first hash); the extra tiers only change where cold fingerprints
-	// live. Requires StoreDir. StrategyDFS only.
+	// Tiered is the out-of-core exhaustive store: two hot generations
+	// of fingerprints on the heap, bounded by Options.MemBudget, and a
+	// disk tier of 8-byte fingerprints in a memory-mapped hash table
+	// under Options.StoreDir, fronted by a heap filter. Membership
+	// semantics are identical to the in-memory exhaustive store
+	// (hash-compact, keyed on the digest's first hash); the disk tier
+	// only changes where cold fingerprints live. Requires StoreDir.
+	// StrategyDFS only.
 	Tiered
 )
 
@@ -382,14 +383,14 @@ type Options struct {
 	// the result truncated. The iotsan group scheduler uses it to cancel
 	// sibling related-set searches when a global violation cap is hit.
 	Stop *atomic.Bool
-	// StoreDir is the scratch directory of the Tiered store (its filter
-	// and disk-tier files) and of the write-ahead checkpoint log. The
-	// tier files are recreated per run; only the WAL carries state
-	// across a restart. Required for Tiered, Checkpoint and Resume.
+	// StoreDir is the scratch directory of the Tiered store (its disk
+	// tier file) and of the write-ahead checkpoint log. The tier file is
+	// recreated per run; only the WAL carries state across a restart.
+	// Required for Tiered, Checkpoint and Resume.
 	StoreDir string
-	// MemBudget approximately bounds the resident bytes of the Tiered
-	// store's hot tier; beyond it, the oldest fingerprints spill
-	// write-behind to the disk tier (0 = a generous default).
+	// MemBudget bounds the bytes of the Tiered store's hot tier (0 = 64
+	// MiB, and never under 512 fingerprints). When half of it fills, the
+	// older half spills to the disk tier on the search's goroutine.
 	MemBudget int64
 	// Checkpoint enables write-ahead checkpointing of the DFS, on any
 	// store: every CheckpointEvery explored states the engine appends
@@ -530,15 +531,16 @@ type Result struct {
 	Err error
 }
 
-// StoreStats is the per-tier observability of a Tiered-store run.
+// StoreStats is the per-tier observability of a Tiered-store run. The
+// counters are a function of the digest stream alone, so two runs of
+// one search report the same numbers.
 type StoreStats struct {
-	HotHits       int64 // duplicate hits answered by the in-process tier
+	HotHits       int64 // duplicate hits answered by the hot tier
 	DiskHits      int64 // duplicate hits answered by the disk tier
 	FilterRejects int64 // disk probes skipped by a filter negative
 	StoredNew     int64 // fingerprints admitted as new
 	Spilled       int64 // fingerprints moved from the hot to the disk tier
-	H1Collisions  int64 // disk hits whose second hash disagreed (hash-compact aliases)
-	PeakResident  int64 // peak hot-tier entries
+	PeakResident  int64 // peak hot-tier entries (the entry budget once the store spills)
 	// CheckpointBytes is the total WAL bytes written by this run's
 	// checkpoints (zero with checkpointing off).
 	CheckpointBytes int64

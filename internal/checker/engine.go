@@ -64,11 +64,10 @@ type engine struct {
 	// sequential DFS free-lists are independent of it.
 	frontierRecycle bool
 
-	// needH2 is set when the store consumes the second hash — bitstate
-	// derives probe positions from it, the tiered store records it on
-	// disk as a collision diagnostic; the in-memory exhaustive stores
-	// key on h1 alone, so the second hashing pass is skipped on their
-	// per-state hot path.
+	// needH2 is set when the store consumes the second hash: bitstate
+	// derives probe positions from it. Every other store keys on h1
+	// alone, so the second hashing pass is skipped on their per-state
+	// hot path.
 	needH2 bool
 
 	// tiered is the store downcast when Options.Store == Tiered, for
@@ -152,7 +151,7 @@ func newEngine(sys System, opts Options) (*engine, error) {
 		opts:     opts,
 		st:       st,
 		start:    time.Now(),
-		needH2:   opts.Store == Bitstate || opts.Store == Tiered,
+		needH2:   opts.Store == Bitstate,
 		distinct: map[Violation]struct{}{},
 	}
 	if stp, ok := sys.(Stepper); ok {
@@ -528,15 +527,8 @@ func (e *engine) visitInitial(x *expander) (State, digest) {
 // WAL (the search has fully quiesced by the time a strategy returns).
 func (e *engine) finish() *Result {
 	var ss StoreStats
-	storedOverride := -1
 	if e.tiered != nil {
-		// Drain the spiller first: a digest mid-spill has its disk
-		// record written before its hot entry is deleted, so size()
-		// counts it twice until the spiller quiesces. count() and the
-		// resident counter stay readable after close tears the tier
-		// files down.
 		ss = e.tiered.close()
-		storedOverride = e.st.size()
 	}
 	if e.wal != nil {
 		ss.CheckpointBytes = e.wal.bytes
@@ -544,16 +536,12 @@ func (e *engine) finish() *Result {
 		ss.Resumed = e.wal.resumed
 		e.wal.close()
 	}
-	stored := storedOverride
-	if stored < 0 {
-		stored = e.st.size()
-	}
 	return &Result{
 		Store:           ss,
 		Violations:      e.found,
 		StatesExplored:  int(e.explored.Load()),
 		StatesMatched:   int(e.matched.Load()),
-		StatesStored:    stored,
+		StatesStored:    e.st.size(),
 		MaxDepthReached: int(e.maxDepth.Load()),
 		Truncated:       e.truncated.Load(),
 		Elapsed:         time.Since(e.start),

@@ -9,8 +9,8 @@ import (
 )
 
 // mapFile memory-maps size bytes of f read-write and shared, so the
-// tiered store's filter and disk-tier tables live in the page cache
-// instead of the Go heap. The returned unmap releases the mapping.
+// tiered store's disk-tier table lives in the page cache instead of the
+// Go heap. The returned unmap releases the mapping.
 func mapFile(f *os.File, size int) ([]byte, func() error, error) {
 	data, err := syscall.Mmap(int(f.Fd()), 0, size,
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)

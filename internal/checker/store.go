@@ -64,9 +64,9 @@ func hash2(data []byte) uint64 {
 // links: table8_steal2) and, for the single-goroutine DFS, hashStore
 // (exhaustive: table8_dfs, market_t5), tieredStore (out-of-core
 // exhaustive: table8_tiered_wal) and bitStore (-store bitstate, the
-// paper's supertrace mode; no benchmark workload yet). linkTable is
-// safe for concurrent use; tieredStore too, because its spiller runs
-// beside the search.
+// paper's supertrace mode; no benchmark workload yet). linkTable alone
+// is safe for concurrent use: the other three serve one goroutine, and
+// tieredStore spills on it.
 type store interface {
 	seen(d digest) bool
 	size() int
@@ -155,17 +155,32 @@ func (t *digestSet) add(k uint64) bool {
 	return found
 }
 
-// grow doubles the table (or allocates the first one) and re-inserts
-// every key; the old array is garbage as soon as it returns.
-func (t *digestSet) grow() {
-	old := t.slots
-	size := 2 * len(old)
-	if size == 0 {
-		size = digestSetMinSlots
+// has reports whether k is a member of the set without inserting it.
+func (t *digestSet) has(k uint64) bool {
+	if k == 0 {
+		return t.zero
 	}
-	t.slots = make([]uint64, size)
-	t.limit = size - size/4
-	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	if len(t.slots) == 0 {
+		return false
+	}
+	_, found := t.find(k)
+	return found
+}
+
+// grow doubles the table (or allocates the first one); the old array is
+// garbage as soon as it returns.
+func (t *digestSet) grow() {
+	t.rehash(make([]uint64, max(2*len(t.slots), digestSetMinSlots)))
+}
+
+// rehash moves every key into slots, a zeroed power-of-two array the
+// keys fit in under the load bound. The tiered store's disk tier passes
+// a mapped file here.
+func (t *digestSet) rehash(slots []uint64) {
+	old := t.slots
+	t.slots = slots
+	t.limit = len(slots) - len(slots)/4
+	t.shift = uint8(64 - bits.TrailingZeros(uint(len(slots))))
 	for _, k := range old {
 		if k != 0 {
 			i, _ := t.find(k)

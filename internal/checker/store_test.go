@@ -43,18 +43,6 @@ func digestSetKeys() []uint64 {
 	return keys
 }
 
-// has reports whether k is a member of the set without inserting it.
-func (t *digestSet) has(k uint64) bool {
-	if k == 0 {
-		return t.zero
-	}
-	if len(t.slots) == 0 {
-		return false
-	}
-	_, found := t.find(k)
-	return found
-}
-
 // TestDigestSetDifferential: the flat table answers add and has exactly
 // as a Go map does on every key of the adversarial workload, its size
 // is exact after every insert, the load stays at or under 75 %, and the

@@ -5,79 +5,61 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 )
 
 // Tiered out-of-core visited store.
 //
-// Three tiers behind the one store interface, all keyed by the engine's
-// canonical 128-bit digest (engine.digest is the single funnel, so no
-// tier ever sees a state — only fingerprints):
+// Two tiers behind the one store interface, both keyed by h1, the first
+// word of the engine's digest (engine.digest is the single funnel, so
+// no tier ever sees a state, only fingerprints). Membership is exactly
+// the hash-compact semantics of hashStore, so a tiered run explores the
+// identical state graph. Both tiers use digestSet's layout:
 //
-//	hot    an in-process map (h1 → h2) bounded by Options.MemBudget;
-//	       the working set of recent fingerprints.
-//	filter a file-backed bit array whose k probe positions derive from
-//	       h1 alone. A fingerprint's bits are set when it spills, so a
-//	       filter negative proves the disk tier cannot contain it and
-//	       the common fresh-state lookup never touches the disk table.
-//	disk   an open-addressed hash-table file of 16-byte (h1, h2)
-//	       records. Membership compares h1 only — exactly the
-//	       hash-compact semantics of the in-memory exhaustive stores,
-//	       so a tiered run explores the identical state graph; h2 is
-//	       stored as a collision diagnostic (StoreStats.H1Collisions).
+//	hot   two digestSet generations on the heap, cur and old. A new
+//	      fingerprint enters cur. When cur holds half the entry budget,
+//	      old spills to disk and the two swap, so at most the budget is
+//	      ever resident.
+//	disk  a digestSet whose slot array is a memory-mapped file of
+//	      8-byte h1 words, fronted by a heap filter the table owns: a
+//	      blocked Bloom filter of one 64-bit word per 8 slots with all
+//	      k=3 bits of a key in one word (Putze, Sanders & Singler, WEA
+//	      2007). A filter negative proves the key is not on disk, so the
+//	      common fresh-state lookup never touches the mapped file.
 //
-// Spill is write-behind: under budget pressure the oldest hot entry
-// queues to a single spiller goroutine that writes the disk record and
-// filter bits first and only then deletes the hot entry. A fingerprint
-// is therefore always findable in hot ∪ disk, and because every lookup
-// checks the hot map and the filter under the lock the spiller deletes
-// under, the spill of a digest can never race a seen of the same digest
-// into a false "new". The store serves the single-goroutine DFS, so
-// that lock is contended by the search and the spiller alone.
+// The store serves the single-goroutine DFS alone (Options.Validate
+// refuses it to steal), so a spill runs on the search's goroutine and
+// nothing is locked. Before a spill the disk table grows to fit the
+// whole generation; a failed grow leaves the generation hot and stops
+// spilling, so every fingerprint stays in exactly one tier and the run
+// continues in memory.
 //
 // The tier files are per-run scratch (recreated on open): crash
 // durability lives entirely in the checkpoint WAL, which rebuilds the
 // store from logged visit digests on resume.
 
-// tieredBudgetDefault is the hot-tier entry budget when MemBudget is
-// unset; tieredEntryBytes the approximate resident cost of one hot
-// entry (map bucket share + ring slot).
+// tieredEntryBytes is the MemBudget bytes one hot-tier entry is charged.
+// A generation of half the budget sits in a power-of-two slot array at
+// most 3/4 full, so the two generations' arrays take under 64/3 bytes
+// an entry: 24 keeps them inside MemBudget.
 const (
-	tieredBudgetDefault = 1 << 20
-	tieredEntryBytes    = 64
-	tieredMinBudget     = 512
+	tieredDefaultBytes = 64 << 20
+	tieredEntryBytes   = 24
+	tieredMinBudget    = 512
 )
 
 type tieredStore struct {
-	// mu guards the hot tier: the fingerprint map and the ring of its
-	// insertion order, which eviction consumes from head.
-	mu   sync.Mutex
-	m    map[uint64]uint64 // h1 → h2
-	ring []uint64          // h1 insertion order; head..len(ring) live
-	head int
+	cur, old digestSet
+	half     int // entries in cur that trigger a spill; the budget is 2*half
+	disk     *diskTable
+	// stuck is set when the disk tier failed to grow: nothing more
+	// spills, and the hot tier grows without bound.
+	stuck bool
 
-	budget int64 // max hot-tier entries
-	filter *bitFilter
-	disk   *diskTable
-
-	resident atomic.Int64
-	peak     atomic.Int64
-
-	spillCh chan digest
-	spillWG sync.WaitGroup
-
-	hotHits   atomic.Int64
-	diskHits  atomic.Int64
-	filterNeg atomic.Int64
-	stored    atomic.Int64
-	spilled   atomic.Int64
-	h1Collide atomic.Int64
+	hotHits, diskHits, filterRejects, peak int64
 }
 
-// newTieredStore opens the tier files under dir (recreating them — the
-// tiers are scratch; the WAL is the durable artifact) and starts the
-// write-behind spiller.
+// newTieredStore opens the disk tier under dir (recreating its file —
+// the tiers are scratch; the WAL is the durable artifact).
 func newTieredStore(dir string, memBudget int64) (*tieredStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("checker: tiered store requires a store directory")
@@ -85,147 +67,82 @@ func newTieredStore(dir string, memBudget int64) (*tieredStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checker: tiered store: %w", err)
 	}
-	budget := int64(tieredBudgetDefault)
-	if memBudget > 0 {
-		budget = memBudget / tieredEntryBytes
-		if budget < tieredMinBudget {
-			budget = tieredMinBudget
-		}
-	}
-	filter, err := newBitFilter(filepath.Join(dir, "filter.bits"))
-	if err != nil {
-		return nil, err
+	if memBudget <= 0 {
+		memBudget = tieredDefaultBytes
 	}
 	disk, err := newDiskTable(dir)
 	if err != nil {
-		filter.close()
 		return nil, err
 	}
-	ts := &tieredStore{m: make(map[uint64]uint64), budget: budget, filter: filter, disk: disk,
-		spillCh: make(chan digest, 4096)}
-	ts.spillWG.Add(1)
-	go ts.spiller()
-	return ts, nil
+	budget := max(memBudget/tieredEntryBytes, tieredMinBudget)
+	return &tieredStore{half: int(budget / 2), disk: disk}, nil
 }
 
-// seen implements the store contract with hash-compact semantics
-// identical to hashStore and linkTable: membership is keyed on h1.
-// The whole decision runs under the hot tier's lock; the spiller sets
-// the filter bit and the disk record before deleting a hot entry (also
-// under this lock), so a digest mid-spill is found in whichever tier
-// currently holds it.
+// seen implements the store contract: the hot generations, then the
+// disk tier behind its filter, and a miss enters cur.
 func (ts *tieredStore) seen(d digest) bool {
-	ts.mu.Lock()
-	if _, ok := ts.m[d.h1]; ok {
-		ts.mu.Unlock()
-		ts.hotHits.Add(1)
+	k := d.h1
+	if ts.cur.has(k) || ts.old.has(k) {
+		ts.hotHits++
 		return true
 	}
-	if ts.filter.maybeContains(d.h1) {
-		if h2, ok := ts.disk.lookup(d.h1); ok {
-			ts.mu.Unlock()
-			ts.diskHits.Add(1)
-			if h2 != d.h2 {
-				ts.h1Collide.Add(1)
-			}
-			return true
-		}
-	} else {
-		ts.filterNeg.Add(1)
+	if !ts.disk.mayHave(k) {
+		ts.filterRejects++
+	} else if ts.disk.set.has(k) {
+		ts.diskHits++
+		return true
 	}
-	ts.m[d.h1] = d.h2
-	ts.ring = append(ts.ring, d.h1)
-	ts.mu.Unlock()
-	ts.stored.Add(1)
-	r := ts.resident.Add(1)
-	for {
-		p := ts.peak.Load()
-		if r <= p || ts.peak.CompareAndSwap(p, r) {
-			break
-		}
-	}
-	if r > ts.budget {
-		ts.evictOne()
+	ts.cur.add(k)
+	if ts.cur.n >= ts.half && !ts.stuck {
+		ts.spill()
 	}
 	return false
 }
 
-// size counts distinct stored fingerprints across the hot and disk
-// tiers. A digest mid-spill is briefly counted in both (its disk
-// record is written before its hot entry is deleted), so the count is
-// exact only while the spiller is quiescent — the engine reads it
-// after close has drained the spill queue.
-func (ts *tieredStore) size() int {
-	return int(ts.resident.Load() + ts.disk.count())
-}
-
-// evictOne queues the oldest hot entry for spill. The entry stays
-// visible in the hot tier until the spiller has made it durable in the
-// disk tier. Once more than half the ring is consumed, its live tail
-// moves to the front, so the ring holds at most twice the hot entries.
-func (ts *tieredStore) evictOne() {
-	ts.mu.Lock()
-	if ts.head == len(ts.ring) {
-		ts.mu.Unlock()
+// spill moves old to the disk tier and swaps the generations, leaving
+// cur empty. When the disk table cannot grow to fit old, both
+// generations stay hot.
+func (ts *tieredStore) spill() {
+	if ts.disk.reserve(ts.old.n) != nil {
+		ts.stuck = true
 		return
 	}
-	h1 := ts.ring[ts.head]
-	ts.head++
-	if ts.head > len(ts.ring)/2 {
-		ts.ring = ts.ring[:copy(ts.ring, ts.ring[ts.head:])]
-		ts.head = 0
-	}
-	d := digest{h1: h1, h2: ts.m[h1]}
-	ts.mu.Unlock()
-	ts.spillCh <- d
-}
-
-// spiller is the single write-behind goroutine: for each queued digest
-// it writes the disk record, sets the filter bits, and only then
-// deletes the hot entry (under the lock every lookup holds), preserving
-// hot ∪ disk visibility at every instant.
-func (ts *tieredStore) spiller() {
-	defer ts.spillWG.Done()
-	for d := range ts.spillCh {
-		if err := ts.disk.insert(d.h1, d.h2); err != nil {
-			// Disk-tier failure (out of space): keep the entry hot —
-			// correctness is unaffected, the run just stops shrinking.
-			continue
+	ts.peak = max(ts.peak, int64(ts.cur.n+ts.old.n))
+	for _, k := range ts.old.slots {
+		if k != 0 {
+			ts.disk.add(k)
 		}
-		ts.filter.set(d.h1)
-		ts.mu.Lock()
-		delete(ts.m, d.h1)
-		ts.mu.Unlock()
-		ts.resident.Add(-1)
-		ts.spilled.Add(1)
 	}
+	if ts.old.zero {
+		ts.disk.add(0)
+	}
+	clear(ts.old.slots)
+	ts.old.n, ts.old.zero = 0, false
+	ts.cur, ts.old = ts.old, ts.cur
 }
 
-// close stops the spiller, releases the tier files, and returns the
-// run's per-tier counters. Callers must have quiesced every search
-// goroutine first (the engine closes from finish, after the strategy
-// returned).
+// size counts the stored fingerprints; each is in exactly one tier.
+func (ts *tieredStore) size() int { return ts.cur.n + ts.old.n + ts.disk.set.n }
+
+// close releases the disk tier and returns the run's per-tier counters.
+// size stays readable after it. Nothing leaves the disk tier, so its
+// size is the spill count.
 func (ts *tieredStore) close() StoreStats {
-	close(ts.spillCh)
-	ts.spillWG.Wait()
-	st := StoreStats{
-		HotHits:       ts.hotHits.Load(),
-		DiskHits:      ts.diskHits.Load(),
-		FilterRejects: ts.filterNeg.Load(),
-		StoredNew:     ts.stored.Load(),
-		Spilled:       ts.spilled.Load(),
-		H1Collisions:  ts.h1Collide.Load(),
-		PeakResident:  ts.peak.Load(),
-	}
-	ts.filter.close()
 	ts.disk.close()
-	return st
+	return StoreStats{
+		HotHits:       ts.hotHits,
+		DiskHits:      ts.diskHits,
+		FilterRejects: ts.filterRejects,
+		StoredNew:     int64(ts.size()),
+		Spilled:       int64(ts.disk.set.n),
+		PeakResident:  max(ts.peak, int64(ts.cur.n+ts.old.n)),
+	}
 }
 
-// mix64 avalanches h1 into the independent second word the filter's
-// double-hash probe stride needs. Pure word mixing of an
-// already-funnelled digest — no state bytes are hashed here, so the
-// single-funnel property (digestfunnel) is preserved by construction.
+// mix64 avalanches h1 into the word the filter's index and bits come
+// from. Pure word mixing of an already-funnelled digest — no state
+// bytes are hashed here, so the single-funnel property (digestfunnel)
+// is preserved by construction.
 func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -235,211 +152,96 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// filterLogBits sizes the filter at 2^27 bits = 16 MB — k=3 probes keep
-// the false-positive rate under ~1% up to ~10M spilled fingerprints,
-// and a false positive only costs one disk probe, never correctness.
-const (
-	filterLogBits = 27
-	filterK       = 3
-)
+// diskTableMinSlots is the disk tier's first capacity (32 KB of file).
+const diskTableMinSlots = 1 << 12
 
-// bitFilter is the middle tier: a file-backed (mmap where available)
-// bit array over the spilled fingerprints. Probes derive from h1 alone
-// — the membership key — so the filter can never reject a fingerprint
-// the disk tier holds.
-type bitFilter struct {
-	words []uint64
-	mask  uint64
-	mf    *mappedFile
-}
-
-func newBitFilter(path string) (*bitFilter, error) {
-	n := uint64(1) << filterLogBits
-	mf, err := openMapped(path, int(n/8))
-	if err != nil {
-		return nil, fmt.Errorf("checker: tiered store filter: %w", err)
-	}
-	return &bitFilter{words: mf.words, mask: n - 1, mf: mf}, nil
-}
-
-func (f *bitFilter) probe(h1 uint64, i int) uint64 {
-	return (h1 + uint64(i)*(mix64(h1)|1)) & f.mask
-}
-
-func (f *bitFilter) maybeContains(h1 uint64) bool {
-	for i := 0; i < filterK; i++ {
-		pos := f.probe(h1, i)
-		if atomic.LoadUint64(&f.words[pos/64])&(1<<(pos%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// set sets h1's filter bits. The spiller writes them while the search
-// reads them in maybeContains, hence the atomics: a load +
-// CompareAndSwap loop rather than atomic.OrUint64, because with the Or
-// form go1.24.0 emitted code for the bitstate store's equivalent that
-// faulted on its first call (SIGSEGV in the checker's test suite; a
-// minimal standalone Or-with-result-consumed program does not trigger
-// it, so the miscompilation is specific to that inlining/register
-// context). The load fast path — bit already set, no write — is also
-// what a filling filter mostly hits.
-func (f *bitFilter) set(h1 uint64) {
-	for i := 0; i < filterK; i++ {
-		pos := f.probe(h1, i)
-		w, bit := &f.words[pos/64], uint64(1)<<(pos%64)
-		for {
-			old := atomic.LoadUint64(w)
-			if old&bit != 0 || atomic.CompareAndSwapUint64(w, old, old|bit) {
-				break
-			}
-		}
-	}
-}
-
-func (f *bitFilter) close() { f.mf.close() }
-
-// diskTable is the bottom tier: an open-addressed, linear-probed hash
-// table file of 16-byte (h1, h2) little-endian records; a record of
-// all zeroes is an empty slot (the one real digest colliding with that
-// encoding is tracked out of band). Records are never deleted. Inserts
-// come only from the spiller goroutine; lookups take the read lock, so
-// growth (a rebuild into a doubled file) excludes them.
+// diskTable is the bottom tier: a digestSet over a mapped file of h1
+// words (the zero key is set's flag), and the filter over its keys.
+// Records are never deleted. Only reserve grows the table, into a new
+// file of the next generation; add never grows it.
 type diskTable struct {
-	mu      sync.RWMutex
-	dir     string
-	gen     int
-	mf      *mappedFile
-	mask    uint64
-	n       uint64
-	hasZero bool
+	dir    string
+	gen    int
+	mf     *mappedFile
+	set    digestSet // slots is mf.words
+	filter []uint64  // one word per 8 slots
+	fshift uint8     // 64 - log2(len(filter))
 }
-
-// diskTableInitLog is log2 of the initial record capacity (2^16 × 16 B
-// = 1 MB); the table rebuilds at double size past 60% load.
-const diskTableInitLog = 16
 
 func newDiskTable(dir string) (*diskTable, error) {
-	dt := &diskTable{dir: dir}
-	if err := dt.open(diskTableInitLog); err != nil {
+	dt := &diskTable{dir: dir, gen: -1}
+	if err := dt.remap(diskTableMinSlots); err != nil {
 		return nil, err
 	}
 	return dt, nil
 }
 
-func (dt *diskTable) open(logCap int) error {
-	cap := uint64(1) << logCap
-	mf, err := openMapped(filepath.Join(dt.dir, fmt.Sprintf("disk-%d.tbl", dt.gen)), int(cap*16))
+// remap moves the table into a new file of size slots and rebuilds the
+// filter from its records; on failure the table is unchanged.
+func (dt *diskTable) remap(size int) error {
+	mf, err := openMapped(filepath.Join(dt.dir, fmt.Sprintf("disk-%d.tbl", dt.gen+1)), size*8)
 	if err != nil {
 		return fmt.Errorf("checker: tiered store disk tier: %w", err)
 	}
+	old := dt.mf
+	dt.set.rehash(mf.words)
 	dt.mf = mf
-	dt.mask = cap - 1
+	dt.gen++
+	dt.filter = make([]uint64, size/8)
+	dt.fshift = dt.set.shift + 3
+	for _, k := range dt.set.slots {
+		if k != 0 {
+			dt.mark(k)
+		}
+	}
+	if dt.set.zero {
+		dt.mark(0)
+	}
+	if old != nil {
+		old.close()
+		os.Remove(old.path)
+	}
 	return nil
 }
 
-func (dt *diskTable) record(idx uint64) (h1, h2 uint64) {
-	return dt.mf.words[idx*2], dt.mf.words[idx*2+1]
-}
-
-func (dt *diskTable) setRecord(idx, h1, h2 uint64) {
-	dt.mf.words[idx*2], dt.mf.words[idx*2+1] = h1, h2
-}
-
-func (dt *diskTable) lookup(h1 uint64) (h2 uint64, ok bool) {
-	dt.mu.RLock()
-	defer dt.mu.RUnlock()
-	if h1 == 0 && dt.hasZero {
-		// The all-zero digest cannot be distinguished from an empty
-		// slot in record form; its h2 is not retained.
-		return 0, true
+// reserve grows the table, if need be, so extra more keys fit under
+// its load bound.
+func (dt *diskTable) reserve(extra int) error {
+	size := len(dt.set.slots)
+	for dt.set.n+extra > size-size/4 {
+		size *= 2
 	}
-	for idx := h1 & dt.mask; ; idx = (idx + 1) & dt.mask {
-		r1, r2 := dt.record(idx)
-		if r1 == 0 && r2 == 0 {
-			return 0, false
-		}
-		if r1 == h1 {
-			return r2, true
-		}
-	}
-}
-
-// insert adds (h1, h2) if absent. Spiller-goroutine only.
-func (dt *diskTable) insert(h1, h2 uint64) error {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	if h1 == 0 && h2 == 0 {
-		dt.hasZero = true
+	if size == len(dt.set.slots) {
 		return nil
 	}
-	if dt.n*10 >= (dt.mask+1)*6 {
-		if err := dt.grow(); err != nil {
-			return err
-		}
-	}
-	for idx := h1 & dt.mask; ; idx = (idx + 1) & dt.mask {
-		r1, r2 := dt.record(idx)
-		if r1 == 0 && r2 == 0 {
-			dt.setRecord(idx, h1, h2)
-			dt.n++
-			return nil
-		}
-		if r1 == h1 {
-			return nil
-		}
+	return dt.remap(size)
+}
+
+// add inserts k; the caller has reserved room for it.
+func (dt *diskTable) add(k uint64) {
+	if !dt.set.add(k) {
+		dt.mark(k)
 	}
 }
 
-// grow rebuilds into a doubled file and removes the old generation.
-// Caller holds the write lock.
-func (dt *diskTable) grow() error {
-	old, oldMask := dt.mf, dt.mask
-	oldPath := old.path
-	dt.gen++
-	logCap := 1
-	for c := (oldMask + 1) * 2; c > 1; c >>= 1 {
-		logCap++
-	}
-	if err := dt.open(logCap - 1); err != nil {
-		dt.mf, dt.mask = old, oldMask
-		dt.gen--
-		return err
-	}
-	for i := uint64(0); i <= oldMask; i++ {
-		h1, h2 := old.words[i*2], old.words[i*2+1]
-		if h1 == 0 && h2 == 0 {
-			continue
-		}
-		for idx := h1 & dt.mask; ; idx = (idx + 1) & dt.mask {
-			r1, r2 := dt.record(idx)
-			if r1 == 0 && r2 == 0 {
-				dt.setRecord(idx, h1, h2)
-				break
-			}
-		}
-	}
-	old.close()
-	os.Remove(oldPath)
-	return nil
+// filterWord returns k's filter word and the mask of its three bits.
+func (dt *diskTable) filterWord(k uint64) (*uint64, uint64) {
+	m := mix64(k)
+	return &dt.filter[m>>dt.fshift], 1<<(m&63) | 1<<(m>>6&63) | 1<<(m>>12&63)
 }
 
-func (dt *diskTable) count() int64 {
-	dt.mu.RLock()
-	defer dt.mu.RUnlock()
-	n := int64(dt.n)
-	if dt.hasZero {
-		n++
-	}
-	return n
+func (dt *diskTable) mark(k uint64) {
+	w, bits := dt.filterWord(k)
+	*w |= bits
 }
 
-func (dt *diskTable) close() {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	dt.mf.close()
+// mayHave is the filter test: false proves k is not on disk.
+func (dt *diskTable) mayHave(k uint64) bool {
+	w, bits := dt.filterWord(k)
+	return *w&bits == bits
 }
+
+func (dt *diskTable) close() { dt.mf.close() }
 
 // mappedFile is a file-backed []uint64: memory-mapped where the
 // platform supports it (mmap_unix.go), a heap buffer written back on
@@ -450,7 +252,6 @@ type mappedFile struct {
 	f     *os.File
 	path  string
 	words []uint64
-	raw   []byte
 	unmap func() error
 	heap  bool
 }
@@ -466,7 +267,6 @@ func openMapped(path string, size int) (*mappedFile, error) {
 	}
 	mf := &mappedFile{f: f, path: path}
 	if data, unmap, err := mapFile(f, size); err == nil {
-		mf.raw = data
 		mf.unmap = unmap
 		mf.words = bytesToWords(data)
 		return mf, nil

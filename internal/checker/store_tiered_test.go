@@ -4,14 +4,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 )
 
 // newTestTiered opens a tiered store in a test temp dir with a byte
 // budget small enough that the entry budget bottoms out at the
-// tieredMinBudget floor — any workload past ~512 distinct fingerprints
-// engages eviction and the write-behind spiller.
+// tieredMinBudget floor — any workload past 512 distinct fingerprints
+// spills to the disk tier.
 func newTestTiered(t *testing.T) *tieredStore {
 	t.Helper()
 	ts, err := newTieredStore(t.TempDir(), 1)
@@ -23,8 +22,9 @@ func newTestTiered(t *testing.T) *tieredStore {
 
 // TestTieredStoreExact: the tiered store keeps the exact hash-compact
 // contract of the in-memory stores — first seen of an h1 is false,
-// every later seen is true — across enough distinct fingerprints that
-// most of them spill to the disk tier mid-run.
+// every later seen is true, and size() counts each fingerprint once —
+// across enough distinct fingerprints that most of them spill to the
+// disk tier mid-run.
 func TestTieredStoreExact(t *testing.T) {
 	ts := newTestTiered(t)
 	rng := rand.New(rand.NewSource(1))
@@ -34,7 +34,7 @@ func TestTieredStoreExact(t *testing.T) {
 		digests[i] = digest{h1: rng.Uint64(), h2: rng.Uint64()}
 	}
 	// Interleave fresh inserts with probes of older (possibly spilled)
-	// fingerprints, so lookups race the spiller's hot-tier deletions.
+	// fingerprints.
 	for i, d := range digests {
 		if ts.seen(d) {
 			t.Fatalf("insert %d: fresh digest reported seen", i)
@@ -47,12 +47,13 @@ func TestTieredStoreExact(t *testing.T) {
 				t.Fatalf("insert %d: earlier digest lost (spill visibility)", i)
 			}
 		}
+		if got := ts.size(); got != i+1 {
+			t.Fatalf("insert %d: size() = %d, want %d", i, got, i+1)
+		}
 	}
-	// size() is exact only once the spiller has drained (a digest
-	// mid-spill is briefly counted in both tiers), so check after close.
 	st := ts.close()
 	if got := ts.size(); got != n {
-		t.Errorf("size() = %d, want %d", got, n)
+		t.Errorf("size() after close = %d, want %d", got, n)
 	}
 	if st.StoredNew != n {
 		t.Errorf("StoredNew = %d, want %d", st.StoredNew, n)
@@ -60,117 +61,131 @@ func TestTieredStoreExact(t *testing.T) {
 	if st.Spilled == 0 {
 		t.Error("no fingerprints spilled — the budget floor never engaged and the test is vacuous")
 	}
-	// Overshoot above the budget is bounded by the spill queue: each
-	// over-budget insert queues one eviction, so resident can lead the
-	// write-behind spiller by at most the channel capacity (plus the
-	// entry in the spiller's hand).
-	if limit := int64(tieredMinBudget + cap(ts.spillCh) + 8); st.PeakResident > limit {
-		t.Errorf("peak resident %d exceeds budget floor + spill queue bound %d", st.PeakResident, limit)
+	if st.PeakResident > tieredMinBudget {
+		t.Errorf("peak resident %d exceeds the budget floor %d", st.PeakResident, tieredMinBudget)
 	}
 }
 
 // TestTieredStoreH1Compact: membership is keyed on h1 alone, exactly
 // like hashStore — a second digest with the same h1 and a different h2
-// is a hit (recorded as an H1 collision once it compares against the
-// disk tier's record).
+// is a hit, in the hot tier and in the disk tier.
 func TestTieredStoreH1Compact(t *testing.T) {
 	ts := newTestTiered(t)
+	defer ts.close()
 	if ts.seen(digest{h1: 42, h2: 1}) {
 		t.Fatal("fresh digest seen")
 	}
 	if !ts.seen(digest{h1: 42, h2: 99}) {
 		t.Fatal("same-h1 digest not seen (hash-compact contract broken)")
 	}
-	ts.close()
+	for i := uint64(1); i <= 4*tieredMinBudget; i++ {
+		ts.seen(digest{h1: 1000 + i})
+	}
+	if !ts.disk.set.has(42) {
+		t.Fatal("h1 42 never spilled — the test is vacuous")
+	}
+	if !ts.seen(digest{h1: 42, h2: 7}) {
+		t.Fatal("same-h1 digest not seen in the disk tier")
+	}
 }
 
-// TestTieredStoreConcurrent: many goroutines inserting overlapping
-// fingerprint sets must admit each distinct h1 exactly once in total —
-// the lock/spiller ordering may move entries between tiers but
-// can never double-admit or lose one. Run under -race in CI.
-func TestTieredStoreConcurrent(t *testing.T) {
-	ts := newTestTiered(t)
-	const workers = 8
-	const n = 4000
-	digests := make([]digest, n)
-	rng := rand.New(rand.NewSource(7))
-	for i := range digests {
-		digests[i] = digest{h1: rng.Uint64(), h2: rng.Uint64()}
+// TestTieredStoreDeterministic: the store runs on the caller's
+// goroutine alone, so one digest stream gives the same counters every
+// time; the hot tier peaks at exactly its entry budget, and its two
+// generations' slot arrays never take more than MemBudget bytes (or the
+// 512-entry floor's share of them).
+func TestTieredStoreDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	stream := make([]digest, 1, 160_000) // the zero digest first, so it spills
+	for len(stream) < cap(stream) {
+		if len(stream) > 0 && rng.Intn(3) == 0 {
+			stream = append(stream, stream[rng.Intn(len(stream))])
+		} else {
+			stream = append(stream, digest{h1: rng.Uint64(), h2: rng.Uint64()})
+		}
 	}
-	var wg sync.WaitGroup
-	fresh := make([]int64, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(w)))
-			for _, i := range r.Perm(n) {
-				if !ts.seen(digests[i]) {
-					fresh[w]++
+	stream = append(stream, digest{})
+	for _, memBudget := range []int64{1, tieredMinBudget * tieredEntryBytes, 64 << 10, 100_000, 1 << 20} {
+		run := func() StoreStats {
+			ts, err := newTieredStore(t.TempDir(), memBudget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			limit := max(memBudget, tieredMinBudget*tieredEntryBytes)
+			for i, d := range stream {
+				ts.seen(d)
+				if b := 8 * int64(len(ts.cur.slots)+len(ts.old.slots)); b > limit {
+					t.Fatalf("MemBudget %d, digest %d: hot slot arrays take %d bytes, over %d", memBudget, i, b, limit)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	var total int64
-	for _, f := range fresh {
-		total += f
-	}
-	if total != n {
-		t.Errorf("distinct admissions = %d, want %d", total, n)
-	}
-	st := ts.close() // drain the spiller so size() is exact
-	if got := ts.size(); got != n {
-		t.Errorf("size() = %d, want %d", got, n)
-	}
-	if st.Spilled == 0 {
-		t.Error("no spill under concurrent pressure — vacuous")
+			return ts.close()
+		}
+		first, second := run(), run()
+		if first != second {
+			t.Errorf("MemBudget %d: two runs of one stream differ:\n%+v\n%+v", memBudget, first, second)
+		}
+		budget := max(memBudget/tieredEntryBytes, tieredMinBudget) &^ 1
+		if first.PeakResident != budget {
+			t.Errorf("MemBudget %d: peak resident %d, want the entry budget %d", memBudget, first.PeakResident, budget)
+		}
+		if first.Spilled == 0 || first.DiskHits == 0 || first.FilterRejects == 0 {
+			t.Errorf("MemBudget %d: a tier went unexercised: %+v", memBudget, first)
+		}
 	}
 }
 
-// TestDiskTableGrow: inserts past the 60% load factor rebuild into a
-// doubled file without losing records.
+// TestDiskTableGrow: a table grown one reservation at a time, across
+// several doublings into new files, keeps every record, its filter has
+// no false negative after any grow, and only the live file remains.
 func TestDiskTableGrow(t *testing.T) {
-	dt, err := newDiskTable(t.TempDir())
+	dir := t.TempDir()
+	dt, err := newDiskTable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dt.close()
-	const n = (1 << diskTableInitLog) // forces at least one grow
+	const n = 8 * diskTableMinSlots
 	rng := rand.New(rand.NewSource(3))
 	hs := make([]uint64, n)
 	for i := range hs {
 		hs[i] = rng.Uint64()
-		if err := dt.insert(hs[i], hs[i]*3); err != nil {
+		if err := dt.reserve(1); err != nil {
 			t.Fatal(err)
 		}
+		dt.add(hs[i])
+	}
+	if dt.gen < 3 {
+		t.Fatalf("table grew %d times; the test must cross several grows", dt.gen)
 	}
 	for i, h := range hs {
-		h2, ok := dt.lookup(h)
-		if !ok || h2 != h*3 {
-			t.Fatalf("record %d lost after grow (ok=%v h2=%d)", i, ok, h2)
+		if !dt.mayHave(h) {
+			t.Fatalf("record %d: filter false negative after grow", i)
+		}
+		if !dt.set.has(h) {
+			t.Fatalf("record %d lost after grow", i)
 		}
 	}
-	if dt.count() != n {
-		t.Errorf("count = %d, want %d", dt.count(), n)
+	if dt.set.n != n {
+		t.Errorf("count = %d, want %d", dt.set.n, n)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "disk-*.tbl")); len(files) != 1 {
+		t.Errorf("disk tier files after grow: %v, want only the live one", files)
 	}
 }
 
-// TestDiskTableZeroDigest: the all-zero record encoding (empty slot)
-// has an out-of-band existence flag.
+// TestDiskTableZeroDigest: the zero fingerprint (the empty-slot
+// encoding) is a flag beside the table, and the filter covers it.
 func TestDiskTableZeroDigest(t *testing.T) {
 	dt, err := newDiskTable(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dt.close()
-	if _, ok := dt.lookup(0); ok {
+	if dt.set.has(0) {
 		t.Fatal("empty table claims zero digest")
 	}
-	if err := dt.insert(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := dt.lookup(0); !ok {
+	dt.add(0)
+	if !dt.mayHave(0) || !dt.set.has(0) {
 		t.Fatal("zero digest lost")
 	}
 }
@@ -233,4 +248,64 @@ func TestTieredChainEquivalence(t *testing.T) {
 			tr.Store.StoredNew, tr.Store.Spilled, tr.Store.PeakResident,
 			tr.Store.DiskHits, tr.Store.FilterRejects)
 	})
+}
+
+// initHookSys runs hook when the search asks for its initial state:
+// after the engine opened its store, before the first seen.
+type initHookSys struct {
+	*chainSys
+	hook func()
+}
+
+func (s initHookSys) Initial() State {
+	s.hook()
+	return s.chainSys.Initial()
+}
+
+// TestTieredSpillFailureDegrades: when the disk tier cannot grow (its
+// directory replaced by a regular file once the store is open — not a
+// permission change, which root ignores), the store stops spilling and
+// keeps the generation hot. The search runs to exhaustion with the
+// in-memory store's counts and verdict, Spilled stays where the first
+// table filled, and every fingerprint is counted in exactly one tier.
+func TestTieredSpillFailureDegrades(t *testing.T) {
+	sys := &chainSys{bound: 16, bad: 24}
+	base := Options{MaxDepth: 20}
+	mem := Run(sys, base)
+
+	dir := filepath.Join(t.TempDir(), "store")
+	tiered := base
+	tiered.Store, tiered.StoreDir, tiered.MemBudget = Tiered, dir, 1
+	tr := Run(initHookSys{sys, func() {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dir, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}}, tiered)
+	if tr.Err != nil {
+		t.Fatalf("Run: %v", tr.Err)
+	}
+	if tr.StatesExplored != mem.StatesExplored || tr.StatesMatched != mem.StatesMatched ||
+		tr.StatesStored != mem.StatesStored || !equalStrings(violationKeys(tr), violationKeys(mem)) {
+		t.Errorf("degraded run diverges: explored=%d matched=%d stored=%d violations=%q / in-memory %d %d %d %q",
+			tr.StatesExplored, tr.StatesMatched, tr.StatesStored, violationKeys(tr),
+			mem.StatesExplored, mem.StatesMatched, mem.StatesStored, violationKeys(mem))
+	}
+	// The first table takes whole generations of half the budget until
+	// the next one would pass its load bound; that grow fails.
+	half := int64(tieredMinBudget / 2)
+	limit := int64(diskTableMinSlots - diskTableMinSlots/4)
+	if want := limit / half * half; tr.Store.Spilled != want {
+		t.Errorf("Spilled = %d, want %d (frozen at the failed grow)", tr.Store.Spilled, want)
+	}
+	st := tr.Store
+	if st.StoredNew != int64(tr.StatesStored) || st.Spilled+st.PeakResident != st.StoredNew {
+		t.Errorf("tiers do not partition the fingerprints: stored=%d size=%d spilled=%d resident=%d",
+			st.StoredNew, tr.StatesStored, st.Spilled, st.PeakResident)
+	}
+	if st.PeakResident <= 2*half {
+		t.Errorf("peak resident %d: the search never outgrew the budget after the failure — vacuous", st.PeakResident)
+	}
 }

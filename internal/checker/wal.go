@@ -288,8 +288,13 @@ func snapshotFrames(e *engine, stack []dfsFrame, buf []byte) ([]walFrame, []byte
 // batch belonging to it or an earlier checkpoint, and the byte offset
 // just past the checkpoint record (the point to truncate back to). A
 // missing or mismatched header, or no complete checkpoint, yields a
-// nil checkpoint — the caller starts fresh.
-func scanWAL(f *os.File, fpr []byte) (*ckptData, []digest, int64, error) {
+// nil checkpoint — the caller starts fresh. A corrupt record length
+// never allocates more than the bytes left in the log.
+func scanWAL(f io.ReadSeeker, fpr []byte) (*ckptData, []digest, int64, error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, nil, 0, err
 	}
@@ -303,10 +308,13 @@ func scanWAL(f *os.File, fpr []byte) (*ckptData, []digest, int64, error) {
 		}
 		n := int64(1)
 		plen, err := binary.ReadUvarint(br)
-		if err != nil || plen > 1<<30 {
+		if err != nil {
 			return 0, nil, false
 		}
 		n += int64(uvarintLen(plen))
+		if plen > 1<<30 || plen > uint64(size-off-n) {
+			return 0, nil, false
+		}
 		payload := make([]byte, plen)
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return 0, nil, false
@@ -346,8 +354,11 @@ func scanWAL(f *os.File, fpr []byte) (*ckptData, []digest, int64, error) {
 				return nil, nil, 0, nil
 			}
 			cnt, m := binary.Uvarint(payload[n:])
+			if m <= 0 {
+				return nil, nil, 0, nil
+			}
 			rest := payload[n+m:]
-			if m <= 0 || uint64(len(rest)) != cnt*16 {
+			if len(rest)%16 != 0 || cnt != uint64(len(rest))/16 {
 				return nil, nil, 0, nil
 			}
 			b := vbatch{seq: int64(seq), digests: make([]digest, 0, cnt)}

@@ -97,8 +97,8 @@ const (
 	// missed when the array is small for the state count.
 	StoreBitstate = checker.Bitstate
 	// StoreTiered is the out-of-core store: a memory-budgeted hot tier
-	// spilling through a file-backed bit filter to an on-disk hash
-	// tier. Requires Options.StoreDir.
+	// spilling to a memory-mapped hash table of fingerprints, fronted by
+	// a heap filter. Requires Options.StoreDir.
 	StoreTiered = checker.Tiered
 )
 
@@ -154,8 +154,9 @@ type Options struct {
 	// StoreDir is the scratch/WAL directory for StoreTiered (and for
 	// Checkpoint/Resume). Created if missing.
 	StoreDir string
-	// MemBudget bounds the tiered store's resident hot-tier fingerprint
-	// bytes per related set (0 = 64 MiB).
+	// MemBudget bounds the bytes of the tiered store's hot tier per
+	// related set (0 = 64 MiB); the disk tier's filter and mapped table
+	// are outside it.
 	MemBudget int64
 	// Checkpoint write-ahead logs the search so a killed run can
 	// Resume from the last durable checkpoint. StrategyDFS only, on any
