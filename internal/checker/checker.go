@@ -84,7 +84,9 @@ type Transition struct {
 // (the successor feeds the next step's replay), so trail storage needs
 // only keys — neither formatted steps nor retained source states.
 // Replay must be safe for concurrent calls (it is re-execution through
-// Expand's machinery, which already carries that contract).
+// Expand's machinery, which already carries that contract). The
+// successor is the engine's: a system that is also a StateRecycler gets
+// it back through Recycle once the next step has been replayed from it.
 type Replayer interface {
 	Replay(from State, key uint64) (label string, steps []string, next State)
 }
@@ -199,9 +201,10 @@ type IncrementalDigester interface {
 // stack. The system may then recycle the state's backing storage into
 // future Expand clones, which removes most of the allocation (and GC)
 // cost of the expansion hot path. The engine only recycles states it
-// obtained from Expand/Initial of the same run and never touches one
-// again afterwards; recorded trails are materialized eagerly and drop
-// their state references before any of those states can be recycled.
+// obtained from Expand/Initial/Replay of the same run and never touches
+// one again afterwards; recorded trails are materialized eagerly and
+// drop their state references before any of those states can be
+// recycled.
 type StateRecycler interface {
 	// Recycle retires s to the model's free-list. The state must not
 	// be touched afterwards (enforced by the recyclelive analyzer).

@@ -338,9 +338,16 @@ func (e *engine) commit(v Violation, trail []TrailStep, depth int) {
 // it.
 func (e *engine) materialize(ts []TrailStep) {
 	var cur State
+	// ours is set while cur is a successor Replay returned, which nothing
+	// but this loop holds: it is recycled once the next step has been
+	// replayed from it. A From state is the search's and never recycled.
+	// The trail's last state is left to the collector: recycling it too
+	// measured about 30 % more peak RSS on the benchmark's table8_dfs
+	// workload (2-vCPU Linux VM).
+	ours := false
 	for i := range ts {
 		if ts[i].From != nil {
-			cur = ts[i].From
+			cur, ours = ts[i].From, false
 		}
 		replayed := false
 		if e.replayer != nil && ts[i].Steps == nil && ts[i].Key != 0 && cur != nil {
@@ -352,14 +359,17 @@ func (e *engine) materialize(ts []TrailStep) {
 				steps = []string{}
 			}
 			ts[i].Steps = steps
-			cur = next
+			if ours && e.rec != nil {
+				e.rec.Recycle(cur)
+			}
+			cur, ours = next, true
 			replayed = true
 		}
 		if !replayed {
 			if ts[i].Steps == nil {
 				ts[i].Steps = []string{}
 			}
-			cur = nil // successor unknown: later keyed steps degrade to labels
+			cur, ours = nil, false // successor unknown: later keyed steps degrade to labels
 		}
 		ts[i].From, ts[i].Key = nil, 0
 	}

@@ -14,6 +14,7 @@ package depgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -55,25 +56,21 @@ type RelatedSet struct {
 	VertexIDs []int // sorted
 }
 
-// contains reports whether the set contains vertex id.
-func (rs RelatedSet) contains(id int) bool {
-	for _, v := range rs.VertexIDs {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
-// subsetOf reports whether rs ⊆ other.
+// subsetOf reports whether rs ⊆ other. Both lists are sorted, so one
+// merge pass decides it.
 func (rs RelatedSet) subsetOf(other RelatedSet) bool {
 	if len(rs.VertexIDs) > len(other.VertexIDs) {
 		return false
 	}
+	j := 0
 	for _, v := range rs.VertexIDs {
-		if !other.contains(v) {
+		for j < len(other.VertexIDs) && other.VertexIDs[j] < v {
+			j++
+		}
+		if j == len(other.VertexIDs) || other.VertexIDs[j] != v {
 			return false
 		}
+		j++
 	}
 	return true
 }
@@ -250,29 +247,28 @@ func tarjanSCC(n int, adj [][]int) []int {
 // all of its ancestors (Table 3a).
 func (g *Graph) InitialSets() []RelatedSet {
 	var sets []RelatedSet
+	mark := make([]bool, len(g.Vertices))
 	for _, v := range g.Vertices {
 		if len(v.Children) > 0 {
 			continue // not a leaf
 		}
-		anc := map[int]bool{v.ID: true}
-		var climb func(id int)
-		climb = func(id int) {
-			for _, p := range g.Vertices[id].Parents {
-				if !anc[p] {
-					anc[p] = true
-					climb(p)
+		ids := []int{v.ID}
+		mark[v.ID] = true
+		for k := 0; k < len(ids); k++ { // ids doubles as the climb's queue
+			for _, p := range g.Vertices[ids[k]].Parents {
+				if !mark[p] {
+					mark[p] = true
+					ids = append(ids, p)
 				}
 			}
 		}
-		climb(v.ID)
-		ids := make([]int, 0, len(anc))
-		for id := range anc {
-			ids = append(ids, id)
+		for _, id := range ids {
+			mark[id] = false
 		}
-		sort.Ints(ids)
+		slices.Sort(ids)
 		sets = append(sets, RelatedSet{VertexIDs: ids})
 	}
-	sort.Slice(sets, func(i, j int) bool { return lessIDs(sets[i].VertexIDs, sets[j].VertexIDs) })
+	slices.SortFunc(sets, compareSets)
 	return sets
 }
 
@@ -280,33 +276,62 @@ func (g *Graph) InitialSets() []RelatedSet {
 // events, the union of the initial related sets containing either vertex
 // (Table 3b).
 func (g *Graph) ConflictSets(initial []RelatedSet) []RelatedSet {
-	var out []RelatedSet
-	for u := 0; u < len(g.Vertices); u++ {
-		for v := u + 1; v < len(g.Vertices); v++ {
-			if !conflicts(g.Vertices[u].Outputs, g.Vertices[v].Outputs) {
-				continue
-			}
-			union := map[int]bool{}
-			for _, rs := range initial {
-				if rs.contains(u) || rs.contains(v) {
-					for _, id := range rs.VertexIDs {
-						union[id] = true
-					}
-				}
-			}
-			if len(union) == 0 {
-				continue
-			}
-			ids := make([]int, 0, len(union))
-			for id := range union {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
-			out = append(out, RelatedSet{VertexIDs: ids})
+	// in[v] lists, ascending, the initial sets containing vertex v. A
+	// pair's union is named by the merge of its two lists, so pairs that
+	// name the same initial sets are unioned once.
+	in := make([][]int, len(g.Vertices))
+	for i, rs := range initial {
+		for _, id := range rs.VertexIDs {
+			in[id] = append(in[id], i)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return lessIDs(out[i].VertexIDs, out[j].VertexIDs) })
-	return dedupeSets(out)
+	var keys [][]int
+	for u := range g.Vertices {
+		for v := u + 1; v < len(g.Vertices); v++ {
+			if len(in[u])+len(in[v]) == 0 || !conflicts(g.Vertices[u].Outputs, g.Vertices[v].Outputs) {
+				continue
+			}
+			keys = append(keys, mergeIDs(in[u], in[v]))
+		}
+	}
+	slices.SortFunc(keys, slices.Compare)
+	keys = slices.CompactFunc(keys, slices.Equal)
+
+	out := make([]RelatedSet, 0, len(keys))
+	mark := make([]bool, len(g.Vertices))
+	for _, k := range keys {
+		var ids []int
+		for _, i := range k {
+			for _, id := range initial[i].VertexIDs {
+				if !mark[id] {
+					mark[id] = true
+					ids = append(ids, id)
+				}
+			}
+		}
+		for _, id := range ids {
+			mark[id] = false
+		}
+		slices.Sort(ids)
+		out = append(out, RelatedSet{VertexIDs: ids})
+	}
+	return sortedUnique(out)
+}
+
+// mergeIDs returns the sorted union of two ascending id lists.
+func mergeIDs(a, b []int) []int {
+	out := make([]int, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // FinalSets computes the related sets the model checker verifies: the
@@ -314,16 +339,13 @@ func (g *Graph) ConflictSets(initial []RelatedSet) []RelatedSet {
 // removed (Table 3c).
 func (g *Graph) FinalSets() []RelatedSet {
 	initial := g.InitialSets()
-	all := append(append([]RelatedSet{}, initial...), g.ConflictSets(initial)...)
-	all = dedupeSets(all)
+	all := sortedUnique(slices.Concat(initial, g.ConflictSets(initial)))
 	var out []RelatedSet
 	for i, rs := range all {
 		subsumed := false
 		for j, other := range all {
-			if i == j {
-				continue
-			}
-			if rs.subsetOf(other) && (len(rs.VertexIDs) < len(other.VertexIDs) || j < i) {
+			// all holds distinct sets: a subset of another is a proper one.
+			if i != j && rs.subsetOf(other) {
 				subsumed = true
 				break
 			}
@@ -332,31 +354,17 @@ func (g *Graph) FinalSets() []RelatedSet {
 			out = append(out, rs)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return lessIDs(out[i].VertexIDs, out[j].VertexIDs) })
 	return out
 }
 
-func dedupeSets(in []RelatedSet) []RelatedSet {
-	seen := map[string]bool{}
-	var out []RelatedSet
-	for _, rs := range in {
-		k := rs.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, rs)
-		}
-	}
-	return out
+// sortedUnique sorts sets by their id lists and drops repeats, in place.
+func sortedUnique(sets []RelatedSet) []RelatedSet {
+	slices.SortFunc(sets, compareSets)
+	return slices.CompactFunc(sets, func(a, b RelatedSet) bool { return slices.Equal(a.VertexIDs, b.VertexIDs) })
 }
 
-func lessIDs(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
+// compareSets orders related sets lexicographically by their id lists.
+func compareSets(a, b RelatedSet) int { return slices.Compare(a.VertexIDs, b.VertexIDs) }
 
 // HandlerIndices returns the positions (in the handler slice passed to
 // Build) of a related set's handlers, in vertex order, for callers
@@ -402,15 +410,19 @@ func (s ScaleStats) Ratio() float64 {
 }
 
 // Scale computes the scale statistics of a handler set.
-func Scale(handlers []smartapp.HandlerInfo) ScaleStats { return Build(handlers).Scale() }
+func Scale(handlers []smartapp.HandlerInfo) ScaleStats {
+	g := Build(handlers)
+	return g.Scale(g.FinalSets())
+}
 
-// Scale computes the scale statistics of the graph's handlers.
-func (g *Graph) Scale() ScaleStats {
+// Scale computes the scale statistics of the graph's handlers, given
+// its final related sets (FinalSets).
+func (g *Graph) Scale(final []RelatedSet) ScaleStats {
 	var stats ScaleStats
 	for _, v := range g.Vertices {
 		stats.OriginalSize += len(v.Handlers)
 	}
-	for _, rs := range g.FinalSets() {
+	for _, rs := range final {
 		size := 0
 		for _, id := range rs.VertexIDs {
 			size += len(g.Vertices[id].Handlers)

@@ -12,6 +12,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -77,8 +78,10 @@ var (
 	capabilities = map[string]*Capability{}
 	models       = map[string]*Model{}
 	// attributes holds the name of every attribute of a registered
-	// capability, kept by RegisterCapability.
-	attributes = map[string]bool{}
+	// capability, and commandAttrs every command name's driven attributes
+	// (see CommandAttributes), both kept by RegisterCapability.
+	attributes   = map[string]bool{}
+	commandAttrs = map[string][]string{}
 )
 
 // RegisterCapability adds a capability to the global registry. It panics
@@ -91,6 +94,13 @@ func RegisterCapability(c *Capability) *Capability {
 	capabilities[c.Name] = c
 	for _, a := range c.Attributes {
 		attributes[a.Name] = true
+	}
+	for i, cmd := range c.Commands {
+		// Command resolves a name to its first entry; a repeat adds nothing.
+		if cmd.Attribute != "" && c.Command(cmd.Name) == &c.Commands[i] {
+			commandAttrs[cmd.Name] = append(commandAttrs[cmd.Name], cmd.Attribute)
+			slices.Sort(commandAttrs[cmd.Name])
+		}
 	}
 	return c
 }
@@ -115,6 +125,13 @@ func CapabilityByName(name string) *Capability { return capabilities[name] }
 // IsAttribute reports whether any registered capability has an attribute
 // of the given name.
 func IsAttribute(name string) bool { return attributes[name] }
+
+// CommandAttributes returns, sorted, the attribute that each registered
+// capability's command of this name drives — one entry per capability,
+// so a name shared by several capabilities may repeat an attribute — or
+// nil when no capability has such a command. The slice is the
+// registry's index; callers must not mutate it.
+func CommandAttributes(name string) []string { return commandAttrs[name] }
 
 // ModelByName returns a registered device model, or nil.
 func ModelByName(name string) *Model { return models[name] }

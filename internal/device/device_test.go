@@ -1,6 +1,10 @@
 package device
 
-import "testing"
+import (
+	"slices"
+	"sort"
+	"testing"
+)
 
 // TestIsAttribute: every attribute of every registered capability is
 // reported, and names that are only commands, capabilities or nothing
@@ -35,6 +39,33 @@ func TestCapabilitiesSorted(t *testing.T) {
 	for i := 1; i < len(caps); i++ {
 		if caps[i-1] >= caps[i] {
 			t.Errorf("capabilities not strictly ascending at %d: %q, %q", i, caps[i-1], caps[i])
+		}
+	}
+}
+
+// TestCommandAttributes: the registration-time index answers what a scan
+// of every capability in name order, sorted afterwards, answers — for
+// every registered command name and for names that are no command.
+func TestCommandAttributes(t *testing.T) {
+	scan := func(name string) []string {
+		var out []string
+		for _, cn := range Capabilities() {
+			if cmd := CapabilityByName(cn).Command(name); cmd != nil && cmd.Attribute != "" {
+				out = append(out, cmd.Attribute)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	names := []string{"", "switch", "motion", "noSuchCommand"}
+	for _, cn := range Capabilities() {
+		for _, cmd := range CapabilityByName(cn).Commands {
+			names = append(names, cmd.Name)
+		}
+	}
+	for _, name := range names {
+		if got, want := CommandAttributes(name), scan(name); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Errorf("CommandAttributes(%q) = %q, want %q", name, got, want)
 		}
 	}
 }

@@ -1608,7 +1608,7 @@ func (w *effectsWalker) call(x *groovy.CallExpr) {
 	if pureValueMethods[x.Name] {
 		return
 	}
-	if attrs := registryCommandAttrs(x.Name); attrs != nil {
+	if attrs := device.CommandAttributes(x.Name); attrs != nil {
 		// A command reaching any device drives these attributes; the
 		// receiver may be an input, an alias, a collection element, or
 		// even a device stashed in state — all write the same class.
@@ -1773,18 +1773,4 @@ func constStrArg(x *groovy.CallExpr, i int) string {
 		return s.V
 	}
 	return ""
-}
-
-// registryCommandAttrs returns the attributes a command name can drive,
-// across every capability in the registry; nil when the name is no
-// command at all (such calls are runtime no-ops on devices).
-func registryCommandAttrs(name string) []string {
-	var out []string
-	for _, cn := range device.Capabilities() {
-		if cmd := device.CapabilityByName(cn).Command(name); cmd != nil && cmd.Attribute != "" {
-			out = append(out, cmd.Attribute)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -33,10 +33,15 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
+// bytesPerToken sizes Tokenize's result: no corpus app averages fewer
+// source bytes per token (they range from about 4.5 to 7.4), so the
+// stream of a typical app fits without regrowing.
+const bytesPerToken = 4
+
 // Tokenize scans all of src, returning the token stream terminated by EOF.
 func Tokenize(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
+	toks := make([]Token, 0, len(src)/bytesPerToken+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {
@@ -254,25 +259,67 @@ func (lx *Lexer) lexEscape() (rune, error) {
 	}
 }
 
+// litRun accumulates the text of one literal part of a string. A part
+// without escapes is a slice of the source. Only a part that an escape
+// (or an invalid UTF-8 byte, which decodes to U+FFFD) breaks up is
+// copied: the source runs between the breaks go into sb with the
+// decoded runes.
+type litRun struct {
+	start int             // source offset of the run not yet in sb
+	sb    strings.Builder // the part's text before start; empty without a break
+}
+
+// decoded ends the run at end, appends r in its place, and starts the
+// next run at next.
+func (l *litRun) decoded(src string, end int, r rune, next int) {
+	l.sb.WriteString(src[l.start:end])
+	l.sb.WriteRune(r)
+	l.start = next
+}
+
+// take returns the part's text up to end and empties the builder.
+func (l *litRun) take(src string, end int) string {
+	s := src[l.start:end]
+	if l.sb.Len() > 0 { // a break wrote at least one byte
+		l.sb.WriteString(s)
+		s = l.sb.String()
+		l.sb.Reset()
+	}
+	return s
+}
+
+// nextLitRune consumes the next rune of a string literal, decoding an
+// escape into lit, and returns the raw rune — a backslash for an escape,
+// which no caller takes for a delimiter — with its source offset.
+func (lx *Lexer) nextLitRune(lit *litRun) (c rune, at int, err error) {
+	at = lx.off
+	c = lx.nextRune()
+	switch {
+	case c == '\\':
+		e, err := lx.lexEscape()
+		if err != nil {
+			return 0, at, err
+		}
+		lit.decoded(lx.src, at, e, lx.off)
+	case c == utf8.RuneError && lx.off-at == 1:
+		lit.decoded(lx.src, at, c, lx.off)
+	}
+	return c, at, nil
+}
+
 func (lx *Lexer) lexSingleQuoted(pos Pos) (Token, error) {
 	lx.nextRune() // opening quote
-	var sb strings.Builder
+	lit := litRun{start: lx.off}
 	for {
-		c := lx.nextRune()
+		c, at, err := lx.nextLitRune(&lit)
 		switch {
+		case err != nil:
+			return Token{}, err
 		case c < 0 || c == '\n':
 			return Token{}, &LexError{pos, "unterminated string literal"}
-		case c == '\\':
-			e, err := lx.lexEscape()
-			if err != nil {
-				return Token{}, err
-			}
-			sb.WriteRune(e)
 		case c == '\'':
 			lx.last = STRING
-			return Token{Kind: STRING, Pos: pos, Text: sb.String()}, nil
-		default:
-			sb.WriteRune(c)
+			return Token{Kind: STRING, Pos: pos, Text: lit.take(lx.src, at)}, nil
 		}
 	}
 }
@@ -283,38 +330,29 @@ func (lx *Lexer) lexSingleQuoted(pos Pos) (Token, error) {
 func (lx *Lexer) lexDoubleQuoted(pos Pos) (Token, error) {
 	lx.nextRune() // opening quote
 	var parts []StringPart
-	var sb strings.Builder
-	flush := func() {
-		if sb.Len() > 0 {
-			parts = append(parts, StringPart{Lit: sb.String(), Pos: pos})
-			sb.Reset()
+	lit := litRun{start: lx.off}
+	flush := func(end int) {
+		if s := lit.take(lx.src, end); s != "" {
+			parts = append(parts, StringPart{Lit: s, Pos: pos})
 		}
 	}
 	for {
-		c := lx.nextRune()
+		c, at, err := lx.nextLitRune(&lit)
 		switch {
+		case err != nil:
+			return Token{}, err
 		case c < 0 || c == '\n':
 			return Token{}, &LexError{pos, "unterminated string literal"}
-		case c == '\\':
-			e, err := lx.lexEscape()
-			if err != nil {
-				return Token{}, err
-			}
-			sb.WriteRune(e)
 		case c == '"':
-			flush()
 			if len(parts) == 0 {
 				lx.last = STRING
-				return Token{Kind: STRING, Pos: pos, Text: ""}, nil
+				return Token{Kind: STRING, Pos: pos, Text: lit.take(lx.src, at)}, nil
 			}
-			if len(parts) == 1 && parts[0].Expr == "" {
-				lx.last = STRING
-				return Token{Kind: STRING, Pos: pos, Text: parts[0].Lit}, nil
-			}
+			flush(at)
 			lx.last = GSTRING
 			return Token{Kind: GSTRING, Pos: pos, Parts: parts}, nil
 		case c == '$' && lx.peekRune() == '{':
-			flush()
+			flush(at)
 			epos := lx.pos()
 			lx.nextRune() // '{'
 			depth := 1
@@ -332,8 +370,9 @@ func (lx *Lexer) lexDoubleQuoted(pos Pos) (Token, error) {
 				}
 			}
 			parts = append(parts, StringPart{Expr: lx.src[start : lx.off-1], Pos: epos})
+			lit.start = lx.off
 		case c == '$' && isIdentStart(lx.peekRune()):
-			flush()
+			flush(at)
 			epos := lx.pos()
 			start := lx.off
 			for isIdentPart(lx.peekRune()) {
@@ -347,8 +386,7 @@ func (lx *Lexer) lexDoubleQuoted(pos Pos) (Token, error) {
 				}
 			}
 			parts = append(parts, StringPart{Expr: lx.src[start:lx.off], Pos: epos})
-		default:
-			sb.WriteRune(c)
+			lit.start = lx.off
 		}
 	}
 }

@@ -228,7 +228,7 @@ func (m *Model) Enabled(s *State, out []checker.Transition) []checker.Transition
 			if ev.Kind != EvDevice && (fm == failSensorOff || fm == failSensorComm) {
 				continue // sensor failures apply to sensed events only
 			}
-			out = appendStub(out, m.extLabels[evIdx][fm], extKey(evIdx, fm), false)
+			out = appendStub(out, m.extLabel(evIdx, fm), extKey(evIdx, fm), false)
 		}
 	}
 
@@ -242,7 +242,7 @@ func (m *Model) Enabled(s *State, out []checker.Transition) []checker.Transition
 					continue
 				}
 				if ok {
-					out = appendStub(out, m.timerLabels[ai][mi][fm], tmrKey(ai, mi, fm), false)
+					out = appendStub(out, m.timerLabel(ai, mi, fm), tmrKey(ai, mi, fm), false)
 				} else {
 					out = appendStub(out, m.keylessTimerLabel(ai, t.Handler, fm), tmrKeyless(ai, ti, fm), false)
 				}
@@ -571,7 +571,7 @@ func (m *Model) applyExternal(ns *State, x *executor, evIdx int, fm failMode, re
 	}
 
 	m.endTransition(x, ev.Kind == EvDevice && fm == failSensorOff)
-	x.finish(tr, ns, m.extLabels[evIdx][fm], extKey(evIdx, fm), false)
+	x.finish(tr, ns, m.extLabel(evIdx, fm), extKey(evIdx, fm), false)
 }
 
 // applyTimer executes a timer-firing choice on ns. methodIdx is -1 when
@@ -580,7 +580,7 @@ func (m *Model) applyExternal(ns *State, x *executor, evIdx int, fm failMode, re
 func (m *Model) applyTimer(ns *State, x *executor, appIdx int, handler string, methodIdx int, fm failMode, label string, record bool, tr *checker.Transition) {
 	var key uint64
 	if methodIdx >= 0 {
-		label = m.timerLabels[appIdx][methodIdx][fm]
+		label = m.timerLabel(appIdx, methodIdx, fm)
 		key = tmrKey(appIdx, methodIdx, fm)
 	} else {
 		if label == "" {

@@ -12,9 +12,9 @@
 package model
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -219,9 +219,11 @@ type AppInst struct {
 	Prog *eval.CompiledApp
 
 	// methodNames/methodIdx give every method a dense index, used to
-	// encode timer transitions into replay keys.
+	// encode timer transitions into replay keys; timerLabels[i] labels
+	// the firing of method i as a timer.
 	methodNames []string
 	methodIdx   map[string]int
+	timerLabels []string
 }
 
 // Subscription sources.
@@ -277,9 +279,11 @@ type Model struct {
 	synthIdx map[string][]int32
 	touchIdx [][]int32
 
-	// extLabels[evIdx][fm] are the transition labels for every external
-	// event × failure mode; timerLabels[app][method][fm] likewise for
-	// timer firings. Precomputing them keeps fmt off the hot path.
+	// extLabels[evIdx][fm] are the transition labels of every external
+	// event under each failure mode fm > failNone, timerLabels[app][method][fm]
+	// likewise for timer firings. Only Options.Failures builds them: with
+	// no failure the label is ExtEvent.Label or the AppInst's (extLabel,
+	// timerLabel). Precomputing them keeps fmt off the hot path.
 	// dispLabels[si] are the concurrent design's dispatch labels of
 	// subscription si, one per value its event can carry (see dispLabel).
 	extLabels   [][4]string
@@ -443,26 +447,26 @@ func (m *Model) subsFor(ev *cyberEvent) []int32 {
 	return m.subIdx[subKey{src: int32(ev.Source), attr: ev.Name}]
 }
 
-// buildLabels precomputes every transition label (external event ×
-// failure mode, and timer × method × failure mode), so the hot path
-// never formats strings.
+// buildLabels precomputes every transition label the plan and the
+// instances do not already hold (external event and timer firing ×
+// failure mode under Failures, dispatch and fault labels), so the hot
+// path never formats strings.
 func (m *Model) buildLabels() {
-	fms := []failMode{failNone, failSensorOff, failSensorComm, failActuators}
-	m.extLabels = make([][4]string, len(m.external))
-	for i, ev := range m.external {
-		m.extLabels[i][0] = ev.Label
-		for _, fm := range fms[1:] {
-			m.extLabels[i][fm] = ev.Label + " [" + fm.String() + "]"
+	if m.Opts.Failures {
+		fms := fmAll[1:]
+		m.extLabels = make([][4]string, len(m.external))
+		for i, ev := range m.external {
+			for _, fm := range fms {
+				m.extLabels[i][fm] = ev.Label + " [" + fm.String() + "]"
+			}
 		}
-	}
-	m.timerLabels = make([][][4]string, len(m.Apps))
-	for ai, app := range m.Apps {
-		m.timerLabels[ai] = make([][4]string, len(app.methodNames))
-		for mi, name := range app.methodNames {
-			base := "timer: " + app.App.Name + "." + name
-			m.timerLabels[ai][mi][0] = base
-			for _, fm := range fms[1:] {
-				m.timerLabels[ai][mi][fm] = base + " [" + fm.String() + "]"
+		m.timerLabels = make([][][4]string, len(m.Apps))
+		for ai, app := range m.Apps {
+			m.timerLabels[ai] = make([][4]string, len(app.timerLabels))
+			for mi, base := range app.timerLabels {
+				for _, fm := range fms {
+					m.timerLabels[ai][mi][fm] = base + " [" + fm.String() + "]"
+				}
 			}
 		}
 	}
@@ -481,6 +485,23 @@ func (m *Model) buildLabels() {
 			m.faultLabels[d][1] = "fault: " + di.Label + " back online"
 		}
 	}
+}
+
+// extLabel is the transition label of external event evIdx under fm.
+func (m *Model) extLabel(evIdx int, fm failMode) string {
+	if fm == failNone {
+		return m.external[evIdx].Label
+	}
+	return m.extLabels[evIdx][fm]
+}
+
+// timerLabel is the transition label of app ai's method mi firing as a
+// timer under fm.
+func (m *Model) timerLabel(ai, mi int, fm failMode) string {
+	if fm == failNone {
+		return m.Apps[ai].timerLabels[mi]
+	}
+	return m.timerLabels[ai][mi][fm]
 }
 
 // valueLabel is the label of a transition that carries one event value.
@@ -599,45 +620,20 @@ func devicesOf(v ir.Value) []int {
 }
 
 // buildExternalEvents enumerates the physical event space the main loop
-// permutes (Algorithm 1 line 2): every sensor attribute value of every
-// sensor device, app-touch events for apps subscribed to them, and
-// sunrise/sunset when subscribed.
-func (m *Model) buildExternalEvents() {
-	for _, d := range m.Devices {
-		for ai, a := range d.Attrs {
-			if !m.attrIsSensed(d, a.Name) {
-				if !m.Opts.UserDeviceEvents || a.Numeric {
-					continue
-				}
-			}
-			if m.Opts.RelevantAttrs != nil && !m.Opts.RelevantAttrs[a.Name] {
-				continue
-			}
-			if a.Numeric {
-				for _, gv := range a.GenValues {
-					m.external = append(m.external, ExtEvent{
-						Kind: EvDevice, Dev: d.Idx, AttrIdx: ai, Val: int16(gv),
-						Label: fmt.Sprintf("%s.%s = %d", d.Label, a.Name, gv),
-					})
-				}
-			} else {
-				for vi, v := range a.Values {
-					m.external = append(m.external, ExtEvent{
-						Kind: EvDevice, Dev: d.Idx, AttrIdx: ai, Val: int16(vi),
-						Label: fmt.Sprintf("%s.%s = %s", d.Label, a.Name, v),
-					})
-				}
-			}
-		}
-	}
+// permutes (Algorithm 1 line 2): the plan's device events that the
+// options admit, app-touch events for apps subscribed to them,
+// sunrise/sunset when subscribed, and user mode changes when enabled —
+// in label order, a device event first among equal labels.
+func (m *Model) buildExternalEvents(p *Plan) {
+	var other []ExtEvent
 	touched := map[int]bool{}
 	sun := false
 	for _, s := range m.subs {
 		if s.Source == srcApp && !touched[s.AppIdx] {
 			touched[s.AppIdx] = true
-			m.external = append(m.external, ExtEvent{
+			other = append(other, ExtEvent{
 				Kind: EvTouch, AppIdx: s.AppIdx,
-				Label: fmt.Sprintf("app touch: %s", m.Apps[s.AppIdx].App.Name),
+				Label: "app touch: " + m.Apps[s.AppIdx].App.Name,
 			})
 		}
 		if s.Source == srcSun {
@@ -645,28 +641,53 @@ func (m *Model) buildExternalEvents() {
 		}
 	}
 	if sun {
-		m.external = append(m.external,
+		other = append(other,
 			ExtEvent{Kind: EvSun, Val: 0, Label: "sunrise"},
 			ExtEvent{Kind: EvSun, Val: 1, Label: "sunset"},
 		)
 	}
 	if m.Opts.UserModeEvents {
 		for i, mode := range m.Cfg.Modes {
-			m.external = append(m.external, ExtEvent{
+			other = append(other, ExtEvent{
 				Kind: EvMode, Val: int16(i),
 				Label: "user sets mode " + mode,
 			})
 		}
 	}
-	sort.SliceStable(m.external, func(i, j int) bool {
-		return m.external[i].Label < m.external[j].Label
-	})
+	slices.SortStableFunc(other, func(a, b ExtEvent) int { return strings.Compare(a.Label, b.Label) })
+
+	// Relevance is decided once per attribute, not per event.
+	relevant := make([]bool, len(p.devAttrs))
+	for k, name := range p.devAttrs {
+		relevant[k] = m.Opts.RelevantAttrs == nil || m.Opts.RelevantAttrs[name]
+	}
+	admits := func(e *devEvent) bool { return relevant[e.attr] && (!e.user || m.Opts.UserDeviceEvents) }
+	n := len(other)
+	for i := range p.devEvents {
+		if admits(&p.devEvents[i]) {
+			n++
+		}
+	}
+	m.external = make([]ExtEvent, 0, n)
+	j := 0
+	for i := range p.devEvents {
+		e := &p.devEvents[i]
+		if !admits(e) {
+			continue
+		}
+		for j < len(other) && other[j].Label < e.Label {
+			m.external = append(m.external, other[j])
+			j++
+		}
+		m.external = append(m.external, e.ExtEvent)
+	}
+	m.external = append(m.external, other[j:]...)
 }
 
 // attrIsSensed reports whether an attribute of this device generates
 // external (environment) events: it belongs to a capability flagged as a
 // sensor.
-func (m *Model) attrIsSensed(d *DevInst, attr string) bool {
+func attrIsSensed(d *DevInst, attr string) bool {
 	for _, cn := range d.Model.Capabilities {
 		c := device.CapabilityByName(cn)
 		if c.Sensor && c.Attribute(attr) != nil {

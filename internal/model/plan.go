@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,11 +15,12 @@ import (
 
 // Plan is the half of model generation that depends on the system's
 // device list alone: the device table with its capability and
-// association indexes, and the View's built-in predicates resolved
-// against it. One Plan serves every model over those devices — each
-// related set of one Analyze call, each candidate configuration of one
-// attribution run — and the invariant catalog resolves its atoms against
-// it (props.CompileCatalog) before any model exists.
+// association indexes, the View's built-in predicates resolved against
+// it, and the device half of the external event space. One Plan serves
+// every model over those devices — each related set of one Analyze
+// call, each candidate configuration of one attribution run — and the
+// invariant catalog resolves its atoms against it (props.CompileCatalog)
+// before any model exists.
 //
 // Everything reachable from a Plan is read-only once Prepare returns,
 // and everything reachable from an AppInst once PrepareApp returns, so
@@ -40,6 +42,14 @@ type Plan struct {
 	byAssoc map[string][]*DevInst
 	watch   Watch
 	devKey  string
+
+	// devEvents is the device half of every model's external event space
+	// (Algorithm 1 line 2): each value an external event can give each
+	// attribute of each device, labelled and stable-sorted by label. Build
+	// keeps the entries its options admit. devAttrs names the attributes
+	// they set, indexed by devEvent.attr.
+	devEvents []devEvent
+	devAttrs  []string
 
 	// Counts tallies the work done against this plan; the compile-once
 	// gate reads it. Prepare-time bookkeeping, written only by the
@@ -94,7 +104,105 @@ func Prepare(cfg *config.System) (*Plan, error) {
 	}
 	p.devKey = key.String()
 	p.watch = p.resolveViewWatch()
+	p.buildDeviceEvents()
 	return p, nil
+}
+
+// devEvent is one entry of Plan.devEvents: the event, the attribute it
+// sets (an index into Plan.devAttrs, for Options.RelevantAttrs), and
+// whether it is a user's physical interaction with an actuator, which
+// only Options.UserDeviceEvents admits.
+type devEvent struct {
+	ExtEvent
+	attr int32
+	user bool
+}
+
+// buildDeviceEvents fills Plan.devEvents and Plan.devAttrs: every value
+// of every sensed attribute (the generated values of a numeric one), and
+// every value of an unsensed enum attribute, marked user. A first pass
+// picks the attributes and sizes the table and its label text; the
+// second writes every label into one string and slices the events'
+// labels from it.
+func (p *Plan) buildDeviceEvents() {
+	type source struct {
+		d    *DevInst
+		ai   int
+		attr int32
+		user bool
+	}
+	var srcs []source
+	n, size := 0, 0
+	attrID := map[string]int32{}
+	for _, d := range p.Devices {
+		for ai, a := range d.Attrs {
+			user := !attrIsSensed(d, a.Name)
+			if user && a.Numeric {
+				continue
+			}
+			id, ok := attrID[a.Name]
+			if !ok {
+				id = int32(len(p.devAttrs))
+				attrID[a.Name] = id
+				p.devAttrs = append(p.devAttrs, a.Name)
+			}
+			srcs = append(srcs, source{d, ai, id, user})
+			prefix := len(d.Label) + len(". = ") + len(a.Name)
+			if a.Numeric {
+				n += len(a.GenValues)
+				size += len(a.GenValues) * (prefix + len("-32768")) // a hint: Grow is not a cap
+				continue
+			}
+			n += len(a.Values)
+			for _, v := range a.Values {
+				size += prefix + len(v)
+			}
+		}
+	}
+
+	evs := make([]devEvent, 0, n)
+	ends := make([]int, 0, n) // ends[i] is where event i's label ends in text
+	var text strings.Builder
+	text.Grow(size)
+	var num [20]byte
+	for _, src := range srcs {
+		a := &src.d.Attrs[src.ai]
+		ev := devEvent{ExtEvent: ExtEvent{Kind: EvDevice, Dev: src.d.Idx, AttrIdx: src.ai}, attr: src.attr, user: src.user}
+		k := len(a.Values)
+		if a.Numeric {
+			k = len(a.GenValues)
+		}
+		for vi := range k {
+			text.WriteString(src.d.Label)
+			text.WriteByte('.')
+			text.WriteString(a.Name)
+			text.WriteString(" = ")
+			if a.Numeric {
+				ev.Val = int16(a.GenValues[vi])
+				text.Write(strconv.AppendInt(num[:0], int64(a.GenValues[vi]), 10))
+			} else {
+				ev.Val = int16(vi)
+				text.WriteString(a.Values[vi])
+			}
+			evs = append(evs, ev)
+			ends = append(ends, text.Len())
+		}
+	}
+	labels, start := text.String(), 0
+	for i, end := range ends {
+		evs[i].Label, start = labels[start:end], end
+	}
+
+	// Sort positions, not the wide entries themselves.
+	order := make([]int32, len(evs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(evs[a].Label, evs[b].Label) })
+	p.devEvents = make([]devEvent, len(evs))
+	for i, k := range order {
+		p.devEvents[i] = evs[k]
+	}
 }
 
 // setSchema installs the flattened attribute schema and its derived
@@ -180,8 +288,10 @@ func (p *Plan) PrepareApp(inst config.AppInstance, app *ir.App, interpreter bool
 	sort.Strings(names)
 	a.methodNames = names
 	a.methodIdx = make(map[string]int, len(names))
+	a.timerLabels = make([]string, len(names))
 	for i, n := range names {
 		a.methodIdx[n] = i
+		a.timerLabels[i] = "timer: " + app.Name + "." + n
 	}
 
 	if keys, ok := eval.StateLayout(app); ok {
@@ -223,9 +333,11 @@ func (p *Plan) PrepareApps(insts []config.AppInstance, apps map[string]*ir.App, 
 // Build generates the model that installs apps — instances PrepareApp
 // returned for this plan, in installation order — over the plan's
 // devices. Only what depends on the set of installed apps or on opts is
-// computed here: subscriptions, the external event space (it reads
-// opts.RelevantAttrs), dispatch indexes, labels and the POR and symmetry
-// tables. Build only reads the plan and the instances, so several
+// computed here: subscriptions, the external event space (the plan's
+// device events that opts.RelevantAttrs and opts.UserDeviceEvents
+// admit, plus the apps' touch, sun and mode events), dispatch indexes,
+// the labels neither the plan nor the instances hold, and the POR and
+// symmetry tables. Build only reads the plan and the instances, so several
 // goroutines may Build from one plan at once. opts.Interpreter is not
 // consulted: each instance runs the program PrepareApp gave it.
 func (p *Plan) Build(apps []*AppInst, opts Options) (*Model, error) {
@@ -265,7 +377,7 @@ func (p *Plan) Build(apps []*AppInst, opts Options) (*Model, error) {
 	}
 
 	m.resolveSubscriptions()
-	m.buildExternalEvents()
+	m.buildExternalEvents(p)
 	m.buildDispatchIndex()
 	m.buildLabels()
 	m.execs.New = func() any { return m.newExecutor() }

@@ -405,9 +405,10 @@ func analyzeTranslated(sys *System, apps map[string]*ir.App, opts Options) (*Rep
 		}
 	}
 	g := depgraph.Build(handlers)
-	rep.Scale = g.Scale()
+	final := g.FinalSets()
+	rep.Scale = g.Scale(final)
 
-	groups := relatedAppGroups(sys, g, handlerApp, opts.NoDepGraph)
+	groups := relatedAppGroups(sys, g, final, handlerApp, opts.NoDepGraph)
 	pl, err := newPlan(sys, apps, instHandlers, opts)
 	if err != nil {
 		return nil, err
@@ -612,13 +613,13 @@ func commitGroup(rep *Report, gr *GroupResult, opts Options, seen map[string]boo
 	}
 }
 
-// relatedAppGroups converts the related sets of g, the dependency graph
-// of every installed handler, into groups of installed app names. Graph
+// relatedAppGroups converts final, the related sets of g (the dependency
+// graph of every installed handler), into groups of installed app names. Graph
 // vertices are correlated back to installed apps by handler index
 // (depgraph records each handler's position in the slice passed to
 // Build, and handlerApp maps it to its app), so grouping can never
 // silently drop a handler the way identity-keyed matching could.
-func relatedAppGroups(sys *System, g *depgraph.Graph, handlerApp []string, noDepGraph bool) [][]string {
+func relatedAppGroups(sys *System, g *depgraph.Graph, final []depgraph.RelatedSet, handlerApp []string, noDepGraph bool) [][]string {
 	if noDepGraph {
 		var all []string
 		for _, inst := range sys.Apps {
@@ -628,7 +629,7 @@ func relatedAppGroups(sys *System, g *depgraph.Graph, handlerApp []string, noDep
 	}
 	var groups [][]string
 	seenGroups := map[string]bool{}
-	for _, rs := range g.FinalSets() {
+	for _, rs := range final {
 		var names []string
 		for _, i := range g.HandlerIndices(rs) {
 			names = append(names, handlerApp[i])

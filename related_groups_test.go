@@ -26,7 +26,8 @@ func TestRelatedAppGroupsKeepsNamesApart(t *testing.T) {
 	for _, name := range handlerApp {
 		sys.Apps = append(sys.Apps, AppInstance{App: name})
 	}
-	got := relatedAppGroups(sys, depgraph.Build(handlers), handlerApp, false)
+	g := depgraph.Build(handlers)
+	got := relatedAppGroups(sys, g, g.FinalSets(), handlerApp, false)
 	want := [][]string{{"Good Night", "Lights"}, {"Good", "Night Lights"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("related sets = %q, want %q", got, want)
