@@ -1,9 +1,13 @@
 package ifttt
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"iotsan/internal/checker"
 	"iotsan/internal/smartapp"
 )
 
@@ -51,24 +55,41 @@ func TestBuildSystem(t *testing.T) {
 	}
 }
 
-// TestTable9 reproduces the IFTTT validation: all four unsafe physical
-// states of Table 9 are violated.
+// TestTable9 pins the IFTTT validation run (§11) at 2 and 3 events:
+// the state counts, the violations and every counter-example trail, as
+// checker.FormatTrail renders them. All four unsafe physical states of
+// Table 9 are violated at both depths.
+//
+// testdata/table9.golden was written once from this loop's output at the
+// commit where the four properties were still evaluated per state on
+// the model's device view, before they became formulas over an atom
+// table. It is never rewritten from later code: a mismatch means the
+// search or a property changed.
 func TestTable9(t *testing.T) {
-	res, err := RunTable9(3)
+	var got strings.Builder
+	for _, events := range []int{2, 3} {
+		res, err := RunTable9(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := res.Result
+		fmt.Fprintf(&got, "events %d: explored %d matched %d stored %d truncated %v violations %d properties %s\n",
+			events, r.StatesExplored, r.StatesMatched, r.StatesStored, r.Truncated, res.Violations, strings.Join(res.ViolatedProperties, ","))
+		for _, f := range r.Violations {
+			got.WriteString(checker.FormatTrail(f))
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "table9.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{
-		"ifttt.siren-on-intruder",
-		"ifttt.no-spurious-siren",
-		"ifttt.door-unlocked-away",
-		"ifttt.call-on-intruder",
-	}
-	got := strings.Join(res.ViolatedProperties, ",")
-	for _, w := range want {
-		if !strings.Contains(got, w) {
-			t.Errorf("missing violated property %s (got %s)", w, got)
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("line %d differs from the golden run\n got %q\nwant %q", i+1, gotLines[i], wantLines[i])
 		}
 	}
-	t.Logf("violations=%d properties=%v", res.Violations, res.ViolatedProperties)
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d lines, the golden run %d", len(gotLines), len(wantLines))
+	}
 }
