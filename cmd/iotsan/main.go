@@ -14,7 +14,8 @@
 // Exit status: 0 no violation and every related set searched to the
 // end; 1 violations found; 2 usage, configuration or source error;
 // 3 inconclusive — no violation found, but a state cap or deadline
-// stopped at least one related set early.
+// stopped at least one related set early, or the search ran on the
+// bitstate store, which can skip states.
 package main
 
 import (
@@ -65,14 +66,16 @@ func main() {
 	}
 
 	fmt.Printf("system %q: %d app(s), %d device(s)\n", sys.Name, len(sys.Apps), len(sys.Devices))
-	os.Exit(report(rep, *trails, os.Stdout))
+	os.Exit(report(rep, opts.Store, *trails, os.Stdout))
 }
 
-// report prints the outcome of an analysis to w and returns the exit
-// status: 1 when violations were found; otherwise 3, not 0, when any
-// related set was stopped before its state space was exhausted — "no
-// violations" is a verdict only about the part that was explored.
-func report(rep *iotsan.Report, trails bool, w io.Writer) int {
+// report prints the outcome of an analysis run on store to w and returns
+// the exit status: 1 when violations were found; otherwise 3, not 0,
+// when any related set was stopped before its state space was exhausted
+// or the store was the bitstate one, whose false "seen" answers skip
+// states — "no violations" is a verdict only about the part that was
+// explored.
+func report(rep *iotsan.Report, store iotsan.StoreSelector, trails bool, w io.Writer) int {
 	fmt.Fprintf(w, "dependency analysis: %d handlers, largest related set %d (%.1fx reduction)\n",
 		rep.Scale.OriginalSize, rep.Scale.NewSize, rep.Scale.Ratio())
 	fmt.Fprintf(w, "verified %d related group(s) in %v\n\n", len(rep.Groups), rep.Elapsed)
@@ -87,6 +90,12 @@ func report(rep *iotsan.Report, trails bool, w io.Writer) int {
 		if stopped > 0 {
 			fmt.Fprintf(w, "inconclusive: %d of %d related set(s) stopped early (state cap or deadline) — no violation found within the explored part\n",
 				stopped, len(rep.Groups))
+		}
+		supertrace := store == iotsan.StoreBitstate
+		if supertrace {
+			fmt.Fprintln(w, "inconclusive: the bitstate store may have skipped states (supertrace) — no violation found within the explored part")
+		}
+		if stopped > 0 || supertrace {
 			return 3
 		}
 		fmt.Fprintln(w, "no violations detected")

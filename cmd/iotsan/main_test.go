@@ -33,8 +33,9 @@ func quietHome() (*iotsan.System, map[string]string) {
 }
 
 // A run that found nothing is "no violations detected", exit 0, only
-// when every related set was searched to the end; stopped early by the
-// state cap it is inconclusive, exit 3 — never a silent "safe".
+// when every related set was searched to the end on an exact store;
+// stopped early by the state cap, or searched on the bitstate store, it
+// is inconclusive, exit 3 — never a silent "safe".
 func TestReportExitStatus(t *testing.T) {
 	analyze := func(opts iotsan.Options) (int, string) {
 		t.Helper()
@@ -47,7 +48,7 @@ func TestReportExitStatus(t *testing.T) {
 			t.Fatalf("the quiet home has violations: %v", rep.Violations)
 		}
 		var out strings.Builder
-		return report(rep, true, &out), out.String()
+		return report(rep, opts.Store, true, &out), out.String()
 	}
 
 	if code, out := analyze(iotsan.Options{MaxEvents: 4}); code != 0 || !strings.Contains(out, "no violations detected\n") {
@@ -58,6 +59,12 @@ func TestReportExitStatus(t *testing.T) {
 	const line = "inconclusive: 1 of 1 related set(s) stopped early (state cap or deadline) — no violation found within the explored part\n"
 	if code != 3 || !strings.Contains(out, line) || strings.Contains(out, "no violations detected") {
 		t.Errorf("run stopped at the 50-state cap: exit %d, output:\n%s", code, out)
+	}
+
+	code, out = analyze(iotsan.Options{MaxEvents: 4, Store: iotsan.StoreBitstate})
+	const supertrace = "inconclusive: the bitstate store may have skipped states (supertrace) — no violation found within the explored part\n"
+	if code != 3 || !strings.Contains(out, supertrace) || strings.Contains(out, "no violations detected") || strings.Contains(out, "stopped early") {
+		t.Errorf("exhausted run on the bitstate store: exit %d, output:\n%s", code, out)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"iotsan/internal/ifttt"
 	"iotsan/internal/ir"
 	"iotsan/internal/model"
-	"iotsan/internal/props"
 	"iotsan/internal/smartapp"
 )
 
@@ -341,46 +340,81 @@ func TestInspectCountersTable8(t *testing.T) {
 		stored, len(res.Violations), decided, 100*float64(decided)/float64(stored), o.evaluated, float64(o.evaluated)/float64(stored))
 }
 
-// A model may carry catalog and opaque invariants together: Inspect
-// reports the catalog's violations, then the opaque ones', and a search
-// finds both kinds. The model is Table 9's — the IFTTT applets, with
-// invariants inspected after every handler of a cascade, so the
-// mid-cascade Inspect runs over a catalog too.
-func TestInspectMixedInvariants(t *testing.T) {
+// TestInspectValuationTable9 runs the walker's valuation check over
+// Table 9's own atom table, with cascade inspection, with and without the
+// block cache; the search finds all four properties violated. The check
+// has teeth on every atom that reads something: with the block cache, a
+// table where that atom declares no reads is caught on the walk. That
+// needs a wider event space than Table 9's, where each such atom changes
+// across some transition: an app sounds the siren only in a cascade that
+// silences it again, and none changes the mode, so the user does both.
+func TestInspectValuationTable9(t *testing.T) {
 	sys, apps, err := ifttt.BuildSystem(ifttt.Table9Applets())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.Mode = "Away"
-	invs, err := props.CompileInvariants(sys, nil, props.DefaultThresholds())
+	plan, err := model.Prepare(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, incremental := range []bool{true, false} {
-		m, err := model.New(sys, apps, model.Options{
-			MaxEvents: 2, InspectCascade: true, Incremental: incremental,
-			Invariants: append(slices.Clone(invs), ifttt.Table9Properties()...),
+	insts, err := plan.PrepareApps(sys.Apps, apps, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invs, err := ifttt.Table9Properties(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(invs []model.Invariant, incremental, wide bool) *model.Model {
+		t.Helper()
+		m, err := plan.Build(insts, model.Options{
+			MaxEvents: 2, InspectCascade: true, Incremental: incremental, Invariants: invs,
+			UserDeviceEvents: wide, UserModeEvents: wide,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return m
+	}
+	for _, incremental := range []bool{true, false} {
+		m := build(invs, incremental, false)
 		r, err := walk(m, nil, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.assert(t, "valuation")
 		res := checker.Run(m.System(), checker.Options{MaxDepth: 10})
-		var catalog, opaque int
-		for _, f := range res.Violations {
-			if strings.HasPrefix(f.Property, "ifttt.") {
-				opaque++
-			} else if p, ok := props.ByID(f.Property); ok && p.Kind == props.Physical {
-				catalog++
-			}
+		if ids := res.PropertyIDs(); len(ids) != len(invs) || res.Truncated {
+			t.Errorf("cache=%v: violated %q (truncated=%v), want all %d properties", incremental, ids, res.Truncated, len(invs))
 		}
-		if catalog == 0 || opaque == 0 || res.Truncated {
-			t.Errorf("cache=%v: %d catalog and %d opaque violations found (truncated=%v); want both kinds (all: %q)",
-				incremental, catalog, opaque, res.Truncated, violationSet(res))
+	}
+	r, err := walk(build(invs, true, true), nil, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.assert(t, "valuation")
+	table := invs[0].Atoms
+	for i, a := range table.Atoms {
+		if len(a.Reads) == 0 && !a.ReadsMode {
+			continue // no such device in the system: a constant
+		}
+		atoms := slices.Clone(table.Atoms)
+		atoms[i].Reads, atoms[i].ReadsMode = nil, false
+		forgetful, err := plan.NewAtomTable(atoms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrong := slices.Clone(invs)
+		for j := range wrong {
+			wrong[j].Atoms = forgetful
+		}
+		r, err := walk(build(wrong, true, true), nil, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.div["valuation"].count == 0 {
+			t.Errorf("atom %s declaring no reads went unnoticed over %d inspected states", a.Name, r.checked["valuation"])
 		}
 	}
 }

@@ -37,15 +37,6 @@ type Vertex struct {
 	Parents    []int
 }
 
-// Label renders "App.handler" (joined by + for composites).
-func (v *Vertex) Label() string {
-	parts := make([]string, len(v.Handlers))
-	for i, h := range v.Handlers {
-		parts[i] = h.App.Name + "." + h.Handler
-	}
-	return strings.Join(parts, "+")
-}
-
 // Graph is the dependency graph of a set of apps.
 type Graph struct {
 	Vertices []*Vertex

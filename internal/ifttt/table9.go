@@ -5,6 +5,7 @@ import (
 
 	"iotsan/internal/checker"
 	"iotsan/internal/model"
+	"iotsan/internal/props"
 )
 
 // Table9Applets returns the 10 smart-home rules of the paper's §11
@@ -48,84 +49,64 @@ func Table9Applets() []Applet {
 	}
 }
 
-// Table9Properties are the four unsafe physical states of Table 9,
-// instantiated over the IFTTT system's devices.
-func Table9Properties() []model.Invariant {
+// Table9Properties are the four unsafe physical states of Table 9, each
+// G p over one seven-atom table resolved against plan's devices.
+func Table9Properties(plan *model.Plan) ([]model.Invariant, error) {
+	named := func(name string, a model.Atom) model.Atom {
+		a.Name = name
+		return a
+	}
+	table, err := plan.NewAtomTable([]model.Atom{
+		named("mode_away", props.ModeIs(plan.Cfg.Modes, "Away")),
+		named("motion_active", props.EnumAtom(plan.ByCapability("motionSensor"), "motion", "active", false)),
+		named("smoke_detected", props.EnumAtom(plan.ByCapability("smokeDetector"), "smoke", "detected", false)),
+		named("contact_open", props.EnumAtom(plan.ByCapability("contactSensor"), "contact", "open", false)),
+		named("alarms_off", props.EnumAtom(plan.ByAssociation("alarm"), "alarm", "off", true)),
+		named("main_door_unlocked", props.EnumAtom(plan.ByAssociation("main door"), "lock", "unlocked", false)),
+		named("call_beeping", props.EnumAtom(plan.ByAssociation("voip call"), "tone", "beeping", false)),
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Bit i of a valuation word is atom i above.
+	const (
+		modeAway uint64 = 1 << iota
+		motion
+		smoke
+		contactOpen
+		alarmsOff
+		mainUnlocked
+		callBeeping
+	)
+	all := func(w, bits uint64) bool { return w&bits == bits }
 	return []model.Invariant{
 		{
 			ID:          "ifttt.siren-on-intruder",
 			Description: "Siren/strobe is not activated when intruder (i.e., motion) is detected",
-			Holds: func(v *model.View) bool {
-				if v.Mode() != "Away" || !v.AnyMotion() {
-					return true
-				}
-				for _, d := range v.ByAssociation("alarm") {
-					if !v.AttrEquals(d, "alarm", "off") {
-						return true
-					}
-				}
-				return false
-			},
+			Atoms:       table,
+			Over:        func(w uint64) bool { return !all(w, modeAway|motion|alarmsOff) },
 		},
 		{
 			ID:          "ifttt.no-spurious-siren",
 			Description: "Siren/strobe is activated when no intruder is detected",
-			Holds: func(v *model.View) bool {
-				alarmed := false
-				for _, d := range v.ByAssociation("alarm") {
-					if !v.AttrEquals(d, "alarm", "off") {
-						alarmed = true
-					}
-				}
-				if !alarmed {
-					return true
-				}
-				return v.AnyMotion() || v.SmokeDetected() || anyContactOpen(v)
-			},
+			Atoms:       table,
+			Over:        func(w uint64) bool { return w&(alarmsOff|motion|smoke|contactOpen) != 0 },
 		},
 		{
 			ID:          "ifttt.door-unlocked-away",
 			Description: "The main/front door is unlocked when no one is at home",
-			Holds: func(v *model.View) bool {
-				if v.Mode() != "Away" {
-					return true
-				}
-				for _, d := range v.ByAssociation("main door") {
-					if v.AttrEquals(d, "lock", "unlocked") {
-						return false
-					}
-				}
-				return true
-			},
+			Atoms:       table,
+			Over:        func(w uint64) bool { return !all(w, modeAway|mainUnlocked) },
 		},
 		{
 			ID:          "ifttt.call-on-intruder",
 			Description: "A phone call is not triggered when intruder is detected",
-			Holds: func(v *model.View) bool {
-				if v.Mode() != "Away" {
-					return true
-				}
-				if !v.AnyMotion() && !anyContactOpen(v) {
-					return true
-				}
-				for _, d := range v.ByAssociation("voip call") {
-					if v.AttrEquals(d, "tone", "beeping") {
-						return true
-					}
-				}
-				return false
+			Atoms:       table,
+			Over: func(w uint64) bool {
+				return w&modeAway == 0 || w&(motion|contactOpen) == 0 || w&callBeeping != 0
 			},
 		},
-	}
-}
-
-func anyContactOpen(v *model.View) bool {
-	for _, d := range v.ByCapability("contactSensor") {
-		if v.AttrEquals(d, "contact", "open") {
-			return true
-		}
-	}
-	return false
+	}, nil
 }
 
 // Table9Result reports the violated properties with their responsible
@@ -145,9 +126,21 @@ func RunTable9(maxEvents int) (*Table9Result, error) {
 		return nil, err
 	}
 	sys.Mode = "Away" // the paper's scenario: intrusion while away
-	m, err := model.New(sys, apps, model.Options{
+	plan, err := model.Prepare(sys)
+	if err != nil {
+		return nil, err
+	}
+	insts, err := plan.PrepareApps(sys.Apps, apps, false)
+	if err != nil {
+		return nil, err
+	}
+	invs, err := Table9Properties(plan)
+	if err != nil {
+		return nil, err
+	}
+	m, err := plan.Build(insts, model.Options{
 		MaxEvents:      maxEvents,
-		Invariants:     Table9Properties(),
+		Invariants:     invs,
 		InspectCascade: true, // strict Spin-style checking (§2.3)
 	})
 	if err != nil {

@@ -2,14 +2,13 @@
 // IotSan's safe-physical-state properties (§8: "These kinds of
 // properties can be verified using linear temporal logic").
 //
-// The package provides a parser for full propositional LTL (G F X U W R,
-// boolean connectives, named atoms), a check for the one safety form the
-// model checker evaluates on every reached state — G p, an invariant
-// over propositional p — and Bind, which compiles p into a closed
-// evaluator. Every other formula, liveness included, parses but is
-// rejected by CompileSafety; bounded model checking of safety
-// properties is what IotSan (like Spin used as a falsifier, §2.3)
-// performs.
+// A property is written G p (or [] p): an invariant, with p a
+// propositional formula over named atoms (! && || -> <-> true false).
+// That is the one form the model checker evaluates, on every reached
+// state; bounded model checking of safety properties is what IotSan
+// (like Spin used as a falsifier, §2.3) performs. Parse accepts exactly
+// that form and returns p, and Bind compiles p into a closed evaluator.
+// Any other temporal operator, liveness included, is a parse error.
 package ltl
 
 import (
@@ -30,15 +29,9 @@ const (
 	OpOr
 	OpImplies
 	OpIff
-	OpGlobally   // G
-	OpEventually // F
-	OpNext       // X
-	OpUntil      // U
-	OpWeakUntil  // W
-	OpRelease    // R
 )
 
-// Formula is an LTL formula tree.
+// Formula is the propositional body of a safety property.
 type Formula struct {
 	Op   Op
 	Atom string
@@ -64,25 +57,13 @@ func (f *Formula) String() string {
 		return f.L.paren() + " -> " + f.R.paren()
 	case OpIff:
 		return f.L.paren() + " <-> " + f.R.paren()
-	case OpGlobally:
-		return "G " + f.L.paren()
-	case OpEventually:
-		return "F " + f.L.paren()
-	case OpNext:
-		return "X " + f.L.paren()
-	case OpUntil:
-		return f.L.paren() + " U " + f.R.paren()
-	case OpWeakUntil:
-		return f.L.paren() + " W " + f.R.paren()
-	case OpRelease:
-		return f.L.paren() + " R " + f.R.paren()
 	}
 	return "?"
 }
 
 func (f *Formula) paren() string {
 	switch f.Op {
-	case OpAtom, OpTrue, OpFalse, OpNot, OpGlobally, OpEventually, OpNext:
+	case OpAtom, OpTrue, OpFalse, OpNot:
 		return f.String()
 	}
 	return "(" + f.String() + ")"
@@ -109,19 +90,6 @@ func (f *Formula) Atoms() []string {
 	return out
 }
 
-// IsPropositional reports whether the formula contains no temporal
-// operators.
-func (f *Formula) IsPropositional() bool {
-	if f == nil {
-		return true
-	}
-	switch f.Op {
-	case OpGlobally, OpEventually, OpNext, OpUntil, OpWeakUntil, OpRelease:
-		return false
-	}
-	return f.L.IsPropositional() && f.R.IsPropositional()
-}
-
 // ---- Parser ----
 
 // A ParseError reports a syntax error in a formula.
@@ -140,10 +108,14 @@ type fparser struct {
 	pos int
 }
 
-// Parse parses an LTL formula.
+// Parse parses a safety property, G p or [] p, and returns its
+// propositional body p.
 func Parse(input string) (*Formula, error) {
 	p := &fparser{in: input}
-	f, err := p.parseIff()
+	if !p.acceptWord("G") && !p.accept("[]") {
+		return nil, &ParseError{p.in, p.pos, "expected G or [] (a property is G p)"}
+	}
+	f, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
@@ -220,12 +192,12 @@ func (p *fparser) parseOr() (*Formula, error) {
 }
 
 func (p *fparser) parseAnd() (*Formula, error) {
-	l, err := p.parseBinaryTemporal()
+	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for p.accept("&&") {
-		r, err := p.parseBinaryTemporal()
+		r, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
@@ -234,38 +206,7 @@ func (p *fparser) parseAnd() (*Formula, error) {
 	return l, nil
 }
 
-func (p *fparser) parseBinaryTemporal() (*Formula, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.acceptWord("U"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &Formula{Op: OpUntil, L: l, R: r}
-		case p.acceptWord("W"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &Formula{Op: OpWeakUntil, L: l, R: r}
-		case p.acceptWord("R"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &Formula{Op: OpRelease, L: l, R: r}
-		default:
-			return l, nil
-		}
-	}
-}
-
-// acceptWord matches a single-letter operator not glued to an atom.
+// acceptWord matches a one-letter operator not glued to an atom.
 func (p *fparser) acceptWord(w string) bool {
 	p.skipWS()
 	if !strings.HasPrefix(p.in[p.pos:], w) {
@@ -293,24 +234,6 @@ func (p *fparser) parseUnary() (*Formula, error) {
 			return nil, err
 		}
 		return &Formula{Op: OpNot, L: f}, nil
-	case p.acceptWord("G"), p.acceptWord("[]"):
-		f, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Formula{Op: OpGlobally, L: f}, nil
-	case p.acceptWord("F"), p.acceptWord("<>"):
-		f, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Formula{Op: OpEventually, L: f}, nil
-	case p.acceptWord("X"):
-		f, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Formula{Op: OpNext, L: f}, nil
 	case p.accept("("):
 		f, err := p.parseIff()
 		if err != nil {
@@ -340,22 +263,9 @@ func (p *fparser) parseAtom() (*Formula, error) {
 	case "false":
 		return &Formula{Op: OpFalse}, nil
 	case "G", "F", "X", "U", "W", "R":
-		return nil, &ParseError{p.in, start, "temporal operator used as atom"}
+		return nil, &ParseError{p.in, start, "temporal operator " + word + " inside a safety property"}
 	}
 	return &Formula{Op: OpAtom, Atom: word}, nil
-}
-
-// CompileSafety checks that f is G p with p propositional — an
-// invariant, checked on every reached state — and returns p, the body
-// Bind compiles. Any other shape is an error.
-func CompileSafety(f *Formula) (*Formula, error) {
-	if f.Op != OpGlobally {
-		return nil, fmt.Errorf("ltl: %s is not a G-rooted safety formula", f)
-	}
-	if !f.L.IsPropositional() {
-		return nil, fmt.Errorf("ltl: %s is outside the supported safety fragment", f)
-	}
-	return f.L, nil
 }
 
 // Bind compiles a propositional formula into a closed evaluator over a
@@ -423,5 +333,5 @@ func Bind[T any](f *Formula, atom func(name string) func(T) bool) (func(T) bool,
 		}
 		return func(v T) bool { return l(v) == r(v) }, nil
 	}
-	return nil, fmt.Errorf("ltl: Bind on temporal formula %s", f)
+	return nil, fmt.Errorf("ltl: Bind on unknown operator %d", f.Op)
 }

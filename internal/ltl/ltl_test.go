@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-// MustParse parses or panics.
+// MustParse parses a safety property or panics.
 func MustParse(input string) *Formula {
 	f, err := Parse(input)
 	if err != nil {
@@ -36,21 +36,19 @@ func evalProp(f *Formula, env func(atom string) bool) bool {
 	case OpIff:
 		return evalProp(f.L, env) == evalProp(f.R, env)
 	}
-	panic("evalProp on temporal formula " + f.String())
+	panic("evalProp on unknown operator " + f.String())
 }
 
 func TestParseAndRender(t *testing.T) {
 	tests := []struct{ in, want string }{
-		{"G p", "G p"},
-		{"G (a -> b)", "G (a -> b)"},
-		{"G !(a && b)", "G !(a && b)"},
-		{"p U q", "p U q"},
-		{"F (p && X q)", "F (p && X q)"},
-		{"[] (a || b)", "G (a || b)"},
-		{"<> done", "F done"},
-		{"a -> b -> c", "a -> (b -> c)"}, // right-associative
-		{"!a || b && c", "!a || (b && c)"},
-		{"G (anyone_home || main_door_locked)", "G (anyone_home || main_door_locked)"},
+		{"G p", "p"},
+		{"G (a -> b)", "a -> b"},
+		{"G !(a && b)", "!(a && b)"},
+		{"[] (a || b)", "a || b"},
+		{"G true", "true"},
+		{"G (a -> b -> c)", "a -> (b -> c)"}, // right-associative
+		{"G (!a || b && c)", "!a || (b && c)"},
+		{"G (anyone_home || main_door_locked)", "anyone_home || main_door_locked"},
 	}
 	for _, tt := range tests {
 		f, err := Parse(tt.in)
@@ -65,7 +63,7 @@ func TestParseAndRender(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, in := range []string{"", "G", "(a", "a &&", "G (p -> )", "a b", "U p"} {
+	for _, in := range []string{"", "G", "(a", "G (a &&", "G (p -> )", "G (a b)", "G U p", "G p)", "Gp"} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q): expected error", in)
 		}
@@ -87,7 +85,7 @@ func TestAtoms(t *testing.T) {
 }
 
 func TestEvalProp(t *testing.T) {
-	f := MustParse("(a && !b) || (c -> d)")
+	f := MustParse("G ((a && !b) || (c -> d))")
 	env := func(m map[string]bool) func(string) bool {
 		return func(a string) bool { return m[a] }
 	}
@@ -102,11 +100,10 @@ func TestEvalProp(t *testing.T) {
 	}
 }
 
-func TestCompileSafetyInvariant(t *testing.T) {
-	body, err := CompileSafety(MustParse("G !(away && unlocked)"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// Parse returns the body of G p, the invariant checked on every
+// reached state.
+func TestParseReturnsBody(t *testing.T) {
+	body := MustParse("G !(away && unlocked)")
 	if got := body.String(); got != "!(away && unlocked)" {
 		t.Fatalf("body = %q", got)
 	}
@@ -118,18 +115,17 @@ func TestCompileSafetyInvariant(t *testing.T) {
 	}
 }
 
-// A one-step response needs a monitor stepped along an execution, which
-// the checker does not run: the formula is outside the fragment.
-func TestCompileSafetyNextResponse(t *testing.T) {
-	if body, err := CompileSafety(MustParse("G (req -> X ack)")); err == nil {
-		t.Errorf("CompileSafety accepted a next-response formula (body %s)", body)
-	}
-}
-
-func TestCompileSafetyRejectsLiveness(t *testing.T) {
-	for _, in := range []string{"F p", "G F p", "p U q", "G (p -> F q)"} {
-		if _, err := CompileSafety(MustParse(in)); err == nil {
-			t.Errorf("CompileSafety(%q): expected rejection", in)
+// Only G p is a property: a formula not rooted in G, a liveness
+// formula, a nested G and a one-step response (which would need a
+// monitor stepped along an execution, and the checker runs none) are
+// all parse errors.
+func TestParseRejectsTemporal(t *testing.T) {
+	for _, in := range []string{
+		"p", "!p", "F p", "<> p", "X p", "p U q", "p W q", "p R q",
+		"G F p", "G G p", "G [] p", "G p && q", "G (p -> F q)", "G (p U q)", "G (req -> X ack)", "G (p -> <> q)",
+	} {
+		if f, err := Parse(in); err == nil {
+			t.Errorf("Parse(%q) accepted it (body %s)", in, f)
 		}
 	}
 }
@@ -176,16 +172,13 @@ func TestBindMatchesEvalProp(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-	if _, err := Bind(MustParse("G p"), func(string) func(uint) bool { return nil }); err == nil {
-		t.Error("Bind accepted a temporal formula")
-	}
-	if _, err := Bind(MustParse("p && q"), func(string) func(uint) bool { return nil }); err == nil {
+	if _, err := Bind(MustParse("G (p && q)"), func(string) func(uint) bool { return nil }); err == nil {
 		t.Error("Bind accepted an unbound atom")
 	}
 }
 
-// TestRoundTripProperty: rendering a parsed formula and reparsing it
-// yields an equivalent formula (property-based).
+// TestRoundTripProperty: rendering a formula and reparsing it as the
+// body of G yields an equivalent formula (property-based).
 func TestRoundTripProperty(t *testing.T) {
 	atoms := []string{"a", "b", "c", "p", "q"}
 	// Generate random formulas from a seed sequence.
@@ -194,7 +187,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if depth <= 0 {
 			return &Formula{Op: OpAtom, Atom: atoms[abs(seed)%int64(len(atoms))]}
 		}
-		switch abs(seed) % 8 {
+		switch abs(seed) % 6 {
 		case 0:
 			return &Formula{Op: OpAtom, Atom: atoms[abs(seed/8)%int64(len(atoms))]}
 		case 1:
@@ -205,17 +198,13 @@ func TestRoundTripProperty(t *testing.T) {
 			return &Formula{Op: OpOr, L: gen(seed/3, depth-1), R: gen(seed/5, depth-1)}
 		case 4:
 			return &Formula{Op: OpImplies, L: gen(seed/3, depth-1), R: gen(seed/5, depth-1)}
-		case 5:
-			return &Formula{Op: OpGlobally, L: gen(seed/3, depth-1)}
-		case 6:
-			return &Formula{Op: OpUntil, L: gen(seed/3, depth-1), R: gen(seed/5, depth-1)}
 		default:
-			return &Formula{Op: OpNext, L: gen(seed/3, depth-1)}
+			return &Formula{Op: OpIff, L: gen(seed/3, depth-1), R: gen(seed/5, depth-1)}
 		}
 	}
 	prop := func(seed int64) bool {
 		f := gen(seed, 4)
-		g, err := Parse(f.String())
+		g, err := Parse("G (" + f.String() + ")")
 		if err != nil {
 			t.Logf("reparse of %q failed: %v", f.String(), err)
 			return false
@@ -238,7 +227,7 @@ func abs(x int64) int64 {
 // propositional formulas (property-based).
 func TestEvalPropTotality(t *testing.T) {
 	prop := func(a, b, c bool) bool {
-		f := MustParse("((x -> y) <-> (!x || y)) && (z || !z)")
+		f := MustParse("G (((x -> y) <-> (!x || y)) && (z || !z))")
 		env := map[string]bool{"x": a, "y": b, "z": c}
 		return evalProp(f, func(at string) bool { return env[at] })
 	}

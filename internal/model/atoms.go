@@ -23,6 +23,72 @@ type Atom struct {
 	ReadsMode bool
 }
 
+// AttrRef is one device attribute resolved to state indexes, with — for
+// an enum test — the index of the value tested for. Resolving an atom's
+// device lists and attribute and value names once per Plan leaves an
+// int16 compare per device, and the refs an atom scans are the reads it
+// declares (Atom.Reads).
+type AttrRef struct {
+	Dev, Attr int32
+	Val       int16
+}
+
+// EnumRefs resolves the test "attr == value" on each of devs. A device
+// on which it can never hold (no such attribute, a numeric one, or a
+// value outside its enum) gets no ref and clears all: an any-of test
+// skips it, an all-of test is false whatever the state.
+func EnumRefs(devs []*DevInst, attr, value string) (refs []AttrRef, all bool) {
+	all = true
+	for _, d := range devs {
+		i := d.AttrIndex(attr)
+		k := -1
+		if i >= 0 && !d.Attrs[i].Numeric {
+			k = indexOf(d.Attrs[i].Values, value)
+		}
+		if k < 0 {
+			all = false
+			continue
+		}
+		refs = append(refs, AttrRef{Dev: int32(d.Idx), Attr: int32(i), Val: int16(k)})
+	}
+	return refs, all
+}
+
+// NumRefs resolves the numeric attribute attr on each of devs that has
+// one (Val is unused).
+func NumRefs(devs []*DevInst, attr string) []AttrRef {
+	var refs []AttrRef
+	for _, d := range devs {
+		if i := d.AttrIndex(attr); i >= 0 && d.Attrs[i].Numeric {
+			refs = append(refs, AttrRef{Dev: int32(d.Idx), Attr: int32(i)})
+		}
+	}
+	return refs
+}
+
+// Raw returns the encoded value of the attribute r names.
+func (s *State) Raw(r AttrRef) int16 { return s.Devices[r.Dev].Attrs[r.Attr] }
+
+// AnyEq reports whether any of the enum tests holds.
+func (s *State) AnyEq(refs []AttrRef) bool {
+	for _, r := range refs {
+		if s.Raw(r) == r.Val {
+			return true
+		}
+	}
+	return false
+}
+
+// AllEq reports whether every one of the enum tests holds.
+func (s *State) AllEq(refs []AttrRef) bool {
+	for _, r := range refs {
+		if s.Raw(r) != r.Val {
+			return false
+		}
+	}
+	return true
+}
+
 // MaxAtoms is how many atoms one table holds: a valuation is one word.
 const MaxAtoms = 64
 
@@ -183,13 +249,13 @@ func (m *Model) decideOnce(word uint64) *verdict {
 		return v
 	}
 	v = &verdict{word: word}
-	for i := range m.decided {
-		if inv := &m.decided[i]; !inv.Over(word) {
+	for i := range m.Opts.Invariants {
+		if inv := &m.Opts.Invariants[i]; !inv.Over(word) {
 			v.viols = append(v.viols, checker.Violation{Property: inv.ID, Detail: inv.Description})
 		}
 	}
-	// Capacity = length: appending to a verdict's violations, as Inspect
-	// does for opaque invariants, copies instead of writing into it.
+	// Capacity = length: appending to a verdict's violations copies
+	// instead of writing into the shared slice.
 	v.viols = v.viols[:len(v.viols):len(v.viols)]
 	if c.n++; 2*c.n > len(t.slots) {
 		grown := newVerdictTable(65 - t.shift)
@@ -215,31 +281,19 @@ func (m *Model) VerdictsDecided() int {
 }
 
 // Inspect evaluates the safe-physical-state invariants on a state (§8
-// "Safety Properties"). The catalog's part is refresh, look up, decide
-// on a miss: settle the state's atom word, and run the invariants'
-// formulas over it only the first time this model meets that word. The
-// violations of catalog invariants come first, in Options.Invariants
-// order, then those of the opaque ones, which are evaluated on a View of
-// every inspected state. The result may be shared with other states of
-// the same valuation: callers must not write to it.
+// "Safety Properties"): settle the state's atom word, look its verdict
+// up, and run the invariants' formulas over the word only the first
+// time this model meets it. The violations come in Options.Invariants
+// order. The result is shared with every other state of the same
+// valuation: callers must not write to it.
 func (m *Model) Inspect(s *State) []checker.Violation {
-	var out []checker.Violation
-	if m.atoms != nil {
-		word := m.atoms.settle(s)
-		v := m.verdicts.get(word)
-		if v == nil {
-			v = m.decideOnce(word)
-		}
-		out = v.viols
+	if m.atoms == nil {
+		return nil
 	}
-	if len(m.opaque) == 0 {
-		return out
+	word := m.atoms.settle(s)
+	v := m.verdicts.get(word)
+	if v == nil {
+		v = m.decideOnce(word)
 	}
-	view := &View{M: m, S: s}
-	for i := range m.opaque {
-		if inv := &m.opaque[i]; !inv.Holds(view) {
-			out = append(out, checker.Violation{Property: inv.ID, Detail: inv.Description})
-		}
-	}
-	return out
+	return v.viols
 }

@@ -9,6 +9,11 @@ import (
 	"iotsan/internal/ir"
 )
 
+// anyEqAtom is the atom "some ref's attribute holds its value".
+func anyEqAtom(name string, refs []AttrRef) Atom {
+	return Atom{Name: name, Reads: refs, Holds: func(s *State) bool { return s.AnyEq(refs) }}
+}
+
 // cascadeCatalog is a two-atom catalog over the cascade home: "the
 // light is off while motion is active" never holds for long, "no motion"
 // fails on every active state.
@@ -18,12 +23,9 @@ func cascadeCatalog(t *testing.T) []Invariant {
 	if err != nil {
 		t.Fatal(err)
 	}
-	motion := plan.Watch().Motion
+	motion, _ := EnumRefs(plan.ByCapability("motionSensor"), "motion", "active")
 	on, _ := EnumRefs(plan.ByCapability("switch"), "switch", "on")
-	table, err := plan.NewAtomTable([]Atom{
-		{Name: "motion_active", Reads: motion, Holds: func(s *State) bool { return s.AnyEq(motion) }},
-		{Name: "light_on", Reads: on, Holds: func(s *State) bool { return s.AnyEq(on) }},
-	})
+	table, err := plan.NewAtomTable([]Atom{anyEqAtom("motion_active", motion), anyEqAtom("light_on", on)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +38,14 @@ func cascadeCatalog(t *testing.T) []Invariant {
 
 // TestInspectHitZeroAlloc is the allocation gate for Inspect by lookup:
 // on a valuation the model has decided before, Inspect allocates nothing
-// — no View, no violation slice — whether every atom is stale or none,
+// — no violation slice — whether every atom is stale or none,
 // and it returns the violations decided the first time.
 func TestInspectHitZeroAlloc(t *testing.T) {
 	m := cascadeModelOpts(t, Options{MaxEvents: 3, Incremental: true, Invariants: cascadeCatalog(t)})
+	motion := m.atoms.Atoms[0].Holds
 	s := m.Initial()
 	for _, tr := range m.Expand(s) {
-		if next := tr.Next.(*State); next.AnyEq(m.watch.Motion) {
+		if next := tr.Next.(*State); motion(next) {
 			s = next
 		}
 	}
@@ -107,7 +110,7 @@ func TestVerdictCacheConcurrent(t *testing.T) {
 			t.Fatalf("valuation %#x lost its verdict", word)
 		}
 		want := 0
-		for _, inv := range m.decided {
+		for _, inv := range m.Opts.Invariants {
 			if !inv.Over(word) {
 				want++
 			}
@@ -123,20 +126,32 @@ func TestVerdictCacheConcurrent(t *testing.T) {
 	}
 }
 
-// Build sorts the invariants by form and refuses what it cannot
-// evaluate soundly.
-func TestBuildSplitsInvariants(t *testing.T) {
+// Build takes invariants over one atom table resolved against its own
+// device list, and refuses what it cannot evaluate soundly.
+func TestBuildRefusesInvariants(t *testing.T) {
 	catalog := cascadeCatalog(t)
-	opaque := Invariant{ID: "opaque", Holds: func(*View) bool { return true }}
-	m := cascadeModelOpts(t, Options{Invariants: []Invariant{opaque, catalog[0], catalog[1]}})
-	if m.atoms != catalog[0].Atoms || len(m.decided) != 2 || len(m.opaque) != 1 {
-		t.Errorf("split into %d catalog and %d opaque invariants over table %p", len(m.decided), len(m.opaque), m.atoms)
+	m := cascadeModelOpts(t, Options{Invariants: catalog})
+	if m.atoms != catalog[0].Atoms {
+		t.Errorf("model over table %p, want the catalog's %p", m.atoms, catalog[0].Atoms)
+	}
+	other := cascadeConfig()
+	other.Devices[0].Model = "Smart Switch"
+	other.Apps = nil
+	otherPlan, err := Prepare(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherTable, err := otherPlan.NewAtomTable(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	app := m.Apps[0].App
 	for name, invs := range map[string][]Invariant{
 		"second atom table":   {catalog[0], cascadeCatalog(t)[1]},
 		"nothing to evaluate": {{ID: "empty"}},
 		"no formula":          {{ID: "half", Atoms: catalog[0].Atoms}},
+		"no table":            {{ID: "bare", Over: catalog[0].Over}},
+		"other device list":   {{ID: "elsewhere", Atoms: otherTable, Over: catalog[0].Over}},
 	} {
 		_, err := New(cascadeConfig(), map[string]*ir.App{"Cascade": app}, Options{Invariants: invs})
 		if err == nil || !strings.Contains(err.Error(), "invariant") {

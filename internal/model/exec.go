@@ -522,7 +522,8 @@ func (x *executor) runHandler(sub *resolvedSub, ev *cyberEvent) {
 	}
 }
 
-// fireTimer runs a scheduled callback (EvTimer external choice).
+// fireTimer runs a scheduled callback: a timer firing, an external
+// choice enumerated from the state's pending timers.
 func (x *executor) fireTimer(appIdx int, handler string) {
 	app := x.m.Apps[appIdx]
 	prev := x.curApp

@@ -116,29 +116,19 @@ type Options struct {
 // sequential design (livelock guard).
 const maxCascade = 64
 
-// Invariant is a compiled safe-physical-state property, true in every
-// reachable state of a safe system. It comes in two forms. A catalog
-// invariant is a boolean function Over the valuation word of an atom
-// table (atoms.go): all invariants of a model share one table, a state
-// carries its word, and Inspect decides each distinct word once. An
-// opaque invariant has only Holds, which Inspect calls on a View of
-// every inspected state.
+// Invariant is a compiled safe-physical-state property G p, true in
+// every reachable state of a safe system: p is a boolean function Over
+// the valuation word of an atom table (atoms.go), bit i of the word
+// being Atoms.Atoms[i] on the state. All invariants of a model share one
+// table, a state carries its word, and Inspect decides each distinct
+// word once. The table holds device and attribute indexes, so Build
+// refuses a model over any other device list than the table's: the
+// indexes would read the wrong device and could report a wrong "safe".
 type Invariant struct {
 	ID          string
 	Description string
-	// Holds evaluates an opaque invariant. Nil on a catalog invariant.
-	Holds func(v *View) bool
-	// Atoms and Over make a catalog invariant: bit i of word is
-	// Atoms.Atoms[i] on the state.
-	Atoms *AtomTable
-	Over  func(word uint64) bool
-	// DeviceKey is the Plan.DeviceKey of the device list the invariant
-	// was resolved against, when it holds device and attribute indexes
-	// (props). Build refuses a model over any other device list — the
-	// indexes would read the wrong device and could report a wrong
-	// "safe". Empty for an invariant that reads the View by name and so
-	// fits any model.
-	DeviceKey string
+	Atoms       *AtomTable
+	Over        func(word uint64) bool
 }
 
 // DevInst is one device instance in the model.
@@ -252,10 +242,9 @@ type resolvedSub struct {
 // returns: verification reads it from many goroutines (the steal
 // checker strategy), so any new field must be fully resolved during
 // Build rather than filled in lazily — the pools and the verdict cache,
-// which synchronise themselves, are the exceptions. Cfg, Devices, the
-// byCap/byAssoc indexes and watch are the Plan's, and everything an
-// AppInst points to is PrepareApp's: shared with every other model of
-// the plan, read-only.
+// which synchronise themselves, are the exceptions. Cfg and Devices are
+// the Plan's, and everything an AppInst points to is PrepareApp's:
+// shared with every other model of the plan, read-only.
 type Model struct {
 	// Cfg is the plan's configuration: the whole system. Apps, not
 	// Cfg.Apps, says which instances this model installs.
@@ -297,22 +286,9 @@ type Model struct {
 	// slotTotal is the summed static state-slot count across apps.
 	slotTotal int
 
-	// byCap/byAssoc index the (immutable) device inventory by capability
-	// and association role (the Plan's indexes).
-	byCap   map[string][]*DevInst
-	byAssoc map[string][]*DevInst
-
-	// watch holds the View's built-in predicates resolved to state
-	// indexes (see view.go), once per Plan.
-	watch Watch
-
-	// Opts.Invariants split by form (see Invariant): decided are the
-	// catalog invariants, all over the one table atoms (nil without any),
-	// with verdicts caching what they say per valuation; opaque are
-	// evaluated per state.
+	// atoms is the one table every invariant of Opts.Invariants is over
+	// (nil without any), and verdicts caches what they say per valuation.
 	atoms    *AtomTable
-	decided  []Invariant
-	opaque   []Invariant
 	verdicts verdictCache
 
 	// execs pools executors (with their compiled-execution Envs) for
@@ -367,18 +343,16 @@ const (
 	EvDevice ExtEventKind = iota // physical event sensed by a device
 	EvTouch                      // user taps the app
 	EvSun                        // sunrise/sunset
-	EvTimer                      // a scheduled timer fires (dynamic)
 	EvMode                       // the user changes the location mode manually
 )
 
 // ExtEvent is one external event choice for the main loop of Algorithm 1.
 type ExtEvent struct {
 	Kind    ExtEventKind
-	Dev     int    // device index for EvDevice
-	AttrIdx int    // attribute index within the device
-	Val     int16  // encoded attribute value
-	AppIdx  int    // app index for EvTouch / EvTimer
-	Handler string // for EvTimer
+	Dev     int   // device index for EvDevice
+	AttrIdx int   // attribute index within the device
+	Val     int16 // encoded attribute value
+	AppIdx  int   // app index for EvTouch
 	Label   string
 }
 

@@ -49,23 +49,26 @@ func aliceSystem() *config.System {
 	}
 }
 
-// doorUnlockedWhenAway is the Fig. 7 assertion: the main door must not
-// be unlocked while no one is at home.
-func doorUnlockedWhenAway() Invariant {
+// doorUnlockedWhenAway is the Fig. 7 assertion over cfg's devices,
+// G (anyone_home || !main_door_unlocked): the main door must not be
+// unlocked while no one is at home.
+func doorUnlockedWhenAway(t *testing.T, cfg *config.System) Invariant {
+	t.Helper()
+	plan, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	present, _ := EnumRefs(plan.ByCapability("presenceSensor"), "presence", "present")
+	unlocked, _ := EnumRefs(plan.ByAssociation("main door"), "lock", "unlocked")
+	table, err := plan.NewAtomTable([]Atom{anyEqAtom("anyone_home", present), anyEqAtom("main_door_unlocked", unlocked)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return Invariant{
 		ID:          "lock.main-door-when-away",
 		Description: "The main door should be locked when no one is at home",
-		Holds: func(v *View) bool {
-			if v.AnyoneHome() {
-				return true
-			}
-			for _, d := range v.ByAssociation("main door") {
-				if v.AttrEquals(d, "lock", "unlocked") {
-					return false
-				}
-			}
-			return true
-		},
+		Atoms:       table,
+		Over:        func(w uint64) bool { return w&1 != 0 || w&2 == 0 },
 	}
 }
 
@@ -76,7 +79,7 @@ func TestFigure7Violation(t *testing.T) {
 	apps := translate(t, "Auto Mode Change", "Unlock Door")
 	m, err := New(aliceSystem(), apps, Options{
 		MaxEvents:  2,
-		Invariants: []Invariant{doorUnlockedWhenAway()},
+		Invariants: []Invariant{doorUnlockedWhenAway(t, aliceSystem())},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,21 +201,7 @@ func TestDeviceFailureViolation(t *testing.T) {
 	cfg.Apps[1] = config.AppInstance{App: "Make It So", Bindings: map[string]config.Binding{
 		"locks": {DeviceIDs: []string{"doorLock"}},
 	}}
-	inv := Invariant{
-		ID:          "lock.main-door-when-away",
-		Description: "The main door should be locked when no one is at home",
-		Holds: func(v *View) bool {
-			if v.AnyoneHome() {
-				return true
-			}
-			for _, d := range v.ByAssociation("main door") {
-				if v.AttrEquals(d, "lock", "unlocked") {
-					return false
-				}
-			}
-			return true
-		},
-	}
+	inv := doorUnlockedWhenAway(t, cfg)
 	// Without failures: Make It So locks the door on Away → no violation.
 	m, err := New(cfg, apps, Options{MaxEvents: 3, Invariants: []Invariant{inv}})
 	if err != nil {
@@ -249,7 +238,7 @@ func TestSequentialVsConcurrentFindSameViolations(t *testing.T) {
 	for _, design := range []Design{Sequential, Concurrent} {
 		m, err := New(aliceSystem(), apps, Options{
 			Design: design, MaxEvents: 2,
-			Invariants: []Invariant{doorUnlockedWhenAway()},
+			Invariants: []Invariant{doorUnlockedWhenAway(t, aliceSystem())},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -287,7 +276,8 @@ func TestConcurrentExploresMoreStates(t *testing.T) {
 }
 
 // TestTimerFires: Light Follows Me's runIn callback turns the light off
-// after motion stops.
+// after motion stops — some reachable timer firing takes the light from
+// on to off.
 func TestTimerFires(t *testing.T) {
 	apps := translate(t, "Light Follows Me")
 	cfg := &config.System{
@@ -304,31 +294,30 @@ func TestTimerFires(t *testing.T) {
 			}},
 		},
 	}
-	// Invariant: light is never on while motion inactive *after* the
-	// timer has fired — instead we just check the timer path executes:
-	// some reachable state has the light off after it was on.
-	sawOffAfterOn := false
-	inv := Invariant{
-		ID:          "probe.light-cycles",
-		Description: "probe",
-		Holds: func(v *View) bool {
-			d := v.ByCapability("switch")[0]
-			if v.AttrEquals(d, "switch", "off") {
-				if mo := v.ByCapability("motionSensor")[0]; v.AttrEquals(mo, "motion", "inactive") {
-					sawOffAfterOn = true
-				}
-			}
-			return true
-		},
-	}
-	m, err := New(cfg, apps, Options{MaxEvents: 3, Invariants: []Invariant{inv}})
+	m, err := New(cfg, apps, Options{MaxEvents: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checker.Run(m.System(), checker.Options{MaxDepth: 16})
-	if !sawOffAfterOn {
-		t.Error("timer-driven switch-off path never explored")
+	light := func(s *State) string {
+		v, _ := m.AttrValue(s, 1, "switch")
+		return v.S
 	}
+	init := m.Initial()
+	seen := map[string]bool{string(init.Encode(nil)): true}
+	for queue := []*State{init}; len(queue) > 0; queue = queue[1:] {
+		s := queue[0]
+		for _, tr := range m.Expand(s) {
+			next := tr.Next.(*State)
+			if strings.HasPrefix(tr.Label, "timer: Light Follows Me.") && light(s) == "on" && light(next) == "off" {
+				return
+			}
+			if key := string(next.Encode(nil)); !seen[key] {
+				seen[key] = true
+				queue = append(queue, next)
+			}
+		}
+	}
+	t.Errorf("no timer firing over %d states turns the light off", len(seen))
 }
 
 // TestStateEncodeDeterminism: the state vector encoding must be stable

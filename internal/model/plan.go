@@ -15,8 +15,7 @@ import (
 
 // Plan is the half of model generation that depends on the system's
 // device list alone: the device table with its capability and
-// association indexes, the View's built-in predicates resolved against
-// it, and the device half of the external event space. One Plan serves
+// association indexes, and the device half of the external event space. One Plan serves
 // every model over those devices — each related set of one Analyze
 // call, each candidate configuration of one attribution run — and the
 // invariant catalog resolves its atoms against it (props.CompileCatalog)
@@ -40,8 +39,12 @@ type Plan struct {
 	devIdx  map[string]int
 	byCap   map[string][]*DevInst
 	byAssoc map[string][]*DevInst
-	watch   Watch
-	devKey  string
+	// devKey identifies the device list by content: the id, model and
+	// association role of every device, in order — everything an atom's
+	// resolution reads. Plans prepared from equal device lists have equal
+	// keys, so invariants compiled by the one-shot props.CompileInvariants
+	// fit a model built by the one-shot New.
+	devKey string
 
 	// devEvents is the device half of every model's external event space
 	// (Algorithm 1 line 2): each value an external event can give each
@@ -103,7 +106,6 @@ func Prepare(cfg *config.System) (*Plan, error) {
 		key.WriteByte(1)
 	}
 	p.devKey = key.String()
-	p.watch = p.resolveViewWatch()
 	p.buildDeviceEvents()
 	return p, nil
 }
@@ -225,14 +227,6 @@ func (d *DevInst) setSchema(attrs []device.Attribute) {
 	}
 }
 
-// DeviceKey identifies the plan's device list by content: the id, model
-// and association role of every device, in order — everything an
-// invariant atom's resolution reads. Two plans prepared from equal
-// device lists have equal keys, which is what lets invariants compiled
-// by the one-shot props.CompileInvariants meet a model built by the
-// one-shot New. See Invariant.DeviceKey.
-func (p *Plan) DeviceKey() string { return p.devKey }
-
 // ByAssociation returns the devices carrying the given association role
 // (§7 device association info). The returned slice is the plan's index —
 // callers must not mutate it.
@@ -346,24 +340,18 @@ func (p *Plan) Build(apps []*AppInst, opts Options) (*Model, error) {
 	}
 	m := &Model{
 		Cfg: p.Cfg, Devices: p.Devices, Opts: opts,
-		Apps:  make([]*AppInst, len(apps)),
-		byCap: p.byCap, byAssoc: p.byAssoc, watch: p.watch,
+		Apps: make([]*AppInst, len(apps)),
 	}
-	m.decided = make([]Invariant, 0, len(opts.Invariants))
 	for _, inv := range opts.Invariants {
 		switch {
-		case inv.DeviceKey != "" && inv.DeviceKey != p.devKey, inv.Atoms != nil && inv.Atoms.devKey != p.devKey:
-			return nil, fmt.Errorf("model: invariant %s was compiled against a different device list than this model's", inv.ID)
-		case inv.Atoms == nil && inv.Holds == nil, inv.Atoms != nil && inv.Over == nil:
+		case inv.Atoms == nil || inv.Over == nil:
 			return nil, fmt.Errorf("model: invariant %s has nothing to evaluate", inv.ID)
-		case inv.Atoms == nil:
-			m.opaque = append(m.opaque, inv)
-			continue
+		case inv.Atoms.devKey != p.devKey:
+			return nil, fmt.Errorf("model: invariant %s was compiled against a different device list than this model's", inv.ID)
 		case m.atoms != nil && m.atoms != inv.Atoms:
-			return nil, fmt.Errorf("model: invariant %s is over a second atom table; a model's catalog invariants share one", inv.ID)
+			return nil, fmt.Errorf("model: invariant %s is over a second atom table; a model's invariants share one", inv.ID)
 		}
 		m.atoms = inv.Atoms
-		m.decided = append(m.decided, inv)
 	}
 	m.encBufs.New = func() any {
 		b := make([]byte, 0, 256)

@@ -15,7 +15,7 @@ func modelOf(name string) *device.Model { return device.ModelByName(name) }
 // device table, and afterwards compares raw int16s. An atom is an
 // immutable closure over those indexes: it is valid on every model built
 // from the plan — every such model keeps every device at the same index
-// — and only on those, which model.Invariant.DeviceKey enforces.
+// — and only on those, which model.Plan.Build enforces.
 //
 // Every builder returns the predicate together with the reads it
 // declares (model.Atom), taken from the same refs the predicate scans:
@@ -33,9 +33,10 @@ func constant(b bool) model.Atom {
 	return model.Atom{Holds: func(*model.State) bool { return b }}
 }
 
-// enumAtom tests attr == value on any (or, with all, on every) device
-// of devs.
-func enumAtom(devs []*model.DevInst, attr, value string, all bool) model.Atom {
+// EnumAtom tests attr == value on any (or, with all, on every) device
+// of devs. Like ModeIs it is exported for the other atom tables built
+// over a plan (ifttt's Table 9); the caller names the atom.
+func EnumAtom(devs []*model.DevInst, attr, value string, all bool) model.Atom {
 	refs, ok := model.EnumRefs(devs, attr, value)
 	switch {
 	case !all:
@@ -60,9 +61,9 @@ func numAtom(devs []*model.DevInst, attr string, test func(int64) bool) model.At
 	}}
 }
 
-// modeIs tests the location mode by index: is[i] says whether the
+// ModeIs tests the location mode by index: is[i] says whether the
 // configuration's i-th mode is the named one.
-func modeIs(modes []string, mode string) model.Atom {
+func ModeIs(modes []string, mode string) model.Atom {
 	is := make([]bool, len(modes))
 	for i, m := range modes {
 		is[i] = m == mode
@@ -125,13 +126,13 @@ func commonAtoms(plan *model.Plan, th Thresholds) []model.Atom {
 	plan.Counts.AtomTables++
 	// any/all device with the role or capability has attr == value
 	anyAssoc := func(role, attr, value string) model.Atom {
-		return enumAtom(plan.ByAssociation(role), attr, value, false)
+		return EnumAtom(plan.ByAssociation(role), attr, value, false)
 	}
 	allAssoc := func(role, attr, value string) model.Atom {
-		return enumAtom(plan.ByAssociation(role), attr, value, true)
+		return EnumAtom(plan.ByAssociation(role), attr, value, true)
 	}
 	anyCap := func(capName, attr, value string) model.Atom {
-		return enumAtom(plan.ByCapability(capName), attr, value, false)
+		return EnumAtom(plan.ByCapability(capName), attr, value, false)
 	}
 	// any device with the capability reads attr below / above th
 	numBelow := func(capName, attr string, th int64) model.Atom {
@@ -140,11 +141,9 @@ func commonAtoms(plan *model.Plan, th Thresholds) []model.Atom {
 	numAbove := func(capName, attr string, th int64) model.Atom {
 		return numAtom(plan.ByCapability(capName), attr, func(n int64) bool { return n > th })
 	}
-	// The View's built-ins, from the same resolved refs. Without presence
-	// sensors the home is conservatively occupied.
-	watch := plan.Watch()
-	anyoneHome := anyEq(watch.Presence)
-	if watch.NoPresenceSensors {
+	// Without presence sensors the home is conservatively occupied.
+	anyoneHome := anyCap("presenceSensor", "presence", "present")
+	if len(plan.ByCapability("presenceSensor")) == 0 {
 		anyoneHome = constant(true)
 	}
 	modes := plan.Cfg.Modes
@@ -155,13 +154,13 @@ func commonAtoms(plan *model.Plan, th Thresholds) []model.Atom {
 		atoms[slot] = a
 	}
 	set(slotAnyoneHome, "anyone_home", anyoneHome)
-	set(slotModeAway, "mode_away", modeIs(modes, "Away"))
-	set(slotModeHome, "mode_home", modeIs(modes, "Home"))
-	set(slotModeNight, "mode_night", modeIs(modes, "Night"))
-	set(slotSmoke, "smoke_detected", anyEq(watch.Smoke))
-	set(slotCO, "co_detected", anyEq(watch.CO))
-	set(slotLeak, "leak_detected", anyEq(watch.Leak))
-	set(slotMotion, "motion_active", anyEq(watch.Motion))
+	set(slotModeAway, "mode_away", ModeIs(modes, "Away"))
+	set(slotModeHome, "mode_home", ModeIs(modes, "Home"))
+	set(slotModeNight, "mode_night", ModeIs(modes, "Night"))
+	set(slotSmoke, "smoke_detected", anyCap("smokeDetector", "smoke", "detected"))
+	set(slotCO, "co_detected", anyCap("carbonMonoxideDetector", "carbonMonoxide", "detected"))
+	set(slotLeak, "leak_detected", anyCap("waterSensor", "water", "wet"))
+	set(slotMotion, "motion_active", anyCap("motionSensor", "motion", "active"))
 	set(slotTempLow, "temp_low", numBelow("temperatureMeasurement", "temperature", th.TempLow))
 	set(slotTempHigh, "temp_high", numAbove("temperatureMeasurement", "temperature", th.TempHigh))
 
@@ -179,7 +178,7 @@ func commonAtoms(plan *model.Plan, th Thresholds) []model.Atom {
 	set(slotAnyDoorOpen, "any_door_open", anyCap("doorControl", "door", "open"))
 
 	// alarm_active is alarm_off's negation (see bind).
-	set(slotAlarmOff, "alarm_off", enumAtom(plan.ByCapability("alarm"), "alarm", "off", true))
+	set(slotAlarmOff, "alarm_off", EnumAtom(plan.ByCapability("alarm"), "alarm", "off", true))
 	set(slotSecurityArmed, "security_armed", anyAssoc(RoleSecuritySw, "switch", "on"))
 	set(slotCamera, "camera_capturing", anyAssoc(RoleCamera, "image", "taken"))
 	set(slotButtonHeld, "button_held", anyCap("button", "button", "held"))

@@ -155,28 +155,20 @@ func systemHasCapability(sys *config.System, capName string) bool {
 	return false
 }
 
-// Compile builds the model invariant for one physical property on its
-// own: an opaque invariant whose Holds runs the formula straight over
-// the atom predicates, every atom it names scanned on every call — no
-// valuation word, no verdict cache. It shares the atom builders with
-// CompileCatalog and nothing else, which makes it the twin the catalog
-// path is tested against.
-func (p *Property) Compile(sys *config.System, th Thresholds) (model.Invariant, error) {
+// Compile builds the predicate of one physical property on its own: the
+// formula run straight over the atom predicates, every atom it names
+// scanned on every call — no valuation word, no verdict cache. It shares
+// the atom builders with CompileCatalog and nothing else, which makes it
+// the twin the catalog path is tested against. The predicate holds on a
+// state that satisfies the property, and reads device indexes: it is
+// valid only on states of models over sys's device list.
+func (p *Property) Compile(sys *config.System, th Thresholds) (func(*model.State) bool, error) {
 	plan, err := model.Prepare(sys)
 	if err != nil {
-		return model.Invariant{}, err
+		return nil, err
 	}
 	atoms := commonAtoms(plan, th)
-	bound, err := bind(p, atoms, func(slot int) func(*model.State) bool { return atoms[slot].Holds })
-	if err != nil {
-		return model.Invariant{}, err
-	}
-	return model.Invariant{
-		ID:          p.ID,
-		Description: p.Description,
-		Holds:       func(v *model.View) bool { return bound(v.S) },
-		DeviceKey:   plan.DeviceKey(),
-	}, nil
+	return bind(p, atoms, func(slot int) func(*model.State) bool { return atoms[slot].Holds })
 }
 
 // bind binds the property's propositional body to evaluators over T,
@@ -186,11 +178,7 @@ func bind[T any](p *Property, atoms []model.Atom, bySlot func(slot int) func(T) 
 	if p.Kind != Physical {
 		return nil, fmt.Errorf("props: %s is not a physical property", p.ID)
 	}
-	f, err := ltl.Parse(p.LTL)
-	if err != nil {
-		return nil, fmt.Errorf("props: %s: %w", p.ID, err)
-	}
-	body, err := ltl.CompileSafety(f)
+	body, err := ltl.Parse(p.LTL)
 	if err != nil {
 		return nil, fmt.Errorf("props: %s: %w", p.ID, err)
 	}
@@ -222,7 +210,7 @@ func bind[T any](p *Property, atoms []model.Atom, bySlot func(slot int) func(T) 
 // CompileInvariants compiles every applicable physical property (or the
 // selected subset when ids is non-nil) against a system: the one-shot
 // form of CompileCatalog, over a device table of its own. The result
-// fits any model over an equal device list (model.Plan.DeviceKey).
+// fits any model over an equal device list.
 func CompileInvariants(sys *config.System, ids []string, th Thresholds) ([]model.Invariant, error) {
 	plan, err := model.Prepare(sys)
 	if err != nil {
@@ -273,7 +261,6 @@ func CompileCatalog(plan *model.Plan, ids []string, th Thresholds) ([]model.Inva
 			Description: p.Description,
 			Atoms:       table,
 			Over:        over,
-			DeviceKey:   plan.DeviceKey(),
 		})
 	}
 	return out, nil

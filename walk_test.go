@@ -6,7 +6,7 @@
 //	           steps, violations, Encode bytes before and after Keep, digests
 //	digest     the incremental digest ≡ that of a clone with every block dirty, raw and canonical
 //	valuation  the atom word Inspect settles ≡ every atom evaluated from scratch, and its
-//	           verdict ≡ a plain loop over the properties compiled one at a time
+//	           verdict ≡ a plain loop over the invariants' per-state twins
 //	purity     equal Encode bytes, or equal CanonicalEncode bytes, give equal Inspect results
 //	budget0    a fault layer with a zero budget ≡ none, in lockstep: no fault transition,
 //	           byte-identical raw and canonical encodings and digests
@@ -53,44 +53,37 @@ func (d *divergence) note(format string, args ...any) {
 }
 
 // valuation checks Inspect against two things that share none of it:
-// every atom of the catalog evaluated from scratch, and the catalog's
-// properties compiled one at a time (props.Property.Compile), followed by
-// the model's opaque invariants, run as a plain Holds loop.
+// every atom of the table evaluated from scratch, and a plain loop over
+// one twin per invariant — a catalog property compiled on its own
+// (props.Property.Compile), any other invariant's formula over the word
+// evaluated from scratch.
 type valuation struct {
 	m     *model.Model
 	table *model.AtomTable
 	all   uint64
-	twins []model.Invariant
+	twins []func(*model.State) bool
 
 	inspected, evaluated int // Inspect calls; atoms they found stale
 	div                  divergence
 }
 
-// newValuation returns nil for a model without catalog invariants.
+// newValuation returns nil for a model without invariants.
 func newValuation(m *model.Model) (*valuation, error) {
-	o := &valuation{m: m}
-	var opaque []model.Invariant
+	if len(m.Opts.Invariants) == 0 {
+		return nil, nil
+	}
+	o := &valuation{m: m, table: m.Opts.Invariants[0].Atoms}
+	o.all = 1<<uint(len(o.table.Atoms)) - 1
 	for _, inv := range m.Opts.Invariants {
-		if inv.Atoms == nil {
-			opaque = append(opaque, inv)
-			continue
-		}
-		o.table = inv.Atoms
-		p, ok := props.ByID(inv.ID)
-		if !ok {
-			return nil, fmt.Errorf("catalog invariant %s is not a catalog property", inv.ID)
-		}
-		twin, err := p.Compile(m.Cfg, props.DefaultThresholds())
-		if err != nil {
-			return nil, err
+		twin := func(s *model.State) bool { return inv.Over(o.table.Valuation(s)) }
+		if p, ok := props.ByID(inv.ID); ok {
+			var err error
+			if twin, err = p.Compile(m.Cfg, props.DefaultThresholds()); err != nil {
+				return nil, err
+			}
 		}
 		o.twins = append(o.twins, twin)
 	}
-	if o.table == nil {
-		return nil, nil
-	}
-	o.twins = append(o.twins, opaque...)
-	o.all = 1<<uint(len(o.table.Atoms)) - 1
 	return o, nil
 }
 
@@ -112,10 +105,9 @@ func (o *valuation) inspect(s *model.State) []checker.Violation {
 		o.div.note("settled word %#x (fresh %#x), from scratch %#x: wrong atoms %v", word, fresh, want, names)
 	}
 	var want []checker.Violation
-	view := &model.View{M: o.m, S: s}
-	for _, twin := range o.twins {
-		if !twin.Holds(view) {
-			want = append(want, checker.Violation{Property: twin.ID, Detail: twin.Description})
+	for i, twin := range o.twins {
+		if inv := &o.m.Opts.Invariants[i]; !twin(s) {
+			want = append(want, checker.Violation{Property: inv.ID, Detail: inv.Description})
 		}
 	}
 	if !slices.Equal(got, want) {
