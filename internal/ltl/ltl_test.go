@@ -115,19 +115,32 @@ func TestParseReturnsBody(t *testing.T) {
 	}
 }
 
-// Only G p is a property: a formula not rooted in G, a liveness
-// formula, a nested G and a one-step response (which would need a
-// monitor stepped along an execution, and the checker runs none) are
-// all parse errors.
-func TestParseRejectsTemporal(t *testing.T) {
-	for _, in := range []string{
-		"p", "!p", "F p", "<> p", "X p", "p U q", "p W q", "p R q",
-		"G F p", "G G p", "G [] p", "G p && q", "G (p -> F q)", "G (p U q)", "G (req -> X ack)", "G (p -> <> q)",
-	} {
+// Only G p is a property: every formula here must be a parse error.
+func assertParseRejects(t *testing.T, ins ...string) {
+	t.Helper()
+	for _, in := range ins {
 		if f, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) accepted it (body %s)", in, f)
 		}
 	}
+}
+
+// A formula not rooted in G, a nested G and a G conjoined with a bare
+// atom are not invariants.
+func TestParseRejectsNonInvariant(t *testing.T) {
+	assertParseRejects(t, "p", "!p", "G G p", "G [] p", "G p && q")
+}
+
+// A one-step response would need a monitor stepped along an execution,
+// and the checker runs none.
+func TestParseRejectsNextResponse(t *testing.T) {
+	assertParseRejects(t, "X p", "G (req -> X ack)")
+}
+
+// Liveness and until-style formulas are not safety invariants.
+func TestParseRejectsLiveness(t *testing.T) {
+	assertParseRejects(t, "F p", "<> p", "p U q", "p W q", "p R q",
+		"G F p", "G (p -> F q)", "G (p U q)", "G (p -> <> q)")
 }
 
 // TestBindMatchesEvalProp: Bind's closed evaluator agrees with a walk of
