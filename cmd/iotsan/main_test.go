@@ -166,3 +166,15 @@ func TestStealTieredExits2(t *testing.T) {
 		t.Errorf("the refused run created its store directory (stat: %v)", err)
 	}
 }
+
+// The command exits 2 on a negative fault budget, naming the field,
+// and searches nothing.
+func TestNegativeMaxFaultsExits2(t *testing.T) {
+	asMain()
+	dir := t.TempDir()
+	out, code := runCommand(t, "TestNegativeMaxFaultsExits2", "-config", lockHome(t, dir),
+		"-faults", "-max-faults", "-1")
+	if code != 2 || !strings.Contains(out, "MaxFaults") {
+		t.Errorf("exit %d, output:\n%s", code, out)
+	}
+}

@@ -19,7 +19,7 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&o.Symmetry, "symmetry", false,
 		"symmetry reduction: fold states related by permutations of interchangeable devices")
 	fs.BoolVar(&o.Failures, "failures", false,
-		"enumerate transient device/communication failure modes per command")
+		"enumerate transient failures per external event or timer firing: sensor offline, sensor report lost, or the cascade's actuator commands lost")
 	fs.BoolVar(&o.Faults, "faults", false,
 		"persistent fault injection: device outages, delayed/dropped commands, stale reads")
 	fs.IntVar(&o.MaxFaults, "max-faults", 1,

@@ -293,8 +293,10 @@ func (m *Model) IncrementalDigest(s *State, canonical bool) (uint64, uint64) {
 // canonicalFold combines cached block hashes through the canonical
 // (orbit-permuted) view: device blocks fold in canonical order, app
 // blocks re-encode only under a non-identity renaming when they hold a
-// device reference, and the queue/command blocks re-encode only when
-// canonicalization actually produced normalised copies.
+// device reference, the queue block re-encodes only when
+// canonicalization actually produced a normalised copy, and the command
+// block, which never names an orbit device, always folds its cached
+// hash.
 //
 //iotsan:digest-funnel
 func (m *Model) canonicalFold(s *State) (uint64, uint64) {
@@ -338,16 +340,7 @@ func (m *Model) canonicalFold(s *State) (uint64, uint64) {
 		buf = encodeQueue(buf[:0], cv.queue)
 		mx.mix(fnv1a64(buf))
 	}
-	if cv.cmdsAliased {
-		mx.mix(s.blockHash[s.cmdsBlock()])
-	} else {
-		if bp == nil {
-			bp = m.encBufs.Get().(*[]byte)
-			buf = *bp
-		}
-		buf = encodeCmds(buf[:0], cv.cmds, cv.inFlight)
-		mx.mix(fnv1a64(buf))
-	}
+	mx.mix(s.blockHash[s.cmdsBlock()])
 	if bp != nil {
 		*bp = buf
 		m.encBufs.Put(bp)

@@ -480,7 +480,7 @@ func (s *State) cloneFresh() *State {
 // command log in execution order. The canonical path (symmetry
 // reduction) routes through the same encode with a canonView that
 // permutes interchangeable-device blocks and normalises the dependent
-// queue/command-log entries; see Model.CanonicalEncode in symmetry.go.
+// queue entries; see Model.CanonicalEncode in symmetry.go.
 //
 //iotsan:state-encode
 func (s *State) Encode(buf []byte) []byte {
@@ -489,36 +489,34 @@ func (s *State) Encode(buf []byte) []byte {
 
 // canonView describes one canonicalization of a state for the encoder:
 // the orbit permutation over device blocks plus the renamed and
-// normalised queue/command-log views. A nil canonView selects the raw
-// encoding. The view references a state-specific renaming, so it is
-// consumed by exactly one encode call.
+// normalised queue. The command log and in-flight buffer never name an
+// orbit device, so the view carries no copy of them. A nil canonView
+// selects the raw encoding. The view references a state-specific
+// renaming, so it is consumed by exactly one encode call.
 type canonView struct {
-	order    []int32       // encode position → device index (blocks permuted within orbits)
-	devMap   []int32       // device index → canonical index (inverse of order)
-	queue    []Pending     // renamed queue, orbit-sourced entries normalised
-	cmds     []CmdRec      // renamed command log, orbit-target entries normalised
-	inFlight []InFlightCmd // renamed in-flight buffer, orbit-target entries normalised
-	// queueAliased/cmdsAliased report that queue/cmds+inFlight alias the
-	// state's own slices unmodified (no orbit-sourced entries), so the
-	// incremental canonical fold may reuse the cached raw block hashes.
+	order  []int32   // encode position → device index (blocks permuted within orbits)
+	devMap []int32   // device index → canonical index (inverse of order)
+	queue  []Pending // renamed queue, orbit-sourced entries normalised
+	// queueAliased reports that queue aliases the state's own queue
+	// unmodified (no orbit-sourced entries), so the incremental
+	// canonical fold may reuse the cached raw block hash.
 	queueAliased bool
-	cmdsAliased  bool
 }
 
 // encode is the shared two-path state-vector encoder. The raw path
 // (cv == nil) concatenates the blocks in index order; the canonical
 // path reads device blocks through cv.order, renames device references
 // inside app slot/KV values through cv.devMap, and substitutes the
-// normalised queue and command log. Both paths are compositions of the
-// per-block encoders below, so the incremental digest (which hashes
-// blocks independently, see incremental.go) agrees with the full
-// encoding by construction.
+// normalised queue. Both paths are compositions of the per-block
+// encoders below, so the incremental digest (which hashes blocks
+// independently, see incremental.go) agrees with the full encoding by
+// construction.
 func (s *State) encode(buf []byte, cv *canonView) []byte {
 	var devMap []int32
-	queue, cmds, inFlight := s.Queue, s.Cmds, s.InFlight
+	queue := s.Queue
 	if cv != nil {
 		devMap = cv.devMap
-		queue, cmds, inFlight = cv.queue, cv.cmds, cv.inFlight
+		queue = cv.queue
 	}
 	buf = s.encodeHeader(buf)
 	for p := range s.Devices {
@@ -532,7 +530,7 @@ func (s *State) encode(buf []byte, cv *canonView) []byte {
 		buf, _ = encodeApp(buf, &s.Apps[i], devMap)
 	}
 	buf = encodeQueue(buf, queue)
-	buf = encodeCmds(buf, cmds, inFlight)
+	buf = encodeCmds(buf, s.Cmds, s.InFlight)
 	return buf
 }
 

@@ -25,7 +25,9 @@ import (
 // which each orbit's device blocks (together with the dependent state
 // that references devices by index) are permuted into a canonical
 // representative. Isomorphic states then collide in the store and only
-// one representative subspace is explored.
+// one representative subspace is explored. The command log and the
+// in-flight buffer never name an orbit device (command-capable devices
+// are singletons, see buildSymmetry), so they are encoded as they are.
 //
 // Interchangeability is proved statically, from the artifacts the
 // partial-order-reduction work already extracts. Devices i and j share
@@ -45,8 +47,8 @@ import (
 //   - identical binding positions: i appears in an app input's device
 //     list exactly when j does (position within the list is
 //     deliberately ignored — uniform broadcasts commute, and the
-//     canonicalization normalises their order-dependent queue and
-//     command-log footprints);
+//     canonicalization normalises their order-dependent queue
+//     footprints);
 //   - every app observing the devices carries a symmetry certificate
 //     from the compile-time effects analysis (eval.AppEffects): no
 //     Unknown footprints and no DeviceIdentity uses (identity reads,
@@ -57,16 +59,14 @@ import (
 // orbit minimum: the canonical key of a state s is the raw encoding of
 // g(s) for some genuine group element g (a product of within-orbit
 // transpositions applied to device blocks, device references in app
-// state, queued events, and the command log, composed with a
-// queue/command-log normalisation that is itself a bisimulation — the
-// pending queue is semantically a multiset in the concurrent design and
-// always empty between transitions in the sequential one, and
-// command-log violation detection is membership-based). Two states can
-// therefore only collide in the store when they are genuinely related
-// by the symmetry group; a suboptimal canonical choice merely folds
-// less. The checker keeps raw states in its frontier and trails, so
-// counter-example replay reproduces concrete executions of the raw
-// model.
+// state and queued events, composed with a queue normalisation that is
+// itself a bisimulation — the pending queue is semantically a multiset
+// in the concurrent design and always empty between transitions in the
+// sequential one). Two states can therefore only collide in the store
+// when they are genuinely related by the symmetry group; a suboptimal
+// canonical choice merely folds less. The checker keeps raw states in
+// its frontier and trails, so counter-example replay reproduces
+// concrete executions of the raw model.
 //
 // Symmetry composes multiplicatively with partial-order reduction: POR
 // prunes interleavings before successors reach the store, and symmetry
@@ -207,7 +207,9 @@ func (m *Model) buildSymmetry() {
 			// representative's label — dropping label-distinct reports
 			// and breaking the exact violation-set guarantee. Pure
 			// sensors can never appear in those details (DeviceCommand
-			// ignores commands their schema lacks).
+			// ignores commands their schema lacks), so no command-log or
+			// in-flight entry ever names an orbit device and the
+			// canonical path leaves both as they are.
 			fmt.Fprintf(&sb, "commands-dev=%d\x01", i)
 		}
 		attrBuf = attrBuf[:0]
@@ -316,27 +318,23 @@ type canonScratch struct {
 	view    canonView
 	prof    [][]byte // device index → profile key (orbit devices only)
 	members []int32
-	// itemsByDev buckets the per-device queue/command profile items in
-	// one pass over s.Queue/s.Cmds (device index → spans into arena, the
-	// reusable flat byte store — no per-item allocation on the digest
-	// hot path); touched records which buckets the current view used,
-	// so resetting costs O(touched), not O(devices).
+	// itemsByDev buckets the per-device queue and stored-reference
+	// profile items in one pass over s.Queue and the app values (device
+	// index → spans into arena, the reusable flat byte store — no
+	// per-item allocation on the digest hot path); touched records which
+	// buckets the current view used, so resetting costs O(touched), not
+	// O(devices).
 	itemsByDev [][]itemSpan
 	arena      []byte
 	touched    []int32
 	qpos       []int32
-	ctmp       []CmdRec
 	qtmp       []Pending
-	// queueBuf/cmdsBuf/inFlightBuf own the storage behind
-	// cv.queue/cv.cmds/cv.inFlight when a rename pass actually runs;
-	// when nothing renames, the view aliases the state's own
-	// (read-only) slices instead, and these buffers must NOT be
-	// re-derived from the view — appending into an aliased slice would
-	// scribble over an immutable shared state.
-	queueBuf    []Pending
-	cmdsBuf     []CmdRec
-	inFlightBuf []InFlightCmd
-	iftmp       []InFlightCmd
+	// queueBuf owns the storage behind cv.queue when the rename pass
+	// actually runs; when nothing renames, the view aliases the state's
+	// own (read-only) queue instead, and queueBuf must NOT be re-derived
+	// from the view — appending into an aliased slice would scribble
+	// over an immutable shared state.
+	queueBuf []Pending
 	// refHdr holds the current reference-item header while walking app
 	// values (kept out of arena: arena may reallocate mid-walk).
 	refHdr []byte
@@ -357,7 +355,10 @@ func (cs *canonScratch) addItem(d, start int) {
 type itemSpan struct{ start, end int32 }
 
 // CanonicalEncode appends the canonical state-vector encoding of s: the
-// raw encoding of a canonically permuted orbit representative. With no
+// raw encoding of a canonically permuted orbit representative, with
+// device blocks in canonical order, device references in app state
+// renamed, the orbit entries of the queue renamed and sorted, and the
+// command log and in-flight buffer as they are. With no
 // symmetry table (Options.Symmetry off, or no non-trivial orbits) it is
 // exactly the raw encoding. The checker's visited store keys on this
 // encoding when symmetry reduction is enabled.
@@ -375,45 +376,29 @@ func (m *Model) CanonicalEncode(s *State, buf []byte) []byte {
 }
 
 // Canonicalize materializes the canonical orbit representative of s as
-// a fresh state: device blocks permuted into canonical order, device
-// references in app slot/KV state renumbered, queued orbit events and
-// orbit command-log records normalised. Canonicalize(s).Encode equals
+// a fresh state: the image of s under the canonical permutation
+// (ApplyDevicePermutation, the reference group action) with its queue
+// replaced by the normalised one. Canonicalize(s).Encode equals
 // CanonicalEncode(s); the checker itself never materializes
 // representatives (it canonicalizes only encodings), so this is an API
 // for tests and tooling.
 func (m *Model) Canonicalize(s *State) *State {
-	n := s.Clone()
 	if m.sym == nil {
-		return n
+		return s.Clone()
 	}
 	cs := m.sym.scratch.Get().(*canonScratch)
 	cv := m.buildCanonView(s, cs)
-	for p := range n.Devices {
-		src := s.Devices[cv.order[p]]
-		dst := &n.Devices[p]
-		dst.Online = src.Online
-		copy(dst.Attrs, src.Attrs)
-		if dst.Reported != nil {
-			copy(dst.Reported, src.Reported)
-		}
-		dst.LastReport = src.LastReport
+	perm := make([]int, len(cv.devMap))
+	for d, nd := range cv.devMap {
+		perm[d] = int(nd)
 	}
-	for i := range n.Apps {
-		a := &n.Apps[i]
-		for j, v := range a.Slots {
-			a.Slots[j] = v.MapDevices(cv.devMap)
-		}
-		for k, v := range a.KV {
-			a.KV[k] = v.MapDevices(cv.devMap)
-		}
+	n, ok := m.ApplyDevicePermutation(s, perm)
+	if !ok {
+		panic("model: canonical permutation is not a group member")
 	}
 	n.Queue = append(n.Queue[:0], cv.queue...)
-	n.Cmds = append(n.Cmds[:0], cv.cmds...)
-	n.InFlight = append(n.InFlight[:0], cv.inFlight...)
+	n.markQueue()
 	m.sym.scratch.Put(cs)
-	// The in-place rewrite above invalidates every block hash n
-	// inherited from s's cache.
-	n.MarkAllDirty()
 	return n
 }
 
@@ -497,8 +482,8 @@ func (m *Model) ApplyDevicePermutation(s *State, perm []int) (*State, bool) {
 
 // buildCanonView computes the canonical permutation for s: within each
 // orbit, device blocks are ordered by a profile key (local device
-// state, then the device's queued-event and command-log footprints as
-// sorted multisets) with ties keeping ascending device order, so the
+// state, then the device's queued-event and stored-reference footprints
+// as sorted multisets) with ties keeping ascending device order, so the
 // choice is stable, deterministic, and invariant under the group
 // action. The returned view references cs's storage.
 func (m *Model) buildCanonView(s *State, cs *canonScratch) *canonView {
@@ -509,7 +494,7 @@ func (m *Model) buildCanonView(s *State, cs *canonScratch) *canonView {
 	// content, never staleness.
 	m.refreshBlocks(s)
 	cv := &cs.view
-	cv.queueAliased, cv.cmdsAliased = false, false
+	cv.queueAliased = false
 	for i := range cv.order {
 		cv.order[i] = int32(i)
 		cv.devMap[i] = int32(i)
@@ -558,7 +543,6 @@ func (m *Model) buildCanonView(s *State, cs *canonScratch) *canonView {
 	if !hasOrbitEntries {
 		cv.queue = s.Queue
 		cv.queueAliased = true
-		canonCmds(p, cv, cs, s)
 		return cv
 	}
 	cs.queueBuf = append(cs.queueBuf[:0], s.Queue...)
@@ -585,93 +569,12 @@ func (m *Model) buildCanonView(s *State, cs *canonScratch) *canonView {
 			cv.queue[i] = cs.qtmp[k]
 		}
 	}
-
-	canonCmds(p, cv, cs, s)
 	return cv
 }
 
-// canonCmds renames orbit targets in the command log and the in-flight
-// buffer and sorts them among their own positions (violation detection
-// over the log is membership-based, and the in-flight buffer is
-// semantically a multiset — delivery/drop transitions enumerate every
-// index — so within-section order of distinct entries is not
-// observable). Under the current command-free-schema orbit gate no
-// command record can target an orbit device — the gate makes the
-// rename a provably empty pass and the state's own slices are aliased
-// — but the path is kept live so a future relaxation of the gate
-// cannot silently desynchronise encoder and orbits. Both sections
-// share one block, so cmdsAliased covers them jointly.
-func canonCmds(p *symData, cv *canonView, cs *canonScratch, s *State) {
-	hasOrbitCmds := false
-	for i := range s.Cmds {
-		if p.orbitOf[s.Cmds[i].Dev] >= 0 {
-			hasOrbitCmds = true
-			break
-		}
-	}
-	hasOrbitInFlight := false
-	for i := range s.InFlight {
-		if p.orbitOf[s.InFlight[i].Dev] >= 0 {
-			hasOrbitInFlight = true
-			break
-		}
-	}
-	if !hasOrbitCmds && !hasOrbitInFlight {
-		cv.cmdsAliased = true
-		cv.cmds, cv.inFlight = s.Cmds, s.InFlight
-		return
-	}
-	cs.cmdsBuf = append(cs.cmdsBuf[:0], s.Cmds...)
-	cmds := cs.cmdsBuf
-	if hasOrbitCmds {
-		cs.qpos = cs.qpos[:0]
-		for i := range cmds {
-			c := &cmds[i]
-			if p.orbitOf[c.Dev] >= 0 {
-				c.Dev = int(cv.devMap[c.Dev])
-				cs.qpos = append(cs.qpos, int32(i))
-			}
-		}
-		if len(cs.qpos) > 1 {
-			cs.ctmp = cs.ctmp[:0]
-			for _, i := range cs.qpos {
-				cs.ctmp = append(cs.ctmp, cmds[i])
-			}
-			slices.SortStableFunc(cs.ctmp, compareCmdRec)
-			for k, i := range cs.qpos {
-				cmds[i] = cs.ctmp[k]
-			}
-		}
-	}
-	cs.inFlightBuf = append(cs.inFlightBuf[:0], s.InFlight...)
-	ifl := cs.inFlightBuf
-	if hasOrbitInFlight {
-		cs.qpos = cs.qpos[:0]
-		for i := range ifl {
-			c := &ifl[i]
-			if p.orbitOf[c.Dev] >= 0 {
-				c.Dev = int(cv.devMap[c.Dev])
-				cs.qpos = append(cs.qpos, int32(i))
-			}
-		}
-		if len(cs.qpos) > 1 {
-			cs.iftmp = cs.iftmp[:0]
-			for _, i := range cs.qpos {
-				cs.iftmp = append(cs.iftmp, ifl[i])
-			}
-			slices.SortStableFunc(cs.iftmp, compareInFlight)
-			for k, i := range cs.qpos {
-				ifl[i] = cs.iftmp[k]
-			}
-		}
-	}
-	cv.cmds, cv.inFlight = cmds, ifl
-}
-
-// comparePending, compareCmdRec and compareInFlight order the renamed
-// orbit entries of the queue, the command log and the in-flight buffer
-// field by field. The canonical choice depends on these orders and on
-// the sorts being stable: TestCanonicalDigestGolden pins the result.
+// comparePending orders the renamed orbit entries of the queue field by
+// field. The canonical choice depends on this order and on the sort
+// being stable: TestCanonicalDigestGolden pins the result.
 func comparePending(x, y Pending) int {
 	if x.SubIdx != y.SubIdx {
 		return cmp.Compare(x.SubIdx, y.SubIdx)
@@ -685,40 +588,10 @@ func comparePending(x, y Pending) int {
 	return strings.Compare(x.Raw, y.Raw)
 }
 
-func compareCmdRec(x, y CmdRec) int {
-	if x.Dev != y.Dev {
-		return cmp.Compare(x.Dev, y.Dev)
-	}
-	if x.Cmd != y.Cmd {
-		return strings.Compare(x.Cmd, y.Cmd)
-	}
-	if x.Arg != y.Arg {
-		return cmp.Compare(x.Arg, y.Arg)
-	}
-	if x.App != y.App {
-		return cmp.Compare(x.App, y.App)
-	}
-	if x.Attr != y.Attr {
-		return strings.Compare(x.Attr, y.Attr)
-	}
-	return strings.Compare(x.Value, y.Value)
-}
-
-func compareInFlight(x, y InFlightCmd) int {
-	if x.Notified != y.Notified {
-		if x.Notified {
-			return 1
-		}
-		return -1
-	}
-	return compareCmdRec(x.CmdRec, y.CmdRec)
-}
-
-// bucketProfileItems makes one pass over the state's queue, command
-// log, and stored app values, bucketing a tagged byte key per
-// orbit-device entry into cs.itemsByDev. Keys carry roles instead of
-// subscription indices and no device indices, so they are invariant
-// under the group action.
+// bucketProfileItems makes one pass over the state's queue and stored
+// app values, bucketing a tagged byte key per orbit-device entry into
+// cs.itemsByDev. Keys carry roles instead of subscription indices and
+// no device indices, so they are invariant under the group action.
 func (m *Model) bucketProfileItems(s *State, cs *canonScratch) {
 	p := m.sym
 	cs.touched = cs.touched[:0]
@@ -740,35 +613,6 @@ func (m *Model) bucketProfileItems(s *State, cs *canonScratch) {
 				byte(pe.Val), byte(pe.Val>>8))
 			cs.arena = append(cs.arena, pe.Raw...)
 			cs.addItem(m.subs[pe.SubIdx].Source, start)
-		}
-	}
-	for _, c := range s.Cmds {
-		if p.orbitOf[c.Dev] >= 0 {
-			start := len(cs.arena)
-			cs.arena = append(cs.arena, 2) // command-log tag
-			cs.arena = append(cs.arena, c.Cmd...)
-			cs.arena = append(cs.arena, 0, byte(c.Arg), byte(c.Arg>>8), byte(c.App), byte(c.App>>8))
-			cs.arena = append(cs.arena, c.Attr...)
-			cs.arena = append(cs.arena, 0)
-			cs.arena = append(cs.arena, c.Value...)
-			cs.addItem(c.Dev, start)
-		}
-	}
-	for _, c := range s.InFlight {
-		if p.orbitOf[c.Dev] >= 0 {
-			// In-flight commands held at an orbit device (unreachable
-			// under the command-free-schema orbit gate, kept live like
-			// canonCmds' rename pass).
-			start := len(cs.arena)
-			cs.arena = append(cs.arena, 4) // in-flight tag
-			cs.arena = append(cs.arena, c.Cmd...)
-			cs.arena = append(cs.arena, 0, byte(c.Arg), byte(c.Arg>>8), byte(c.App), byte(c.App>>8))
-			if c.Notified {
-				cs.arena = append(cs.arena, 1)
-			} else {
-				cs.arena = append(cs.arena, 0)
-			}
-			cs.addItem(c.Dev, start)
 		}
 	}
 	// Reference-counting tie-break: a VDevice reference stashed in app
@@ -836,11 +680,10 @@ func (m *Model) bucketValueRefs(v *ir.Value, cs *canonScratch) {
 
 // devProfile appends device d's canonical sort key for state s: its
 // local block (online flag + attribute values) followed by the sorted
-// multiset of its queued-event items (role, value, raw payload),
-// command-log items (command, argument, issuing app, target attribute,
-// value), and stored-reference items (which app slots/keys point at
-// it), as bucketed by bucketProfileItems. Every component is invariant
-// under the group action — roles replace subscription indices, device
+// multiset of its queued-event items (role, value, raw payload) and
+// stored-reference items (which app slots/keys point at it), as
+// bucketed by bucketProfileItems. Every component is invariant under
+// the group action — roles replace subscription indices, device
 // indices appear nowhere — so isomorphic states produce identical
 // profile multisets and sort into identical canonical representatives.
 // With an incremental cache the local block collapses to the cached

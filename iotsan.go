@@ -113,14 +113,18 @@ type Options struct {
 	MaxEvents int
 	// Design selects sequential (default) or concurrent modeling.
 	Design Design
-	// Failures enumerates device/communication failures.
+	// Failures enumerates transient device/communication failures: each
+	// external event or timer firing is also explored with the sensor
+	// offline, with the sensor's report lost, and with the actuator
+	// commands of its cascade lost.
 	Failures bool
 	// Faults enables the persistent fault-injection environment model:
 	// devices can go offline and come back, commands issued to offline
 	// devices are held in flight and later delivered or silently
 	// dropped, and handlers read last-reported (stale) attribute values
 	// while the source device is offline. Orthogonal to Failures (which
-	// models transient per-cascade actuator failure modes).
+	// models the three transient failure modes, one transition at a
+	// time).
 	Faults bool
 	// MaxFaults bounds the number of budgeted fault transitions (device
 	// outages and command drops; recovery and delivery are free) per
@@ -269,11 +273,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// validate rejects option combinations no search can run under, before
-// any source is translated: the store directory the tiered store and
-// the WAL need, then the checker's own rule (checker.Options.Validate)
-// on the options that reach it.
+// validate rejects option values and combinations no search can run
+// under, before any source is translated: a negative fault budget or
+// hot-tier budget, the store directory the tiered store and the WAL
+// need, then the checker's own rule (checker.Options.Validate) on the
+// options that reach it.
 func (o Options) validate() error {
+	if o.MaxFaults < 0 {
+		return fmt.Errorf("iotsan: Options.MaxFaults must not be negative, got %d", o.MaxFaults)
+	}
+	if o.MemBudget < 0 {
+		return fmt.Errorf("iotsan: Options.MemBudget must not be negative, got %d", o.MemBudget)
+	}
 	if (o.Store == StoreTiered || o.Checkpoint || o.Resume) && o.StoreDir == "" {
 		return errors.New("iotsan: StoreTiered/Checkpoint/Resume require Options.StoreDir")
 	}

@@ -139,12 +139,13 @@ func TestWALPathNotAFileIsAnError(t *testing.T) {
 	}
 }
 
-// TestStoreDirValidatedBeforeTranslation: each option combination no
-// search runs under is rejected up front — one that needs a store
-// directory, and steal with a store other than the in-memory exhaustive
-// one (the legacy Bitstate toggle included) or with checkpointing, which
-// the checker's rule refuses. The error wins over the unparsable
-// source, so nothing was translated first.
+// TestStoreDirValidatedBeforeTranslation: each option value or
+// combination no search runs under is rejected up front — a negative
+// fault or hot-tier budget, one that needs a store directory, and steal
+// with a store other than the in-memory exhaustive one (the legacy
+// Bitstate toggle included) or with checkpointing, which the checker's
+// rule refuses. The error wins over the unparsable source, so nothing
+// was translated first.
 func TestStoreDirValidatedBeforeTranslation(t *testing.T) {
 	sys := &iotsan.System{
 		Devices: []iotsan.Device{{ID: "d", Model: "Smart Switch"}},
@@ -165,6 +166,8 @@ func TestStoreDirValidatedBeforeTranslation(t *testing.T) {
 		"steal-bitstate-legacy": {iotsan.Options{Strategy: iotsan.StrategySteal, Bitstate: true}, steal},
 		"steal-checkpoint":      {iotsan.Options{Strategy: iotsan.StrategySteal, Checkpoint: true, StoreDir: dir}, steal},
 		"steal-resume":          {iotsan.Options{Strategy: iotsan.StrategySteal, Resume: true, StoreDir: dir}, steal},
+		"negative-max-faults":   {iotsan.Options{MaxFaults: -1}, "Options.MaxFaults"},
+		"negative-mem-budget":   {iotsan.Options{MemBudget: -1}, "Options.MemBudget"},
 	} {
 		_, err := iotsan.Analyze(sys, bad, c.opts)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
