@@ -1,6 +1,6 @@
 // Command iotsan-vet runs the iotsan analyzer suite (dirtymark,
-// recyclelive, digestfunnel, atomicpad — see internal/analysis) over
-// Go packages. It supports two modes:
+// readmark, recyclelive, digestfunnel, atomicpad — see
+// internal/analysis) over Go packages. It supports two modes:
 //
 //	iotsan-vet [packages]              standalone; defaults to ./...
 //	go vet -vettool=$(which iotsan-vet) ./...

@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"iotsan"
 	"iotsan/internal/checker"
@@ -79,6 +80,12 @@ func report(rep *iotsan.Report, store iotsan.StoreSelector, trails bool, w io.Wr
 	fmt.Fprintf(w, "dependency analysis: %d handlers, largest related set %d (%.1fx reduction)\n",
 		rep.Scale.OriginalSize, rep.Scale.NewSize, rep.Scale.Ratio())
 	fmt.Fprintf(w, "verified %d related group(s) in %v\n\n", len(rep.Groups), rep.Elapsed)
+	for i, g := range rep.Groups {
+		if ss := g.Result.Store; ss.CheckpointErr != nil {
+			fmt.Fprintf(w, "warning: related group %d (%s): checkpointing stopped after %d checkpoint(s) and the search went on without it: %v\n\n",
+				i, strings.Join(g.Apps, ", "), ss.Checkpoints, ss.CheckpointErr)
+		}
+	}
 
 	if len(rep.Violations) == 0 {
 		stopped := 0

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"iotsan"
+	"iotsan/internal/checker"
 	"iotsan/internal/config"
 	"iotsan/internal/corpus"
 )
@@ -176,5 +177,36 @@ func TestNegativeMaxFaultsExits2(t *testing.T) {
 		"-faults", "-max-faults", "-1")
 	if code != 2 || !strings.Contains(out, "MaxFaults") {
 		t.Errorf("exit %d, output:\n%s", code, out)
+	}
+}
+
+// The command exits 2 on a negative event count, worker count or
+// violation cap, naming the field, instead of running a default.
+func TestNegativeLimitsExit2(t *testing.T) {
+	asMain()
+	dir := t.TempDir()
+	for _, c := range []struct{ flag, field string }{
+		{"-events", "MaxEvents"}, {"-workers", "Workers"}, {"-max-violations", "MaxViolations"},
+	} {
+		out, code := runCommand(t, "TestNegativeLimitsExit2", "-config", lockHome(t, dir), c.flag, "-2")
+		if code != 2 || !strings.Contains(out, "Options."+c.field) {
+			t.Errorf("%s -2: exit %d, output:\n%s", c.flag, code, out)
+		}
+	}
+}
+
+// A related group whose checkpoint log failed mid-run is named in a
+// warning with the checkpoints it reached; the verdict is unchanged.
+func TestReportWarnsOfDisarmedCheckpoints(t *testing.T) {
+	rep := &iotsan.Report{Groups: []iotsan.GroupResult{
+		{Apps: []string{"Unlock Door"}, Result: &checker.Result{}},
+		{Apps: []string{"Auto Mode Change", "Lock It When I Leave"}, Result: &checker.Result{
+			Store: checker.StoreStats{Checkpoints: 1, CheckpointErr: errors.New("checker: checkpoint 2: no space left on device")}}},
+	}}
+	var out strings.Builder
+	code := report(rep, iotsan.StoreExhaustive, true, &out)
+	const want = "warning: related group 1 (Auto Mode Change, Lock It When I Leave): checkpointing stopped after 1 checkpoint(s) and the search went on without it: checker: checkpoint 2: no space left on device\n"
+	if code != 0 || !strings.Contains(out.String(), want) || strings.Count(out.String(), "warning:") != 1 {
+		t.Errorf("exit %d, output:\n%s", code, out.String())
 	}
 }

@@ -1,6 +1,6 @@
 // Package analysis implements a small, dependency-free static-analysis
-// framework and the four iotsan analyzers (dirtymark, recyclelive,
-// digestfunnel, atomicpad) that enforce the checker's unwritten
+// framework and the five iotsan analyzers (dirtymark, readmark,
+// recyclelive, digestfunnel, atomicpad) that enforce the checker's unwritten
 // contracts at compile time. The framework mirrors the shape of
 // golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic — but is
 // built entirely on the standard library so the suite works in
@@ -11,6 +11,8 @@
 //
 //	//iotsan:marks <block>         on a dirty-mask mark helper
 //	//iotsan:block <block>         on a State storage field or type
+//	//iotsan:reads <block>         on a read helper (the read half of the mark contract)
+//	//iotsan:transition            on transition code: a function, or a type whose methods all are
 //	//iotsan:retires <param>       on a recycle/retire sink
 //	//iotsan:hash-sink             on a raw hash primitive
 //	//iotsan:digest-funnel         on a sanctioned digest implementation
@@ -109,6 +111,7 @@ func (p *Pass) reportBareAllows() {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DirtyMarkAnalyzer,
+		ReadMarkAnalyzer,
 		RecycleLiveAnalyzer,
 		DigestFunnelAnalyzer,
 		AtomicPadAnalyzer,

@@ -34,70 +34,171 @@ func runDirtyMark(pass *Pass) error {
 	// Learn the mutation→mark map from annotations.
 	markFns := make(map[*types.Func]string)  // mark helper -> block ("all" wildcard)
 	writeFns := make(map[*types.Func]string) // caller-marked writer -> block
-	blockOfField := make(map[types.Object]string)
-	blockOfNamed := make(map[*types.TypeName]string)
-	helperName := make(map[string]string) // block -> helper name, for messages
+	helperName := make(map[string]string)    // block -> helper name, for messages
+	for _, fn := range funcDecls(pass) {
+		obj := pass.Info.Defs[fn.Name].(*types.Func)
+		for _, dir := range parseDirectives(fn.Doc) {
+			switch dir.kind {
+			case "marks":
+				markFns[obj] = dir.args
+				if dir.args != "all" {
+					helperName[dir.args] = fn.Name.Name
+				}
+			case "writes":
+				writeFns[obj] = dir.args
+			}
+		}
+	}
+	if len(markFns) == 0 {
+		return nil // package does not participate in the mark contract
+	}
+	blocks := newBlockIndex(pass)
 
-	recordFieldBlocks := func(st *ast.StructType, block string) {
-		for _, f := range st.Fields.List {
-			for _, name := range f.Names {
-				if obj := pass.Info.Defs[name]; obj != nil {
-					blockOfField[obj] = block
+	for _, fn := range funcDecls(pass) {
+		if fn.Body == nil {
+			continue
+		}
+		fnObj := pass.Info.Defs[fn.Name].(*types.Func)
+		if _, isMark := markFns[fnObj]; isMark {
+			continue
+		}
+		exempt := map[string]bool{}
+		if b, ok := writeFns[fnObj]; ok {
+			exempt[b] = true
+		}
+
+		required := make(map[string]token.Pos) // block -> first write pos
+		marked := make(map[string]bool)
+		need := func(block string, pos token.Pos) {
+			if block == "" || exempt[block] {
+				return
+			}
+			if _, ok := required[block]; !ok {
+				required[block] = pos
+			}
+		}
+
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			switch s := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range s.Lhs {
+					if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
+						continue
+					}
+					need(blocks.of(lhs, false), lhs.Pos())
+				}
+			case *ast.IncDecStmt:
+				need(blocks.of(s.X, false), s.X.Pos())
+			case *ast.CallExpr:
+				callee := calleeFunc(pass.Info, s)
+				if callee == nil {
+					return true
+				}
+				if b, ok := markFns[callee]; ok {
+					marked[b] = true
+				}
+				if b, ok := writeFns[callee]; ok {
+					need(b, s.Pos())
+				}
+			}
+			return true
+		})
+
+		for _, b := range sortedKeys(required) {
+			if marked[b] || marked["all"] {
+				continue
+			}
+			helper := helperName[b]
+			if helper == "" {
+				helper = "the " + b + " mark helper"
+			}
+			pass.Reportf(required[b],
+				"write to %s-block state is not paired with %s (or a marks-all helper) in this function", b, helper)
+		}
+	}
+	return nil
+}
+
+// funcDecls returns the package's declared functions and methods.
+func funcDecls(pass *Pass) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				if _, ok := pass.Info.Defs[fn.Name].(*types.Func); ok {
+					out = append(out, fn)
 				}
 			}
 		}
 	}
+	return out
+}
 
+func sortedKeys(m map[string]token.Pos) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// blockIndex is a package's block annotations — `//iotsan:block
+// <block>` on a struct field, or on a type declaration to put every
+// field of that struct in the block — shared by the dirtymark and
+// readmark analyzers.
+type blockIndex struct {
+	info  *types.Info
+	field map[types.Object]string
+	named map[*types.TypeName]string
+}
+
+func newBlockIndex(pass *Pass) *blockIndex {
+	bi := &blockIndex{info: pass.Info, field: map[types.Object]string{}, named: map[*types.TypeName]string{}}
+	recordFieldBlocks := func(st *ast.StructType, block string) {
+		for _, f := range st.Fields.List {
+			for _, name := range f.Names {
+				if obj := pass.Info.Defs[name]; obj != nil {
+					bi.field[obj] = block
+				}
+			}
+		}
+	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				obj, _ := pass.Info.Defs[d.Name].(*types.Func)
-				if obj == nil {
+			d, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range d.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
 					continue
 				}
-				for _, dir := range parseDirectives(d.Doc) {
-					switch dir.kind {
-					case "marks":
-						markFns[obj] = dir.args
-						if dir.args != "all" {
-							helperName[dir.args] = d.Name.Name
-						}
-					case "writes":
-						writeFns[obj] = dir.args
-					}
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
+				st, isStruct := ts.Type.(*ast.StructType)
+				for _, dir := range nodeDirectives(d.Doc, ts.Doc, ts.Comment) {
+					if dir.kind != "block" {
 						continue
 					}
-					for _, dir := range nodeDirectives(d.Doc, ts.Doc, ts.Comment) {
+					if tn, _ := pass.Info.Defs[ts.Name].(*types.TypeName); tn != nil {
+						bi.named[tn] = dir.args
+					}
+					if isStruct {
+						recordFieldBlocks(st, dir.args)
+					}
+				}
+				// Per-field annotations inside any struct type.
+				if !isStruct {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					for _, dir := range nodeDirectives(f.Doc, f.Comment) {
 						if dir.kind != "block" {
 							continue
 						}
-						if tn, _ := pass.Info.Defs[ts.Name].(*types.TypeName); tn != nil {
-							blockOfNamed[tn] = dir.args
-						}
-						if st, ok := ts.Type.(*ast.StructType); ok {
-							recordFieldBlocks(st, dir.args)
-						}
-					}
-					// Per-field annotations inside any struct type.
-					if ts, ok := spec.(*ast.TypeSpec); ok {
-						if st, ok := ts.Type.(*ast.StructType); ok {
-							for _, f := range st.Fields.List {
-								for _, dir := range nodeDirectives(f.Doc, f.Comment) {
-									if dir.kind != "block" {
-										continue
-									}
-									for _, name := range f.Names {
-										if obj := pass.Info.Defs[name]; obj != nil {
-											blockOfField[obj] = dir.args
-										}
-									}
-								}
+						for _, name := range f.Names {
+							if obj := pass.Info.Defs[name]; obj != nil {
+								bi.field[obj] = dir.args
 							}
 						}
 					}
@@ -105,136 +206,61 @@ func runDirtyMark(pass *Pass) error {
 			}
 		}
 	}
-	if len(markFns) == 0 {
-		return nil // package does not participate in the mark contract
-	}
+	return bi
+}
 
-	// blockOf resolves a write target to its annotated block, or "".
-	// derefed tracks whether the walk has passed through an index,
-	// dereference, or field step: a bare identifier assignment rebinds
-	// a variable and is never a state write, but writing through one
-	// (d.Online = ..., arr[i] = ...) mutates the pointed-to object.
-	// Unannotated field selections descend into their base, so
-	// as.Timers[i].Delay resolves through the annotated Timers field.
-	var blockOf func(expr ast.Expr, derefed bool) string
-	blockOf = func(expr ast.Expr, derefed bool) string {
-		switch e := expr.(type) {
-		case *ast.IndexExpr:
-			return blockOf(e.X, true)
-		case *ast.StarExpr:
-			return blockOf(e.X, true)
-		case *ast.ParenExpr:
-			return blockOf(e.X, derefed)
-		case *ast.SelectorExpr:
-			if sel := pass.Info.Selections[e]; sel != nil {
-				if b, ok := blockOfField[sel.Obj()]; ok {
-					return b
-				}
-			}
-			return blockOf(e.X, true)
-		case *ast.Ident:
-			if !derefed {
-				return ""
-			}
-			obj := pass.Info.Uses[e]
-			if obj == nil {
-				return ""
-			}
-			t := obj.Type()
-			for {
-				switch tt := t.(type) {
-				case *types.Pointer:
-					t = tt.Elem()
-					continue
-				case *types.Slice:
-					t = tt.Elem()
-					continue
-				case *types.Array:
-					t = tt.Elem()
-					continue
-				}
-				break
-			}
-			if named, ok := t.(*types.Named); ok {
-				if b, ok := blockOfNamed[named.Obj()]; ok {
-					return b
-				}
+// of resolves an access path to its annotated block, or "". derefed
+// tracks whether the walk has passed through an index, dereference, or
+// field step: a bare identifier assignment rebinds a variable and is
+// never a state write, but writing through one (d.Online = ...,
+// arr[i] = ...) mutates the pointed-to object. Unannotated field
+// selections descend into their base, so as.Timers[i].Delay resolves
+// through the annotated Timers field.
+func (bi *blockIndex) of(expr ast.Expr, derefed bool) string {
+	switch e := expr.(type) {
+	case *ast.IndexExpr:
+		return bi.of(e.X, true)
+	case *ast.StarExpr:
+		return bi.of(e.X, true)
+	case *ast.ParenExpr:
+		return bi.of(e.X, derefed)
+	case *ast.SelectorExpr:
+		if sel := bi.info.Selections[e]; sel != nil {
+			if b, ok := bi.field[sel.Obj()]; ok {
+				return b
 			}
 		}
-		return ""
-	}
-
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
+		return bi.of(e.X, true)
+	case *ast.Ident:
+		if !derefed {
+			return ""
+		}
+		obj := bi.info.Uses[e]
+		if obj == nil {
+			return ""
+		}
+		t := obj.Type()
+		for {
+			switch tt := t.(type) {
+			case *types.Pointer:
+				t = tt.Elem()
+				continue
+			case *types.Slice:
+				t = tt.Elem()
+				continue
+			case *types.Array:
+				t = tt.Elem()
 				continue
 			}
-			fnObj, _ := pass.Info.Defs[fn.Name].(*types.Func)
-			if _, isMark := markFns[fnObj]; isMark {
-				continue
-			}
-			exempt := map[string]bool{}
-			if b, ok := writeFns[fnObj]; ok {
-				exempt[b] = true
-			}
-
-			required := make(map[string]token.Pos) // block -> first write pos
-			marked := make(map[string]bool)
-			need := func(block string, pos token.Pos) {
-				if block == "" || exempt[block] {
-					return
-				}
-				if _, ok := required[block]; !ok {
-					required[block] = pos
-				}
-			}
-
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				switch s := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range s.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
-							continue
-						}
-						need(blockOf(lhs, false), lhs.Pos())
-					}
-				case *ast.IncDecStmt:
-					need(blockOf(s.X, false), s.X.Pos())
-				case *ast.CallExpr:
-					callee := calleeFunc(pass.Info, s)
-					if callee == nil {
-						return true
-					}
-					if b, ok := markFns[callee]; ok {
-						marked[b] = true
-					}
-					if b, ok := writeFns[callee]; ok {
-						need(b, s.Pos())
-					}
-				}
-				return true
-			})
-
-			var blocks []string
-			for b := range required {
-				blocks = append(blocks, b)
-			}
-			sort.Strings(blocks)
-			for _, b := range blocks {
-				if marked[b] || marked["all"] {
-					continue
-				}
-				helper := helperName[b]
-				if helper == "" {
-					helper = "the " + b + " mark helper"
-				}
-				pass.Reportf(required[b],
-					"write to %s-block state is not paired with %s (or a marks-all helper) in this function", b, helper)
+			break
+		}
+		if named, ok := t.(*types.Named); ok {
+			if b, ok := bi.named[named.Obj()]; ok {
+				return b
 			}
 		}
 	}
-	return nil
+	return ""
 }
 
 // calleeFunc resolves the static callee of a call, or nil for builtins,

@@ -136,6 +136,7 @@ func relPath(p string) string {
 }
 
 func TestDirtyMarkFixture(t *testing.T)    { runFixture(t, "dirtymark", DirtyMarkAnalyzer) }
+func TestReadMarkFixture(t *testing.T)     { runFixture(t, "readmark", ReadMarkAnalyzer) }
 func TestRecycleLiveFixture(t *testing.T)  { runFixture(t, "recyclelive", RecycleLiveAnalyzer) }
 func TestDigestFunnelFixture(t *testing.T) { runFixture(t, "digestfunnel", DigestFunnelAnalyzer) }
 func TestAtomicPadFixture(t *testing.T)    { runFixture(t, "atomicpad", AtomicPadAnalyzer) }

@@ -128,6 +128,23 @@ type Stepper interface {
 // Scratch is a Stepper's per-worker storage, opaque to the engine.
 type Scratch any
 
+// Predictor is optionally implemented by a Stepper that can tell a
+// successor's digest without stepping it: Predict returns the (h1, h2)
+// IncrementalDigest of Step(sc, parent, stub).Next and that step's
+// Violations, or ok false when it cannot tell. The engine asks it
+// before every Step and skips the Step of a successor whose predicted
+// digest the visited store has already seen; a successor the store
+// reports new is stepped for real, and a digest or violation list that
+// differs from the prediction fails the run (Result.Err), because a
+// wrong prediction could as well have skipped a new state. Every
+// stored state, and every Keep, therefore still comes from a real
+// Step. The violations are borrowed like Step's: valid until the next
+// Step on sc. The sequential DFS adopts the hook where its digest is the
+// raw IncrementalDigest: with HasIncremental true and no symmetry fold.
+type Predictor interface {
+	Predict(sc Scratch, parent State, stub *Transition) (h1, h2 uint64, viols []Violation, ok bool)
+}
+
 // Reducer is optionally implemented by Systems that support partial-order
 // reduction. Reduce examines one expansion — the state and its full
 // successor list — and returns the indices of a persistent subset of the
@@ -528,9 +545,11 @@ type Result struct {
 	// for the in-memory stores).
 	Store StoreStats
 
-	// Err is set, and nothing else, when the search could not start:
+	// Err is set, and nothing else, when the search could not start —
 	// Options.Validate refused the options, or the tiered store or the
-	// checkpoint WAL could not be opened under Options.StoreDir.
+	// checkpoint WAL could not be opened under Options.StoreDir — or
+	// when it could not be trusted to finish: a Predictor's prediction
+	// disagreed with the real step.
 	Err error
 }
 
@@ -551,6 +570,9 @@ type StoreStats struct {
 	// that restarted from one.
 	Checkpoints int64
 	Resumed     bool
+	// CheckpointErr is the error that disarmed the WAL mid-run: the
+	// search went on without checkpoints after the Checkpoints-th.
+	CheckpointErr error
 }
 
 // HasViolation reports whether a property with the given id was violated.

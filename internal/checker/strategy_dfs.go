@@ -98,8 +98,14 @@ func (s sequentialDFS) search(e *engine) {
 			}
 			continue
 		}
-		tr := e.stp.Step(x.scratch, top.state, &top.stubs[top.next])
+		// A predicted successor is stepped only once the store reports
+		// it new (engine.confirm).
+		stub := &top.stubs[top.next]
 		top.next++
+		tr, d, predicted := e.predict(x, top.state, stub)
+		if !predicted {
+			tr = e.stp.Step(x.scratch, top.state, stub)
+		}
 
 		depth := len(stack)
 		trail = append(trail, TrailStep{Label: tr.Label, Steps: tr.Steps, From: top.state, Key: tr.Key})
@@ -115,8 +121,9 @@ func (s sequentialDFS) search(e *engine) {
 			break
 		}
 
-		var d digest
-		d, x.buf = e.digest(tr.Next, x.buf)
+		if !predicted {
+			d, x.buf = e.digest(tr.Next, x.buf)
+		}
 		if e.st.seen(d) {
 			e.matched.Add(1)
 			trail = trail[:len(trail)-1]
@@ -128,6 +135,12 @@ func (s sequentialDFS) search(e *engine) {
 				top.stubs[top.next-1].Next = nil
 			}
 			continue
+		}
+		if predicted {
+			var ok bool
+			if tr, ok = e.confirm(x, top.state, stub, tr.Violations, d); !ok {
+				break
+			}
 		}
 		e.logVisit(d)
 		next := e.stp.Keep(x.scratch, tr.Next)

@@ -88,8 +88,15 @@ type walFrame struct {
 	Full  bool
 }
 
+// walFile is what the log appends through: the WAL's *os.File.
+type walFile interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
 type wal struct {
-	f     *os.File
+	f     walFile
 	path  string
 	seq   int64
 	every int
@@ -175,6 +182,15 @@ func (w *wal) reset(fpr []byte) error {
 	return w.writeRecord(recHeader, fpr)
 }
 
+// disarmWAL closes the WAL, keeping its counters and err (nil when the
+// run simply ended) for the result.
+func (e *engine) disarmWAL(err error) {
+	w := e.wal
+	e.walStats = StoreStats{CheckpointBytes: w.bytes, Checkpoints: w.checkpoints, Resumed: w.resumed, CheckpointErr: err}
+	w.close()
+	e.wal = nil
+}
+
 func (w *wal) close() {
 	if w.f != nil {
 		w.f.Close()
@@ -206,7 +222,8 @@ func (w *wal) writeRecord(typ byte, payload []byte) error {
 // maybeCheckpoint appends a (visits, checkpoint) pair when enough new
 // states have been explored since the last one. Called at the top of
 // the DFS loop, where the stack invariant (child of frame i is
-// stubs[next-1]) holds. Failures disarm the WAL rather than the search.
+// stubs[next-1]) holds. A failure disarms the WAL rather than the
+// search, and the error is reported in StoreStats.CheckpointErr.
 func (w *wal) maybeCheckpoint(e *engine, stack []dfsFrame, buf []byte) []byte {
 	explored := e.explored.Load()
 	if explored-w.lastCkptExplored < int64(w.every) {
@@ -242,16 +259,18 @@ func (w *wal) maybeCheckpoint(e *engine, stack []dfsFrame, buf []byte) []byte {
 	ck.Frames, buf = snapshotFrames(e, stack, buf)
 
 	var cb bytes.Buffer
-	if err := gob.NewEncoder(&cb).Encode(&ck); err != nil {
-		w.close()
-		e.wal = nil
-		return buf
+	err := gob.NewEncoder(&cb).Encode(&ck)
+	if err == nil {
+		err = w.writeRecord(recVisits, vp)
 	}
-	if w.writeRecord(recVisits, vp) != nil ||
-		w.writeRecord(recCkpt, cb.Bytes()) != nil ||
-		w.f.Sync() != nil {
-		w.close()
-		e.wal = nil
+	if err == nil {
+		err = w.writeRecord(recCkpt, cb.Bytes())
+	}
+	if err == nil {
+		err = w.f.Sync()
+	}
+	if err != nil {
+		e.disarmWAL(fmt.Errorf("checker: checkpoint %d: %w", seq, err))
 		return buf
 	}
 	w.seq = seq

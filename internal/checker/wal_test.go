@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -403,4 +404,46 @@ func FuzzScanWAL(f *testing.F) {
 			}
 		}
 	})
+}
+
+// failingFile is a WAL file whose Sync fails once `ok` syncs have
+// succeeded: a disk that fills up after the first checkpoints.
+type failingFile struct {
+	walFile
+	ok int
+}
+
+func (f *failingFile) Sync() error {
+	if f.ok == 0 {
+		return fmt.Errorf("no space left on device")
+	}
+	f.ok--
+	return f.walFile.Sync()
+}
+
+// TestWALFailureAfterFirstCheckpointIsReported: a checkpoint write that
+// fails mid-run disarms the WAL but not the search, which finishes
+// exactly as without checkpoints, and the result says so: the error and
+// how many checkpoints were taken before it.
+func TestWALFailureAfterFirstCheckpointIsReported(t *testing.T) {
+	sys := walChainSys()
+	want := Run(sys, Options{MaxDepth: 20})
+	e, err := newEngine(sys, walBaseOpts(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.wal.f = &failingFile{walFile: e.wal.f, ok: 1}
+	sequentialDFS{}.search(e)
+	got := e.finish()
+	assertSameRun(t, "disarmed WAL", got, want)
+	ss := got.Store
+	if ss.Checkpoints != 1 || ss.CheckpointErr == nil || !strings.Contains(ss.CheckpointErr.Error(), "checkpoint 2") {
+		t.Errorf("store stats %+v: want one checkpoint, then the error of checkpoint 2", ss)
+	}
+	if ss.CheckpointBytes == 0 {
+		t.Error("the bytes of the checkpoint taken before the failure are not reported")
+	}
+	if clean := Run(sys, walBaseOpts(t.TempDir())); clean.Store.CheckpointErr != nil || clean.Store.Checkpoints < 2 {
+		t.Errorf("a healthy WAL reports %d checkpoints and error %v", clean.Store.Checkpoints, clean.Store.CheckpointErr)
+	}
 }

@@ -88,6 +88,8 @@ func (m *Model) value(ev *cyberEvent) ir.Value {
 // per-cascade storage (queue, step log, violations, notification flags,
 // the compiled-execution Env) retains its capacity across transitions,
 // so taking a transition performs no executor allocations.
+//
+//iotsan:transition
 type executor struct {
 	m *Model
 	s *State
@@ -124,6 +126,14 @@ type executor struct {
 	// executor has formatted (see cmdDetail): a search meets the same
 	// command pair over and over.
 	cmdDetails map[cmdPair]string
+
+	// reads is the read half of the mark contract: the blocks the
+	// transition has read so far, one bit per block, and hdrReads the
+	// header fields among them. Set only while a scratch records the
+	// step into its transition memo (memo.go); nil otherwise, and then
+	// the read helpers cost a nil check.
+	reads    []uint64
+	hdrReads uint8
 }
 
 // cmdPair identifies a repeated or conflicting command detail by
@@ -232,6 +242,7 @@ func (x *executor) sensorUpdate(dev int, attrIdx int, val int16) {
 		}
 		return
 	}
+	x.readDevice(dev)
 	if x.s.Devices[dev].Attrs[attrIdx] == val {
 		return // not a state change
 	}
@@ -273,6 +284,7 @@ func (x *executor) actuatorUpdate(dev int, cmd *device.Command, argVal int16) {
 	rec := CmdRec{Dev: dev, Cmd: cmd.Name, Arg: argVal, App: x.curApp,
 		Attr: cmd.Attribute, Value: cmd.Value}
 
+	x.readCmds()
 	if x.m.Opts.CheckConflicts {
 		for _, prev := range x.s.Cmds {
 			if prev.Dev != dev {
@@ -305,6 +317,7 @@ func (x *executor) actuatorUpdate(dev int, cmd *device.Command, argVal int16) {
 		return
 	}
 
+	x.readDevice(dev)
 	if x.m.Opts.Faults && !x.s.Devices[dev].Online {
 		// The offline device swallows the command: it is held in the
 		// in-flight buffer and a later fault transition delivers or
@@ -354,6 +367,7 @@ func (x *executor) enqueue(ev *cyberEvent) {
 				if ev.Attr >= 0 && x.m.Devices[ev.Source].Attrs[ev.Attr].Numeric {
 					p.Val = ev.Raw
 				}
+				x.readQueue()
 				x.s.Queue = append(x.s.Queue, p)
 				if !skipQueueMark { // fault gate for the negative oracle test
 					x.s.markQueue()
@@ -369,6 +383,7 @@ func (x *executor) enqueue(ev *cyberEvent) {
 // dispatch index already narrowed to (source, attr); only the dynamic
 // unsubscribe flag and the value filter remain.
 func (x *executor) matches(sub *resolvedSub, ev *cyberEvent) bool {
+	x.readApp(sub.AppIdx)
 	if x.s.Apps[sub.AppIdx].Unsubscribed {
 		return false
 	}
@@ -443,6 +458,7 @@ func (x *executor) finishCascade() {
 // is judged retroactively at the drop transition: a command dropped
 // with Notified still false means the user was never warned.
 func (x *executor) noteInFlight() {
+	x.readCmds()
 	for i := range x.s.InFlight {
 		c := &x.s.InFlight[i]
 		if !c.Notified && x.notified[c.App] {
@@ -478,6 +494,7 @@ func (x *executor) deliverCommand(rec InFlightCmd) {
 	if x.record {
 		x.stepf("delayed command %s.%s() delivered", d.Label, cmd.Name)
 	}
+	x.readDevice(rec.Dev)
 	if x.s.Devices[rec.Dev].Attrs[ai] == nv {
 		return // no state change, no event
 	}
@@ -562,6 +579,9 @@ func (x *executor) fireTimer(appIdx int, handler string) {
 // ---- eval.Host implementation ----
 
 func (x *executor) DeviceAttr(dev int, attr string) (ir.Value, bool) {
+	if !skipReadMark { // fault gate for the negative oracle test
+		x.readDevice(dev)
+	}
 	if x.m.Opts.Faults && !x.s.Devices[dev].Online {
 		// Stale-read indirection: while the device is offline, handlers
 		// see the hub's last-reported values, not ground truth.
@@ -592,6 +612,7 @@ func (x *executor) DeviceCommand(dev int, cmd string, args []ir.Value) {
 }
 
 func (x *executor) LocationMode() string {
+	x.readMode()
 	return x.m.Cfg.Modes[x.s.Mode]
 }
 
@@ -603,6 +624,7 @@ func (x *executor) SetLocationMode(mode string) {
 		}
 		return
 	}
+	x.readMode()
 	if x.s.Mode == uint8(mi) {
 		return
 	}
@@ -618,9 +640,13 @@ func (x *executor) Modes() []string { return x.m.Cfg.Modes }
 
 // Now is the model's clock: a minute per external event, derived from
 // the event budget and so never stored or encoded.
-func (x *executor) Now() int64 { return int64(x.s.EventsUsed) * 60 }
+func (x *executor) Now() int64 {
+	x.readNow()
+	return int64(x.s.EventsUsed) * 60
+}
 
 func (x *executor) AppState() map[string]ir.Value {
+	x.readApp(x.curApp)
 	as := &x.s.Apps[x.curApp]
 	if as.KV == nil {
 		as.KV = map[string]ir.Value{}
@@ -631,6 +657,7 @@ func (x *executor) AppState() map[string]ir.Value {
 }
 
 func (x *executor) StateSlot(i int) ir.Value {
+	x.readApp(x.curApp)
 	v := x.s.Apps[x.curApp].Slots[i]
 	switch v.Kind {
 	case ir.VList, ir.VDevices, ir.VMap:
@@ -735,6 +762,7 @@ func (x *executor) SendEvent(name, value string) {
 }
 
 func (x *executor) Schedule(handler string, delaySeconds int64) {
+	x.readApp(x.curApp)
 	as := &x.s.Apps[x.curApp]
 	for i := range as.Timers {
 		if as.Timers[i].Handler == handler {
@@ -753,6 +781,7 @@ func (x *executor) Schedule(handler string, delaySeconds int64) {
 }
 
 func (x *executor) Unschedule() {
+	x.readApp(x.curApp)
 	if len(x.s.Apps[x.curApp].Timers) > 0 {
 		x.s.Apps[x.curApp].Timers = nil
 		x.s.markApp(x.curApp)

@@ -25,8 +25,10 @@ import (
 // generates successors: Enabled lists a state's transitions as stubs,
 // Step runs one of them in the calling worker's Scratch, and Keep
 // clones the result out only when the visited store admitted it (see
-// scratch.go). The model's reducer reads only len(trs) and the state,
-// as the hook requires.
+// scratch.go). Predict lets the engine skip the Step of a successor
+// whose digest a scratch's transition memo can tell (memo.go). The
+// model's reducer reads only len(trs) and the state, as the hook
+// requires.
 func (m *Model) System() checker.System { return sysAdapter{m} }
 
 type sysAdapter struct{ m *Model }
@@ -50,6 +52,12 @@ func (a sysAdapter) Step(sc checker.Scratch, parent checker.State, stub *checker
 
 func (a sysAdapter) Keep(sc checker.Scratch, _ checker.State) checker.State {
 	return sc.(*Scratch).Keep()
+}
+
+// Predict implements checker.Predictor through the scratch's transition
+// memo (memo.go).
+func (a sysAdapter) Predict(sc checker.Scratch, parent checker.State, stub *checker.Transition) (uint64, uint64, []checker.Violation, bool) {
+	return sc.(*Scratch).Predict(parent.(*State), stub)
 }
 
 func (a sysAdapter) Inspect(s checker.State) []checker.Violation {
@@ -498,6 +506,9 @@ func (m *Model) Replay(s *State, key uint64) (string, []string, checker.State) {
 // applyFault executes one fault transition. Fault transitions consume
 // no external-event budget and never reset the cascade command log:
 // they model the environment misbehaving between platform events.
+//
+//iotsan:transition
+//iotsan:allow readmark -- fault transitions exist only under Options.Faults, where no transition memo runs (memo.go)
 func (m *Model) applyFault(ns *State, x *executor, op, idx int, label string, record bool, tr *checker.Transition) {
 	if label == "" {
 		label = m.faultLabel(ns, op, idx)
@@ -551,6 +562,8 @@ func (m *Model) applyFault(ns *State, x *executor, op, idx int, label string, re
 // this transition (Algorithm 1 lines 3-6). With record=false the step
 // log is skipped; Replay re-executes with record=true when a trail is
 // materialized.
+//
+//iotsan:transition
 func (m *Model) applyExternal(ns *State, x *executor, evIdx int, fm failMode, record bool, tr *checker.Transition) {
 	ev := &m.external[evIdx]
 	m.beginTransition(ns, x, fm, record)
@@ -577,6 +590,8 @@ func (m *Model) applyExternal(ns *State, x *executor, evIdx int, fm failMode, re
 // applyTimer executes a timer-firing choice on ns. methodIdx is -1 when
 // the scheduled handler does not name a method; the transition then has
 // no replay key and carries its steps eagerly.
+//
+//iotsan:transition
 func (m *Model) applyTimer(ns *State, x *executor, appIdx int, handler string, methodIdx int, fm failMode, label string, record bool, tr *checker.Transition) {
 	var key uint64
 	if methodIdx >= 0 {
@@ -590,6 +605,7 @@ func (m *Model) applyTimer(ns *State, x *executor, appIdx int, handler string, m
 	}
 
 	m.beginTransition(ns, x, fm, record)
+	x.readApp(appIdx)
 	if removeTimer(&ns.Apps[appIdx], handler) {
 		ns.markApp(appIdx)
 	}
@@ -602,6 +618,9 @@ func (m *Model) applyTimer(ns *State, x *executor, appIdx int, handler string, m
 // budget advances, the cascade command log resets (truncated, so the
 // backing array the clone or the scratch already owns is reused), and
 // the executor binds to ns.
+//
+//iotsan:transition
+//iotsan:allow readmark -- the budget advances on the parent's own header and the command log is cleared: a transition memo keys neither (memo.go)
 func (m *Model) beginTransition(ns *State, x *executor, fm failMode, record bool) {
 	ns.EventsUsed++
 	ns.markHeader()
@@ -639,10 +658,12 @@ func (x *executor) deliverTouch(appIdx int) {
 	ev := cyberEvent{Source: srcApp, Attr: -1, Name: "touch", Str: "touched", Label: "app"}
 	for _, si := range x.m.touchIdx[appIdx] {
 		sub := &x.m.subs[si]
+		x.readApp(sub.AppIdx)
 		if x.s.Apps[sub.AppIdx].Unsubscribed {
 			continue
 		}
 		if x.m.Opts.Design == Concurrent {
+			x.readQueue()
 			x.s.Queue = append(x.s.Queue, Pending{SubIdx: int(si), Source: srcApp, Raw: "touched"})
 			x.s.markQueue()
 			continue
@@ -671,6 +692,9 @@ func removeTimer(as *AppState, handler string) bool {
 // design: handler-level interleaving, §8 "Concurrency Model"). The label
 // is resolved eagerly (dispLabel) — trails must keep their labels even
 // when a broken replay chain degrades their steps.
+//
+//iotsan:transition
+//iotsan:allow readmark -- concurrent design only, where no transition memo runs (memo.go)
 func (m *Model) dispatchPending(ns *State, x *executor, i int, label string, record bool, tr *checker.Transition) {
 	p := ns.Queue[i]
 	if label == "" {

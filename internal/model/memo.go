@@ -1,0 +1,382 @@
+package model
+
+import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
+
+	"iotsan/internal/checker"
+)
+
+// Transition memo: step by lookup.
+//
+// Most successors a search generates are duplicates, and each still
+// runs its whole cascade and re-hashes what it wrote before the visited
+// store rejects it. But a transition is a function of what it reads: a
+// parent that agrees with a recorded run on every block that run read
+// makes the same reads, so it writes the same blocks with the same
+// contents (by induction over the run's steps). So after a real step a
+// scratch records one entry:
+//
+//   - key: the stub, plus the parent's cached hash of every block the
+//     step read or wrote — the executors report reads through the read
+//     helpers below, the read half of the mark contract, and writes
+//     through the mark helpers (incremental.go);
+//   - value: the change the written blocks make to the fold, the new
+//     command-log block, the new mode and the edge violations.
+//
+// Predict then returns a successor's digest and edge violations with
+// one table probe per footprint shape the stub has shown, and the
+// engine skips Step for a successor the store has already seen. A
+// successor the store reports new is still stepped for real, and the
+// engine requires its digest to equal the prediction.
+//
+// The header is keyed field by field. Mode is keyed when the step read
+// or changed it. EventsUsed is keyed only when a handler read the clock
+// (Now); otherwise the step's +1 is applied to the parent's own header.
+// The command-log block is never keyed: beginTransition clears the log,
+// so a cascade reads only the commands it issued itself, and the
+// in-flight buffer that shares the block is empty without Faults.
+//
+// The memo runs only where the engine digest is the raw block fold and
+// every transition begins with beginTransition: the sequential design,
+// with Incremental on, without Faults or InspectCascade (whose
+// mid-cascade Inspect reads the whole state), and for keyed stubs (a
+// keyless timer records its steps, which a prediction cannot give). The
+// engine asks only on the DFS and without a symmetry fold (a canonical
+// digest is not a fold of raw block hashes), and a scratch it never
+// asks records nothing. Steps from the initial state are not recorded,
+// so a one-event search does no memo work, and nothing is allocated
+// before the first recording.
+
+// Header fields a transition read (executor.hdrReads).
+const (
+	readModeBit = 1 << iota
+	readNowBit
+)
+
+// readBlock records a read of block b while the step is being recorded.
+func (x *executor) readBlock(b int) {
+	if x.reads != nil {
+		x.reads[b>>6] |= 1 << uint(b&63)
+	}
+}
+
+// The read helpers below are the read half of the mark contract: every
+// read of block-backed State storage in transition code — an executor
+// method, or a function annotated //iotsan:transition — must be paired
+// with the matching helper in the same function. A missed read is a
+// memo key too short: the memo would predict the successor of a parent
+// that differs from the recorded one in the unmarked block. The
+// //iotsan:reads annotations teach the readmark analyzer
+// (internal/analysis) the read→helper map.
+
+//iotsan:reads device
+func (x *executor) readDevice(d int) { x.readBlock(1 + d) }
+
+//iotsan:reads app
+func (x *executor) readApp(i int) { x.readBlock(1 + len(x.s.Devices) + i) }
+
+//iotsan:reads queue
+func (x *executor) readQueue() { x.readBlock(x.s.queueBlock()) }
+
+//iotsan:reads cmds
+func (x *executor) readCmds() { x.readBlock(x.s.cmdsBlock()) }
+
+//iotsan:reads header
+func (x *executor) readMode() { x.hdrReads |= readModeBit }
+
+//iotsan:reads header
+func (x *executor) readNow() { x.hdrReads |= readNowBit }
+
+// memoCap bounds a memo's entries. A full memo records nothing more and
+// goes on predicting from what it holds. memoInit is how many entries
+// the first recording makes room for at once: a search that records
+// fewer allocates nothing more, whatever its size.
+const (
+	memoCap  = 1 << 15
+	memoInit = 1 << 8
+)
+
+// memo is one scratch's transition memo: insert-only, in flat arenas,
+// for one search.
+type memo struct {
+	on    bool // the model's transitions can be memoized (NewScratch)
+	armed bool // the engine has asked for a prediction: real steps record
+
+	heads       []int32 // a stub's newest shape, 1-based, by stubSlot
+	timerBase   []int32 // each app's first timer slot in heads
+	shapes      []memoShape
+	shapeBlocks []int32 // every shape's blocks, ascending
+	entries     []memoEntry
+	slots       []int32  // open addressing over entries by fingerprint, 1-based
+	hashes      []uint64 // every entry's parent block hashes, in its shape's block order
+	viols       []checker.Violation
+
+	reads  []uint64 // the executor's read mask while a step records
+	blocks []int32  // a recording's footprint, reused
+	pt     parentTerms
+
+	// hitSerial and hitKey name the last (parent, stub) Predict answered
+	// for: the engine steps it only to confirm the prediction, and the
+	// memo already holds the entry that step would record.
+	hitSerial, hitKey uint64
+}
+
+// memoShape is one footprint a stub's steps have shown: the blocks they
+// read or wrote, and which header fields are keyed.
+type memoShape struct {
+	next      int32 // the stub's previous shape, 1-based (0 = none)
+	off, n    int32 // shapeBlocks[off : off+n]
+	mode, now bool
+}
+
+// memoEntry is one recorded transition.
+type memoEntry struct {
+	stub   uint64
+	fp     uint64
+	delta  [2]uint64 // written blocks' fold change plus the new command-log term
+	events int       // the parent's EventsUsed, when the shape keys the clock
+	shape  int32
+	hashes int32 // the key's parent block hashes: hashes[hashes : hashes+shape.n]
+	viols  int32 // the edge violations: viols[viols : viols+nViols]
+	nViols int32
+	mode   uint8 // the parent's mode, when the shape keys it
+	next   uint8 // the successor's mode
+}
+
+// parentTerms caches the fold terms that depend on the parent, keyed by
+// its serial: states are recycled, so a pointer could name another
+// state later.
+type parentTerms struct {
+	serial uint64
+	base   [2]uint64 // the parent's fold without its header and command-log terms
+	same   [2]uint64 // the header term of a successor that keeps the parent's mode
+}
+
+// records reports whether the step of stub from p is to be recorded.
+func (mm *memo) records(p *State, stub *checker.Transition) bool {
+	if p.serial != 0 && p.serial == mm.hitSerial && stub.Key == mm.hitKey {
+		mm.hitSerial = 0
+		return false
+	}
+	return mm.armed && stub.Key&keyMark != 0 && p.EventsUsed > 0 && len(mm.entries) < memoCap && p.cacheSettled()
+}
+
+// stubSlot numbers the keyed stubs a memo serves densely: an external
+// event under each failure mode, then each app's methods fired as
+// timers under each.
+func (mm *memo) stubSlot(key uint64) int {
+	fm := int(key & 3)
+	switch key >> keyKindPos & 3 {
+	case keyKindExt:
+		return int(key>>2&(1<<59-1))<<2 | fm
+	case keyKindTmr:
+		return int(mm.timerBase[key>>32&(1<<29-1)]) + int(key>>2&(1<<30-1))<<2 | fm
+	}
+	return -1
+}
+
+// readMask returns the zeroed read mask of a recorded step, making
+// room for the memo at the first.
+func (mm *memo) readMask(m *Model, hw int) []uint64 {
+	if mm.reads == nil {
+		mm.reads = make([]uint64, hw)
+		mm.timerBase = make([]int32, len(m.Apps))
+		n := 4 * len(m.external)
+		for i, a := range m.Apps {
+			mm.timerBase[i] = int32(n)
+			n += 4 * len(a.methodNames)
+		}
+		mm.heads = make([]int32, n)
+		mm.shapes = make([]memoShape, 0, memoInit)
+		mm.shapeBlocks = make([]int32, 0, 4*memoInit)
+		mm.entries = make([]memoEntry, 0, memoInit)
+		mm.slots = make([]int32, 2*memoInit)
+		mm.hashes = make([]uint64, 0, 4*memoInit)
+		mm.viols = make([]checker.Violation, 0, memoInit/4)
+	}
+	clear(mm.reads)
+	return mm.reads
+}
+
+// Predict returns the digest and edge violations of stub's successor
+// from p, when the scratch's memo holds a transition whose footprint p
+// matches. The violations are the memo's storage, valid until the next
+// Step on this scratch. It never predicts where the memo does not run;
+// its first call arms recording.
+func (sc *Scratch) Predict(p *State, stub *checker.Transition) (h1, h2 uint64, viols []checker.Violation, ok bool) {
+	mm := &sc.memo
+	if !mm.on || stub.Key&keyMark == 0 {
+		return 0, 0, nil, false
+	}
+	mm.armed = true
+	if len(mm.entries) == 0 || !p.cacheSettled() {
+		return 0, 0, nil, false
+	}
+	slot := mm.stubSlot(stub.Key)
+	if slot < 0 {
+		return 0, 0, nil, false
+	}
+	for si := mm.heads[slot]; si != 0; si = mm.shapes[si-1].next {
+		e := mm.find(mm.fingerprint(stub.Key, si, p), stub.Key, si, p)
+		if e == nil {
+			continue
+		}
+		t := mm.parentTerms(p)
+		hdr := t.same
+		if mm.shapes[si-1].mode && e.next != p.Mode {
+			hdr = headerTerms(e.next, p.EventsUsed+1, p.FaultsUsed)
+		}
+		if e.nViols > 0 {
+			viols = mm.viols[e.viols : e.viols+e.nViols : e.viols+e.nViols]
+		}
+		mm.hitSerial, mm.hitKey = p.serial, stub.Key
+		return t.base[0] + e.delta[0] + hdr[0], t.base[1] + e.delta[1] + hdr[1], viols, true
+	}
+	return 0, 0, nil, false
+}
+
+// record adds the step just taken from p into s, the scratch's working
+// state with its blocks refreshed, under key, unless the memo holds it.
+func (mm *memo) record(s, p *State, key uint64, x *executor, viols []checker.Violation) {
+	cmds := s.cmdsBlock()
+	blocks := mm.blocks[:0]
+	for wi, w := range s.touchMask {
+		for w |= mm.reads[wi]; w != 0; w &= w - 1 {
+			if b := wi<<6 + bits.TrailingZeros64(w); b != 0 && b != cmds {
+				blocks = append(blocks, int32(b))
+			}
+		}
+	}
+	mm.blocks = blocks
+	si := mm.shape(key, blocks, x.hdrReads&readModeBit != 0 || s.Mode != p.Mode, x.hdrReads&readNowBit != 0)
+	fp := mm.fingerprint(key, si, p)
+	if mm.find(fp, key, si, p) != nil {
+		return
+	}
+	e := memoEntry{stub: key, fp: fp, shape: si, hashes: int32(len(mm.hashes)), events: p.EventsUsed, mode: p.Mode, next: s.Mode}
+	for _, b := range blocks {
+		mm.hashes = append(mm.hashes, p.blockHash[b])
+		if s.touchMask[b>>6]&(1<<uint(b&63)) != 0 {
+			n1, n2 := foldTerms(int(b), s.blockHash[b])
+			o1, o2 := foldTerms(int(b), p.blockHash[b])
+			e.delta[0] += n1 - o1
+			e.delta[1] += n2 - o2
+		}
+	}
+	c1, c2 := foldTerms(cmds, s.blockHash[cmds])
+	e.delta[0] += c1
+	e.delta[1] += c2
+	e.viols, e.nViols = int32(len(mm.viols)), int32(len(viols))
+	mm.viols = append(mm.viols, viols...)
+	mm.entries = append(mm.entries, e)
+	mm.insert(fp)
+}
+
+// shape returns the 1-based index of key's shape over blocks, adding it
+// when the stub has not shown it yet.
+func (mm *memo) shape(key uint64, blocks []int32, mode, now bool) int32 {
+	slot := mm.stubSlot(key)
+	head := mm.heads[slot]
+	for si := head; si != 0; si = mm.shapes[si-1].next {
+		sh := &mm.shapes[si-1]
+		if sh.mode == mode && sh.now == now && slices.Equal(mm.shapeBlocks[sh.off:sh.off+sh.n], blocks) {
+			return si
+		}
+	}
+	mm.shapes = append(mm.shapes, memoShape{next: head, off: int32(len(mm.shapeBlocks)), n: int32(len(blocks)), mode: mode, now: now})
+	mm.shapeBlocks = append(mm.shapeBlocks, blocks...)
+	si := int32(len(mm.shapes))
+	mm.heads[slot] = si
+	return si
+}
+
+// fingerprint hashes the key p presents to shape si of stub key. It
+// only spreads entries over the slot table: find compares whole keys.
+func (mm *memo) fingerprint(key uint64, si int32, p *State) uint64 {
+	sh := &mm.shapes[si-1]
+	h := (key ^ uint64(si)) * mixMult
+	if sh.mode {
+		h = (h ^ uint64(p.Mode)) * mixMult
+	}
+	if sh.now {
+		h = (h ^ uint64(p.EventsUsed)) * mixMult
+	}
+	for _, b := range mm.shapeBlocks[sh.off : sh.off+sh.n] {
+		h = (h ^ p.blockHash[b]) * mixMult
+	}
+	return splitmix64(h)
+}
+
+// find returns the entry of shape si of stub key whose key p matches.
+func (mm *memo) find(fp, key uint64, si int32, p *State) *memoEntry {
+	sh := &mm.shapes[si-1]
+	mask := uint64(len(mm.slots) - 1)
+	for i := fp & mask; mm.slots[i] != 0; i = (i + 1) & mask {
+		e := &mm.entries[mm.slots[i]-1]
+		if e.fp != fp || e.stub != key || e.shape != si || sh.mode && e.mode != p.Mode || sh.now && e.events != p.EventsUsed {
+			continue
+		}
+		if mm.keyMatches(e, sh, p) {
+			return e
+		}
+	}
+	return nil
+}
+
+func (mm *memo) keyMatches(e *memoEntry, sh *memoShape, p *State) bool {
+	hs := mm.hashes[e.hashes : e.hashes+sh.n]
+	for i, b := range mm.shapeBlocks[sh.off : sh.off+sh.n] {
+		if p.blockHash[b] != hs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// insert adds the newest entry to the slot table, doubling it first
+// when it would be more than half full.
+func (mm *memo) insert(fp uint64) {
+	if 2*len(mm.entries) <= len(mm.slots) {
+		mm.place(fp, int32(len(mm.entries)))
+		return
+	}
+	mm.slots = make([]int32, max(64, 2*len(mm.slots)))
+	for i := range mm.entries {
+		mm.place(mm.entries[i].fp, int32(i+1))
+	}
+}
+
+func (mm *memo) place(fp uint64, ei int32) {
+	mask := uint64(len(mm.slots) - 1)
+	i := fp & mask
+	for mm.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	mm.slots[i] = ei
+}
+
+// parentTerms returns p's fold terms, computing them on a new parent.
+func (mm *memo) parentTerms(p *State) *parentTerms {
+	t := &mm.pt
+	if p.serial != 0 && t.serial == p.serial {
+		return t
+	}
+	c := p.cmdsBlock()
+	h1, h2 := foldTerms(0, p.blockHash[0])
+	c1, c2 := foldTerms(c, p.blockHash[c])
+	t.base = [2]uint64{p.fold[0] - h1 - c1, p.fold[1] - h2 - c2}
+	t.same = headerTerms(p.Mode, p.EventsUsed+1, p.FaultsUsed)
+	t.serial = p.serial
+	return t
+}
+
+// headerTerms returns the fold terms of a header holding these fields.
+//
+//iotsan:digest-funnel
+func headerTerms(mode uint8, events int, faults int32) [2]uint64 {
+	var b [1 + 2*binary.MaxVarintLen64]byte
+	t1, t2 := foldTerms(0, fnv1a64(appendHeader(b[:0], mode, events, faults)))
+	return [2]uint64{t1, t2}
+}

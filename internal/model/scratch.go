@@ -39,6 +39,10 @@ type Scratch struct {
 	nextSerial, endSerial uint64 // the block of serials drawn from the model
 
 	fullSyncs int
+
+	// memo predicts the digests of transitions like ones this scratch
+	// has stepped (memo.go).
+	memo memo
 }
 
 // FullSyncs returns how many times a Step had to copy the whole parent
@@ -56,7 +60,10 @@ func (m *Model) NewScratch() *Scratch {
 	s := m.Initial()
 	hw := maskWords(s.nBlocks())
 	s.touchMask = make([]uint64, hw)
-	return &Scratch{m: m, s: s, x: m.newExecutor(), hw: hw}
+	sc := &Scratch{m: m, s: s, x: m.newExecutor(), hw: hw}
+	o := &m.Opts
+	sc.memo.on = o.Design == Sequential && o.Incremental && !o.Faults && !o.InspectCascade
+	return sc
 }
 
 // Step runs the transition stub names — one of Enabled(parent) — from
@@ -71,7 +78,15 @@ func (sc *Scratch) Step(parent *State, stub *checker.Transition) (tr checker.Tra
 
 func (sc *Scratch) step(parent *State, stub *checker.Transition, tr *checker.Transition) {
 	sc.syncTo(parent)
+	if !sc.memo.records(parent, stub) {
+		sc.m.step(sc.s, sc.x, stub.Key, stub.Label, false, tr)
+		return
+	}
+	sc.x.reads, sc.x.hdrReads = sc.memo.readMask(sc.m, sc.hw), 0
 	sc.m.step(sc.s, sc.x, stub.Key, stub.Label, false, tr)
+	sc.m.refreshBlocks(sc.s)
+	sc.memo.record(sc.s, parent, stub.Key, sc.x, tr.Violations)
+	sc.x.reads = nil
 }
 
 // Keep clones the successor of the last Step out of the scratch — from

@@ -12,3 +12,7 @@ const skipQueueMark = false
 // skipDeviceMark gates the second fault: sensorUpdate writes a sensor
 // attribute without calling markDevice (see skipmark_on.go).
 const skipDeviceMark = false
+
+// skipReadMark gates the third fault: DeviceAttr reads a device
+// without calling readDevice (see skipmark_on.go).
+const skipReadMark = false

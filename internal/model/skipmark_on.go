@@ -14,3 +14,8 @@ const skipQueueMark = true
 // block back from the parent: the keyed-vs-eager walk must diverge even
 // on a model with no block cache at all.
 const skipDeviceMark = true
+
+// And DeviceAttr skips its read mark: a transition memo then keys a
+// handler's device reads on nothing, and predicts the successor of a
+// parent that differs from the recorded one only in that device.
+const skipReadMark = true

@@ -541,10 +541,16 @@ func (s *State) encode(buf []byte, cv *canonView) []byte {
 // layout that follows, and the omission keeps a faults-enabled model
 // with MaxFaults=0 byte-identical to a faults-off model.
 func (s *State) encodeHeader(buf []byte) []byte {
-	buf = append(buf, s.Mode)
-	buf = binary.AppendUvarint(buf, uint64(s.EventsUsed))
-	if s.FaultsUsed > 0 {
-		buf = binary.AppendUvarint(buf, uint64(s.FaultsUsed))
+	return appendHeader(buf, s.Mode, s.EventsUsed, s.FaultsUsed)
+}
+
+// appendHeader is encodeHeader over the three fields, for a header that
+// exists only as a prediction (memo.go).
+func appendHeader(buf []byte, mode uint8, events int, faults int32) []byte {
+	buf = append(buf, mode)
+	buf = binary.AppendUvarint(buf, uint64(events))
+	if faults > 0 {
+		buf = binary.AppendUvarint(buf, uint64(faults))
 	}
 	return buf
 }

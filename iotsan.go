@@ -274,16 +274,26 @@ func (o Options) withDefaults() Options {
 }
 
 // validate rejects option values and combinations no search can run
-// under, before any source is translated: a negative fault budget or
-// hot-tier budget, the store directory the tiered store and the WAL
-// need, then the checker's own rule (checker.Options.Validate) on the
-// options that reach it.
+// under, before any source is translated: a negative count, budget or
+// limit (zero keeps its documented default), the store directory the
+// tiered store and the WAL need, then the checker's own rule
+// (checker.Options.Validate) on the options that reach it.
 func (o Options) validate() error {
-	if o.MaxFaults < 0 {
-		return fmt.Errorf("iotsan: Options.MaxFaults must not be negative, got %d", o.MaxFaults)
-	}
-	if o.MemBudget < 0 {
-		return fmt.Errorf("iotsan: Options.MemBudget must not be negative, got %d", o.MemBudget)
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"MaxEvents", int64(o.MaxEvents)},
+		{"MaxFaults", int64(o.MaxFaults)},
+		{"Workers", int64(o.Workers)},
+		{"MaxViolations", int64(o.MaxViolations)},
+		{"MaxStatesPerSet", int64(o.MaxStatesPerSet)},
+		{"Deadline", int64(o.Deadline)},
+		{"MemBudget", o.MemBudget},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("iotsan: Options.%s must not be negative, got %d", f.name, f.v)
+		}
 	}
 	if (o.Store == StoreTiered || o.Checkpoint || o.Resume) && o.StoreDir == "" {
 		return errors.New("iotsan: StoreTiered/Checkpoint/Resume require Options.StoreDir")

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"iotsan"
 	"iotsan/internal/corpus"
@@ -141,7 +142,8 @@ func TestWALPathNotAFileIsAnError(t *testing.T) {
 
 // TestStoreDirValidatedBeforeTranslation: each option value or
 // combination no search runs under is rejected up front — a negative
-// fault or hot-tier budget, one that needs a store directory, and steal
+// fault or hot-tier budget, event count, worker count, state cap,
+// violation cap or deadline, one that needs a store directory, and steal
 // with a store other than the in-memory exhaustive one (the legacy
 // Bitstate toggle included) or with checkpointing, which the checker's
 // rule refuses. The error wins over the unparsable source, so nothing
@@ -168,6 +170,11 @@ func TestStoreDirValidatedBeforeTranslation(t *testing.T) {
 		"steal-resume":          {iotsan.Options{Strategy: iotsan.StrategySteal, Resume: true, StoreDir: dir}, steal},
 		"negative-max-faults":   {iotsan.Options{MaxFaults: -1}, "Options.MaxFaults"},
 		"negative-mem-budget":   {iotsan.Options{MemBudget: -1}, "Options.MemBudget"},
+		"negative-max-events":   {iotsan.Options{MaxEvents: -1}, "Options.MaxEvents"},
+		"negative-workers":      {iotsan.Options{Workers: -2}, "Options.Workers"},
+		"negative-max-states":   {iotsan.Options{MaxStatesPerSet: -1}, "Options.MaxStatesPerSet"},
+		"negative-max-viols":    {iotsan.Options{MaxViolations: -1}, "Options.MaxViolations"},
+		"negative-deadline":     {iotsan.Options{Deadline: -time.Second}, "Options.Deadline"},
 	} {
 		_, err := iotsan.Analyze(sys, bad, c.opts)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

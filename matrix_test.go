@@ -12,8 +12,12 @@
 //	path       keyed (Step and Keep), eager (the adapter over Expand)
 //	executor   compiled, interpreter
 //	encode     incremental block cache, flat
+//	memo       the transition memo (checker.Predictor) on, off
 //
-// — and is held to the oracle. Steal runs only on the hash store: a
+// — and is held to the oracle. The memo axis is off only in the twin of
+// a cell the memo can serve (DFS, keyed, cached, sequential design
+// without faults), named with a -nomemo suffix, and a twin is held to
+// its anchor, memo on, counter for counter and trail for trail. Steal runs only on the hash store: a
 // steal cell on another store holds the checker to its refusal, an
 // error and nothing else. A plain cell stores exactly the
 // reference's states, takes exactly its transitions and reports exactly
@@ -207,7 +211,11 @@ var axes = [][]string{
 type cell struct {
 	w                                                  *workload
 	reduction, strategy, store, path, executor, encode int
+	memo                                               int
 }
+
+// Memo axis values.
+const memoOn, memoOff = 0, 1
 
 func (c *cell) axis(i int) *int {
 	return [...]*int{&c.reduction, &c.strategy, &c.store, &c.path, &c.executor, &c.encode}[i]
@@ -218,7 +226,19 @@ func (c cell) String() string {
 	for i := range axes {
 		parts = append(parts, axes[i][*c.axis(i)])
 	}
+	if c.memo == memoOff {
+		parts = append(parts, "nomemo")
+	}
 	return strings.Join(parts, "-")
+}
+
+// memoServes reports whether the transition memo can answer in c: the
+// DFS on the keyed path and the block cache, the sequential design
+// without faults. (Under a symmetry fold the engine does not ask, so
+// such a cell runs with the memo idle.)
+func (c cell) memoServes() bool {
+	o := c.w.opts
+	return c.strategy == dfs && c.path == keyed && c.encode == incremental && o.Design == model.Sequential && !o.Faults
 }
 
 // refused reports whether the checker refuses c's options: steal keeps
@@ -246,26 +266,39 @@ func (c cell) model() (*model.Model, error) {
 	})
 }
 
-// counted is the model's adapter with Inspect, Step and Keep counted.
+// counted is the model's adapter with Inspect, Step, Keep and the
+// memo's answers counted.
 type counted struct {
-	keyedEngineSystem
-	inspects, steps, keeps atomic.Int64
+	memoEngineSystem
+	inspects, steps, keeps, predictions atomic.Int64
 }
 
 func (c *counted) Inspect(s checker.State) []checker.Violation {
 	c.inspects.Add(1)
-	return c.keyedEngineSystem.Inspect(s)
+	return c.memoEngineSystem.Inspect(s)
 }
 
 func (c *counted) Step(sc checker.Scratch, parent checker.State, stub *checker.Transition) checker.Transition {
 	c.steps.Add(1)
-	return c.keyedEngineSystem.Step(sc, parent, stub)
+	return c.memoEngineSystem.Step(sc, parent, stub)
 }
 
 func (c *counted) Keep(sc checker.Scratch, next checker.State) checker.State {
 	c.keeps.Add(1)
-	return c.keyedEngineSystem.Keep(sc, next)
+	return c.memoEngineSystem.Keep(sc, next)
 }
+
+func (c *counted) Predict(sc checker.Scratch, parent checker.State, stub *checker.Transition) (uint64, uint64, []checker.Violation, bool) {
+	h1, h2, vs, ok := c.memoEngineSystem.Predict(sc, parent, stub)
+	if ok {
+		c.predictions.Add(1)
+	}
+	return h1, h2, vs, ok
+}
+
+// noMemo hides checker.Predictor: keyedEngineSystem does not list it,
+// so the engine steps every successor.
+type noMemo struct{ keyedEngineSystem }
 
 // eagerSystem hides checker.Stepper: engineSystem does not list it, so
 // the engine serves the wrapped system through its eager adapter.
@@ -277,11 +310,11 @@ type eagerSystem struct{ engineSystem }
 // is memoized.
 type cellResult struct {
 	*checker.Result
-	violations             []string
-	inspects, steps, keeps int
-	outcome                string // DFS only; see dfsOutcome
-	faultTrails            int    // trails through a fault transition
-	replay                 error  // the first trail that does not replay
+	violations                          []string
+	inspects, steps, keeps, predictions int
+	outcome                             string // DFS only; see dfsOutcome
+	faultTrails                         int    // trails through a fault transition
+	replay                              error  // the first trail that does not replay
 }
 
 // run searches the cell once per process.
@@ -310,15 +343,18 @@ func (c cell) run() (*cellResult, error) {
 		case bitstate:
 			opts.Store, opts.BitstateBits = checker.Bitstate, 26
 		}
-		sys := &counted{keyedEngineSystem: m.System().(keyedEngineSystem)}
+		sys := &counted{memoEngineSystem: m.System().(memoEngineSystem)}
 		var res *checker.Result
-		if c.path == eager {
+		switch {
+		case c.path == eager:
 			res = checker.Run(eagerSystem{sys}, opts)
-		} else {
+		case c.memo == memoOff:
+			res = checker.Run(noMemo{sys}, opts)
+		default:
 			res = checker.Run(sys, opts)
 		}
-		r := &cellResult{Result: res, violations: violationSet(res),
-			inspects: int(sys.inspects.Load()), steps: int(sys.steps.Load()), keeps: int(sys.keeps.Load())}
+		r := &cellResult{Result: res, violations: violationSet(res), inspects: int(sys.inspects.Load()),
+			steps: int(sys.steps.Load()), keeps: int(sys.keeps.Load()), predictions: int(sys.predictions.Load())}
 		if c.strategy == dfs {
 			r.outcome = dfsOutcome(res)
 		}
@@ -328,7 +364,13 @@ func (c cell) run() (*cellResult, error) {
 	})
 }
 
-// keyedEngineSystem is every hook model.System() implements.
+// memoEngineSystem is every hook model.System() implements.
+type memoEngineSystem interface {
+	keyedEngineSystem
+	checker.Predictor
+}
+
+// keyedEngineSystem is every hook but checker.Predictor.
 type keyedEngineSystem interface {
 	engineSystem
 	checker.Stepper
@@ -503,9 +545,18 @@ func (c cell) check(t *testing.T) {
 	}
 	if c.strategy == dfs && c.path == keyed && c.store == hash {
 		// Step once per generated successor, clone once per stored state
-		// but the initial one.
-		if generated := r.StatesExplored - 1 + r.StatesMatched; r.steps != generated || r.keeps != r.StatesStored-1 {
-			t.Errorf("%d Step and %d Keep calls for %d generated successors and %d stored states", r.steps, r.keeps, generated, r.StatesStored)
+		// but the initial one. Where the memo answers, a successor it
+		// predicted is stepped only if it is new, and a state is kept only
+		// after a real step.
+		generated := r.StatesExplored - 1 + r.StatesMatched
+		if r.keeps != r.StatesStored-1 || r.steps > generated || r.steps < generated-r.predictions {
+			t.Errorf("%d Step and %d Keep calls and %d predictions for %d generated successors and %d stored states",
+				r.steps, r.keeps, r.predictions, generated, r.StatesStored)
+		}
+	}
+	if !c.memoServes() || c.memo == memoOff {
+		if r.predictions != 0 {
+			t.Errorf("%d predictions where the memo is off", r.predictions)
 		}
 	}
 	if a := c.anchor(); c.strategy == dfs && c != a {
@@ -717,6 +768,22 @@ func matrixCells() []cell {
 			add(c.anchor())
 		}
 	}
+	// Where the memo serves, it runs on every store the DFS has (bitstate
+	// probes with the predicted second hash), and each such cell has a
+	// memo-off twin.
+	for _, w := range ws {
+		for _, st := range []int{tiered, bitstate} {
+			if c := (cell{w: w, store: st}); c.memoServes() {
+				add(c)
+			}
+		}
+	}
+	for _, c := range cells {
+		if c.memoServes() {
+			c.memo = memoOff
+			add(c)
+		}
+	}
 	return cells
 }
 
@@ -841,6 +908,33 @@ func TestDifferentialConcurrentDesign(t *testing.T) {
 
 func TestDifferentialFailuresAndLeakage(t *testing.T) {
 	matrixView(t, func(c cell) bool { return c.executor == interp && c.w.opts.Failures })
+}
+
+// TestTransitionMemoEquivalence: the memo-off twins, each held to its
+// anchor, memo on.
+func TestTransitionMemoEquivalence(t *testing.T) {
+	matrixView(t, func(c cell) bool { return c.memo == memoOff })
+}
+
+// TestTransitionMemoSkipsSteps: on the workloads the memo serves, the
+// default engine steps fewer successors than it generates, so the memo
+// axis is not vacuous.
+func TestTransitionMemoSkipsSteps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the sequential workloads run outside the race detector")
+	}
+	for _, name := range []string{"failures", "symmetry-sequential"} {
+		c := cell{w: workloadNamed(name)}
+		r, err := c.run()
+		if err != nil || r.Err != nil || r.Truncated {
+			t.Fatalf("%v: failed or truncated: %v %v", c, err, r.Err)
+		}
+		generated := r.StatesExplored - 1 + r.StatesMatched
+		t.Logf("%s: %d Step calls and %d predictions for %d generated successors", name, r.steps, r.predictions, generated)
+		if r.predictions == 0 || r.steps >= generated {
+			t.Errorf("%s: %d Step calls, %d predictions for %d generated successors: the memo skipped nothing", name, r.steps, r.predictions, generated)
+		}
+	}
 }
 
 func TestIncrementalEncodeEquivalence(t *testing.T) {

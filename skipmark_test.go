@@ -1,20 +1,22 @@
 //go:build iotsan_skipmark
 
-// Negative runtime oracle for the dirty-mark contract. The
-// iotsan_skipmark build tag arms two deliberate faults in the executors
+// Negative runtime oracle for the mark contract. The iotsan_skipmark
+// build tag arms three deliberate faults in the executors
 // (internal/model/skipmark_on.go): enqueue appends pending invocations
-// to the queue block without calling markQueue, and sensorUpdate skips
-// markDevice. The walker must diverge on each of the three things a mark
-// is: the record of a block whose cached hash is stale (the digest
-// check), of what a scratch must copy back from the parent before its
-// next step (the keyed check, with no block cache in play at all), and
-// of the atoms a transition leaves stale (the valuation check).
+// to the queue block without calling markQueue, sensorUpdate skips
+// markDevice, and DeviceAttr skips readDevice. The walker must diverge
+// on each of the three things a mark is: the record of a block whose
+// cached hash is stale (the digest check), of what a scratch must copy
+// back from the parent before its next step (the keyed check, with no
+// block cache in play at all), and of the atoms a transition leaves
+// stale (the valuation check) — and on what a read mark is, a block in
+// the transition memo's key (the predict check).
 //
-// Together with the dirtymark analyzer this closes the loop from both
-// sides: the analyzer proves statically that every write in the shipped
-// code is paired with its mark, and these tests prove the walker is not
-// vacuous — if a mark were ever skipped anyway, the walk would fail the
-// build.
+// Together with the dirtymark and readmark analyzers this closes the
+// loop from both sides: the analyzers prove statically that every write
+// and every transition read in the shipped code is paired with its
+// mark, and these tests prove the walker is not vacuous — if a mark were
+// ever skipped anyway, the walk would fail the build.
 //
 // Run with: go test -tags iotsan_skipmark -run TestSkipMark .
 package iotsan_test
@@ -46,4 +48,8 @@ func TestSkipMarkOracleCatchesMissedUndo(t *testing.T) {
 
 func TestSkipMarkOracleCatchesStaleAtom(t *testing.T) {
 	skipMarkCaught(t, "group1", "valuation", "markDevice was skipped on every sensor update")
+}
+
+func TestSkipMarkOracleCatchesMissingReadMark(t *testing.T) {
+	skipMarkCaught(t, "memo-read", "predict", "readDevice was skipped on every DeviceAttr read")
 }

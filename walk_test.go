@@ -4,6 +4,8 @@
 //
 //	keyed      stub + Step + Keep on one scratch ≡ Expand(s)[i]: label, key, fault flag,
 //	           steps, violations, Encode bytes before and after Keep, digests
+//	predict    wherever the scratch's transition memo answers, its digest and violations
+//	           ≡ Step's successor digested and Step's violations
 //	digest     the incremental digest ≡ that of a clone with every block dirty, raw and canonical
 //	valuation  the atom word Inspect settles ≡ every atom evaluated from scratch, and its
 //	           verdict ≡ a plain loop over the invariants' per-state twins
@@ -37,6 +39,7 @@ import (
 	"iotsan/internal/ir"
 	"iotsan/internal/model"
 	"iotsan/internal/props"
+	"iotsan/internal/smartapp"
 )
 
 // divergence counts the failures of one check and keeps the first.
@@ -222,9 +225,19 @@ func (w *walker) visit(s, ts *model.State, depth int) {
 	}
 }
 
-// step is the keyed check: stub + Step + Keep against Expand's successor.
+// step is the keyed check, stub + Step + Keep against Expand's
+// successor, and the predict check, the memo's answer before the Step
+// against the Step.
 func (w *walker) step(s *model.State, stub *checker.Transition, e checker.Transition, at string) *model.State {
+	p1, p2, pv, predicted := w.sc.Predict(s, stub)
 	tr := w.sc.Step(s, stub)
+	if predicted {
+		h1, h2 := w.m.IncrementalDigest(tr.Next.(*model.State), false)
+		if h1 != p1 || h2 != p2 || !slices.Equal(pv, tr.Violations) {
+			w.note("predict", "%s: predicted digest (%#x,%#x) and %q, the step gives (%#x,%#x) and %q", at, p1, p2, pv, h1, h2, tr.Violations)
+		}
+		w.res.checked["predict"]++
+	}
 	if tr.Label != e.Label || tr.Key != e.Key || tr.Fault != e.Fault || stub.Fault != e.Fault ||
 		!slices.Equal(tr.Steps, e.Steps) || !slices.Equal(tr.Violations, e.Violations) {
 		w.note("keyed", "%s: transition differs:\nkeyed %+v\neager %+v", at, tr, e)
@@ -400,7 +413,7 @@ type walkRow struct {
 }
 
 // checks are the walker's checks, in the order TestWalk asserts them.
-var checks = []string{"keyed", "digest", "valuation", "purity", "budget0", "progress"}
+var checks = []string{"keyed", "predict", "digest", "valuation", "purity", "budget0", "progress"}
 
 // applies reports whether the row's model has what the check compares.
 func (r walkRow) applies(check string) bool {
@@ -411,6 +424,8 @@ func (r walkRow) applies(check string) bool {
 		return r.twin()
 	case "progress":
 		return r.c.w.opts.Design == model.Concurrent
+	case "predict":
+		return r.c.memoServes()
 	}
 	return true
 }
@@ -488,9 +503,78 @@ var sequentialGroups = func() (ws []*workload) {
 	return ws
 }()
 
+// memoRead is a sequential system built so that a transition memo needs
+// every kind of read in its key: a presence change turns the hall light
+// on while the door is open and off while it is closed (a device no
+// part of the event), a door event does so by the location mode, and a
+// presence change stamps the clock into app state.
+var memoRead = &workload{name: "memo-read", opts: model.Options{MaxEvents: 3, UserModeEvents: true},
+	system: func() (*config.System, map[string]*ir.App, error) {
+		sys := &config.System{Name: "memo-read", Modes: []string{"Home", "Away"}, Mode: "Home", Devices: []config.Device{
+			{ID: "presA", Label: "Presence A", Model: "Presence Sensor", Initial: map[string]string{"presence": "present"}},
+			{ID: "door", Label: "Front Door", Model: "Contact Sensor", Initial: map[string]string{"contact": "closed"}},
+			{ID: "hallLight", Label: "Hall Light", Model: "Smart Bulb", Initial: map[string]string{"switch": "off"}},
+		}}
+		apps := map[string]*ir.App{}
+		for _, src := range []string{`
+definition(name: "Door Greeter", namespace: "iotsan.test", author: "iotsan",
+    description: "Light the hall on presence while the door is open.", category: "Convenience")
+preferences {
+    section("People") { input "people", "capability.presenceSensor", multiple: true }
+    section("Door") { input "door", "capability.contactSensor" }
+    section("Light") { input "light", "capability.switch" }
+}
+def installed() { subscribe(people, "presence", greetHandler) }
+def greetHandler(evt) {
+    if (door.currentContact == "open") {
+        light.on()
+    } else {
+        light.off()
+    }
+}
+`, `
+definition(name: "Away Door Light", namespace: "iotsan.test", author: "iotsan",
+    description: "Light the hall on a door event while away.", category: "Convenience")
+preferences {
+    section("Door") { input "door", "capability.contactSensor" }
+    section("Light") { input "light", "capability.switch" }
+}
+def installed() { subscribe(door, "contact", doorHandler) }
+def doorHandler(evt) {
+    if (location.mode == "Away") {
+        light.on()
+    } else {
+        light.off()
+    }
+}
+`, `
+definition(name: "Arrival Clock", namespace: "iotsan.test", author: "iotsan",
+    description: "Remember when presence last changed.", category: "Convenience")
+preferences {
+    section("People") { input "people", "capability.presenceSensor", multiple: true }
+}
+def installed() { subscribe(people, "presence", clockHandler) }
+def clockHandler(evt) {
+    state.at = now()
+}
+`} {
+			app, err := smartapp.Translate(src)
+			if err != nil {
+				return nil, nil, err
+			}
+			apps[app.Name] = app
+			b := map[string]config.Binding{}
+			for _, in := range app.Inputs {
+				b[in.Name] = config.Binding{DeviceIDs: []string{map[string]string{"people": "presA", "door": "door", "light": "hallLight"}[in.Name]}}
+			}
+			sys.Apps = append(sys.Apps, config.AppInstance{App: app.Name, Bindings: b})
+		}
+		return sys, apps, sys.Validate()
+	}}
+
 // walkRows are every matrix workload with and without the block cache,
-// and — outside the race detector — the sequential groups without it and
-// the resized fault fleets with it.
+// and — outside the race detector — the sequential groups without it,
+// the resized fault fleets and memo-read with it.
 func walkRows() []walkRow {
 	var rows []walkRow
 	for _, w := range matrixWorkloads() {
@@ -502,7 +586,8 @@ func walkRows() []walkRow {
 	for _, w := range sequentialGroups {
 		rows = append(rows, walkRow{w.name, cell{w: w, encode: flat}})
 	}
-	return append(rows, walkRow{pairFleet.name, cell{w: pairFleet}}, walkRow{largeFleet.name, cell{w: largeFleet}})
+	return append(rows, walkRow{pairFleet.name, cell{w: pairFleet}}, walkRow{largeFleet.name, cell{w: largeFleet}},
+		walkRow{memoRead.name, cell{w: memoRead}})
 }
 
 func walkRowNamed(name string) walkRow {
@@ -556,6 +641,7 @@ func TestWalk(t *testing.T) {
 // onto it: each asserts one check on every row it applies to.
 
 func TestKeyedSuccessorsWalk(t *testing.T)              { walkView(t, "keyed") }
+func TestTransitionMemoPredictWalk(t *testing.T)        { walkView(t, "predict") }
 func TestIncrementalDigestWalkEquivalence(t *testing.T) { walkView(t, "digest") }
 func TestInspectValuationDifferential(t *testing.T)     { walkView(t, "valuation") }
 func TestInspectPureOverEncoding(t *testing.T)          { walkView(t, "purity") }
