@@ -67,16 +67,17 @@ func main() {
 	}
 
 	fmt.Printf("system %q: %d app(s), %d device(s)\n", sys.Name, len(sys.Apps), len(sys.Devices))
-	os.Exit(report(rep, opts.Store, *trails, os.Stdout))
+	os.Exit(report(rep, opts, *trails, os.Stdout))
 }
 
-// report prints the outcome of an analysis run on store to w and returns
-// the exit status: 1 when violations were found; otherwise 3, not 0,
-// when any related set was stopped before its state space was exhausted
-// or the store was the bitstate one, whose false "seen" answers skip
-// states — "no violations" is a verdict only about the part that was
-// explored.
-func report(rep *iotsan.Report, store iotsan.StoreSelector, trails bool, w io.Writer) int {
+// report prints the outcome of an analysis run under opts to w and
+// returns the exit status: 1 when violations were found; otherwise 3,
+// not 0, when any related set was stopped before its state space was
+// exhausted or the store was the bitstate one, whose false "seen"
+// answers skip states — "no violations" is a verdict only about the
+// part that was explored. A related set that -resume could not resume
+// is named in a warning; it does not change the status.
+func report(rep *iotsan.Report, opts iotsan.Options, trails bool, w io.Writer) int {
 	fmt.Fprintf(w, "dependency analysis: %d handlers, largest related set %d (%.1fx reduction)\n",
 		rep.Scale.OriginalSize, rep.Scale.NewSize, rep.Scale.Ratio())
 	fmt.Fprintf(w, "verified %d related group(s) in %v\n\n", len(rep.Groups), rep.Elapsed)
@@ -84,6 +85,10 @@ func report(rep *iotsan.Report, store iotsan.StoreSelector, trails bool, w io.Wr
 		if ss := g.Result.Store; ss.CheckpointErr != nil {
 			fmt.Fprintf(w, "warning: related group %d (%s): checkpointing stopped after %d checkpoint(s) and the search went on without it: %v\n\n",
 				i, strings.Join(g.Apps, ", "), ss.Checkpoints, ss.CheckpointErr)
+		}
+		if opts.Resume && !g.Result.Store.Resumed {
+			fmt.Fprintf(w, "warning: related group %d (%s): -resume found no intact checkpoint; searched from the initial state\n\n",
+				i, strings.Join(g.Apps, ", "))
 		}
 	}
 
@@ -98,7 +103,7 @@ func report(rep *iotsan.Report, store iotsan.StoreSelector, trails bool, w io.Wr
 			fmt.Fprintf(w, "inconclusive: %d of %d related set(s) stopped early (state cap or deadline) — no violation found within the explored part\n",
 				stopped, len(rep.Groups))
 		}
-		supertrace := store == iotsan.StoreBitstate
+		supertrace := opts.Store == iotsan.StoreBitstate
 		if supertrace {
 			fmt.Fprintln(w, "inconclusive: the bitstate store may have skipped states (supertrace) — no violation found within the explored part")
 		}

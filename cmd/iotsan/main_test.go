@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -49,7 +50,7 @@ func TestReportExitStatus(t *testing.T) {
 			t.Fatalf("the quiet home has violations: %v", rep.Violations)
 		}
 		var out strings.Builder
-		return report(rep, opts.Store, true, &out), out.String()
+		return report(rep, opts, true, &out), out.String()
 	}
 
 	if code, out := analyze(iotsan.Options{MaxEvents: 4}); code != 0 || !strings.Contains(out, "no violations detected\n") {
@@ -204,9 +205,39 @@ func TestReportWarnsOfDisarmedCheckpoints(t *testing.T) {
 			Store: checker.StoreStats{Checkpoints: 1, CheckpointErr: errors.New("checker: checkpoint 2: no space left on device")}}},
 	}}
 	var out strings.Builder
-	code := report(rep, iotsan.StoreExhaustive, true, &out)
+	code := report(rep, iotsan.Options{}, true, &out)
 	const want = "warning: related group 1 (Auto Mode Change, Lock It When I Leave): checkpointing stopped after 1 checkpoint(s) and the search went on without it: checker: checkpoint 2: no space left on device\n"
 	if code != 0 || !strings.Contains(out.String(), want) || strings.Count(out.String(), "warning:") != 1 {
 		t.Errorf("exit %d, output:\n%s", code, out.String())
+	}
+}
+
+// -resume on a store directory that holds no checkpoint searches every
+// related group from the initial state and says so, group by group; the
+// verdict and exit status are those of a fresh run. A run that does not
+// ask to resume is not warned.
+func TestReportWarnsOfFreshResume(t *testing.T) {
+	sys, sources := quietHome()
+	for _, resume := range []bool{true, false} {
+		opts := iotsan.Options{MaxEvents: 2, Checkpoint: true, Resume: resume, StoreDir: t.TempDir()}
+		rep, err := iotsan.Analyze(sys, sources, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		code := report(rep, opts, true, &out)
+		want := 0
+		if resume {
+			want = len(rep.Groups)
+		}
+		if code != 0 || strings.Count(out.String(), "warning:") != want {
+			t.Errorf("resume=%v: exit %d, want 0 and %d warning(s), output:\n%s", resume, code, want, out.String())
+		}
+		for i, g := range rep.Groups {
+			line := fmt.Sprintf("warning: related group %d (%s): -resume found no intact checkpoint; searched from the initial state\n", i, strings.Join(g.Apps, ", "))
+			if strings.Contains(out.String(), line) != resume {
+				t.Errorf("resume=%v: group %d warning present=%v, output:\n%s", resume, i, !resume, out.String())
+			}
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // The gates the matrix and the walker cannot express: a poisoned
-// scratch, a killed and resumed search, a timing ratio, fault-only
-// reachability, orbit splitting under outages, Inspect's counters on the
-// Table 8 graph, a mixed invariant catalog, a seeded missing read and a
-// queue that grows mid-dispatch. Each takes its model from the shared
+// scratch, recycled states watched for reuse, a killed and resumed
+// search, a timing ratio, fault-only reachability, orbit splitting under
+// outages, Inspect's counters on the Table 8 graph, a mixed invariant
+// catalog, a seeded missing read and a queue that grows mid-dispatch. Each takes its model from the shared
 // table where one fits.
 package iotsan_test
 
@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,6 +107,98 @@ func TestPoisonedScratchChurn(t *testing.T) {
 			got := checker.Run(poisonStepper{sys}, opts)
 			if !slices.Equal(violationSet(got), violationSet(want)) {
 				t.Fatalf("%v round %d: violation sets differ:\npoisoned: %q\neager:    %q", strat, round, violationSet(got), violationSet(want))
+			}
+			if got.StatesExplored != want.StatesExplored || got.StatesMatched != want.StatesMatched || got.StatesStored != want.StatesStored {
+				t.Fatalf("%v round %d: explored/matched/stored %d/%d/%d, eager %d/%d/%d", strat, round,
+					got.StatesExplored, got.StatesMatched, got.StatesStored,
+					want.StatesExplored, want.StatesMatched, want.StatesStored)
+			}
+		}
+	}
+}
+
+// recycleWatch marks every state handed to Recycle dead and keeps it
+// out of the model's free-lists, so no reuse can hide a later use; every
+// dead state Enabled, Step (as the parent), Inspect or IncrementalDigest
+// is given, or Recycle is given again, counts as a dead use.
+type recycleWatch struct {
+	keyedEngineSystem
+	mu       sync.Mutex
+	dead     map[checker.State]bool
+	recycled atomic.Int64
+	deadUses atomic.Int64
+}
+
+func (r *recycleWatch) Recycle(s checker.State) {
+	r.mu.Lock()
+	if r.dead[s] {
+		r.deadUses.Add(1)
+	}
+	r.dead[s] = true
+	r.mu.Unlock()
+	r.recycled.Add(1)
+}
+
+func (r *recycleWatch) use(s checker.State) {
+	r.mu.Lock()
+	if r.dead[s] {
+		r.deadUses.Add(1)
+	}
+	r.mu.Unlock()
+}
+
+func (r *recycleWatch) Enabled(s checker.State, buf []checker.Transition) []checker.Transition {
+	r.use(s)
+	return r.keyedEngineSystem.Enabled(s, buf)
+}
+
+func (r *recycleWatch) Step(sc checker.Scratch, parent checker.State, stub *checker.Transition) checker.Transition {
+	r.use(parent)
+	return r.keyedEngineSystem.Step(sc, parent, stub)
+}
+
+func (r *recycleWatch) Inspect(s checker.State) []checker.Violation {
+	r.use(s)
+	return r.keyedEngineSystem.Inspect(s)
+}
+
+func (r *recycleWatch) IncrementalDigest(s checker.State, canonical bool) (h1, h2 uint64) {
+	r.use(s)
+	return r.keyedEngineSystem.IncrementalDigest(s, canonical)
+}
+
+// TestStealRecycleKeyed: on the keyed path, where steal recycles every
+// consumed, fully expanded state straight to the model, no recycled
+// state is ever expanded, stepped from, inspected or digested again, and
+// the search still explores exactly the eager adapter's state space.
+// Steal runs several rounds (and under -race in CI) because the
+// hazardous interleavings are probabilistic; DFS, which recycles popped
+// frames, runs once.
+func TestStealRecycleKeyed(t *testing.T) {
+	t.Parallel()
+	sys := cellModel(t, cell{w: workloadNamed("group3")}).System().(keyedEngineSystem)
+	for _, strat := range []checker.StrategyKind{checker.StrategySteal, checker.StrategyDFS} {
+		opts := checker.Options{MaxDepth: 100, Strategy: strat, Workers: 4}
+		// The oracle recycles nothing on steal, so it does not lean on
+		// the code under test.
+		oracle := opts
+		oracle.NoEpochReclaim = true
+		want := checker.Run(eagerSystem{sys}, oracle)
+		if want.Truncated {
+			t.Fatalf("%v: oracle truncated", strat)
+		}
+		rounds := 5
+		if strat == checker.StrategyDFS {
+			rounds = 1
+		}
+		for round := 0; round < rounds; round++ {
+			w := &recycleWatch{keyedEngineSystem: sys, dead: map[checker.State]bool{}}
+			got := checker.Run(w, opts)
+			if n := w.deadUses.Load(); n != 0 {
+				t.Fatalf("%v round %d: %d uses of a recycled state", strat, round, n)
+			}
+			if w.recycled.Load() == 0 {
+				t.Errorf("%v round %d: Recycle never called — the path under test did not run", strat, round)
 			}
 			if got.StatesExplored != want.StatesExplored || got.StatesMatched != want.StatesMatched || got.StatesStored != want.StatesStored {
 				t.Fatalf("%v round %d: explored/matched/stored %d/%d/%d, eager %d/%d/%d", strat, round,

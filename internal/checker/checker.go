@@ -461,13 +461,13 @@ type Options struct {
 	Symmetry bool
 	// NoEpochReclaim disables state recycling on StrategySteal. The zero
 	// value keeps it ON: dead duplicate children are recycled where they
-	// are produced, and consumed, fully expanded frontier states are
-	// retired through a per-worker epoch-based reclamation layer (see
-	// reclaim.go) before re-entering the system's free-lists. The flag
-	// is an A/B escape hatch; it does not affect the sequential DFS
-	// free-lists, which predate it, nor the recycling of
-	// partial-order-pruned successors, which never escape their
-	// expansion on either strategy.
+	// are produced, and a consumed, fully expanded frontier state is
+	// recycled by its consumer, whom the deque's exactly-once hand-off
+	// makes its only holder. The name predates the removal of the
+	// epoch-based grace period it once also switched off. The flag is an
+	// A/B escape hatch; it does not affect the sequential DFS free-lists,
+	// which predate it, nor the recycling of partial-order-pruned
+	// successors, which never escape their expansion on either strategy.
 	NoEpochReclaim bool
 }
 

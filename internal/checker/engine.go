@@ -56,7 +56,8 @@ type engine struct {
 
 	// rec is non-nil when the system recycles dead states: the
 	// sequential DFS hands back popped frames, the frontier strategy
-	// retires consumed states through epoch reclamation.
+	// consumed, fully expanded states (their consumer is their only
+	// holder).
 	rec StateRecycler
 
 	// dupRec takes the successors the engine generated but will not keep
@@ -65,9 +66,10 @@ type engine struct {
 	// the strategy.
 	dupRec StateRecycler
 
-	// frontierRecycle is set when the frontier strategy may recycle dead
-	// states: rec non-nil and Options.NoEpochReclaim unset. The
-	// sequential DFS free-lists are independent of it.
+	// frontierRecycle is set when the frontier strategy recycles dead
+	// states — consumed ones and duplicate children: rec non-nil and
+	// Options.NoEpochReclaim unset. The sequential DFS free-lists are
+	// independent of it.
 	frontierRecycle bool
 
 	// needH2 is set when the store consumes the second hash: bitstate
@@ -191,7 +193,7 @@ func newEngine(sys System, opts Options) (*engine, error) {
 	// because Reduce is a pure function of the state. A resumed search
 	// goes on checkpointing.
 	if opts.Checkpoint || opts.Resume {
-		w, err := newWAL(opts, e.delta != nil)
+		w, err := newWAL(opts)
 		if err != nil {
 			if e.tiered != nil {
 				e.tiered.close()

@@ -6,15 +6,16 @@ import (
 	"testing"
 )
 
-// The tests in this file validate the epoch-based reclamation layer
-// (reclaim.go) with a *poisoning* recycler: every state handed to
-// Recycle is marked dead before it returns to the free list, and every
-// Expand asserts the state it was given is alive. A state recycled
+// The tests in this file validate the steal strategy's recycling of
+// consumed frontier states (strategy_steal.go: the consumer is the
+// state's only holder) with a *poisoning* recycler: every state handed
+// to Recycle is marked dead before it returns to the free list, and
+// every Expand asserts the state it was given is alive. A state recycled
 // while another worker could still expand it is therefore caught two
 // ways — deterministically by the dead-flag assertion (counted in
 // poisoned), and under -race by the unsynchronised dead-flag write
 // racing the reader. Equivalence against a sequential DFS reference
-// then confirms reclamation loses no work and fabricates none.
+// then confirms recycling loses no work and fabricates none.
 
 // poisonState is a heap-allocated grid cell; dead is the poison flag.
 type poisonState struct {
@@ -116,12 +117,12 @@ func (p *poisonGrid) RecycleTransitions(trs []Transition) {
 	p.mu.Unlock()
 }
 
-// TestEpochReclaimPoison: the steal strategy, recycling on, must
-// explore the exact DFS state space with zero dead-state uses — the
-// epoch grace period has to keep every stolen-but-unexpanded state
-// alive past its parent's retirement. Run repeatedly (and under -race
-// in CI) because the hazardous interleavings are probabilistic.
-func TestEpochReclaimPoison(t *testing.T) {
+// TestStealRecyclePoison: the steal strategy, recycling on, must
+// explore the exact DFS state space with zero dead-state uses — a
+// stolen-but-unexpanded state is its own entry's, never its parent's,
+// so recycling the parent cannot touch it. Run repeatedly (and under
+// -race in CI) because the hazardous interleavings are probabilistic.
+func TestStealRecyclePoison(t *testing.T) {
 	mk := func() *poisonGrid { return &poisonGrid{w: 48, h: 48} }
 	opts := Options{MaxDepth: 200}
 
@@ -141,7 +142,7 @@ func TestEpochReclaimPoison(t *testing.T) {
 		o.Workers = 8
 		res := Run(sys, o)
 		if n := sys.poisoned.Load(); n != 0 {
-			t.Fatalf("run %d: %d dead-state uses — reclamation freed a live state", run, n)
+			t.Fatalf("run %d: %d dead-state uses — steal recycled a live state", run, n)
 		}
 		if sys.recycled.Load() == 0 {
 			t.Errorf("run %d: recycler never invoked — the hot path under test did not run", run)
@@ -157,7 +158,7 @@ func TestEpochReclaimPoison(t *testing.T) {
 		}
 	}
 
-	// Escape hatch: with reclamation off the steal strategy must never
+	// Escape hatch: with recycling off the steal strategy must never
 	// call Recycle (DFS keeps its free-lists regardless).
 	sys := mk()
 	res := Run(sys, Options{MaxDepth: 200, Strategy: StrategySteal, Workers: 8, NoEpochReclaim: true})

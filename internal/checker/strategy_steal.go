@@ -51,10 +51,16 @@ import (
 // With a recycling system (StateRecycler), the steal hot path is
 // allocation-free in steady state: deque entries come from per-worker
 // free-lists, successors are stepped into the worker's scratch and only
-// stored ones cloned out, and consumed, fully expanded states are
-// retired through the epoch-based reclamation layer (reclaim.go) so a
-// reference briefly held by a concurrent steal attempt can never
-// observe recycled backing storage.
+// stored ones cloned out, and a consumed, fully expanded state goes
+// straight back to StateRecycler.Recycle, as a popped DFS frame does.
+// No grace period is needed because a frontier state is reachable only
+// through its one deque entry: every push is a fresh Keep (a new state
+// or an improved re-enqueue), the link table holds no pointers, a
+// violation's trail is materialised (From included) before commit
+// returns, and trailTo hands out only the root, which is never retired.
+// The Chase–Lev top CAS hands each entry to exactly one consumer, which
+// is then the state's only holder; a thief that loaded a stale entry
+// pointer loses the CAS and never dereferences it.
 type workSteal struct {
 	workers int
 }
@@ -104,9 +110,6 @@ type stealRun struct {
 	// exps holds one expander per worker, each created by its worker
 	// except worker 0's, which also stepped the initial state.
 	exps []*expander
-	// reclaim is the epoch-based reclamation layer, nil when the system
-	// does not recycle or Options.NoEpochReclaim is set.
-	reclaim *reclaimer
 	// relaxOff disables depth relaxation, which is on unless symmetry
 	// reduction folds states: a duplicate hit is then only *isomorphic*
 	// to the stored representative, not byte-identical, so re-expanding
@@ -147,9 +150,6 @@ func (s *workSteal) search(e *engine) {
 	for i := range r.deques {
 		r.deques[i] = newWSDeque()
 	}
-	if e.frontierRecycle {
-		r.reclaim = newReclaimer(e.rec, max)
-	}
 	r.cnts[0].sent.Store(1)
 	r.deques[0].push(&stealEntry{state: init, d: d0})
 
@@ -162,11 +162,6 @@ func (s *workSteal) search(e *engine) {
 		}()
 	}
 	wg.Wait()
-	if r.reclaim != nil {
-		// No worker holds any frontier reference anymore: whatever the
-		// grace periods kept in limbo goes back to the free-lists now.
-		r.reclaim.drainAll()
-	}
 	// Clipping and the reported depth come from the final depths —
 	// the shortest-distance fixpoint — not from per-path bookkeeping, so
 	// depth-clipped searches are deterministic across runs and worker
@@ -243,9 +238,8 @@ type wsCtx struct {
 	r          *stealRun
 	w          int
 	x          *expander
-	sent       int64  // running mirror of cnts[w].sent
-	childDepth int    // depth of the successors of the entry being expanded
-	epoch      uint64 // epoch pinned before the current entry was consumed
+	sent       int64 // running mirror of cnts[w].sent
+	childDepth int   // depth of the successors of the entry being expanded
 }
 
 // pushState counts and enqueues one newly stored state. The sent store
@@ -272,11 +266,6 @@ func (r *stealRun) work(w int) {
 
 	c := &wsCtx{r: r, w: w, x: x, sent: r.cnts[w].sent.Load()}
 	var done int64
-	if r.reclaim != nil {
-		r.reclaim.online(w)
-		// An exited worker must not hold the epoch back for the others.
-		defer r.reclaim.offline(w)
-	}
 
 	// Victim scan order: a per-worker xorshift sequence so idle workers
 	// spread their steal attempts instead of convoying on worker 0.
@@ -287,11 +276,6 @@ func (r *stealRun) work(w int) {
 	for {
 		if e.truncated.Load() {
 			return // another worker hit a limit; abandon the search
-		}
-		if r.reclaim != nil {
-			// Quiescent point: no frontier references are held here.
-			c.epoch = r.reclaim.pin(w)
-			r.reclaim.tryAdvance()
 		}
 		ent := r.deques[w].pop()
 		if ent == nil {
@@ -362,15 +346,16 @@ func (r *stealRun) stealFrom(w int, rng *uint64) *stealEntry {
 	return nil
 }
 
-// retireState hands a consumed, fully expanded state to the
-// reclamation layer (the root is exempt: trail replay starts from it).
+// retireState recycles a consumed, fully expanded state: its consumer
+// is its only holder (see workSteal). The root is exempt: trail replay
+// starts from it.
 //
 //iotsan:retires st
-func (r *stealRun) retireState(w int, epoch uint64, st State) {
-	if r.reclaim == nil || st == r.root {
+func (r *stealRun) retireState(st State) {
+	if !r.e.frontierRecycle || st == r.root {
 		return
 	}
-	r.reclaim.retire(w, epoch, st)
+	r.e.rec.Recycle(st)
 }
 
 // expand processes one popped or stolen entry, pushing newly stored
@@ -379,29 +364,23 @@ func (r *stealRun) retireState(w int, epoch uint64, st State) {
 // propagates; the link table's expanded claim arbitrates so exactly
 // one expansion of each state counts its successors, and the
 // propagation passes count none. The consumed entry object
-// returns to the worker's free-list, and the consumed state is retired
-// under the worker's pinned epoch unless a limit truncated the
-// expansion (unconsumed successors then keep it conservative).
+// returns to the worker's free-list, and the consumed state is recycled
+// unless a limit truncated the expansion (the search is then abandoned
+// and nothing is recycled on the way out).
 func (c *wsCtx) expand(ent *stealEntry) {
 	r, e := c.r, c.r.e
 	depth, count := r.links.claimExpansion(ent.d.h1, int32(e.opts.MaxDepth))
-	if int(depth) >= e.opts.MaxDepth {
-		// States at the depth bound exist but are not expanded — the
-		// same truncation point as the DFS. Clipping is not a global
-		// abort: shallower entries still queued elsewhere continue to be
-		// expanded, and the final depth scan marks the result truncated
-		// once the search drains (unless a shorter path later relaxes
-		// this state below the bound and re-enqueues it — as the copy
-		// expandState keeps on an improved admit, never this one, so this
-		// clone has left every live structure and can retire).
-		st := ent.state
-		r.putEntry(c.w, ent)
-		r.retireState(c.w, c.epoch, st)
-		return
-	}
+	// States at the depth bound exist but are not expanded — the same
+	// truncation point as the DFS. Clipping is not a global abort:
+	// shallower entries still queued elsewhere continue to be expanded,
+	// and the final depth scan marks the result truncated once the
+	// search drains (unless a shorter path later relaxes this state below
+	// the bound and re-enqueues it — as the copy expandState keeps on an
+	// improved admit, never this one, so a clipped state is retired too).
+	clipped := int(depth) >= e.opts.MaxDepth
 	c.childDepth = int(depth) + 1
-	if c.expandState(ent, count) {
-		r.retireState(c.w, c.epoch, ent.state)
+	if clipped || c.expandState(ent, count) {
+		r.retireState(ent.state)
 	}
 	r.putEntry(c.w, ent)
 }
@@ -430,8 +409,7 @@ func (c *wsCtx) expand(ent *stealEntry) {
 // and pushed like a new state. Any other eager duplicate is a clone this
 // expansion produced and shared with nobody, recycled on the spot. It
 // returns false when a limit was hit (truncated is already set; the
-// caller must stop, and must not retire the expanded state — unconsumed
-// successors keep it conservative).
+// caller must stop and leaves the expanded state to the collector).
 func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 	e, x, links, depth, relax := c.r.e, c.x, c.r.links, c.childDepth, !c.r.relaxOff
 	state, h1 := ent.state, ent.d.h1

@@ -133,7 +133,7 @@ func walFingerprint(opts Options) []byte {
 		walMagic, opts.Store, opts.MaxDepth, opts.POR, opts.Symmetry, walDigestEpoch))
 }
 
-func newWAL(opts Options, haveDelta bool) (*wal, error) {
+func newWAL(opts Options) (*wal, error) {
 	w := &wal{path: filepath.Join(opts.StoreDir, walName), every: opts.CheckpointEvery}
 	if w.every <= 0 {
 		w.every = defaultCheckpointEvery

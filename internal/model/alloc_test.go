@@ -146,18 +146,18 @@ func TestCloneAllocBudget(t *testing.T) {
 
 // TestStealSteadyStateAllocParity is the CI allocation gate for the
 // parallel expansion hot path: a complete work-stealing search at
-// workers=1 (epoch reclamation on, so dead frontier states recycle
+// workers=1 (recycling on, so consumed frontier states recycle
 // through the model's pool) must stay within one allocation per
 // explored state of sequential DFS — room for the link table's
-// doublings, the deque and the reclamation limbo, which DFS does not
-// have (0.68 measured), but not for a per-state map entry or retained
-// label string (1.32 with the parent-link maps), let alone a fresh clone
-// per stored state (six allocations with the block cache). The bound
+// doublings and the deque, which DFS does not have (0.68 measured), but
+// not for a per-state map entry or retained label string (1.32 with the
+// parent-link maps), let alone a fresh clone per stored state (six
+// allocations with the block cache). The bound
 // was a ratio (2×) while both strategies cloned every generated
 // successor; with successors stepped in a scratch DFS is down to a
 // fraction of an allocation per state and a ratio would gate on noise.
 func TestStealSteadyStateAllocParity(t *testing.T) {
-	// Fixed per-search setup (deque ring, reclaimer slots, visited
+	// Fixed per-search setup (deque ring, entry pools, visited
 	// store, goroutine spawn) dwarfs the per-state cost on a model this
 	// small, so the gate measures the MARGINAL allocations per state
 	// between two workload sizes — the setup cancels and what remains

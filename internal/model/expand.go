@@ -208,7 +208,7 @@ func (m *Model) Enabled(s *State, out []checker.Transition) []checker.Transition
 		// event-budget cutoff, so outages can still resolve (delivery or
 		// drop of held commands) in the drain phase. The POR layer relies
 		// on this layout: transitions 0..len(Queue)-1 are dispatches,
-		// then exactly countFaultTransitions(s) fault choices.
+		// then the fault choices.
 		out = m.appendFaultStubs(s, out)
 	}
 
@@ -279,9 +279,6 @@ var (
 // any online device may go offline (budget permitting), any offline
 // device may recover, and any held command may be delivered to its
 // recovered target or silently dropped (budget permitting).
-// countFaultTransitions must mirror this enumeration exactly — the POR
-// layer uses it to recognise the dispatch/fault split of Enabled's
-// output.
 func (m *Model) appendFaultStubs(s *State, out []checker.Transition) []checker.Transition {
 	stub := func(op, idx int) {
 		out = appendStub(out, m.faultLabel(s, op, idx), fltKey(op, idx), true)
@@ -305,36 +302,6 @@ func (m *Model) appendFaultStubs(s *State, out []checker.Transition) []checker.T
 		}
 	}
 	return out
-}
-
-// countFaultTransitions returns how many stubs appendFaultStubs would
-// emit for s. Zero whenever fault injection is off or the budget is
-// zero with no fault in progress, so a MaxFaults=0 model expands
-// exactly like a faults-off one.
-func (m *Model) countFaultTransitions(s *State) int {
-	if !m.Opts.Faults {
-		return 0
-	}
-	n := 0
-	budget := int(s.FaultsUsed) < m.Opts.MaxFaults
-	for d := range s.Devices {
-		if s.Devices[d].Online {
-			if budget {
-				n++
-			}
-		} else {
-			n++
-		}
-	}
-	for i := range s.InFlight {
-		if s.Devices[s.InFlight[i].Dev].Online {
-			n++
-		}
-		if budget {
-			n++
-		}
-	}
-	return n
 }
 
 // Labels that are not precomputed at New: they depend on the state (the

@@ -368,11 +368,19 @@ func (m *Model) Reduce(s *State, trs []checker.Transition) []int {
 	if p == nil || p.nclass == 0 || m.Opts.Design != Concurrent {
 		return nil
 	}
+	if s.EventsUsed < m.Opts.MaxEvents || len(s.Queue) < 2 {
+		return nil
+	}
 	// In the drain phase Expand emits the pending dispatches in queue
 	// order followed by exactly the fault transitions (zero whenever
 	// fault injection is inert, so the faults-off shape is unchanged).
-	nf := m.countFaultTransitions(s)
-	if s.EventsUsed < m.Opts.MaxEvents || len(s.Queue) < 2 || len(trs) != len(s.Queue)+nf {
+	nf := 0
+	for i := range trs {
+		if trs[i].Fault {
+			nf++
+		}
+	}
+	if len(trs) != len(s.Queue)+nf {
 		return nil
 	}
 	sc := p.scratch.Get().(*porScratch)

@@ -242,12 +242,12 @@ type Options struct {
 	// oracle of the equivalence tests, not a CLI flag.
 	NoIncremental bool
 	// NoEpochReclaim disables state recycling on StrategySteal
-	// (dead duplicate children recycled in place; consumed,
-	// fully expanded frontier states retired through the per-worker
-	// epoch-based reclamation layer). The zero value keeps reclamation
-	// ON — the field is the allocate-per-state oracle of the
-	// equivalence tests, not a CLI flag. Sequential DFS free-lists are
-	// unaffected.
+	// (dead duplicate children recycled in place; consumed, fully
+	// expanded frontier states recycled by their consumer). The name
+	// predates the removal of the epoch-based grace period. The zero
+	// value keeps recycling ON — the field is the allocate-per-state
+	// oracle of the equivalence tests, not a CLI flag. Sequential DFS
+	// free-lists are unaffected.
 	NoEpochReclaim bool
 }
 
