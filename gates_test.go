@@ -39,30 +39,49 @@ func cellModel(t *testing.T, c cell) *model.Model {
 // soon as its validity window closes — at the next Step or Keep on the
 // same scratch — so a Next or Violations alias the engine retained past
 // the window (a trail's From, a parent edge, a deque entry, a state kept
-// for depth relaxation) reads poison and changes a verdict.
-type poisonStepper struct{ keyedEngineSystem }
+// for depth relaxation) reads poison and changes a verdict. The
+// violations a Predict lent, copied out of the model's memo so poison
+// never reaches it, are scribbled over at the next Predict or Keep.
+type poisonStepper struct{ memoEngineSystem }
 
 type poisonScratch struct {
-	inner checker.Scratch
-	lent  checker.Transition
+	inner    checker.Scratch
+	lent     checker.Transition
+	foretold []checker.Violation // the copy the last Predict lent
 }
 
 func (p poisonStepper) NewScratch() checker.Scratch {
-	return &poisonScratch{inner: p.keyedEngineSystem.NewScratch()}
+	return &poisonScratch{inner: p.memoEngineSystem.NewScratch()}
 }
 
 func (p poisonStepper) Step(sc checker.Scratch, parent checker.State, stub *checker.Transition) checker.Transition {
 	ps := sc.(*poisonScratch)
 	ps.poison()
-	ps.lent = p.keyedEngineSystem.Step(ps.inner, parent, stub)
+	ps.lent = p.memoEngineSystem.Step(ps.inner, parent, stub)
 	return ps.lent
 }
 
 func (p poisonStepper) Keep(sc checker.Scratch, next checker.State) checker.State {
 	ps := sc.(*poisonScratch)
-	kept := p.keyedEngineSystem.Keep(ps.inner, next)
+	kept := p.memoEngineSystem.Keep(ps.inner, next)
 	ps.poison()
+	ps.poisonForetold()
 	return kept
+}
+
+func (p poisonStepper) Predict(sc checker.Scratch, parent checker.State, stub *checker.Transition) (uint64, uint64, []checker.Violation, bool) {
+	ps := sc.(*poisonScratch)
+	ps.poisonForetold()
+	h1, h2, vs, ok := p.memoEngineSystem.Predict(ps.inner, parent, stub)
+	ps.foretold = append(ps.foretold[:0], vs...)
+	return h1, h2, ps.foretold, ok
+}
+
+func (ps *poisonScratch) poisonForetold() {
+	for i := range ps.foretold {
+		ps.foretold[i] = checker.Violation{Property: "poisoned", Detail: "read after the Predict's window closed"}
+	}
+	ps.foretold = ps.foretold[:0]
 }
 
 func (ps *poisonScratch) poison() {
@@ -89,29 +108,44 @@ func (ps *poisonScratch) poison() {
 	ps.lent = checker.Transition{}
 }
 
-// TestPoisonedScratchChurn: with every lent successor poisoned the
-// moment its window closes, both strategies — steal's workers share
-// states through deques, the link table and depth relaxation — still
-// report exactly the eager adapter's verdict and counts. Run under -race
-// in CI, several rounds, on the cheapest corpus group.
+// gateWorkloads are the rows the poison and recycling gates search: the
+// cheapest corpus group, and a sequential-design group, where the
+// transition memo answers and predicted successors take their path.
+var gateWorkloads = []string{"group3", "failures"}
+
+// TestPoisonedScratchChurn: with every lent successor and every lent
+// prediction poisoned the moment its window closes, both strategies —
+// steal's workers share states through deques, the link table and depth
+// relaxation — still report exactly the eager adapter's verdict and
+// counts. Run under -race in CI, several rounds.
 func TestPoisonedScratchChurn(t *testing.T) {
 	t.Parallel()
-	sys := cellModel(t, cell{w: workloadNamed("group3")}).System().(keyedEngineSystem)
-	for _, strat := range []checker.StrategyKind{checker.StrategySteal, checker.StrategyDFS} {
-		opts := checker.Options{MaxDepth: 100, Strategy: strat, Workers: 4}
-		want := checker.Run(eagerSystem{sys}, opts)
-		if want.Truncated || len(want.Violations) == 0 {
-			t.Fatalf("%v: oracle truncated=%v with %d violations", strat, want.Truncated, len(want.Violations))
-		}
-		for round := 0; round < 5; round++ {
-			got := checker.Run(poisonStepper{sys}, opts)
-			if !slices.Equal(violationSet(got), violationSet(want)) {
-				t.Fatalf("%v round %d: violation sets differ:\npoisoned: %q\neager:    %q", strat, round, violationSet(got), violationSet(want))
+	for _, name := range gateWorkloads {
+		c := cell{w: workloadNamed(name)}
+		sys := cellModel(t, c).System().(memoEngineSystem)
+		for _, strat := range []checker.StrategyKind{checker.StrategySteal, checker.StrategyDFS} {
+			opts := checker.Options{MaxDepth: 100, Strategy: strat, Workers: 4}
+			want := checker.Run(eagerSystem{sys}, opts)
+			if want.Truncated || len(want.Violations) == 0 {
+				t.Fatalf("%s/%v: oracle truncated=%v with %d violations", name, strat, want.Truncated, len(want.Violations))
 			}
-			if got.StatesExplored != want.StatesExplored || got.StatesMatched != want.StatesMatched || got.StatesStored != want.StatesStored {
-				t.Fatalf("%v round %d: explored/matched/stored %d/%d/%d, eager %d/%d/%d", strat, round,
-					got.StatesExplored, got.StatesMatched, got.StatesStored,
-					want.StatesExplored, want.StatesMatched, want.StatesStored)
+			for round := 0; round < 5; round++ {
+				cs := &counted{memoEngineSystem: sys}
+				got := checker.Run(poisonStepper{cs}, opts)
+				if got.Err != nil {
+					t.Fatalf("%s/%v round %d: %v", name, strat, round, got.Err)
+				}
+				if !slices.Equal(violationSet(got), violationSet(want)) {
+					t.Fatalf("%s/%v round %d: violation sets differ:\npoisoned: %q\neager:    %q", name, strat, round, violationSet(got), violationSet(want))
+				}
+				if got.StatesExplored != want.StatesExplored || got.StatesMatched != want.StatesMatched || got.StatesStored != want.StatesStored {
+					t.Fatalf("%s/%v round %d: explored/matched/stored %d/%d/%d, eager %d/%d/%d", name, strat, round,
+						got.StatesExplored, got.StatesMatched, got.StatesStored,
+						want.StatesExplored, want.StatesMatched, want.StatesStored)
+				}
+				if strat == checker.StrategySteal && c.memoServes() && cs.predictions.Load() == 0 {
+					t.Errorf("%s/%v round %d: no predictions — the predicted path did not run", name, strat, round)
+				}
 			}
 		}
 	}
@@ -119,10 +153,11 @@ func TestPoisonedScratchChurn(t *testing.T) {
 
 // recycleWatch marks every state handed to Recycle dead and keeps it
 // out of the model's free-lists, so no reuse can hide a later use; every
-// dead state Enabled, Step (as the parent), Inspect or IncrementalDigest
-// is given, or Recycle is given again, counts as a dead use.
+// dead state Enabled, Step or Predict (as the parent), Inspect or
+// IncrementalDigest is given, or Recycle is given again, counts as a
+// dead use.
 type recycleWatch struct {
-	keyedEngineSystem
+	memoEngineSystem
 	mu       sync.Mutex
 	dead     map[checker.State]bool
 	recycled atomic.Int64
@@ -149,61 +184,76 @@ func (r *recycleWatch) use(s checker.State) {
 
 func (r *recycleWatch) Enabled(s checker.State, buf []checker.Transition) []checker.Transition {
 	r.use(s)
-	return r.keyedEngineSystem.Enabled(s, buf)
+	return r.memoEngineSystem.Enabled(s, buf)
 }
 
 func (r *recycleWatch) Step(sc checker.Scratch, parent checker.State, stub *checker.Transition) checker.Transition {
 	r.use(parent)
-	return r.keyedEngineSystem.Step(sc, parent, stub)
+	return r.memoEngineSystem.Step(sc, parent, stub)
+}
+
+func (r *recycleWatch) Predict(sc checker.Scratch, parent checker.State, stub *checker.Transition) (uint64, uint64, []checker.Violation, bool) {
+	r.use(parent)
+	return r.memoEngineSystem.Predict(sc, parent, stub)
 }
 
 func (r *recycleWatch) Inspect(s checker.State) []checker.Violation {
 	r.use(s)
-	return r.keyedEngineSystem.Inspect(s)
+	return r.memoEngineSystem.Inspect(s)
 }
 
 func (r *recycleWatch) IncrementalDigest(s checker.State, canonical bool) (h1, h2 uint64) {
 	r.use(s)
-	return r.keyedEngineSystem.IncrementalDigest(s, canonical)
+	return r.memoEngineSystem.IncrementalDigest(s, canonical)
 }
 
 // TestStealRecycleKeyed: on the keyed path, where steal recycles every
 // consumed, fully expanded state straight to the model, no recycled
-// state is ever expanded, stepped from, inspected or digested again, and
-// the search still explores exactly the eager adapter's state space.
-// Steal runs several rounds (and under -race in CI) because the
-// hazardous interleavings are probabilistic; DFS, which recycles popped
-// frames, runs once.
+// state is ever expanded, stepped or predicted from, inspected or
+// digested again, and the search still explores exactly the eager
+// adapter's state space. Steal runs several rounds (and under -race in
+// CI) because the hazardous interleavings are probabilistic; DFS, which
+// recycles popped frames, runs once.
 func TestStealRecycleKeyed(t *testing.T) {
 	t.Parallel()
-	sys := cellModel(t, cell{w: workloadNamed("group3")}).System().(keyedEngineSystem)
-	for _, strat := range []checker.StrategyKind{checker.StrategySteal, checker.StrategyDFS} {
-		opts := checker.Options{MaxDepth: 100, Strategy: strat, Workers: 4}
-		// The oracle recycles nothing on steal, so it does not lean on
-		// the code under test.
-		oracle := opts
-		oracle.NoEpochReclaim = true
-		want := checker.Run(eagerSystem{sys}, oracle)
-		if want.Truncated {
-			t.Fatalf("%v: oracle truncated", strat)
-		}
-		rounds := 5
-		if strat == checker.StrategyDFS {
-			rounds = 1
-		}
-		for round := 0; round < rounds; round++ {
-			w := &recycleWatch{keyedEngineSystem: sys, dead: map[checker.State]bool{}}
-			got := checker.Run(w, opts)
-			if n := w.deadUses.Load(); n != 0 {
-				t.Fatalf("%v round %d: %d uses of a recycled state", strat, round, n)
+	for _, name := range gateWorkloads {
+		c := cell{w: workloadNamed(name)}
+		sys := cellModel(t, c).System().(memoEngineSystem)
+		for _, strat := range []checker.StrategyKind{checker.StrategySteal, checker.StrategyDFS} {
+			opts := checker.Options{MaxDepth: 100, Strategy: strat, Workers: 4}
+			// The oracle recycles nothing on steal, so it does not lean on
+			// the code under test.
+			oracle := opts
+			oracle.NoEpochReclaim = true
+			want := checker.Run(eagerSystem{sys}, oracle)
+			if want.Truncated {
+				t.Fatalf("%s/%v: oracle truncated", name, strat)
 			}
-			if w.recycled.Load() == 0 {
-				t.Errorf("%v round %d: Recycle never called — the path under test did not run", strat, round)
+			rounds := 5
+			if strat == checker.StrategyDFS {
+				rounds = 1
 			}
-			if got.StatesExplored != want.StatesExplored || got.StatesMatched != want.StatesMatched || got.StatesStored != want.StatesStored {
-				t.Fatalf("%v round %d: explored/matched/stored %d/%d/%d, eager %d/%d/%d", strat, round,
-					got.StatesExplored, got.StatesMatched, got.StatesStored,
-					want.StatesExplored, want.StatesMatched, want.StatesStored)
+			for round := 0; round < rounds; round++ {
+				cs := &counted{memoEngineSystem: sys}
+				w := &recycleWatch{memoEngineSystem: cs, dead: map[checker.State]bool{}}
+				got := checker.Run(w, opts)
+				if got.Err != nil {
+					t.Fatalf("%s/%v round %d: %v", name, strat, round, got.Err)
+				}
+				if n := w.deadUses.Load(); n != 0 {
+					t.Fatalf("%s/%v round %d: %d uses of a recycled state", name, strat, round, n)
+				}
+				if w.recycled.Load() == 0 {
+					t.Errorf("%s/%v round %d: Recycle never called — the path under test did not run", name, strat, round)
+				}
+				if got.StatesExplored != want.StatesExplored || got.StatesMatched != want.StatesMatched || got.StatesStored != want.StatesStored {
+					t.Fatalf("%s/%v round %d: explored/matched/stored %d/%d/%d, eager %d/%d/%d", name, strat, round,
+						got.StatesExplored, got.StatesMatched, got.StatesStored,
+						want.StatesExplored, want.StatesMatched, want.StatesStored)
+				}
+				if strat == checker.StrategySteal && c.memoServes() && cs.predictions.Load() == 0 {
+					t.Errorf("%s/%v round %d: no predictions — the predicted path did not run", name, strat, round)
+				}
 			}
 		}
 	}

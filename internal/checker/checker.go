@@ -133,14 +133,15 @@ type Scratch any
 // IncrementalDigest of Step(sc, parent, stub).Next and that step's
 // Violations, or ok false when it cannot tell. The engine asks it
 // before every Step and skips the Step of a successor whose predicted
-// digest the visited store has already seen; a successor the store
-// reports new is stepped for real, and a digest or violation list that
+// digest the visited store has already seen; a successor the search
+// keeps is stepped for real, and a digest or violation list that
 // differs from the prediction fails the run (Result.Err), because a
 // wrong prediction could as well have skipped a new state. Every
 // stored state, and every Keep, therefore still comes from a real
-// Step. The violations are borrowed like Step's: valid until the next
-// Step on sc. The sequential DFS adopts the hook where its digest is the
-// raw IncrementalDigest: with HasIncremental true and no symmetry fold.
+// Step. The violations are borrowed: valid until the next Predict or
+// Keep on sc, so the Step that confirms a prediction can be held to
+// them. Both strategies adopt the hook where their digest is the raw
+// IncrementalDigest: with HasIncremental true and no symmetry fold.
 type Predictor interface {
 	Predict(sc Scratch, parent State, stub *Transition) (h1, h2 uint64, viols []Violation, ok bool)
 }

@@ -50,8 +50,9 @@ type engine struct {
 	stp   Stepper
 	keyed bool
 
-	// pred is the system's Predictor, adopted by the DFS on the keyed
-	// path when the digest is the raw incremental one (no symmetry fold).
+	// pred is the system's Predictor, adopted by both strategies on the
+	// keyed path when the digest is the raw incremental one (no symmetry
+	// fold).
 	pred Predictor
 
 	// rec is non-nil when the system recycles dead states: the
@@ -106,11 +107,11 @@ type engine struct {
 	porPruned  atomic.Int64
 	faultTrs   atomic.Int64
 
-	// err is a fatal error that stopped the DFS (engine.confirm); the
-	// result then carries it alone.
+	// err is a fatal error that stopped the search (engine.confirm); the
+	// result then carries it alone. Written under mu, first failure wins.
 	err error
 
-	mu       sync.Mutex // guards violations + distinct
+	mu       sync.Mutex // guards violations + distinct + err
 	distinct map[Violation]struct{}
 	reserved int // accepted violations (found lags while trails materialize)
 	found    []Found
@@ -170,11 +171,7 @@ func newEngine(sys System, opts Options) (*engine, error) {
 	}
 	if stp, ok := sys.(Stepper); ok {
 		e.stp, e.keyed = stp, true
-		// The frontier strategy does not ask: on the benchmark's
-		// table8_steal2 workload (2 workers, 2-vCPU Linux VM) skipping
-		// duplicate steps made the search a fifth faster and its peak
-		// RSS a fifth larger.
-		if e.inc != nil && e.canon == nil && opts.Strategy == StrategyDFS {
+		if e.inc != nil && e.canon == nil {
 			e.pred, _ = sys.(Predictor)
 		}
 	} else {
@@ -264,10 +261,12 @@ func (e *engine) predict(x *expander, parent State, stub *Transition) (Transitio
 }
 
 // confirm steps stub, whose successor was predicted to have digest d
-// and violations want, once the store has reported that digest new, and
-// holds the step to the prediction. A disagreement is a model bug that
-// could as well have skipped a new state: confirm sets e.err, naming
-// the transition, and reports false, and the search must stop.
+// and violations want, once the store has reported that digest new (or,
+// on steal, lowered its depth), and holds the step to the prediction. A
+// disagreement is a model bug that could as well have skipped a new
+// state: confirm sets e.err, naming the transition, unless another
+// worker's failure got there first, and reports false, and the search
+// must stop.
 func (e *engine) confirm(x *expander, parent State, stub *Transition, want []Violation, d digest) (Transition, bool) {
 	tr := e.stp.Step(x.scratch, parent, stub)
 	var got digest
@@ -275,8 +274,13 @@ func (e *engine) confirm(x *expander, parent State, stub *Transition, want []Vio
 	if got == d && slices.Equal(tr.Violations, want) {
 		return tr, true
 	}
-	e.err = fmt.Errorf("checker: transition %q (key %#x): predicted digest %#x with violations %v, the step gives %#x with %v",
+	err := fmt.Errorf("checker: transition %q (key %#x): predicted digest %#x with violations %v, the step gives %#x with %v",
 		tr.Label, tr.Key, d.h1, want, got.h1, tr.Violations)
+	e.mu.Lock()
+	if e.err == nil {
+		e.err = err
+	}
+	e.mu.Unlock()
 	return tr, false
 }
 

@@ -48,6 +48,13 @@ import (
 // The crew is fixed: Options.Workers goroutines, one per deque, run
 // from the first expansion until the search drains or a limit stops it.
 //
+// With a Predictor (the transition memo), a successor it answers for is
+// stepped only when it will be kept: its predicted digest goes to the
+// link table first, and only a fresh or depth-improved successor is
+// stepped for real (engine.confirm) and cloned out; a predicted
+// duplicate is never stepped. A wrong prediction stops every worker and
+// fails the run.
+//
 // With a recycling system (StateRecycler), the steal hot path is
 // allocation-free in steady state: deque entries come from per-worker
 // free-lists, successors are stepped into the worker's scratch and only
@@ -386,18 +393,23 @@ func (c *wsCtx) expand(ent *stealEntry) {
 }
 
 // expandState expands ent's state in the admission order both strategies
-// share: it steps the successors of the state one at a time into the
+// share: it predicts or, where the Predictor cannot tell (or there is
+// none), steps the successors of the state one at a time into the
 // worker's scratch, records the transition (edge) violations of every
-// successor — reconstructing the parent trail prefix lazily, only when
-// a violation is actually recorded — then admits the successor: one
-// probe of the link table stores and links it or, a duplicate, lowers
-// its depth. Only a new successor is kept (cloned out of the scratch),
-// inspected for state violations, counted, and pushed. A duplicate is never
-// inspected: its first copy was (System.Inspect is a function of the
-// encoding), which also keeps the count=false re-expansions free of
-// Inspect calls — and of clones.
-// The stubs come from engine.enabled, so partial-order reduction
-// applies here exactly as it does to DFS.
+// successor — predicted ones for a predicted successor, reconstructing
+// the parent trail prefix lazily, only when a violation is actually
+// recorded — then admits the successor under its (predicted) digest:
+// one probe of the link table stores and links it or, a duplicate,
+// lowers its depth. A predicted successor the table reports fresh or
+// improved is then stepped for real and held to its prediction
+// (engine.confirm); a predicted duplicate is never stepped. Only a new
+// successor is kept (cloned out of the scratch), inspected for state
+// violations, counted, and pushed. A duplicate is never inspected: its
+// first copy was (System.Inspect is a function of the encoding), which
+// also keeps the count=false re-expansions free of Inspect calls — and
+// of clones. The stubs come from engine.enabled, so partial-order
+// reduction applies here exactly as it does to DFS, and relaxation
+// passes predict too.
 //
 // count is false on a relaxation pass — a state whose depth improved,
 // expanded again — whose successors are not counted as generated. A
@@ -408,7 +420,8 @@ func (c *wsCtx) expand(ent *stealEntry) {
 // A duplicate whose depth improved must be expanded again: it is kept
 // and pushed like a new state. Any other eager duplicate is a clone this
 // expansion produced and shared with nobody, recycled on the spot. It
-// returns false when a limit was hit (truncated is already set; the
+// returns false when a limit was hit or a prediction was wrong
+// (truncated is already set, and e.err on a wrong prediction; the
 // caller must stop and leaves the expanded state to the collector).
 func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 	e, x, links, depth, relax := c.r.e, c.x, c.r.links, c.childDepth, !c.r.relaxOff
@@ -434,10 +447,19 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 
 	x.stubs = e.enabled(state, x.stubs, count)
 	for i := range x.stubs {
-		// The result overwrites its stub: the buffer is refilled per
-		// expansion, and a slot in it is addressable without escaping.
+		// The prediction or the step overwrites its stub: the buffer is
+		// refilled per expansion, and a slot in it is addressable without
+		// escaping (a local copy handed to Predict would escape, one heap
+		// object per successor). A prediction keeps the stub's label and
+		// key, all confirm steps by.
 		tr := &x.stubs[i]
-		*tr = e.stp.Step(x.scratch, state, tr)
+		p, d, predicted := e.predict(x, state, tr)
+		if predicted {
+			*tr = p
+		} else {
+			*tr = e.stp.Step(x.scratch, state, tr)
+			d, x.buf = e.digest(tr.Next, x.buf)
+		}
 		for _, v := range tr.Violations {
 			if record(v, tr) && e.limitHit() {
 				e.truncated.Store(true)
@@ -445,11 +467,17 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 			}
 		}
 
-		var d digest
-		d, x.buf = e.digest(tr.Next, x.buf)
 		fresh, improved := links.admit(d.h1, h1, int32(depth), tr, relax)
 		if count {
 			x.stat.generated++
+		}
+		if predicted && (fresh || improved) {
+			real, ok := e.confirm(x, state, tr, tr.Violations, d)
+			if !ok {
+				e.truncated.Store(true)
+				return false
+			}
+			*tr = real
 		}
 		if !fresh {
 			if improved {

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -144,15 +145,33 @@ func TestCloneAllocBudget(t *testing.T) {
 	}
 }
 
+// predictCount is the model's adapter with the transition memo's
+// answers counted.
+type predictCount struct {
+	sysAdapter
+	n atomic.Int64
+}
+
+func (p *predictCount) Predict(sc checker.Scratch, parent checker.State, stub *checker.Transition) (uint64, uint64, []checker.Violation, bool) {
+	h1, h2, vs, ok := p.sysAdapter.Predict(sc, parent, stub)
+	if ok {
+		p.n.Add(1)
+	}
+	return h1, h2, vs, ok
+}
+
 // TestStealSteadyStateAllocParity is the CI allocation gate for the
 // parallel expansion hot path: a complete work-stealing search at
 // workers=1 (recycling on, so consumed frontier states recycle
-// through the model's pool) must stay within one allocation per
-// explored state of sequential DFS — room for the link table's
-// doublings and the deque, which DFS does not have (0.68 measured), but
-// not for a per-state map entry or retained label string (1.32 with the
-// parent-link maps), let alone a fresh clone per stored state (six
-// allocations with the block cache). The bound
+// through the model's pool, and the transition memo answering, so
+// duplicate successors are predicted instead of stepped) must stay
+// within one allocation per explored state of sequential DFS — room for
+// the link table's doublings and the deque, which DFS does not have
+// (dfs 0.34, steal 1.02 measured), but not for a per-state map entry or
+// retained label string (1.32 with the parent-link maps), a heap copy
+// of each predicted stub (2.66), let alone a fresh clone per stored
+// state (six allocations with the block cache). Both searches must
+// predict, or the gate would not see the predicted path. The bound
 // was a ratio (2×) while both strategies cloned every generated
 // successor; with successors stepped in a scratch DFS is down to a
 // fraction of an allocation per state and a ratio would gate on noise.
@@ -167,12 +186,16 @@ func TestStealSteadyStateAllocParity(t *testing.T) {
 	marginal := func(strat checker.StrategyKind) float64 {
 		o := checker.Options{MaxDepth: 100, Strategy: strat, Workers: 1}
 		measure := func(m *Model) (float64, int) {
-			res := checker.Run(m.System(), o) // warm the model's pools; capture the state count
+			sys := &predictCount{sysAdapter: sysAdapter{m}}
+			res := checker.Run(sys, o) // warm the model's pools; capture the state count
 			if res.Truncated || res.StatesExplored == 0 {
 				t.Fatalf("%v: truncated=%v states=%d", strat, res.Truncated, res.StatesExplored)
 			}
+			if sys.n.Load() == 0 {
+				t.Fatalf("%v: nothing predicted — the predicted path did not run", strat)
+			}
 			return testing.AllocsPerRun(5, func() {
-				checker.Run(m.System(), o)
+				checker.Run(sys, o)
 			}), res.StatesExplored
 		}
 		aS, nS := measure(small)

@@ -15,9 +15,12 @@
 //	memo       the transition memo (checker.Predictor) on, off
 //
 // — and is held to the oracle. The memo axis is off only in the twin of
-// a cell the memo can serve (DFS, keyed, cached, sequential design
-// without faults), named with a -nomemo suffix, and a twin is held to
-// its anchor, memo on, counter for counter and trail for trail. Steal runs only on the hash store: a
+// a cell the memo can serve (keyed, cached, sequential design without
+// faults, on either strategy), named with a -nomemo suffix. A DFS twin
+// is held to its anchor, memo on, counter for counter and trail for
+// trail; a steal twin to the same cell with the memo on, counter for
+// counter and on the violation set (steal trails are whichever path got
+// there first, so they vary from run to run). Steal runs only on the hash store: a
 // steal cell on another store holds the checker to its refusal, an
 // error and nothing else. A plain cell stores exactly the
 // reference's states, takes exactly its transitions and reports exactly
@@ -232,13 +235,13 @@ func (c cell) String() string {
 	return strings.Join(parts, "-")
 }
 
-// memoServes reports whether the transition memo can answer in c: the
-// DFS on the keyed path and the block cache, the sequential design
-// without faults. (Under a symmetry fold the engine does not ask, so
-// such a cell runs with the memo idle.)
+// memoServes reports whether the transition memo can answer in c: a
+// search the checker runs, on the keyed path and the block cache, the
+// sequential design without faults. (Under a symmetry fold the engine
+// does not ask, so such a cell runs with the memo idle.)
 func (c cell) memoServes() bool {
 	o := c.w.opts
-	return c.strategy == dfs && c.path == keyed && c.encode == incremental && o.Design == model.Sequential && !o.Faults
+	return !c.refused() && c.path == keyed && c.encode == incremental && o.Design == model.Sequential && !o.Faults
 }
 
 // refused reports whether the checker refuses c's options: steal keeps
@@ -568,6 +571,20 @@ func (c cell) check(t *testing.T) {
 			t.Errorf("differs from its anchor %v: %s", a, d)
 		}
 	}
+	if c.strategy != dfs && c.memo == memoOff {
+		a := c
+		a.memo = memoOn
+		want, err := a.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := counters(r.Result), counters(want.Result); g != w {
+			t.Errorf("differs from its anchor %v:\ngot:  %s\nwant: %s", a, g, w)
+		}
+		if !slices.Equal(r.violations, want.violations) {
+			t.Errorf("violation set differs from its anchor %v:\ngot:  %q\nwant: %q", a, r.violations, want.violations)
+		}
+	}
 	if r.replay != nil {
 		t.Error(r.replay)
 	}
@@ -577,13 +594,20 @@ func (c cell) check(t *testing.T) {
 // counter, and each violation's depth and trail text in found order.
 func dfsOutcome(r *checker.Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "explored %d matched %d stored %d fault transitions %d depth %d POR choices %d pruned %d\n",
-		r.StatesExplored, r.StatesMatched, r.StatesStored, r.FaultTransitionsExplored, r.MaxDepthReached,
-		r.PORChoicePoints, r.PORPrunedTransitions)
+	b.WriteString(counters(r) + "\n")
 	for _, f := range r.Violations {
 		fmt.Fprintf(&b, "at depth %d %s", f.Depth, checker.FormatTrail(f))
 	}
 	return b.String()
+}
+
+// counters prints every counter of a search: all two steal searches of
+// one graph must agree on besides the violation set (each violation's
+// depth and trail follow whichever path got there first).
+func counters(r *checker.Result) string {
+	return fmt.Sprintf("explored %d matched %d stored %d fault transitions %d depth %d POR choices %d pruned %d",
+		r.StatesExplored, r.StatesMatched, r.StatesStored, r.FaultTransitionsExplored, r.MaxDepthReached,
+		r.PORChoicePoints, r.PORPrunedTransitions)
 }
 
 // outcomeDiff shows the first line where two outcomes differ.
@@ -917,22 +941,23 @@ func TestTransitionMemoEquivalence(t *testing.T) {
 }
 
 // TestTransitionMemoSkipsSteps: on the workloads the memo serves, the
-// default engine steps fewer successors than it generates, so the memo
-// axis is not vacuous.
+// default engine and four steal workers step fewer successors than they
+// generate, so the memo axis is not vacuous on either strategy.
 func TestTransitionMemoSkipsSteps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the sequential workloads run outside the race detector")
 	}
 	for _, name := range []string{"failures", "symmetry-sequential"} {
-		c := cell{w: workloadNamed(name)}
-		r, err := c.run()
-		if err != nil || r.Err != nil || r.Truncated {
-			t.Fatalf("%v: failed or truncated: %v %v", c, err, r.Err)
-		}
-		generated := r.StatesExplored - 1 + r.StatesMatched
-		t.Logf("%s: %d Step calls and %d predictions for %d generated successors", name, r.steps, r.predictions, generated)
-		if r.predictions == 0 || r.steps >= generated {
-			t.Errorf("%s: %d Step calls, %d predictions for %d generated successors: the memo skipped nothing", name, r.steps, r.predictions, generated)
+		for _, c := range []cell{{w: workloadNamed(name)}, {w: workloadNamed(name), strategy: steal4}} {
+			r, err := c.run()
+			if err != nil || r.Err != nil || r.Truncated {
+				t.Fatalf("%s/%v: failed or truncated: %v %v", name, c, err, r.Err)
+			}
+			generated := r.StatesExplored - 1 + r.StatesMatched
+			t.Logf("%s/%v: %d Step calls and %d predictions for %d generated successors", name, c, r.steps, r.predictions, generated)
+			if r.predictions == 0 || r.steps >= generated {
+				t.Errorf("%s/%v: %d Step calls, %d predictions for %d generated successors: the memo skipped nothing", name, c, r.steps, r.predictions, generated)
+			}
 		}
 	}
 }
