@@ -1,9 +1,10 @@
 // The gates the matrix and the walker cannot express: a poisoned
 // scratch, recycled states watched for reuse, a killed and resumed
 // search, a timing ratio, fault-only reachability, orbit splitting under
-// outages, Inspect's counters on the Table 8 graph, a mixed invariant
-// catalog, a seeded missing read and a queue that grows mid-dispatch. Each takes its model from the shared
-// table where one fits.
+// outages, Inspect's and Keep's counters on the Table 8 graph, a mixed
+// invariant catalog, a seeded missing read and a queue that grows
+// mid-dispatch. Each takes its model from the shared table where one
+// fits.
 package iotsan_test
 
 import (
@@ -146,8 +147,25 @@ func TestPoisonedScratchChurn(t *testing.T) {
 				if strat == checker.StrategySteal && c.memoServes() && cs.predictions.Load() == 0 {
 					t.Errorf("%s/%v round %d: no predictions — the predicted path did not run", name, strat, round)
 				}
+				checkLeafPath(t, fmt.Sprintf("%s/%v round %d", name, strat, round), cs)
 			}
 		}
+	}
+}
+
+// checkLeafPath requires the leaf path of a keyed search: some successor
+// inspected while borrowed was never kept, and none was inspected twice
+// in one window — as it is when a leaf is inspected after the next Step.
+func checkLeafPath(t *testing.T, run string, cs *counted) {
+	t.Helper()
+	if cs.unkept.Load() == 0 {
+		t.Errorf("%s: no successor inspected on the scratch and left unkept — the leaf path did not run", run)
+	}
+	if n := cs.reinspected.Load(); n != 0 {
+		t.Errorf("%s: %d successors inspected twice in one borrowed window", run, n)
+	}
+	if n := cs.leafKeeps.Load(); n != 0 {
+		t.Errorf("%s: %d Keep calls on a leaf", run, n)
 	}
 }
 
@@ -254,6 +272,7 @@ func TestStealRecycleKeyed(t *testing.T) {
 				if strat == checker.StrategySteal && c.memoServes() && cs.predictions.Load() == 0 {
 					t.Errorf("%s/%v round %d: no predictions — the predicted path did not run", name, strat, round)
 				}
+				checkLeafPath(t, fmt.Sprintf("%s/%v round %d", name, strat, round), cs)
 			}
 		}
 	}
@@ -289,6 +308,42 @@ func TestTieredKillResumeCorpus(t *testing.T) {
 	}
 	t.Logf("killed at %d/%d states with %d checkpoints (%d WAL bytes); resumed to an identical result",
 		killed.MaxStates, baseline.StatesExplored, kres.Store.Checkpoints, kres.Store.CheckpointBytes)
+}
+
+// TestWALKillResumeEveryState: with a checkpoint after every explored
+// state, checkpoints land right after runs of leaves — states the DFS
+// stores, records and counts but never pushes as frames. A search killed
+// halfway and resumed from its last checkpoint reaches the uninterrupted
+// search's explored, matched and stored counts and its violation set.
+func TestWALKillResumeEveryState(t *testing.T) {
+	t.Parallel()
+	m := cellModel(t, cell{w: workloadNamed("group3")})
+	baseline := anchorRun(t, "group3", plain)
+	dir := t.TempDir()
+	opts := checker.Options{MaxDepth: 100, StoreDir: dir, Checkpoint: true, CheckpointEvery: 1}
+	killed := opts
+	killed.MaxStates = baseline.StatesExplored / 2
+	kres := checker.Run(m.System(), killed)
+	if !kres.Truncated || kres.Store.Checkpoints == 0 {
+		t.Fatalf("killed run: truncated=%v checkpoints=%d", kres.Truncated, kres.Store.Checkpoints)
+	}
+	resumed := opts
+	resumed.Resume = true
+	rres := checker.Run(m.System(), resumed)
+	if rres.Err != nil || !rres.Store.Resumed {
+		t.Fatalf("resume fell back to a fresh search despite an intact WAL (err %v)", rres.Err)
+	}
+	if rres.Truncated || rres.StatesExplored != baseline.StatesExplored || rres.StatesMatched != baseline.StatesMatched ||
+		rres.StatesStored != baseline.StatesStored {
+		t.Errorf("resumed: truncated=%v explored/matched/stored %d/%d/%d, uninterrupted %d/%d/%d", rres.Truncated,
+			rres.StatesExplored, rres.StatesMatched, rres.StatesStored,
+			baseline.StatesExplored, baseline.StatesMatched, baseline.StatesStored)
+	}
+	if got := violationSet(rres); !slices.Equal(got, baseline.violations) {
+		t.Errorf("resumed violation set differs:\nresumed:       %q\nuninterrupted: %q", got, baseline.violations)
+	}
+	t.Logf("killed at %d/%d states after %d checkpoints; resumed with %d more",
+		killed.MaxStates, baseline.StatesExplored, kres.Store.Checkpoints, rres.Store.Checkpoints)
 }
 
 // TestStealPerWorkerParity: work-stealing on one worker must reach at
@@ -422,7 +477,9 @@ func (v valuationSystem) Inspect(s checker.State) []checker.Violation {
 // catalog's formulas once per distinct valuation — as many as an
 // independent walk that evaluates every atom of every state counts — on
 // under 2 % of the stored states, and re-evaluates under a quarter of the
-// atoms.
+// atoms. It clones out only the stored states it will expand: 28,301
+// Keep calls, one per stored state but the initial one and the 113,070
+// leaves the walk finds.
 func TestInspectCountersTable8(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("a 141k-state search and an independent walk of the same graph")
@@ -437,7 +494,8 @@ func TestInspectCountersTable8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := checker.Run(valuationSystem{m.System().(keyedEngineSystem), o}, checker.Options{MaxDepth: 5 + 64, MaxStates: 1_000_000})
+	cs := &counted{memoEngineSystem: m.System().(memoEngineSystem)}
+	res := checker.Run(valuationSystem{cs, o}, checker.Options{MaxDepth: 5 + 64, MaxStates: 1_000_000})
 	if o.div.count > 0 {
 		t.Fatalf("%d of %d inspected states diverge; first: %s", o.div.count, o.inspected, o.div.first)
 	}
@@ -457,10 +515,15 @@ func TestInspectCountersTable8(t *testing.T) {
 	}
 	init := m.Initial()
 	visit(init)
+	leaves := 0
 	for stack := []*model.State{init}; len(stack) > 0; {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, tr := range m.Expand(s) {
+		trs := m.Expand(s)
+		if len(trs) == 0 {
+			leaves++
+		}
+		for _, tr := range trs {
 			if next := tr.Next.(*model.State); visit(next) {
 				stack = append(stack, next)
 			}
@@ -470,6 +533,10 @@ func TestInspectCountersTable8(t *testing.T) {
 	stored, decided := res.StatesStored, m.VerdictsDecided()
 	if res.Truncated || len(seen) != stored {
 		t.Fatalf("the search stored %d states (truncated=%v), the walk reached %d", stored, res.Truncated, len(seen))
+	}
+	if keeps := int(cs.keeps.Load()); keeps != stored-1-leaves || keeps != 28_301 {
+		t.Errorf("%d Keep calls for %d stored states, %d of them leaves: want %d, and Table 8 at 5 events 28,301",
+			keeps, stored, leaves, stored-1-leaves)
 	}
 	if decided != len(words) {
 		t.Errorf("%d verdicts decided, the walk met %d distinct valuations", decided, len(words))

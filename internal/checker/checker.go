@@ -94,10 +94,11 @@ type Replayer interface {
 // Stepper is optionally implemented by Systems that can generate the
 // successors of a state one at a time into worker-private storage. It
 // is how the engine avoids paying for a state copy per generated
-// successor when most successors are duplicates: Enabled lists the
-// transitions of a state without executing any, Step executes one of
+// successor when most successors are duplicates or leaves: Enabled lists
+// the transitions of a state without executing any, Step executes one of
 // them in the calling worker's Scratch, and only a successor the
-// visited store reports new is copied out with Keep.
+// visited store reports new and that has transitions of its own is
+// copied out with Keep.
 //
 //   - Enabled appends one stub per enabled transition of s to buf, in
 //     the order Expand returns them: Label and Fault set as Expand sets
@@ -109,10 +110,13 @@ type Replayer interface {
 //     used from two goroutines at once.
 //   - Step runs stub, one of Enabled(parent), from parent and returns
 //     the transition as Expand would have. Its Next and Violations are
-//     borrowed: valid until the next Step or Keep on the same scratch,
-//     and Next must not be retained, recycled or mutated.
+//     borrowed: valid until the next Step or Keep on the same scratch.
+//     Within that window the engine passes Next to IncrementalDigest,
+//     Inspect, Enabled and Reduce, which may settle the state's caches
+//     (block hashes, the atom valuation) as they would on any state;
+//     the engine itself never retains, recycles or writes to Next.
 //   - Keep returns a state the engine owns that equals next, the Next of
-//     the scratch's last Step.
+//     the scratch's last Step, with no further Step in between.
 //
 // A System that is also a Reducer is handed stubs: its Reduce must read
 // only the state and the stubs' count, Label, Key and Fault. Every
@@ -214,11 +218,11 @@ type IncrementalDigester interface {
 // StateRecycler is optionally implemented by Systems that can reuse
 // dead state objects: Recycle hands back a state the search has proven
 // unreachable from any live structure — a duplicate child that matched
-// the visited store, a successor clipped by the depth bound before it
-// was ever digested, or a fully expanded frame popped off the DFS
-// stack. The system may then recycle the state's backing storage into
-// future Expand clones, which removes most of the allocation (and GC)
-// cost of the expansion hot path. The engine only recycles states it
+// the visited store, a stored leaf, a successor clipped by the depth
+// bound before it was ever digested, or a fully expanded frame popped
+// off the DFS stack. The system may then recycle the state's backing
+// storage into future Expand clones, which removes most of the
+// allocation (and GC) cost of the expansion hot path. The engine only recycles states it
 // obtained from Expand/Initial/Replay of the same run and never touches
 // one again afterwards; recorded trails are materialized eagerly and
 // drop their state references before any of those states can be

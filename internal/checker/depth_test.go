@@ -110,3 +110,23 @@ func TestStealDepthClippingDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestDFSLeafAtDepthBound: a leaf never becomes a DFS frame, yet one
+// stored at the depth bound still marks the search truncated, as its
+// frame, past the bound, used to; one level more and nothing is clipped.
+// The keyed and eager paths agree on every counter and trail.
+func TestDFSLeafAtDepthBound(t *testing.T) {
+	for _, tc := range []struct {
+		maxDepth  int
+		truncated bool
+	}{{6, true}, {7, false}} {
+		opts := Options{MaxDepth: tc.maxDepth}
+		eager := Run(&chainSys{bound: 6, bad: 12}, opts)
+		keyed := Run(&keyedChain{chainSys{bound: 6, bad: 12}}, opts)
+		name := fmt.Sprintf("MaxDepth %d", tc.maxDepth)
+		if eager.Truncated != tc.truncated {
+			t.Errorf("%s: truncated=%v, want %v (the leaves sit at depth 6)", name, eager.Truncated, tc.truncated)
+		}
+		assertSameRun(t, name, keyed, eager)
+	}
+}

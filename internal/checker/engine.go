@@ -62,9 +62,9 @@ type engine struct {
 	rec StateRecycler
 
 	// dupRec takes the successors the engine generated but will not keep
-	// — a duplicate, a depth-clipped child. Nil on the keyed path, where
-	// such a successor was never cloned, and when recycling is off for
-	// the strategy.
+	// — a duplicate, a leaf, a depth-clipped child. Nil on the keyed
+	// path, where such a successor was never cloned, and when recycling
+	// is off for the strategy.
 	dupRec StateRecycler
 
 	// frontierRecycle is set when the frontier strategy recycles dead
@@ -314,11 +314,13 @@ func (eagerStepper) Keep(_ Scratch, next State) State { return next }
 
 // expander is one worker's private expansion context: the scratch the
 // system steps successors into, the stub buffer the frontier strategy
-// refills per expansion (the DFS keeps one per stack frame instead), the
+// refills per expansion (the DFS keeps one per stack frame instead) and
+// the one it probes a new successor's transitions into, the
 // state-vector encode buffer, and the worker's counter cell.
 type expander struct {
 	scratch Scratch
 	stubs   []Transition
+	probe   []Transition
 	buf     []byte
 	stat    statCell
 }

@@ -16,9 +16,9 @@ type sequentialDFS struct{}
 // stubs of its transitions, and how many of them have been taken. The
 // successor of stub i is generated (Step) only when the search is about
 // to visit it, and becomes a frame (Keep) only when the store reports
-// it new. The invariant the checkpoint format leans on: for every
-// non-top frame i, the child frame i+1 holds the successor of
-// stubs[next-1].
+// it new and it has transitions of its own. The invariant the
+// checkpoint format leans on: for every non-top frame i, the child
+// frame i+1 holds the successor of stubs[next-1].
 type dfsFrame struct {
 	state State
 	stubs []Transition
@@ -110,12 +110,12 @@ func (s sequentialDFS) search(e *engine) {
 		depth := len(stack)
 		trail = append(trail, TrailStep{Label: tr.Label, Steps: tr.Steps, From: top.state, Key: tr.Key})
 		e.noteDepth(depth)
-		// Admission order (shared with expandShared): edge violations for
+		// Admission order (shared with expandState): edge violations for
 		// every successor, then digest → store, and only a state the store
-		// reports new is kept, inspected, counted, and expanded. A
-		// duplicate's state violations were reserved when its first copy
-		// was admitted (System.Inspect is a function of the encoding), so
-		// skipping them changes no verdict.
+		// reports new is inspected, counted and, unless it is a leaf, kept
+		// and expanded. A duplicate's state violations were reserved when
+		// its first copy was admitted (System.Inspect is a function of the
+		// encoding), so skipping them changes no verdict.
 		if e.recordAll(tr.Violations, trail, depth) {
 			e.truncated.Store(true)
 			break
@@ -143,13 +143,33 @@ func (s sequentialDFS) search(e *engine) {
 			}
 		}
 		e.logVisit(d)
-		next := e.stp.Keep(x.scratch, tr.Next)
-		if e.recordAll(e.sys.Inspect(next), trail, depth) {
+		// A new successor is inspected and its transitions listed while
+		// it is still borrowed; only one with transitions is kept, and
+		// the listed stubs become its frame's.
+		if e.recordAll(e.sys.Inspect(tr.Next), trail, depth) {
 			e.truncated.Store(true)
 			break
 		}
 		e.explored.Add(1)
-		stack = append(stack, dfsFrame{state: next, stubs: e.enabled(next, free.get(), true)})
+		stubs := e.enabled(tr.Next, free.get(), true)
+		if len(stubs) == 0 {
+			// A leaf is stored, recorded and counted, and never becomes a
+			// frame. One at the depth bound still truncates the search:
+			// its frame would have sat past the bound.
+			if depth >= e.opts.MaxDepth {
+				e.truncated.Store(true)
+			}
+			if stubs != nil {
+				free = append(free, stubs)
+			}
+			trail = trail[:len(trail)-1]
+			if e.dupRec != nil {
+				e.dupRec.Recycle(tr.Next)
+				top.stubs[top.next-1].Next = nil
+			}
+			continue
+		}
+		stack = append(stack, dfsFrame{state: e.stp.Keep(x.scratch, tr.Next), stubs: stubs})
 	}
 }
 

@@ -49,17 +49,18 @@ import (
 // from the first expansion until the search drains or a limit stops it.
 //
 // With a Predictor (the transition memo), a successor it answers for is
-// stepped only when it will be kept: its predicted digest goes to the
+// stepped only when it may be kept: its predicted digest goes to the
 // link table first, and only a fresh or depth-improved successor is
-// stepped for real (engine.confirm) and cloned out; a predicted
-// duplicate is never stepped. A wrong prediction stops every worker and
-// fails the run.
+// stepped for real (engine.confirm) and, unless a leaf, cloned out; a
+// predicted duplicate is never stepped. A wrong prediction stops every
+// worker and fails the run.
 //
 // With a recycling system (StateRecycler), the steal hot path is
 // allocation-free in steady state: deque entries come from per-worker
 // free-lists, successors are stepped into the worker's scratch and only
-// stored ones cloned out, and a consumed, fully expanded state goes
-// straight back to StateRecycler.Recycle, as a popped DFS frame does.
+// stored ones with transitions cloned out, and a consumed, fully
+// expanded state goes straight back to StateRecycler.Recycle, as a
+// popped DFS frame does.
 // No grace period is needed because a frontier state is reachable only
 // through its one deque entry: every push is a fresh Keep (a new state
 // or an improved re-enqueue), the link table holds no pointers, a
@@ -365,6 +366,22 @@ func (r *stealRun) retireState(st State) {
 	r.e.rec.Recycle(st)
 }
 
+// expandable reports whether next, a successor about to be pushed, has
+// transitions to expand. A keyed successor is probed while still
+// borrowed, so a leaf is never kept or pushed; the probe lists the full
+// enabled set (a persistent subset is empty only when that is) and
+// counts nothing, as the expansion that follows its push does the
+// counting. An eager successor is pushed unprobed: the adapter's
+// Enabled is Expand, which the push's expansion would then run twice.
+func (c *wsCtx) expandable(next State) bool {
+	e, x := c.r.e, c.x
+	if !e.keyed {
+		return true
+	}
+	x.probe = e.stp.Enabled(next, x.probe[:0])
+	return len(x.probe) > 0
+}
+
 // expand processes one popped or stolen entry, pushing newly stored
 // successors onto the worker's own deque. A re-encountered successor
 // whose depth improves is re-enqueued so the shorter distance
@@ -403,13 +420,13 @@ func (c *wsCtx) expand(ent *stealEntry) {
 // lowers its depth. A predicted successor the table reports fresh or
 // improved is then stepped for real and held to its prediction
 // (engine.confirm); a predicted duplicate is never stepped. Only a new
-// successor is kept (cloned out of the scratch), inspected for state
-// violations, counted, and pushed. A duplicate is never inspected: its
-// first copy was (System.Inspect is a function of the encoding), which
-// also keeps the count=false re-expansions free of Inspect calls — and
-// of clones. The stubs come from engine.enabled, so partial-order
-// reduction applies here exactly as it does to DFS, and relaxation
-// passes predict too.
+// successor is inspected for state violations and counted, on the
+// scratch, and then kept (cloned out) and pushed unless it is a leaf
+// (expandable). A duplicate is never inspected: its first copy was
+// (System.Inspect is a function of the encoding), which also keeps the
+// count=false re-expansions free of Inspect calls — and of clones. The
+// stubs come from engine.enabled, so partial-order reduction applies
+// here exactly as it does to DFS, and relaxation passes predict too.
 //
 // count is false on a relaxation pass — a state whose depth improved,
 // expanded again — whose successors are not counted as generated. A
@@ -417,12 +434,13 @@ func (c *wsCtx) expand(ent *stealEntry) {
 // relaxation pass admits it first, so the counted expansion meets it as
 // a duplicate; StatesMatched, derived from the generated and explored
 // totals after the drain, stays that of one expansion per state.
-// A duplicate whose depth improved must be expanded again: it is kept
-// and pushed like a new state. Any other eager duplicate is a clone this
-// expansion produced and shared with nobody, recycled on the spot. It
-// returns false when a limit was hit or a prediction was wrong
-// (truncated is already set, and e.err on a wrong prediction; the
-// caller must stop and leaves the expanded state to the collector).
+// A duplicate whose depth improved must be expanded again, unless it
+// is a leaf: it is kept and pushed like a new state. Any other eager
+// duplicate is a clone this expansion produced and shared with nobody,
+// recycled on the spot. It returns false when a limit was hit or a
+// prediction was wrong (truncated is already set, and e.err on a wrong
+// prediction; the caller must stop and leaves the expanded state to the
+// collector).
 func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 	e, x, links, depth, relax := c.r.e, c.x, c.r.links, c.childDepth, !c.r.relaxOff
 	state, h1 := ent.state, ent.d.h1
@@ -480,7 +498,7 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 			*tr = real
 		}
 		if !fresh {
-			if improved {
+			if improved && c.expandable(tr.Next) {
 				c.pushState(e.stp.Keep(x.scratch, tr.Next), d)
 			} else if e.dupRec != nil {
 				// An eager duplicate child that was not re-enqueued never
@@ -492,15 +510,16 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 			}
 			continue
 		}
-		next := e.stp.Keep(x.scratch, tr.Next)
-		for _, v := range e.sys.Inspect(next) {
+		for _, v := range e.sys.Inspect(tr.Next) {
 			if record(v, tr) && e.limitHit() {
 				e.truncated.Store(true)
 				return false
 			}
 		}
 		x.stat.bumpExplored(e)
-		c.pushState(next, d)
+		if c.expandable(tr.Next) {
+			c.pushState(e.stp.Keep(x.scratch, tr.Next), d)
+		}
 		if e.limitHit() {
 			e.truncated.Store(true)
 			return false

@@ -11,7 +11,8 @@ import (
 // time, so a successor the visited store has already seen costs its
 // cascade and the blocks that cascade touched — never a copy of the
 // state vector. Only Keep, which the engine calls once the store
-// reports a successor new, clones the whole state out.
+// reports a successor new and the successor has transitions to expand,
+// clones the whole state out.
 //
 // The working state is kept equal to the state being expanded by
 // undoing each step: every write the executors make is paired with a
@@ -69,8 +70,11 @@ func (m *Model) NewScratch() *Scratch {
 // Step runs the transition stub names — one of Enabled(parent) — from
 // parent and returns it. Next is the scratch's working state and
 // Violations the executor's own storage: both are valid until the next
-// Step or Keep on this scratch, and Next must not be retained, recycled
-// or mutated — Keep is how a successor outlives that window.
+// Step or Keep on this scratch. In that window Next may be digested,
+// inspected and listed (Enabled, Reduce) like any state — the caches
+// those settle are re-synced from the parent by the next Step — but
+// must not be retained, recycled or written otherwise: Keep is how a
+// successor outlives the window.
 func (sc *Scratch) Step(parent *State, stub *checker.Transition) (tr checker.Transition) {
 	sc.step(parent, stub, &tr)
 	return tr

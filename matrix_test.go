@@ -270,24 +270,79 @@ func (c cell) model() (*model.Model, error) {
 }
 
 // counted is the model's adapter with Inspect, Step, Keep and the
-// memo's answers counted.
+// memo's answers counted, and with each Step's borrowed window watched:
+// leaves counts the Inspect calls on a state with no enabled transition
+// and leafKeeps the Keep calls on one; unkept counts the windows in which
+// the engine inspected the borrowed successor and closed without a Keep
+// (a leaf dropped on the scratch), reinspected the windows whose
+// successor was inspected twice.
 type counted struct {
 	memoEngineSystem
-	inspects, steps, keeps, predictions atomic.Int64
+	inspects, steps, keeps, predictions    atomic.Int64
+	leaves, leafKeeps, unkept, reinspected atomic.Int64
+	windows                                sync.Map // scratch → *window
+	lentBy                                 sync.Map // a borrowed Next → its scratch's *window
+}
+
+// window is one scratch's current borrowed successor: touched only by the
+// worker that owns the scratch.
+type window struct {
+	next      checker.State
+	inspected int
+	kept      bool
+}
+
+// endWindow ends w's window at the next Step or a Keep on its scratch.
+func (c *counted) endWindow(w *window) {
+	if w.next != nil && w.inspected > 0 && !w.kept {
+		c.unkept.Add(1)
+	}
+	*w = window{}
+}
+
+func (c *counted) windowOf(sc checker.Scratch) *window {
+	w, _ := c.windows.LoadOrStore(sc, new(window))
+	return w.(*window)
+}
+
+func (c *counted) isLeaf(s checker.State) bool {
+	return len(c.memoEngineSystem.Enabled(s, nil)) == 0
 }
 
 func (c *counted) Inspect(s checker.State) []checker.Violation {
 	c.inspects.Add(1)
+	if c.isLeaf(s) {
+		c.leaves.Add(1)
+	}
+	if v, ok := c.lentBy.Load(s); ok && v.(*window).next == s {
+		w := v.(*window)
+		if w.inspected++; w.inspected > 1 {
+			c.reinspected.Add(1)
+		}
+	}
 	return c.memoEngineSystem.Inspect(s)
 }
 
 func (c *counted) Step(sc checker.Scratch, parent checker.State, stub *checker.Transition) checker.Transition {
 	c.steps.Add(1)
-	return c.memoEngineSystem.Step(sc, parent, stub)
+	w := c.windowOf(sc)
+	c.endWindow(w)
+	tr := c.memoEngineSystem.Step(sc, parent, stub)
+	w.next = tr.Next
+	if old, ok := c.lentBy.Load(tr.Next); !ok || old != w {
+		c.lentBy.Store(tr.Next, w)
+	}
+	return tr
 }
 
 func (c *counted) Keep(sc checker.Scratch, next checker.State) checker.State {
 	c.keeps.Add(1)
+	if c.isLeaf(next) {
+		c.leafKeeps.Add(1)
+	}
+	w := c.windowOf(sc)
+	w.kept = true
+	c.endWindow(w)
 	return c.memoEngineSystem.Keep(sc, next)
 }
 
@@ -315,6 +370,7 @@ type cellResult struct {
 	*checker.Result
 	violations                          []string
 	inspects, steps, keeps, predictions int
+	leaves, leafKeeps                   int    // see counted
 	outcome                             string // DFS only; see dfsOutcome
 	faultTrails                         int    // trails through a fault transition
 	replay                              error  // the first trail that does not replay
@@ -357,7 +413,8 @@ func (c cell) run() (*cellResult, error) {
 			res = checker.Run(sys, opts)
 		}
 		r := &cellResult{Result: res, violations: violationSet(res), inspects: int(sys.inspects.Load()),
-			steps: int(sys.steps.Load()), keeps: int(sys.keeps.Load()), predictions: int(sys.predictions.Load())}
+			steps: int(sys.steps.Load()), keeps: int(sys.keeps.Load()), predictions: int(sys.predictions.Load()),
+			leaves: int(sys.leaves.Load()), leafKeeps: int(sys.leafKeeps.Load())}
 		if c.strategy == dfs {
 			r.outcome = dfsOutcome(res)
 		}
@@ -403,6 +460,7 @@ const stateCap = 200_000
 // reference is what the oracle learns about a workload.
 type reference struct {
 	states, edges, faultEdges int // keys reached; transitions and fault transitions leaving them
+	leaves                    int // keys reached whose state has no transition
 	depth                     int // deepest breadth-first level holding a state
 	violations                []string
 }
@@ -443,7 +501,11 @@ func referenceBFS(m *model.Model, canonical bool) (reference, error) {
 	for level := []*model.State{init}; len(level) > 0; ref.depth++ {
 		var next []*model.State
 		for _, s := range level {
-			for _, tr := range m.Expand(s) {
+			trs := m.Expand(s)
+			if len(trs) == 0 {
+				ref.leaves++
+			}
+			for _, tr := range trs {
 				ref.edges++
 				if tr.Fault {
 					ref.faultEdges++
@@ -526,6 +588,7 @@ func (c cell) check(t *testing.T) {
 	switch c.reduction {
 	case plain:
 		count("stored states", r.StatesStored, ref.states)
+		count("stored leaves", r.leaves, ref.leaves)
 		count("generated transitions", r.StatesExplored-1+r.StatesMatched, ref.edges)
 		count("fault transitions", r.FaultTransitionsExplored, ref.faultEdges)
 		if c.strategy != dfs && r.MaxDepthReached != ref.depth {
@@ -533,6 +596,7 @@ func (c cell) check(t *testing.T) {
 		}
 	case sym:
 		count("stored states", r.StatesStored, bound.states)
+		count("stored leaves", r.leaves, bound.leaves)
 	default:
 		if r.StatesStored > bound.states {
 			t.Errorf("stored %d states, more than the unreduced reference's %d", r.StatesStored, bound.states)
@@ -546,15 +610,18 @@ func (c cell) check(t *testing.T) {
 	if r.inspects != r.StatesStored {
 		t.Errorf("%d Inspect calls for %d stored states: Inspect must run once per stored state", r.inspects, r.StatesStored)
 	}
-	if c.strategy == dfs && c.path == keyed && c.store == hash {
+	if c.path == keyed && r.leafKeeps != 0 {
+		t.Errorf("%d Keep calls on a leaf: only a state with transitions is kept", r.leafKeeps)
+	}
+	if c.strategy == dfs && c.path == keyed {
 		// Step once per generated successor, clone once per stored state
-		// but the initial one. Where the memo answers, a successor it
-		// predicted is stepped only if it is new, and a state is kept only
-		// after a real step.
+		// but the initial one and the leaves. Where the memo answers, a
+		// successor it predicted is stepped only if it is new, and a state
+		// is kept only after a real step.
 		generated := r.StatesExplored - 1 + r.StatesMatched
-		if r.keeps != r.StatesStored-1 || r.steps > generated || r.steps < generated-r.predictions {
-			t.Errorf("%d Step and %d Keep calls and %d predictions for %d generated successors and %d stored states",
-				r.steps, r.keeps, r.predictions, generated, r.StatesStored)
+		if r.keeps != r.StatesStored-1-r.leaves || r.steps > generated || r.steps < generated-r.predictions {
+			t.Errorf("%d Step and %d Keep calls and %d predictions for %d generated successors and %d stored states, %d of them leaves",
+				r.steps, r.keeps, r.predictions, generated, r.StatesStored, r.leaves)
 		}
 	}
 	if !c.memoServes() || c.memo == memoOff {
