@@ -1,0 +1,82 @@
+package iotsan_test
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"iotsan"
+	"iotsan/internal/checker"
+	"iotsan/internal/experiments"
+)
+
+// table8Result analyzes the Table 8 system at 5 events, as the
+// benchmark's table8 workloads do, and returns its one related set's
+// search result.
+func table8Result(t *testing.T, opts iotsan.Options) *checker.Result {
+	t.Helper()
+	sys, apps, err := experiments.Table8System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.MaxEvents, opts.NoDepGraph = 5, true
+	rep, err := iotsan.AnalyzeTranslated(sys, apps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Groups) != 1 {
+		t.Fatalf("%d related sets, want 1", len(rep.Groups))
+	}
+	return rep.Groups[0].Result
+}
+
+// TestTable8TrailGolden pins the DFS's Table 8 search at 5 events byte
+// for byte: every counter, then each violation's depth and trail in
+// found order. The matrix compares DFS cells only with each other, so a
+// trail fault shared by every cell passes it; this golden does not.
+//
+// testdata/table8_dfs.golden was written once from dfsOutcome at the
+// commit before trail steps were built lazily (a step appended only for
+// a new frame, a violation's trail only after reserve accepts it). It
+// is never rewritten from later code: a mismatch means the search or
+// its trails changed.
+func TestTable8TrailGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 141k-state search")
+	}
+	t.Parallel()
+	got := dfsOutcome(table8Result(t, iotsan.Options{}))
+	want, err := os.ReadFile(filepath.Join("testdata", "table8_dfs.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := outcomeDiff(got, string(want)); d != "" {
+		t.Fatalf("the Table 8 search differs from its golden run: %s", d)
+	}
+}
+
+// TestReserveCallsTable8 gates the violation fast path: the Table 8
+// search at 5 events raises its 13 distinct violations 236,906 times,
+// and a worker asks the engine's lock-guarded violation set only about
+// a violation it has not seen answered. Both strategies must stay under
+// 1,000 questions; without the per-worker cache every raise is one.
+func TestReserveCallsTable8(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 141k-state searches")
+	}
+	t.Parallel()
+	for _, c := range []struct {
+		name string
+		opts iotsan.Options
+	}{
+		{"dfs", iotsan.Options{}},
+		{"steal-2", iotsan.Options{Strategy: iotsan.StrategySteal, Workers: 2}},
+	} {
+		res := table8Result(t, c.opts)
+		if n, v := res.ReserveCalls(), len(res.Violations); n >= 1000 || v != 13 {
+			t.Errorf("%s: %d reserve calls for %d violations, want under 1,000 for 13", c.name, n, v)
+		} else {
+			t.Logf("%s: %d reserve calls for %d violations", c.name, n, v)
+		}
+	}
+}

@@ -556,7 +556,17 @@ type Result struct {
 	// when it could not be trusted to finish: a Predictor's prediction
 	// disagreed with the real step.
 	Err error
+
+	// reserves counts the search's questions to its shared violation
+	// set (ReserveCalls).
+	reserves int
 }
+
+// ReserveCalls is how many times the search asked its shared,
+// lock-guarded violation set whether a violation was new: once per
+// violation a worker had not already seen answered, so a handful per
+// distinct violation and worker, however many successors raise it.
+func (r *Result) ReserveCalls() int { return r.reserves }
 
 // StoreStats is the per-tier observability of a Tiered-store run. The
 // counters are a function of the digest stream alone, so two runs of

@@ -2,10 +2,12 @@ package checker
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // strategy is a search algorithm over the engine's shared machinery
@@ -111,9 +113,10 @@ type engine struct {
 	// result then carries it alone. Written under mu, first failure wins.
 	err error
 
-	mu       sync.Mutex // guards violations + distinct + err
+	mu       sync.Mutex // guards found, distinct, reserved, reserves and err
 	distinct map[Violation]struct{}
 	reserved int // accepted violations (found lags while trails materialize)
+	reserves int // reserve calls: violations some worker had not seen answered
 	found    []Found
 }
 
@@ -243,45 +246,54 @@ func (e *engine) digest(s State, buf []byte) (digest, []byte) {
 }
 
 // predict asks the Predictor for stub's successor from parent. On an
-// answer it returns the transition as Step would, but with Next nil,
-// and the predicted digest, reduced to what the store probes.
-func (e *engine) predict(x *expander, parent State, stub *Transition) (Transition, digest, bool) {
+// answer it writes the transition into out as Step would, but with Next
+// nil, and returns the predicted digest, reduced to what the store
+// probes; out is the caller's (the DFS's one per-search value, steal's
+// stub slot itself, which out may alias), so nothing is returned by
+// value per successor. Without an answer out is untouched.
+func (e *engine) predict(x *expander, parent State, stub, out *Transition) (digest, bool) {
 	if e.pred == nil {
-		return Transition{}, digest{}, false
+		return digest{}, false
 	}
 	h1, h2, vs, ok := e.pred.Predict(x.scratch, parent, stub)
 	if !ok {
-		return Transition{}, digest{}, false
+		return digest{}, false
 	}
 	d := digest{h1: h1}
 	if e.needH2 {
 		d.h2 = h2
 	}
-	return Transition{Label: stub.Label, Key: stub.Key, Fault: stub.Fault, Violations: vs}, d, true
+	// Field by field: a composite literal would be built on the stack
+	// and block-copied into out, once per successor. out may alias
+	// stub, whose label, key and fault it keeps.
+	label, key, fault := stub.Label, stub.Key, stub.Fault
+	out.Label, out.Steps, out.Key, out.Next, out.Violations, out.Fault = label, nil, key, nil, vs, fault
+	return d, true
 }
 
-// confirm steps stub, whose successor was predicted to have digest d
-// and violations want, once the store has reported that digest new (or,
-// on steal, lowered its depth), and holds the step to the prediction. A
-// disagreement is a model bug that could as well have skipped a new
-// state: confirm sets e.err, naming the transition, unless another
-// worker's failure got there first, and reports false, and the search
-// must stop.
-func (e *engine) confirm(x *expander, parent State, stub *Transition, want []Violation, d digest) (Transition, bool) {
-	tr := e.stp.Step(x.scratch, parent, stub)
+// confirm steps stub, whose successor out holds as predicted (digest d,
+// violations out.Violations), once the store has reported that digest
+// new (or, on steal, lowered its depth): the real step overwrites out
+// and is held to the prediction. A disagreement is a model bug that
+// could as well have skipped a new state: confirm sets e.err, naming
+// the transition, unless another worker's failure got there first, and
+// reports false, and the search must stop.
+func (e *engine) confirm(x *expander, parent State, stub, out *Transition, d digest) bool {
+	want := out.Violations
+	*out = e.stp.Step(x.scratch, parent, stub)
 	var got digest
-	got, x.buf = e.digest(tr.Next, x.buf)
-	if got == d && slices.Equal(tr.Violations, want) {
-		return tr, true
+	got, x.buf = e.digest(out.Next, x.buf)
+	if got == d && slices.Equal(out.Violations, want) {
+		return true
 	}
 	err := fmt.Errorf("checker: transition %q (key %#x): predicted digest %#x with violations %v, the step gives %#x with %v",
-		tr.Label, tr.Key, d.h1, want, got.h1, tr.Violations)
+		out.Label, out.Key, d.h1, want, got.h1, out.Violations)
 	e.mu.Lock()
 	if e.err == nil {
 		e.err = err
 	}
 	e.mu.Unlock()
-	return tr, false
+	return false
 }
 
 // eagerStepper serves a System without the Stepper hook through the
@@ -316,43 +328,134 @@ func (eagerStepper) Keep(_ Scratch, next State) State { return next }
 // system steps successors into, the stub buffer the frontier strategy
 // refills per expansion (the DFS keeps one per stack frame instead) and
 // the one it probes a new successor's transitions into, the
-// state-vector encode buffer, and the worker's counter cell.
+// state-vector encode buffer, the worker's counter cell, and its
+// violation cache.
 type expander struct {
 	scratch Scratch
 	stubs   []Transition
 	probe   []Transition
 	buf     []byte
 	stat    statCell
+	viols   violCache
 }
 
 func (e *engine) newExpander() *expander {
 	return &expander{scratch: e.stp.NewScratch(), buf: make([]byte, 0, 512)}
 }
 
+// violCacheBits is log2 of the slots of a worker's violation cache,
+// which holds at most violCacheMax violations. A search meets a few
+// distinct violations, each typically on thousands of successors.
+const (
+	violCacheBits = 6
+	violCacheMax  = 3 << (violCacheBits - 2)
+)
+
+// violCache remembers, per worker, violations the engine has already
+// answered for — accepted, a duplicate, or refused at the MaxViolations
+// cap. Every such answer is final, because the distinct set only grows
+// and nothing is recorded once the cap is hit, so a hit skips reserve:
+// no engine lock and no map lookup for a repeat. It is a fixed table
+// compared by value, probed linearly from a violation's home slot, in
+// which an empty slot matches nothing, not even Violation{}. Nothing is
+// evicted: a direct-mapped cache measured 20,450 reserve calls instead
+// of 13 on the Table 8 search at 5 events, two of its 13 violations
+// sharing a slot and evicting each other, which 13 keys in 64 slots do
+// about two times in three. Past violCacheMax entries a violation goes
+// to reserve every time, which is slower but as correct.
+type violCache struct {
+	slots [1 << violCacheBits]struct {
+		v    Violation
+		full bool
+	}
+	n int
+}
+
+// violSlot is v's home slot in the cache, from its lengths and the
+// first and last eight bytes of its detail: a few nanoseconds, where
+// hashing both strings whole costs about as much as the lookup it
+// saves. Violations it does not tell apart only probe further.
+func violSlot(v Violation) int {
+	d := v.Detail
+	h := uint64(len(v.Property))<<32 | uint64(len(d))
+	if n := len(d); n >= 8 {
+		h ^= le64(d) ^ bits.RotateLeft64(le64(d[n-8:]), 29)
+	} else {
+		for i := 0; i < n; i++ {
+			h = h<<8 ^ uint64(d[i])
+		}
+	}
+	return int((h * 0x9e3779b97f4a7c15) >> (64 - violCacheBits))
+}
+
+// le64 reads the first eight bytes of s as a little-endian word; the
+// compiler merges the byte loads into one.
+func le64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// sameString is a == b, deciding first by the data pointers: a repeat
+// of a violation usually shares its strings with the cached copy.
+func sameString(a, b string) bool {
+	return len(a) == len(b) && (unsafe.StringData(a) == unsafe.StringData(b) || a == b)
+}
+
+// admit reports whether v is accepted for recording: new to the run and
+// under the MaxViolations cap. A violation x's cache holds was answered
+// for before and is refused without asking; any other goes to reserve,
+// and the answer is cached while the cache has room. A true return
+// obliges the caller to commit.
+func (e *engine) admit(x *expander, v Violation) bool {
+	c := &x.viols
+	i := violSlot(v)
+	for c.slots[i].full { // an empty slot remains: n ≤ violCacheMax
+		if sv := &c.slots[i].v; sameString(sv.Detail, v.Detail) && sameString(sv.Property, v.Property) {
+			return false
+		}
+		i = (i + 1) & (len(c.slots) - 1)
+	}
+	ok := e.reserve(v)
+	if c.n < violCacheMax {
+		c.slots[i].v, c.slots[i].full = v, true
+		c.n++
+	}
+	return ok
+}
+
+// stepOf is the trail step tr takes from from: its replay handle while
+// the trail is lazy, resolved by materialize when a violation commits.
+func stepOf(from State, tr *Transition) TrailStep {
+	return TrailStep{Label: tr.Label, Steps: tr.Steps, From: from, Key: tr.Key}
+}
+
 // record registers a violation if its (property, detail) pair is new,
-// reporting whether it was recorded. The trail is copied. The
-// MaxViolations cap is enforced here, under the lock, so concurrent
-// workers can never overshoot it between their own limit checks.
-//
-// Callers that must pay to construct the trail (the frontier strategy
-// rebuilds it from parent links per violation) should call
-// reserve first and build the trail only for accepted violations —
-// on violation-dense state spaces almost every hit is a duplicate, and
-// constructing trails for them is pure allocation churn.
-func (e *engine) record(v Violation, trail []TrailStep, depth int) bool {
-	if !e.reserve(v) {
+// reporting whether it was recorded. Its trail is trail followed by the
+// pending step tr takes from from (none when tr is nil), built — a
+// fresh copy — only after admit accepts v: on violation-dense state
+// spaces almost every hit is a duplicate, and a trail built for one is
+// pure allocation churn. The MaxViolations cap is enforced in reserve,
+// under the lock, so concurrent workers can never overshoot it between
+// their own limit checks.
+func (e *engine) record(x *expander, v Violation, trail []TrailStep, from State, tr *Transition, depth int) bool {
+	if !e.admit(x, v) {
 		return false
 	}
 	copied := append([]TrailStep(nil), trail...)
+	if tr != nil {
+		copied = append(copied, stepOf(from, tr))
+	}
 	e.commit(v, copied, depth)
 	return true
 }
 
-// recordAll records vs against one trail, consulting the limits after
-// each violation that was new; it reports whether a limit was hit.
-func (e *engine) recordAll(vs []Violation, trail []TrailStep, depth int) bool {
+// recordAll records vs against one trail and pending step (see record),
+// consulting the limits after each violation that was new; it reports
+// whether a limit was hit.
+func (e *engine) recordAll(x *expander, vs []Violation, trail []TrailStep, from State, tr *Transition, depth int) bool {
 	for _, v := range vs {
-		if e.record(v, trail, depth) && e.limitHit() {
+		if e.record(x, v, trail, from, tr, depth) && e.limitHit() {
 			return true
 		}
 	}
@@ -361,9 +464,11 @@ func (e *engine) recordAll(vs []Violation, trail []TrailStep, depth int) bool {
 
 // reserve is phase 1 of recording: dedup + reserve a slot against the
 // MaxViolations cap, under the lock. A true return obliges the caller
-// to commit the violation.
+// to commit the violation. Callers go through admit, which asks only
+// about a violation their worker has not seen answered.
 func (e *engine) reserve(v Violation) bool {
 	e.mu.Lock()
+	e.reserves++
 	if _, dup := e.distinct[v]; dup ||
 		(e.opts.MaxViolations > 0 && e.reserved >= e.opts.MaxViolations) {
 		e.mu.Unlock()
@@ -405,7 +510,11 @@ func (e *engine) materialize(ts []TrailStep) {
 	// replayed from it. A From state is the search's and never recycled.
 	// The trail's last state is left to the collector: recycling it too
 	// measured about 30 % more peak RSS on the benchmark's table8_dfs
-	// workload (2-vCPU Linux VM).
+	// workload (2-vCPU Linux VM). So is a replayed state the next step
+	// does not start from because it carries its own From, as every
+	// step of a DFS trail does: recycling those too raised table8_dfs
+	// peak RSS from 13.2–14.0 MB to about 17 MB in half the runs, for
+	// no time gain.
 	ours := false
 	for i := range ts {
 		if ts[i].From != nil {
@@ -590,7 +699,7 @@ func (e *engine) visitInitial(x *expander) (State, digest) {
 	}
 	e.explored.Add(1)
 	for _, v := range e.sys.Inspect(init) {
-		e.record(v, nil, 0)
+		e.record(x, v, nil, nil, nil, 0)
 	}
 	return init, d
 }
@@ -626,5 +735,7 @@ func (e *engine) finish() *Result {
 		PORPrunedTransitions: int(e.porPruned.Load()),
 
 		FaultTransitionsExplored: int(e.faultTrs.Load()),
+
+		reserves: e.reserves,
 	}
 }

@@ -39,6 +39,10 @@ func (f *dfsStubs) get() []Transition {
 }
 
 func (s sequentialDFS) search(e *engine) {
+	// trail is the path to the top frame: one step per frame but the
+	// root. A successor's step is appended only when it becomes a frame;
+	// until then it is pending (the top frame's state and tr), and a
+	// recorded violation's trail is built from the two.
 	var trail []TrailStep
 	x := e.newExpander()
 	var free dfsStubs
@@ -56,11 +60,18 @@ func (s sequentialDFS) search(e *engine) {
 		stack = []dfsFrame{{state: init, stubs: e.enabled(init, nil, true)}}
 	}
 
+	// tr is the search's one successor: predict and confirm write into
+	// it, Step's result lands in it. matched counts duplicates off the
+	// shared atomic, folded into it at exit and before each checkpoint;
+	// deepest mirrors MaxDepthReached.
+	var tr Transition
+	var matched int64
+	deepest := int(e.maxDepth.Load())
 	for len(stack) > 0 {
 		if e.wal != nil {
 			// Loop top is the one point where the stack invariant holds
 			// for every frame, so it is the only checkpoint site.
-			x.buf = e.wal.maybeCheckpoint(e, stack, x.buf)
+			x.buf = e.wal.maybeCheckpoint(e, stack, &matched, x.buf)
 		}
 		if e.limitHit() {
 			e.truncated.Store(true)
@@ -102,21 +113,23 @@ func (s sequentialDFS) search(e *engine) {
 		// it new (engine.confirm).
 		stub := &top.stubs[top.next]
 		top.next++
-		tr, d, predicted := e.predict(x, top.state, stub)
+		d, predicted := e.predict(x, top.state, stub, &tr)
 		if !predicted {
 			tr = e.stp.Step(x.scratch, top.state, stub)
 		}
 
 		depth := len(stack)
-		trail = append(trail, TrailStep{Label: tr.Label, Steps: tr.Steps, From: top.state, Key: tr.Key})
-		e.noteDepth(depth)
+		if depth > deepest {
+			deepest = depth
+			e.noteDepth(depth)
+		}
 		// Admission order (shared with expandState): edge violations for
 		// every successor, then digest → store, and only a state the store
 		// reports new is inspected, counted and, unless it is a leaf, kept
 		// and expanded. A duplicate's state violations were reserved when
 		// its first copy was admitted (System.Inspect is a function of the
 		// encoding), so skipping them changes no verdict.
-		if e.recordAll(tr.Violations, trail, depth) {
+		if e.recordAll(x, tr.Violations, trail, top.state, &tr, depth) {
 			e.truncated.Store(true)
 			break
 		}
@@ -125,8 +138,7 @@ func (s sequentialDFS) search(e *engine) {
 			d, x.buf = e.digest(tr.Next, x.buf)
 		}
 		if e.st.seen(d) {
-			e.matched.Add(1)
-			trail = trail[:len(trail)-1]
+			matched++
 			if e.dupRec != nil {
 				// An eager duplicate child never enters the stack, the
 				// trail, or a recorded violation — its storage is
@@ -136,17 +148,14 @@ func (s sequentialDFS) search(e *engine) {
 			}
 			continue
 		}
-		if predicted {
-			var ok bool
-			if tr, ok = e.confirm(x, top.state, stub, tr.Violations, d); !ok {
-				break
-			}
+		if predicted && !e.confirm(x, top.state, stub, &tr, d) {
+			break
 		}
 		e.logVisit(d)
 		// A new successor is inspected and its transitions listed while
 		// it is still borrowed; only one with transitions is kept, and
 		// the listed stubs become its frame's.
-		if e.recordAll(e.sys.Inspect(tr.Next), trail, depth) {
+		if e.recordAll(x, e.sys.Inspect(tr.Next), trail, top.state, &tr, depth) {
 			e.truncated.Store(true)
 			break
 		}
@@ -162,15 +171,16 @@ func (s sequentialDFS) search(e *engine) {
 			if stubs != nil {
 				free = append(free, stubs)
 			}
-			trail = trail[:len(trail)-1]
 			if e.dupRec != nil {
 				e.dupRec.Recycle(tr.Next)
 				top.stubs[top.next-1].Next = nil
 			}
 			continue
 		}
+		trail = append(trail, stepOf(top.state, &tr))
 		stack = append(stack, dfsFrame{state: e.stp.Keep(x.scratch, tr.Next), stubs: stubs})
 	}
+	e.matched.Add(matched)
 }
 
 // resumeDFS rebuilds a checkpointed search. The rebuild is pure —
@@ -228,7 +238,7 @@ func resumeDFS(e *engine, x *expander) ([]dfsFrame, []TrailStep) {
 			}
 			scratch = recon
 		}
-		trail = append(trail, TrailStep{Label: tr.Label, Steps: tr.Steps, From: parent.state, Key: tr.Key})
+		trail = append(trail, stepOf(parent.state, &tr))
 		stack = append(stack, dfsFrame{state: child, stubs: e.enabled(child, nil, false), next: fr.Next})
 	}
 

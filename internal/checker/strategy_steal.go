@@ -447,18 +447,19 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 	var prefix []TrailStep // parent trail, reconstructed lazily
 	havePrefix := false
 	record := func(v Violation, tr *Transition) bool {
-		// Reserve before constructing anything: on violation-dense
-		// state spaces nearly every hit is a duplicate, and the trail
-		// walk + copy for a rejected violation is wasted allocation.
-		if !e.reserve(v) {
+		// Admit before constructing anything: on violation-dense
+		// state spaces nearly every hit is a duplicate, which the
+		// worker's violation cache refuses without the engine lock, and
+		// the trail walk + copy for a rejected violation is wasted
+		// allocation.
+		if !e.admit(x, v) {
 			return false
 		}
 		if !havePrefix {
 			prefix = links.trailTo(h1, c.r.root)
 			havePrefix = true
 		}
-		trail := append(append([]TrailStep(nil), prefix...),
-			TrailStep{Label: tr.Label, Steps: tr.Steps, From: state, Key: tr.Key})
+		trail := append(append([]TrailStep(nil), prefix...), stepOf(state, tr))
 		e.commit(v, trail, depth)
 		return true
 	}
@@ -471,10 +472,8 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 		// object per successor). A prediction keeps the stub's label and
 		// key, all confirm steps by.
 		tr := &x.stubs[i]
-		p, d, predicted := e.predict(x, state, tr)
-		if predicted {
-			*tr = p
-		} else {
+		d, predicted := e.predict(x, state, tr, tr)
+		if !predicted {
 			*tr = e.stp.Step(x.scratch, state, tr)
 			d, x.buf = e.digest(tr.Next, x.buf)
 		}
@@ -489,13 +488,9 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 		if count {
 			x.stat.generated++
 		}
-		if predicted && (fresh || improved) {
-			real, ok := e.confirm(x, state, tr, tr.Violations, d)
-			if !ok {
-				e.truncated.Store(true)
-				return false
-			}
-			*tr = real
+		if predicted && (fresh || improved) && !e.confirm(x, state, tr, tr, d) {
+			e.truncated.Store(true)
+			return false
 		}
 		if !fresh {
 			if improved && c.expandable(tr.Next) {

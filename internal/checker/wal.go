@@ -224,11 +224,15 @@ func (w *wal) writeRecord(typ byte, payload []byte) error {
 // the DFS loop, where the stack invariant (child of frame i is
 // stubs[next-1]) holds. A failure disarms the WAL rather than the
 // search, and the error is reported in StoreStats.CheckpointErr.
-func (w *wal) maybeCheckpoint(e *engine, stack []dfsFrame, buf []byte) []byte {
+// matched is the DFS's count of duplicates not yet folded into
+// e.matched; a checkpoint folds it first.
+func (w *wal) maybeCheckpoint(e *engine, stack []dfsFrame, matched *int64, buf []byte) []byte {
 	explored := e.explored.Load()
 	if explored-w.lastCkptExplored < int64(w.every) {
 		return buf
 	}
+	e.matched.Add(*matched)
+	*matched = 0
 	seq := w.seq + 1
 
 	// V batch: uvarint seq, uvarint count, count × (h1, h2) LE pairs.
