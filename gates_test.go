@@ -464,7 +464,7 @@ func TestFaultOfflineOrbitSplit(t *testing.T) {
 // valuationSystem runs the valuation check as the engine's Inspect (one
 // worker only: the check is not safe for concurrent use).
 type valuationSystem struct {
-	keyedEngineSystem
+	memoEngineSystem
 	o *valuation
 }
 
@@ -479,7 +479,9 @@ func (v valuationSystem) Inspect(s checker.State) []checker.Violation {
 // under 2 % of the stored states, and re-evaluates under a quarter of the
 // atoms. It clones out only the stored states it will expand: 28,301
 // Keep calls, one per stored state but the initial one and the 113,070
-// leaves the walk finds.
+// leaves the walk finds. And it runs under 1,000 handler cascades: at
+// least 140,000 of its steps are splices from the transition memo, whose
+// atoms the valuation check then covers.
 func TestInspectCountersTable8(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("a 141k-state search and an independent walk of the same graph")
@@ -538,6 +540,10 @@ func TestInspectCountersTable8(t *testing.T) {
 		t.Errorf("%d Keep calls for %d stored states, %d of them leaves: want %d, and Table 8 at 5 events 28,301",
 			keeps, stored, leaves, stored-1-leaves)
 	}
+	steps, splices := int(cs.steps.Load()), int(cs.splices.Load())
+	if steps-splices > 1_000 || splices < 140_000 {
+		t.Errorf("%d Step calls, %d of them splices: want at most 1,000 handler cascades and at least 140,000 splices", steps, splices)
+	}
 	if decided != len(words) {
 		t.Errorf("%d verdicts decided, the walk met %d distinct valuations", decided, len(words))
 	}
@@ -547,8 +553,8 @@ func TestInspectCountersTable8(t *testing.T) {
 	if budget := len(o.table.Atoms) * stored; o.evaluated*4 > budget {
 		t.Errorf("%d atoms evaluated, over a quarter of %d atoms × %d states", o.evaluated, len(o.table.Atoms), stored)
 	}
-	t.Logf("%d states, %d violations: %d verdicts decided (%.2f %% of states), %d atoms evaluated (%.1f per state)",
-		stored, len(res.Violations), decided, 100*float64(decided)/float64(stored), o.evaluated, float64(o.evaluated)/float64(stored))
+	t.Logf("%d states, %d violations: %d verdicts decided (%.2f %% of states), %d atoms evaluated (%.1f per state), %d steps, %d spliced",
+		stored, len(res.Violations), decided, 100*float64(decided)/float64(stored), o.evaluated, float64(o.evaluated)/float64(stored), steps, splices)
 }
 
 // TestInspectValuationTable9 runs the walker's valuation check over

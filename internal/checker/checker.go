@@ -140,12 +140,17 @@ type Scratch any
 // digest the visited store has already seen; a successor the search
 // keeps is stepped for real, and a digest or violation list that
 // differs from the prediction fails the run (Result.Err), because a
-// wrong prediction could as well have skipped a new state. Every
-// stored state, and every Keep, therefore still comes from a real
-// Step. The violations are borrowed: valid until the next Predict or
-// Keep on sc, so the Step that confirms a prediction can be held to
-// them. Both strategies adopt the hook where their digest is the raw
-// IncrementalDigest: with HasIncremental true and no symmetry fold.
+// wrong prediction could as well have skipped a new state. The Step
+// that confirms a prediction need not run the transition: the model may
+// splice the successor from what an earlier Step of the same prediction
+// wrote, once that Step was itself confirmed. So every stored state, and
+// every Keep, comes from a real Step or from such a splice — a state
+// like any other, whose digest and violations the engine checks as it
+// checks a real Step's. The violations are borrowed: valid until the
+// next Predict or Keep on sc, so the Step that confirms a prediction can
+// be held to them. Both strategies adopt the hook where their digest is
+// the raw IncrementalDigest: with HasIncremental true and no symmetry
+// fold.
 type Predictor interface {
 	Predict(sc Scratch, parent State, stub *Transition) (h1, h2 uint64, viols []Violation, ok bool)
 }

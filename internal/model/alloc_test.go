@@ -279,6 +279,42 @@ func TestStepDuplicateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSpliceZeroAlloc is the allocation gate for the confirming step of
+// a prediction the memo has confirmed before: predicting each successor
+// of a state and stepping it — every step a splice of captured blocks
+// (Scratch.splice) — and digesting it performs zero heap allocations.
+func TestSpliceZeroAlloc(t *testing.T) {
+	m := cascadeModelOpts(t, Options{MaxEvents: 3, Incremental: true})
+	sc := m.NewScratch()
+	root := m.Initial()
+	m.IncrementalDigest(root, false)
+	stubs := m.Enabled(root, nil)
+	first := sc.Step(root, &stubs[0])
+	m.IncrementalDigest(first.Next.(*State), false)
+	parent := sc.Keep() // a step from the initial state is not recorded
+
+	steps := 0
+	run := func() {
+		stubs = m.Enabled(parent, stubs[:0])
+		for i := range stubs {
+			sc.Predict(parent, &stubs[i])
+			tr := sc.Step(parent, &stubs[i])
+			m.IncrementalDigest(tr.Next.(*State), false)
+			steps++
+		}
+	}
+	run() // record
+	run() // first use: step, and capture
+	run() // first splice: re-hash
+	steps0, splices0 := steps, sc.Splices()
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Errorf("predict + splice + digest allocates %.2f times per expansion, want 0", allocs)
+	}
+	if n := sc.Splices() - splices0; steps == steps0 || n != steps-steps0 {
+		t.Errorf("%d of %d steps spliced: want every step of the measured expansions", n, steps-steps0)
+	}
+}
+
 // TestReducedStepZeroAlloc is the reduced-path twin of
 // TestStepDuplicateZeroAlloc: expanding a queue-drain state of the
 // concurrent interchangeable-device model — list its transitions,

@@ -164,17 +164,18 @@ func (t *AtomTable) settle(s *State) uint64 {
 }
 
 // staleTouched withdraws the freshness of every atom that reads a block
-// in s's dirty mask: the blocks a transition into s wrote, on top of
-// whatever was already stale on the state it started from. Only ever
-// clears bits, so an atom nobody settled on the parent stays stale on
-// the child. Without a block cache nothing records what was written and
-// every atom goes stale.
-func (t *AtomTable) staleTouched(s *State) {
-	if s.dirtyMask == nil {
+// in written: the blocks a transition into s wrote — its dirty mask
+// after a real step, the spliced blocks after a splice (Scratch.splice)
+// — on top of whatever was already stale on the state it started from.
+// Only ever clears bits, so an atom nobody settled on the parent stays
+// stale on the child. Without a block cache nothing records what was
+// written (written is nil) and every atom goes stale.
+func (t *AtomTable) staleTouched(s *State, written []uint64) {
+	if written == nil {
 		s.atomFresh = 0
 		return
 	}
-	for wi, word := range s.dirtyMask {
+	for wi, word := range written {
 		for ; word != 0; word &= word - 1 {
 			if b := wi<<6 + bits.TrailingZeros64(word); b < len(t.readers) {
 				s.atomFresh &^= t.readers[b]

@@ -429,7 +429,7 @@ func (x *executor) inspectIntermediate() {
 		return
 	}
 	if x.m.atoms != nil {
-		x.m.atoms.staleTouched(x.s)
+		x.m.atoms.staleTouched(x.s, x.s.dirtyMask)
 	}
 	x.viols = append(x.viols, x.m.Inspect(x.s)...)
 }

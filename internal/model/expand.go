@@ -26,9 +26,11 @@ import (
 // Step runs one of them in the calling worker's Scratch, and Keep
 // clones the result out only when the visited store admitted it (see
 // scratch.go). Predict lets the engine skip the Step of a successor
-// whose digest a scratch's transition memo can tell (memo.go). The
-// model's reducer reads only len(trs) and the state, as the hook
-// requires.
+// whose digest a scratch's transition memo can tell, and the Step that
+// confirms a prediction is served from the same memo: once an entry's
+// first confirming Step has run for real, later ones splice the blocks
+// it wrote onto the parent and run no handler (memo.go). The model's
+// reducer reads only len(trs) and the state, as the hook requires.
 func (m *Model) System() checker.System { return sysAdapter{m} }
 
 type sysAdapter struct{ m *Model }
@@ -366,7 +368,7 @@ func (m *Model) faultLabel(s *State, op, idx int) string {
 func (m *Model) step(ns *State, x *executor, key uint64, label string, record bool, tr *checker.Transition) bool {
 	ok := m.apply(ns, x, key, label, record, tr)
 	if ok && m.atoms != nil {
-		m.atoms.staleTouched(ns)
+		m.atoms.staleTouched(ns, ns.dirtyMask)
 	}
 	return ok
 }

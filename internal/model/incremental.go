@@ -221,29 +221,29 @@ func splitmix64(h uint64) uint64 {
 	return h
 }
 
-// refreshBlocks re-encodes every dirty block into a pooled scratch
+// refreshBlocks re-encodes every dirty block into a pooled encode
 // buffer and updates its cached hash and the state's fold, clearing the
-// dirty mask. A refreshed block counts as touched: its cache entry now
-// differs from the one a scratch inherited. No-op (and allocation-free)
-// on clean or cache-less states.
-//
-//iotsan:digest-funnel
+// dirty mask (refreshDirty). No-op (and allocation-free) on clean or
+// cache-less states. A scratch refreshes its working state with its own
+// buffer instead (Scratch.refresh), so the successor path takes nothing
+// from the pool.
 func (m *Model) refreshBlocks(s *State) {
-	if s.dirtyMask == nil {
-		return
-	}
-	anyDirty := false
-	for _, w := range s.dirtyMask {
-		if w != 0 {
-			anyDirty = true
-			break
-		}
-	}
-	if !anyDirty {
+	if s.cacheSettled() {
 		return
 	}
 	bp := m.encBufs.Get().(*[]byte)
-	buf := *bp
+	*bp = refreshDirty(s, *bp)
+	m.encBufs.Put(bp)
+}
+
+// refreshDirty re-encodes every dirty block of s into buf, swaps its
+// hash into the cache and its terms into the fold, and clears the dirty
+// mask; it returns buf, grown as needed. A refreshed block counts as
+// touched: its cache entry now differs from the one a scratch
+// inherited.
+//
+//iotsan:digest-funnel
+func refreshDirty(s *State, buf []byte) []byte {
 	nDev, nApp := len(s.Devices), len(s.Apps)
 	for wi, word := range s.dirtyMask {
 		for word != 0 {
@@ -266,8 +266,7 @@ func (m *Model) refreshBlocks(s *State) {
 		}
 		s.dirtyMask[wi] = 0
 	}
-	*bp = buf
-	m.encBufs.Put(bp)
+	return buf
 }
 
 // IncrementalDigest returns the engine digest of s computed from the

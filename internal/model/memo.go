@@ -6,9 +6,10 @@ import (
 	"slices"
 
 	"iotsan/internal/checker"
+	"iotsan/internal/ir"
 )
 
-// Transition memo: step by lookup.
+// Transition memo: step by lookup, apply by lookup.
 //
 // Most successors a search generates are duplicates, and each still
 // runs its whole cascade and re-hashes what it wrote before the visited
@@ -27,9 +28,27 @@ import (
 //
 // Predict then returns a successor's digest and edge violations with
 // one table probe per footprint shape the stub has shown, and the
-// engine skips Step for a successor the store has already seen. A
-// successor the store reports new is still stepped for real, and the
-// engine requires its digest to equal the prediction.
+// engine skips Step for a successor the store has already seen.
+//
+// A successor the store reports new is stepped: the engine calls Step
+// and requires the digest and violations it gives to equal the
+// prediction (checker.Predictor). The same argument licenses storing
+// the written contents too, so a confirming Step is served three ways
+// over an entry's life:
+//
+//   - first use: the scratch steps for real, and once the step is
+//     settled the memo captures every block it wrote — contents and
+//     hash — into flat arenas (capture), so the engine's check of this
+//     step is the check of what was captured;
+//   - second use: the scratch splices the captured contents onto the
+//     parent and re-hashes them (Scratch.splice), so the engine's check
+//     now holds the captured bytes themselves to the prediction;
+//   - every later use: the splice copies the captured hashes too and
+//     sets the fold to the prediction. No handler runs and nothing is
+//     encoded.
+//
+// An entry that writes a dynamic (KV-map) app is never captured and
+// keeps being stepped.
 //
 // The header is keyed field by field. Mode is keyed when the step read
 // or changed it. EventsUsed is keyed only when a handler read the clock
@@ -43,11 +62,11 @@ import (
 // with Incremental on, without Faults or InspectCascade (whose
 // mid-cascade Inspect reads the whole state), and for keyed stubs (a
 // keyless timer records its steps, which a prediction cannot give). The
-// engine asks only on the DFS and without a symmetry fold (a canonical
-// digest is not a fold of raw block hashes), and a scratch it never
-// asks records nothing. Steps from the initial state are not recorded,
-// so a one-event search does no memo work, and nothing is allocated
-// before the first recording.
+// engine asks on either strategy, but not under a symmetry fold (a
+// canonical digest is not a fold of raw block hashes), and a scratch it
+// never asks records nothing. Steps from the initial state are not
+// recorded, so a one-event search does no memo work, and nothing is
+// allocated before the first recording.
 
 // Header fields a transition read (executor.hdrReads).
 const (
@@ -66,8 +85,9 @@ func (x *executor) readBlock(b int) {
 // read of block-backed State storage in transition code — an executor
 // method, or a function annotated //iotsan:transition — must be paired
 // with the matching helper in the same function. A missed read is a
-// memo key too short: the memo would predict the successor of a parent
-// that differs from the recorded one in the unmarked block. The
+// memo key too short: the memo would predict, and splice, the successor
+// of a parent that differs from the recorded one in the unmarked block.
+// The
 // //iotsan:reads annotations teach the readmark analyzer
 // (internal/analysis) the read→helper map.
 
@@ -113,14 +133,29 @@ type memo struct {
 	hashes      []uint64 // every entry's parent block hashes, in its shape's block order
 	viols       []checker.Violation
 
-	reads  []uint64 // the executor's read mask while a step records
-	blocks []int32  // a recording's footprint, reused
-	pt     parentTerms
+	// The captured contents of every entry's written blocks (capture):
+	// one memoBlock per block, its contents in the arena of its kind.
+	blocks  []memoBlock
+	cattrs  []int16
+	cslots  []ir.Value
+	ctimers []Timer
+	cqueue  []Pending
+	ccmds   []CmdRec
+
+	reads     []uint64 // the executor's read mask while a step records
+	footprint []int32  // a recording's footprint, reused
+	pt        parentTerms
 
 	// hitSerial and hitKey name the last (parent, stub) Predict answered
-	// for: the engine steps it only to confirm the prediction, and the
-	// memo already holds the entry that step would record.
+	// for: the engine steps it only to confirm the prediction. hitEntry
+	// is the entry Predict answered from, and hitMode, hitHeader and
+	// hitFold the successor's mode, header-block hash and digest, which a
+	// splice installs.
 	hitSerial, hitKey uint64
+	hitEntry          int32
+	hitMode           uint8
+	hitHeader         uint64
+	hitFold           [2]uint64
 }
 
 // memoShape is one footprint a stub's steps have shown: the blocks they
@@ -143,23 +178,55 @@ type memoEntry struct {
 	nViols int32
 	mode   uint8 // the parent's mode, when the shape keys it
 	next   uint8 // the successor's mode
+	use    uint8 // how the next confirming Step is served: memoStep, memoRehash, memoSplice or memoNever
+	// The written blocks, once captured: blocks[content : content+nContent].
+	content, nContent int32
+}
+
+// How an entry's next confirming Step is served.
+const (
+	memoStep   = iota // stepped for real, and captured once settled
+	memoRehash        // spliced, with the captured blocks re-hashed
+	memoSplice        // spliced, with the captured hashes
+	memoNever         // stepped for real: the entry writes what a splice does not copy
+)
+
+// memoBlock is one block a captured entry writes: its index and hash
+// after the step, and where its contents sit in the memo's arenas.
+type memoBlock struct {
+	hash   uint64
+	b      int32
+	off, n int32 // device attrs, app slots, queue or command-log window
+	toff   int32 // an app's timers: ctimers[toff : toff+tn]
+	tn     int32
+	last   int  // a device's LastReport
+	flag   bool // a device's Online, an app's Unsubscribed
+	ref    bool // an app's devRefMask bit
 }
 
 // parentTerms caches the fold terms that depend on the parent, keyed by
 // its serial: states are recycled, so a pointer could name another
 // state later.
 type parentTerms struct {
-	serial uint64
-	base   [2]uint64 // the parent's fold without its header and command-log terms
-	same   [2]uint64 // the header term of a successor that keeps the parent's mode
+	serial     uint64
+	base       [2]uint64 // the parent's fold without its header and command-log terms
+	same       [2]uint64 // the header term of a successor that keeps the parent's mode
+	sameHeader uint64    // and that successor's header-block hash
+}
+
+// confirming returns the entry the last Predict answered from, when
+// the step of stub from p is the one it answered for, and nil otherwise.
+// A step is confirming once: the answer is spent.
+func (mm *memo) confirming(p *State, stub *checker.Transition) *memoEntry {
+	if p.serial == 0 || p.serial != mm.hitSerial || stub.Key != mm.hitKey {
+		return nil
+	}
+	mm.hitSerial = 0
+	return &mm.entries[mm.hitEntry]
 }
 
 // records reports whether the step of stub from p is to be recorded.
 func (mm *memo) records(p *State, stub *checker.Transition) bool {
-	if p.serial != 0 && p.serial == mm.hitSerial && stub.Key == mm.hitKey {
-		mm.hitSerial = 0
-		return false
-	}
 	return mm.armed && stub.Key&keyMark != 0 && p.EventsUsed > 0 && len(mm.entries) < memoCap && p.cacheSettled()
 }
 
@@ -202,9 +269,10 @@ func (mm *memo) readMask(m *Model, hw int) []uint64 {
 
 // Predict returns the digest and edge violations of stub's successor
 // from p, when the scratch's memo holds a transition whose footprint p
-// matches. The violations are the memo's storage, valid until the next
-// Step on this scratch. It never predicts where the memo does not run;
-// its first call arms recording.
+// matches. The violations are the memo's storage, lent as
+// checker.Predictor lends them: valid until the next Predict or Keep on
+// this scratch. It never predicts where the memo does not run; its first
+// call arms recording.
 func (sc *Scratch) Predict(p *State, stub *checker.Transition) (h1, h2 uint64, viols []checker.Violation, ok bool) {
 	mm := &sc.memo
 	if !mm.on || stub.Key&keyMark == 0 {
@@ -219,20 +287,25 @@ func (sc *Scratch) Predict(p *State, stub *checker.Transition) (h1, h2 uint64, v
 		return 0, 0, nil, false
 	}
 	for si := mm.heads[slot]; si != 0; si = mm.shapes[si-1].next {
-		e := mm.find(mm.fingerprint(stub.Key, si, p), stub.Key, si, p)
-		if e == nil {
+		ei := mm.find(mm.fingerprint(stub.Key, si, p), stub.Key, si, p)
+		if ei < 0 {
 			continue
 		}
+		e := &mm.entries[ei]
 		t := mm.parentTerms(p)
-		hdr := t.same
+		hdr, hh, mode := t.same, t.sameHeader, p.Mode
 		if mm.shapes[si-1].mode && e.next != p.Mode {
-			hdr = headerTerms(e.next, p.EventsUsed+1, p.FaultsUsed)
+			mode = e.next
+			hh = headerHash(mode, p.EventsUsed+1, p.FaultsUsed)
+			hdr[0], hdr[1] = foldTerms(0, hh)
 		}
 		if e.nViols > 0 {
 			viols = mm.viols[e.viols : e.viols+e.nViols : e.viols+e.nViols]
 		}
-		mm.hitSerial, mm.hitKey = p.serial, stub.Key
-		return t.base[0] + e.delta[0] + hdr[0], t.base[1] + e.delta[1] + hdr[1], viols, true
+		h1, h2 = t.base[0]+e.delta[0]+hdr[0], t.base[1]+e.delta[1]+hdr[1]
+		mm.hitSerial, mm.hitKey, mm.hitEntry = p.serial, stub.Key, ei
+		mm.hitMode, mm.hitHeader, mm.hitFold = mode, hh, [2]uint64{h1, h2}
+		return h1, h2, viols, true
 	}
 	return 0, 0, nil, false
 }
@@ -241,7 +314,7 @@ func (sc *Scratch) Predict(p *State, stub *checker.Transition) (h1, h2 uint64, v
 // state with its blocks refreshed, under key, unless the memo holds it.
 func (mm *memo) record(s, p *State, key uint64, x *executor, viols []checker.Violation) {
 	cmds := s.cmdsBlock()
-	blocks := mm.blocks[:0]
+	blocks := mm.footprint[:0]
 	for wi, w := range s.touchMask {
 		for w |= mm.reads[wi]; w != 0; w &= w - 1 {
 			if b := wi<<6 + bits.TrailingZeros64(w); b != 0 && b != cmds {
@@ -249,10 +322,10 @@ func (mm *memo) record(s, p *State, key uint64, x *executor, viols []checker.Vio
 			}
 		}
 	}
-	mm.blocks = blocks
+	mm.footprint = blocks
 	si := mm.shape(key, blocks, x.hdrReads&readModeBit != 0 || s.Mode != p.Mode, x.hdrReads&readNowBit != 0)
 	fp := mm.fingerprint(key, si, p)
-	if mm.find(fp, key, si, p) != nil {
+	if mm.find(fp, key, si, p) >= 0 {
 		return
 	}
 	e := memoEntry{stub: key, fp: fp, shape: si, hashes: int32(len(mm.hashes)), events: p.EventsUsed, mode: p.Mode, next: s.Mode}
@@ -272,6 +345,60 @@ func (mm *memo) record(s, p *State, key uint64, x *executor, viols []checker.Vio
 	mm.viols = append(mm.viols, viols...)
 	mm.entries = append(mm.entries, e)
 	mm.insert(fp)
+}
+
+// capture stores what the step just taken wrote into s, the scratch's
+// working state with its blocks refreshed, as the contents of entry e,
+// which that step was the first use of: every written block but the
+// header — contents, hash and, for an app, its device-reference bit —
+// and the command-log block always, since a splice must clear the
+// parent's log whether or not this step wrote it. An entry that writes a
+// dynamic app, whose KV map a splice does not copy, is left to be
+// stepped. (Fault state — Reported, InFlight — needs no copy: the memo
+// does not run under Faults.)
+func (mm *memo) capture(m *Model, s *State, e *memoEntry) {
+	e.use = memoNever
+	nDev, nApp, cmds := len(s.Devices), len(s.Apps), s.cmdsBlock()
+	for wi, w := range s.touchMask {
+		for ; w != 0; w &= w - 1 {
+			if b := wi<<6 + bits.TrailingZeros64(w); b > nDev && b <= nDev+nApp && m.Apps[b-1-nDev].StateIdx == nil {
+				return
+			}
+		}
+	}
+	e.content = int32(len(mm.blocks))
+	for wi, w := range s.touchMask {
+		for ; w != 0; w &= w - 1 {
+			b := wi<<6 + bits.TrailingZeros64(w)
+			if b == 0 || b == cmds {
+				continue
+			}
+			cb := memoBlock{hash: s.blockHash[b], b: int32(b)}
+			switch {
+			case b <= nDev:
+				d := &s.Devices[b-1]
+				cb.flag, cb.last, cb.off = d.Online, d.LastReport, int32(len(mm.cattrs))
+				mm.cattrs = append(mm.cattrs, d.Attrs...)
+			case b <= nDev+nApp:
+				a := &s.Apps[b-1-nDev]
+				cb.flag, cb.ref = a.Unsubscribed, s.appHasDevRef(b-1-nDev)
+				cb.off, cb.n = int32(len(mm.cslots)), int32(len(a.Slots))
+				for _, v := range a.Slots {
+					mm.cslots = append(mm.cslots, v.Clone())
+				}
+				cb.toff, cb.tn = int32(len(mm.ctimers)), int32(len(a.Timers))
+				mm.ctimers = append(mm.ctimers, a.Timers...)
+			default: // the queue
+				cb.off, cb.n = int32(len(mm.cqueue)), int32(len(s.Queue))
+				mm.cqueue = append(mm.cqueue, s.Queue...)
+			}
+			mm.blocks = append(mm.blocks, cb)
+		}
+	}
+	mm.blocks = append(mm.blocks, memoBlock{hash: s.blockHash[cmds], b: int32(cmds), off: int32(len(mm.ccmds)), n: int32(len(s.Cmds))})
+	mm.ccmds = append(mm.ccmds, s.Cmds...)
+	e.nContent = int32(len(mm.blocks)) - e.content
+	e.use = memoRehash
 }
 
 // shape returns the 1-based index of key's shape over blocks, adding it
@@ -309,8 +436,9 @@ func (mm *memo) fingerprint(key uint64, si int32, p *State) uint64 {
 	return splitmix64(h)
 }
 
-// find returns the entry of shape si of stub key whose key p matches.
-func (mm *memo) find(fp, key uint64, si int32, p *State) *memoEntry {
+// find returns the index of the entry of shape si of stub key whose key
+// p matches, or -1.
+func (mm *memo) find(fp, key uint64, si int32, p *State) int32 {
 	sh := &mm.shapes[si-1]
 	mask := uint64(len(mm.slots) - 1)
 	for i := fp & mask; mm.slots[i] != 0; i = (i + 1) & mask {
@@ -319,10 +447,10 @@ func (mm *memo) find(fp, key uint64, si int32, p *State) *memoEntry {
 			continue
 		}
 		if mm.keyMatches(e, sh, p) {
-			return e
+			return mm.slots[i] - 1
 		}
 	}
-	return nil
+	return -1
 }
 
 func (mm *memo) keyMatches(e *memoEntry, sh *memoShape, p *State) bool {
@@ -367,16 +495,16 @@ func (mm *memo) parentTerms(p *State) *parentTerms {
 	h1, h2 := foldTerms(0, p.blockHash[0])
 	c1, c2 := foldTerms(c, p.blockHash[c])
 	t.base = [2]uint64{p.fold[0] - h1 - c1, p.fold[1] - h2 - c2}
-	t.same = headerTerms(p.Mode, p.EventsUsed+1, p.FaultsUsed)
+	t.sameHeader = headerHash(p.Mode, p.EventsUsed+1, p.FaultsUsed)
+	t.same[0], t.same[1] = foldTerms(0, t.sameHeader)
 	t.serial = p.serial
 	return t
 }
 
-// headerTerms returns the fold terms of a header holding these fields.
+// headerHash returns the hash of a header block holding these fields.
 //
 //iotsan:digest-funnel
-func headerTerms(mode uint8, events int, faults int32) [2]uint64 {
+func headerHash(mode uint8, events int, faults int32) uint64 {
 	var b [1 + 2*binary.MaxVarintLen64]byte
-	t1, t2 := foldTerms(0, fnv1a64(appendHeader(b[:0], mode, events, faults)))
-	return [2]uint64{t1, t2}
+	return fnv1a64(appendHeader(b[:0], mode, events, faults))
 }

@@ -1,7 +1,11 @@
 package model
 
 import (
+	"bytes"
+	"fmt"
 	"math/bits"
+	"slices"
+	"sync/atomic"
 
 	"iotsan/internal/checker"
 )
@@ -39,11 +43,19 @@ type Scratch struct {
 
 	nextSerial, endSerial uint64 // the block of serials drawn from the model
 
-	fullSyncs int
+	fullSyncs, splices int
+
+	// enc is the encode buffer the working state's blocks are re-hashed
+	// in after a step (refresh): the successor path takes nothing from
+	// the model's pool.
+	enc []byte
 
 	// memo predicts the digests of transitions like ones this scratch
-	// has stepped (memo.go).
+	// has stepped, and splices the successors it has confirmed (memo.go).
 	memo memo
+
+	// check re-steps every splice (CheckSplices); nil in a search.
+	check *spliceCheck
 }
 
 // FullSyncs returns how many times a Step had to copy the whole parent
@@ -51,6 +63,10 @@ type Scratch struct {
 // search makes one (the root); the frontier strategy one per
 // expansion whose parent is not the state kept last.
 func (sc *Scratch) FullSyncs() int { return sc.fullSyncs }
+
+// Splices returns how many Steps the scratch served from its memo
+// without running a handler (splice); the rest ran their cascade.
+func (sc *Scratch) Splices() int { return sc.splices }
 
 // serialBlock is how many serials a scratch draws from the model's
 // counter at a time, keeping the shared atomic off the per-state path.
@@ -64,6 +80,9 @@ func (m *Model) NewScratch() *Scratch {
 	sc := &Scratch{m: m, s: s, x: m.newExecutor(), hw: hw}
 	o := &m.Opts
 	sc.memo.on = o.Design == Sequential && o.Incremental && !o.Faults && !o.InspectCascade
+	if sc.memo.on && spliceChecks.Load() {
+		sc.check = &spliceCheck{}
+	}
 	return sc
 }
 
@@ -74,7 +93,8 @@ func (m *Model) NewScratch() *Scratch {
 // inspected and listed (Enabled, Reduce) like any state — the caches
 // those settle are re-synced from the parent by the next Step — but
 // must not be retained, recycled or written otherwise: Keep is how a
-// successor outlives the window.
+// successor outlives the window. A step whose successor the memo has
+// confirmed is spliced rather than run (splice); it is the same state.
 func (sc *Scratch) Step(parent *State, stub *checker.Transition) (tr checker.Transition) {
 	sc.step(parent, stub, &tr)
 	return tr
@@ -82,15 +102,97 @@ func (sc *Scratch) Step(parent *State, stub *checker.Transition) (tr checker.Tra
 
 func (sc *Scratch) step(parent *State, stub *checker.Transition, tr *checker.Transition) {
 	sc.syncTo(parent)
-	if !sc.memo.records(parent, stub) {
-		sc.m.step(sc.s, sc.x, stub.Key, stub.Label, false, tr)
+	mm := &sc.memo
+	e := mm.confirming(parent, stub)
+	if e != nil && (e.use == memoRehash || e.use == memoSplice) {
+		sc.splice(parent, stub, e, tr)
 		return
 	}
-	sc.x.reads, sc.x.hdrReads = sc.memo.readMask(sc.m, sc.hw), 0
+	record := e == nil && mm.records(parent, stub)
+	if record {
+		sc.x.reads, sc.x.hdrReads = mm.readMask(sc.m, sc.hw), 0
+	}
 	sc.m.step(sc.s, sc.x, stub.Key, stub.Label, false, tr)
-	sc.m.refreshBlocks(sc.s)
-	sc.memo.record(sc.s, parent, stub.Key, sc.x, tr.Violations)
-	sc.x.reads = nil
+	sc.refresh()
+	switch {
+	case record:
+		mm.record(sc.s, parent, stub.Key, sc.x, tr.Violations)
+		sc.x.reads = nil
+	case e != nil && e.use == memoStep:
+		mm.capture(sc.m, sc.s, e)
+	}
+}
+
+// refresh settles the working state's block cache after a real step, in
+// the scratch's own encode buffer. The engine digests every successor
+// it steps, so this is the refresh that digest would make.
+func (sc *Scratch) refresh() {
+	if !sc.s.cacheSettled() {
+		sc.enc = refreshDirty(sc.s, sc.enc)
+	}
+}
+
+// splice serves the confirming step of entry e from p without running
+// it: the working state, synced to p, takes the header the step gives
+// and the contents of every block it wrote, as the memo captured them.
+// On the entry's first splice the blocks are re-hashed from those
+// contents, so the engine's check of this step holds the captured bytes
+// to the prediction; after that they take the captured hashes and the
+// fold the prediction, and the step encodes nothing. Either way the
+// spliced blocks are touched — the next re-sync undoes them — and the
+// atoms reading them go stale, as after a real step.
+//
+//iotsan:allow dirtymark -- installs captured blocks with their cached hashes, or marks them dirty for the re-hash
+func (sc *Scratch) splice(p *State, stub *checker.Transition, e *memoEntry, tr *checker.Transition) {
+	s, mm := sc.s, &sc.memo
+	nDev, nApp, touch := len(s.Devices), len(s.Apps), s.touchMask
+	rehash := e.use == memoRehash
+	s.Mode, s.EventsUsed = mm.hitMode, p.EventsUsed+1
+	touch[0] |= 1
+	for i := e.content; i < e.content+e.nContent; i++ {
+		cb := &mm.blocks[i]
+		b := int(cb.b)
+		switch {
+		case b <= nDev:
+			d := &s.Devices[b-1]
+			d.Online, d.LastReport = cb.flag, cb.last
+			copy(d.Attrs, mm.cattrs[cb.off:])
+		case b <= nDev+nApp:
+			a := &s.Apps[b-1-nDev]
+			a.Unsubscribed = cb.flag
+			for j, v := range mm.cslots[cb.off : cb.off+cb.n] {
+				a.Slots[j] = v.Clone()
+			}
+			a.Timers = append(a.Timers[:0], mm.ctimers[cb.toff:cb.toff+cb.tn]...)
+			s.setDevRef(b-1-nDev, cb.ref)
+		case b == s.queueBlock():
+			s.Queue = append(s.Queue[:0], mm.cqueue[cb.off:cb.off+cb.n]...)
+		default:
+			s.Cmds = append(s.Cmds[:0], mm.ccmds[cb.off:cb.off+cb.n]...)
+		}
+		if !rehash {
+			s.blockHash[b] = cb.hash
+		}
+		touch[b>>6] |= 1 << uint(b&63)
+	}
+	if rehash {
+		copy(s.dirtyMask, touch)
+		sc.enc = refreshDirty(s, sc.enc)
+		e.use = memoSplice
+	} else {
+		s.blockHash[0], s.fold = mm.hitHeader, mm.hitFold
+	}
+	if sc.m.atoms != nil {
+		sc.m.atoms.staleTouched(s, touch)
+	}
+	x := sc.x
+	x.viols = append(x.viols[:0], mm.viols[e.viols:e.viols+e.nViols]...)
+	label, key, fault := stub.Label, stub.Key, stub.Fault
+	tr.Label, tr.Steps, tr.Key, tr.Next, tr.Violations, tr.Fault = label, nil, key, s, x.violations(), fault
+	sc.splices++
+	if sc.check != nil {
+		sc.check.verify(sc, p, stub, tr)
+	}
 }
 
 // Keep clones the successor of the last Step out of the scratch — from
@@ -204,4 +306,74 @@ func (sc *Scratch) resync(p *State, mask []uint64) {
 	// The atom valuation is p's as well — p's current one: Inspect may
 	// have settled it since the scratch last equalled p.
 	s.atoms, s.atomFresh = p.atoms, p.atomFresh
+}
+
+// spliceChecks arms the splice check of every scratch made while it is
+// set (CheckSplices).
+var spliceChecks atomic.Bool
+
+// CheckSplices arms the splice check for the scratches made from now on,
+// or disarms it: such a scratch re-steps every transition it splices on
+// a shadow copy of the parent and compares the spliced successor's
+// encoding (of the blocks either step wrote: the rest is the parent's on
+// both), block hashes, fold and violations with the real step's. A
+// mismatch is added to the step's violations as a "splice-check"
+// violation naming the transition, so the engine's check of the step
+// fails the run with it (Result.Err). It is a test hook, not an option:
+// the tests of the root package arm it for their whole run, which puts
+// every new state a memo-on cell of the verdict matrix stores through a
+// real step, as before splicing.
+func CheckSplices(on bool) { spliceChecks.Store(on) }
+
+// spliceCheck is one scratch's shadow state and executor for the splice
+// check.
+type spliceCheck struct {
+	shadow *State
+	x      *executor
+	a, b   []byte
+	mask   []uint64
+}
+
+// verify re-steps the transition sc has just spliced into tr from p.
+func (c *spliceCheck) verify(sc *Scratch, p *State, stub *checker.Transition, tr *checker.Transition) {
+	m := sc.m
+	if c.shadow == nil {
+		c.shadow, c.x = p.cloneFresh(), m.newExecutor()
+	} else {
+		c.shadow = p.cloneInto(c.shadow)
+	}
+	var want checker.Transition
+	m.step(c.shadow, c.x, stub.Key, stub.Label, false, &want)
+	s, sh := sc.s, c.shadow
+	// Outside the blocks either side wrote, both hold p's contents.
+	c.mask = append(c.mask[:0], s.touchMask...)
+	for wi, w := range sh.dirtyMask {
+		c.mask[wi] |= w
+	}
+	m.refreshBlocks(sh)
+	var what string
+	for wi, w := range c.mask {
+		for ; w != 0 && what == ""; w &= w - 1 {
+			b := wi<<6 + bits.TrailingZeros64(w)
+			c.a, _ = encodeBlock(s, b, c.a[:0])
+			if c.b, _ = encodeBlock(sh, b, c.b[:0]); !bytes.Equal(c.a, c.b) {
+				what = fmt.Sprintf("encoding of block %d", b)
+			}
+		}
+	}
+	switch {
+	case what != "":
+	case !slices.Equal(s.blockHash, sh.blockHash) || !slices.Equal(s.devRefMask, sh.devRefMask):
+		what = "block hashes"
+	case s.fold != sh.fold:
+		what = "fold"
+	case !slices.Equal(tr.Violations, want.Violations):
+		what = "violations"
+	default:
+		return
+	}
+	x := sc.x
+	x.viols = append(x.viols, checker.Violation{Property: "splice-check",
+		Detail: fmt.Sprintf("transition %q (key %#x): the spliced successor differs from a real step in its %s", stub.Label, stub.Key, what)})
+	tr.Violations = x.viols
 }

@@ -275,11 +275,13 @@ func (c cell) model() (*model.Model, error) {
 // and leafKeeps the Keep calls on one; unkept counts the windows in which
 // the engine inspected the borrowed successor and closed without a Keep
 // (a leaf dropped on the scratch), reinspected the windows whose
-// successor was inspected twice.
+// successor was inspected twice. splices counts the Step calls a model
+// scratch served by splicing, without a handler cascade.
 type counted struct {
 	memoEngineSystem
 	inspects, steps, keeps, predictions    atomic.Int64
 	leaves, leafKeeps, unkept, reinspected atomic.Int64
+	splices                                atomic.Int64
 	windows                                sync.Map // scratch → *window
 	lentBy                                 sync.Map // a borrowed Next → its scratch's *window
 }
@@ -327,7 +329,15 @@ func (c *counted) Step(sc checker.Scratch, parent checker.State, stub *checker.T
 	c.steps.Add(1)
 	w := c.windowOf(sc)
 	c.endWindow(w)
+	ms, _ := sc.(*model.Scratch)
+	spliced := 0
+	if ms != nil {
+		spliced = ms.Splices()
+	}
 	tr := c.memoEngineSystem.Step(sc, parent, stub)
+	if ms != nil && ms.Splices() > spliced {
+		c.splices.Add(1)
+	}
 	w.next = tr.Next
 	if old, ok := c.lentBy.Load(tr.Next); !ok || old != w {
 		c.lentBy.Store(tr.Next, w)

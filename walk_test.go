@@ -5,7 +5,8 @@
 //	keyed      stub + Step + Keep on one scratch ≡ Expand(s)[i]: label, key, fault flag,
 //	           steps, violations, Encode bytes before and after Keep, digests
 //	predict    wherever the scratch's transition memo answers, its digest and violations
-//	           ≡ Step's successor digested and Step's violations
+//	           ≡ Step's successor digested and Step's violations; a memo row must splice
+//	           (the keyed check then covers the spliced contents)
 //	digest     the incremental digest ≡ that of a clone with every block dirty, raw and canonical
 //	valuation  the atom word Inspect settles ≡ every atom evaluated from scratch, and its
 //	           verdict ≡ a plain loop over the invariants' per-state twins
@@ -122,6 +123,8 @@ func (o *valuation) inspect(s *model.State) []checker.Violation {
 // walkResult is what one walk found.
 type walkResult struct {
 	successors, fullSyncs int
+	splices               int // steps the scratch served from its memo (Scratch.Splices)
+	splicedWrong          int // spliced steps whose state's encoding differs from Expand's
 	checked               map[string]int
 	div                   map[string]*divergence
 	val                   *valuation
@@ -169,7 +172,7 @@ func walk(m, twin *model.Model, seed int64) (*walkResult, error) {
 		left = w.budget
 		w.visit(init, tinit, 0)
 	}
-	res.fullSyncs = w.sc.FullSyncs()
+	res.fullSyncs, res.splices = w.sc.FullSyncs(), w.sc.Splices()
 	if val != nil {
 		res.div["valuation"] = &val.div
 		res.checked["valuation"] = val.inspected
@@ -230,7 +233,9 @@ func (w *walker) visit(s, ts *model.State, depth int) {
 // against the Step.
 func (w *walker) step(s *model.State, stub *checker.Transition, e checker.Transition, at string) *model.State {
 	p1, p2, pv, predicted := w.sc.Predict(s, stub)
+	splices := w.sc.Splices()
 	tr := w.sc.Step(s, stub)
+	spliced := w.sc.Splices() > splices
 	if predicted {
 		h1, h2 := w.m.IncrementalDigest(tr.Next.(*model.State), false)
 		if h1 != p1 || h2 != p2 || !slices.Equal(pv, tr.Violations) {
@@ -243,7 +248,10 @@ func (w *walker) step(s *model.State, stub *checker.Transition, e checker.Transi
 		w.note("keyed", "%s: transition differs:\nkeyed %+v\neager %+v", at, tr, e)
 	}
 	if w.a, w.b = tr.Next.Encode(w.a[:0]), e.Next.Encode(w.b[:0]); !bytes.Equal(w.a, w.b) {
-		w.note("keyed", "%s: the stepped state's encoding differs from Expand's", at)
+		w.note("keyed", "%s: the stepped state's encoding differs from Expand's (spliced=%v)", at, spliced)
+		if spliced {
+			w.res.splicedWrong++
+		}
 	}
 	if w.m.Opts.Incremental {
 		for _, canonical := range []bool{false, true} {
@@ -388,6 +396,12 @@ func (r *walkResult) assert(t *testing.T, check string) {
 		// every re-sync is by touched blocks.
 		if r.fullSyncs > 1 {
 			t.Errorf("%d whole-state copies into the scratch over %d steps, want at most 1", r.fullSyncs, r.successors)
+		}
+	case "predict":
+		// The keyed check covers what a splice writes only if the walk
+		// spliced something.
+		if r.splices == 0 {
+			t.Errorf("%d predictions, no splice: the spliced path went unchecked", r.checked[check])
 		}
 	case "valuation":
 		// Not vacuous: where a block cache says what a transition wrote,
