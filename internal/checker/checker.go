@@ -13,12 +13,13 @@
 //   - StrategySteal is the one concurrent frontier search, in the spirit
 //     of Holzmann's multi-core Spin: worker goroutines expand states
 //     from private work-stealing deques and admit successors to one
-//     lock-striped link table — visited set and per-state parent links
-//     in one probe. Counter-example trails are reconstructed from the
-//     links instead of a threaded trail slice.
+//     lock-striped link table — visited set, minimal depths and
+//     expansion claims, 12 bytes a state. Each deque entry carries the
+//     path it was pushed by, and a violation's trail is the path of the
+//     expansion that records it.
 //
-// On both, the trail reported for a violation is the first path that
-// reached it, not a shortest one.
+// On both, the trail reported for a violation is a genuine path from
+// the initial state, not necessarily a shortest one.
 //
 // The visited-state stores mirror Spin's verification modes: an
 // exhaustive hash-compact store in memory (one unlocked table for the
@@ -371,12 +372,11 @@ const (
 	// StrategySteal is the work-stealing frontier search:
 	// Options.Workers goroutines with per-worker Chase–Lev deques (owner
 	// LIFO, thieves FIFO) and no barrier, over a sharded link table that
-	// is visited store and parent links at once (trails are rebuilt from
-	// the links). It runs only on the Exhaustive store and without
-	// checkpoints (Options.Validate). The
-	// distinct-violation set and explored state space match StrategyDFS
-	// on a fully explored state space; exploration order and trails may
-	// differ between runs.
+	// is its visited store (trails ride on the deque entries). It runs
+	// only on the Exhaustive store and without checkpoints
+	// (Options.Validate). The distinct-violation set and explored state
+	// space match StrategyDFS on a fully explored state space;
+	// exploration order and trails may differ between runs.
 	StrategySteal
 )
 
@@ -483,11 +483,11 @@ type Options struct {
 
 // Validate states which option combinations a search runs under, and
 // Run refuses every other through Result.Err. Steal keeps its visited
-// set in its link table, at 32 bytes a state, so a tiered or bitstate
-// store could not bound its memory; and only the DFS stack can be
-// checkpointed. StrategySteal therefore runs only on the Exhaustive
-// store, without Checkpoint or Resume. Checkpoint and Resume need
-// StoreDir for the WAL.
+// set, depths and expansion claims in its link table, at 12 bytes a
+// slot, so a tiered or bitstate store could not bound its memory; and
+// only the DFS stack can be checkpointed. StrategySteal therefore runs
+// only on the Exhaustive store, without Checkpoint or Resume.
+// Checkpoint and Resume need StoreDir for the WAL.
 func (o Options) Validate() error {
 	if o.Strategy == StrategySteal {
 		if o.Store != Exhaustive {

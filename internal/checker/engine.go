@@ -100,9 +100,8 @@ type engine struct {
 	matched   atomic.Int64
 	maxDepth  atomic.Int64
 	violCount atomic.Int64
-	// clockPolls counts limitHit calls under a Deadline; late latches the
-	// first clock reading past it for every later call and worker.
-	clockPolls atomic.Uint32
+	// late latches the first clock reading past the Deadline for every
+	// later limitHit call and worker.
 	late       atomic.Bool
 	truncated  atomic.Bool
 	porChoices atomic.Int64
@@ -328,14 +327,15 @@ func (eagerStepper) Keep(_ Scratch, next State) State { return next }
 // system steps successors into, the stub buffer the frontier strategy
 // refills per expansion (the DFS keeps one per stack frame instead) and
 // the one it probes a new successor's transitions into, the
-// state-vector encode buffer, the worker's counter cell, and its
-// violation cache.
+// state-vector encode buffer, the worker's counter cell, its
+// limitHit calls under a Deadline (polls), and its violation cache.
 type expander struct {
 	scratch Scratch
 	stubs   []Transition
 	probe   []Transition
 	buf     []byte
 	stat    statCell
+	polls   uint32
 	viols   violCache
 }
 
@@ -455,7 +455,7 @@ func (e *engine) record(x *expander, v Violation, trail []TrailStep, from State,
 // whether a limit was hit.
 func (e *engine) recordAll(x *expander, vs []Violation, trail []TrailStep, from State, tr *Transition, depth int) bool {
 	for _, v := range vs {
-		if e.record(x, v, trail, from, tr, depth) && e.limitHit() {
+		if e.record(x, v, trail, from, tr, depth) && e.limitHit(x) {
 			return true
 		}
 	}
@@ -546,16 +546,19 @@ func (e *engine) materialize(ts []TrailStep) {
 	}
 }
 
-// clockPollEvery is how many limitHit calls — one per state or successor,
-// microseconds apart — share a reading of the clock: the first reads it,
-// then every 256th, which keeps time.Now off the per-state path.
+// clockPollEvery is how many of a worker's limitHit calls — one per
+// state or successor, microseconds apart — share a reading of the
+// clock: the first reads it, then every 256th, which keeps time.Now off
+// the per-state path.
 const clockPollEvery = 256
 
 // limitHit reports whether a search limit has been reached. Strategies
 // must consult it after every recorded violation and explored state —
 // not only per iteration — so MaxViolations and Deadline cannot be
-// overshot by a whole expansion.
-func (e *engine) limitHit() bool {
+// overshot by a whole expansion. x is the calling worker's expander,
+// whose own counter paces its clock readings: a shared one would be a
+// contended write per call on every worker.
+func (e *engine) limitHit(x *expander) bool {
 	if e.opts.Stop != nil && e.opts.Stop.Load() {
 		return true
 	}
@@ -566,7 +569,8 @@ func (e *engine) limitHit() bool {
 		if e.late.Load() {
 			return true
 		}
-		if e.clockPolls.Add(1)%clockPollEvery == 1 && time.Since(e.start) > e.opts.Deadline {
+		x.polls++
+		if x.polls%clockPollEvery == 1 && time.Since(e.start) > e.opts.Deadline {
 			e.late.Store(true)
 			return true
 		}

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"reflect"
@@ -109,8 +110,41 @@ func TestTruncationLimits(t *testing.T) {
 		if !res.Truncated {
 			t.Errorf("%s: Deadline run not truncated", name)
 		}
+
+		// A deadline that falls mid-search, on a tree no search exhausts:
+		// every worker, each pacing its own clock readings, stops soon
+		// after it (steal-4 under -race: the pacing is per worker).
+		opts = base
+		opts.MaxDepth = 64
+		opts.Deadline = 20 * time.Millisecond
+		start := time.Now()
+		res = Run(treeSys{}, opts)
+		if !res.Truncated || res.StatesExplored < 2 {
+			t.Errorf("%s: mid-search Deadline run truncated %v after %d states, want truncated mid-search",
+				name, res.Truncated, res.StatesExplored)
+		}
+		if took := time.Since(start); took > 10*time.Second {
+			t.Errorf("%s: a 20 ms Deadline stopped the search after %v", name, took)
+		}
 	}
 }
+
+// treeSys is the infinite binary tree over uint64 node numbers: a search
+// of it ends only at a limit.
+type treeSys struct{}
+
+type treeState uint64
+
+func (s treeState) Encode(buf []byte) []byte { return binary.LittleEndian.AppendUint64(buf, uint64(s)) }
+
+func (treeSys) Initial() State { return treeState(0) }
+
+func (treeSys) Expand(s State) []Transition {
+	v := uint64(s.(treeState))
+	return []Transition{{Label: "left", Next: treeState(2*v + 1)}, {Label: "right", Next: treeState(2*v + 2)}}
+}
+
+func (treeSys) Inspect(State) []Violation { return nil }
 
 // TestBitstateFalsePositives: with a tiny bit array the bitstate store
 // reports unseen states as matched (supertrace's completeness
@@ -200,7 +234,7 @@ func TestStealMatchesDFSOnToys(t *testing.T) {
 	}
 }
 
-// TestStealTrailReplays: a trail reconstructed from parent links with
+// TestStealTrailReplays: a trail built from an entry path with
 // eagerly recorded steps (the toy system is no Replayer) must be a
 // genuine path of the system — replaying its labels from the initial
 // state reaches the reported violation.

@@ -9,31 +9,88 @@ import (
 	"unsafe"
 )
 
-// TestLinkTableLayout pins what makes the table cheap: a slot of at
-// most 32 bytes made of integers only (a pointer-free backing array is
-// never scanned by the collector — a string or slice per state is what
-// the table replaced), and a shard that fills one cache line.
+// TestLinkTableLayout pins what makes the table cheap: at most 12 bytes
+// a slot (a key word and half a meta word) through every growth, in a
+// backing array of integers only (a pointer-free array is never scanned
+// by the collector — a parent link, string or slice per state is what
+// the table dropped), and a shard that fills one cache line.
 func TestLinkTableLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(link{}); sz > 32 {
-		t.Errorf("link slot is %d bytes, want <= 32", sz)
-	}
-	rt := reflect.TypeOf(link{})
+	rt := reflect.TypeOf(linkShard{})
 	for i := 0; i < rt.NumField(); i++ {
-		switch f := rt.Field(i); f.Type.Kind() {
-		case reflect.Uint64, reflect.Uint32, reflect.Int32:
+		f := rt.Field(i)
+		switch k := f.Type.Kind(); {
+		case f.Name == "mu":
+		case k == reflect.Slice && f.Type.Elem().Kind() == reflect.Uint64:
+		case k == reflect.Uint64, k == reflect.Int32, k == reflect.Uint8, k == reflect.Bool,
+			k == reflect.Array && f.Type.Elem().Kind() == reflect.Uint8:
 		default:
-			t.Errorf("link.%s is a %s: slots must hold integers only", f.Name, f.Type)
+			t.Errorf("linkShard.%s is a %s: a shard must hold integers only", f.Name, f.Type)
 		}
 	}
 	if sz := unsafe.Sizeof(linkShard{}); sz != 64 {
 		t.Errorf("linkShard is %d bytes, want one 64-byte cache line", sz)
 	}
+
+	var table linkTable
+	sh := &table.shards[0x42]
+	for i := uint64(1); i <= 10_000; i++ {
+		slots := sh.slots()
+		table.admit(0x42<<56|i, int32(i%100), false)
+		if sh.slots() != slots && 8*cap(sh.words) > 12*sh.slots() {
+			t.Fatalf("%d slots hold %d bytes, want <= 12 a slot", sh.slots(), 8*cap(sh.words))
+		}
+	}
+	for i := uint64(1); i <= 10_000; i++ {
+		if d, _ := table.claimExpansion(0x42<<56|i, 1000); d != int32(i%100) {
+			t.Fatalf("key %d: depth %d after growing, want %d", i, d, i%100)
+		}
+	}
+}
+
+// TestLinkTableFootprint: Table 8's state count in random fingerprints
+// leaves at most 24 table bytes a stored state (12 a slot at the load
+// bound's worst), and a shard allocates once per growth, nothing more.
+func TestLinkTableFootprint(t *testing.T) {
+	const states = 141_372
+	rng := rand.New(rand.NewSource(49))
+	keys := make([]uint64, states)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+	}
+	var table linkTable
+	// Three runs, as AllocsPerRun floors the mean: a stray allocation of
+	// the runtime's own (seen under the race detector) must not count.
+	allocs := testing.AllocsPerRun(3, func() {
+		table = linkTable{}
+		for i, k := range keys {
+			if fresh, _ := table.admit(k, int32(i%8), true); !fresh {
+				t.Fatalf("key %#x refused on its first offer", k)
+			}
+		}
+	})
+	if got := table.size(); got != states {
+		t.Fatalf("size %d, want %d", got, states)
+	}
+	bytes, growths := 0, 0
+	for i := range table.shards {
+		bytes += 8 * cap(table.shards[i].words)
+		for n := table.shards[i].slots(); n >= digestSetMinSlots; n /= 2 {
+			growths++
+		}
+	}
+	perState := float64(bytes) / states
+	t.Logf("%d table bytes for %d states: %.1f a state", bytes, states, perState)
+	if perState > 24 {
+		t.Errorf("%d table bytes for %d states: %.1f a state, want <= 24", bytes, states, perState)
+	}
+	if int(allocs) != growths {
+		t.Errorf("%v allocations for %d shard growths, want one each", allocs, growths)
+	}
 }
 
 // TestLinkTableConcurrentAdmit: eight goroutines offer the same key
-// stream, each in its own order, each as its own parent with its own
-// depths. Every key is fresh for exactly one of them, keeps that one
-// writer's complete edge, ends at the minimum depth offered, and gives
+// stream, each in its own order with its own depths. Every key is fresh
+// for exactly one of them, ends at the minimum depth offered, and gives
 // out its counted expansion once — the zero fingerprint and a shard
 // grown from 8 slots to 8192 under the offers included.
 func TestLinkTableConcurrentAdmit(t *testing.T) {
@@ -46,7 +103,6 @@ func TestLinkTableConcurrentAdmit(t *testing.T) {
 	offered := func(w, i int) int32 { return int32(1 + (i*7+w*13)%29) }
 
 	var table linkTable
-	table.lazy = true
 	fresh := make([]atomic.Int32, len(keys))
 	claims := make([]atomic.Int32, len(keys))
 	var wg sync.WaitGroup
@@ -56,8 +112,7 @@ func TestLinkTableConcurrentAdmit(t *testing.T) {
 			defer wg.Done()
 			order := rand.New(rand.NewSource(int64(w))).Perm(len(keys))
 			for _, i := range order {
-				tr := Transition{Key: uint64(w+1)<<32 | uint64(i)}
-				f, improved := table.admit(keys[i], uint64(w+1), offered(w, i), &tr, true)
+				f, improved := table.admit(keys[i], offered(w, i), true)
 				if f {
 					fresh[i].Add(1)
 				}
@@ -77,9 +132,10 @@ func TestLinkTableConcurrentAdmit(t *testing.T) {
 	if got := table.size(); got != len(keys) {
 		t.Fatalf("size %d, want %d", got, len(keys))
 	}
-	if got := len(table.shards[0xab].slots); got != 8192 {
+	if got := table.shards[0xab].slots(); got != 8192 {
 		t.Errorf("the crowded shard has %d slots, want 8192 (4000 entries at <= 75%% load)", got)
 	}
+	var deepest int32
 	for i, k := range keys {
 		if f, c := fresh[i].Load(), claims[i].Load(); f != 1 || c != 1 {
 			t.Fatalf("key %#x: fresh %d times, expansion claimed %d times, want 1 and 1", k, f, c)
@@ -88,47 +144,60 @@ func TestLinkTableConcurrentAdmit(t *testing.T) {
 		for w := 1; w < workers; w++ {
 			least = min(least, offered(w, i))
 		}
-		sh, s := table.find(k)
-		if s == nil {
+		deepest = max(deepest, least)
+		sh, m, ok := table.find(k)
+		if !ok {
+			sh.mu.Unlock()
 			t.Fatalf("key %#x lost", k)
 		}
-		l := *s
+		v := m.get()
 		sh.mu.Unlock()
-		if l.depth != least {
-			t.Errorf("key %#x: depth %d, minimum offered %d", k, l.depth, least)
-		}
-		if l.parent < 1 || l.parent > workers || l.key != l.parent<<32|uint64(i) {
-			t.Errorf("key %#x: edge (parent %d, key %#x) is not one writer's", k, l.parent, l.key)
-		}
-		if l.meta>>linkTextShift != 0 {
-			t.Errorf("key %#x: a replayable edge stored text", k)
+		if depth := int32(v >> 1); depth != least || v&linkExpanded == 0 {
+			t.Errorf("key %#x: depth %d (claimed %v), want minimum offered %d, claimed",
+				k, depth, v&linkExpanded != 0, least)
 		}
 	}
-	sh, s := table.find(0xab << 56)
-	sh.mu.Unlock()
-	if s != nil {
-		t.Error("find reports a key that was never admitted")
+	for _, k := range []uint64{0xab << 56, 0xab<<56 | 4001} {
+		sh, _, ok := table.find(k)
+		sh.mu.Unlock()
+		if ok {
+			t.Errorf("find reports %#x, which was never admitted", k)
+		}
 	}
-	if _, improved := table.admit(keys[1], 99, 0, nil, false); improved {
+	if _, improved := table.admit(keys[1], 0, false); improved {
 		t.Error("admit lowered a depth with relax off")
+	}
+	if maxd, clipped := table.scan(deepest + 1); maxd != deepest || clipped {
+		t.Errorf("scan(%d) = %d, %v; want the deepest minimum %d, unclipped", deepest+1, maxd, clipped, deepest)
+	}
+	if _, clipped := table.scan(deepest); !clipped {
+		t.Errorf("scan(%d) reports nothing at the bound", deepest)
 	}
 }
 
-// TestLinkTableTrail: trailTo walks first-writer links back to the
-// depth-0 entry and hands out text only for the edges that cannot be
-// replayed; a link to a state that was never stored heads the trail
-// with brokenTrail instead of passing for a trail from the root.
-func TestLinkTableTrail(t *testing.T) {
-	root := intState(0)
+// TestStealEntryPath: an entry's path is its parent's plus the step that
+// pushed it, holding label and steps only for an edge that cannot be
+// replayed; a violation's trail is that path, a fresh copy, plus the
+// pending step, with the root as From on the first step. A pooled entry
+// reuses its path buffer, so a push allocates nothing, beyond the
+// inline array too.
+func TestStealEntryPath(t *testing.T) {
+	root, mid := intState(0), intState(3)
+	trs := []Transition{
+		{Label: "replayable", Key: 5},
+		{Label: "keyless"},
+		{Label: "eager", Key: 7, Steps: []string{"x"}},
+	}
+	last := &Transition{Label: "last", Key: 9}
 	for _, lazy := range []bool{true, false} {
-		table := linkTable{lazy: lazy}
-		if table.seen(digest{h1: 10}) {
-			t.Fatal("root already stored")
+		r := &stealRun{lazy: lazy, pools: make([]wsEntryPool, 1)}
+		ent := &stealEntry{state: root}
+		if got := ent.trail(root, stepOf(root, last)); !reflect.DeepEqual(got, []TrailStep{stepOf(root, last)}) {
+			t.Errorf("lazy=%v: the root entry's trail %+v, want the pending step alone", lazy, got)
 		}
-		table.admit(11, 10, 1, &Transition{Label: "replayable", Key: 5}, true)
-		table.admit(12, 11, 2, &Transition{Label: "keyless"}, true)
-		table.admit(13, 12, 3, &Transition{Label: "eager", Key: 7, Steps: []string{"x"}}, true)
-		table.admit(13, 10, 1, &Transition{Label: "shortcut", Key: 9}, true) // lowers the depth, keeps the link
+		for i := range trs {
+			ent = r.getEntry(0, mid, digest{h1: uint64(i)}, ent, &trs[i])
+		}
 		first := ""
 		if !lazy {
 			first = "replayable"
@@ -137,21 +206,26 @@ func TestLinkTableTrail(t *testing.T) {
 			{Label: first, Key: 5, From: root},
 			{Label: "keyless"},
 			{Label: "eager", Key: 7, Steps: []string{"x"}},
+			{Label: "last", Key: 9, From: mid},
 		}
-		if got := table.trailTo(13, root); !reflect.DeepEqual(got, want) {
+		got := ent.trail(root, stepOf(mid, last))
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("lazy=%v: trail %+v, want %+v", lazy, got, want)
 		}
-		if got := table.trailTo(10, root); len(got) != 0 {
-			t.Errorf("lazy=%v: the root's trail has %d steps", lazy, len(got))
-		}
-		if d, _ := table.claimExpansion(13, 100); d != 1 {
-			t.Errorf("lazy=%v: depth %d after the shortcut, want 1", lazy, d)
+		if ent.path[0].From != nil {
+			t.Errorf("lazy=%v: the trail wrote its From into the entry's path", lazy)
 		}
 
-		table.admit(21, 20, 4, &Transition{Label: "orphan"}, true) // 20 was never stored
-		got := table.trailTo(21, root)
-		if len(got) != 2 || got[0].Label != brokenTrail || got[1].Label != "orphan" {
-			t.Errorf("lazy=%v: trail through a missing link = %+v, want it headed by brokenTrail", lazy, got)
+		// A long path outgrows the inline array once; after that the
+		// pooled entries push without allocating.
+		long := &stealEntry{path: make([]TrailStep, 3*pathInline)}
+		for range 2 {
+			r.putEntry(0, r.getEntry(0, mid, digest{}, long, last))
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			r.putEntry(0, r.getEntry(0, mid, digest{}, long, last))
+		}); allocs != 0 {
+			t.Errorf("lazy=%v: a pooled push allocates %v times, want 0", lazy, allocs)
 		}
 	}
 }
@@ -167,11 +241,13 @@ func (d *violatingDiamond) Inspect(s State) []Violation {
 	return nil
 }
 
-// TestStealTrailLongerThanDepthBound: depths are minimal, links are
-// first-found. One worker stores X at depth 9 through the long arm and
-// relaxes it to 2, so the chain's end sits at depth 6 under a bound of
-// 10 while its first-found path has 13 steps — the trail must be that
-// whole path from the root, not one cut off at the bound.
+// TestStealTrailLongerThanDepthBound: the trail is the path of the
+// expansion that records the violation, whole from the root. One worker
+// stores X at depth 9 through the long arm, expands it and stores C1 at
+// the bound of 10, unexpanded; the B shortcut then relaxes X to depth 2
+// and re-enqueues it with its shorter path, through which the chain's
+// end is first reached. That path must be reported from the root, not
+// cut off at any depth.
 func TestStealTrailLongerThanDepthBound(t *testing.T) {
 	res := Run(&violatingDiamond{diamondSys{aLen: 8, cLen: 4}},
 		Options{MaxDepth: 10, Strategy: StrategySteal, Workers: 1})
@@ -183,9 +259,8 @@ func TestStealTrailLongerThanDepthBound(t *testing.T) {
 	for _, s := range res.Violations[0].Trail {
 		got = append(got, s.Label)
 	}
-	want := []string{"to-1", "to-2", "to-3", "to-4", "to-5", "to-6", "to-7", "to-8",
-		"to-200", "to-201", "to-202", "to-203", "to-204"}
+	want := []string{"to-100", "to-200", "to-201", "to-202", "to-203", "to-204"}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("trail %v, want the first-found path %v", got, want)
+		t.Errorf("trail %v, want the relaxing expansion's path %v", got, want)
 	}
 }

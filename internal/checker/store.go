@@ -60,11 +60,11 @@ func hash2(data []byte) uint64 {
 // the number of stored entries (approximate for bitstate).
 //
 // Four implementations, each with the workload it is there for:
-// linkTable (the frontier strategy's only store, fused with its parent
-// links: table8_steal2) and, for the single-goroutine DFS, hashStore
-// (exhaustive: table8_dfs, market_t5), tieredStore (out-of-core
-// exhaustive: table8_tiered_wal) and bitStore (-store bitstate, the
-// paper's supertrace mode; no benchmark workload yet). linkTable alone
+// linkTable (the frontier strategy's only store, fused with its depths
+// and expansion claims: table8_steal2) and, for the single-goroutine
+// DFS, hashStore (exhaustive: table8_dfs, market_t5), tieredStore
+// (out-of-core exhaustive: table8_tiered_wal) and bitStore (-store
+// bitstate, the paper's supertrace mode; no benchmark workload yet). linkTable alone
 // is safe for concurrent use: the other three serve one goroutine, and
 // tieredStore spills on it.
 type store interface {
@@ -190,10 +190,11 @@ func (t *digestSet) rehash(slots []uint64) {
 }
 
 // hashStore is the exhaustive hash-compact store of the
-// single-goroutine DFS: one digestSet, no lock — 8 bytes a state, where
-// the frontier strategy's linkTable pays a lock per probe and 32 bytes
-// for the parent link the DFS keeps on its stack. The engine picks
-// between the two from the strategy, not from an option.
+// single-goroutine DFS: one digestSet, no lock — 8 bytes a slot, where
+// the frontier strategy's linkTable pays a lock per probe and 12 bytes
+// a slot for the depth and expansion claim the DFS keeps on its stack.
+// The engine picks between the two from the strategy, not from an
+// option.
 type hashStore struct{ set digestSet }
 
 func (s *hashStore) seen(d digest) bool { return s.set.add(d.h1) }

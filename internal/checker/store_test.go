@@ -97,14 +97,14 @@ func TestDigestSetDifferential(t *testing.T) {
 func TestDigestSetStartsEmpty(t *testing.T) {
 	var s linkTable
 	for i := range s.shards {
-		if s.shards[i].slots != nil || s.shards[i].text != nil {
+		if s.shards[i].words != nil {
 			t.Fatalf("shard %d allocated before its first insert", i)
 		}
 	}
 	if s.seen(digest{h1: 7}) || !s.seen(digest{h1: 7}) || s.size() != 1 {
 		t.Fatal("first insert misreported")
 	}
-	if got := len(s.shards[0].slots); got != digestSetMinSlots {
+	if got := s.shards[0].slots(); got != digestSetMinSlots {
 		t.Errorf("first insert allocated %d slots, want %d", got, digestSetMinSlots)
 	}
 }

@@ -53,7 +53,7 @@ func (s sequentialDFS) search(e *engine) {
 	}
 	if stack == nil {
 		init, _ := e.visitInitial(x)
-		if e.limitHit() {
+		if e.limitHit(x) {
 			e.truncated.Store(true)
 			return
 		}
@@ -73,7 +73,7 @@ func (s sequentialDFS) search(e *engine) {
 			// for every frame, so it is the only checkpoint site.
 			x.buf = e.wal.maybeCheckpoint(e, stack, &matched, x.buf)
 		}
-		if e.limitHit() {
+		if e.limitHit(x) {
 			e.truncated.Store(true)
 			break
 		}

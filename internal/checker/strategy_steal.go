@@ -12,8 +12,8 @@ import (
 // and pops newly stored states LIFO (locally depth-first), and a worker
 // whose deque runs dry steals the oldest entry FIFO from a victim. No
 // worker ever waits at a barrier; the only global synchronisation is
-// the link table (visited set and parent links in one) and per-worker
-// sent/done counters used for termination detection.
+// the link table (visited set, depths and expansion claims) and
+// per-worker sent/done counters used for termination detection.
 //
 // Termination: each worker keeps two monotone, padded counters — sent
 // (states it pushed to its deque, root included) and done (expansions
@@ -29,12 +29,13 @@ import (
 // sent increment without its eventual done and miss termination, but
 // never falsely detect it; summing done first can do neither.)
 //
-// Trails are reconstructed through the link table (linktable.go);
-// the trail witnessing a violation is whichever path reached it first,
-// not a shortest one. Each stored state's depth starts as the length of
-// whichever path stored it first and is then lowered (CAS-min in the
-// link table) every time a shorter path re-encounters the state; a
-// state whose depth improves is re-enqueued so the shorter distance
+// Trails ride on the deque entries: each entry carries the path it was
+// pushed by (stealEntry.path), and a violation's trail is the path of
+// the expansion that records it, not necessarily a shortest one. Each
+// stored state's depth starts as the length of whichever path stored it
+// first and is then lowered (CAS-min in the link table) every time a
+// shorter path re-encounters the state; a state whose depth improves is
+// re-enqueued, with that shorter path, so the shorter distance
 // propagates to its descendants — a relaxation pass whose expansions
 // count nothing, so exploration statistics stay identical to a run that
 // found the minimal depths first. The final depth table is therefore
@@ -63,9 +64,10 @@ import (
 // popped DFS frame does.
 // No grace period is needed because a frontier state is reachable only
 // through its one deque entry: every push is a fresh Keep (a new state
-// or an improved re-enqueue), the link table holds no pointers, a
-// violation's trail is materialised (From included) before commit
-// returns, and trailTo hands out only the root, which is never retired.
+// or an improved re-enqueue), the link table holds no pointers, an
+// entry path holds no state, a violation's trail is materialised (From
+// included) before commit returns, and the only From a trail prefix
+// carries is the root, which is never retired.
 // The Chase–Lev top CAS hands each entry to exactly one consumer, which
 // is then the state's only holder; a thief that loaded a stale entry
 // pointer loses the CAS and never dereferences it.
@@ -81,10 +83,22 @@ type workSteal struct {
 // so the consumer owns the entry outright and recycles it into its own
 // free-list (a thief that loaded a stale entry pointer loses the CAS
 // and never dereferences it).
+//
+// path is the trail of the path that pushed the entry, root first, no
+// From: the step of each edge holds its replay key, plus its label and
+// steps only for an edge that cannot be replayed (pathStep). Its buffer
+// is the entry's inline array while the path fits, and stays with the
+// pooled entry either way, so a push allocates nothing.
 type stealEntry struct {
-	state State
-	d     digest
+	state  State
+	d      digest
+	path   []TrailStep
+	inline [pathInline]TrailStep
 }
+
+// pathInline is how many path steps an entry holds without a heap
+// buffer: Table 8 at 5 events is 5 deep.
+const pathInline = 8
 
 // wsCounters is one worker slot's termination-detection pair. Written
 // (plain atomic stores — the owner is the only writer) by the slot's
@@ -109,9 +123,12 @@ type wsEntryPool struct {
 
 // stealRun is the shared state of one work-stealing search.
 type stealRun struct {
-	e      *engine
-	links  *linkTable // e.st: the run's visited store
-	root   State      // initial state: forward replay of lazy trails starts here
+	e     *engine
+	links *linkTable // e.st: the run's visited store
+	root  State      // initial state: forward replay of lazy trails starts here
+	// lazy is set when the system is a Replayer: a path step with a
+	// replay key and no eager steps then holds no text.
+	lazy   bool
 	deques []*wsDeque
 	cnts   []wsCounters
 	pools  []wsEntryPool
@@ -121,9 +138,9 @@ type stealRun struct {
 	// relaxOff disables depth relaxation, which is on unless symmetry
 	// reduction folds states: a duplicate hit is then only *isomorphic*
 	// to the stored representative, not byte-identical, so re-expanding
-	// the duplicate raw state would record parent edges and trail steps
-	// whose replay keys do not stitch onto the representative's chain —
-	// counter-examples would stop being concrete executions. (Clipping
+	// the duplicate raw state would push entry paths and record trail
+	// steps whose replay keys do not stitch onto the representative's
+	// chain — counter-examples would stop being concrete executions. (Clipping
 	// then keeps the first-path semantics.) Reduce is a pure function of
 	// the state, so under POR a relaxation replays the counted subset.
 	relaxOff bool
@@ -138,17 +155,16 @@ func (s *workSteal) search(e *engine) {
 	exps := make([]*expander, max)
 	exps[0] = e.newExpander()
 	init, d0 := e.visitInitial(exps[0])
-	if e.limitHit() {
+	if e.limitHit(exps[0]) {
 		e.truncated.Store(true)
 		return
 	}
 
-	links := e.st.(*linkTable)
-	links.lazy = e.replayer != nil
 	r := &stealRun{
 		e:        e,
-		links:    links,
+		links:    e.st.(*linkTable),
 		root:     init,
+		lazy:     e.replayer != nil,
 		deques:   make([]*wsDeque, max),
 		cnts:     make([]wsCounters, max),
 		pools:    make([]wsEntryPool, max),
@@ -217,16 +233,47 @@ const (
 	scavengeSleepMax  = 256 * time.Microsecond
 )
 
-// getEntry draws a deque entry from worker w's free-list. Owner-only.
-func (r *stealRun) getEntry(w int, st State, d digest) *stealEntry {
+// getEntry draws a deque entry from worker w's free-list for st, the
+// successor of parent's state through tr: its path is parent's followed
+// by tr's step. Owner-only.
+func (r *stealRun) getEntry(w int, st State, d digest, parent *stealEntry, tr *Transition) *stealEntry {
 	p := &r.pools[w]
+	var ent *stealEntry
 	if n := len(p.free); n > 0 {
-		ent := p.free[n-1]
+		ent = p.free[n-1]
 		p.free = p.free[:n-1]
-		ent.state, ent.d = st, d
-		return ent
+	} else {
+		ent = new(stealEntry)
 	}
-	return &stealEntry{state: st, d: d}
+	if cap(ent.path) == 0 {
+		ent.path = ent.inline[:0]
+	}
+	ent.state, ent.d = st, d
+	ent.path = append(append(ent.path[:0], parent.path...), r.pathStep(tr))
+	return ent
+}
+
+// trail is the trail of a violation recorded while expanding ent: a
+// fresh copy of ent's path followed by last, the pending step. The first
+// step carries root, so lazy steps replay forward from it; the root's
+// own entry has no path, and last carries the root already.
+func (ent *stealEntry) trail(root State, last TrailStep) []TrailStep {
+	t := make([]TrailStep, 0, len(ent.path)+1)
+	t = append(append(t, ent.path...), last)
+	if len(ent.path) > 0 {
+		t[0].From = root
+	}
+	return t
+}
+
+// pathStep is tr's step on an entry path: its replay key and, for an
+// edge that cannot be replayed (no Replayer, no key, or eager steps),
+// its label and steps.
+func (r *stealRun) pathStep(tr *Transition) TrailStep {
+	if r.lazy && tr.Key != 0 && tr.Steps == nil {
+		return TrailStep{Key: tr.Key}
+	}
+	return TrailStep{Label: tr.Label, Steps: tr.Steps, Key: tr.Key}
 }
 
 // putEntry recycles a consumed entry into worker w's free-list. Safe
@@ -250,13 +297,14 @@ type wsCtx struct {
 	childDepth int   // depth of the successors of the entry being expanded
 }
 
-// pushState counts and enqueues one newly stored state. The sent store
-// strictly precedes the push becoming stealable, which is what keeps
-// the done-sum ≤ sent-sum termination invariant.
-func (c *wsCtx) pushState(st State, d digest) {
+// pushState counts and enqueues st, stored or depth-improved, reached
+// from parent's state through tr. The sent store strictly precedes the
+// push becoming stealable, which is what keeps the done-sum ≤ sent-sum
+// termination invariant.
+func (c *wsCtx) pushState(st State, d digest, parent *stealEntry, tr *Transition) {
 	c.sent++
 	c.r.cnts[c.w].sent.Store(c.sent)
-	c.r.deques[c.w].push(c.r.getEntry(c.w, st, d))
+	c.r.deques[c.w].push(c.r.getEntry(c.w, st, d, parent, tr))
 }
 
 // work is one worker's main loop: drain the own deque LIFO, steal FIFO
@@ -312,7 +360,7 @@ func (r *stealRun) work(w int) {
 		// after every explored state, not once per violation) — Stop
 		// cancellation and Deadline must interrupt even a convergence
 		// tail where expansions store nothing new.
-		if e.limitHit() {
+		if e.limitHit(x) {
 			e.truncated.Store(true)
 			return
 		}
@@ -413,16 +461,16 @@ func (c *wsCtx) expand(ent *stealEntry) {
 // share: it predicts or, where the Predictor cannot tell (or there is
 // none), steps the successors of the state one at a time into the
 // worker's scratch, records the transition (edge) violations of every
-// successor — predicted ones for a predicted successor, reconstructing
-// the parent trail prefix lazily, only when a violation is actually
-// recorded — then admits the successor under its (predicted) digest:
-// one probe of the link table stores and links it or, a duplicate,
-// lowers its depth. A predicted successor the table reports fresh or
-// improved is then stepped for real and held to its prediction
-// (engine.confirm); a predicted duplicate is never stepped. Only a new
-// successor is inspected for state violations and counted, on the
-// scratch, and then kept (cloned out) and pushed unless it is a leaf
-// (expandable). A duplicate is never inspected: its first copy was
+// successor — predicted ones for a predicted successor, the trail built
+// from ent's path only when a violation is actually recorded — then
+// admits the successor under its (predicted) digest: one probe of the
+// link table stores it or, a duplicate, lowers its depth. A predicted
+// successor the table reports fresh or improved is then stepped for
+// real and held to its prediction (engine.confirm); a predicted
+// duplicate is never stepped. Only a new successor is inspected for
+// state violations and counted, on the scratch, and then kept (cloned
+// out) and pushed, with ent's path plus its own step, unless it is a
+// leaf (expandable). A duplicate is never inspected: its first copy was
 // (System.Inspect is a function of the encoding), which also keeps the
 // count=false re-expansions free of Inspect calls — and of clones. The
 // stubs come from engine.enabled, so partial-order reduction applies
@@ -443,24 +491,16 @@ func (c *wsCtx) expand(ent *stealEntry) {
 // collector).
 func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 	e, x, links, depth, relax := c.r.e, c.x, c.r.links, c.childDepth, !c.r.relaxOff
-	state, h1 := ent.state, ent.d.h1
-	var prefix []TrailStep // parent trail, reconstructed lazily
-	havePrefix := false
+	state := ent.state
 	record := func(v Violation, tr *Transition) bool {
 		// Admit before constructing anything: on violation-dense
 		// state spaces nearly every hit is a duplicate, which the
 		// worker's violation cache refuses without the engine lock, and
-		// the trail walk + copy for a rejected violation is wasted
-		// allocation.
+		// the trail copy for a rejected violation is wasted allocation.
 		if !e.admit(x, v) {
 			return false
 		}
-		if !havePrefix {
-			prefix = links.trailTo(h1, c.r.root)
-			havePrefix = true
-		}
-		trail := append(append([]TrailStep(nil), prefix...), stepOf(state, tr))
-		e.commit(v, trail, depth)
+		e.commit(v, ent.trail(c.r.root, stepOf(state, tr)), depth)
 		return true
 	}
 
@@ -478,13 +518,13 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 			d, x.buf = e.digest(tr.Next, x.buf)
 		}
 		for _, v := range tr.Violations {
-			if record(v, tr) && e.limitHit() {
+			if record(v, tr) && e.limitHit(x) {
 				e.truncated.Store(true)
 				return false
 			}
 		}
 
-		fresh, improved := links.admit(d.h1, h1, int32(depth), tr, relax)
+		fresh, improved := links.admit(d.h1, int32(depth), relax)
 		if count {
 			x.stat.generated++
 		}
@@ -494,7 +534,7 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 		}
 		if !fresh {
 			if improved && c.expandable(tr.Next) {
-				c.pushState(e.stp.Keep(x.scratch, tr.Next), d)
+				c.pushState(e.stp.Keep(x.scratch, tr.Next), d, ent, tr)
 			} else if e.dupRec != nil {
 				// An eager duplicate child that was not re-enqueued never
 				// entered a deque, the link table, or a recorded trail
@@ -506,16 +546,16 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 			continue
 		}
 		for _, v := range e.sys.Inspect(tr.Next) {
-			if record(v, tr) && e.limitHit() {
+			if record(v, tr) && e.limitHit(x) {
 				e.truncated.Store(true)
 				return false
 			}
 		}
 		x.stat.bumpExplored(e)
 		if c.expandable(tr.Next) {
-			c.pushState(e.stp.Keep(x.scratch, tr.Next), d)
+			c.pushState(e.stp.Keep(x.scratch, tr.Next), d, ent, tr)
 		}
-		if e.limitHit() {
+		if e.limitHit(x) {
 			e.truncated.Store(true)
 			return false
 		}
