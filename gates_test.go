@@ -78,6 +78,13 @@ func (p poisonStepper) Predict(sc checker.Scratch, parent checker.State, stub *c
 	return h1, h2, ps.foretold, ok
 }
 
+// InspectLeaf forwards to the inner scratch; the verdict it lends is
+// the catalog's, shared with every state of its valuation, so it is
+// not poisoned.
+func (p poisonStepper) InspectLeaf(sc checker.Scratch, parent checker.State) ([]checker.Violation, bool) {
+	return p.memoEngineSystem.InspectLeaf(sc.(*poisonScratch).inner, parent)
+}
+
 func (ps *poisonScratch) poisonForetold() {
 	for i := range ps.foretold {
 		ps.foretold[i] = checker.Violation{Property: "poisoned", Detail: "read after the Predict's window closed"}
@@ -171,9 +178,9 @@ func checkLeafPath(t *testing.T, run string, cs *counted) {
 
 // recycleWatch marks every state handed to Recycle dead and keeps it
 // out of the model's free-lists, so no reuse can hide a later use; every
-// dead state Enabled, Step or Predict (as the parent), Inspect or
-// IncrementalDigest is given, or Recycle is given again, counts as a
-// dead use.
+// dead state Enabled, Step, Predict or InspectLeaf (as the parent),
+// Inspect or IncrementalDigest is given, or Recycle is given again,
+// counts as a dead use.
 type recycleWatch struct {
 	memoEngineSystem
 	mu       sync.Mutex
@@ -213,6 +220,11 @@ func (r *recycleWatch) Step(sc checker.Scratch, parent checker.State, stub *chec
 func (r *recycleWatch) Predict(sc checker.Scratch, parent checker.State, stub *checker.Transition) (uint64, uint64, []checker.Violation, bool) {
 	r.use(parent)
 	return r.memoEngineSystem.Predict(sc, parent, stub)
+}
+
+func (r *recycleWatch) InspectLeaf(sc checker.Scratch, parent checker.State) ([]checker.Violation, bool) {
+	r.use(parent)
+	return r.memoEngineSystem.InspectLeaf(sc, parent)
 }
 
 func (r *recycleWatch) Inspect(s checker.State) []checker.Violation {
@@ -461,8 +473,10 @@ func TestFaultOfflineOrbitSplit(t *testing.T) {
 	}
 }
 
-// valuationSystem runs the valuation check as the engine's Inspect (one
-// worker only: the check is not safe for concurrent use).
+// valuationSystem runs the valuation check as the engine's Inspect, and
+// on every leaf the engine looks up instead: the lookup's word and
+// violations against the successor stepped on the check's own scratch
+// (one worker only: the check is not safe for concurrent use).
 type valuationSystem struct {
 	memoEngineSystem
 	o *valuation
@@ -472,6 +486,19 @@ func (v valuationSystem) Inspect(s checker.State) []checker.Violation {
 	return v.o.inspect(s.(*model.State))
 }
 
+func (v valuationSystem) Predict(sc checker.Scratch, parent checker.State, stub *checker.Transition) (uint64, uint64, []checker.Violation, bool) {
+	v.o.stub = *stub
+	return v.memoEngineSystem.Predict(sc, parent, stub)
+}
+
+func (v valuationSystem) InspectLeaf(sc checker.Scratch, parent checker.State) ([]checker.Violation, bool) {
+	vs, ok := v.memoEngineSystem.InspectLeaf(sc, parent)
+	if ok {
+		v.o.lookedUp(parent.(*model.State), sc.(*model.Scratch).LeafWord(), vs)
+	}
+	return vs, ok
+}
+
 // TestInspectCountersTable8: on the benchmark's table8_dfs graph (the
 // Table 8 system at 5 events, as Analyze builds it), a DFS runs the
 // catalog's formulas once per distinct valuation — as many as an
@@ -479,9 +506,12 @@ func (v valuationSystem) Inspect(s checker.State) []checker.Violation {
 // under 2 % of the stored states, and re-evaluates under a quarter of the
 // atoms. It clones out only the stored states it will expand: 28,301
 // Keep calls, one per stored state but the initial one and the 113,070
-// leaves the walk finds. And it runs under 1,000 handler cascades: at
-// least 140,000 of its steps are splices from the transition memo, whose
-// atoms the valuation check then covers.
+// leaves the walk finds. At least 110,000 of those leaves are looked up
+// (InspectLeaf) and never stepped, so it makes at most 30,000 Step calls,
+// under 1,000 of them handler cascades (the rest splices from the
+// transition memo). The valuation check covers every inspected state and
+// every looked-up leaf: each lookup's word and violations are held to
+// the successor stepped on the check's own scratch.
 func TestInspectCountersTable8(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("a 141k-state search and an independent walk of the same graph")
@@ -540,9 +570,12 @@ func TestInspectCountersTable8(t *testing.T) {
 		t.Errorf("%d Keep calls for %d stored states, %d of them leaves: want %d, and Table 8 at 5 events 28,301",
 			keeps, stored, leaves, stored-1-leaves)
 	}
-	steps, splices := int(cs.steps.Load()), int(cs.splices.Load())
-	if steps-splices > 1_000 || splices < 140_000 {
-		t.Errorf("%d Step calls, %d of them splices: want at most 1,000 handler cascades and at least 140,000 splices", steps, splices)
+	steps, splices, lookups := int(cs.steps.Load()), int(cs.splices.Load()), int(cs.lookups.Load())
+	if steps-splices > 1_000 || steps > 30_000 {
+		t.Errorf("%d Step calls, %d of them splices: want at most 30,000, and at most 1,000 handler cascades", steps, splices)
+	}
+	if lookups < 110_000 || o.looked != lookups {
+		t.Errorf("%d leaves looked up, %d of them checked: want at least 110,000, every one checked", lookups, o.looked)
 	}
 	if decided != len(words) {
 		t.Errorf("%d verdicts decided, the walk met %d distinct valuations", decided, len(words))
@@ -553,8 +586,8 @@ func TestInspectCountersTable8(t *testing.T) {
 	if budget := len(o.table.Atoms) * stored; o.evaluated*4 > budget {
 		t.Errorf("%d atoms evaluated, over a quarter of %d atoms × %d states", o.evaluated, len(o.table.Atoms), stored)
 	}
-	t.Logf("%d states, %d violations: %d verdicts decided (%.2f %% of states), %d atoms evaluated (%.1f per state), %d steps, %d spliced",
-		stored, len(res.Violations), decided, 100*float64(decided)/float64(stored), o.evaluated, float64(o.evaluated)/float64(stored), steps, splices)
+	t.Logf("%d states, %d violations: %d verdicts decided (%.2f %% of states), %d atoms evaluated (%.1f per state), %d steps, %d spliced, %d leaves looked up",
+		stored, len(res.Violations), decided, 100*float64(decided)/float64(stored), o.evaluated, float64(o.evaluated)/float64(stored), steps, splices, lookups)
 }
 
 // TestInspectValuationTable9 runs the walker's valuation check over

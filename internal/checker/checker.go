@@ -138,22 +138,34 @@ type Scratch any
 // IncrementalDigest of Step(sc, parent, stub).Next and that step's
 // Violations, or ok false when it cannot tell. The engine asks it
 // before every Step and skips the Step of a successor whose predicted
-// digest the visited store has already seen; a successor the search
-// keeps is stepped for real, and a digest or violation list that
-// differs from the prediction fails the run (Result.Err), because a
-// wrong prediction could as well have skipped a new state. The Step
-// that confirms a prediction need not run the transition: the model may
-// splice the successor from what an earlier Step of the same prediction
-// wrote, once that Step was itself confirmed. So every stored state, and
-// every Keep, comes from a real Step or from such a splice — a state
-// like any other, whose digest and violations the engine checks as it
-// checks a real Step's. The violations are borrowed: valid until the
-// next Predict or Keep on sc, so the Step that confirms a prediction can
-// be held to them. Both strategies adopt the hook where their digest is
-// the raw IncrementalDigest: with HasIncremental true and no symmetry
-// fold.
+// digest the visited store has already seen; a new successor is
+// stepped, and a digest or violation list that differs from the
+// prediction fails the run (Result.Err), because a wrong prediction
+// could as well have skipped a new state. The Step that confirms a
+// prediction need not run the transition: the model may splice the
+// successor from what an earlier Step of the same prediction wrote, once
+// that Step was itself confirmed. So every kept state comes from a real
+// Step or from such a splice — a state like any other, whose digest and
+// violations the engine checks as it checks a real Step's. The
+// violations are borrowed: valid until the next Predict or Keep on sc,
+// so the Step that confirms a prediction can be held to them.
+//
+// InspectLeaf is asked once the store has reported the successor the
+// last Predict on sc answered for from parent new (on steal: fresh, not
+// merely depth-improved). When the model can tell that successor is a
+// leaf — Enabled would list nothing — it returns what Inspect would
+// return for it, with ok true, and the engine records those violations,
+// counts the state and drops it: no Step, Inspect, Enabled or Keep. It
+// reports ok false whenever it cannot tell, and the engine then
+// confirms the prediction as above. A model may answer only from what
+// earlier confirmed Steps of the same prediction established. The
+// violations are the caller's to read, not to write.
+//
+// Both strategies adopt the hook where their digest is the raw
+// IncrementalDigest: with HasIncremental true and no symmetry fold.
 type Predictor interface {
 	Predict(sc Scratch, parent State, stub *Transition) (h1, h2 uint64, viols []Violation, ok bool)
+	InspectLeaf(sc Scratch, parent State) (viols []Violation, ok bool)
 }
 
 // Reducer is optionally implemented by Systems that support partial-order
@@ -182,11 +194,11 @@ type Reducer interface {
 // identical canonical encodings, and two inequivalent states must not.
 // With Options.Symmetry set, the engine derives every visited-store
 // digest from the canonical encoding instead of State.Encode.
-// Everything else (the frontier, parent-link trails, expansion, replay)
-// keeps operating on raw states, so reported counter-example trails
-// replay as concrete executions of the unreduced model: the stored
-// representative of each orbit is the first raw state that reached it,
-// and the parent edge recorded for it replays from that raw state.
+// Everything else (the frontier, trails, expansion, replay) keeps
+// operating on raw states, so reported counter-example trails replay as
+// concrete executions of the unreduced model: the stored representative
+// of each orbit is the first raw state that reached it, and a trail
+// through it holds the replay keys of the raw path that got there.
 //
 // CanonicalEncode must be safe for concurrent calls on distinct states
 // (same contract as Expand/Inspect).

@@ -272,8 +272,9 @@ func (e *engine) predict(x *expander, parent State, stub, out *Transition) (dige
 
 // confirm steps stub, whose successor out holds as predicted (digest d,
 // violations out.Violations), once the store has reported that digest
-// new (or, on steal, lowered its depth): the real step overwrites out
-// and is held to the prediction. A disagreement is a model bug that
+// new (or, on steal, lowered its depth) and the Predictor could not
+// look it up as a leaf: the real step overwrites out and is held to the
+// prediction. A disagreement is a model bug that
 // could as well have skipped a new state: confirm sets e.err, naming
 // the transition, unless another worker's failure got there first, and
 // reports false, and the search must stop.
@@ -498,9 +499,9 @@ func (e *engine) commit(v Violation, trail []TrailStep, depth int) {
 
 // materialize resolves lazy trail steps in place by replaying forward:
 // the first step carries its source state, each replay returns the
-// successor the next step starts from. Steps whose chain is broken (an
-// eagerly recorded, keyless step in the middle of a parent-link trail)
-// degrade to label-only. Runs outside the engine lock, only for
+// successor the next step starts from. Steps whose chain is broken (a
+// keyless step, recorded eagerly, earlier on the trail) degrade to
+// label-only. Runs outside the engine lock, only for
 // genuinely new violations — duplicates are rejected before reaching
 // it.
 func (e *engine) materialize(ts []TrailStep) {

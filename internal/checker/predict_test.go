@@ -14,13 +14,17 @@ import (
 // wrong, when non-zero, is a doubled value whose prediction is off by
 // one, and wrongFrom, when non-zero, puts every doubling from a parent at
 // that depth or deeper off by one: the model bugs the engine must
-// refuse to run past.
+// refuse to run past. With leaves set, InspectLeaf answers for every
+// predicted successor at the depth bound, which has no transitions;
+// without, it refuses every one.
 type predictChain struct {
 	keyedChain
 	wrong       int
 	wrongFrom   int
+	leaves      bool
 	steps       atomic.Int64
 	predictions atomic.Int64
+	lookups     atomic.Int64
 }
 
 func chainDigest(v, depth int) (uint64, uint64) {
@@ -40,7 +44,7 @@ func (c *predictChain) Step(sc Scratch, parent State, stub *Transition) Transiti
 	return c.keyedChain.Step(sc, parent, stub)
 }
 
-func (c *predictChain) Predict(_ Scratch, parent State, stub *Transition) (uint64, uint64, []Violation, bool) {
+func (c *predictChain) Predict(sc Scratch, parent State, stub *Transition) (uint64, uint64, []Violation, bool) {
 	p := parent.(*chainState)
 	v := p.v + 1
 	if stub.Key == 2 {
@@ -50,8 +54,17 @@ func (c *predictChain) Predict(_ Scratch, parent State, stub *Transition) (uint6
 		}
 	}
 	c.predictions.Add(1)
+	sc.(*chainScratch).pred = chainState{v: v, depth: p.depth + 1}
 	h1, h2 := chainDigest(v, p.depth+1)
 	return h1, h2, nil, true
+}
+
+func (c *predictChain) InspectLeaf(sc Scratch, parent State) ([]Violation, bool) {
+	if !c.leaves || parent.(*chainState).depth+1 < c.bound {
+		return nil, false
+	}
+	c.lookups.Add(1)
+	return c.Inspect(&sc.(*chainScratch).pred), true
 }
 
 // TestPredictorSkipsDuplicateSteps: a system whose Predictor answers for
@@ -83,6 +96,50 @@ func TestPredictorSkipsDuplicateSteps(t *testing.T) {
 		}
 		if o.Strategy == StrategyDFS {
 			assertSameRun(t, name, got, want)
+			continue
+		}
+		if got.StatesExplored != want.StatesExplored || got.StatesMatched != want.StatesMatched ||
+			got.StatesStored != want.StatesStored || got.MaxDepthReached != want.MaxDepthReached {
+			t.Errorf("%s: explored/matched/stored/depth %d/%d/%d/%d, without the hook %d/%d/%d/%d", name,
+				got.StatesExplored, got.StatesMatched, got.StatesStored, got.MaxDepthReached,
+				want.StatesExplored, want.StatesMatched, want.StatesStored, want.MaxDepthReached)
+		}
+		if !slices.Equal(violationKeys(got), violationKeys(want)) {
+			t.Errorf("%s: violations %q, without the hook %q", name, violationKeys(got), violationKeys(want))
+		}
+	}
+}
+
+// TestPredictorLeafLookup: a Predictor that answers every predicted
+// leaf by lookup is searched exactly as without the hook — the DFS
+// counter for counter and trail for trail, steal on one worker and on
+// four with every counter and the violation set — and no looked-up
+// successor is stepped: on the DFS every new successor is either
+// stepped or looked up, never both. A chain of 13 levels reaches the
+// bad value 24 at its last level, so a leaf's violation and trail come
+// from the lookup.
+func TestPredictorLeafLookup(t *testing.T) {
+	for _, o := range []Options{
+		{MaxDepth: 20},
+		{MaxDepth: 20, Strategy: StrategySteal, Workers: 1},
+		{MaxDepth: 20, Strategy: StrategySteal, Workers: 4},
+	} {
+		name := fmt.Sprintf("%v/workers=%d", o.Strategy, o.Workers)
+		want := Run(&keyedChain{chainSys{bound: 13, bad: 24}}, o)
+		sys := &predictChain{keyedChain: keyedChain{chainSys{bound: 13, bad: 24}}, leaves: true}
+		got := Run(sys, o)
+		if got.Err != nil || len(want.Violations) == 0 {
+			t.Fatalf("%s: err %v, or a vacuous run (%d violations)", name, got.Err, len(want.Violations))
+		}
+		lookups := int(sys.lookups.Load())
+		if lookups == 0 {
+			t.Fatalf("%s: no leaf looked up", name)
+		}
+		if o.Strategy == StrategyDFS {
+			assertSameRun(t, name, got, want)
+			if steps := int(sys.steps.Load()); steps+lookups != got.StatesExplored-1 {
+				t.Errorf("%s: %d steps and %d lookups for %d new successors", name, steps, lookups, got.StatesExplored-1)
+			}
 			continue
 		}
 		if got.StatesExplored != want.StatesExplored || got.StatesMatched != want.StatesMatched ||

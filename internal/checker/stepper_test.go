@@ -11,7 +11,9 @@ import (
 // would see a later successor there and diverge from the eager run.
 type keyedChain struct{ chainSys }
 
-type chainScratch struct{ st chainState }
+// chainScratch holds a keyed chain's stepped successor, and the
+// successor its Predictor last answered for (predictChain).
+type chainScratch struct{ st, pred chainState }
 
 func (c *keyedChain) Enabled(s State, buf []Transition) []Transition {
 	st := s.(*chainState)

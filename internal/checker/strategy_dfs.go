@@ -15,8 +15,9 @@ type sequentialDFS struct{}
 // dfsFrame is one stack frame of the iterative DFS: a stored state, the
 // stubs of its transitions, and how many of them have been taken. The
 // successor of stub i is generated (Step) only when the search is about
-// to visit it, and becomes a frame (Keep) only when the store reports
-// it new and it has transitions of its own. The invariant the
+// to visit it — and not at all when it was predicted and the Predictor
+// looks it up as a leaf — and becomes a frame (Keep) only when the store
+// reports it new and it has transitions of its own. The invariant the
 // checkpoint format leans on: for every non-top frame i, the child
 // frame i+1 holds the successor of stubs[next-1].
 type dfsFrame struct {
@@ -148,19 +149,31 @@ func (s sequentialDFS) search(e *engine) {
 			}
 			continue
 		}
-		if predicted && !e.confirm(x, top.state, stub, &tr, d) {
-			break
+		// A new predicted successor the Predictor can tell is a leaf is
+		// never stepped: its state violations come from the lookup. Any
+		// other is confirmed, then inspected and its transitions listed
+		// while it is still borrowed; only one with transitions is kept,
+		// and the listed stubs become its frame's.
+		var vs []Violation
+		looked := false
+		if predicted {
+			if vs, looked = e.pred.InspectLeaf(x.scratch, top.state); !looked && !e.confirm(x, top.state, stub, &tr, d) {
+				break
+			}
 		}
 		e.logVisit(d)
-		// A new successor is inspected and its transitions listed while
-		// it is still borrowed; only one with transitions is kept, and
-		// the listed stubs become its frame's.
-		if e.recordAll(x, e.sys.Inspect(tr.Next), trail, top.state, &tr, depth) {
+		if !looked {
+			vs = e.sys.Inspect(tr.Next)
+		}
+		if e.recordAll(x, vs, trail, top.state, &tr, depth) {
 			e.truncated.Store(true)
 			break
 		}
 		e.explored.Add(1)
-		stubs := e.enabled(tr.Next, free.get(), true)
+		var stubs []Transition
+		if !looked {
+			stubs = e.enabled(tr.Next, free.get(), true)
+		}
 		if len(stubs) == 0 {
 			// A leaf is stored, recorded and counted, and never becomes a
 			// frame. One at the depth bound still truncates the search:

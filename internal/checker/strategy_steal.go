@@ -51,10 +51,11 @@ import (
 //
 // With a Predictor (the transition memo), a successor it answers for is
 // stepped only when it may be kept: its predicted digest goes to the
-// link table first, and only a fresh or depth-improved successor is
-// stepped for real (engine.confirm) and, unless a leaf, cloned out; a
-// predicted duplicate is never stepped. A wrong prediction stops every
-// worker and fails the run.
+// link table first, a fresh one the Predictor can tell is a leaf is
+// looked up (InspectLeaf) and never stepped, and any other fresh or
+// depth-improved successor is stepped for real (engine.confirm) and,
+// unless a leaf, cloned out; a predicted duplicate is never stepped. A
+// wrong prediction stops every worker and fails the run.
 //
 // With a recycling system (StateRecycler), the steal hot path is
 // allocation-free in steady state: deque entries come from per-worker
@@ -465,6 +466,9 @@ func (c *wsCtx) expand(ent *stealEntry) {
 // from ent's path only when a violation is actually recorded — then
 // admits the successor under its (predicted) digest: one probe of the
 // link table stores it or, a duplicate, lowers its depth. A predicted
+// successor the table reports fresh is first offered to the leaf lookup
+// (Predictor.InspectLeaf): a looked-up leaf's violations stand for its
+// Inspect, and it is counted and dropped unstepped. Any other predicted
 // successor the table reports fresh or improved is then stepped for
 // real and held to its prediction (engine.confirm); a predicted
 // duplicate is never stepped. Only a new successor is inspected for
@@ -528,7 +532,12 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 		if count {
 			x.stat.generated++
 		}
-		if predicted && (fresh || improved) && !e.confirm(x, state, tr, tr, d) {
+		var vs []Violation
+		looked := false
+		if predicted && fresh {
+			vs, looked = e.pred.InspectLeaf(x.scratch, state)
+		}
+		if predicted && !looked && (fresh || improved) && !e.confirm(x, state, tr, tr, d) {
 			e.truncated.Store(true)
 			return false
 		}
@@ -545,14 +554,17 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 			}
 			continue
 		}
-		for _, v := range e.sys.Inspect(tr.Next) {
+		if !looked {
+			vs = e.sys.Inspect(tr.Next)
+		}
+		for _, v := range vs {
 			if record(v, tr) && e.limitHit(x) {
 				e.truncated.Store(true)
 				return false
 			}
 		}
 		x.stat.bumpExplored(e)
-		if c.expandable(tr.Next) {
+		if !looked && c.expandable(tr.Next) {
 			c.pushState(e.stp.Keep(x.scratch, tr.Next), d, ent, tr)
 		}
 		if e.limitHit(x) {

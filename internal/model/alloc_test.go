@@ -315,6 +315,50 @@ func TestSpliceZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestLeafLookupZeroAlloc is the allocation gate for a leaf looked up
+// instead of stepped: predicting each successor of a state at the event
+// bound and answering it by lookup (Scratch.InspectLeaf), verdict
+// included, performs zero heap allocations, and every successor of the
+// measured expansions is looked up.
+func TestLeafLookupZeroAlloc(t *testing.T) {
+	m := cascadeModelOpts(t, Options{MaxEvents: 2, Incremental: true, Invariants: cascadeCatalog(t)})
+	sc := m.NewScratch()
+	root := m.Initial()
+	m.IncrementalDigest(root, false)
+	m.Inspect(root)
+	stubs := m.Enabled(root, nil)
+	first := sc.Step(root, &stubs[0])
+	m.IncrementalDigest(first.Next.(*State), false)
+	m.Inspect(first.Next.(*State))
+	parent := sc.Keep() // a step from the initial state is not recorded; this one's successors are leaves
+
+	succ, looked := 0, 0
+	run := func() {
+		stubs = m.Enabled(parent, stubs[:0])
+		for i := range stubs {
+			succ++
+			sc.Predict(parent, &stubs[i])
+			if _, ok := sc.InspectLeaf(parent); ok {
+				looked++
+				continue
+			}
+			tr := sc.Step(parent, &stubs[i])
+			m.IncrementalDigest(tr.Next.(*State), false)
+			m.Inspect(tr.Next.(*State))
+		}
+	}
+	run() // record
+	run() // first use: step, and capture
+	run() // first splice: re-hash, and record the leaves' atom bits
+	succ0, looked0 := succ, looked
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Errorf("predict + leaf lookup allocates %.2f times per expansion, want 0", allocs)
+	}
+	if n := looked - looked0; succ == succ0 || n != succ-succ0 {
+		t.Errorf("%d of %d successors looked up: want every successor of the measured expansions", n, succ-succ0)
+	}
+}
+
 // TestReducedStepZeroAlloc is the reduced-path twin of
 // TestStepDuplicateZeroAlloc: expanding a queue-drain state of the
 // concurrent interchangeable-device model — list its transitions,

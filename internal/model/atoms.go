@@ -96,7 +96,8 @@ const MaxAtoms = 64
 // resolved against one Plan's devices. The valuation of a state is the
 // word whose bit i is Atoms[i].Holds(state); every invariant of the
 // catalog is a boolean function of that word (Invariant.Over), so the
-// whole catalog's answer is too. Immutable once NewAtomTable returns.
+// whole catalog's answer is too. Immutable once NewAtomTable returns,
+// but for its verdict caches, which synchronise themselves.
 type AtomTable struct {
 	Atoms []Atom
 
@@ -106,6 +107,12 @@ type AtomTable struct {
 	// the header (mode atoms), block 1+d device d. No atom reads an app,
 	// queue or command-log block.
 	readers []uint64
+
+	// caches holds one verdict cache per invariant list over the table —
+	// per compiled catalog — shared by every model built with that list
+	// (every related set of one Analyze call). Guarded by mu.
+	mu     sync.Mutex
+	caches []*verdictCache
 }
 
 // NewAtomTable builds the table of atoms, which must have been resolved
@@ -192,13 +199,15 @@ type verdict struct {
 }
 
 // verdictCache maps a valuation to its verdict, exactly (the key is the
-// whole word), for one Model. A search reaches a few hundred to a few
-// thousand distinct valuations over hundreds of thousands of states, so
-// nearly every Inspect is a hit, and a hit is atomic loads only: slots
-// are filled once and never rewritten, and a table that fills up is
+// whole word), for one compiled catalog: an atom table and an invariant
+// list over it (invs). A search reaches a few hundred to a few thousand
+// distinct valuations over hundreds of thousands of states, so nearly
+// every lookup is a hit, and a hit is atomic loads only: slots are
+// filled once and never rewritten, and a table that fills up is
 // replaced by a larger copy with one pointer store. Misses serialise on
 // mu.
 type verdictCache struct {
+	invs  []Invariant
 	table atomic.Pointer[verdictTable]
 	mu    sync.Mutex
 	n     int // verdicts published; guarded by mu
@@ -233,11 +242,40 @@ func (c *verdictCache) get(word uint64) *verdict {
 	return nil
 }
 
+// cacheFor returns the verdict cache of the catalog invs over t, making
+// it the first time that list asks. A list is known by identity — its
+// first element and length — as Build hands every model of one Analyze
+// call the same slice; an equal list elsewhere only gets a cache of its
+// own.
+func (t *AtomTable) cacheFor(invs []Invariant) *verdictCache {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, c := range t.caches {
+		if len(c.invs) == len(invs) && &c.invs[0] == &invs[0] {
+			return c
+		}
+	}
+	c := &verdictCache{invs: invs}
+	t.caches = append(t.caches, c)
+	return c
+}
+
+// catalog returns the verdict cache of the model's catalog, resolving it
+// at the first call: Build allocates nothing for it. The model must
+// have invariants.
+func (m *Model) catalog() *verdictCache {
+	if c := m.verdicts.Load(); c != nil {
+		return c
+	}
+	c := m.atoms.cacheFor(m.Opts.Invariants)
+	m.verdicts.Store(c)
+	return c
+}
+
 // decideOnce runs the catalog over a valuation the cache missed and
 // publishes the verdict — unless another worker got there first — and
 // returns the published one.
-func (m *Model) decideOnce(word uint64) *verdict {
-	c := &m.verdicts
+func (c *verdictCache) decideOnce(word uint64) *verdict {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.table.Load()
@@ -250,8 +288,8 @@ func (m *Model) decideOnce(word uint64) *verdict {
 		return v
 	}
 	v = &verdict{word: word}
-	for i := range m.Opts.Invariants {
-		if inv := &m.Opts.Invariants[i]; !inv.Over(word) {
+	for i := range c.invs {
+		if inv := &c.invs[i]; !inv.Over(word) {
 			v.viols = append(v.viols, checker.Violation{Property: inv.ID, Detail: inv.Description})
 		}
 	}
@@ -274,27 +312,40 @@ func (m *Model) decideOnce(word uint64) *verdict {
 }
 
 // VerdictsDecided returns how many distinct valuations the model's
-// catalog has been run over so far: Inspect's misses.
+// catalog has been run over so far — by this model and every other
+// built with the same invariant list: the verdict cache's misses.
 func (m *Model) VerdictsDecided() int {
-	m.verdicts.mu.Lock()
-	defer m.verdicts.mu.Unlock()
-	return m.verdicts.n
+	if m.atoms == nil {
+		return 0
+	}
+	c := m.catalog()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n
+}
+
+// verdictOf returns the catalog's violations of every state whose
+// valuation is word, in Options.Invariants order, deciding them only
+// the first time the catalog meets the word. Shared: callers must not
+// write to them.
+func (m *Model) verdictOf(word uint64) []checker.Violation {
+	c := m.catalog()
+	v := c.get(word)
+	if v == nil {
+		v = c.decideOnce(word)
+	}
+	return v.viols
 }
 
 // Inspect evaluates the safe-physical-state invariants on a state (§8
 // "Safety Properties"): settle the state's atom word, look its verdict
 // up, and run the invariants' formulas over the word only the first
-// time this model meets it. The violations come in Options.Invariants
+// time the catalog meets it. The violations come in Options.Invariants
 // order. The result is shared with every other state of the same
 // valuation: callers must not write to it.
 func (m *Model) Inspect(s *State) []checker.Violation {
 	if m.atoms == nil {
 		return nil
 	}
-	word := m.atoms.settle(s)
-	v := m.verdicts.get(word)
-	if v == nil {
-		v = m.decideOnce(word)
-	}
-	return v.viols
+	return m.verdictOf(m.atoms.settle(s))
 }

@@ -91,9 +91,9 @@ func TestVerdictCacheConcurrent(t *testing.T) {
 				// lookups of a word race with its insertion.
 				k := (i + w*words/workers) % words
 				word := uint64(k) * 0x9e3779b97f4a7c15
-				v := m.verdicts.get(word)
+				v := m.catalog().get(word)
 				if v == nil {
-					v = m.decideOnce(word)
+					v = m.catalog().decideOnce(word)
 				}
 				published[w][k] = v
 			}
@@ -105,7 +105,7 @@ func TestVerdictCacheConcurrent(t *testing.T) {
 	}
 	for k := 0; k < words; k++ {
 		word := uint64(k) * 0x9e3779b97f4a7c15
-		v := m.verdicts.get(word)
+		v := m.catalog().get(word)
 		if v == nil || v.word != word {
 			t.Fatalf("valuation %#x lost its verdict", word)
 		}
@@ -123,6 +123,31 @@ func TestVerdictCacheConcurrent(t *testing.T) {
 				t.Fatalf("valuation %#x: worker %d was handed a different verdict than the published one", word, w)
 			}
 		}
+	}
+}
+
+// TestVerdictCachePerCatalog: models built with the same invariant list
+// share one verdict cache, so a valuation one of them decided is a hit
+// for the other; a model over the same atom table with another list —
+// here a prefix of it — decides on its own, with its own invariants.
+func TestVerdictCachePerCatalog(t *testing.T) {
+	catalog := cascadeCatalog(t)
+	a := cascadeModelOpts(t, Options{Invariants: catalog})
+	b := cascadeModelOpts(t, Options{Invariants: catalog})
+	c := cascadeModelOpts(t, Options{Invariants: catalog[:1]})
+	if a.catalog() != b.catalog() || a.catalog() == c.catalog() {
+		t.Fatal("want one cache for the two models of one invariant list, another for the prefix")
+	}
+	const word = 1 // motion with the light off: both invariants fail
+	if got := a.verdictOf(word); len(got) != 2 {
+		t.Fatalf("the whole catalog reports %q, want both invariants", got)
+	}
+	if a.VerdictsDecided() != 1 || b.VerdictsDecided() != 1 || c.VerdictsDecided() != 0 {
+		t.Errorf("verdicts decided %d, %d, %d: want the shared cache's one, and none for the prefix",
+			a.VerdictsDecided(), b.VerdictsDecided(), c.VerdictsDecided())
+	}
+	if got := c.verdictOf(word); len(got) != 1 || got[0].Property != "lit-when-moving" {
+		t.Errorf("the prefix reports %q, want its one invariant", got)
 	}
 }
 

@@ -29,7 +29,8 @@ import (
 // whose digest a scratch's transition memo can tell, and the Step that
 // confirms a prediction is served from the same memo: once an entry's
 // first confirming Step has run for real, later ones splice the blocks
-// it wrote onto the parent and run no handler (memo.go). The model's
+// it wrote onto the parent and run no handler (memo.go), and InspectLeaf
+// answers for a predicted leaf with no Step at all (leaf.go). The model's
 // reducer reads only len(trs) and the state, as the hook requires.
 func (m *Model) System() checker.System { return sysAdapter{m} }
 
@@ -60,6 +61,11 @@ func (a sysAdapter) Keep(sc checker.Scratch, _ checker.State) checker.State {
 // memo (memo.go).
 func (a sysAdapter) Predict(sc checker.Scratch, parent checker.State, stub *checker.Transition) (uint64, uint64, []checker.Violation, bool) {
 	return sc.(*Scratch).Predict(parent.(*State), stub)
+}
+
+// InspectLeaf implements checker.Predictor's leaf lookup (leaf.go).
+func (a sysAdapter) InspectLeaf(sc checker.Scratch, parent checker.State) ([]checker.Violation, bool) {
+	return sc.(*Scratch).InspectLeaf(parent.(*State))
 }
 
 func (a sysAdapter) Inspect(s checker.State) []checker.Violation {

@@ -47,6 +47,11 @@ import (
 //     sets the fold to the prediction. No handler runs and nothing is
 //     encoded.
 //
+// And from a later use on, a successor at the event bound — a leaf — is
+// not stepped at all: the engine asks InspectLeaf, which tells its atom
+// word, and so its verdict, from the parent's and what the entry's
+// earlier splices recorded (leaf.go).
+//
 // An entry that writes a dynamic (KV-map) app is never captured and
 // keeps being stepped.
 //
@@ -142,6 +147,12 @@ type memo struct {
 	cqueue  []Pending
 	ccmds   []CmdRec
 
+	// The leaf lookup's arenas (leaf.go): every entry's read devices, and
+	// the recorded atom bits of its leaf successors by parent.
+	leafDevs []int32
+	leaves   []memoLeaf
+	nLeaves  int
+
 	reads     []uint64 // the executor's read mask while a step records
 	footprint []int32  // a recording's footprint, reused
 	pt        parentTerms
@@ -181,6 +192,13 @@ type memoEntry struct {
 	use    uint8 // how the next confirming Step is served: memoStep, memoRehash, memoSplice or memoNever
 	// The written blocks, once captured: blocks[content : content+nContent].
 	content, nContent int32
+	// What a leaf lookup of the entry's successor needs, set at its first
+	// splice (leafSets, leaf.go): latoms the atoms the entry can change,
+	// the device blocks outside its written set that they read at
+	// leafDevs[ldevs : ldevs+nldevs], and noLeaf when it is never looked up.
+	latoms        uint64
+	ldevs, nldevs int32
+	noLeaf        bool
 }
 
 // How an entry's next confirming Step is served.

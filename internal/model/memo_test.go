@@ -32,11 +32,29 @@ def onMotion(evt) {
 
 func followModel(t *testing.T, events int) *Model {
 	t.Helper()
+	return followModelOpts(t, Options{MaxEvents: events, Incremental: true})
+}
+
+func followModelOpts(t *testing.T, opts Options) *Model {
+	t.Helper()
+	m, err := New(followSystem(), map[string]*ir.App{"Follow": followIR(t)}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func followIR(t *testing.T) *ir.App {
+	t.Helper()
 	app, err := smartapp.Translate(followApp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := &config.System{
+	return app
+}
+
+func followSystem() *config.System {
+	return &config.System{
 		Name: "follow-home",
 		Devices: []config.Device{
 			{ID: "m1", Label: "Hall Motion", Model: "Motion Sensor"},
@@ -49,11 +67,6 @@ func followModel(t *testing.T, events int) *Model {
 			"switches": {DeviceIDs: []string{"sw1"}},
 		}}},
 	}
-	m, err := New(sys, map[string]*ir.App{"Follow": app}, Options{MaxEvents: events, Incremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
 }
 
 // corruptSpy flips one captured attribute word of the first memo entry

@@ -287,9 +287,10 @@ type Model struct {
 	slotTotal int
 
 	// atoms is the one table every invariant of Opts.Invariants is over
-	// (nil without any), and verdicts caches what they say per valuation.
+	// (nil without any), and verdicts the cache of what they say per
+	// valuation, shared by every model of the same catalog (catalog).
 	atoms    *AtomTable
-	verdicts verdictCache
+	verdicts atomic.Pointer[verdictCache]
 
 	// execs pools executors (with their compiled-execution Envs) for
 	// Expand and Replay, which draw one per call; a Scratch owns its

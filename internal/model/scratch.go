@@ -44,6 +44,7 @@ type Scratch struct {
 	nextSerial, endSerial uint64 // the block of serials drawn from the model
 
 	fullSyncs, splices int
+	leafWord           uint64 // the last looked-up leaf's (LeafWord)
 
 	// enc is the encode buffer the working state's blocks are re-hashed
 	// in after a step (refresh): the successor path takes nothing from
@@ -179,19 +180,25 @@ func (sc *Scratch) splice(p *State, stub *checker.Transition, e *memoEntry, tr *
 		copy(s.dirtyMask, touch)
 		sc.enc = refreshDirty(s, sc.enc)
 		e.use = memoSplice
+		mm.leafSets(sc.m, e)
 	} else {
 		s.blockHash[0], s.fold = mm.hitHeader, mm.hitFold
 	}
 	if sc.m.atoms != nil {
 		sc.m.atoms.staleTouched(s, touch)
 	}
+	sc.recordLeaf(p, s, mm.hitEntry, e)
 	x := sc.x
 	x.viols = append(x.viols[:0], mm.viols[e.viols:e.viols+e.nViols]...)
 	label, key, fault := stub.Label, stub.Key, stub.Fault
 	tr.Label, tr.Steps, tr.Key, tr.Next, tr.Violations, tr.Fault = label, nil, key, s, x.violations(), fault
 	sc.splices++
-	if sc.check != nil {
-		sc.check.verify(sc, p, stub, tr)
+	if c := sc.check; c != nil {
+		c.verify(sc, p, stub, tr)
+		if c.leafErr != "" {
+			c.fail(sc, tr, "leaf-check", fmt.Sprintf("transition %q %s", stub.Label, c.leafErr))
+			c.leafErr = ""
+		}
 	}
 }
 
@@ -319,29 +326,40 @@ var spliceChecks atomic.Bool
 // both), block hashes, fold and violations with the real step's. A
 // mismatch is added to the step's violations as a "splice-check"
 // violation naming the transition, so the engine's check of the step
-// fails the run with it (Result.Err). It is a test hook, not an option:
-// the tests of the root package arm it for their whole run, which puts
-// every new state a memo-on cell of the verdict matrix stores through a
-// real step, as before splicing.
+// fails the run with it (Result.Err). Every leaf lookup (InspectLeaf) is
+// re-stepped the same way, and a lookup whose digest, leafness, atom word
+// or violations differ from the real step's is refused and reported as
+// a "leaf-check" violation of the confirming splice, which fails the run
+// alike (spliceCheck.leaf). It is a test hook, not an option: the tests
+// of the root package arm it for their whole run, which puts every new
+// state a memo-on cell of the verdict matrix stores through a real step,
+// as before splicing and looking up.
 func CheckSplices(on bool) { spliceChecks.Store(on) }
 
 // spliceCheck is one scratch's shadow state and executor for the splice
-// check.
+// check, and the difference a refused leaf lookup left for the
+// confirming splice to report.
 type spliceCheck struct {
-	shadow *State
-	x      *executor
-	a, b   []byte
-	mask   []uint64
+	shadow  *State
+	x       *executor
+	a, b    []byte
+	mask    []uint64
+	leafErr string
 }
 
-// verify re-steps the transition sc has just spliced into tr from p.
-func (c *spliceCheck) verify(sc *Scratch, p *State, stub *checker.Transition, tr *checker.Transition) {
-	m := sc.m
+// shadowOf makes the shadow state a copy of p.
+func (c *spliceCheck) shadowOf(m *Model, p *State) {
 	if c.shadow == nil {
 		c.shadow, c.x = p.cloneFresh(), m.newExecutor()
 	} else {
 		c.shadow = p.cloneInto(c.shadow)
 	}
+}
+
+// verify re-steps the transition sc has just spliced into tr from p.
+func (c *spliceCheck) verify(sc *Scratch, p *State, stub *checker.Transition, tr *checker.Transition) {
+	m := sc.m
+	c.shadowOf(m, p)
 	var want checker.Transition
 	m.step(c.shadow, c.x, stub.Key, stub.Label, false, &want)
 	s, sh := sc.s, c.shadow
@@ -372,8 +390,12 @@ func (c *spliceCheck) verify(sc *Scratch, p *State, stub *checker.Transition, tr
 	default:
 		return
 	}
+	c.fail(sc, tr, "splice-check", fmt.Sprintf("transition %q (key %#x): the spliced successor differs from a real step in its %s", stub.Label, stub.Key, what))
+}
+
+// fail adds a check's violation to the spliced step's.
+func (c *spliceCheck) fail(sc *Scratch, tr *checker.Transition, property, detail string) {
 	x := sc.x
-	x.viols = append(x.viols, checker.Violation{Property: "splice-check",
-		Detail: fmt.Sprintf("transition %q (key %#x): the spliced successor differs from a real step in its %s", stub.Label, stub.Key, what)})
+	x.viols = append(x.viols, checker.Violation{Property: property, Detail: detail})
 	tr.Violations = x.viols
 }

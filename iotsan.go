@@ -206,8 +206,8 @@ type Options struct {
 	// state space shrinks with the number of interchangeable devices.
 	// Composes multiplicatively with POR (POR prunes interleavings,
 	// symmetry folds the survivors) and with both parallel levels.
-	// Trails still replay on the raw model: frontier states and
-	// parent-link replay keys stay concrete.
+	// Trails still replay on the raw model: frontier states and the
+	// replay keys on trails stay concrete.
 	Symmetry bool
 	// GroupParallel is ignored: related sets verify concurrently by
 	// default, and Workers alone sets how many at once (1 = one after

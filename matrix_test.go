@@ -272,16 +272,18 @@ func (c cell) model() (*model.Model, error) {
 // counted is the model's adapter with Inspect, Step, Keep and the
 // memo's answers counted, and with each Step's borrowed window watched:
 // leaves counts the Inspect calls on a state with no enabled transition
-// and leafKeeps the Keep calls on one; unkept counts the windows in which
-// the engine inspected the borrowed successor and closed without a Keep
-// (a leaf dropped on the scratch), reinspected the windows whose
-// successor was inspected twice. splices counts the Step calls a model
-// scratch served by splicing, without a handler cascade.
+// and the leaves looked up (lookups: InspectLeaf's answers, which stand
+// for the Inspect of a leaf never stepped), and leafKeeps the Keep calls
+// on a leaf; unkept counts the windows in which the engine inspected the
+// borrowed successor and closed without a Keep (a leaf dropped on the
+// scratch), reinspected the windows whose successor was inspected twice.
+// splices counts the Step calls a model scratch served by splicing,
+// without a handler cascade.
 type counted struct {
 	memoEngineSystem
 	inspects, steps, keeps, predictions    atomic.Int64
 	leaves, leafKeeps, unkept, reinspected atomic.Int64
-	splices                                atomic.Int64
+	splices, lookups                       atomic.Int64
 	windows                                sync.Map // scratch → *window
 	lentBy                                 sync.Map // a borrowed Next → its scratch's *window
 }
@@ -364,6 +366,15 @@ func (c *counted) Predict(sc checker.Scratch, parent checker.State, stub *checke
 	return h1, h2, vs, ok
 }
 
+func (c *counted) InspectLeaf(sc checker.Scratch, parent checker.State) ([]checker.Violation, bool) {
+	vs, ok := c.memoEngineSystem.InspectLeaf(sc, parent)
+	if ok {
+		c.lookups.Add(1)
+		c.leaves.Add(1)
+	}
+	return vs, ok
+}
+
 // noMemo hides checker.Predictor: keyedEngineSystem does not list it,
 // so the engine steps every successor.
 type noMemo struct{ keyedEngineSystem }
@@ -380,7 +391,7 @@ type cellResult struct {
 	*checker.Result
 	violations                          []string
 	inspects, steps, keeps, predictions int
-	leaves, leafKeeps                   int    // see counted
+	leaves, leafKeeps, lookups          int    // see counted
 	outcome                             string // DFS only; see dfsOutcome
 	faultTrails                         int    // trails through a fault transition
 	replay                              error  // the first trail that does not replay
@@ -424,7 +435,7 @@ func (c cell) run() (*cellResult, error) {
 		}
 		r := &cellResult{Result: res, violations: violationSet(res), inspects: int(sys.inspects.Load()),
 			steps: int(sys.steps.Load()), keeps: int(sys.keeps.Load()), predictions: int(sys.predictions.Load()),
-			leaves: int(sys.leaves.Load()), leafKeeps: int(sys.leafKeeps.Load())}
+			leaves: int(sys.leaves.Load()), leafKeeps: int(sys.leafKeeps.Load()), lookups: int(sys.lookups.Load())}
 		if c.strategy == dfs {
 			r.outcome = dfsOutcome(res)
 		}
@@ -617,8 +628,8 @@ func (c cell) check(t *testing.T) {
 	if c.store == tiered && r.StatesStored > 1100 && r.Store.Spilled == 0 {
 		t.Errorf("nothing spilled out of %d stored states", r.StatesStored)
 	}
-	if r.inspects != r.StatesStored {
-		t.Errorf("%d Inspect calls for %d stored states: Inspect must run once per stored state", r.inspects, r.StatesStored)
+	if r.inspects+r.lookups != r.StatesStored {
+		t.Errorf("%d Inspect calls and %d leaf lookups for %d stored states: one of them must run once per stored state", r.inspects, r.lookups, r.StatesStored)
 	}
 	if c.path == keyed && r.leafKeeps != 0 {
 		t.Errorf("%d Keep calls on a leaf: only a state with transitions is kept", r.leafKeeps)

@@ -22,7 +22,11 @@
 // Run with: go test -tags iotsan_skipmark -run TestSkipMark .
 package iotsan_test
 
-import "testing"
+import (
+	"testing"
+
+	"iotsan/internal/model"
+)
 
 // skipMarkCaught asserts that the walker row diverges on the check, and
 // returns what the walk found.
@@ -65,4 +69,30 @@ func TestSkipMarkOracleCatchesMissingReadMark(t *testing.T) {
 		t.Fatalf("readDevice was skipped, yet every one of %d spliced states encodes as Expand's: the keyed check would miss a wrong splice", r.splices)
 	}
 	t.Logf("%d of %d spliced states encode differently from Expand's", r.splicedWrong, r.splices)
+}
+
+// A missed device mark leaves the sensor out of the blocks a memo entry
+// writes, so a leaf lookup keeps the parent's value of the atoms reading
+// it: the looked-up word goes stale, which the leaf check compares with
+// the valuation of Expand's successor. The root package's tests arm the
+// splice check, which re-steps every lookup and would refuse a wrong one
+// before the walker saw it; this walk runs with it disarmed, so that what
+// it shows is the leaf check's own teeth.
+func TestSkipMarkOracleCatchesStaleLeafAtom(t *testing.T) {
+	model.CheckSplices(false)
+	defer model.CheckSplices(true)
+	row := walkRowNamed("failures")
+	m, err := row.c.model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := walk(m, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := r.div["leaf"]
+	if d.count == 0 {
+		t.Fatalf("markDevice was skipped on every sensor update, yet all %d leaves looked up along %d successors of %s passed the leaf check: the walker would miss a stale looked-up atom", r.checked["leaf"], r.successors, row.name)
+	}
+	t.Logf("leaf check caught %d divergences across %d lookups of %s; first: %s", d.count, r.checked["leaf"], row.name, d.first)
 }

@@ -7,6 +7,9 @@
 //	predict    wherever the scratch's transition memo answers, its digest and violations
 //	           ≡ Step's successor digested and Step's violations; a memo row must splice
 //	           (the keyed check then covers the spliced contents)
+//	leaf       wherever the memo looks a predicted leaf up (InspectLeaf), Expand's
+//	           successor is a leaf, and its valuation from scratch ≡ the looked-up
+//	           word, its per-invariant violations ≡ the looked-up ones
 //	digest     the incremental digest ≡ that of a clone with every block dirty, raw and canonical
 //	valuation  the atom word Inspect settles ≡ every atom evaluated from scratch, and its
 //	           verdict ≡ a plain loop over the invariants' per-state twins
@@ -69,6 +72,12 @@ type valuation struct {
 
 	inspected, evaluated int // Inspect calls; atoms they found stale
 	div                  divergence
+
+	// The leaf lookups checked (lookedUp): the stub of the last
+	// prediction, stepped from the parent on a scratch of the check's own.
+	looked int
+	stub   checker.Transition
+	ref    *model.Scratch
 }
 
 // newValuation returns nil for a model without invariants.
@@ -118,6 +127,39 @@ func (o *valuation) inspect(s *model.State) []checker.Violation {
 		o.div.note("Inspect reports %q, the per-invariant loop %q", got, want)
 	}
 	return got
+}
+
+// leafDiff compares a leaf lookup's atom word and violations with next,
+// the successor it stands for, evaluated from scratch: the word with
+// every atom, the violations with the per-invariant loop. It returns
+// what differs, or "".
+func (o *valuation) leafDiff(next *model.State, word uint64, got []checker.Violation) string {
+	if want := o.table.Valuation(next); word != want {
+		return fmt.Sprintf("looked-up word %#x, from scratch %#x", word, want)
+	}
+	var want []checker.Violation
+	for i, twin := range o.twins {
+		if inv := &o.m.Opts.Invariants[i]; !twin(next) {
+			want = append(want, checker.Violation{Property: inv.ID, Detail: inv.Description})
+		}
+	}
+	if !slices.Equal(got, want) {
+		return fmt.Sprintf("looked-up violations %q, the per-invariant loop %q", got, want)
+	}
+	return ""
+}
+
+// lookedUp checks a leaf the engine looked up from p, with word and
+// violations got, against the successor of the last predicted stub.
+func (o *valuation) lookedUp(p *model.State, word uint64, got []checker.Violation) {
+	o.looked++
+	if o.ref == nil {
+		o.ref = o.m.NewScratch()
+	}
+	next := o.ref.Step(p, &o.stub).Next.(*model.State)
+	if d := o.leafDiff(next, word, got); d != "" {
+		o.div.note("leaf %q: %s", o.stub.Label, d)
+	}
 }
 
 // walkResult is what one walk found.
@@ -233,6 +275,15 @@ func (w *walker) visit(s, ts *model.State, depth int) {
 // against the Step.
 func (w *walker) step(s *model.State, stub *checker.Transition, e checker.Transition, at string) *model.State {
 	p1, p2, pv, predicted := w.sc.Predict(s, stub)
+	if predicted {
+		if lv, ok := w.sc.InspectLeaf(s); ok {
+			w.leaf(e, w.sc.LeafWord(), lv, at)
+			// The lookup spent the prediction: predict again, so that the
+			// Step below confirms it as the engine does when the lookup
+			// cannot tell.
+			p1, p2, pv, predicted = w.sc.Predict(s, stub)
+		}
+	}
 	splices := w.sc.Splices()
 	tr := w.sc.Step(s, stub)
 	spliced := w.sc.Splices() > splices
@@ -268,6 +319,24 @@ func (w *walker) step(s *model.State, stub *checker.Transition, e checker.Transi
 	}
 	w.res.checked["keyed"]++
 	return kept
+}
+
+// leaf is the leaf check: a successor the memo looked up is a leaf, and
+// its looked-up word and violations are those of Expand's successor e
+// evaluated from scratch.
+func (w *walker) leaf(e checker.Transition, word uint64, got []checker.Violation, at string) {
+	next := e.Next.(*model.State)
+	if n := len(w.m.Enabled(next, nil)); n != 0 {
+		w.note("leaf", "%s: looked up as a leaf, but Expand's successor has %d transitions", at, n)
+	}
+	if v := w.res.val; v != nil {
+		if d := v.leafDiff(next, word, got); d != "" {
+			w.note("leaf", "%s: %s", at, d)
+		}
+	} else if len(got) != 0 {
+		w.note("leaf", "%s: looked-up violations %q on a model without invariants", at, got)
+	}
+	w.res.checked["leaf"]++
 }
 
 // progress is the progress check on the expansion of s, which the
@@ -427,7 +496,7 @@ type walkRow struct {
 }
 
 // checks are the walker's checks, in the order TestWalk asserts them.
-var checks = []string{"keyed", "predict", "digest", "valuation", "purity", "budget0", "progress"}
+var checks = []string{"keyed", "predict", "leaf", "digest", "valuation", "purity", "budget0", "progress"}
 
 // applies reports whether the row's model has what the check compares.
 func (r walkRow) applies(check string) bool {
@@ -438,7 +507,7 @@ func (r walkRow) applies(check string) bool {
 		return r.twin()
 	case "progress":
 		return r.c.w.opts.Design == model.Concurrent
-	case "predict":
+	case "predict", "leaf":
 		return r.c.memoServes()
 	}
 	return true
@@ -656,6 +725,7 @@ func TestWalk(t *testing.T) {
 
 func TestKeyedSuccessorsWalk(t *testing.T)              { walkView(t, "keyed") }
 func TestTransitionMemoPredictWalk(t *testing.T)        { walkView(t, "predict") }
+func TestLeafLookupWalk(t *testing.T)                   { walkView(t, "leaf") }
 func TestIncrementalDigestWalkEquivalence(t *testing.T) { walkView(t, "digest") }
 func TestInspectValuationDifferential(t *testing.T)     { walkView(t, "valuation") }
 func TestInspectPureOverEncoding(t *testing.T)          { walkView(t, "purity") }
