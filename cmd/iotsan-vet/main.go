@@ -1,17 +1,12 @@
 // Command iotsan-vet runs the iotsan analyzer suite (dirtymark,
 // readmark, recyclelive, digestfunnel, atomicpad — see
-// internal/analysis) over Go packages. It supports two modes:
+// internal/analysis) over Go packages:
 //
-//	iotsan-vet [packages]              standalone; defaults to ./...
-//	go vet -vettool=$(which iotsan-vet) ./...
+//	iotsan-vet [packages]              defaults to ./...
 //
-// In standalone mode it shells out to `go list -export -deps` and
-// type-checks each target package against the compiler's export data,
-// so no source re-compilation of dependencies is needed. In vettool
-// mode it speaks the go vet unit-checker protocol: it answers
-// `-V=full` with a version line, `-flags` with an empty JSON flag
-// list, and otherwise treats each argument as a vet.cfg file describing
-// one package to analyze.
+// It shells out to `go list -export -deps` and type-checks each target
+// package against the compiler's export data, so no source
+// re-compilation of dependencies is needed.
 //
 // The analyzers enforce production-code contracts; _test.go files and
 // test-variant packages are intentionally not analyzed (tests exercise
@@ -33,26 +28,8 @@ import (
 	"iotsan/internal/analysis"
 )
 
-const version = "iotsan-vet version iotsan-1.0"
-
 func main() {
-	args := os.Args[1:]
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "-V":
-			// go vet fingerprints the tool for its action cache.
-			fmt.Println(version)
-			return
-		case a == "-flags":
-			// We declare no analyzer flags.
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(args) > 0 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetTool(args))
-	}
-	os.Exit(runStandalone(args))
+	os.Exit(run(os.Args[1:]))
 }
 
 func fatalf(format string, a ...any) {
@@ -73,67 +50,6 @@ func printDiags(diags []analysis.Diagnostic) {
 	}
 }
 
-// --- vettool mode (go vet unit-checker protocol) ---
-
-// vetConfig mirrors the JSON go vet writes for each package unit.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runVetTool(cfgPaths []string) int {
-	exit := 0
-	for _, cfgPath := range cfgPaths {
-		data, err := os.ReadFile(cfgPath)
-		if err != nil {
-			fatalf("reading %s: %v", cfgPath, err)
-		}
-		var cfg vetConfig
-		if err := json.Unmarshal(data, &cfg); err != nil {
-			fatalf("parsing %s: %v", cfgPath, err)
-		}
-		// go vet insists on a .vetx facts file for every unit, even
-		// ones we do not analyze; an empty file satisfies it.
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-				fatalf("writing %s: %v", cfg.VetxOutput, err)
-			}
-		}
-		if cfg.VetxOnly || !analyzable(cfg) {
-			continue
-		}
-		diags, err := analyzeUnit(cfg)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				continue
-			}
-			fatalf("%s: %v", cfg.ImportPath, err)
-		}
-		if len(diags) > 0 {
-			printDiags(diags)
-			exit = 2
-		}
-	}
-	return exit
-}
-
-// analyzable filters to the units the contracts apply to: real (non
-// test-variant) packages of this module.
-func analyzable(cfg vetConfig) bool {
-	if strings.Contains(cfg.ImportPath, " [") || strings.HasSuffix(cfg.ImportPath, ".test") {
-		return false // test variant or synthesized test main
-	}
-	return len(cfg.GoFiles) > 0
-}
-
 // exportLookup builds a gc-importer lookup over an import map and an
 // import-path→export-data-file map.
 func exportLookup(importMap, packageFile map[string]string) func(string) (io.ReadCloser, error) {
@@ -149,32 +65,6 @@ func exportLookup(importMap, packageFile map[string]string) func(string) (io.Rea
 	}
 }
 
-func analyzeUnit(cfg vetConfig) ([]analysis.Diagnostic, error) {
-	var files []string
-	for _, f := range cfg.GoFiles {
-		if strings.HasSuffix(f, "_test.go") {
-			continue
-		}
-		if !filepath.IsAbs(f) {
-			f = filepath.Join(cfg.Dir, f)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", exportLookup(cfg.ImportMap, cfg.PackageFile))
-	loader := analysis.NewLoader(fset, imp)
-	pkg, err := loader.LoadFiles(cfg.ImportPath, files)
-	if err != nil {
-		return nil, err
-	}
-	return analysis.Run(pkg, analysis.Analyzers())
-}
-
-// --- standalone mode ---
-
 // listPackage is the subset of `go list -json` output we consume.
 type listPackage struct {
 	ImportPath string
@@ -187,7 +77,7 @@ type listPackage struct {
 	ImportMap  map[string]string
 }
 
-func runStandalone(patterns []string) int {
+func run(patterns []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}

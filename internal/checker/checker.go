@@ -122,7 +122,9 @@ type Replayer interface {
 // A System that is also a Reducer is handed stubs: its Reduce must read
 // only the state and the stubs' count, Label, Key and Fault. Every
 // System without the hook is served through the same code path by an
-// adapter whose Enabled is Expand and whose Step returns the stub.
+// adapter whose Enabled is Expand and whose Step returns the stub; its
+// successors are borrowed the same way, and with a StateRecycler the
+// adapter recycles one that no Keep took at the next Step.
 type Stepper interface {
 	Enabled(s State, buf []Transition) []Transition
 	NewScratch() Scratch
@@ -235,16 +237,17 @@ type IncrementalDigester interface {
 
 // StateRecycler is optionally implemented by Systems that can reuse
 // dead state objects: Recycle hands back a state the search has proven
-// unreachable from any live structure — a duplicate child that matched
-// the visited store, a stored leaf, a successor clipped by the depth
-// bound before it was ever digested, or a fully expanded frame popped
-// off the DFS stack. The system may then recycle the state's backing
-// storage into future Expand clones, which removes most of the
-// allocation (and GC) cost of the expansion hot path. The engine only recycles states it
-// obtained from Expand/Initial/Replay of the same run and never touches
-// one again afterwards; recorded trails are materialized eagerly and
-// drop their state references before any of those states can be
-// recycled.
+// unreachable from any live structure — a fully expanded frame popped
+// off the DFS stack, a consumed frontier state, a successor replayed
+// for a trail, and, for a System without the Stepper hook, each
+// successor the eager adapter handed out that no Keep took (a
+// duplicate, a leaf), at the worker's next Step. The system may then
+// recycle the state's backing storage into future Expand clones, which
+// removes most of the allocation (and GC) cost of the expansion hot
+// path. The engine only recycles states it obtained from
+// Expand/Initial/Replay of the same run and never touches one again
+// afterwards; recorded trails are materialized eagerly and drop their
+// state references before any of those states can be recycled.
 type StateRecycler interface {
 	// Recycle retires s to the model's free-list. The state must not
 	// be touched afterwards (enforced by the recyclelive analyzer).
@@ -254,11 +257,12 @@ type StateRecycler interface {
 }
 
 // TransitionRecycler is optionally implemented by Systems alongside
-// StateRecycler: the engine hands back each Expand result once it has
-// copied the entries out, letting the system reuse the backing array
-// for later Expand calls. Only the array is reused — Steps and Label
-// values copied out of entries (e.g. into trail steps) remain valid
-// because they own their storage.
+// StateRecycler: the eager adapter (a System without the Stepper hook)
+// hands back each Expand result once it has copied the entries out,
+// letting the system reuse the backing array for later Expand calls.
+// Only the array is reused — Steps and Label values copied out of
+// entries (e.g. into trail steps) remain valid because they own their
+// storage.
 type TransitionRecycler interface {
 	// RecycleTransitions retires the backing array of trs; the slice
 	// must not be read again (enforced by the recyclelive analyzer).
@@ -482,14 +486,13 @@ type Options struct {
 	// composes with POR.
 	Symmetry bool
 	// NoEpochReclaim disables state recycling on StrategySteal. The zero
-	// value keeps it ON: dead duplicate children are recycled where they
-	// are produced, and a consumed, fully expanded frontier state is
+	// value keeps it ON: a consumed, fully expanded frontier state is
 	// recycled by its consumer, whom the deque's exactly-once hand-off
-	// makes its only holder. The name predates the removal of the
-	// epoch-based grace period it once also switched off. The flag is an
-	// A/B escape hatch; it does not affect the sequential DFS free-lists,
-	// which predate it, nor the recycling of partial-order-pruned
-	// successors, which never escape their expansion on either strategy.
+	// makes its only holder, and the eager adapter hands back each
+	// successor no Keep took at the worker's next Step. The name
+	// predates the removal of the epoch-based grace period it once also
+	// switched off. The flag is an A/B escape hatch; it does not affect
+	// the sequential DFS free-lists, which predate it.
 	NoEpochReclaim bool
 }
 

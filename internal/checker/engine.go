@@ -46,9 +46,10 @@ type engine struct {
 	inc IncrementalDigester
 
 	// stp generates successors for every strategy: the system's own
-	// Stepper, or the eager adapter over Expand. keyed records which: a
-	// keyed successor is borrowed from the worker's scratch until Keep,
-	// an eager one is a clone the engine owns from the start.
+	// Stepper, or the eager adapter over Expand. Either way a stepped
+	// successor is borrowed from the worker's scratch until the next
+	// Step or Keep. keyed records which, for steal's leaf probe alone
+	// (expandable).
 	stp   Stepper
 	keyed bool
 
@@ -63,16 +64,10 @@ type engine struct {
 	// holder).
 	rec StateRecycler
 
-	// dupRec takes the successors the engine generated but will not keep
-	// — a duplicate, a leaf, a depth-clipped child. Nil on the keyed
-	// path, where such a successor was never cloned, and when recycling
-	// is off for the strategy.
-	dupRec StateRecycler
-
-	// frontierRecycle is set when the frontier strategy recycles dead
-	// states — consumed ones and duplicate children: rec non-nil and
-	// Options.NoEpochReclaim unset. The sequential DFS free-lists are
-	// independent of it.
+	// frontierRecycle is set when the frontier strategy recycles
+	// consumed states, and the eager adapter on it the successors it
+	// handed out and nobody kept: rec non-nil and Options.NoEpochReclaim
+	// unset. The sequential DFS free-lists are independent of it.
 	frontierRecycle bool
 
 	// needH2 is set when the store consumes the second hash: bitstate
@@ -178,11 +173,9 @@ func newEngine(sys System, opts Options) (*engine, error) {
 		}
 	} else {
 		eager := eagerStepper{sys: sys}
-		if opts.Strategy == StrategyDFS || e.frontierRecycle {
-			e.dupRec = rec
-			if rec != nil {
-				eager.trec, _ = sys.(TransitionRecycler)
-			}
+		if rec != nil && (opts.Strategy == StrategyDFS || e.frontierRecycle) {
+			eager.rec = rec
+			eager.trec, _ = sys.(TransitionRecycler)
 		}
 		e.stp = eager
 	}
@@ -298,15 +291,27 @@ func (e *engine) confirm(x *expander, parent State, stub, out *Transition, d dig
 
 // eagerStepper serves a System without the Stepper hook through the
 // engine's one successor path: the stubs are Expand's transitions,
-// already executed and cloned, and Step hands the stub back. The
-// strategies then treat an eager successor exactly like a keyed one,
-// except that one they do not keep is a clone to recycle
-// (engine.dupRec) instead of a borrowed scratch.
+// already executed and cloned, and Step hands the stub back. Its
+// successors follow the Stepper contract like a keyed one: borrowed
+// from the worker's scratch until the next Step or Keep, so the
+// strategies never recycle a successor. With recycling on for the run,
+// the next Step hands an unkept successor (a duplicate, a leaf) back to
+// the system; one never stepped (partial-order pruned, clipped by the
+// depth bound) is left to the collector.
 type eagerStepper struct {
 	sys System
-	// trec, when recycling is on for the run, takes back each Expand
-	// result once its entries are copied into the engine's buffer.
+	// rec and trec are set when recycling is on for the run: rec takes
+	// back each unkept successor, trec each Expand result once its
+	// entries are copied into the engine's buffer.
+	rec  StateRecycler
 	trec TransitionRecycler
+}
+
+// eagerScratch is one worker's borrowed window: the successor the last
+// Step handed out, and whether a Keep took it since.
+type eagerScratch struct {
+	last State
+	kept bool
 }
 
 func (a eagerStepper) Enabled(s State, buf []Transition) []Transition {
@@ -318,11 +323,21 @@ func (a eagerStepper) Enabled(s State, buf []Transition) []Transition {
 	return buf
 }
 
-func (eagerStepper) NewScratch() Scratch { return nil }
+func (eagerStepper) NewScratch() Scratch { return new(eagerScratch) }
 
-func (eagerStepper) Step(_ Scratch, _ State, stub *Transition) Transition { return *stub }
+func (a eagerStepper) Step(sc Scratch, _ State, stub *Transition) Transition {
+	es := sc.(*eagerScratch)
+	if a.rec != nil && es.last != nil && !es.kept {
+		a.rec.Recycle(es.last)
+	}
+	es.last, es.kept = stub.Next, false
+	return *stub
+}
 
-func (eagerStepper) Keep(_ Scratch, next State) State { return next }
+func (eagerStepper) Keep(sc Scratch, next State) State {
+	sc.(*eagerScratch).kept = true
+	return next
+}
 
 // expander is one worker's private expansion context: the scratch the
 // system steps successors into, the stub buffer the frontier strategy
@@ -611,20 +626,7 @@ func (e *engine) enabled(state State, stubs []Transition, count bool) []Transiti
 		e.porPruned.Add(int64(len(trs) - len(sel)))
 	}
 	// Compact the selected stubs to the front of trs in place (sel is
-	// ascending, so every move is leftward). Pruned transitions never
-	// leave this expansion on any strategy, so on the eager path their
-	// freshly cloned states go straight back to the free-list.
-	if !e.keyed && e.rec != nil {
-		j := 0
-		for i := range trs {
-			if j < len(sel) && sel[j] == i {
-				j++
-				continue
-			}
-			e.rec.Recycle(trs[i].Next)
-			trs[i].Next = nil
-		}
-	}
+	// ascending, so every move is leftward).
 	for j, i := range sel {
 		trs[j] = trs[i]
 	}

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,9 +123,25 @@ func (p *poisonGrid) RecycleTransitions(trs []Transition) {
 // stolen-but-unexpanded state is its own entry's, never its parent's,
 // so recycling the parent cannot touch it. Run repeatedly (and under
 // -race in CI) because the hazardous interleavings are probabilistic.
+//
+// Every run must also recycle all but a handful of the states it
+// stepped: each duplicate and each stored state goes back once, except
+// the last successor each worker's eager adapter handed out (its next
+// Step never comes) and steal's root (trail replay starts from it).
+// Recycling merely something is not enough: without the adapter's
+// recycling of unkept successors the search still recycles every
+// consumed state, yet allocates a clone per duplicate again.
 func TestStealRecyclePoison(t *testing.T) {
 	mk := func() *poisonGrid { return &poisonGrid{w: 48, h: 48} }
 	opts := Options{MaxDepth: 200}
+	recycledAll := func(name string, sys *poisonGrid, res *Result, workers int) {
+		t.Helper()
+		want := int64(res.StatesMatched + res.StatesStored - workers - 1)
+		if got := sys.recycled.Load(); got < want {
+			t.Errorf("%s: recycled %d states, want at least %d (matched %d + stored %d − %d workers − 1)",
+				name, got, want, res.StatesMatched, res.StatesStored, workers)
+		}
+	}
 
 	ref := mk()
 	seq := Run(ref, opts)
@@ -134,6 +151,7 @@ func TestStealRecyclePoison(t *testing.T) {
 	if ref.poisoned.Load() != 0 {
 		t.Fatalf("dfs reference used %d dead states", ref.poisoned.Load())
 	}
+	recycledAll("dfs reference", ref, seq, 1)
 
 	for run := 0; run < 4; run++ {
 		sys := mk()
@@ -147,6 +165,7 @@ func TestStealRecyclePoison(t *testing.T) {
 		if sys.recycled.Load() == 0 {
 			t.Errorf("run %d: recycler never invoked — the hot path under test did not run", run)
 		}
+		recycledAll(fmt.Sprintf("run %d", run), sys, res, o.Workers)
 		if res.StatesExplored != seq.StatesExplored || res.StatesMatched != seq.StatesMatched ||
 			res.StatesStored != seq.StatesStored {
 			t.Errorf("run %d: explored=%d matched=%d stored=%d, dfs %d/%d/%d",

@@ -82,15 +82,6 @@ func (s sequentialDFS) search(e *engine) {
 		if top.next >= len(top.stubs) || len(stack) > e.opts.MaxDepth {
 			if len(stack) > e.opts.MaxDepth {
 				e.truncated.Store(true)
-				if e.dupRec != nil {
-					// Eager successors clipped by the depth bound were
-					// cloned but never digested or recorded anywhere —
-					// hand them back. Keyed ones were never generated.
-					for i := top.next; i < len(top.stubs); i++ {
-						e.dupRec.Recycle(top.stubs[i].Next)
-						top.stubs[i].Next = nil
-					}
-				}
 			}
 			if e.rec != nil {
 				// The popped frame's state is dead: fully expanded, out of
@@ -140,13 +131,6 @@ func (s sequentialDFS) search(e *engine) {
 		}
 		if e.st.seen(d) {
 			matched++
-			if e.dupRec != nil {
-				// An eager duplicate child never enters the stack, the
-				// trail, or a recorded violation — its storage is
-				// immediately reusable.
-				e.dupRec.Recycle(tr.Next)
-				top.stubs[top.next-1].Next = nil
-			}
 			continue
 		}
 		// A new predicted successor the Predictor can tell is a leaf is
@@ -183,10 +167,6 @@ func (s sequentialDFS) search(e *engine) {
 			}
 			if stubs != nil {
 				free = append(free, stubs)
-			}
-			if e.dupRec != nil {
-				e.dupRec.Recycle(tr.Next)
-				top.stubs[top.next-1].Next = nil
 			}
 			continue
 		}

@@ -487,12 +487,10 @@ func (c *wsCtx) expand(ent *stealEntry) {
 // a duplicate; StatesMatched, derived from the generated and explored
 // totals after the drain, stays that of one expansion per state.
 // A duplicate whose depth improved must be expanded again, unless it
-// is a leaf: it is kept and pushed like a new state. Any other eager
-// duplicate is a clone this expansion produced and shared with nobody,
-// recycled on the spot. It returns false when a limit was hit or a
-// prediction was wrong (truncated is already set, and e.err on a wrong
-// prediction; the caller must stop and leaves the expanded state to the
-// collector).
+// is a leaf: it is kept and pushed like a new state. It returns false
+// when a limit was hit or a prediction was wrong (truncated is already
+// set, and e.err on a wrong prediction; the caller must stop and leaves
+// the expanded state to the collector).
 func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 	e, x, links, depth, relax := c.r.e, c.x, c.r.links, c.childDepth, !c.r.relaxOff
 	state := ent.state
@@ -544,13 +542,6 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 		if !fresh {
 			if improved && c.expandable(tr.Next) {
 				c.pushState(e.stp.Keep(x.scratch, tr.Next), d, ent, tr)
-			} else if e.dupRec != nil {
-				// An eager duplicate child that was not re-enqueued never
-				// entered a deque, the link table, or a recorded trail
-				// (record materializes eagerly): nobody but this worker
-				// has ever seen the clone.
-				e.dupRec.Recycle(tr.Next)
-				tr.Next = nil
 			}
 			continue
 		}

@@ -83,7 +83,7 @@ func TestCloneIntoKeepsHeadersPrivate(t *testing.T) {
 	src := m.Initial()
 	scribble(src, 1)
 	live := src.Clone()
-	want := src.cloneFresh().Encode(nil)
+	want := src.cloneInto(nil).Encode(nil)
 
 	dead := m.Initial() // a previous life with other content
 	scribble(dead, 50)
@@ -95,7 +95,7 @@ func TestCloneIntoKeepsHeadersPrivate(t *testing.T) {
 	if got := c.Encode(nil); !bytes.Equal(got, want) {
 		t.Errorf("recycled clone encodes differently from a fresh clone:\n got %x\nwant %x", got, want)
 	}
-	wantH, _ := m.IncrementalDigest(src.cloneFresh(), false)
+	wantH, _ := m.IncrementalDigest(src.cloneInto(nil), false)
 	if h, _ := m.IncrementalDigest(c, false); h != wantH {
 		t.Error("recycled clone digests differently from a fresh clone")
 	}
@@ -128,9 +128,9 @@ func TestCloneIntoRepairsForeignHeaders(t *testing.T) {
 	m := cloneTestModel(t)
 	src := m.Initial()
 	scribble(src, 1)
-	want := src.cloneFresh().Encode(nil)
+	want := src.cloneInto(nil).Encode(nil)
 
-	dead := src.cloneFresh()
+	dead := src.cloneInto(nil)
 	k0, k1 := len(dead.Devices[0].Attrs), len(dead.Devices[1].Attrs)
 	dead.Devices[0].Attrs = make([]int16, k0)          // foreign backing array
 	dead.Devices[0].Reported = src.Devices[0].Reported // the source's backing: the dangerous one
@@ -146,7 +146,7 @@ func TestCloneIntoRepairsForeignHeaders(t *testing.T) {
 	checkHeadersOwn(t, c)
 	checkWritesStayHome(t, c, src)
 
-	other := src.cloneFresh()
+	other := src.cloneInto(nil)
 	other.attrs = other.attrs[:len(other.attrs)-1]
 	c = src.cloneInto(other)
 	if c == other {

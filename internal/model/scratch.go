@@ -349,11 +349,10 @@ type spliceCheck struct {
 
 // shadowOf makes the shadow state a copy of p.
 func (c *spliceCheck) shadowOf(m *Model, p *State) {
-	if c.shadow == nil {
-		c.shadow, c.x = p.cloneFresh(), m.newExecutor()
-	} else {
-		c.shadow = p.cloneInto(c.shadow)
+	if c.x == nil {
+		c.x = m.newExecutor()
 	}
+	c.shadow = p.cloneInto(c.shadow)
 }
 
 // verify re-steps the transition sc has just spliced into tr from p.

@@ -296,31 +296,42 @@ func (e errInvalid) Error() string { return string(e) }
 // copied with one allocation and per-device/per-app headers re-sliced
 // onto them.
 func (s *State) Clone() *State {
+	var n *State
 	if s.pool != nil {
 		if v := s.pool.Get(); v != nil {
-			return s.cloneInto(v.(*State))
+			n = v.(*State)
 		}
 	}
-	return s.cloneFresh()
+	return s.cloneInto(n)
 }
 
-// cloneInto deep-copies s into the recycled state n, reusing n's
-// backing arrays (same model, so the shapes match — checked anyway so a
-// foreign state degrades to a fresh clone instead of corrupting). The
+// cloneInto deep-copies s into n and returns n: the one routine that
+// copies a state. A recycled n of the same model keeps its backing
+// arrays; a nil n, or one of another shape (checked so that a foreign
+// state cannot corrupt), is replaced by a zero state of s's shape. The
 // per-app headers are rebuilt from flat offsets. The per-device
 // Attrs/Reported headers are kept when they already alias the right
 // window of n's own backing arrays — they always do for a state this
-// model built, since only Initial, cloneFresh and this function ever
-// write them — so the common case stores no pointers (no write
-// barriers) and copies just Online/LastReport; a header that does not
-// match is repaired from the flat offset, never trusted.
+// model built, since only Initial and this function ever write them —
+// so the common case stores no pointers (no write barriers) and copies
+// just Online/LastReport; a header that does not match is repaired from
+// the flat offset, never trusted.
 //
 //iotsan:allow dirtymark -- clone replicates already-hashed content and copies the source's block cache, dirty mask included
 func (s *State) cloneInto(n *State) *State {
-	if len(n.Devices) != len(s.Devices) || len(n.Apps) != len(s.Apps) ||
+	if n == nil || len(n.Devices) != len(s.Devices) || len(n.Apps) != len(s.Apps) ||
 		len(n.attrs) != len(s.attrs) || len(n.slots) != len(s.slots) ||
 		len(n.reported) != len(s.reported) {
-		return s.cloneFresh()
+		n = &State{Devices: make([]DevState, len(s.Devices)), Apps: make([]AppState, len(s.Apps))}
+		if len(s.attrs) > 0 {
+			n.attrs = make([]int16, len(s.attrs))
+		}
+		if len(s.reported) > 0 {
+			n.reported = make([]int16, len(s.reported))
+		}
+		if len(s.slots) > 0 {
+			n.slots = make([]ir.Value, len(s.slots))
+		}
 	}
 	n.Mode, n.EventsUsed = s.Mode, s.EventsUsed
 	n.FaultsUsed = s.FaultsUsed
@@ -404,74 +415,6 @@ func copyApp(dst, src *AppState) {
 // compare, so it never matches and is always rewritten.
 func aliasesWindow(h, backing []int16, off, k int) bool {
 	return k > 0 && len(h) == k && &h[0] == &backing[off]
-}
-
-//iotsan:allow dirtymark -- clone replicates already-hashed content and copies the source's block cache, dirty mask included
-func (s *State) cloneFresh() *State {
-	n := &State{
-		Mode: s.Mode, EventsUsed: s.EventsUsed,
-		FaultsUsed: s.FaultsUsed,
-		Devices:    make([]DevState, len(s.Devices)),
-		Apps:       make([]AppState, len(s.Apps)),
-	}
-	if len(s.attrs) > 0 {
-		n.attrs = make([]int16, len(s.attrs))
-		copy(n.attrs, s.attrs)
-	}
-	if len(s.reported) > 0 {
-		n.reported = make([]int16, len(s.reported))
-		copy(n.reported, s.reported)
-	}
-	off := 0
-	for i, d := range s.Devices {
-		k := len(d.Attrs)
-		nd := DevState{Online: d.Online, LastReport: d.LastReport, Attrs: n.attrs[off : off+k : off+k]}
-		if n.reported != nil {
-			nd.Reported = n.reported[off : off+k : off+k]
-		}
-		n.Devices[i] = nd
-		off += k
-	}
-	if len(s.slots) > 0 {
-		n.slots = make([]ir.Value, len(s.slots))
-		for i, v := range s.slots {
-			n.slots[i] = v.Clone()
-		}
-	}
-	soff := 0
-	for i, a := range s.Apps {
-		na := AppState{Unsubscribed: a.Unsubscribed}
-		if k := len(a.Slots); k > 0 {
-			na.Slots = n.slots[soff : soff+k : soff+k]
-			soff += k
-		}
-		if a.KV != nil {
-			na.KV = make(map[string]ir.Value, len(a.KV))
-			for k, v := range a.KV {
-				na.KV[k] = v.Clone()
-			}
-		}
-		if len(a.Timers) > 0 {
-			na.Timers = append([]Timer(nil), a.Timers...)
-		}
-		n.Apps[i] = na
-	}
-	if len(s.Queue) > 0 {
-		n.Queue = append([]Pending(nil), s.Queue...)
-	}
-	if len(s.Cmds) > 0 {
-		n.Cmds = append([]CmdRec(nil), s.Cmds...)
-	}
-	if len(s.InFlight) > 0 {
-		n.InFlight = append([]InFlightCmd(nil), s.InFlight...)
-	}
-	if s.blockHash != nil {
-		n.cloneCacheFrom(s)
-	}
-	n.fold = s.fold
-	n.atoms, n.atomFresh = s.atoms, s.atomFresh
-	n.pool = s.pool
-	return n
 }
 
 // Encode appends a deterministic binary encoding of the state (the
