@@ -86,8 +86,11 @@ type Transition struct {
 // only keys — neither formatted steps nor retained source states.
 // Replay must be safe for concurrent calls (it is re-execution through
 // Expand's machinery, which already carries that contract). The
-// successor is the engine's: a system that is also a StateRecycler gets
-// it back through Recycle once the next step has been replayed from it.
+// successor must be a state nothing else holds, and it is the engine's:
+// a system that is also a StateRecycler gets every successor back
+// through Recycle as soon as the trail no longer needs it — once the
+// next step has been replayed from it, once a later step's own From
+// supersedes it, or when the trail ends — under every Options value.
 type Replayer interface {
 	Replay(from State, key uint64) (label string, steps []string, next State)
 }
@@ -492,7 +495,9 @@ type Options struct {
 	// successor no Keep took at the worker's next Step. The name
 	// predates the removal of the epoch-based grace period it once also
 	// switched off. The flag is an A/B escape hatch; it does not affect
-	// the sequential DFS free-lists, which predate it.
+	// the sequential DFS free-lists, which predate it, nor trail
+	// materialization, which recycles the states it replayed under
+	// every option.
 	NoEpochReclaim bool
 }
 

@@ -513,30 +513,34 @@ func (e *engine) commit(v Violation, trail []TrailStep, depth int) {
 }
 
 // materialize resolves lazy trail steps in place by replaying forward:
-// the first step carries its source state, each replay returns the
-// successor the next step starts from. Steps whose chain is broken (a
-// keyless step, recorded eagerly, earlier on the trail) degrade to
-// label-only. Runs outside the engine lock, only for
+// a step that carries its source state replays from it, and any other
+// replays from the successor the step before it returned. Steps whose
+// chain is broken (a keyless step, recorded eagerly, earlier on the
+// trail) degrade to label-only. Runs outside the engine lock, only for
 // genuinely new violations — duplicates are rejected before reaching
 // it.
+//
+// A successor Replay returned is held by nothing but this loop, so it
+// goes back to the StateRecycler as soon as nothing needs it: once the
+// next step has been replayed from it, once a later step's own From
+// supersedes it (every step of a DFS trail carries one), or when the
+// trail ends. Replay's next clone then reuses it, and a trail costs
+// about one state however long it is. A From state is the search's and
+// is never recycled.
 func (e *engine) materialize(ts []TrailStep) {
 	var cur State
-	// ours is set while cur is a successor Replay returned, which nothing
-	// but this loop holds: it is recycled once the next step has been
-	// replayed from it. A From state is the search's and never recycled.
-	// The trail's last state is left to the collector: recycling it too
-	// measured about 30 % more peak RSS on the benchmark's table8_dfs
-	// workload (2-vCPU Linux VM). So is a replayed state the next step
-	// does not start from because it carries its own From, as every
-	// step of a DFS trail does: recycling those too raised table8_dfs
-	// peak RSS from 13.2–14.0 MB to about 17 MB in half the runs, for
-	// no time gain.
-	ours := false
+	ours := false // cur is a successor Replay returned
+	release := func() {
+		if ours && e.rec != nil {
+			e.rec.Recycle(cur)
+		}
+		cur, ours = nil, false
+	}
 	for i := range ts {
 		if ts[i].From != nil {
-			cur, ours = ts[i].From, false
+			release()
+			cur = ts[i].From
 		}
-		replayed := false
 		if e.replayer != nil && ts[i].Steps == nil && ts[i].Key != 0 && cur != nil {
 			label, steps, next := e.replayer.Replay(cur, ts[i].Key)
 			if ts[i].Label == "" {
@@ -546,20 +550,17 @@ func (e *engine) materialize(ts []TrailStep) {
 				steps = []string{}
 			}
 			ts[i].Steps = steps
-			if ours && e.rec != nil {
-				e.rec.Recycle(cur)
-			}
-			cur, ours = next, true
-			replayed = true
-		}
-		if !replayed {
+			release()
+			cur, ours = next, next != nil
+		} else {
 			if ts[i].Steps == nil {
 				ts[i].Steps = []string{}
 			}
-			cur, ours = nil, false // successor unknown: later keyed steps degrade to labels
+			release() // successor unknown: later keyed steps degrade to labels
 		}
 		ts[i].From, ts[i].Key = nil, 0
 	}
+	release()
 }
 
 // clockPollEvery is how many of a worker's limitHit calls — one per

@@ -40,12 +40,22 @@ const bytesPerToken = 4
 
 // Tokenize scans all of src, returning the token stream terminated by EOF.
 func Tokenize(src string) ([]Token, error) {
+	toks, err := appendTokens(make([]Token, 0, len(src)/bytesPerToken+1), src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// appendTokens appends the token stream of src, terminated by EOF, to
+// toks. On a lexical error it returns what it appended so far, so that
+// a caller who lent toks gets its storage back either way.
+func appendTokens(toks []Token, src string) ([]Token, error) {
 	lx := NewLexer(src)
-	toks := make([]Token, 0, len(src)/bytesPerToken+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return nil, err
+			return toks, err
 		}
 		toks = append(toks, t)
 		if t.Kind == EOF {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // A ParseError reports a syntax error with its source position.
@@ -18,15 +19,48 @@ func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg)
 type parser struct {
 	toks []Token
 	i    int
+	buf  *[]Token // tokenBufs entry toks lives in
+}
+
+// tokenBufs holds token buffers between parses. A parse tokenizes into
+// one, and when it ends clears it (a token's strings point into its
+// source) and puts it back: the AST keeps no token, so one buffer per
+// concurrent parse serves every app. A GString interpolation is parsed
+// while the outer parse holds its buffer, and takes another.
+var tokenBufs = sync.Pool{New: func() any { return new([]Token) }}
+
+// newParser tokenizes src into a pooled buffer, sized as Tokenize sizes
+// one when the pool had none to give; release hands it back.
+func newParser(src string) (*parser, error) {
+	buf := tokenBufs.Get().(*[]Token)
+	if cap(*buf) == 0 {
+		*buf = make([]Token, 0, len(src)/bytesPerToken+1)
+	}
+	toks, err := appendTokens((*buf)[:0], src)
+	p := &parser{toks: toks, buf: buf}
+	if err != nil {
+		p.release()
+		return nil, err
+	}
+	return p, nil
+}
+
+// release clears the parser's tokens and returns their buffer to
+// tokenBufs; the parser must not be used afterwards.
+func (p *parser) release() {
+	clear(p.toks)
+	*p.buf = p.toks[:0]
+	tokenBufs.Put(p.buf)
+	p.toks, p.buf = nil, nil
 }
 
 // ParseScript parses a complete smart-app source file.
 func ParseScript(src string) (*Script, error) {
-	toks, err := Tokenize(src)
+	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	defer p.release()
 	s := &Script{}
 	p.skipSemis()
 	for p.tok().Kind != EOF {
@@ -45,11 +79,11 @@ func ParseScript(src string) (*Script, error) {
 // ParseExpression parses a single expression (used for GString
 // interpolations and tests).
 func ParseExpression(src string) (Expr, error) {
-	toks, err := Tokenize(src)
+	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	defer p.release()
 	p.skipSemis()
 	e, err := p.parseExpr()
 	if err != nil {

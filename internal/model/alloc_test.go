@@ -453,3 +453,41 @@ func TestStateSizeClass(t *testing.T) {
 		t.Errorf("State is %d bytes, over the 352-byte size class it is kept within", size)
 	}
 }
+
+// TestEnabledStubBound: Enabled given a buffer without capacity
+// allocates it once, at stubBound, and every stub fits — in each
+// design, with failures and with faults, on every state the cascade
+// system reaches. A bound that fell short would regrow the buffer by
+// doubling, which is what presizing it removes.
+func TestEnabledStubBound(t *testing.T) {
+	for _, opts := range []Options{
+		{MaxEvents: 3},
+		{MaxEvents: 3, Design: Concurrent},
+		{MaxEvents: 2, Failures: true},
+		{MaxEvents: 2, Faults: true, MaxFaults: 2},
+		{MaxEvents: 2, Design: Concurrent, Faults: true, MaxFaults: 1, Failures: true, UserDeviceEvents: true, UserModeEvents: true},
+	} {
+		m := cascadeModelOpts(t, opts)
+		seen := map[string]bool{}
+		queue := []*State{m.Initial()}
+		for len(queue) > 0 && len(seen) < 2000 {
+			s := queue[0]
+			queue = queue[1:]
+			k := string(s.Encode(nil))
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+			stubs, bound := m.Enabled(s, nil), m.stubBound(s)
+			if len(stubs) > bound || cap(stubs) != bound {
+				t.Fatalf("%+v: %d stubs in a buffer of capacity %d, stubBound %d", opts, len(stubs), cap(stubs), bound)
+			}
+			for _, tr := range m.Expand(s) {
+				queue = append(queue, tr.Next.(*State))
+			}
+		}
+		if len(seen) < 10 {
+			t.Fatalf("%+v: only %d states reached", opts, len(seen))
+		}
+	}
+}

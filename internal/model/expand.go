@@ -202,8 +202,12 @@ func tmrKeyless(appIdx, pos int, fm failMode) uint64 {
 // (Algorithm 1 line 2), crossed with failure scenarios when enabled; in
 // the concurrent design, also the choice of which pending handler
 // invocation to dispatch next. Nothing is executed: step runs the one
-// cascade a stub names.
+// cascade a stub names. A buffer without capacity is allocated once,
+// at stubBound, rather than grown by doubling from empty.
 func (m *Model) Enabled(s *State, out []checker.Transition) []checker.Transition {
+	if cap(out) == 0 {
+		out = make([]checker.Transition, 0, m.stubBound(s))
+	}
 	if m.Opts.Design == Concurrent {
 		// Interleaving choices: dispatch any pending handler invocation.
 		for i := range s.Queue {
@@ -266,6 +270,31 @@ func (m *Model) Enabled(s *State, out []checker.Transition) []checker.Transition
 		}
 	}
 	return out
+}
+
+// stubBound is an upper bound on the stubs Enabled lists for s: every
+// dispatch and fault choice that applies, and, below the event bound,
+// every external event and timer crossed with every failure mode.
+func (m *Model) stubBound(s *State) int {
+	n := 0
+	if m.Opts.Design == Concurrent {
+		n += len(s.Queue)
+	}
+	if m.Opts.Faults {
+		n += len(s.Devices) + 2*len(s.InFlight)
+	}
+	if s.EventsUsed < m.Opts.MaxEvents {
+		timers := 0
+		for ai := range s.Apps {
+			timers += len(s.Apps[ai].Timers)
+		}
+		fms := len(fmNone)
+		if m.Opts.Failures {
+			fms = len(fmAll)
+		}
+		n += (len(m.external) + timers) * fms
+	}
+	return n
 }
 
 // appendStub appends one stub, written in place: a Transition is twelve
@@ -461,9 +490,11 @@ func (m *Model) Expand(s *State) []checker.Transition {
 // Replay re-executes the transition identified by key from the given
 // state with step recording enabled, returning the trail label, the
 // micro-steps, and the successor state (which feeds the next step of a
-// forward trail replay): step into a fresh clone. Execution is
-// deterministic, so the regenerated steps are exactly those an eagerly
-// recorded transition would have carried.
+// forward trail replay): step into a clone of s, which takes its
+// storage from the model's free-list when the engine has recycled an
+// earlier replayed state. Execution is deterministic, so the
+// regenerated steps are exactly those an eagerly recorded transition
+// would have carried.
 func (m *Model) Replay(s *State, key uint64) (string, []string, checker.State) {
 	if key&keyMark == 0 {
 		return "", nil, nil

@@ -247,7 +247,9 @@ type Options struct {
 	// at the worker's next Step). The name predates the removal of the
 	// epoch-based grace period. The zero value keeps recycling ON — the
 	// field is the allocate-per-state oracle of the equivalence tests,
-	// not a CLI flag. Sequential DFS free-lists are unaffected.
+	// not a CLI flag. Sequential DFS free-lists are unaffected, and so
+	// is trail replay, which recycles its replayed states under every
+	// option.
 	NoEpochReclaim bool
 }
 
