@@ -9,8 +9,12 @@
 //	iotsan-bench -table 7b     # Table 7b: concurrent vs sequential
 //	iotsan-bench -table 8      # Table 8: verification time vs events
 //	iotsan-bench -table 9      # Table 9: IFTTT rules
-//	iotsan-bench -table attribution
+//	iotsan-bench -table attribution  # §10.3: attributing violations to apps
 //	iotsan-bench -table all
+//
+// TestPaperTablesGolden pins every line Tables 5, 6, 7a and attribution
+// print (testdata/tables.golden); a change that moves a count
+// regenerates that file.
 //
 // The engine flags (-strategy, -store, -por, …) are the ones cmd/iotsan
 // takes. Profiling: -cpuprofile cpu.out -memprofile mem.out. Performance
@@ -20,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -33,25 +38,33 @@ import (
 
 // main defers to realMain so the pprof writers (deferred there) always
 // flush — os.Exit would skip them and truncate the profiles.
-func main() { os.Exit(realMain()) }
+func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func realMain() int {
-	table := flag.String("table", "all", "table to regenerate (5, 6, 7a, 7b, 8, 9, attribution, all)")
-	events := flag.Int("events", 2, "external events for Tables 5/6")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+// realMain parses args on a fresh flag set and prints the tables to
+// stdout, errors to stderr; it returns the exit status.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("iotsan-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.String("table", "all", "table to regenerate (5, 6, 7a, 7b, 8, 9, attribution, all)")
+	events := fs.Int("events", 2, "external events for Tables 5/6")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	var opts iotsan.Options
-	opts.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	opts.RegisterFlags(fs)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -60,13 +73,13 @@ func realMain() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 		}()
 	}
@@ -77,13 +90,13 @@ func realMain() int {
 		if code != 0 || (*table != "all" && *table != name) {
 			return
 		}
-		fmt.Printf("==== Table %s ====\n", name)
+		fmt.Fprintf(stdout, "==== Table %s ====\n", name)
 		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "table %s: %v\n", name, err)
+			fmt.Fprintf(stderr, "table %s: %v\n", name, err)
 			code = 1
 			return
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	run("5", func() error {
@@ -94,12 +107,12 @@ func realMain() int {
 		names := []string{"Conflicting commands", "Repeated commands", "Unsafe physical states"}
 		paper := []string{"8", "10", "20"}
 		for i, row := range res.Rows {
-			fmt.Printf("%-24s violations=%-4d properties=%-3d (paper: %s)\n",
+			fmt.Fprintf(stdout, "%-24s violations=%-4d properties=%-3d (paper: %s)\n",
 				names[i], row.Violations, row.Properties, paper[i])
 		}
-		fmt.Printf("total: %d violations of %d properties (paper: 38 of 11)\n",
+		fmt.Fprintf(stdout, "total: %d violations of %d properties (paper: 38 of 11)\n",
 			res.TotalViolations, res.Properties)
-		fmt.Printf("device/communication failures add %d properties (paper: 9)\n",
+		fmt.Fprintf(stdout, "device/communication failures add %d properties (paper: 9)\n",
 			res.FailureExtraProperties)
 		return nil
 	})
@@ -112,10 +125,10 @@ func realMain() int {
 		names := []string{"Conflicting commands", "Repeated commands", "Unsafe physical states"}
 		paper := []string{"19", "12", "66"}
 		for i, row := range res.Rows {
-			fmt.Printf("%-24s violations=%-4d properties=%-3d (paper: %s)\n",
+			fmt.Fprintf(stdout, "%-24s violations=%-4d properties=%-3d (paper: %s)\n",
 				names[i], row.Violations, row.Properties, paper[i])
 		}
-		fmt.Printf("total: %d violations across %d configurations (paper: 97 in 70)\n",
+		fmt.Fprintf(stdout, "total: %d violations across %d configurations (paper: 97 in 70)\n",
 			res.TotalViolations, res.Configurations)
 		return nil
 	})
@@ -125,11 +138,11 @@ func realMain() int {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-6s %-14s %-10s %s\n", "Group", "Original Size", "New Size", "Scale Ratio")
+		fmt.Fprintf(stdout, "%-6s %-14s %-10s %s\n", "Group", "Original Size", "New Size", "Scale Ratio")
 		for _, r := range rows {
-			fmt.Printf("%-6d %-14d %-10d %.1f\n", r.Group, r.OriginalSize, r.NewSize, r.Ratio)
+			fmt.Fprintf(stdout, "%-6d %-14d %-10d %.1f\n", r.Group, r.OriginalSize, r.NewSize, r.Ratio)
 		}
-		fmt.Printf("mean scale ratio: %.1f (paper: 3.4)\n", mean)
+		fmt.Fprintf(stdout, "mean scale ratio: %.1f (paper: 3.4)\n", mean)
 		return nil
 	})
 
@@ -138,16 +151,16 @@ func realMain() int {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-7s %-30s %s\n", "Events", "Concurrent", "Sequential")
+		fmt.Fprintf(stdout, "%-7s %-30s %s\n", "Events", "Concurrent", "Sequential")
 		for _, r := range rows {
 			conc := fmt.Sprintf("%v (%d states)", r.ConcurrentTime.Round(time.Millisecond), r.ConcurrentStates)
 			if r.ConcurrentCap {
 				conc += " CAP"
 			}
-			fmt.Printf("%-7d %-30s %v (%d states)\n", r.Events, conc,
+			fmt.Fprintf(stdout, "%-7d %-30s %v (%d states)\n", r.Events, conc,
 				r.SequentialTime.Round(time.Millisecond), r.SequentialStates)
 		}
-		fmt.Println(`(paper: concurrent 1s / 56.5s / 139m / "forever"; sequential <= 16.3s at 7)`)
+		fmt.Fprintln(stdout, `(paper: concurrent 1s / 56.5s / 139m / "forever"; sequential <= 16.3s at 7)`)
 		return nil
 	})
 
@@ -156,15 +169,15 @@ func realMain() int {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-7s %-10s %s\n", "Events", "States", "Time")
+		fmt.Fprintf(stdout, "%-7s %-10s %s\n", "Events", "States", "Time")
 		for _, r := range rows {
 			note := ""
 			if r.Truncated {
 				note = " (capped)"
 			}
-			fmt.Printf("%-7d %-10d %v%s\n", r.Events, r.States, r.Elapsed.Round(time.Millisecond), note)
+			fmt.Fprintf(stdout, "%-7d %-10d %v%s\n", r.Events, r.States, r.Elapsed.Round(time.Millisecond), note)
 		}
-		fmt.Println("(paper: 6.61s at 6 events growing to 23.39h at 11 — exponential)")
+		fmt.Fprintln(stdout, "(paper: 6.61s at 6 events growing to 23.39h at 11 — exponential)")
 		return nil
 	})
 
@@ -173,9 +186,9 @@ func realMain() int {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("violated properties (%d of 4 in the paper):\n", len(res.ViolatedProperties))
+		fmt.Fprintf(stdout, "violated properties (%d of 4 in the paper):\n", len(res.ViolatedProperties))
 		for _, p := range res.ViolatedProperties {
-			fmt.Printf("  %s\n", p)
+			fmt.Fprintf(stdout, "  %s\n", p)
 		}
 		return nil
 	})
@@ -187,7 +200,7 @@ func realMain() int {
 		}
 		caught, total := 0, 0
 		for _, r := range rows {
-			fmt.Printf("%-28s %-10s %-22s phase1=%3.0f%% phase2=%3.0f%%\n",
+			fmt.Fprintf(stdout, "%-28s %-10s %-22s phase1=%3.0f%% phase2=%3.0f%%\n",
 				r.App, r.Tag, r.Verdict, r.Ratio1*100, r.Ratio2*100)
 			if r.Tag == corpus.TagMalicious {
 				total++
@@ -196,11 +209,11 @@ func realMain() int {
 				}
 			}
 		}
-		fmt.Printf("malicious attribution: %d/%d (paper: 9/9 at 100%% ratio)\n", caught, total)
+		fmt.Fprintf(stdout, "malicious attribution: %d/%d (paper: 9/9 at 100%% ratio)\n", caught, total)
 		return nil
 	})
 	if !known {
-		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
+		fmt.Fprintf(stderr, "unknown table %q\n", *table)
 		return 2
 	}
 	return code

@@ -37,9 +37,10 @@ func table8Result(t *testing.T, opts iotsan.Options) *checker.Result {
 //
 // testdata/table8_dfs.golden was written once from dfsOutcome at the
 // commit before trail steps were built lazily (a step appended only for
-// a new frame, a violation's trail only after reserve accepts it). It
-// is never rewritten from later code: a mismatch means the search or
-// its trails changed.
+// a new frame, a violation's trail only after reserve accepts it). A
+// mismatch means the search or its trails changed; a change that moves
+// them on purpose regenerates the file and lists each moved line, old →
+// new, with its cause, in CHANGES.md.
 func TestTable8TrailGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 141k-state search")

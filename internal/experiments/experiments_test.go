@@ -9,26 +9,6 @@ import (
 	"iotsan"
 )
 
-func TestTable7aScaleRatios(t *testing.T) {
-	rows, mean, err := RunTable7a()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.NewSize <= 0 || r.NewSize > r.OriginalSize {
-			t.Errorf("group %d: new=%d orig=%d", r.Group, r.NewSize, r.OriginalSize)
-		}
-		t.Logf("group %d: %d -> %d (%.1fx)", r.Group, r.OriginalSize, r.NewSize, r.Ratio)
-	}
-	if mean < 1.5 {
-		t.Errorf("mean scale ratio %.2f; paper reports 3.4x, want >= 1.5x", mean)
-	}
-	t.Logf("mean scale ratio: %.2f", mean)
-}
-
 // The engine configuration handed to an experiment must reach the
 // checker: a tiered store given to RunTable8 leaves its tier files
 // under the store directory and explores the in-memory state count.

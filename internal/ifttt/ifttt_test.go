@@ -63,8 +63,9 @@ func TestBuildSystem(t *testing.T) {
 // testdata/table9.golden was written once from this loop's output at the
 // commit where the four properties were still evaluated per state on
 // the model's device view, before they became formulas over an atom
-// table. It is never rewritten from later code: a mismatch means the
-// search or a property changed.
+// table. A mismatch means the search or a property changed; a change
+// that moves a count on purpose regenerates the file and lists each
+// moved line, old → new, with its cause, in CHANGES.md.
 func TestTable9(t *testing.T) {
 	var got strings.Builder
 	for _, events := range []int{2, 3} {
