@@ -1,6 +1,11 @@
 package iotsan
 
-import "iotsan/internal/model"
+import (
+	"sync/atomic"
+
+	"iotsan/internal/ir"
+	"iotsan/internal/model"
+)
 
 // Every scratch these tests make re-steps what it splices from its
 // transition memo and fails the run on a difference (model.CheckSplices):
@@ -12,4 +17,25 @@ func init() { model.CheckSplices(true) }
 // compile-once gate in the external test package.
 func (r *Report) CompiledCounts() (programs, atomTables int) {
 	return r.compiled.Programs, r.compiled.AtomTables
+}
+
+// VerifyEachSetAlone verifies every related set of sys in group order,
+// each on one worker with a searchKit of its own, so that no set starts
+// from what another grew: the reference the kit-equivalence test holds
+// Analyze's sets to.
+func VerifyEachSetAlone(sys *System, apps map[string]*ir.App, opts Options) ([]GroupResult, error) {
+	opts = opts.withDefaults()
+	pl, groups, err := relatedSets(&Report{}, sys, apps, opts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]GroupResult, len(groups))
+	for i, g := range groups {
+		gr, err := verifyGroup(pl, pl.groupInstances(g), opts, i, new(atomic.Bool), 1, new(searchKit))
+		if err != nil {
+			return nil, err
+		}
+		out[i] = *gr
+	}
+	return out, nil
 }

@@ -499,6 +499,11 @@ type Options struct {
 	// materialization, which recycles the states it replayed under
 	// every option.
 	NoEpochReclaim bool
+	// Tables, when non-nil, lends the DFS's exhaustive store the visited
+	// table an earlier search left in it and takes this search's back
+	// when it ends (Tables). The iotsan group scheduler sets it, one per
+	// worker; it changes no result.
+	Tables *Tables
 }
 
 // Validate states which option combinations a search runs under, and
@@ -653,7 +658,9 @@ func Run(sys System, opts Options) *Result {
 		s = &workSteal{workers: opts.Workers}
 	}
 	s.search(e)
-	return e.finish()
+	res := e.finish()
+	opts.Tables.keep(e.st)
+	return res
 }
 
 // FormatTrail renders a counter-example trail in the style of the

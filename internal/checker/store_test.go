@@ -108,3 +108,58 @@ func TestDigestSetStartsEmpty(t *testing.T) {
 		t.Errorf("first insert allocated %d slots, want %d", got, digestSetMinSlots)
 	}
 }
+
+// TestTablesHandDown: DFS searches run in a row through one Tables each
+// count, find and trail exactly what the same search without it does,
+// and one that does not outgrow the table the search before it left
+// runs in that very array. The smaller search after the larger one
+// covers the clear: its states are the larger one's first levels, so a
+// table left uncleared would call them seen. A table past maxKeptSlots
+// is not kept, and a search on another store leaves the held table
+// alone.
+func TestTablesHandDown(t *testing.T) {
+	var tables Tables
+	for _, bound := range []int{6, 12, 10} {
+		sys := &chainSys{bound: bound, bad: 12}
+		want := Run(sys, Options{MaxDepth: 20})
+		lent := tables.slots
+		got := Run(sys, Options{MaxDepth: 20, Tables: &tables})
+		if got.StatesExplored != want.StatesExplored || got.StatesMatched != want.StatesMatched ||
+			got.StatesStored != want.StatesStored || got.MaxDepthReached != want.MaxDepthReached {
+			t.Fatalf("bound %d: explored/matched/stored/depth %d/%d/%d/%d through the Tables, %d/%d/%d/%d without",
+				bound, got.StatesExplored, got.StatesMatched, got.StatesStored, got.MaxDepthReached,
+				want.StatesExplored, want.StatesMatched, want.StatesStored, want.MaxDepthReached)
+		}
+		if len(got.Violations) != len(want.Violations) {
+			t.Fatalf("bound %d: %d violations through the Tables, %d without", bound, len(got.Violations), len(want.Violations))
+		}
+		for i := range got.Violations {
+			if g, w := FormatTrail(got.Violations[i]), FormatTrail(want.Violations[i]); g != w {
+				t.Errorf("bound %d: trail through the Tables\n%s\nwithout\n%s", bound, g, w)
+			}
+		}
+		if tables.Len() == 0 {
+			t.Fatalf("bound %d: no table kept", bound)
+		}
+		if bound == 10 && (tables.Len() != len(lent) || &tables.slots[0] != &lent[0]) {
+			t.Errorf("bound 10 ended in a %d-slot table, not the %d-slot one bound 12 left", tables.Len(), len(lent))
+		}
+	}
+
+	held := tables.slots
+	for _, o := range []Options{{Strategy: StrategySteal, Workers: 2}, {Store: Bitstate, BitstateBits: 12}} {
+		o.MaxDepth, o.Tables = 20, &tables
+		if res := Run(&chainSys{bound: 8, bad: 12}, o); res.Err != nil || &tables.slots[0] != &held[0] {
+			t.Errorf("%v on %v: err %v; the held table was taken", o.Strategy, o.Store, res.Err)
+		}
+	}
+
+	var big hashStore
+	for k := uint64(1); big.set.n <= maxKeptSlots-maxKeptSlots/4; k++ {
+		big.seen(digest{h1: k})
+	}
+	var dropped Tables
+	if dropped.keep(&big); dropped.Len() != 0 {
+		t.Errorf("a %d-slot table was kept, want at most %d", len(big.set.slots), maxKeptSlots)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"iotsan/internal/checker"
 	"iotsan/internal/ir"
@@ -70,8 +71,10 @@ import (
 // engine asks on either strategy, but not under a symmetry fold (a
 // canonical digest is not a fold of raw block hashes), and a scratch it
 // never asks records nothing. Steps from the initial state are not
-// recorded, so a one-event search does no memo work, and nothing is
-// allocated before the first recording.
+// recorded, so a one-event search does no memo work. The arenas are
+// sized at the first recording: allocated then, or taken over from the
+// search the worker ran before (Arenas) and allocated only where they
+// are too small.
 
 // Header fields a transition read (executor.hdrReads).
 const (
@@ -117,7 +120,8 @@ func (x *executor) readNow() { x.hdrReads |= readNowBit }
 // memoCap bounds a memo's entries. A full memo records nothing more and
 // goes on predicting from what it holds. memoInit is how many entries
 // the first recording makes room for at once: a search that records
-// fewer allocates nothing more, whatever its size.
+// fewer allocates nothing more, whatever its size, and one whose memo
+// took over larger arenas allocates nothing for them.
 const (
 	memoCap  = 1 << 15
 	memoInit = 1 << 8
@@ -129,8 +133,30 @@ type memo struct {
 	on    bool // the model's transitions can be memoized (NewScratch)
 	armed bool // the engine has asked for a prediction: real steps record
 
-	heads       []int32 // a stub's newest shape, 1-based, by stubSlot
-	timerBase   []int32 // each app's first timer slot in heads
+	memoArenas
+	nLeaves int // keys in leaves
+
+	pt parentTerms
+
+	// hitSerial and hitKey name the last (parent, stub) Predict answered
+	// for: the engine steps it only to confirm the prediction. hitEntry
+	// is the entry Predict answered from, and hitMode, hitHeader and
+	// hitFold the successor's mode, header-block hash and digest, which a
+	// splice installs.
+	hitSerial, hitKey uint64
+	hitEntry          int32
+	hitMode           uint8
+	hitHeader         uint64
+	hitFold           [2]uint64
+}
+
+// memoArenas are the arrays a memo records into. A search's memo starts
+// with none, or with the arenas of the search its worker ran before
+// (Arenas), emptied.
+type memoArenas struct {
+	reads       []uint64 // the executor's read mask while a step records; empty until the first recording
+	heads       []int32  // a stub's newest shape, 1-based, by stubSlot
+	timerBase   []int32  // each app's first timer slot in heads
 	shapes      []memoShape
 	shapeBlocks []int32 // every shape's blocks, ascending
 	entries     []memoEntry
@@ -151,23 +177,73 @@ type memo struct {
 	// the recorded atom bits of its leaf successors by parent.
 	leafDevs []int32
 	leaves   []memoLeaf
-	nLeaves  int
 
-	reads     []uint64 // the executor's read mask while a step records
-	footprint []int32  // a recording's footprint, reused
-	pt        parentTerms
-
-	// hitSerial and hitKey name the last (parent, stub) Predict answered
-	// for: the engine steps it only to confirm the prediction. hitEntry
-	// is the entry Predict answered from, and hitMode, hitHeader and
-	// hitFold the successor's mode, header-block hash and digest, which a
-	// splice installs.
-	hitSerial, hitKey uint64
-	hitEntry          int32
-	hitMode           uint8
-	hitHeader         uint64
-	hitFold           [2]uint64
+	footprint []int32 // a recording's footprint, reused
 }
+
+// reset empties the arenas for another search and keeps their arrays:
+// the two probe tables are cleared, the rest cut to length 0 (the
+// captured slot values cleared first, so the arena holds on to nothing
+// they reference). The arrays sized to a model are resized at the next
+// search's first recording.
+func (a *memoArenas) reset() {
+	clear(a.slots)
+	clear(a.leaves)
+	clear(a.cslots)
+	a.reads, a.heads, a.timerBase = a.reads[:0], a.heads[:0], a.timerBase[:0]
+	a.shapes, a.shapeBlocks, a.entries = a.shapes[:0], a.shapeBlocks[:0], a.entries[:0]
+	a.hashes, a.viols = a.hashes[:0], a.viols[:0]
+	a.blocks, a.cattrs, a.cslots = a.blocks[:0], a.cattrs[:0], a.cslots[:0]
+	a.ctimers, a.cqueue, a.ccmds = a.ctimers[:0], a.cqueue[:0], a.ccmds[:0]
+	a.leafDevs, a.footprint = a.leafDevs[:0], a.footprint[:0]
+}
+
+// Arenas hands a finished search's memo arenas to the next search over
+// a model built with them (Options.Arenas): the iotsan group scheduler
+// gives each of its workers one, so the memo of every related set after
+// a worker's first records into the arrays the last one grew, and
+// allocates only where it outgrows them. The first scratch a search
+// makes borrows them; Reclaim, once the search is over, takes them back
+// emptied. An Arenas serves one search at a time; the zero value holds
+// nothing.
+type Arenas struct {
+	held memoArenas
+	lent atomic.Pointer[memo] // the memo holding them, until Reclaim
+}
+
+// lend gives the held arenas to mm, the memo of a new scratch, unless a
+// scratch of this search already has them.
+func (a *Arenas) lend(mm *memo) {
+	if a != nil && a.lent.CompareAndSwap(nil, mm) {
+		mm.memoArenas, a.held = a.held, memoArenas{}
+	}
+}
+
+// Reclaim takes the arenas back from the search that borrowed them, and
+// empties them; it drops them instead when they grew past room for
+// keptEntries entries or keptLeafSlots leaf slots. Call it once that
+// search has returned (checker.Run): its trails are materialised and
+// its scratches dead.
+func (a *Arenas) Reclaim() {
+	if a == nil {
+		return
+	}
+	if mm := a.lent.Swap(nil); mm != nil {
+		a.held, mm.memoArenas = mm.memoArenas, memoArenas{}
+		if cap(a.held.entries) > keptEntries || len(a.held.leaves) > keptLeafSlots {
+			a.held = memoArenas{}
+		}
+		a.held.reset()
+	}
+}
+
+// keptEntries and keptLeafSlots bound the arenas an Arenas keeps, the
+// largest of them about 100 KB each: the memo of every market_t5
+// related set fits (at most 302 entries and 2,048 leaf slots).
+const (
+	keptEntries   = 1 << 10
+	keptLeafSlots = 1 << 12
+)
 
 // memoShape is one footprint a stub's steps have shown: the blocks they
 // read or wrote, and which header fields are keyed.
@@ -263,26 +339,40 @@ func (mm *memo) stubSlot(key uint64) int {
 }
 
 // readMask returns the zeroed read mask of a recorded step, making
-// room for the memo at the first.
+// room for the memo at the first: the arenas a previous search left
+// (Arenas) are reused wherever they are large enough.
 func (mm *memo) readMask(m *Model, hw int) []uint64 {
-	if mm.reads == nil {
-		mm.reads = make([]uint64, hw)
-		mm.timerBase = make([]int32, len(m.Apps))
+	if len(mm.reads) == 0 {
+		mm.reads = zeroed(mm.reads, hw)
+		mm.timerBase = zeroed(mm.timerBase, len(m.Apps))
 		n := 4 * len(m.external)
 		for i, a := range m.Apps {
 			mm.timerBase[i] = int32(n)
 			n += 4 * len(a.methodNames)
 		}
-		mm.heads = make([]int32, n)
-		mm.shapes = make([]memoShape, 0, memoInit)
-		mm.shapeBlocks = make([]int32, 0, 4*memoInit)
-		mm.entries = make([]memoEntry, 0, memoInit)
-		mm.slots = make([]int32, 2*memoInit)
-		mm.hashes = make([]uint64, 0, 4*memoInit)
-		mm.viols = make([]checker.Violation, 0, memoInit/4)
+		mm.heads = zeroed(mm.heads, n)
+		mm.shapes = slices.Grow(mm.shapes, memoInit)
+		mm.shapeBlocks = slices.Grow(mm.shapeBlocks, 4*memoInit)
+		mm.entries = slices.Grow(mm.entries, memoInit)
+		if len(mm.slots) == 0 {
+			mm.slots = make([]int32, 2*memoInit)
+		}
+		mm.hashes = slices.Grow(mm.hashes, 4*memoInit)
+		mm.viols = slices.Grow(mm.viols, memoInit/4)
 	}
 	clear(mm.reads)
 	return mm.reads
+}
+
+// zeroed returns n zero elements in s's array, or in a new one when s's
+// is too small.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Predict returns the digest and edge violations of stub's successor

@@ -110,6 +110,11 @@ type Options struct {
 	// delivery are free). With MaxFaults 0 the fault machinery is inert
 	// and the state space is byte-identical to Faults off.
 	MaxFaults int
+	// Arenas, when non-nil, lends the memo of the first scratch a search
+	// over the model makes the arenas an earlier search left, and Reclaim
+	// takes them back (Arenas). The iotsan group scheduler sets it, one
+	// per worker; it changes no result.
+	Arenas *Arenas
 }
 
 // maxCascade bounds internal event dispatches per external event in the

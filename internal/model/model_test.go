@@ -116,7 +116,20 @@ func TestFigure7Violation(t *testing.T) {
 // in the dark, while Let There Be Dark turns it off on the same event.
 func TestConflictingCommands(t *testing.T) {
 	apps := translate(t, "Brighten Dark Places", "Let There Be Dark!")
-	cfg := &config.System{
+	m, err := New(conflictSystem(), apps, Options{MaxEvents: 3, CheckConflicts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := checker.Run(m.System(), checker.Options{MaxDepth: 8})
+	if !res.HasViolation(PropConflicting) {
+		t.Fatalf("expected conflicting-commands; got %v", res.PropertyIDs())
+	}
+}
+
+// conflictSystem installs two apps that answer the front door opening
+// with opposite commands to one light.
+func conflictSystem() *config.System {
+	return &config.System{
 		Name: "conflict-home",
 		Devices: []config.Device{
 			{ID: "frontDoor", Label: "Front Door", Model: "Contact Sensor"},
@@ -134,14 +147,6 @@ func TestConflictingCommands(t *testing.T) {
 				"switches": {DeviceIDs: []string{"hallLight"}},
 			}},
 		},
-	}
-	m, err := New(cfg, apps, Options{MaxEvents: 3, CheckConflicts: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := checker.Run(m.System(), checker.Options{MaxDepth: 8})
-	if !res.HasViolation(PropConflicting) {
-		t.Fatalf("expected conflicting-commands; got %v", res.PropertyIDs())
 	}
 }
 

@@ -73,16 +73,20 @@ func (sc *Scratch) Splices() int { return sc.splices }
 // counter at a time, keeping the shared atomic off the per-state path.
 const serialBlock = 1 << 10
 
-// NewScratch returns a scratch for one worker of a search over m.
+// NewScratch returns a scratch for one worker of a search over m. Its
+// working state holds nothing but the touch mask until the first Step,
+// whose full re-sync gives it the parent's shape and contents. The
+// first scratch of a memo-on search borrows m.Opts.Arenas.
 func (m *Model) NewScratch() *Scratch {
-	s := m.Initial()
-	hw := maskWords(s.nBlocks())
-	s.touchMask = make([]uint64, hw)
-	sc := &Scratch{m: m, s: s, x: m.newExecutor(), hw: hw}
+	hw := maskWords(3 + len(m.Devices) + len(m.Apps)) // State.nBlocks
+	sc := &Scratch{m: m, s: &State{touchMask: make([]uint64, hw)}, x: m.newExecutor(), hw: hw}
 	o := &m.Opts
 	sc.memo.on = o.Design == Sequential && o.Incremental && !o.Faults && !o.InspectCascade
-	if sc.memo.on && spliceChecks.Load() {
-		sc.check = &spliceCheck{}
+	if sc.memo.on {
+		o.Arenas.lend(&sc.memo)
+		if spliceChecks.Load() {
+			sc.check = &spliceCheck{}
+		}
 	}
 	return sc
 }

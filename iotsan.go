@@ -385,7 +385,7 @@ func Analyze(sys *System, sources map[string]string, opts Options) (*Report, err
 	names := slices.Sorted(maps.Keys(sources))
 	translated := make([]*ir.App, len(names))
 	errs := make([]error, len(names))
-	forEachIndex(len(names), opts.width(), func(i int) {
+	forEachIndex(len(names), opts.width(), func(_, i int) {
 		translated[i], errs[i] = smartapp.Translate(sources[names[i]])
 	})
 	apps := make(map[string]*ir.App, len(names))
@@ -414,9 +414,23 @@ func AnalyzeTranslated(sys *System, apps map[string]*ir.App, opts Options) (*Rep
 func analyzeTranslated(sys *System, apps map[string]*ir.App, opts Options) (*Report, error) {
 	start := time.Now()
 	rep := &Report{Apps: apps}
+	pl, groups, err := relatedSets(rep, sys, apps, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := runGroups(rep, pl, groups, opts); err != nil {
+		return nil, err
+	}
+	rep.compiled = pl.model.Counts
+	rep.Elapsed = time.Since(start)
+	return rep, nil
+}
 
-	// App Dependency Analyzer (§5): group installed apps into related
-	// sets via their handlers' input/output events.
+// relatedSets is the App Dependency Analyzer (§5): it groups the
+// installed apps into related sets via their handlers' input/output
+// events, records the scale of the grouping in rep, and builds the plan
+// every set's verification reads.
+func relatedSets(rep *Report, sys *System, apps map[string]*ir.App, opts Options) (*plan, [][]string, error) {
 	var handlers []smartapp.HandlerInfo
 	var handlerApp []string // handler index → installed app name
 	instHandlers := make([][]smartapp.HandlerInfo, len(sys.Apps))
@@ -434,14 +448,9 @@ func analyzeTranslated(sys *System, apps map[string]*ir.App, opts Options) (*Rep
 	groups := relatedAppGroups(sys, g, final, handlerApp, opts.NoDepGraph)
 	pl, err := newPlan(sys, apps, instHandlers, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := runGroups(rep, pl, groups, opts); err != nil {
-		return nil, err
-	}
-	rep.compiled = pl.model.Counts
-	rep.Elapsed = time.Since(start)
-	return rep, nil
+	return pl, groups, nil
 }
 
 // plan is what one Analyze call derives from the system alone, built
@@ -562,6 +571,9 @@ func (pl *plan) relevantAttrs(group []int) map[string]bool {
 //
 // Because sets verify concurrently, their GroupResult.Result.Elapsed
 // values overlap and can sum to more than Report.Elapsed.
+//
+// Each goroutine of the pool owns one searchKit for the call, which
+// hands what a finished set's search grew to the next set it runs.
 func runGroups(rep *Report, pl *plan, groups [][]string, opts Options) error {
 	width := opts.width()
 	pool := max(1, min(width, len(groups)))
@@ -571,13 +583,14 @@ func runGroups(rep *Report, pl *plan, groups [][]string, opts Options) error {
 	results := make([]*GroupResult, len(groups))
 	errs := make([]error, len(groups))
 	done := make([]bool, len(groups))
+	kits := make([]searchKit, pool)
 	var (
 		mu        sync.Mutex // guards results, errs, done, committed, firstErr and rep
 		committed int        // groups[:committed] are committed
 		firstErr  error
 	)
-	forEachIndex(len(groups), pool, func(i int) {
-		gr, err := verifyGroup(pl, pl.groupInstances(groups[i]), opts, i, stop, crew)
+	forEachIndex(len(groups), pool, func(w, i int) {
+		gr, err := verifyGroup(pl, pl.groupInstances(groups[i]), opts, i, stop, crew, &kits[w])
 		mu.Lock()
 		defer mu.Unlock()
 		results[i], errs[i], done[i] = gr, err, true
@@ -594,22 +607,34 @@ func runGroups(rep *Report, pl *plan, groups [][]string, opts Options) error {
 	return firstErr
 }
 
-// forEachIndex calls f(i) for every i in [0, n) from a fixed pool of
+// forEachIndex calls f(w, i) for every i in [0, n) from a fixed pool of
 // min(width, n) goroutines, which take the indices in increasing order
-// from one counter, and returns once every call has returned.
-func forEachIndex(n, width int, f func(i int)) {
+// from one counter, and returns once every call has returned. w numbers
+// the goroutine making the call, from 0: calls with the same w never
+// overlap.
+func forEachIndex(n, width int, f func(w, i int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(width, n) {
+	for w := range min(width, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				f(i)
+				f(w, i)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// searchKit is what one scheduler goroutine's related-set searches hand
+// down, each to the next: the DFS's visited table (checker.Tables) and
+// the transition memo's arenas (model.Arenas). A set's search starts
+// from the arrays the one before it grew, emptied, and allocates only
+// where it outgrows them. A kit lives for one runGroups call.
+type searchKit struct {
+	visited checker.Tables
+	memo    model.Arenas
 }
 
 // commitGroup appends one group's result to the report and folds its
@@ -688,8 +713,9 @@ func dedupe(in []string) []string {
 // per-group build and the search. gidx is the set's position in
 // deterministic group order; it keys the group's private tiered-store
 // subdirectory, which is what makes a -resume run find the WAL the
-// killed run wrote for the same group. workers is the search's crew.
-func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Bool, workers int) (*GroupResult, error) {
+// killed run wrote for the same group. workers is the search's crew, and
+// kit the calling goroutine's searchKit.
+func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Bool, workers int, kit *searchKit) (*GroupResult, error) {
 	insts := make([]*model.AppInst, len(group))
 	names := make([]string, len(group))
 	handlers := 0
@@ -712,6 +738,7 @@ func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Boo
 		Interpreter:     opts.Interpreter,
 		Symmetry:        opts.Symmetry,
 		Incremental:     !opts.NoIncremental,
+		Arenas:          &kit.memo,
 	})
 	if err != nil {
 		return nil, err
@@ -729,7 +756,7 @@ func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Boo
 	// the depth bound grows with the fault budget.
 	copts := opts.checkerOptions()
 	copts.MaxDepth = opts.MaxEvents + 64 + 8*opts.MaxFaults
-	copts.Workers, copts.Stop = workers, stop
+	copts.Workers, copts.Stop, copts.Tables = workers, stop, &kit.visited
 	if copts.Store == checker.Tiered || copts.Checkpoint || copts.Resume {
 		// One subdirectory per related set: groups verify concurrently
 		// and must not share tier files, and the per-group WAL path must
@@ -740,6 +767,7 @@ func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Boo
 		}
 	}
 	res := checker.Run(m.System(), copts)
+	kit.memo.Reclaim()
 	if res.Err != nil {
 		return nil, fmt.Errorf("iotsan: related set %d: %w", gidx, res.Err)
 	}
