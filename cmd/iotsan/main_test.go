@@ -169,6 +169,18 @@ func TestStealTieredExits2(t *testing.T) {
 	}
 }
 
+// The command exits 2 on -mem-budget without -store tiered, the one
+// store the budget bounds, and searches nothing.
+func TestMemBudgetWithoutTieredExits2(t *testing.T) {
+	asMain()
+	dir := t.TempDir()
+	out, code := runCommand(t, "TestMemBudgetWithoutTieredExits2", "-config", lockHome(t, dir),
+		"-mem-budget", "65536")
+	if code != 2 || !strings.Contains(out, "memory budget") {
+		t.Errorf("exit %d, output:\n%s", code, out)
+	}
+}
+
 // The command exits 2 on a negative fault budget, naming the field,
 // and searches nothing.
 func TestNegativeMaxFaultsExits2(t *testing.T) {

@@ -1,6 +1,7 @@
 package iotsan_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,24 +11,34 @@ import (
 	"iotsan/internal/experiments"
 )
 
+// table8Key names one Table 8 search among the root tests' memos.
+type table8Key string
+
 // table8Result analyzes the Table 8 system at 5 events, as the
 // benchmark's table8 workloads do, and returns its one related set's
-// search result.
-func table8Result(t *testing.T, opts iotsan.Options) *checker.Result {
+// search result. The search runs once per process per name (memo):
+// tests that ask under one name must pass the same opts, and share it.
+func table8Result(t *testing.T, name string, opts iotsan.Options) *checker.Result {
 	t.Helper()
-	sys, apps, err := experiments.Table8System()
+	res, err := memo(table8Key(name), func() (*checker.Result, error) {
+		sys, apps, err := experiments.Table8System()
+		if err != nil {
+			return nil, err
+		}
+		opts.MaxEvents, opts.NoDepGraph = 5, true
+		rep, err := iotsan.AnalyzeTranslated(sys, apps, opts)
+		if err != nil {
+			return nil, err
+		}
+		if len(rep.Groups) != 1 {
+			return nil, fmt.Errorf("%d related sets, want 1", len(rep.Groups))
+		}
+		return rep.Groups[0].Result, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.MaxEvents, opts.NoDepGraph = 5, true
-	rep, err := iotsan.AnalyzeTranslated(sys, apps, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Groups) != 1 {
-		t.Fatalf("%d related sets, want 1", len(rep.Groups))
-	}
-	return rep.Groups[0].Result
+	return res
 }
 
 // TestTable8TrailGolden pins the DFS's Table 8 search at 5 events byte
@@ -46,7 +57,7 @@ func TestTable8TrailGolden(t *testing.T) {
 		t.Skip("a 141k-state search")
 	}
 	t.Parallel()
-	got := dfsOutcome(table8Result(t, iotsan.Options{}))
+	got := dfsOutcome(table8Result(t, "dfs", iotsan.Options{}))
 	want, err := os.ReadFile(filepath.Join("testdata", "table8_dfs.golden"))
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +84,7 @@ func TestReserveCallsTable8(t *testing.T) {
 		{"dfs", iotsan.Options{}},
 		{"steal-2", iotsan.Options{Strategy: iotsan.StrategySteal, Workers: 2}},
 	} {
-		res := table8Result(t, c.opts)
+		res := table8Result(t, c.name, c.opts)
 		if n, v := res.ReserveCalls(), len(res.Violations); n >= 1000 || v != 13 {
 			t.Errorf("%s: %d reserve calls for %d violations, want under 1,000 for 13", c.name, n, v)
 		} else {

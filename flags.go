@@ -30,7 +30,7 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.StoreDir, "store-dir", "",
 		"scratch directory for -store tiered and -checkpoint/-resume (per-group tier files and the checkpoint WAL)")
 	fs.Int64Var(&o.MemBudget, "mem-budget", 0,
-		"bytes of the hot tier per related set with -store tiered; the older half spills to disk when the newer half fills (0 = 64 MiB)")
+		"bytes of the hot tier per related set with -store tiered, refused with any other store; the older half spills to disk when the newer half fills (0 = 64 MiB)")
 	fs.BoolVar(&o.Checkpoint, "checkpoint", false,
 		"write-ahead checkpoint the search to <store-dir>/*/wal.log (-strategy dfs, any store); a killed run can continue with -resume")
 	fs.BoolVar(&o.Resume, "resume", false,

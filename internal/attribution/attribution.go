@@ -4,12 +4,12 @@
 //
 // Phase 1: when a user installs a new app, every possible configuration
 // of that app (against the installed devices) is verified independently.
-// A violation ratio above the threshold attributes the app as
+// A violation ratio at or above the threshold attributes the app as
 // potentially malicious.
 //
 // Phase 2: otherwise the app is verified in conjunction with the
 // previously installed apps, again across all configurations. A ratio
-// above the threshold attributes it as a bad app; otherwise violations
+// at or above the threshold attributes it as a bad app; otherwise violations
 // are attributed to misconfiguration and safe configurations are
 // suggested.
 package attribution
@@ -52,10 +52,13 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("Verdict(%d)", int(v))
 }
 
+// threshold is §9's violation-ratio cutoff: a ratio at or above it
+// attributes the app as potentially malicious (phase 1) or bad (phase
+// 2).
+const threshold = 0.9
+
 // Options configure attribution.
 type Options struct {
-	// Threshold is the violation-ratio cutoff (default 0.9, §9).
-	Threshold float64
 	// MaxConfigs caps configuration enumeration (default 64).
 	MaxConfigs int
 	// MaxEvents per verification run (default 3).
@@ -73,9 +76,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Threshold == 0 {
-		o.Threshold = 0.9
-	}
 	if o.MaxConfigs == 0 {
 		o.MaxConfigs = 64
 	}
@@ -212,7 +212,7 @@ func AttributeNewApp(sys *config.System, newApp *ir.App, apps map[string]*ir.App
 			}
 		}
 	}
-	if rep.Phase1Ratio() >= opts.Threshold {
+	if rep.Phase1Ratio() >= threshold {
 		rep.Verdict = Malicious
 		rep.ViolatedProperties = slices.Sorted(maps.Keys(violProps))
 		return rep, nil
@@ -239,7 +239,7 @@ func AttributeNewApp(sys *config.System, newApp *ir.App, apps map[string]*ir.App
 	}
 	rep.ViolatedProperties = slices.Sorted(maps.Keys(violProps))
 	switch {
-	case rep.Phase2Ratio() >= opts.Threshold:
+	case rep.Phase2Ratio() >= threshold:
 		rep.Verdict = Bad
 		rep.SafeBindings = nil
 	case anyViolation:

@@ -439,7 +439,8 @@ type Options struct {
 	StoreDir string
 	// MemBudget bounds the bytes of the Tiered store's hot tier (0 = 64
 	// MiB, and never under 512 fingerprints). When half of it fills, the
-	// older half spills to the disk tier on the search's goroutine.
+	// older half spills to the disk tier on the search's goroutine. Any
+	// other store refuses it (Validate).
 	MemBudget int64
 	// Checkpoint enables write-ahead checkpointing of the DFS, on any
 	// store: every CheckpointEvery explored states the engine appends
@@ -457,18 +458,12 @@ type Options struct {
 	// CheckpointEvery is the number of explored states between
 	// checkpoints (default 4096).
 	CheckpointEvery int
-	// BitstateBits is log2 of the bit-array size for Bitstate (default
-	// 26 → 64 Mbit = 8 MB).
-	BitstateBits uint
 	// MaxDepth bounds the search depth in transitions (default 64).
 	MaxDepth int
 	// MaxStates bounds the number of states explored (0 = unlimited).
 	MaxStates int
 	// Deadline bounds wall-clock time (0 = unlimited).
 	Deadline time.Duration
-	// MaxViolations stops the search after that many distinct violations
-	// (0 = collect all).
-	MaxViolations int
 	// POR enables partial-order reduction when the system implements
 	// Reducer and certifies progress (ProgressCertifier): at each
 	// expansion the engine asks the system for a persistent subset of
@@ -504,6 +499,10 @@ type Options struct {
 	// when it ends (Tables). The iotsan group scheduler sets it, one per
 	// worker; it changes no result.
 	Tables *Tables
+
+	// bitstateBits is log2 of the bit-array size for Bitstate (0 = 26 →
+	// 64 Mbit = 8 MB). The package's tests shrink it.
+	bitstateBits uint
 }
 
 // Validate states which option combinations a search runs under, and
@@ -512,7 +511,8 @@ type Options struct {
 // slot, so a tiered or bitstate store could not bound its memory; and
 // only the DFS stack can be checkpointed. StrategySteal therefore runs
 // only on the Exhaustive store, without Checkpoint or Resume.
-// Checkpoint and Resume need StoreDir for the WAL.
+// Checkpoint and Resume need StoreDir for the WAL, and MemBudget
+// bounds only the Tiered store, so it is refused on any other.
 func (o Options) Validate() error {
 	if o.Strategy == StrategySteal {
 		if o.Store != Exhaustive {
@@ -524,6 +524,9 @@ func (o Options) Validate() error {
 	}
 	if (o.Checkpoint || o.Resume) && o.StoreDir == "" {
 		return errors.New("checker: checkpoint and resume require a store directory")
+	}
+	if o.MemBudget != 0 && o.Store != Tiered {
+		return fmt.Errorf("checker: a memory budget bounds only the tiered store, not %s", o.Store)
 	}
 	return nil
 }

@@ -91,10 +91,9 @@ type engine struct {
 	wal      *wal
 	walStats StoreStats
 
-	explored  atomic.Int64
-	matched   atomic.Int64
-	maxDepth  atomic.Int64
-	violCount atomic.Int64
+	explored atomic.Int64
+	matched  atomic.Int64
+	maxDepth atomic.Int64
 	// late latches the first clock reading past the Deadline for every
 	// later limitHit call and worker.
 	late       atomic.Bool
@@ -107,9 +106,8 @@ type engine struct {
 	// result then carries it alone. Written under mu, first failure wins.
 	err error
 
-	mu       sync.Mutex // guards found, distinct, reserved, reserves and err
+	mu       sync.Mutex // guards found, distinct, reserves and err
 	distinct map[Violation]struct{}
-	reserved int // accepted violations (found lags while trails materialize)
 	reserves int // reserve calls: violations some worker had not seen answered
 	found    []Found
 }
@@ -343,16 +341,18 @@ func (eagerStepper) Keep(sc Scratch, next State) State {
 // system steps successors into, the stub buffer the frontier strategy
 // refills per expansion (the DFS keeps one per stack frame instead) and
 // the one it probes a new successor's transitions into, the
-// state-vector encode buffer, the worker's counter cell, its
-// limitHit calls under a Deadline (polls), and its violation cache.
+// state-vector encode buffer, the successors its counted frontier
+// expansions generated (the strategy derives StatesMatched from the
+// sum once the deques drain), its limitHit calls under a Deadline
+// (polls), and its violation cache.
 type expander struct {
-	scratch Scratch
-	stubs   []Transition
-	probe   []Transition
-	buf     []byte
-	stat    statCell
-	polls   uint32
-	viols   violCache
+	scratch   Scratch
+	stubs     []Transition
+	probe     []Transition
+	buf       []byte
+	generated int64
+	polls     uint32
+	viols     violCache
 }
 
 func (e *engine) newExpander() *expander {
@@ -368,10 +368,9 @@ const (
 )
 
 // violCache remembers, per worker, violations the engine has already
-// answered for — accepted, a duplicate, or refused at the MaxViolations
-// cap. Every such answer is final, because the distinct set only grows
-// and nothing is recorded once the cap is hit, so a hit skips reserve:
-// no engine lock and no map lookup for a repeat. It is a fixed table
+// answered for — accepted or a duplicate. Every such answer is final,
+// because the distinct set only grows, so a hit skips reserve: no
+// engine lock and no map lookup for a repeat. It is a fixed table
 // compared by value, probed linearly from a violation's home slot, in
 // which an empty slot matches nothing, not even Violation{}. Nothing is
 // evicted: a direct-mapped cache measured 20,450 reserve calls instead
@@ -418,11 +417,10 @@ func sameString(a, b string) bool {
 	return len(a) == len(b) && (unsafe.StringData(a) == unsafe.StringData(b) || a == b)
 }
 
-// admit reports whether v is accepted for recording: new to the run and
-// under the MaxViolations cap. A violation x's cache holds was answered
-// for before and is refused without asking; any other goes to reserve,
-// and the answer is cached while the cache has room. A true return
-// obliges the caller to commit.
+// admit reports whether v is accepted for recording: new to the run. A
+// violation x's cache holds was answered for before and is refused
+// without asking; any other goes to reserve, and the answer is cached
+// while the cache has room. A true return obliges the caller to commit.
 func (e *engine) admit(x *expander, v Violation) bool {
 	c := &x.viols
 	i := violSlot(v)
@@ -446,54 +444,36 @@ func stepOf(from State, tr *Transition) TrailStep {
 	return TrailStep{Label: tr.Label, Steps: tr.Steps, From: from, Key: tr.Key}
 }
 
-// record registers a violation if its (property, detail) pair is new,
-// reporting whether it was recorded. Its trail is trail followed by the
-// pending step tr takes from from (none when tr is nil), built — a
-// fresh copy — only after admit accepts v: on violation-dense state
-// spaces almost every hit is a duplicate, and a trail built for one is
-// pure allocation churn. The MaxViolations cap is enforced in reserve,
-// under the lock, so concurrent workers can never overshoot it between
-// their own limit checks.
-func (e *engine) record(x *expander, v Violation, trail []TrailStep, from State, tr *Transition, depth int) bool {
-	if !e.admit(x, v) {
-		return false
-	}
-	copied := append([]TrailStep(nil), trail...)
-	if tr != nil {
-		copied = append(copied, stepOf(from, tr))
-	}
-	e.commit(v, copied, depth)
-	return true
-}
-
-// recordAll records vs against one trail and pending step (see record),
-// consulting the limits after each violation that was new; it reports
-// whether a limit was hit.
-func (e *engine) recordAll(x *expander, vs []Violation, trail []TrailStep, from State, tr *Transition, depth int) bool {
+// recordAll records each violation of vs whose (property, detail) pair
+// is new. Its trail is trail followed by the pending step tr takes from
+// from (none when tr is nil), built — a fresh copy — only after admit
+// accepts the violation: on violation-dense state spaces almost every
+// hit is a duplicate, and a trail built for one is pure allocation
+// churn.
+func (e *engine) recordAll(x *expander, vs []Violation, trail []TrailStep, from State, tr *Transition, depth int) {
 	for _, v := range vs {
-		if e.record(x, v, trail, from, tr, depth) && e.limitHit(x) {
-			return true
+		if !e.admit(x, v) {
+			continue
 		}
+		copied := append([]TrailStep(nil), trail...)
+		if tr != nil {
+			copied = append(copied, stepOf(from, tr))
+		}
+		e.commit(v, copied, depth)
 	}
-	return false
 }
 
-// reserve is phase 1 of recording: dedup + reserve a slot against the
-// MaxViolations cap, under the lock. A true return obliges the caller
-// to commit the violation. Callers go through admit, which asks only
-// about a violation their worker has not seen answered.
+// reserve is phase 1 of recording: dedup under the lock. A true return
+// obliges the caller to commit the violation. Callers go through admit,
+// which asks only about a violation their worker has not seen answered.
 func (e *engine) reserve(v Violation) bool {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.reserves++
-	if _, dup := e.distinct[v]; dup ||
-		(e.opts.MaxViolations > 0 && e.reserved >= e.opts.MaxViolations) {
-		e.mu.Unlock()
+	if _, dup := e.distinct[v]; dup {
 		return false
 	}
 	e.distinct[v] = struct{}{}
-	e.reserved++
-	e.mu.Unlock()
-	e.violCount.Add(1)
 	return true
 }
 
@@ -569,9 +549,10 @@ func (e *engine) materialize(ts []TrailStep) {
 // the per-state path.
 const clockPollEvery = 256
 
-// limitHit reports whether a search limit has been reached. Strategies
-// must consult it after every recorded violation and explored state —
-// not only per iteration — so MaxViolations and Deadline cannot be
+// limitHit reports whether a search limit (Stop, MaxStates, Deadline)
+// has been reached; MaxDepth clips the search where it applies instead.
+// Strategies consult it per iteration and after every explored state,
+// not only per expansion, so MaxStates and Deadline cannot be
 // overshot by a whole expansion. x is the calling worker's expander,
 // whose own counter paces its clock readings: a shared one would be a
 // contended write per call on every worker.
@@ -591,9 +572,6 @@ func (e *engine) limitHit(x *expander) bool {
 			e.late.Store(true)
 			return true
 		}
-	}
-	if e.opts.MaxViolations > 0 && int(e.violCount.Load()) >= e.opts.MaxViolations {
-		return true
 	}
 	return false
 }
@@ -636,39 +614,6 @@ func (e *engine) enabled(state State, stubs []Transition, count bool) []Transiti
 	return out
 }
 
-// statCell is one frontier worker's counters, kept off the shared
-// atomics. explored folds into the engine total at termination plus
-// periodically, so the per-state counter cost on the hot path is a
-// local increment instead of a contended read-modify-write; with
-// MaxStates set it folds on every bump so limitHit sees the exact
-// global count. generated counts the successors of the worker's counted
-// expansions; the strategy derives StatesMatched from the sum once the
-// deques drain.
-type statCell struct {
-	explored  int64
-	generated int64
-}
-
-// statFlushEvery bounds how many explored states a worker accumulates
-// locally on unbounded searches before folding into the shared counter.
-const statFlushEvery = 32
-
-func (sc *statCell) bumpExplored(e *engine) {
-	sc.explored++
-	if e.opts.MaxStates > 0 || sc.explored >= statFlushEvery {
-		e.explored.Add(sc.explored)
-		sc.explored = 0
-	}
-}
-
-// flush folds the explored residue into the engine total. Workers flush
-// on exit (before the strategy's WaitGroup releases the main
-// goroutine), so Result totals are exact.
-func (sc *statCell) flush(e *engine) {
-	e.explored.Add(sc.explored)
-	sc.explored = 0
-}
-
 // noteFaults adds the fault-flagged transitions in the final successor
 // slice of a counted expansion to the run's fault-transition tally
 // (re-expansions with count=false replay a counted expansion and must
@@ -706,9 +651,7 @@ func (e *engine) visitInitial(x *expander) (State, digest) {
 		e.logVisit(d)
 	}
 	e.explored.Add(1)
-	for _, v := range e.sys.Inspect(init) {
-		e.record(x, v, nil, nil, nil, 0)
-	}
+	e.recordAll(x, e.sys.Inspect(init), nil, nil, nil, 0)
 	return init, d
 }
 

@@ -11,9 +11,7 @@ import (
 	"time"
 )
 
-// multiViolSys raises two violations on every transition — it exercises
-// the MaxViolations cap mid-expansion (the old checker consulted limits
-// only once per loop iteration and overshot).
+// multiViolSys raises two violations on every transition.
 type multiViolSys struct{ width int }
 
 type intState int
@@ -55,25 +53,6 @@ func strategies() map[string]Options {
 		"steal":   {Strategy: StrategySteal},
 		"steal-1": {Strategy: StrategySteal, Workers: 1},
 		"steal-4": {Strategy: StrategySteal, Workers: 4},
-	}
-}
-
-// TestMaxViolationsNeverOvershot: even when a single transition raises
-// several violations, the cap is exact for every strategy.
-func TestMaxViolationsNeverOvershot(t *testing.T) {
-	for name, base := range strategies() {
-		for _, cap := range []int{1, 3} {
-			opts := base
-			opts.MaxDepth = 64
-			opts.MaxViolations = cap
-			res := Run(&multiViolSys{width: 40}, opts)
-			if len(res.Violations) != cap {
-				t.Errorf("%s cap=%d: got %d violations", name, cap, len(res.Violations))
-			}
-			if !res.Truncated {
-				t.Errorf("%s cap=%d: Truncated not set", name, cap)
-			}
-		}
 	}
 }
 
@@ -156,7 +135,7 @@ func TestBitstateFalsePositives(t *testing.T) {
 	exRes := Run(&chainSys{bound: 18, bad: -1}, Options{MaxDepth: 24})
 	sys := &inspectCounter{System: &chainSys{bound: 18, bad: -1}}
 	// 1024 bits — far below the state count.
-	bsRes := Run(sys, Options{MaxDepth: 24, Store: Bitstate, BitstateBits: 10})
+	bsRes := Run(sys, Options{MaxDepth: 24, Store: Bitstate, bitstateBits: 10})
 
 	if bsRes.StatesExplored >= exRes.StatesExplored {
 		t.Errorf("bitstate explored %d, want fewer than exhaustive %d (false positives must prune)",
@@ -175,8 +154,8 @@ func TestBitstateFalsePositives(t *testing.T) {
 }
 
 // TestStealRefusesDFSOnlyOptions: steal with a tiered or bitstate
-// store, Checkpoint or Resume, and checkpointing without a store
-// directory, are refused — Run returns Result.Err and nothing else,
+// store, Checkpoint or Resume, checkpointing without a store directory,
+// and a memory budget on a store other than the tiered one, are refused — Run returns Result.Err and nothing else,
 // without inspecting a state or creating a file.
 func TestStealRefusesDFSOnlyOptions(t *testing.T) {
 	dir := t.TempDir()
@@ -187,6 +166,8 @@ func TestStealRefusesDFSOnlyOptions(t *testing.T) {
 		"steal-resume":      {Strategy: StrategySteal, StoreDir: dir, Resume: true},
 		"checkpoint-no-dir": {Checkpoint: true},
 		"resume-no-dir":     {Resume: true},
+		"budget-exhaustive": {MemBudget: 1},
+		"budget-bitstate":   {Store: Bitstate, MemBudget: 1},
 	} {
 		if opts.Validate() == nil {
 			t.Errorf("%s: Validate accepted %+v", name, opts)

@@ -79,7 +79,7 @@ func (c *predictChain) InspectLeaf(sc Scratch, parent State) ([]Violation, bool)
 func TestPredictorSkipsDuplicateSteps(t *testing.T) {
 	for _, o := range []Options{
 		{MaxDepth: 20},
-		{MaxDepth: 20, Store: Bitstate, BitstateBits: 20},
+		{MaxDepth: 20, Store: Bitstate, bitstateBits: 20},
 		{MaxDepth: 20, Strategy: StrategySteal, Workers: 1},
 		{MaxDepth: 20, Strategy: StrategySteal, Workers: 4},
 	} {

@@ -82,7 +82,7 @@ func newStore(opts Options) (store, error) {
 	case opts.Strategy == StrategySteal:
 		return &linkTable{}, nil
 	case opts.Store == Bitstate:
-		return newBitStore(opts.BitstateBits), nil
+		return newBitStore(opts.bitstateBits), nil
 	case opts.Store == Tiered:
 		ts, err := newTieredStore(opts.StoreDir, opts.MemBudget)
 		if err != nil {

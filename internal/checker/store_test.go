@@ -147,7 +147,7 @@ func TestTablesHandDown(t *testing.T) {
 	}
 
 	held := tables.slots
-	for _, o := range []Options{{Strategy: StrategySteal, Workers: 2}, {Store: Bitstate, BitstateBits: 12}} {
+	for _, o := range []Options{{Strategy: StrategySteal, Workers: 2}, {Store: Bitstate, bitstateBits: 12}} {
 		o.MaxDepth, o.Tables = 20, &tables
 		if res := Run(&chainSys{bound: 8, bad: 12}, o); res.Err != nil || &tables.slots[0] != &held[0] {
 			t.Errorf("%v on %v: err %v; the held table was taken", o.Strategy, o.Store, res.Err)

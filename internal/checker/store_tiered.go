@@ -142,7 +142,7 @@ func (ts *tieredStore) close() StoreStats {
 // mix64 avalanches h1 into the word the filter's index and bits come
 // from. Pure word mixing of an already-funnelled digest — no state
 // bytes are hashed here, so the single-funnel property (digestfunnel)
-// is preserved by construction.
+// holds by construction.
 func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -217,7 +217,7 @@ func (dt *diskTable) reserve(extra int) error {
 	return dt.remap(size)
 }
 
-// add inserts k; the caller has reserved room for it.
+// add inserts k; the caller has made room for it.
 func (dt *diskTable) add(k uint64) {
 	if !dt.set.add(k) {
 		dt.mark(k)

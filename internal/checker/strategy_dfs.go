@@ -118,13 +118,10 @@ func (s sequentialDFS) search(e *engine) {
 		// Admission order (shared with expandState): edge violations for
 		// every successor, then digest → store, and only a state the store
 		// reports new is inspected, counted and, unless it is a leaf, kept
-		// and expanded. A duplicate's state violations were reserved when
+		// and expanded. A duplicate's state violations were recorded when
 		// its first copy was admitted (System.Inspect is a function of the
 		// encoding), so skipping them changes no verdict.
-		if e.recordAll(x, tr.Violations, trail, top.state, &tr, depth) {
-			e.truncated.Store(true)
-			break
-		}
+		e.recordAll(x, tr.Violations, trail, top.state, &tr, depth)
 
 		if !predicted {
 			d, x.buf = e.digest(tr.Next, x.buf)
@@ -149,10 +146,7 @@ func (s sequentialDFS) search(e *engine) {
 		if !looked {
 			vs = e.sys.Inspect(tr.Next)
 		}
-		if e.recordAll(x, vs, trail, top.state, &tr, depth) {
-			e.truncated.Store(true)
-			break
-		}
+		e.recordAll(x, vs, trail, top.state, &tr, depth)
 		e.explored.Add(1)
 		var stubs []Transition
 		if !looked {
@@ -263,8 +257,6 @@ func resumeDFS(e *engine, x *expander) ([]dfsFrame, []TrailStep) {
 		e.found = append(e.found, f)
 		e.distinct[f.Violation] = struct{}{}
 	}
-	e.reserved = len(e.found)
-	e.violCount.Store(int64(len(e.found)))
 
 	w.lastCkptExplored = ck.Explored
 	w.resumed = true

@@ -200,7 +200,7 @@ func (s *workSteal) search(e *engine) {
 	// successor a counted expansion generated was a duplicate.
 	var generated int64
 	for _, x := range r.exps {
-		generated += x.stat.generated
+		generated += x.generated
 	}
 	e.matched.Store(generated - (e.explored.Load() - 1))
 }
@@ -319,7 +319,6 @@ func (r *stealRun) work(w int) {
 		r.exps[w] = e.newExpander()
 	}
 	x := r.exps[w]
-	defer x.stat.flush(e)
 
 	c := &wsCtx{r: r, w: w, x: x, sent: r.cnts[w].sent.Load()}
 	var done int64
@@ -494,16 +493,16 @@ func (c *wsCtx) expand(ent *stealEntry) {
 func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 	e, x, links, depth, relax := c.r.e, c.x, c.r.links, c.childDepth, !c.r.relaxOff
 	state := ent.state
-	record := func(v Violation, tr *Transition) bool {
+	record := func(vs []Violation, tr *Transition) {
 		// Admit before constructing anything: on violation-dense
 		// state spaces nearly every hit is a duplicate, which the
 		// worker's violation cache refuses without the engine lock, and
 		// the trail copy for a rejected violation is wasted allocation.
-		if !e.admit(x, v) {
-			return false
+		for _, v := range vs {
+			if e.admit(x, v) {
+				e.commit(v, ent.trail(c.r.root, stepOf(state, tr)), depth)
+			}
 		}
-		e.commit(v, ent.trail(c.r.root, stepOf(state, tr)), depth)
-		return true
 	}
 
 	x.stubs = e.enabled(state, x.stubs, count)
@@ -519,16 +518,11 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 			*tr = e.stp.Step(x.scratch, state, tr)
 			d, x.buf = e.digest(tr.Next, x.buf)
 		}
-		for _, v := range tr.Violations {
-			if record(v, tr) && e.limitHit(x) {
-				e.truncated.Store(true)
-				return false
-			}
-		}
+		record(tr.Violations, tr)
 
 		fresh, improved := links.admit(d.h1, int32(depth), relax)
 		if count {
-			x.stat.generated++
+			x.generated++
 		}
 		var vs []Violation
 		looked := false
@@ -548,13 +542,8 @@ func (c *wsCtx) expandState(ent *stealEntry, count bool) bool {
 		if !looked {
 			vs = e.sys.Inspect(tr.Next)
 		}
-		for _, v := range vs {
-			if record(v, tr) && e.limitHit(x) {
-				e.truncated.Store(true)
-				return false
-			}
-		}
-		x.stat.bumpExplored(e)
+		record(vs, tr)
+		e.explored.Add(1)
 		if !looked && c.expandable(tr.Next) {
 			c.pushState(e.stp.Keep(x.scratch, tr.Next), d, ent, tr)
 		}

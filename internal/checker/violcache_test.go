@@ -2,7 +2,6 @@ package checker
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -150,44 +149,6 @@ func TestViolationCacheCollision(t *testing.T) {
 				}
 				if f.Depth != want || !slices.Equal(labels, []string{"step-1", "step-2"}[:want]) {
 					t.Errorf("%v at depth %d with trail %q, want depth %d", f.Violation, f.Depth, labels, want)
-				}
-			}
-		})
-	}
-}
-
-// TestViolationCacheMaxViolations: under a MaxViolations cap of k the
-// search records exactly k violations, the cache notwithstanding, and
-// the DFS records the same first k as before the cache: multiViolSys
-// raises p-even then p-odd on each step of its chain, so the i-th is
-// found at depth i/2+1 with the chain's first i/2+1 steps as trail.
-func TestViolationCacheMaxViolations(t *testing.T) {
-	for name, base := range strategies() {
-		t.Run(name, func(t *testing.T) {
-			for k := 1; k <= 5; k++ {
-				opts := base
-				opts.MaxDepth = 64
-				opts.MaxViolations = k
-				res := Run(&multiViolSys{width: 40}, opts)
-				if len(res.Violations) != k || !res.Truncated {
-					t.Fatalf("cap %d: %d violations recorded (truncated %v)", k, len(res.Violations), res.Truncated)
-				}
-				if opts.Strategy != StrategyDFS {
-					continue
-				}
-				for i, f := range res.Violations {
-					depth := i/2 + 1
-					want := Found{Violation: Violation{Property: "p-even", Detail: fmt.Sprintf("at %d", depth)}, Depth: depth}
-					if i%2 == 1 {
-						want.Property = "p-odd"
-					}
-					for s := 1; s <= depth; s++ {
-						want.Trail = append(want.Trail, TrailStep{Label: fmt.Sprintf("step-%d", s), Steps: []string{}})
-					}
-					if !reflect.DeepEqual(f, want) {
-						t.Errorf("cap %d, violation %d: got at depth %d\n%swant at depth %d\n%s",
-							k, i, f.Depth, FormatTrail(f), want.Depth, FormatTrail(want))
-					}
 				}
 			}
 		})

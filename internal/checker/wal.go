@@ -125,9 +125,9 @@ type wal struct {
 const walDigestEpoch = 2
 
 // walFingerprint serializes the options that determine the explored
-// graph, plus the digest epoch. Limits (MaxStates, Deadline,
-// MaxViolations) are deliberately excluded: killing a run under one
-// budget and resuming under another is the whole point.
+// graph, plus the digest epoch. Limits (MaxStates, Deadline) are
+// deliberately excluded: killing a run under one budget and resuming
+// under another is the whole point.
 func walFingerprint(opts Options) []byte {
 	return []byte(fmt.Sprintf("%s store=%d depth=%d por=%v sym=%v digest=%d",
 		walMagic, opts.Store, opts.MaxDepth, opts.POR, opts.Symmetry, walDigestEpoch))

@@ -95,8 +95,8 @@ type Options struct {
 	Symmetry bool
 	// Incremental gives every State a per-block hash cache so the
 	// engine digest re-encodes only the blocks a transition dirtied
-	// (incremental.go). Off by default for direct Model users; the CLI
-	// layer enables it unless -incremental=false.
+	// (incremental.go). Off by default for direct Model users; Analyze
+	// enables it unless iotsan.Options.NoIncremental is set.
 	Incremental bool
 	// Faults enables the persistent fault-injection layer: devices can
 	// go offline (suppressing their sensed events, swallowing their

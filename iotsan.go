@@ -160,7 +160,7 @@ type Options struct {
 	StoreDir string
 	// MemBudget bounds the bytes of the tiered store's hot tier per
 	// related set (0 = 64 MiB); the disk tier's filter and mapped table
-	// are outside it.
+	// are outside it. Any other store refuses it.
 	MemBudget int64
 	// Checkpoint write-ahead logs the search so a killed run can
 	// Resume from the last durable checkpoint. StrategyDFS only, on any
@@ -744,13 +744,11 @@ func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Boo
 		return nil, err
 	}
 
-	// The global MaxViolations cap is deliberately NOT forwarded as the
-	// per-group checker cap: the checker counts every distinct violation
-	// it records, while the committed report filters exec-errors and
-	// deduplicates across groups — a raw per-group cap could truncate a
-	// search on violations that never reach the report. The cap is
-	// enforced at commit time instead, and propagates here through the
-	// shared stop flag.
+	// The checker has no violation cap. The global MaxViolations cap is
+	// enforced when a group's results are committed — the report filters
+	// exec-errors and deduplicates across groups, so a per-group count
+	// could stop a search on violations that never reach it — and
+	// reaches the searches still running through the shared stop flag.
 	// Fault transitions extend paths beyond the event budget (an
 	// outage/recovery/delivery chain can interleave between events), so
 	// the depth bound grows with the fault budget.

@@ -145,8 +145,9 @@ func TestWALPathNotAFileIsAnError(t *testing.T) {
 // fault or hot-tier budget, event count, worker count, state cap,
 // violation cap or deadline, one that needs a store directory, and steal
 // with a store other than the in-memory exhaustive one (the legacy
-// Bitstate toggle included) or with checkpointing, which the checker's
-// rule refuses. The error wins over the unparsable source, so nothing
+// Bitstate toggle included) or with checkpointing, and a hot-tier budget
+// on a store other than the tiered one, which the checker's rule
+// refuses. The error wins over the unparsable source, so nothing
 // was translated first.
 func TestStoreDirValidatedBeforeTranslation(t *testing.T) {
 	sys := &iotsan.System{
@@ -168,6 +169,8 @@ func TestStoreDirValidatedBeforeTranslation(t *testing.T) {
 		"steal-bitstate-legacy": {iotsan.Options{Strategy: iotsan.StrategySteal, Bitstate: true}, steal},
 		"steal-checkpoint":      {iotsan.Options{Strategy: iotsan.StrategySteal, Checkpoint: true, StoreDir: dir}, steal},
 		"steal-resume":          {iotsan.Options{Strategy: iotsan.StrategySteal, Resume: true, StoreDir: dir}, steal},
+		"budget-exhaustive":     {iotsan.Options{MemBudget: 65536}, "memory budget"},
+		"budget-bitstate":       {iotsan.Options{Bitstate: true, MemBudget: 65536}, "memory budget"},
 		"negative-max-faults":   {iotsan.Options{MaxFaults: -1}, "Options.MaxFaults"},
 		"negative-mem-budget":   {iotsan.Options{MemBudget: -1}, "Options.MemBudget"},
 		"negative-max-events":   {iotsan.Options{MaxEvents: -1}, "Options.MaxEvents"},

@@ -421,7 +421,7 @@ func (c cell) run() (*cellResult, error) {
 			defer os.RemoveAll(dir)
 			opts.Store, opts.StoreDir, opts.MemBudget = checker.Tiered, dir, 1 // the hot-tier floor: nearly every fingerprint spills
 		case bitstate:
-			opts.Store, opts.BitstateBits = checker.Bitstate, 26
+			opts.Store = checker.Bitstate
 		}
 		sys := &counted{memoEngineSystem: m.System().(memoEngineSystem)}
 		var res *checker.Result

@@ -95,6 +95,36 @@ func withDevices(sys *iotsan.System, perm func(n int) []int) *iotsan.System {
 	return &c
 }
 
+// renamed is a copy of sys whose device IDs are renamed one to one, in
+// System.Devices and in every binding, to names that sort in the
+// reverse of the listed order.
+func renamed(sys *iotsan.System) *iotsan.System {
+	c := *sys
+	to := make(map[string]string, len(sys.Devices))
+	c.Devices = slices.Clone(sys.Devices)
+	for i := range c.Devices {
+		id := fmt.Sprintf("renamed%04d", len(c.Devices)-i)
+		to[c.Devices[i].ID] = id
+		c.Devices[i].ID = id
+	}
+	c.Apps = slices.Clone(sys.Apps)
+	for i, a := range c.Apps {
+		bs := make(map[string]iotsan.Binding, len(a.Bindings))
+		for k, b := range a.Bindings {
+			if b.DeviceIDs != nil {
+				ids := make([]string, len(b.DeviceIDs))
+				for j, id := range b.DeviceIDs {
+					ids[j] = to[id]
+				}
+				b.DeviceIDs = ids
+			}
+			bs[k] = b
+		}
+		c.Apps[i].Bindings = bs
+	}
+	return &c
+}
+
 func reversed(n int) []int {
 	p := make([]int, n)
 	for i := range p {
@@ -143,6 +173,17 @@ func TestMetamorphic(t *testing.T) {
 			want := at2(c)
 			if got := violated(t, withDevices(c.sys, shuffled), c.apps, 2); !slices.Equal(got, want) {
 				t.Errorf("%s: device order changes the verdict: listed %v, shuffled %v", c.name, want, got)
+			}
+		}
+	})
+
+	// (e) Renaming every device consistently leaves the violated
+	// properties unchanged.
+	t.Run("device-rename", func(t *testing.T) {
+		for _, c := range cfgs {
+			want := at2(c)
+			if got := violated(t, renamed(c.sys), c.apps, 2); !slices.Equal(got, want) {
+				t.Errorf("%s: renaming the devices changes the verdict: listed %v, renamed %v", c.name, want, got)
 			}
 		}
 	})
