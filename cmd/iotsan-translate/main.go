@@ -6,6 +6,7 @@
 // Usage:
 //
 //	iotsan-translate app.groovy
+//	iotsan-translate "internal/corpus/apps/Virtual Thermostat.groovy"
 //	iotsan-translate -corpus "Virtual Thermostat"
 package main
 

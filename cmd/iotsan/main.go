@@ -8,8 +8,9 @@
 //	iotsan -config system.json -apps ./apps [-events 3] [-failures] [-faults -max-faults 2] [-concurrent]
 //
 // With -apps, every app is read from <apps-dir>/<app name>.groovy, and a
-// missing or unreadable file is an error; without it, app names resolve
-// from the built-in corpus.
+// missing or unreadable file, or an app name that is empty or would
+// leave the directory, is an error; without it, app names resolve from
+// the built-in corpus.
 //
 // Exit status: 0 no violation and every related set searched to the
 // end; 1 violations found; 2 usage, configuration or source error;
@@ -125,11 +126,16 @@ func report(rep *iotsan.Report, opts iotsan.Options, trails bool, w io.Writer) i
 }
 
 // loadSources reads the source of every app the system installs: from
-// dir when it is set, from the built-in corpus otherwise.
+// dir when it is set, from the built-in corpus otherwise. An app whose
+// file would lie outside dir (a name such as "../x" or "/x") or whose
+// name is empty is an error naming the app.
 func loadSources(dir string, sys *config.System) (map[string]string, error) {
 	sources := map[string]string{}
 	for _, inst := range sys.Apps {
 		if dir != "" {
+			if inst.App == "" || !filepath.IsLocal(inst.App+".groovy") {
+				return nil, fmt.Errorf("app %q: its source file would not lie inside the -apps directory", inst.App)
+			}
 			data, err := os.ReadFile(filepath.Join(dir, inst.App+".groovy"))
 			if err != nil {
 				return nil, err

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +17,7 @@ import (
 	"iotsan/internal/checker"
 	"iotsan/internal/config"
 	"iotsan/internal/corpus"
+	"iotsan/internal/experiments"
 )
 
 // quietHome is violation-free: in three rooms a light follows a motion
@@ -100,6 +103,135 @@ func TestLoadSources(t *testing.T) {
 	}
 	if _, err := loadSources("", &config.System{Apps: []config.AppInstance{{App: "Nope"}}}); err == nil {
 		t.Error("an app in no corpus resolved")
+	}
+}
+
+// An app name whose -apps file would lie outside the directory, or an
+// empty one, is refused before any read: loadSources names the app, and
+// the command exits 2.
+func TestAppNameOutsideAppsDir(t *testing.T) {
+	asMain()
+	parent := t.TempDir()
+	dir := filepath.Join(parent, "apps")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// The escape target exists, so only the name check can refuse it.
+	if err := os.WriteFile(filepath.Join(parent, "x.groovy"), []byte("// outside"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ".groovy"), []byte("// no name"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"../x", "", "/x", "a/../../x"} {
+		sys := &config.System{Apps: []config.AppInstance{{App: name}}}
+		if src, err := loadSources(dir, sys); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+			t.Errorf("app %q: sources %q, error %v, want one naming the app", name, src, err)
+		}
+	}
+
+	cfg := filepath.Join(parent, "home.json")
+	if err := os.WriteFile(cfg, []byte(`{"name": "h", "apps": [{"app": "../x"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code := runCommand(t, "TestAppNameOutsideAppsDir", "-config", cfg, "-apps", dir)
+	if code != 2 || !strings.Contains(out, `"../x"`) {
+		t.Errorf("exit %d, output:\n%s", code, out)
+	}
+}
+
+// The user path equals the experiments path: an experiment system
+// written out as a JSON configuration and one <name>.groovy file per
+// installed app, then read back through config.Load and loadSources,
+// gives the same violations and stores the same number of states as the
+// in-memory system on the corpus sources.
+func TestUserPathMatchesExperiments(t *testing.T) {
+	plain := iotsan.Options{MaxEvents: 2, Workers: 1}
+	faults := plain
+	faults.Faults, faults.MaxFaults = true, 1
+	type run struct {
+		sys  *config.System
+		opts iotsan.Options
+	}
+	var runs []run
+	table8, _, err := experiments.Table8System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault, _, err := experiments.FaultSystem("faults")
+	if err != nil {
+		t.Fatal(err)
+	}
+	symmetry, _, err := experiments.SymmetrySystem("symmetry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs = append(runs, run{table8, plain}, run{fault, faults}, run{symmetry, plain})
+	for i, group := range experiments.RandomGroups(1) {
+		apps, err := experiments.TranslateAll(group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run{experiments.ExpertConfig(fmt.Sprintf("group-%d", i+1), group, apps), plain})
+	}
+
+	// outcome is a report's (property, detail) list and its summed
+	// StatesStored.
+	outcome := func(sys *config.System, sources map[string]string, opts iotsan.Options) ([]string, int) {
+		t.Helper()
+		rep, err := iotsan.Analyze(sys, sources, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var found []string
+		for _, v := range rep.Violations {
+			found = append(found, v.Property+": "+v.Detail)
+		}
+		stored := 0
+		for _, g := range rep.Groups {
+			stored += g.Result.StatesStored
+		}
+		return found, stored
+	}
+
+	for _, r := range runs {
+		t.Run(r.sys.Name, func(t *testing.T) {
+			appsDir, cfgDir := t.TempDir(), t.TempDir()
+			sources := map[string]string{}
+			for _, inst := range r.sys.Apps {
+				sources[inst.App] = corpus.MustSource(inst.App)
+				if err := os.WriteFile(filepath.Join(appsDir, inst.App+".groovy"), []byte(sources[inst.App]), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data, err := json.Marshal(r.sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := filepath.Join(cfgDir, "system.json")
+			if err := os.WriteFile(cfg, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := config.Load(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadedSources, err := loadSources(appsDir, loaded)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			want, wantStored := outcome(r.sys, sources, r.opts)
+			got, gotStored := outcome(loaded, loadedSources, r.opts)
+			if wantStored == 0 {
+				t.Fatal("the experiments path stored no state")
+			}
+			t.Logf("%d violations, %d states", len(want), wantStored)
+			if !slices.Equal(got, want) || gotStored != wantStored {
+				t.Errorf("user path: %d states, violations %q\nexperiments path: %d states, violations %q",
+					gotStored, got, wantStored, want)
+			}
+		})
 	}
 }
 

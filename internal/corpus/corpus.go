@@ -7,12 +7,17 @@
 // and the configurations used by the experiments.
 //
 // The paper's corpus is 150 market apps in six groups of 25 plus 9
-// malicious apps; this package carries the same corpus shape.
+// malicious apps; this package carries the same corpus shape. Each app's
+// source is one file, apps/<name>.groovy (see fileName); the manifest
+// gives each app its group and tags.
 package corpus
 
 import (
+	"embed"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+	"unsafe"
 )
 
 // Tag classifies corpus entries.
@@ -24,6 +29,9 @@ const (
 	TagMalicious Tag = "malicious" // ContexIoT-style attack app
 	TagBad       Tag = "bad"       // market app attributed bad in §10.3
 	TagGood      Tag = "good"      // market app known violation-free
+	TagExtra     Tag = "extra"     // beyond the 150 market apps; for unit tests and examples
+	TagFaults    Tag = "faults"    // the fault-injection group
+	TagSymmetry  Tag = "symmetry"  // the interchangeable-device group
 )
 
 // Source is one corpus app.
@@ -44,25 +52,51 @@ func (s Source) HasTag(t Tag) bool {
 	return false
 }
 
+//go:embed apps/*.groovy
+var files embed.FS
+
+// fileName is the name of an app's source file under apps/: the app's
+// name without the characters a //go:embed file name may not hold (of
+// these only the apostrophe, as in "It's Too Cold", occurs), plus
+// ".groovy".
+func fileName(app string) string {
+	return strings.Map(func(r rune) rune {
+		if strings.ContainsRune("\"'*/:;<>?\\`|", r) {
+			return -1
+		}
+		return r
+	}, app) + ".groovy"
+}
+
 var (
-	byName []Source
+	byName []Source // sorted by name
 	index  = map[string]int{}
 )
 
-// register adds an app to the corpus at init time.
-func register(s Source) {
-	if _, dup := index[s.Name]; dup {
-		panic(fmt.Sprintf("corpus: duplicate app %q", s.Name))
+// init reads every manifest entry's source once, into byName and index.
+func init() {
+	byName = make([]Source, 0, len(manifest))
+	for _, e := range manifest {
+		b, err := files.ReadFile("apps/" + fileName(e.name))
+		if err != nil {
+			panic(fmt.Sprintf("corpus: app %q: %v", e.name, err))
+		}
+		// ReadFile returns a fresh copy nothing else holds, so the
+		// string can share it.
+		byName = append(byName, Source{Name: e.name, Group: e.group, Tags: e.tags, Groovy: unsafe.String(unsafe.SliceData(b), len(b))})
 	}
-	index[s.Name] = len(byName)
-	byName = append(byName, s)
+	slices.SortFunc(byName, func(a, b Source) int { return strings.Compare(a.Name, b.Name) })
+	for i, s := range byName {
+		if _, dup := index[s.Name]; dup {
+			panic(fmt.Sprintf("corpus: duplicate app %q", s.Name))
+		}
+		index[s.Name] = i
+	}
 }
 
 // Apps returns every corpus entry, sorted by name.
 func Apps() []Source {
-	out := append([]Source(nil), byName...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return slices.Clone(byName)
 }
 
 // ByName returns the app with the given name.
@@ -87,7 +121,7 @@ func MustSource(name string) string {
 // Group returns the market apps in group g (1..6), sorted by name.
 func Group(g int) []Source {
 	var out []Source
-	for _, s := range Apps() {
+	for _, s := range byName {
 		if s.Group == g && s.HasTag(TagMarket) {
 			out = append(out, s)
 		}
@@ -98,7 +132,7 @@ func Group(g int) []Source {
 // WithTag returns all apps carrying the tag, sorted by name.
 func WithTag(t Tag) []Source {
 	var out []Source
-	for _, s := range Apps() {
+	for _, s := range byName {
 		if s.HasTag(t) {
 			out = append(out, s)
 		}
@@ -106,10 +140,13 @@ func WithTag(t Tag) []Source {
 	return out
 }
 
-// TagExtra marks corpus apps beyond the paper's 150-app market set;
-// they are used by unit tests and examples.
-const TagExtra Tag = "extra"
+// FaultGroup returns the fault-injection app group, sorted by name.
+func FaultGroup() []Source {
+	return WithTag(TagFaults)
+}
 
-func extra(name, groovy string, tags ...Tag) {
-	register(Source{Name: name, Groovy: groovy, Tags: append([]Tag{TagExtra}, tags...)})
+// SymmetryGroup returns the interchangeable-device app group, sorted by
+// name.
+func SymmetryGroup() []Source {
+	return WithTag(TagSymmetry)
 }

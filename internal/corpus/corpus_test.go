@@ -1,6 +1,8 @@
 package corpus
 
 import (
+	"io/fs"
+	"strings"
 	"testing"
 
 	"iotsan/internal/smartapp"
@@ -28,8 +30,44 @@ func TestEveryAppTranslates(t *testing.T) {
 }
 
 // TestCorpusShape checks the corpus matches the paper's evaluation
-// inventory: 150 market apps in six groups of 25, and 9 malicious apps.
+// inventory: 150 market apps in six groups of 25, and 9 malicious apps;
+// and that the manifest and the embedded files match exactly: one file
+// per app, no orphan, names distinct even where case is ignored.
 func TestCorpusShape(t *testing.T) {
+	if n := len(Apps()); n != 177 {
+		t.Errorf("corpus apps = %d, want 177", n)
+	}
+	want := map[string]bool{}
+	folded := map[string]string{}
+	for _, e := range manifest {
+		want[fileName(e.name)] = true
+		if other, dup := folded[strings.ToLower(e.name)]; dup {
+			t.Errorf("apps %q and %q differ only in case", other, e.name)
+		}
+		folded[strings.ToLower(e.name)] = e.name
+	}
+	embedded, err := fs.ReadDir(files, "apps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range embedded {
+		if !want[f.Name()] {
+			t.Errorf("apps/%s: no manifest entry", f.Name())
+		}
+		delete(want, f.Name())
+	}
+	for name := range want {
+		t.Errorf("apps/%s: manifest entry without a file", name)
+	}
+	if len(embedded) != len(manifest) {
+		t.Errorf("%d embedded files for %d manifest entries", len(embedded), len(manifest))
+	}
+	for _, name := range []string{"Everyone's Gone", "I'm Back", "It's Too Cold", "It's Too Hot"} {
+		if _, ok := ByName(name); !ok {
+			t.Errorf("%s missing", name)
+		}
+	}
+
 	market := WithTag(TagMarket)
 	if len(market) != 150 {
 		t.Errorf("market apps = %d, want 150", len(market))
