@@ -7,10 +7,13 @@
 //
 //	iotsan -config system.json -apps ./apps [-events 3] [-failures] [-faults -max-faults 2] [-concurrent]
 //
-// With -apps, every app is read from <apps-dir>/<app name>.groovy, and a
-// missing or unreadable file, or an app name that is empty or would
-// leave the directory, is an error; without it, app names resolve from
-// the built-in corpus.
+// With -apps, every app is read from <apps-dir>/<app name>.groovy or,
+// when that file does not exist, from the file the built-in corpus
+// names it (the app name without its apostrophe, as in
+// internal/corpus/apps/Its Too Cold.groovy), so -apps can point at the
+// corpus directory. A missing or unreadable file, or an app name that
+// is empty or would leave the directory, is an error; without -apps,
+// app names resolve from the built-in corpus.
 //
 // Exit status: 0 no violation and every related set searched to the
 // end; 1 violations found; 2 usage, configuration or source error;
@@ -20,9 +23,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -133,10 +138,7 @@ func loadSources(dir string, sys *config.System) (map[string]string, error) {
 	sources := map[string]string{}
 	for _, inst := range sys.Apps {
 		if dir != "" {
-			if inst.App == "" || !filepath.IsLocal(inst.App+".groovy") {
-				return nil, fmt.Errorf("app %q: its source file would not lie inside the -apps directory", inst.App)
-			}
-			data, err := os.ReadFile(filepath.Join(dir, inst.App+".groovy"))
+			data, err := readSource(dir, inst.App)
 			if err != nil {
 				return nil, err
 			}
@@ -148,6 +150,25 @@ func loadSources(dir string, sys *config.System) (map[string]string, error) {
 		}
 	}
 	return sources, nil
+}
+
+// readSource reads app's source from dir: the file <app>.groovy or,
+// when there is none, the file the built-in corpus keeps the app's
+// source in (corpus.FileName: "Its Too Cold.groovy" for "It's Too
+// Cold"). An empty name, or one whose file would lie outside dir, is
+// refused before any read.
+func readSource(dir, app string) ([]byte, error) {
+	plain, corpusName := app+".groovy", corpus.FileName(app)
+	if app == "" || !filepath.IsLocal(plain) || !filepath.IsLocal(corpusName) {
+		return nil, fmt.Errorf("app %q: its source file would not lie inside the -apps directory", app)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, plain))
+	if errors.Is(err, fs.ErrNotExist) && corpusName != plain {
+		if data, err2 := os.ReadFile(filepath.Join(dir, corpusName)); !errors.Is(err2, fs.ErrNotExist) {
+			return data, err2
+		}
+	}
+	return data, err
 }
 
 func fatal(err error) {

@@ -104,6 +104,22 @@ func TestLoadSources(t *testing.T) {
 	if _, err := loadSources("", &config.System{Apps: []config.AppInstance{{App: "Nope"}}}); err == nil {
 		t.Error("an app in no corpus resolved")
 	}
+
+	// -apps may be the corpus directory itself, whose file names drop the
+	// apostrophe of "It's Too Cold".
+	table8, _, err := experiments.Table8System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := loadSources(filepath.Join("..", "..", "internal", "corpus", "apps"), table8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range table8.Apps {
+		if src[inst.App] != corpus.MustSource(inst.App) {
+			t.Errorf("%q: the corpus directory's file differs from the built-in source", inst.App)
+		}
+	}
 }
 
 // An app name whose -apps file would lie outside the directory, or an

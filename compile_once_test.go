@@ -8,13 +8,16 @@ package iotsan_test
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"iotsan"
 	"iotsan/internal/checker"
 	"iotsan/internal/config"
+	"iotsan/internal/corpus"
 	"iotsan/internal/device"
 	"iotsan/internal/experiments"
 	"iotsan/internal/ir"
@@ -233,4 +236,125 @@ func TestCompileOnceEquivalence(t *testing.T) {
 		}
 		t.Logf("split %d: %d programs compiled, %d app instances over all related sets", split, programs, instances)
 	}
+}
+
+// TestPlanBuildWidths: Analyze translates the apps and builds the call's
+// plan on one pool of Workers goroutines, and neither its errors nor its
+// report depend on the width. With two unparsable sources the error is
+// always the lexicographically first name's; with every source sound,
+// an installed app with no source is named in installation order, and
+// on AnalyzeTranslated too. (Config validation rejects an unknown
+// device before any instance is prepared, so a PrepareApp error cannot
+// reach either call.) A market system that installs one app twice, so
+// that one translation serves two instances, reports the same related
+// sets, violations and plan counts at every width.
+func TestPlanBuildWidths(t *testing.T) {
+	widths := []int{1, 2, 4}
+	t.Run("errors", func(t *testing.T) {
+		sys := &iotsan.System{
+			Devices: []iotsan.Device{{ID: "l1", Model: "Smart Lock"}},
+			Apps: []iotsan.AppInstance{{App: "Unlock Door", Bindings: map[string]iotsan.Binding{
+				"lock1": {DeviceIDs: []string{"l1"}},
+			}}},
+		}
+		sources := map[string]string{"b broken": "definition(", "a broken": "not groovy ("}
+		for _, name := range []string{"Unlock Door", "Auto Mode Change", "It's Too Cold", "Good Night"} {
+			sources[name] = corpus.MustSource(name)
+		}
+		missing := *sys
+		missing.Apps = []iotsan.AppInstance{{App: "Zeta"}, sys.Apps[0], {App: "Alpha"}}
+		sound := maps.Clone(sources)
+		delete(sound, "a broken")
+		delete(sound, "b broken")
+		apps, err := experiments.TranslateAll([]corpus.Source{{Name: "Unlock Door", Groovy: sources["Unlock Door"]}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name, want string
+			analyze    func(iotsan.Options) (*iotsan.Report, error)
+		}{
+			{"translation", `iotsan: translating "a broken": `, func(o iotsan.Options) (*iotsan.Report, error) {
+				return iotsan.Analyze(sys, sources, o)
+			}},
+			{"broken-before-missing", `iotsan: translating "a broken": `, func(o iotsan.Options) (*iotsan.Report, error) {
+				return iotsan.Analyze(&missing, sources, o)
+			}},
+			{"missing", `iotsan: no source for installed app "Zeta"`, func(o iotsan.Options) (*iotsan.Report, error) {
+				return iotsan.Analyze(&missing, sound, o)
+			}},
+			{"missing-translated", `iotsan: no source for installed app "Zeta"`, func(o iotsan.Options) (*iotsan.Report, error) {
+				return iotsan.AnalyzeTranslated(&missing, apps, o)
+			}},
+		} {
+			t.Run(c.name, func(t *testing.T) {
+				var first string
+				for _, workers := range widths {
+					runs := 1
+					if workers == 4 {
+						runs = 20
+					}
+					for run := range runs {
+						_, err := c.analyze(iotsan.Options{Workers: workers})
+						if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+							t.Fatalf("workers=%d run %d: error %v, want one starting %q", workers, run, err, c.want)
+						}
+						if first == "" {
+							first = err.Error()
+						} else if err.Error() != first {
+							t.Fatalf("workers=%d run %d: error %q, at one worker %q", workers, run, err, first)
+						}
+					}
+				}
+			})
+		}
+	})
+
+	t.Run("app-installed-twice", func(t *testing.T) {
+		sources := experiments.RandomGroups(1)[0]
+		apps, err := experiments.TranslateAll(sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := experiments.ExpertConfig("market-1-twice", sources, apps)
+		sys.Apps = append(sys.Apps, sys.Apps[0])
+		var want []groupVerdict
+		var wantViolations []string
+		for _, workers := range widths {
+			rep, err := iotsan.AnalyzeTranslated(sys, apps, iotsan.Options{MaxEvents: 1, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p, a := rep.CompiledCounts(); p != len(sys.Apps) || a != 1 {
+				t.Errorf("workers=%d: compiled %d programs and %d atom tables for %d installed apps, want one each and one table", workers, p, a, len(sys.Apps))
+			}
+			var got []groupVerdict
+			for _, g := range rep.Groups {
+				got = append(got, verdictOf(g, true))
+			}
+			var violations []string
+			for _, v := range rep.Violations {
+				violations = append(violations, v.Property+"\x00"+v.Detail)
+			}
+			if want == nil {
+				want, wantViolations = got, violations
+				t.Logf("%d related sets, %d violations", len(got), len(violations))
+				if !slices.ContainsFunc(got, func(v groupVerdict) bool { return slices.Contains(v.apps, sys.Apps[0].App) }) {
+					t.Fatalf("no related set holds %q", sys.Apps[0].App)
+				}
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d: %d groups, at one worker %d", workers, len(got), len(want))
+			}
+			for i := range got {
+				if d := got[i].diff(want[i]); d != "" {
+					t.Errorf("workers=%d: group %d: %s", workers, i, d)
+				}
+			}
+			if !slices.Equal(violations, wantViolations) {
+				t.Errorf("workers=%d: violations %q, at one worker %q", workers, violations, wantViolations)
+			}
+		}
+	})
 }

@@ -16,7 +16,7 @@ func init() { model.CheckSplices(true) }
 // compiled and invariant atom tables resolved during the call — to the
 // compile-once gate in the external test package.
 func (r *Report) CompiledCounts() (programs, atomTables int) {
-	return r.compiled.Programs, r.compiled.AtomTables
+	return r.programs, r.atomTables
 }
 
 // VerifyEachSetAlone verifies every related set of sys in group order,
@@ -25,7 +25,8 @@ func (r *Report) CompiledCounts() (programs, atomTables int) {
 // Analyze's sets to.
 func VerifyEachSetAlone(sys *System, apps map[string]*ir.App, opts Options) ([]GroupResult, error) {
 	opts = opts.withDefaults()
-	pl, groups, err := relatedSets(&Report{}, sys, apps, opts)
+	names, translate := translated(apps)
+	pl, groups, err := relatedSets(&Report{}, sys, names, translate, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@
 //
 // The paper's corpus is 150 market apps in six groups of 25 plus 9
 // malicious apps; this package carries the same corpus shape. Each app's
-// source is one file, apps/<name>.groovy (see fileName); the manifest
+// source is one file, apps/<name>.groovy (see FileName); the manifest
 // gives each app its group and tags.
 package corpus
 
@@ -55,11 +55,11 @@ func (s Source) HasTag(t Tag) bool {
 //go:embed apps/*.groovy
 var files embed.FS
 
-// fileName is the name of an app's source file under apps/: the app's
+// FileName is the name of an app's source file under apps/: the app's
 // name without the characters a //go:embed file name may not hold (of
 // these only the apostrophe, as in "It's Too Cold", occurs), plus
 // ".groovy".
-func fileName(app string) string {
+func FileName(app string) string {
 	return strings.Map(func(r rune) rune {
 		if strings.ContainsRune("\"'*/:;<>?\\`|", r) {
 			return -1
@@ -77,7 +77,7 @@ var (
 func init() {
 	byName = make([]Source, 0, len(manifest))
 	for _, e := range manifest {
-		b, err := files.ReadFile("apps/" + fileName(e.name))
+		b, err := files.ReadFile("apps/" + FileName(e.name))
 		if err != nil {
 			panic(fmt.Sprintf("corpus: app %q: %v", e.name, err))
 		}

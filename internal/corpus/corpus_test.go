@@ -40,7 +40,7 @@ func TestCorpusShape(t *testing.T) {
 	want := map[string]bool{}
 	folded := map[string]string{}
 	for _, e := range manifest {
-		want[fileName(e.name)] = true
+		want[FileName(e.name)] = true
 		if other, dup := folded[strings.ToLower(e.name)]; dup {
 			t.Errorf("apps %q and %q differ only in case", other, e.name)
 		}

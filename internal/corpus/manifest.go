@@ -2,7 +2,7 @@ package corpus
 
 // An entry is one corpus app: its name, its market group (1..6; 0 for
 // an app in none of the six) and its tags. Its source is the file
-// apps/<fileName(name)>.
+// apps/<FileName(name)>.
 type entry struct {
 	name  string
 	group int

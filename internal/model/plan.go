@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"iotsan/internal/config"
 	"iotsan/internal/device"
@@ -55,15 +56,15 @@ type Plan struct {
 	devAttrs  []string
 
 	// Counts tallies the work done against this plan; the compile-once
-	// gate reads it. Prepare-time bookkeeping, written only by the
-	// goroutine that prepares (PrepareApp, props.CompileCatalog).
+	// gate reads it. PrepareApp and props.CompileCatalog add to it, from
+	// as many goroutines at once as prepare against the plan.
 	Counts PlanCounts
 }
 
 // PlanCounts is Plan.Counts.
 type PlanCounts struct {
-	Programs   int // eval.Compile runs (one per PrepareApp without the interpreter)
-	AtomTables int // invariant atom tables props resolved against the device table
+	Programs   atomic.Int64 // eval.Compile runs (one per PrepareApp without the interpreter)
+	AtomTables atomic.Int64 // invariant atom tables props resolved against the device table
 }
 
 // Prepare validates cfg and builds its device table.
@@ -296,7 +297,7 @@ func (p *Plan) PrepareApp(inst config.AppInstance, app *ir.App, interpreter bool
 		}
 	}
 	if !interpreter {
-		p.Counts.Programs++
+		p.Counts.Programs.Add(1)
 		ca := eval.Compile(app, a.Bindings, a.StateIdx)
 		if ca.Err == nil {
 			a.Prog = ca

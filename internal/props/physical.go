@@ -123,7 +123,7 @@ const (
 // commonAtoms builds the slot-indexed atom table the whole catalog
 // shares, resolved against plan's devices.
 func commonAtoms(plan *model.Plan, th Thresholds) []model.Atom {
-	plan.Counts.AtomTables++
+	plan.Counts.AtomTables.Add(1)
 	// any/all device with the role or capability has attr == value
 	anyAssoc := func(role, attr, value string) model.Atom {
 		return EnumAtom(plan.ByAssociation(role), attr, value, false)

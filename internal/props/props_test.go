@@ -80,8 +80,8 @@ func TestCatalogCompilesOnFullSystem(t *testing.T) {
 			t.Errorf("invariant %s is not a function of the catalog's one atom table: %+v", inv.ID, inv)
 		}
 	}
-	if plan.Counts.AtomTables != 1 {
-		t.Errorf("%d atom tables for one catalog compile, want 1", plan.Counts.AtomTables)
+	if plan.Counts.AtomTables.Load() != 1 {
+		t.Errorf("%d atom tables for one catalog compile, want 1", plan.Counts.AtomTables.Load())
 	}
 
 	// A selection compiles exactly the selected, applicable properties.

@@ -17,6 +17,7 @@
 package iotsan
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -344,12 +345,14 @@ type Report struct {
 	Scale depgraph.ScaleStats
 	// Apps maps app names to their translations (for reuse).
 	Apps map[string]*ir.App
-	// Elapsed is total verification time.
+	// Elapsed is the call's time from the start of its plan, which on
+	// Analyze includes translating the sources, to the last related
+	// set's result.
 	Elapsed time.Duration
 
-	// compiled is the call's plan counters (programs compiled, atom
-	// tables resolved), kept for the compile-once gate.
-	compiled model.PlanCounts
+	// programs and atomTables are the call's plan counters (programs
+	// compiled, atom tables resolved), kept for the compile-once gate.
+	programs, atomTables int
 }
 
 // ViolatedProperties returns the distinct violated property ids.
@@ -379,28 +382,13 @@ func Analyze(sys *System, sources map[string]string, opts Options) (*Report, err
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-
-	// Sorted names make the reported error the first failing name's,
-	// whatever order the translations finish in.
-	names := slices.Sorted(maps.Keys(sources))
-	translated := make([]*ir.App, len(names))
-	errs := make([]error, len(names))
-	forEachIndex(len(names), opts.width(), func(_, i int) {
-		translated[i], errs[i] = smartapp.Translate(sources[names[i]])
-	})
-	apps := make(map[string]*ir.App, len(names))
-	for i, name := range names {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("iotsan: translating %q: %w", name, errs[i])
+	return analyze(sys, slices.Sorted(maps.Keys(sources)), func(name string) (*ir.App, error) {
+		app, err := smartapp.Translate(sources[name])
+		if err != nil {
+			return nil, fmt.Errorf("iotsan: translating %q: %w", name, err)
 		}
-		apps[name] = translated[i]
-	}
-	for _, inst := range sys.Apps {
-		if apps[inst.App] == nil {
-			return nil, fmt.Errorf("iotsan: no source for installed app %q", inst.App)
-		}
-	}
-	return analyzeTranslated(sys, apps, opts)
+		return app, nil
+	}, opts)
 }
 
 // AnalyzeTranslated verifies a system whose apps are already translated.
@@ -408,35 +396,47 @@ func AnalyzeTranslated(sys *System, apps map[string]*ir.App, opts Options) (*Rep
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	return analyzeTranslated(sys, apps, opts.withDefaults())
+	names, translate := translated(apps)
+	return analyze(sys, names, translate, opts.withDefaults())
 }
 
-func analyzeTranslated(sys *System, apps map[string]*ir.App, opts Options) (*Report, error) {
+// translated gives apps, already translated, the form relatedSets takes
+// an app list in: the names, sorted, and a lookup.
+func translated(apps map[string]*ir.App) ([]string, func(name string) (*ir.App, error)) {
+	return slices.Sorted(maps.Keys(apps)), func(name string) (*ir.App, error) { return apps[name], nil }
+}
+
+func analyze(sys *System, names []string, translate func(name string) (*ir.App, error), opts Options) (*Report, error) {
 	start := time.Now()
-	rep := &Report{Apps: apps}
-	pl, groups, err := relatedSets(rep, sys, apps, opts)
+	rep := &Report{}
+	pl, groups, err := relatedSets(rep, sys, names, translate, opts)
 	if err != nil {
 		return nil, err
 	}
 	if err := runGroups(rep, pl, groups, opts); err != nil {
 		return nil, err
 	}
-	rep.compiled = pl.model.Counts
+	rep.programs = int(pl.model.Counts.Programs.Load())
+	rep.atomTables = int(pl.model.Counts.AtomTables.Load())
 	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
 
-// relatedSets is the App Dependency Analyzer (§5): it groups the
-// installed apps into related sets via their handlers' input/output
-// events, records the scale of the grouping in rep, and builds the plan
-// every set's verification reads.
-func relatedSets(rep *Report, sys *System, apps map[string]*ir.App, opts Options) (*plan, [][]string, error) {
+// relatedSets is the App Dependency Analyzer (§5): it builds the plan
+// every set's verification reads, which translates the apps, then groups
+// the installed apps into related sets via their handlers' input/output
+// events and records the translations and the scale of the grouping in
+// rep.
+func relatedSets(rep *Report, sys *System, names []string, translate func(name string) (*ir.App, error), opts Options) (*plan, [][]string, error) {
+	pl, apps, err := newPlan(sys, names, translate, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep.Apps = apps
 	var handlers []smartapp.HandlerInfo
 	var handlerApp []string // handler index → installed app name
-	instHandlers := make([][]smartapp.HandlerInfo, len(sys.Apps))
 	for i, inst := range sys.Apps {
-		instHandlers[i] = smartapp.AnalyzeHandlers(apps[inst.App])
-		for _, hi := range instHandlers[i] {
+		for _, hi := range pl.handlers[i] {
 			handlerApp = append(handlerApp, inst.App)
 			handlers = append(handlers, hi)
 		}
@@ -444,13 +444,7 @@ func relatedSets(rep *Report, sys *System, apps map[string]*ir.App, opts Options
 	g := depgraph.Build(handlers)
 	final := g.FinalSets()
 	rep.Scale = g.Scale(final)
-
-	groups := relatedAppGroups(sys, g, final, handlerApp, opts.NoDepGraph)
-	pl, err := newPlan(sys, apps, instHandlers, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pl, groups, nil
+	return pl, relatedAppGroups(sys, g, final, handlerApp, opts.NoDepGraph), nil
 }
 
 // plan is what one Analyze call derives from the system alone, built
@@ -466,7 +460,8 @@ type plan struct {
 	sys   *System
 	model *model.Plan
 	// insts[i] is sys.Apps[i] prepared (bindings, state layout, compiled
-	// program); handlers[i] is its handler analysis.
+	// program); handlers[i] is its handler analysis, shared by every
+	// instance of the app.
 	insts    []*model.AppInst
 	handlers [][]smartapp.HandlerInfo
 	// invs is the selected invariant catalog, compiled once.
@@ -480,18 +475,74 @@ type plan struct {
 	propAttrs map[string]bool
 }
 
-func newPlan(sys *System, apps map[string]*ir.App, handlers [][]smartapp.HandlerInfo, opts Options) (*plan, error) {
+// newPlan builds the call's plan from the apps names lists, which
+// translate yields by name, and returns it with those apps by name.
+//
+// After the device table, the work is one forEachIndex pool of
+// opts.width() goroutines, each task writing only its own slots: task 0
+// compiles the invariant catalog, and task 1+j translates names[j],
+// analyses its handlers and prepares each installed instance of it.
+// Workers: 1 runs the tasks in that order on one goroutine. Errors are
+// the ones a sequential pass meets first: the first failing translation
+// in name order, then the first installed instance with no app, then
+// the first instance that does not prepare, in installation order, then
+// the catalog's.
+func newPlan(sys *System, names []string, translate func(name string) (*ir.App, error), opts Options) (*plan, map[string]*ir.App, error) {
 	mp, err := model.Prepare(sys)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	pl := &plan{sys: sys, model: mp, handlers: handlers}
-	if pl.insts, err = mp.PrepareApps(sys.Apps, apps, opts.Interpreter); err != nil {
-		return nil, err
+	pl := &plan{
+		sys:      sys,
+		model:    mp,
+		insts:    make([]*model.AppInst, len(sys.Apps)),
+		handlers: make([][]smartapp.HandlerInfo, len(sys.Apps)),
 	}
-	if pl.invs, err = props.CompileCatalog(mp, filterPhysical(opts.Properties), opts.Thresholds); err != nil {
-		return nil, err
+	// instances[j] are the positions in sys.Apps of names[j]'s instances.
+	instances := make([][]int, len(names))
+	for i, inst := range sys.Apps {
+		if j, ok := slices.BinarySearch(names, inst.App); ok {
+			instances[j] = append(instances[j], i)
+		}
 	}
+	apps := make([]*ir.App, len(names))
+	appErrs := make([]error, len(names))
+	instErrs := make([]error, len(sys.Apps))
+	var catalogErr error
+	forEachIndex(1+len(names), opts.width(), func(_, t int) {
+		if t == 0 {
+			pl.invs, catalogErr = props.CompileCatalog(mp, filterPhysical(opts.Properties), opts.Thresholds)
+			return
+		}
+		j := t - 1
+		if apps[j], appErrs[j] = translate(names[j]); apps[j] == nil {
+			return
+		}
+		handlers := smartapp.AnalyzeHandlers(apps[j])
+		for _, i := range instances[j] {
+			pl.handlers[i] = handlers
+			pl.insts[i], instErrs[i] = mp.PrepareApp(sys.Apps[i], apps[j], opts.Interpreter)
+		}
+	})
+	if err := cmp.Or(appErrs...); err != nil {
+		return nil, nil, err
+	}
+	for _, inst := range sys.Apps {
+		if j, ok := slices.BinarySearch(names, inst.App); !ok || apps[j] == nil {
+			return nil, nil, fmt.Errorf("iotsan: no source for installed app %q", inst.App)
+		}
+	}
+	if err := cmp.Or(instErrs...); err != nil {
+		return nil, nil, err
+	}
+	if catalogErr != nil {
+		return nil, nil, catalogErr
+	}
+	byName := make(map[string]*ir.App, len(names))
+	for j, name := range names {
+		byName[name] = apps[j]
+	}
+
 	sel := propertySelection(opts.Properties)
 	pl.checkConflicts = sel[model.PropConflicting] || sel[model.PropRepeated]
 	pl.checkLeakage = sel[model.PropLeakNetwork]
@@ -514,7 +565,7 @@ func newPlan(sys *System, apps map[string]*ir.App, handlers [][]smartapp.Handler
 			}
 		}
 	}
-	return pl, nil
+	return pl, byName, nil
 }
 
 // groupInstances returns the positions in sys.Apps of the instances a

@@ -67,30 +67,6 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
-// TestAnalyzeTranslationErrorOrder: Analyze translates its sources
-// concurrently, and with two unparsable sources the error it returns
-// is always the one for the lexicographically first name.
-func TestAnalyzeTranslationErrorOrder(t *testing.T) {
-	sys := &iotsan.System{
-		Devices: []iotsan.Device{{ID: "l1", Model: "Smart Lock"}},
-		Apps: []iotsan.AppInstance{{App: "Unlock Door", Bindings: map[string]iotsan.Binding{
-			"lock1": {DeviceIDs: []string{"l1"}},
-		}}},
-	}
-	sources := map[string]string{"b broken": "definition(", "a broken": "not groovy ("}
-	for _, name := range []string{"Unlock Door", "Auto Mode Change", "It's Too Cold", "Good Night"} {
-		sources[name] = corpus.MustSource(name)
-	}
-	for _, workers := range []int{1, 2} {
-		for run := 0; run < 20; run++ {
-			_, err := iotsan.Analyze(sys, sources, iotsan.Options{Workers: workers})
-			if err == nil || !strings.Contains(err.Error(), `translating "a broken"`) {
-				t.Fatalf("workers=%d run %d: error = %v, want the error for %q", workers, run, err, "a broken")
-			}
-		}
-	}
-}
-
 // TestAnalyzeTranslationConcurrent: the translations Analyze makes
 // concurrently equal sequential ones, app by app, over the whole
 // corpus. Under -race this shows that the groovy, smartapp and
