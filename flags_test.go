@@ -15,10 +15,17 @@ import (
 // test-oracle switches. A new Options field must be either bound in
 // RegisterFlags or added here — the decision cannot be skipped.
 var apiOnly = map[string]bool{
-	"MaxEvents": true, "Design": true, "Properties": true, "Thresholds": true,
-	"NoDepGraph": true, "Bitstate": true, "MaxViolations": true,
+	"MaxEvents": true, "Design": true, "NoDepGraph": true, "MaxViolations": true,
 	"MaxStatesPerSet": true, "Deadline": true, "Interpreter": true,
-	"NoIncremental": true, "NoEpochReclaim": true, "GroupParallel": true,
+	"NoIncremental": true, "NoEpochReclaim": true,
+}
+
+// deprecated lists the Options fields kept only until their last reader,
+// the benchmark's hand copy of Analyze, is gone: no flag binds them, and
+// Analyze refuses each one set (TestDeprecatedOptionsRefused), so none
+// can quietly come back into use.
+var deprecated = map[string]bool{
+	"Properties": true, "Thresholds": true, "Bitstate": true, "GroupParallel": true,
 }
 
 // engineFlagSet registers the engine flags of a zero Options on a
@@ -69,8 +76,11 @@ func TestRegisterFlagsCoversOptions(t *testing.T) {
 	v := reflect.ValueOf(*got)
 	for i := 0; i < v.NumField(); i++ {
 		name := v.Type().Field(i).Name
-		if bound := !v.Field(i).IsZero(); bound == apiOnly[name] {
-			t.Errorf("Options.%s: flag-bound=%v, API-only=%v — bind it in RegisterFlags or list it in apiOnly", name, bound, apiOnly[name])
+		if apiOnly[name] && deprecated[name] {
+			t.Errorf("Options.%s is listed both API-only and deprecated", name)
+		}
+		if bound, unbound := !v.Field(i).IsZero(), apiOnly[name] || deprecated[name]; bound == unbound {
+			t.Errorf("Options.%s: flag-bound=%v, API-only or deprecated=%v — bind it in RegisterFlags or list it in apiOnly", name, bound, unbound)
 		}
 	}
 
@@ -86,5 +96,43 @@ func TestRegisterFlagsCoversOptions(t *testing.T) {
 	if err := fs.Parse([]string{"-strategy", "parallel"}); err == nil ||
 		!strings.Contains(err.Error(), "dfs") || !strings.Contains(err.Error(), "steal") {
 		t.Errorf("-strategy parallel: error = %v, want a rejection naming dfs and steal", err)
+	}
+}
+
+// TestDeprecatedOptionsRefused: Analyze and AnalyzeTranslated refuse
+// every deprecated field set to a non-zero value, before translating
+// anything, with an error naming the field.
+func TestDeprecatedOptionsRefused(t *testing.T) {
+	sys := &iotsan.System{
+		Devices: []iotsan.Device{{ID: "d", Model: "Smart Switch"}},
+		Apps:    []iotsan.AppInstance{{App: "Nope"}},
+	}
+	bad := map[string]string{"Nope": "not groovy ("}
+	typ := reflect.TypeOf(iotsan.Options{})
+	for name := range deprecated {
+		f, ok := typ.FieldByName(name)
+		if !ok {
+			t.Errorf("deprecated lists %s, which Options does not have", name)
+			continue
+		}
+		var opts iotsan.Options
+		v := reflect.ValueOf(&opts).Elem().FieldByIndex(f.Index)
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 0, 0)) // non-nil, even empty
+		case reflect.Struct:
+			v.Field(0).SetInt(1)
+		default:
+			t.Fatalf("Options.%s: no non-zero value for kind %s", name, v.Kind())
+		}
+		want := "Options." + name + " is deprecated"
+		if _, err := iotsan.Analyze(sys, bad, opts); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s set: Analyze error = %v, want %q", name, err, want)
+		}
+		if _, err := iotsan.AnalyzeTranslated(sys, nil, opts); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s set: AnalyzeTranslated error = %v, want %q", name, err, want)
+		}
 	}
 }

@@ -65,8 +65,6 @@ type Options struct {
 	MaxEvents int
 	// Failures enables failure enumeration during verification.
 	Failures bool
-	// Thresholds parameterise the physical properties.
-	Thresholds props.Thresholds
 	// Strategy selects the checker search strategy for each
 	// verification run (sequential DFS default).
 	Strategy checker.StrategyKind
@@ -81,9 +79,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxEvents == 0 {
 		o.MaxEvents = 3
-	}
-	if o.Thresholds == (props.Thresholds{}) {
-		o.Thresholds = props.DefaultThresholds()
 	}
 	return o
 }
@@ -147,7 +142,7 @@ func AttributeNewApp(sys *config.System, newApp *ir.App, apps map[string]*ir.App
 	if err != nil {
 		return nil, err
 	}
-	invs, err := props.CompileCatalog(plan, nil, opts.Thresholds)
+	invs, err := props.CompileCatalog(plan, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -158,6 +153,7 @@ func AttributeNewApp(sys *config.System, newApp *ir.App, apps map[string]*ir.App
 		RelevantAttrs:    relevantAttrs(newApp, sys, apps),
 		UserModeEvents:   true, // §9: reach mode-triggered behaviour standalone
 		UserDeviceEvents: true, // physical interaction on subscribed attributes
+		Incremental:      true,
 	}
 	// verify checks one candidate: the given installed instances plus,
 	// when bindings is non-nil, the new app configured with them.

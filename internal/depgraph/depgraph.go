@@ -368,22 +368,6 @@ func (g *Graph) HandlerIndices(rs RelatedSet) []int {
 	return out
 }
 
-// Apps returns the distinct app names appearing in a related set.
-func (g *Graph) Apps(rs RelatedSet) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, id := range rs.VertexIDs {
-		for _, h := range g.Vertices[id].Handlers {
-			if !seen[h.App.Name] {
-				seen[h.App.Name] = true
-				out = append(out, h.App.Name)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ScaleStats reports the problem-size reduction of dependency analysis
 // for one group of apps (Table 7a): the total number of event handlers
 // versus the largest related set.

@@ -156,7 +156,7 @@ func (ev *Evaluator) methodCall(recv ir.Value, x *groovy.CallExpr, args []ir.Val
 func (ev *Evaluator) callClosure(cl *groovy.ClosureExpr, args []ir.Value, sc *scope) (ir.Value, error) {
 	ev.depth++
 	defer func() { ev.depth-- }()
-	if ev.depth > ev.limits().MaxDepth {
+	if ev.depth > ev.lim.withDefaults().maxDepth {
 		return ir.NullV(), &ExecError{App: ev.App.Name, Pos: cl.Pos, Msg: "closure depth exceeded"}
 	}
 	vars := map[string]ir.Value{}

@@ -192,13 +192,13 @@ def h(evt) {
 			t.Fatal(err)
 		}
 		iev := &Evaluator{App: app, Bindings: map[string]ir.Value{}, Host: newFakeHost(),
-			Limits: Limits{MaxSteps: 1000}}
+			lim: stepLimits{maxSteps: 1000}}
 		ierr := iev.CallHandler("h", onEvt)
 		ca := Compile(app, map[string]ir.Value{}, nil)
 		if ca.Err != nil {
 			t.Fatal(ca.Err)
 		}
-		env := &Env{Limits: Limits{MaxSteps: 1000}}
+		env := &Env{lim: stepLimits{maxSteps: 1000}}
 		env.Reset(newFakeHost(), ca)
 		cerr := env.CallHandler("h", onEvt)
 		if ierr == nil || cerr == nil {
@@ -441,9 +441,9 @@ def h(evt) {
 		}
 		exec := func(maxSteps int) (ih, ch *fakeHost, isteps, csteps int, ierr, cerr error) {
 			ih, ch = newFakeHost(), newFakeHost()
-			iev := &Evaluator{App: app, Bindings: bindings, Host: ih, Limits: Limits{MaxSteps: maxSteps}}
+			iev := &Evaluator{App: app, Bindings: bindings, Host: ih, lim: stepLimits{maxSteps: maxSteps}}
 			ierr = iev.CallHandler("h", evt)
-			env := &Env{Limits: Limits{MaxSteps: maxSteps}}
+			env := &Env{lim: stepLimits{maxSteps: maxSteps}}
 			env.Reset(ch, ca)
 			cerr = env.CallHandler("h", evt)
 			return ih, ch, iev.steps, env.steps, ierr, cerr

@@ -71,8 +71,8 @@ type CompiledApp struct {
 // retain their capacity across executions (executors pool Envs for
 // allocation-free dispatch).
 type Env struct {
-	Host   Host
-	Limits Limits
+	Host Host
+	lim  stepLimits
 
 	capp *CompiledApp
 
@@ -97,14 +97,8 @@ func (e *Env) Reset(host Host, capp *CompiledApp) {
 	e.base, e.top = 0, 0
 	e.args = e.args[:0]
 	e.steps, e.depth = 0, 0
-	l := e.Limits
-	if l.MaxSteps == 0 {
-		l.MaxSteps = 200000
-	}
-	if l.MaxDepth == 0 {
-		l.MaxDepth = 64
-	}
-	e.maxSteps, e.maxDepth = l.MaxSteps, l.MaxDepth
+	l := e.lim.withDefaults()
+	e.maxSteps, e.maxDepth = l.maxSteps, l.maxDepth
 }
 
 // rt implementation: shared builtins run identically against compiled

@@ -73,10 +73,23 @@ type Event struct {
 	DisplayName string
 }
 
-// Limits bound handler execution so the model checker always terminates.
-type Limits struct {
-	MaxSteps int // interpreter steps per handler call (default 200000)
-	MaxDepth int // call depth (default 64)
+// stepLimits bound handler execution so the model checker always
+// terminates. The zero value is the defaults, which every model runs;
+// only this package's tests lower them.
+type stepLimits struct {
+	maxSteps int // interpreter steps per handler call (default 200000)
+	maxDepth int // call depth (default 64)
+}
+
+// withDefaults fills the zero fields of l with their defaults.
+func (l stepLimits) withDefaults() stepLimits {
+	if l.maxSteps == 0 {
+		l.maxSteps = 200000
+	}
+	if l.maxDepth == 0 {
+		l.maxDepth = 64
+	}
+	return l
 }
 
 // An ExecError reports a runtime error during handler execution with the
@@ -96,7 +109,6 @@ type Evaluator struct {
 	App      *ir.App
 	Bindings map[string]ir.Value // input name → bound value
 	Host     Host
-	Limits   Limits
 	// StateIdx, when non-nil, maps the app's statically known state keys
 	// to host state slots (see StateLayout); state.x accesses then go
 	// through Host.StateSlot/SetStateSlot instead of the KV map, so the
@@ -104,6 +116,7 @@ type Evaluator struct {
 	// programs operate on.
 	StateIdx map[string]int
 
+	lim   stepLimits
 	steps int
 	depth int
 }
@@ -173,20 +186,9 @@ func toStringValue(v ir.Value) ir.Value {
 	return ir.StrV(v.String())
 }
 
-func (ev *Evaluator) limits() Limits {
-	l := ev.Limits
-	if l.MaxSteps == 0 {
-		l.MaxSteps = 200000
-	}
-	if l.MaxDepth == 0 {
-		l.MaxDepth = 64
-	}
-	return l
-}
-
 func (ev *Evaluator) step(pos groovy.Pos) error {
 	ev.steps++
-	if ev.steps > ev.limits().MaxSteps {
+	if ev.steps > ev.lim.withDefaults().maxSteps {
 		return &ExecError{App: ev.App.Name, Pos: pos, Msg: "step budget exhausted (possible livelock)"}
 	}
 	return nil
@@ -195,7 +197,7 @@ func (ev *Evaluator) step(pos groovy.Pos) error {
 func (ev *Evaluator) callMethod(m *groovy.MethodDecl, args []ir.Value) (ir.Value, error) {
 	ev.depth++
 	defer func() { ev.depth-- }()
-	if ev.depth > ev.limits().MaxDepth {
+	if ev.depth > ev.lim.withDefaults().maxDepth {
 		return ir.NullV(), &ExecError{App: ev.App.Name, Pos: m.Pos, Msg: "call depth exceeded"}
 	}
 	sc := &scope{vars: map[string]ir.Value{}}

@@ -181,7 +181,7 @@ def h(evt) {
 		t.Fatal(err)
 	}
 	ev := &Evaluator{App: app, Bindings: map[string]ir.Value{}, Host: newFakeHost(),
-		Limits: Limits{MaxSteps: 1000}}
+		lim: stepLimits{maxSteps: 1000}}
 	if err := ev.CallHandler("h", &Event{Device: 0, Name: "switch", Value: ir.StrV("on")}); err == nil {
 		t.Fatal("expected step-budget error")
 	}

@@ -142,6 +142,7 @@ func RunTable9(maxEvents int) (*Table9Result, error) {
 		MaxEvents:      maxEvents,
 		Invariants:     invs,
 		InspectCascade: true, // strict Spin-style checking (§2.3)
+		Incremental:    true,
 	})
 	if err != nil {
 		return nil, err

@@ -86,7 +86,6 @@ type ScheduleKind int
 const (
 	ScheduleCron  ScheduleKind = iota // schedule("0 0 ...", handler) / schedule(time, handler)
 	ScheduleRunIn                     // runIn(seconds, handler)
-	ScheduleDaily                     // runDaily / sunrise / sunset wiring
 )
 
 // Schedule is one timer registration.
@@ -185,7 +184,6 @@ var (
 	Num     = Type{Kind: KindNum}
 	String  = Type{Kind: KindString}
 	Null    = Type{Kind: KindNull}
-	Void    = Type{Kind: KindVoid}
 	Event   = Type{Kind: KindEvent}
 )
 

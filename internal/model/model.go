@@ -95,8 +95,11 @@ type Options struct {
 	Symmetry bool
 	// Incremental gives every State a per-block hash cache so the
 	// engine digest re-encodes only the blocks a transition dirtied
-	// (incremental.go). Off by default for direct Model users; Analyze
-	// enables it unless iotsan.Options.NoIncremental is set.
+	// (incremental.go); the transition memo and the leaf lookup run only
+	// on top of it. Every product caller sets it: Analyze (unless
+	// iotsan.Options.NoIncremental), the Output Analyzer and Table 9.
+	// Off, the model digests by flat encode-and-hash, which only the
+	// equivalence tests' oracles use.
 	Incremental bool
 	// Faults enables the persistent fault-injection layer: devices can
 	// go offline (suppressing their sensed events, swallowing their

@@ -69,6 +69,18 @@ func (m *Model) DispatchedHandler(p Pending) (app int, handler string) {
 	return sub.AppIdx, sub.Handler
 }
 
+// Independent reports whether the static dependence relation calls the
+// classes of two pending entries independent: the claim, which every
+// persistent set rests on, that dispatching them in either order
+// reaches the same state. It is false outside the concurrent design.
+// The root walker's commute check runs both orders to test the claim.
+func (m *Model) Independent(p, q Pending) bool {
+	if m.por == nil || m.por.nclass == 0 {
+		return false
+	}
+	return !m.por.dep[m.por.subClass[p.SubIdx]].has(m.por.subClass[q.SubIdx])
+}
+
 // porData is the static reduction table, precomputed at New for
 // concurrent-design models.
 type porData struct {

@@ -208,26 +208,31 @@ func bind[T any](p *Property, atoms []model.Atom, bySlot func(slot int) func(T) 
 }
 
 // CompileInvariants compiles every applicable physical property (or the
-// selected subset when ids is non-nil) against a system: the one-shot
-// form of CompileCatalog, over a device table of its own. The result
-// fits any model over an equal device list.
+// selected subset when ids is non-nil) under th against a system: the
+// one-shot form of CompileCatalog, over a device table of its own. The
+// result fits any model over an equal device list.
 func CompileInvariants(sys *config.System, ids []string, th Thresholds) ([]model.Invariant, error) {
 	plan, err := model.Prepare(sys)
 	if err != nil {
 		return nil, err
 	}
-	return CompileCatalog(plan, ids, th)
+	return compileCatalog(plan, ids, th)
 }
 
 // CompileCatalog compiles every applicable physical property (or the
-// selected subset when ids is non-nil) against plan's device table: one
-// atom table, resolved to device and attribute indexes here and shared
-// by every property, each of which becomes a function of the table's
-// valuation word — atom i is a test of bit i. The table and the
-// invariants are immutable, so one catalog serves every model built from
-// the plan, from any number of goroutines; model.Plan.Build rejects any
-// other device list.
-func CompileCatalog(plan *model.Plan, ids []string, th Thresholds) ([]model.Invariant, error) {
+// selected subset when ids is non-nil) under DefaultThresholds against
+// plan's device table: one atom table, resolved to device and attribute
+// indexes here and shared by every property, each of which becomes a
+// function of the table's valuation word — atom i is a test of bit i.
+// The table and the invariants are immutable, so one catalog serves
+// every model built from the plan, from any number of goroutines;
+// model.Plan.Build rejects any other device list.
+func CompileCatalog(plan *model.Plan, ids []string) ([]model.Invariant, error) {
+	return compileCatalog(plan, ids, DefaultThresholds())
+}
+
+// compileCatalog is CompileCatalog under th.
+func compileCatalog(plan *model.Plan, ids []string, th Thresholds) ([]model.Invariant, error) {
 	want := map[string]bool{}
 	for _, id := range ids {
 		want[id] = true

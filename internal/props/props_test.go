@@ -65,7 +65,7 @@ func TestCatalogCompilesOnFullSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	invs, err := props.CompileCatalog(plan, nil, th)
+	invs, err := props.CompileCatalog(plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestCatalogCompilesOnFullSystem(t *testing.T) {
 	}
 
 	// A selection compiles exactly the selected, applicable properties.
-	some, err := props.CompileCatalog(plan, []string{phys[3].ID, model.PropConflicting, phys[0].ID}, th)
+	some, err := props.CompileCatalog(plan, []string{phys[3].ID, model.PropConflicting, phys[0].ID})
 	if err != nil {
 		t.Fatal(err)
 	}

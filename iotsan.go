@@ -133,18 +133,29 @@ type Options struct {
 	// installed but inert — the state space, digests, and violations
 	// are identical to a faults-off run (a CI-enforced gate).
 	MaxFaults int
-	// Properties selects property ids to verify (nil = the full
-	// 45-property catalog).
+	// Properties is refused when set: every run checks the full
+	// 45-property catalog.
+	//
+	// Deprecated: leave it nil. The field is removed together with the
+	// benchmark's hand copy of Analyze (ROADMAP item 1(b)), its last
+	// reader.
 	Properties []string
-	// Thresholds parameterise numeric properties.
+	// Thresholds is refused when set: every run checks the numeric
+	// properties under props.DefaultThresholds.
+	//
+	// Deprecated: leave it zero. The field is removed together with the
+	// benchmark's hand copy of Analyze (ROADMAP item 1(b)), its last
+	// reader.
 	Thresholds props.Thresholds
 	// NoDepGraph disables related-set decomposition (ablation; the
 	// whole system is checked as one group).
 	NoDepGraph bool
-	// Bitstate selects the bitstate (supertrace) visited store — the
-	// legacy toggle, equivalent to Store == StoreBitstate, with the
-	// same caveat: a false-positive "seen" skips that state's invariant
-	// inspection as well as its expansion.
+	// Bitstate is refused when set: the bitstate (supertrace) store is
+	// Store: StoreBitstate.
+	//
+	// Deprecated: set Store instead. The field is removed together with
+	// the benchmark's hand copy of Analyze (ROADMAP item 1(b)), its last
+	// reader.
 	Bitstate bool
 	// Store selects the visited-state store explicitly (the zero value
 	// keeps the in-memory exhaustive store; see StoreExhaustive /
@@ -210,9 +221,9 @@ type Options struct {
 	// Trails still replay on the raw model: frontier states and the
 	// replay keys on trails stay concrete.
 	Symmetry bool
-	// GroupParallel is ignored: related sets verify concurrently by
-	// default, and Workers alone sets how many at once (1 = one after
-	// another).
+	// GroupParallel is refused when set: related sets verify
+	// concurrently by default, and Workers alone sets how many at once
+	// (1 = one after another).
 	//
 	// Deprecated: set Workers instead. The field is removed together with
 	// the benchmark's hand copy of Analyze (ROADMAP item 1(b)), its last
@@ -270,18 +281,29 @@ func (o Options) withDefaults() Options {
 	if o.MaxStatesPerSet <= 0 {
 		o.MaxStatesPerSet = 1_000_000
 	}
-	if o.Thresholds == (props.Thresholds{}) {
-		o.Thresholds = props.DefaultThresholds()
-	}
 	return o
 }
 
 // validate rejects option values and combinations no search can run
-// under, before any source is translated: a negative count, budget or
-// limit (zero keeps its documented default), the store directory the
-// tiered store and the WAL need, then the checker's own rule
-// (checker.Options.Validate) on the options that reach it.
+// under, before any source is translated: a deprecated field that is
+// set, a negative count, budget or limit (zero keeps its documented
+// default), the store directory the tiered store and the WAL need, then
+// the checker's own rule (checker.Options.Validate) on the options that
+// reach it.
 func (o Options) validate() error {
+	for _, f := range []struct {
+		name, instead string
+		set           bool
+	}{
+		{"Properties", "every run checks the full catalog", o.Properties != nil},
+		{"Thresholds", "every run uses props.DefaultThresholds", o.Thresholds != (props.Thresholds{})},
+		{"Bitstate", "set Store: StoreBitstate", o.Bitstate},
+		{"GroupParallel", "set Workers", o.GroupParallel},
+	} {
+		if f.set {
+			return fmt.Errorf("iotsan: Options.%s is deprecated and refused; %s", f.name, f.instead)
+		}
+	}
 	for _, f := range []struct {
 		name string
 		v    int64
@@ -304,10 +326,9 @@ func (o Options) validate() error {
 	return o.checkerOptions().Validate()
 }
 
-// checkerOptions is the part of o every related set's search shares,
-// with the legacy Bitstate toggle mapped to its store.
+// checkerOptions is the part of o every related set's search shares.
 func (o Options) checkerOptions() checker.Options {
-	copts := checker.Options{
+	return checker.Options{
 		Strategy:   o.Strategy,
 		Store:      o.Store,
 		StoreDir:   o.StoreDir,
@@ -321,10 +342,6 @@ func (o Options) checkerOptions() checker.Options {
 
 		NoEpochReclaim: o.NoEpochReclaim,
 	}
-	if o.Bitstate && o.Store == StoreExhaustive {
-		copts.Store = StoreBitstate
-	}
-	return copts
 }
 
 // GroupResult is the verification result of one related set.
@@ -464,11 +481,8 @@ type plan struct {
 	// instance of the app.
 	insts    []*model.AppInst
 	handlers [][]smartapp.HandlerInfo
-	// invs is the selected invariant catalog, compiled once.
+	// invs is the invariant catalog, compiled once.
 	invs []model.Invariant
-	// checkConflicts/Leakage/Robustness are the selected event
-	// properties.
-	checkConflicts, checkLeakage, checkRobustness bool
 	// propAttrs are the sensed attributes the applicable properties
 	// observe: the half of a group's relevant attributes that does not
 	// depend on the group.
@@ -511,7 +525,7 @@ func newPlan(sys *System, names []string, translate func(name string) (*ir.App, 
 	var catalogErr error
 	forEachIndex(1+len(names), opts.width(), func(_, t int) {
 		if t == 0 {
-			pl.invs, catalogErr = props.CompileCatalog(mp, filterPhysical(opts.Properties), opts.Thresholds)
+			pl.invs, catalogErr = props.CompileCatalog(mp, nil)
 			return
 		}
 		j := t - 1
@@ -542,11 +556,6 @@ func newPlan(sys *System, names []string, translate func(name string) (*ir.App, 
 	for j, name := range names {
 		byName[name] = apps[j]
 	}
-
-	sel := propertySelection(opts.Properties)
-	pl.checkConflicts = sel[model.PropConflicting] || sel[model.PropRepeated]
-	pl.checkLeakage = sel[model.PropLeakNetwork]
-	pl.checkRobustness = (opts.Failures || opts.Faults) && sel[model.PropRobustness]
 
 	// Properties observe presence/smoke/co/water/motion/etc.; include
 	// the sensed attributes of the devices that applicable properties
@@ -781,9 +790,9 @@ func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Boo
 		Failures:        opts.Failures,
 		Faults:          opts.Faults,
 		MaxFaults:       opts.MaxFaults,
-		CheckConflicts:  pl.checkConflicts,
-		CheckLeakage:    pl.checkLeakage,
-		CheckRobustness: pl.checkRobustness,
+		CheckConflicts:  true,
+		CheckLeakage:    true,
+		CheckRobustness: opts.Failures || opts.Faults,
 		Invariants:      pl.invs,
 		RelevantAttrs:   pl.relevantAttrs(group),
 		Interpreter:     opts.Interpreter,
@@ -821,35 +830,6 @@ func verifyGroup(pl *plan, group []int, opts Options, gidx int, stop *atomic.Boo
 		return nil, fmt.Errorf("iotsan: related set %d: %w", gidx, res.Err)
 	}
 	return &GroupResult{Apps: names, Handlers: handlers, Result: res, InvariantCount: len(pl.invs)}, nil
-}
-
-// propertySelection returns a predicate set over property ids; a nil
-// selection enables everything.
-func propertySelection(ids []string) map[string]bool {
-	sel := map[string]bool{}
-	if ids == nil {
-		for _, id := range props.IDs() {
-			sel[id] = true
-		}
-		return sel
-	}
-	for _, id := range ids {
-		sel[id] = true
-	}
-	return sel
-}
-
-func filterPhysical(ids []string) []string {
-	if ids == nil {
-		return nil
-	}
-	var out []string
-	for _, id := range ids {
-		if p, ok := props.ByID(id); ok && p.Kind == props.Physical {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // Attribute runs the Output Analyzer for a newly installed app (§9).

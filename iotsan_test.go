@@ -117,14 +117,13 @@ func TestWALPathNotAFileIsAnError(t *testing.T) {
 }
 
 // TestStoreDirValidatedBeforeTranslation: each option value or
-// combination no search runs under is rejected up front — a negative
-// fault or hot-tier budget, event count, worker count, state cap,
-// violation cap or deadline, one that needs a store directory, and steal
-// with a store other than the in-memory exhaustive one (the legacy
-// Bitstate toggle included) or with checkpointing, and a hot-tier budget
-// on a store other than the tiered one, which the checker's rule
-// refuses. The error wins over the unparsable source, so nothing
-// was translated first.
+// combination no search runs under is rejected up front — a deprecated
+// field that is set, a negative fault or hot-tier budget, event count,
+// worker count, state cap, violation cap or deadline, one that needs a
+// store directory, and steal with a store other than the in-memory
+// exhaustive one or with checkpointing, and a hot-tier budget on a store
+// other than the tiered one, which the checker's rule refuses. The error
+// wins over the unparsable source, so nothing was translated first.
 func TestStoreDirValidatedBeforeTranslation(t *testing.T) {
 	sys := &iotsan.System{
 		Devices: []iotsan.Device{{ID: "d", Model: "Smart Switch"}},
@@ -132,28 +131,30 @@ func TestStoreDirValidatedBeforeTranslation(t *testing.T) {
 	}
 	bad := map[string]string{"Nope": "not groovy ("}
 	dir := t.TempDir()
-	const noDir, steal = "require Options.StoreDir", "steal strategy"
+	const noDir, steal, deprecated = "require Options.StoreDir", "steal strategy", "is deprecated and refused"
 	for name, c := range map[string]struct {
 		opts iotsan.Options
 		want string
 	}{
-		"tiered":                {iotsan.Options{Store: iotsan.StoreTiered}, noDir},
-		"checkpoint":            {iotsan.Options{Checkpoint: true}, noDir},
-		"resume":                {iotsan.Options{Resume: true}, noDir},
-		"steal-tiered":          {iotsan.Options{Strategy: iotsan.StrategySteal, Store: iotsan.StoreTiered, StoreDir: dir}, steal},
-		"steal-bitstate":        {iotsan.Options{Strategy: iotsan.StrategySteal, Store: iotsan.StoreBitstate}, steal},
-		"steal-bitstate-legacy": {iotsan.Options{Strategy: iotsan.StrategySteal, Bitstate: true}, steal},
-		"steal-checkpoint":      {iotsan.Options{Strategy: iotsan.StrategySteal, Checkpoint: true, StoreDir: dir}, steal},
-		"steal-resume":          {iotsan.Options{Strategy: iotsan.StrategySteal, Resume: true, StoreDir: dir}, steal},
-		"budget-exhaustive":     {iotsan.Options{MemBudget: 65536}, "memory budget"},
-		"budget-bitstate":       {iotsan.Options{Bitstate: true, MemBudget: 65536}, "memory budget"},
-		"negative-max-faults":   {iotsan.Options{MaxFaults: -1}, "Options.MaxFaults"},
-		"negative-mem-budget":   {iotsan.Options{MemBudget: -1}, "Options.MemBudget"},
-		"negative-max-events":   {iotsan.Options{MaxEvents: -1}, "Options.MaxEvents"},
-		"negative-workers":      {iotsan.Options{Workers: -2}, "Options.Workers"},
-		"negative-max-states":   {iotsan.Options{MaxStatesPerSet: -1}, "Options.MaxStatesPerSet"},
-		"negative-max-viols":    {iotsan.Options{MaxViolations: -1}, "Options.MaxViolations"},
-		"negative-deadline":     {iotsan.Options{Deadline: -time.Second}, "Options.Deadline"},
+		"tiered":              {iotsan.Options{Store: iotsan.StoreTiered}, noDir},
+		"checkpoint":          {iotsan.Options{Checkpoint: true}, noDir},
+		"resume":              {iotsan.Options{Resume: true}, noDir},
+		"steal-tiered":        {iotsan.Options{Strategy: iotsan.StrategySteal, Store: iotsan.StoreTiered, StoreDir: dir}, steal},
+		"steal-bitstate":      {iotsan.Options{Strategy: iotsan.StrategySteal, Store: iotsan.StoreBitstate}, steal},
+		"steal-checkpoint":    {iotsan.Options{Strategy: iotsan.StrategySteal, Checkpoint: true, StoreDir: dir}, steal},
+		"steal-resume":        {iotsan.Options{Strategy: iotsan.StrategySteal, Resume: true, StoreDir: dir}, steal},
+		"budget-exhaustive":   {iotsan.Options{MemBudget: 65536}, "memory budget"},
+		"budget-bitstate":     {iotsan.Options{Store: iotsan.StoreBitstate, MemBudget: 65536}, "memory budget"},
+		"properties":          {iotsan.Options{Properties: []string{"lock.main-door-when-away"}}, "Options.Properties " + deprecated},
+		"bitstate-legacy":     {iotsan.Options{Bitstate: true}, "Options.Bitstate " + deprecated},
+		"group-parallel":      {iotsan.Options{GroupParallel: true}, "Options.GroupParallel " + deprecated},
+		"negative-max-faults": {iotsan.Options{MaxFaults: -1}, "Options.MaxFaults"},
+		"negative-mem-budget": {iotsan.Options{MemBudget: -1}, "Options.MemBudget"},
+		"negative-max-events": {iotsan.Options{MaxEvents: -1}, "Options.MaxEvents"},
+		"negative-workers":    {iotsan.Options{Workers: -2}, "Options.Workers"},
+		"negative-max-states": {iotsan.Options{MaxStatesPerSet: -1}, "Options.MaxStatesPerSet"},
+		"negative-max-viols":  {iotsan.Options{MaxViolations: -1}, "Options.MaxViolations"},
+		"negative-deadline":   {iotsan.Options{Deadline: -time.Second}, "Options.Deadline"},
 	} {
 		_, err := iotsan.Analyze(sys, bad, c.opts)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

@@ -19,6 +19,10 @@
 //	progress   POR's progress certificate, where Reduce prunes: the pending entries of the
 //	           selected classes strictly fall along every selected successor, with
 //	           EventsUsed frozen, and rise along no other
+//	commute    two pending dispatches the dependence relation calls independent
+//	           (Model.Independent), stepped in both orders: each stays enabled after the
+//	           other, and the end states' Encode bytes, the violations raised along the
+//	           way and the end state's Inspect are the same (at most maxCommutePairs)
 //
 // The walk steps a state's next child only after returning from the
 // previous child's subtree, as the DFS strategy does, so the scratch
@@ -30,6 +34,7 @@ package iotsan_test
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
@@ -174,9 +179,14 @@ type walkResult struct {
 	orbitLargest          int
 }
 
+// maxCommutePairs caps the independent pairs the commute check steps per
+// walk.
+const maxCommutePairs = 2000
+
 type walker struct {
 	m, twin *model.Model
 	sc      *model.Scratch
+	csc     *model.Scratch // the commute check's, so that w.sc's chain is the walk's alone
 	rng     *rand.Rand
 	budget  int
 	res     *walkResult
@@ -199,7 +209,7 @@ func walk(m, twin *model.Model, seed int64) (*walkResult, error) {
 		return nil, err
 	}
 	res.val = val
-	w := &walker{m: m, twin: twin, sc: m.NewScratch(), rng: rand.New(rand.NewSource(seed)), budget: 1500, res: res,
+	w := &walker{m: m, twin: twin, sc: m.NewScratch(), csc: m.NewScratch(), rng: rand.New(rand.NewSource(seed)), budget: 1500, res: res,
 		byRaw: map[string]string{}, byCanon: map[string][2]string{}}
 	init := m.Initial()
 	var tinit *model.State
@@ -252,6 +262,7 @@ func (w *walker) visit(s, ts *model.State, depth int) {
 		w.state(next, at)
 		if w.m.Opts.Design == model.Concurrent {
 			w.progress(next, at)
+			w.commute(next, at)
 		}
 		if w.res.val != nil {
 			w.res.val.inspect(e.Next.(*model.State)) // the eager path's inherited word
@@ -386,6 +397,68 @@ func (w *walker) progress(s *model.State, at string) {
 	w.res.checked["progress"]++
 }
 
+// commute is the commute check on the pending queue of s: every pair of
+// entries Model.Independent calls independent, until the walk has
+// stepped maxCommutePairs of them.
+func (w *walker) commute(s *model.State, at string) {
+	for k := range s.Queue {
+		for l := k + 1; l < len(s.Queue); l++ {
+			if w.res.checked["commute"] == maxCommutePairs {
+				return
+			}
+			if !w.m.Independent(s.Queue[k], s.Queue[l]) {
+				continue
+			}
+			w.res.checked["commute"]++
+			kl, vkl, err := w.dispatchTwo(s, k, l)
+			if err == "" {
+				var lk []byte
+				var vlk []checker.Violation
+				if lk, vlk, err = w.dispatchTwo(s, l, k); err == "" {
+					if !bytes.Equal(kl, lk) {
+						err = "the two orders end in states with different encodings"
+					} else if !slices.Equal(vkl, vlk) {
+						err = fmt.Sprintf("the two orders raise different violations: %q and %q", vkl, vlk)
+					}
+				}
+			}
+			if err != "" {
+				stubs := w.m.Enabled(s, nil)
+				w.note("commute", "%s: %q and %q: %s", at, stubs[k].Label, stubs[l].Label, err)
+			}
+		}
+	}
+}
+
+// dispatchTwo dispatches the pending entry k of s, then the one that was
+// entry l, on the commute scratch, and returns the end state's encoding
+// and the violations raised by both steps and by Inspect of the end
+// state, sorted; or why the second dispatch is not enabled.
+func (w *walker) dispatchTwo(s *model.State, k, l int) ([]byte, []checker.Violation, string) {
+	stubs := w.m.Enabled(s, nil)
+	tr := w.csc.Step(s, &stubs[k])
+	viols := slices.Clone(tr.Violations)
+	mid := w.csc.Keep()
+	// A dispatch leaves the rest of the queue in order and appends after
+	// it, so entry l moves down one place when k was before it.
+	at := l
+	if k < l {
+		at--
+	}
+	next := w.m.Enabled(mid, nil)
+	if at >= len(mid.Queue) || next[at].Label != stubs[l].Label {
+		return nil, nil, fmt.Sprintf("%q is not enabled after %q", stubs[l].Label, stubs[k].Label)
+	}
+	tr = w.csc.Step(mid, &next[at])
+	viols = append(viols, tr.Violations...)
+	end := w.csc.Keep()
+	viols = append(viols, w.m.Inspect(end)...)
+	slices.SortFunc(viols, func(a, b checker.Violation) int {
+		return cmp.Or(cmp.Compare(a.Property, b.Property), cmp.Compare(a.Detail, b.Detail))
+	})
+	return end.Encode(nil), viols, ""
+}
+
 // state runs the digest, valuation and purity checks on s, in the
 // engine's order: digest, then Inspect.
 func (w *walker) state(s *model.State, at string) {
@@ -496,7 +569,7 @@ type walkRow struct {
 }
 
 // checks are the walker's checks, in the order TestWalk asserts them.
-var checks = []string{"keyed", "predict", "leaf", "digest", "valuation", "purity", "budget0", "progress"}
+var checks = []string{"keyed", "predict", "leaf", "digest", "valuation", "purity", "budget0", "progress", "commute"}
 
 // applies reports whether the row's model has what the check compares.
 func (r walkRow) applies(check string) bool {
@@ -505,7 +578,7 @@ func (r walkRow) applies(check string) bool {
 		return r.c.encode == incremental
 	case "budget0":
 		return r.twin()
-	case "progress":
+	case "progress", "commute":
 		return r.c.w.opts.Design == model.Concurrent
 	case "predict", "leaf":
 		return r.c.memoServes()
@@ -592,14 +665,11 @@ var sequentialGroups = func() (ws []*workload) {
 // part of the event), a door event does so by the location mode, and a
 // presence change stamps the clock into app state.
 var memoRead = &workload{name: "memo-read", opts: model.Options{MaxEvents: 3, UserModeEvents: true},
-	system: func() (*config.System, map[string]*ir.App, error) {
-		sys := &config.System{Name: "memo-read", Modes: []string{"Home", "Away"}, Mode: "Home", Devices: []config.Device{
-			{ID: "presA", Label: "Presence A", Model: "Presence Sensor", Initial: map[string]string{"presence": "present"}},
-			{ID: "door", Label: "Front Door", Model: "Contact Sensor", Initial: map[string]string{"contact": "closed"}},
-			{ID: "hallLight", Label: "Hall Light", Model: "Smart Bulb", Initial: map[string]string{"switch": "off"}},
-		}}
-		apps := map[string]*ir.App{}
-		for _, src := range []string{`
+	system: sourceSystem("memo-read", []config.Device{
+		{ID: "presA", Label: "Presence A", Model: "Presence Sensor", Initial: map[string]string{"presence": "present"}},
+		{ID: "door", Label: "Front Door", Model: "Contact Sensor", Initial: map[string]string{"contact": "closed"}},
+		{ID: "hallLight", Label: "Hall Light", Model: "Smart Bulb", Initial: map[string]string{"switch": "off"}},
+	}, `
 definition(name: "Door Greeter", namespace: "iotsan.test", author: "iotsan",
     description: "Light the hall on presence while the door is open.", category: "Convenience")
 preferences {
@@ -630,7 +700,10 @@ def doorHandler(evt) {
         light.off()
     }
 }
-`, `
+`, arrivalClock)}
+
+// arrivalClock stamps the clock into app state on every presence change.
+const arrivalClock = `
 definition(name: "Arrival Clock", namespace: "iotsan.test", author: "iotsan",
     description: "Remember when presence last changed.", category: "Convenience")
 preferences {
@@ -640,7 +713,46 @@ def installed() { subscribe(people, "presence", clockHandler) }
 def clockHandler(evt) {
     state.at = now()
 }
-`} {
+`
+
+// modeOrder is a concurrent system in which one presence change queues
+// three handlers: one sets the location mode, one records the mode in
+// app state, and the clock. The recorder and the mode setter commute
+// only if the recorder's mode read is missed, so the dependence
+// relation must call them dependent; the clock commutes with both.
+var modeOrder = &workload{name: "mode-order", opts: model.Options{MaxEvents: 2, Design: model.Concurrent},
+	system: sourceSystem("mode-order", []config.Device{
+		{ID: "presA", Label: "Presence A", Model: "Presence Sensor", Initial: map[string]string{"presence": "present"}},
+	}, `
+definition(name: "Leave Sets Away", namespace: "iotsan.test", author: "iotsan",
+    description: "Set the mode to Away on any presence change.", category: "Mode Magic")
+preferences {
+    section("People") { input "people", "capability.presenceSensor", multiple: true }
+}
+def installed() { subscribe(people, "presence", leaveHandler) }
+def leaveHandler(evt) {
+    setLocationMode("Away")
+}
+`, `
+definition(name: "Mode Recorder", namespace: "iotsan.test", author: "iotsan",
+    description: "Remember the mode at the last presence change.", category: "Convenience")
+preferences {
+    section("People") { input "people", "capability.presenceSensor", multiple: true }
+}
+def installed() { subscribe(people, "presence", recordHandler) }
+def recordHandler(evt) {
+    state.seen = location.mode
+}
+`, arrivalClock)}
+
+// sourceSystem builds a system in the modes Home and Away, starting at
+// Home, from devices and one instance of each app in srcs, whose inputs
+// bind by name: people to presA, door to door, light to hallLight.
+func sourceSystem(name string, devices []config.Device, srcs ...string) func() (*config.System, map[string]*ir.App, error) {
+	return func() (*config.System, map[string]*ir.App, error) {
+		sys := &config.System{Name: name, Modes: []string{"Home", "Away"}, Mode: "Home", Devices: slices.Clone(devices)}
+		apps := map[string]*ir.App{}
+		for _, src := range srcs {
 			app, err := smartapp.Translate(src)
 			if err != nil {
 				return nil, nil, err
@@ -653,11 +765,12 @@ def clockHandler(evt) {
 			sys.Apps = append(sys.Apps, config.AppInstance{App: app.Name, Bindings: b})
 		}
 		return sys, apps, sys.Validate()
-	}}
+	}
+}
 
 // walkRows are every matrix workload with and without the block cache,
 // and — outside the race detector — the sequential groups without it,
-// the resized fault fleets and memo-read with it.
+// the resized fault fleets, memo-read and mode-order with it.
 func walkRows() []walkRow {
 	var rows []walkRow
 	for _, w := range matrixWorkloads() {
@@ -670,7 +783,7 @@ func walkRows() []walkRow {
 		rows = append(rows, walkRow{w.name, cell{w: w, encode: flat}})
 	}
 	return append(rows, walkRow{pairFleet.name, cell{w: pairFleet}}, walkRow{largeFleet.name, cell{w: largeFleet}},
-		walkRow{memoRead.name, cell{w: memoRead}})
+		walkRow{memoRead.name, cell{w: memoRead}}, walkRow{modeOrder.name, cell{w: modeOrder}})
 }
 
 func walkRowNamed(name string) walkRow {
@@ -731,6 +844,7 @@ func TestInspectValuationDifferential(t *testing.T)     { walkView(t, "valuation
 func TestInspectPureOverEncoding(t *testing.T)          { walkView(t, "purity") }
 func TestFaultBudgetZeroEquivalence(t *testing.T)       { walkView(t, "budget0") }
 func TestPORProgressCertificate(t *testing.T)           { walkView(t, "progress") }
+func TestIndependentDispatchesCommute(t *testing.T)     { walkView(t, "commute") }
 
 // TestFaultDigestWalkEquivalence: the digest check over fault content —
 // offline devices' stale Reported vectors, report epochs, non-empty
